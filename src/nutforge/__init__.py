@@ -18,9 +18,6 @@ from .exact import (
     Polynomial,
     integer_kernel_vector,
     matrix_kernel,
-    poly_cyclic_reduce,
-    poly_divrem,
-    poly_mul,
 )
 from .cyclotomic import (
     CycIndex,
@@ -94,7 +91,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IntMatrix", "KernelResult", "Polynomial", "integer_kernel_vector",
-    "matrix_kernel", "poly_cyclic_reduce", "poly_divrem", "poly_mul",
+    "matrix_kernel",
     "CycIndex", "cyclotomic", "divides_cyclotomic", "enumerate_feasible_indices",
     "prime_power_cancellation_applies", "radical_scaling_identity_holds",
     "residue_split",

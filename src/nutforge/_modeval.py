@@ -1,100 +1,27 @@
-"""Fast modular evaluation of sparse polynomial families at roots of unity.
+"""Modular screening of sparse polynomial families at roots of unity.
 
-The verification suites must certify that no cyclotomic polynomial in a large
-index family divides any member of a sparse polynomial family.  One direction
-of that check is exact in a single machine-word computation: if q is a prime
-congruent to 1 modulo b and zeta has multiplicative order exactly b in the
-integers modulo q, then every polynomial divisible by the b-th cyclotomic
+If q is a prime congruent to 1 modulo b and zeta has multiplicative order
+exactly b modulo q, every polynomial divisible by the b-th cyclotomic
 polynomial evaluates to 0 at zeta modulo q.  A nonzero evaluation therefore
 certifies non-divisibility outright; only zero hits need the exact sparse
 division fallback.
 
-The sweep over all t in [0, b) for a family with exponents affine in t is the
-one hot loop of the package.  It runs as a numba kernel by default and falls
-back to a vectorized pure-numpy path when the ``NUTFORGE_NO_NUMBA``
-environment variable is set (or numba is unavailable).  Both paths produce
-bit-identical outputs; ``benchmarks/bench_modeval.py`` compares their speed.
+For a family with exponents slope * t + offset, the member at t evaluates at
+zeta to G(zeta^t), where G(w) = sum_s A_s w^(s mod b) and A_s sums
+coeff * zeta^(offset mod b) over the terms of slope s.  As t runs over [0, b),
+zeta^t runs once over the b-th roots of unity, so the zero parameters are the
+roots of H = gcd(G, w^b - 1) in F_q[w]: root counting costs about log b
+products of polynomials of degree below the largest slope, not b evaluations.
 
-All moduli are kept below 2^31 so that every intermediate product fits in a
-signed 64-bit integer.
+Polynomials over F_q are coefficient lists, lowest degree first, without
+trailing zeros.  Moduli stay below 2^31, where ``is_prime`` is deterministic.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
 from .numtheory import is_prime, prime_factors
 
 _Q_LIMIT = 1 << 31
-
-_FORCE_NUMPY = bool(os.environ.get("NUTFORGE_NO_NUMBA"))
-
-
-def _sweep_py(starts, ratios, b, q):
-    # Pure-Python reference implementation; the tests compare both production
-    # backends against it.
-    out = np.empty(b, dtype=np.int64)
-    cur = starts.copy()
-    k = len(starts)
-    for t in range(b):
-        acc = 0
-        for i in range(k):
-            acc += cur[i]
-        out[t] = acc % q
-        for i in range(k):
-            cur[i] = cur[i] * ratios[i] % q
-    return out
-
-
-def _sweep_numpy(starts, ratios, b, q):
-    """Vectorized sweep: per term, build the geometric progression
-    start * ratio^t (mod q) by index doubling, then accumulate."""
-    qq = np.uint64(q)
-    total = np.zeros(b, dtype=np.uint64)
-    for start, ratio in zip(starts.tolist(), ratios.tolist()):
-        g = np.empty(b, dtype=np.uint64)
-        g[0] = start
-        length = 1
-        rpow = ratio % q  # ratio^length mod q, maintained while doubling
-        while length < b:
-            step = min(length, b - length)
-            g[length:length + step] = g[:step] * np.uint64(rpow) % qq
-            length += step
-            if length < b:
-                rpow = rpow * rpow % q
-        total = (total + g) % qq
-    return total.astype(np.int64)
-
-
-_NUMBA_SWEEP = None
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _sweep_numba(starts, ratios, b, q):  # pragma: no cover - jitted
-            out = np.empty(b, dtype=np.int64)
-            k = starts.shape[0]
-            cur = starts.copy()
-            for t in range(b):
-                acc = 0
-                for i in range(k):
-                    acc += cur[i]
-                out[t] = acc % q
-                for i in range(k):
-                    cur[i] = cur[i] * ratios[i] % q
-            return out
-
-        _NUMBA_SWEEP = _sweep_numba
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _NUMBA_SWEEP = None
-
-
-def active_backend() -> str:
-    """Name of the sweep backend in use: 'numba' or 'numpy'."""
-    return "numba" if _NUMBA_SWEEP is not None else "numpy"
 
 
 def evaluation_prime(b: int, skip: int = 0) -> int:
@@ -133,29 +60,80 @@ def root_of_order(q: int, b: int) -> int:
     raise ValueError(f"no element of order {b} modulo {q}")
 
 
-def _prepare(coeffs, slopes, offsets, b, q, zeta):
-    k = len(coeffs)
-    starts = np.empty(k, dtype=np.int64)
-    ratios = np.empty(k, dtype=np.int64)
-    for i in range(k):
-        starts[i] = coeffs[i] % q * pow(zeta, offsets[i] % b, q) % q
-        ratios[i] = pow(zeta, slopes[i] % b, q)
-    return starts, ratios
+def _trim(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
 
 
-def eval_sweep(coeffs, slopes, offsets, b: int, q: int, zeta: int) -> np.ndarray:
-    """Evaluate sum_i coeffs[i] * zeta^(slopes[i]*t + offsets[i]) mod q for
-    every t in [0, b), where zeta has order b modulo the prime q.
+def _rem(a: list[int], m: list[int], q: int) -> list[int]:
+    """a modulo the nonzero m."""
+    a, dm, inv = [c % q for c in a], len(m) - 1, pow(m[-1], -1, q)
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i] * inv % q
+        for j in range(dm):
+            a[i - dm + j] = (a[i - dm + j] - c * m[j]) % q
+    return _trim(a[:dm])
 
-    Returns an int64 array of length b; entry t is the evaluation of the
-    family member at parameter t, reduced modulo q.
+
+def _gcd(a: list[int], b: list[int], q: int) -> list[int]:
+    """A greatest common divisor of a and b (a nonzero)."""
+    while b:
+        a, b = b, _rem(a, b, q)
+    return a
+
+
+def _minus(p: list[int], c: int, q: int) -> list[int]:
+    return _trim([((p[0] if p else 0) - c) % q, *p[1:]])
+
+
+def _power_of_w(e: int, m: list[int], q: int) -> list[int]:
+    """w^e modulo m, by repeated squaring."""
+    result, base = [1], [0, 1]
+    while e:
+        if e & 1:
+            result = _mulmod(result, base, m, q)
+        e >>= 1
+        if e:
+            base = _mulmod(base, base, m, q)
+    return result
+
+
+def _mulmod(a: list[int], b: list[int], m: list[int], q: int) -> list[int]:
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _rem(prod, m, q)
+
+
+def _root_exponents(h: list[int], zeta: int, b: int, q: int) -> list[int]:
+    """Ascending t in [0, b) with h(zeta^t) = 0, where zeta has order b and
+    h, of degree >= 1, divides w^b - 1.
+
+    For the smallest prime p dividing b, w^(b/p) maps the root zeta^t to
+    zeta^(j*b/p) with j = t mod p, so gcd(h, w^(b/p) - zeta^(j*b/p)) holds
+    the roots with t = j (mod p).  Substituting w = zeta^j * u turns them into
+    the roots u = (zeta^p)^((t - j)/p) of an order-b/p problem.
     """
-    if not (2 < q < _Q_LIMIT):
-        raise ValueError("modulus out of the 64-bit-safe range")
-    starts, ratios = _prepare(coeffs, slopes, offsets, b, q, zeta)
-    if _NUMBA_SWEEP is not None:
-        return _NUMBA_SWEEP(starts, ratios, b, q)
-    return _sweep_numpy(starts, ratios, b, q)
+    if b == 1:
+        return [0]
+    p = prime_factors(b)[0]
+    image = _power_of_w(b // p, h, q)
+    step = pow(zeta, b // p, q)
+    found: list[int] = []
+    left = len(h) - 1
+    for j in range(p):
+        part = _gcd(h, _minus(image, pow(step, j, q), q), q)
+        if len(part) > 1:
+            shift = pow(zeta, j, q)
+            moved = [c * pow(shift, k, q) % q for k, c in enumerate(part)]
+            sub = _root_exponents(moved, pow(zeta, p, q), b // p, q)
+            found += [j + p * t for t in sub]
+            left -= len(part) - 1
+            if not left:
+                break
+    return sorted(found)
 
 
 def eval_at(coeffs, exponents, b: int, q: int, zeta: int) -> int:
@@ -185,13 +163,24 @@ def sweep_zero_parameters(coeffs, slopes, offsets, b: int, rounds: int = 2) -> l
     """Parameters t in [0, b) whose family member evaluates to zero at a
     primitive b-th root of unity for `rounds` independent moduli.
 
-    Every t not returned is certified non-divisible by the b-th cyclotomic
-    polynomial; returned parameters need the exact check.
+    The first modulus finds its zeros by root counting (module docstring);
+    later moduli filter those pointwise.  Every t not returned is certified
+    non-divisible by the b-th cyclotomic polynomial; returned parameters need
+    the exact check.
     """
     q = evaluation_prime(b, skip=0)
     zeta = root_of_order(q, b)
-    values = eval_sweep(coeffs, slopes, offsets, b, q, zeta)
-    suspects = np.nonzero(values == 0)[0].tolist()
+    g = [0] * (max((s % b for s in slopes), default=0) + 1)
+    for c, s, o in zip(coeffs, slopes, offsets):
+        g[s % b] = (g[s % b] + c * pow(zeta, o % b, q)) % q
+    g = _trim(g)
+    if not g:
+        suspects = list(range(b))
+    elif len(g) == 1:
+        suspects = []
+    else:
+        h = _gcd(g, _minus(_power_of_w(b, g, q), 1, q), q)
+        suspects = _root_exponents(h, zeta, b, q) if len(h) > 1 else []
     for salt in range(1, rounds):
         if not suspects:
             break

@@ -63,6 +63,17 @@ def _default_jobs() -> int:
         return 1
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
@@ -124,25 +135,39 @@ def _read_input(path: str | None) -> str:
     return sys.stdin.read()
 
 
+def _json_object(text: str) -> dict | None:
+    """The JSON object the text holds, or None (a graph6 line of order 60
+    also starts with a brace)."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    return data if isinstance(data, dict) else None
+
+
 def _parse_spec(text: str):
-    data = json.loads(text)
-    shift = int(data.get("shift", 0))
-    if "rotations" in data or "reflections" in data:
-        spec = DihedralSpec(int(data["m"]),
-                            frozenset(data.get("rotations", [])),
-                            frozenset(data.get("reflections", []))).as_bicirculant()
-        vertex_transitive = True
-    else:
-        spec = BicirculantSpec(int(data["m"]),
-                               frozenset(data.get("s0", [])),
-                               frozenset(data.get("s1", [])),
-                               frozenset(data.get("s2", [])))
-        vertex_transitive = spec.s0 == spec.s2
-    return spec, shift, vertex_transitive
-
-
-def _looks_like_spec(text: str) -> bool:
-    return text.lstrip().startswith("{")
+    """Parse and validate a JSON spec; every defect raises ValueError."""
+    data = _json_object(text)
+    if data is None:
+        raise ValueError("a spec must be a JSON object")
+    dihedral = "rotations" in data or "reflections" in data
+    names = ("rotations", "reflections") if dihedral else ("s0", "s1", "s2")
+    unknown = sorted(set(data) - {"m", "shift", *names})
+    if unknown:
+        raise ValueError(f"unexpected keys {unknown}")
+    # type() rather than isinstance(): JSON true would pass as the integer 1
+    if type(data.get("m")) is not int:
+        raise ValueError("m must be an integer")
+    shift = data.get("shift", 0)
+    if type(shift) is not int or shift not in (0, 1):
+        raise ValueError("shift must be 0 or 1")
+    sets = [data.get(name, []) for name in names]
+    if not all(type(s) is list and all(type(x) is int for x in s) for s in sets):
+        raise ValueError(f"{', '.join(names)} must be lists of integers")
+    if dihedral:
+        return DihedralSpec(data["m"], *sets).as_bicirculant(), shift, True
+    spec = BicirculantSpec(data["m"], *sets)
+    return spec, shift, spec.s0 == spec.s2
 
 
 def cmd_verify(args) -> int:
@@ -151,7 +176,7 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         return _usage_error(str(exc))
     is_spec = args.input_format == "spec" or (
-        args.input_format == "auto" and _looks_like_spec(text))
+        args.input_format == "auto" and _json_object(text) is not None)
     if args.method == "direct":
         if is_spec:
             return _usage_error("direct verification needs a graph, not a spec")
@@ -177,7 +202,7 @@ def cmd_verify(args) -> int:
         return _usage_error(f"method {args.method} needs a JSON spec input")
     try:
         spec, spec_shift, vertex_transitive = _parse_spec(text)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         return _usage_error(f"cannot parse spec: {exc}")
     shift = args.shift if args.shift is not None else spec_shift
     report = nut_check_spectral(spec, shift)
@@ -277,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="graph6")
     p.add_argument("--recipe", action=argparse.BooleanOptionalAction, default=True,
                    help="emit the construction recipe as a comment line")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_positive_int, default=None,
                    help="search candidate cap for the degree-divisible-by-4 regime")
     p.add_argument("--output", default=None, help="output path (default stdout)")
     p.set_defaults(fn=cmd_construct)
@@ -306,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("d", type=int)
     p.add_argument("--no-dedup", action="store_true",
                    help="skip isomorphism dedup (required above order 20)")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_positive_int, default=None,
                    help="candidate cap; exceeding it exits with code 3")
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
+    p.add_argument("--jobs", type=_positive_int, default=_default_jobs(),
                    help="worker process count (default: NUTFORGE_JOBS or 1)")
     p.add_argument("--format", choices=["graph6", "jsonl"], default="graph6")
     p.set_defaults(fn=cmd_census)

@@ -239,21 +239,6 @@ class Polynomial:
         return f"Polynomial('{''.join(parts)}')"
 
 
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Exact product of two polynomials."""
-    return a * b
-
-
-def poly_divrem(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Quotient and remainder of exact polynomial division."""
-    return num.divrem(den)
-
-
-def poly_cyclic_reduce(p: Polynomial, m: int) -> Polynomial:
-    """p reduced modulo x^m - 1 (exponents folded mod m, colliding terms summed)."""
-    return p.cyclic_reduce(m)
-
-
 class IntMatrix:
     """Immutable dense matrix with arbitrary-precision integer entries."""
 

@@ -19,7 +19,7 @@ finite range, are:
   divisibility question for all parameters at once, because the reduced
   polynomial depends on t only through t modulo b.
 
-Every non-divisibility verdict is exact.  The hot sweep first looks for a
+Every non-divisibility verdict is exact.  The screen first looks for a
 modular witness (a nonzero evaluation at an order-b element of a prime field,
 which proves non-divisibility outright); the exact sparse division decides
 the rare parameters where no witness appears, and is the sole authority for
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from ._modeval import nonzero_witness, sweep_zero_parameters
 from .cyclotomic import divides_cyclotomic, enumerate_feasible_indices
-from .exact import Polynomial, poly_cyclic_reduce
+from .exact import Polynomial
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def _nondivisible(fam: PolynomialFamily, t: int, b: int) -> bool:
     exps = fam.exponents(t)
     if nonzero_witness(coeffs, exps, b):
         return True
-    return not divides_cyclotomic(poly_cyclic_reduce(fam.member(t), b), b)
+    return not divides_cyclotomic(fam.member(t).cyclic_reduce(b), b)
 
 
 def verify_family_bounded(tag: str, t_max: int, min_b: int | None = None) -> VerificationReport:
@@ -288,9 +288,10 @@ def verify_finite_case_analysis(tag: str) -> VerificationReport:
     residue.
 
     Because the reduction of the member modulo x^b - 1 depends on t only
-    through t modulo b, checking t in [0, b) covers every parameter.  The
-    modular sweep certifies almost all (b, t) pairs; survivors are decided by
-    the exact division test, which alone can report a violation.
+    through t modulo b, checking t in [0, b) covers every parameter.  Root
+    counting over a prime field (``sweep_zero_parameters``) certifies almost
+    all (b, t) pairs; survivors are decided by the exact division test, which
+    alone can report a violation.
     """
     fam = _family(tag)
     cc = fam.case
@@ -306,7 +307,7 @@ def verify_finite_case_analysis(tag: str) -> VerificationReport:
     for b in indices:
         suspects = sweep_zero_parameters(coeffs, slopes, offsets, b)
         confirmed = [t for t in suspects
-                     if divides_cyclotomic(poly_cyclic_reduce(fam.member(t), b), b)]
+                     if divides_cyclotomic(fam.member(t).cyclic_reduce(b), b)]
         detail = f"all {b} parameter residues non-divisible"
         if suspects:
             detail += f" ({len(suspects)} decided by exact division)"

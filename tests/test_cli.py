@@ -77,7 +77,7 @@ class TestConstruct:
         assert "infeasible" in err
 
     def test_budget_exhaustion(self, capsys):
-        code, _, err = run(capsys, "construct", "14", "8", "--budget", "0")
+        code, _, err = run(capsys, "construct", "20", "8", "--budget", "1")
         assert code == 3
         assert "search exhausted" in err
 
@@ -166,6 +166,36 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--input", "/nonexistent/graph.g6")
         assert code == 2
 
+    def test_auto_reads_order_60_graph6(self, tmp_path, capsys):
+        # An order-60 graph6 line starts with '{' but is not a JSON spec.
+        f = tmp_path / "g.g6"
+        f.write_text(to_graph6(build_circulant(CirculantSpec(60, {1, 2, 9}))))
+        assert f.read_text().startswith("{")
+        forced = run(capsys, "verify", "--input", str(f), "--input-format", "graph6")
+        auto = run(capsys, "verify", "--input", str(f), "--input-format", "auto")
+        assert auto == forced and auto[0] in (0, 1)
+
+    @pytest.mark.parametrize("spec", [
+        '{"m": 8, "rotations": 5}',
+        '{"m": 8, "rotations": [1, 7], "shift": 2}',
+        '{"m": 8.5, "rotations": [1, 7]}',
+        '{"m": "8", "rotations": [1, 7]}',
+        '{"rotations": [1, 7]}',
+        '{"m": 8, "rotations": [1, 7], "s1": [0]}',
+        '{"m": 8, "rotations": ["a"]}',
+        '{"m": 8, "s0": {"1": 7}}',
+        '{"m": 8, "s0": [1]}',
+        '[8, 1, 7]',
+        '{"m": 8,',
+    ])
+    def test_malformed_spec_is_a_usage_error(self, tmp_path, capsys, spec):
+        f = tmp_path / "spec.json"
+        f.write_text(spec)
+        code, _, err = run(capsys, "verify", "--input", str(f),
+                           "--input-format", "spec", "--method", "spectral")
+        assert code == 2
+        assert "cannot parse spec" in err
+
 
 class TestLemmas:
     def test_q_family(self, capsys):
@@ -230,3 +260,17 @@ class TestCensus:
         assert code == 0
         first = json.loads(out.strip().splitlines()[0])
         assert first["degree"] == 4 and first["order"] == 8
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "14", "8", "--budget", "0"),
+    ("census", "--family", "circulant", "8", "4", "--budget", "-1"),
+    ("census", "--family", "circulant", "8", "4", "--budget", "0"),
+    ("census", "--family", "circulant", "8", "4", "--jobs", "0"),
+    ("census", "--family", "circulant", "8", "4", "--jobs", "two"),
+])
+def test_counts_must_be_positive(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err

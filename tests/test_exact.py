@@ -11,9 +11,6 @@ from nutforge.exact import (
     Polynomial,
     integer_kernel_vector,
     matrix_kernel,
-    poly_cyclic_reduce,
-    poly_divrem,
-    poly_mul,
 )
 
 X = Polynomial.x()
@@ -58,50 +55,50 @@ class TestPolynomialBasics:
 
 class TestMul:
     def test_difference_of_squares(self):
-        assert poly_mul(X - 1, X + 1) == P(-1, 0, 1)
+        assert (X - 1) * (X + 1) == P(-1, 0, 1)
 
     def test_absorbing_zero(self):
-        assert poly_mul(ZERO, X**5 + 3) == ZERO
+        assert ZERO * (X**5 + 3) == ZERO
 
     def test_geometric_series_identity(self):
-        assert poly_mul(P(1, 1, 1), X - 1) == P(-1, 0, 0, 1)
+        assert P(1, 1, 1) * (X - 1) == P(-1, 0, 0, 1)
 
     def test_degree_additivity(self):
         rng = random.Random(7)
         for _ in range(100):
             a, b = random_poly(rng), random_poly(rng)
             if a.is_zero or b.is_zero:
-                assert poly_mul(a, b).is_zero
+                assert (a * b).is_zero
             else:
-                assert poly_mul(a, b).degree == a.degree + b.degree
+                assert (a * b).degree == a.degree + b.degree
 
 
 class TestDivRem:
     def test_exact_cubic(self):
-        q, r = poly_divrem(P(-1, 0, 0, 1), X - 1)
+        q, r = P(-1, 0, 0, 1).divrem(X - 1)
         assert q == P(1, 1, 1)
         assert r == ZERO
 
     def test_fifth_root_cofactor(self):
-        q, r = poly_divrem(P(-1, 0, 0, 0, 0, 1), P(1, 1, 1, 1, 1))
+        q, r = P(-1, 0, 0, 0, 0, 1).divrem(P(1, 1, 1, 1, 1))
         assert q == X - 1
         assert r == ZERO
 
     def test_nontrivial_remainder(self):
-        q, r = poly_divrem(P(1, 0, 1), X + 1)
+        q, r = P(1, 0, 1).divrem(X + 1)
         assert q == X - 1
         assert r == P(2)
 
     def test_zero_divisor_raises(self):
         with pytest.raises(ZeroDivisionError):
-            poly_divrem(X, ZERO)
+            X.divrem(ZERO)
 
     def test_monic_integer_divisor_stays_integral(self):
         rng = random.Random(11)
         for _ in range(80):
             num = random_poly(rng, max_deg=12)
             den = random_poly(rng, max_deg=5) + X**6  # force monic degree 6
-            q, r = poly_divrem(num, den)
+            q, r = num.divrem(den)
             assert q.is_integral and r.is_integral
 
     def test_mul_then_div_roundtrip(self):
@@ -111,7 +108,7 @@ class TestDivRem:
             b = random_poly(rng)
             if b.is_zero:
                 continue
-            q, r = poly_divrem(poly_mul(a, b), b)
+            q, r = (a * b).divrem(b)
             assert q == a
             assert r == ZERO
 
@@ -122,21 +119,21 @@ class TestDivRem:
             den = random_poly(rng)
             if den.is_zero:
                 continue
-            q, r = poly_divrem(num, den)
+            q, r = num.divrem(den)
             assert q * den + r == num
             assert r.is_zero or r.degree < den.degree
 
 
 class TestCyclicReduce:
     def test_exponent_fold(self):
-        assert poly_cyclic_reduce(X**7, 5) == X**2
+        assert (X**7).cyclic_reduce(5) == X**2
 
     def test_collapse_to_constant(self):
-        assert poly_cyclic_reduce(X**5 + X**3 + 1, 1) == P(3)
+        assert (X**5 + X**3 + 1).cyclic_reduce(1) == P(3)
 
     def test_square_fold(self):
         # (x + x^3)^2 = x^2 + 2x^4 + x^6; exponents mod 4 give 2x^2 + 2.
-        assert poly_cyclic_reduce((X + X**3) ** 2, 4) == P(2, 0, 2)
+        assert ((X + X**3) ** 2).cyclic_reduce(4) == P(2, 0, 2)
 
     def test_congruent_modulo_cycle(self):
         rng = random.Random(19)
@@ -144,8 +141,8 @@ class TestCyclicReduce:
             p = random_poly(rng, max_deg=20)
             m = rng.randint(1, 9)
             cycle = Polynomial({m: 1, 0: -1})
-            diff = p - poly_cyclic_reduce(p, m)
-            assert poly_divrem(diff, cycle)[1] == ZERO
+            diff = p - p.cyclic_reduce(m)
+            assert diff.divrem(cycle)[1] == ZERO
 
 
 def rational_rref_nullity(data):

@@ -139,11 +139,9 @@ class TestFiniteCaseAnalysis:
     def test_cyclic_reduction_equivalence_on_family_instances(self):
         # The divisibility test commutes with cyclic reduction on family
         # members: exercised here explicitly for a spread of (t, b).
-        from nutforge.exact import poly_cyclic_reduce
-
         for tag in ("Q", "S"):
             for t in (0, 1, 4):
                 p = build_family(tag, t)
                 for b in (2, 3, 5, 8, 12):
                     assert divides_cyclotomic(p, b) == \
-                        divides_cyclotomic(poly_cyclic_reduce(p, b), b)
+                        divides_cyclotomic(p.cyclic_reduce(b), b)

@@ -1,12 +1,21 @@
-"""Tests for the modular root-of-unity evaluation kernels."""
+"""Tests for the modular root-of-unity screening, including the differential
+gate against the per-residue sweep that root counting replaced."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from nutforge import _modeval as me
-from nutforge.cyclotomic import cyclotomic, divides_cyclotomic
+from nutforge.cyclotomic import cyclotomic, divides_cyclotomic, enumerate_feasible_indices
 from nutforge.exact import Polynomial
+from nutforge.lemmas import FAMILIES
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_evaluation_prime_properties():
@@ -67,40 +76,103 @@ def test_planted_multiple_never_gets_witness():
         assert not me.nonzero_witness(coeffs, exps, b, rounds=3)
 
 
-def test_sweep_matches_pointwise_evaluation():
+def _sweep_numpy(starts, ratios, b, q):
+    """The array sweep that root counting replaced, kept as a test oracle:
+    per term, build the geometric progression start * ratio^t (mod q) by
+    index doubling, then accumulate."""
+    qq = np.uint64(q)
+    total = np.zeros(b, dtype=np.uint64)
+    for start, ratio in zip(starts, ratios):
+        g = np.empty(b, dtype=np.uint64)
+        g[0] = start
+        length = 1
+        rpow = ratio % q  # ratio^length mod q, maintained while doubling
+        while length < b:
+            step = min(length, b - length)
+            g[length:length + step] = g[:step] * np.uint64(rpow) % qq
+            length += step
+            if length < b:
+                rpow = rpow * rpow % q
+        total = (total + g) % qq
+    return total.astype(np.int64)
+
+
+def _sweep_suspects(coeffs, slopes, offsets, b):
+    """First-modulus zero parameters by evaluating every residue t."""
+    q = me.evaluation_prime(b)
+    z = me.root_of_order(q, b)
+    starts = [c % q * pow(z, o % b, q) % q for c, o in zip(coeffs, offsets)]
+    ratios = [pow(z, s % b, q) for s in slopes]
+    return np.nonzero(_sweep_numpy(starts, ratios, b, q) == 0)[0].tolist()
+
+
+@pytest.mark.parametrize("tag, zeros", [("Q", 15), ("R", 84), ("S", 77), ("T", 295)])
+def test_suspects_match_sweep_on_case_analysis(tag, zeros):
+    fam = FAMILIES[tag]
+    cc = fam.case
+    coeffs, slopes, offsets = zip(*fam.terms)
+    total = 0
+    for b in enumerate_feasible_indices(cc.allowed_primes, cc.sum_bound,
+                                        cc.rad_ratio_bound, fam.min_b, cc.forbid_four):
+        suspects = me.sweep_zero_parameters(coeffs, slopes, offsets, b, rounds=1)
+        assert suspects == _sweep_suspects(coeffs, slopes, offsets, b), b
+        total += len(suspects)
+    assert total == zeros
+
+
+def _random_family(rng, b, kind):
+    k = rng.randint(1, 10)
+    coeffs = [rng.randint(-3, 3) for _ in range(k)]
+    offsets = [rng.randint(-5, 40) for _ in range(k)]
+    if kind == "constant":  # every slope a multiple of b: G is a constant
+        slopes = [b * rng.randint(0, 3) for _ in range(k)]
+    else:  # the families' slopes, some of them raised past b
+        slopes = [rng.choice((0, 1, 2, 4, 6, 8)) + b * rng.choice((0, 0, 1, 3))
+                  for _ in range(k)]
+    if kind == "zero":  # each term cancelled by its copy shifted by b: G = 0
+        coeffs += [-c for c in coeffs]
+        slopes += slopes
+        offsets += [o + b for o in offsets]
+    return coeffs, slopes, offsets
+
+
+def test_suspects_match_sweep_on_random_families():
+    rng = random.Random(71)
+    kinds = {"plain": 0, "constant": 0, "zero": 0}
+    for i in range(3000):
+        kind = ("plain", "plain", "constant", "zero")[i % 4]
+        b = rng.choice((1, 2, rng.randint(1, 60), rng.randint(61, 3000)))
+        coeffs, slopes, offsets = _random_family(rng, b, kind)
+        suspects = me.sweep_zero_parameters(coeffs, slopes, offsets, b, rounds=1)
+        assert suspects == _sweep_suspects(coeffs, slopes, offsets, b), (
+            b, coeffs, slopes, offsets)
+        if kind == "zero":
+            assert suspects == list(range(b))
+        kinds[kind] += bool(suspects)
+    assert all(kinds.values())  # each kind produced suspects somewhere
+
+
+def test_suspects_match_pointwise_evaluation():
     rng = random.Random(61)
-    for _ in range(20):
-        b = rng.randint(2, 200)
-        k = rng.randint(1, 10)
-        coeffs = [rng.randint(-3, 3) or 1 for _ in range(k)]
-        slopes = [rng.randint(0, 8) for _ in range(k)]
-        offsets = [rng.randint(0, 30) for _ in range(k)]
+    for _ in range(100):
+        b = rng.randint(1, 200)
+        coeffs, slopes, offsets = _random_family(rng, b, "plain")
         q = me.evaluation_prime(b)
         z = me.root_of_order(q, b)
-        values = me.eval_sweep(coeffs, slopes, offsets, b, q, z)
-        for t in (0, 1, b // 2, b - 1):
-            expected = me.eval_at(coeffs, [s * t + o for s, o in zip(slopes, offsets)],
-                                  b, q, z)
-            assert values[t] == expected
+        expected = [t for t in range(b)
+                    if me.eval_at(coeffs, [s * t + o for s, o in zip(slopes, offsets)],
+                                  b, q, z) == 0]
+        assert me.sweep_zero_parameters(coeffs, slopes, offsets, b, rounds=1) == expected
 
 
-def test_backends_agree():
-    rng = random.Random(67)
-    for _ in range(10):
-        b = rng.randint(2, 500)
-        k = rng.randint(1, 12)
-        coeffs = [rng.randint(-3, 3) or 2 for _ in range(k)]
-        slopes = [rng.randint(0, 10) for _ in range(k)]
-        offsets = [rng.randint(0, 40) for _ in range(k)]
-        q = me.evaluation_prime(b)
-        z = me.root_of_order(q, b)
-        starts, ratios = me._prepare(coeffs, slopes, offsets, b, q, z)
-        a = me._sweep_numpy(starts, ratios, b, q)
-        c = me._sweep_py(starts, ratios, b, q)
-        assert np.array_equal(a, c)
-        if me._NUMBA_SWEEP is not None:
-            d = me._NUMBA_SWEEP(starts, ratios, b, q)
-            assert np.array_equal(a, d)
+def test_lemmas_run_without_numpy():
+    code = ("import sys; sys.modules['numpy'] = None; "
+            "from nutforge.cli import main; "
+            "sys.exit(main(['lemmas', '--family', 'Q', '--full-case-analysis']))")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 def test_sweep_zero_parameters_finds_planted_zero():
