@@ -173,8 +173,8 @@ def _parse_spec(text: str):
 def cmd_verify(args) -> int:
     try:
         text = _read_input(args.input)
-    except OSError as exc:
-        return _usage_error(str(exc))
+    except (OSError, UnicodeDecodeError) as exc:
+        return _usage_error(f"cannot read input: {exc}")
     is_spec = args.input_format == "spec" or (
         args.input_format == "auto" and _json_object(text) is not None)
     if args.method == "direct":
@@ -206,7 +206,7 @@ def cmd_verify(args) -> int:
         return _usage_error(f"cannot parse spec: {exc}")
     shift = args.shift if args.shift is not None else spec_shift
     report = nut_check_spectral(spec, shift)
-    singular = ", ".join(f"b={v.b} ({'simple' if v.trace_nonzero_at_root else 'double'})"
+    singular = ", ".join(f"b={v.b} ({'simple' if v.multiplicity == 1 else 'double'})"
                          for v in report.divisor_verdicts if v.det_divisible) or "none"
     label = "nullity" if shift == 0 else "shifted nullity"
     print(f"spectral {label}: {report.total_nullity}; singular divisors: {singular}")

@@ -18,9 +18,12 @@ come from a catalog of parameterized dihedral-group constructions:
 * a deterministic bounded search over circulant (then dihedral) connection
   sets for the degrees divisible by four beyond order d + 4.
 
-Every witness is re-certified by the exact direct kernel check before being
-returned, independent of which construction produced it: the outputs are
-certificates, not citations.
+Search and census candidates are Cayley graphs, so a spectral nullity of one
+already makes them nut graphs: the cyclotomic nullity of ``verify`` screens
+every candidate, and only those that pass it are built.  Every witness is
+re-certified by the exact direct kernel check before being returned,
+independent of which construction produced it: the outputs are certificates,
+not citations.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .graphs import (
     complement,
     is_regular,
 )
-from .verify import NutCertificate, nut_check_direct
+from .verify import NutCertificate, nut_check_direct, nut_check_spectral
 
 #: Candidate cap applied to searches at orders above 24 when no explicit
 #: budget is given; below that the enumeration is exhaustive.
@@ -265,6 +268,27 @@ def _certify(g: Graph, recipe: str, n: int, d: int) -> Witness:
     return Witness(g, recipe, cert)
 
 
+def _screen_and_certify(spec: CirculantSpec | DihedralSpec) -> Witness | None:
+    """Certified witness for a search or census candidate, or None when the
+    candidate is no nut graph.
+
+    The spectral nullity decides: for these vertex-transitive graphs nullity
+    one is the nut property.  Only a candidate that passes is built and run
+    through the direct kernel, whose disagreement is an error.
+    """
+    if nut_check_spectral(spec).total_nullity != 1:
+        return None
+    if isinstance(spec, CirculantSpec):
+        g = build_circulant(spec)
+    else:
+        g = build_dihedral(spec)
+    cert = nut_check_direct(g)
+    if not cert.is_nut:
+        raise RuntimeError(f"spectral nullity 1 but the direct kernel finds nullity "
+                           f"{cert.nullity} for {spec.describe()}")
+    return Witness(g, spec.describe(), cert)
+
+
 def _assert_witness_parity(n: int, d: int) -> None:
     # Necessary conditions for any (bi)circulant nut graph; every emitted
     # witness must satisfy them.
@@ -329,10 +353,12 @@ def _circulant_candidates(n: int, d: int):
 def circulant_search(n: int, d: int, budget: int | None = None) -> Witness | None:
     """First certified circulant nut witness at (n, d), or None.
 
-    Jump sets are enumerated in deterministic lexicographic order and each
-    candidate is certified by the direct kernel check.  The enumeration is
-    exhaustive up to order 24; beyond that a candidate budget applies
-    (DEFAULT_SEARCH_BUDGET unless overridden).
+    Jump sets are enumerated in deterministic lexicographic order.  Each
+    candidate is screened by its spectral nullity, and the first one with
+    nullity one is built and certified by the direct kernel check.  The
+    enumeration is exhaustive up to order 24; beyond that a budget caps the
+    enumerated candidates, screened-out ones included (DEFAULT_SEARCH_BUDGET
+    unless overridden).
     """
     if n < 3:
         raise ValueError("circulant order must be >= 3")
@@ -342,10 +368,9 @@ def circulant_search(n: int, d: int, budget: int | None = None) -> Witness | Non
         if cap is not None and examined >= cap:
             break
         examined += 1
-        g = build_circulant(CirculantSpec(n, jumps))
-        cert = nut_check_direct(g)
-        if cert.is_nut:
-            return Witness(g, f"circulant(n={n}, jumps={sorted(jumps)})", cert)
+        w = _screen_and_certify(CirculantSpec(n, jumps))
+        if w is not None:
+            return w
     return None
 
 
@@ -376,7 +401,11 @@ def _dihedral_candidates(n: int, d: int):
 
 
 def dihedral_search(n: int, d: int, budget: int | None = None) -> Witness | None:
-    """First certified dihedral Cayley nut witness at (n, d), or None."""
+    """First certified dihedral Cayley nut witness at (n, d), or None.
+
+    Connection sets are enumerated, screened, certified and budgeted as in
+    ``circulant_search``.
+    """
     if n % 2 or n < 6:
         raise ValueError("dihedral order must be even and >= 6")
     cap = _effective_budget(n, budget)
@@ -385,11 +414,9 @@ def dihedral_search(n: int, d: int, budget: int | None = None) -> Witness | None
         if cap is not None and examined >= cap:
             break
         examined += 1
-        spec = DihedralSpec(n // 2, rot, refl)
-        g = build_dihedral(spec)
-        cert = nut_check_direct(g)
-        if cert.is_nut:
-            return Witness(g, spec.describe(), cert)
+        w = _screen_and_certify(DihedralSpec(n // 2, rot, refl))
+        if w is not None:
+            return w
     return None
 
 
@@ -463,35 +490,24 @@ def _budgeted(tasks, budget: int, family: str, n: int, d: int):
         yield task
 
 
-def _census_certify(args):
-    family, n, payload = args
-    if family == "circulant":
-        g = build_circulant(CirculantSpec(n, payload))
-        recipe = f"circulant(n={n}, jumps={sorted(payload)})"
-    else:
-        rot, refl = payload
-        spec = DihedralSpec(n // 2, rot, refl)
-        g = build_dihedral(spec)
-        recipe = spec.describe()
-    cert = nut_check_direct(g)
-    return (g, recipe, cert) if cert.is_nut else None
-
-
 def census(family: str, n: int, d: int, dedup: bool = True,
            jobs: int = 1, budget: int | None = None) -> list[Witness]:
     """All nut graphs of the family at (n, d), one witness per isomorphism
     class (or one per connection set with dedup disabled).
 
-    Candidates are enumerated deterministically; with jobs > 1 certification
-    is distributed over worker processes and merged back in candidate order,
+    Candidates are enumerated deterministically and screened by their
+    spectral nullity; only those with nullity one are built and certified by
+    the direct kernel.  With jobs > 1 screening and certification are
+    distributed over worker processes and merged back in candidate order,
     so the output is independent of scheduling.  A budget caps the number of
     candidate connection sets; exceeding it raises SearchExhaustedError
     rather than returning a silently truncated census.
     """
     if family == "circulant":
-        tasks = (("circulant", n, jumps) for jumps in _circulant_candidates(n, d))
+        tasks = (CirculantSpec(n, jumps) for jumps in _circulant_candidates(n, d))
     elif family == "dihedral":
-        tasks = (("dihedral", n, pair) for pair in _dihedral_candidates(n, d))
+        tasks = (DihedralSpec(n // 2, rot, refl)
+                 for rot, refl in _dihedral_candidates(n, d))
     else:
         raise ValueError(f"unknown census family: {family}")
     if dedup and n > CANONICAL_ORDER_LIMIT:
@@ -504,24 +520,23 @@ def census(family: str, n: int, d: int, dedup: bool = True,
         from multiprocessing import Pool
 
         pool = Pool(jobs)
-        results = pool.imap(_census_certify, tasks, chunksize=16)
+        results = pool.imap(_screen_and_certify, tasks, chunksize=16)
     else:
         pool = None
-        results = map(_census_certify, tasks)
+        results = map(_screen_and_certify, tasks)
     witnesses = []
     seen: set[tuple[int, ...]] = set()
     try:
-        for res in results:
-            if res is None:
+        for w in results:
+            if w is None:
                 continue
-            g, recipe, cert = res
             if dedup:
-                key = canonical_form(g)
+                key = canonical_form(w.graph)
                 if key in seen:
                     continue
                 seen.add(key)
-            _assert_witness_parity(g.order, is_regular(g))
-            witnesses.append(Witness(g, recipe, cert))
+            _assert_witness_parity(w.graph.order, is_regular(w.graph))
+            witnesses.append(w)
     finally:
         if pool is not None:
             pool.close()

@@ -404,23 +404,35 @@ def to_adjacency_list(g: Graph) -> str:
 
 
 def from_adjacency_list(text: str) -> Graph:
-    entries = {}
+    """Parse the listing ``to_adjacency_list`` writes: one line ``u: v1 v2 ...``
+    for every vertex u of 0..n-1, each edge listed at both of its ends.
+
+    A vertex listed twice or not at all, and an edge listed at one end only,
+    are errors rather than guesses.
+    """
+    entries: dict[int, set[int]] = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         head, _, tail = line.partition(":")
         u = int(head)
-        entries[u] = [int(x) for x in tail.split()]
+        if u in entries:
+            raise ValueError(f"vertex {u} listed twice")
+        entries[u] = {int(x) for x in tail.split()}
     if not entries:
         raise ValueError("empty adjacency list")
-    n = max(entries) + 1
-    edges = set()
+    n = len(entries)
+    if set(entries) != set(range(n)):
+        raise ValueError(f"the listed vertices are not 0..{n - 1}")
+    edges = []
     for u, nbrs in entries.items():
         for v in nbrs:
-            n = max(n, v + 1)
-            edges.add((min(u, v), max(u, v)))
-    return Graph.from_edges(n, sorted(edges))
+            if u not in entries.get(v, ()):
+                raise ValueError(f"edge ({u}, {v}) is not listed at vertex {v}")
+            if u <= v:
+                edges.append((u, v))
+    return Graph.from_edges(n, edges)
 
 
 def to_dot(g: Graph, name: str = "G") -> str:

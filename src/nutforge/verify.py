@@ -4,29 +4,33 @@ Direct method: compute the exact rational nullspace of the adjacency matrix.
 The graph is a nut graph iff the nullity is one and the kernel vector has no
 zero coordinate.
 
-Spectral method (bicirculant graphs only): the adjacency matrix of an
-order-2m bicirculant is similar to the direct sum over the m-th roots of
-unity zeta of the 2x2 blocks
+Spectral method (circulant and bicirculant graphs): the adjacency matrix is
+similar to a direct sum of small blocks, one per m-th root of unity zeta,
+where m is the order of the cyclic group acting.  A circulant on Z_n has the
+1x1 blocks [p_S(zeta)] with p_S summing x^c over the connection set S u -S;
+an order-2m bicirculant has the 2x2 blocks
 
     [[p0(zeta), p1(1/zeta)], [p1(zeta), p2(zeta)]],
 
-where p_i sums x^j over connection set i.  The block determinant, as a
-polynomial reduced modulo x^m - 1, therefore decides singularity at every
-root of unity at once: the blocks at the primitive b-th roots (b dividing m)
-are singular iff the b-th cyclotomic polynomial divides the determinant
-polynomial.  Block zero-eigenvalue multiplicity is one unless the trace
-vanishes there too; aggregating phi(b) times the block multiplicity over the
-singular divisors gives the total nullity without ever touching algebraic
-numbers.
+where p_i sums x^j over connection set i.  The block invariants (the entry
+of a 1x1 block; the determinant and trace of a 2x2 block), as polynomials
+reduced modulo x^m - 1, decide singularity at every root of unity at once:
+an invariant vanishes at the primitive b-th roots (b dividing m) iff the
+b-th cyclotomic polynomial divides it.  The blocks are Hermitian, so the
+zero-eigenvalue multiplicity of a block is the number of its invariants that
+vanish, taken from the determinant down; aggregating phi(b) times that
+multiplicity over the divisors gives the total nullity without ever touching
+algebraic numbers.
 
 A diagonal shift of one runs the same computation for eigenvalue -1, which is
 what complement constructions need: for a non-complete regular graph the
 complement's nullity equals the multiplicity of -1 in the base graph.
 
-For vertex-transitive inputs nullity one already implies the nut property, so
-the spectral verdict is complete for dihedral Cayley graphs.  For general
-bicirculants the spectral method reports the nullity only; the kernel-entry
-condition always defers to the direct method.
+For vertex-transitive inputs (circulants and dihedral Cayley graphs) nullity
+one already implies the nut property: every automorphism maps the kernel
+vector to plus or minus itself, so a zero entry would make it vanish.  For
+general bicirculants the spectral method reports the nullity only; the
+kernel-entry condition always defers to the direct method.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import divides_cyclotomic
 from .exact import Polynomial, matrix_kernel
-from .graphs import BicirculantSpec, Graph
+from .graphs import BicirculantSpec, CirculantSpec, DihedralSpec, Graph
 from .numtheory import divisors, euler_phi
 
 
@@ -60,17 +64,28 @@ class NutCertificate:
 
 @dataclass(frozen=True)
 class DivisorVerdict:
-    """Singularity report for the blocks at the primitive b-th roots of unity."""
+    """Zero-eigenvalue multiplicity of each block at the primitive b-th roots
+    of unity: 0 when those blocks are nonsingular, at most the block size."""
 
     b: int
-    det_divisible: bool
-    trace_nonzero_at_root: bool | None  # present only when det_divisible
+    multiplicity: int
+
+    @property
+    def det_divisible(self) -> bool:
+        return self.multiplicity > 0
+
+    @property
+    def trace_nonzero_at_root(self) -> bool | None:
+        """For singular blocks, True iff the zero eigenvalue is simple;
+        None for nonsingular ones."""
+        return self.multiplicity == 1 if self.multiplicity else None
 
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Nullity of a (possibly shifted) bicirculant adjacency matrix, resolved
-    per divisor of m."""
+    """Nullity of a (possibly shifted) circulant or bicirculant adjacency
+    matrix, resolved per divisor of the cyclic order m (the order of a
+    circulant, half the order of a bicirculant)."""
 
     m: int
     shift: int
@@ -138,26 +153,37 @@ def trace_polynomial(spec: BicirculantSpec, shift: int) -> Polynomial:
     return t.cyclic_reduce(m)
 
 
-def nut_check_spectral(spec: BicirculantSpec, shift: int = 0) -> SpectralReport:
-    """Resolve the nullity of the (shifted) bicirculant through its 2x2 blocks.
+def _block_invariants(spec, shift: int) -> tuple[int, tuple[Polynomial, ...]]:
+    """Cyclic order m and the block invariants of the shifted spec, from the
+    determinant down: (entry,) for a circulant, (det, trace) otherwise."""
+    if isinstance(spec, CirculantSpec):
+        n = spec.n
+        conn = {c for j in spec.jumps for c in (j, n - j)}
+        return n, ((_connection_polynomial(conn, n) + shift).cyclic_reduce(n),)
+    if isinstance(spec, DihedralSpec):
+        spec = spec.as_bicirculant()
+    return spec.m, (det_polynomial(spec, shift), trace_polynomial(spec, shift))
+
+
+def nut_check_spectral(spec: CirculantSpec | DihedralSpec | BicirculantSpec,
+                       shift: int = 0) -> SpectralReport:
+    """Resolve the nullity of the (shifted) circulant or bicirculant through
+    its blocks.
 
     For each divisor b of m the primitive b-th roots of unity contribute
-    phi(b) blocks; each is singular iff the b-th cyclotomic polynomial
-    divides the determinant polynomial, with zero-eigenvalue multiplicity two
-    iff the trace polynomial is divisible as well.
+    phi(b) blocks; their zero-eigenvalue multiplicity is the number of block
+    invariants, taken from the determinant down, that the b-th cyclotomic
+    polynomial divides.
     """
     if shift not in (0, 1):
         raise ValueError("shift must be 0 or 1")
-    det = det_polynomial(spec, shift)
-    trace = trace_polynomial(spec, shift)
+    m, invariants = _block_invariants(spec, shift)
     verdicts = []
     total = 0
-    for b in divisors(spec.m):
-        if divides_cyclotomic(det, b):
-            trace_divisible = divides_cyclotomic(trace, b)
-            mult = 2 if trace_divisible else 1
-            total += euler_phi(b) * mult
-            verdicts.append(DivisorVerdict(b, True, not trace_divisible))
-        else:
-            verdicts.append(DivisorVerdict(b, False, None))
-    return SpectralReport(spec.m, shift, tuple(verdicts), total)
+    for b in divisors(m):
+        mult = 0
+        while mult < len(invariants) and divides_cyclotomic(invariants[mult], b):
+            mult += 1
+        total += euler_phi(b) * mult
+        verdicts.append(DivisorVerdict(b, mult))
+    return SpectralReport(m, shift, tuple(verdicts), total)

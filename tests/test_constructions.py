@@ -1,7 +1,10 @@
 """Tests for feasibility, the construction catalog, searches, and the census."""
 
+import dataclasses
+
 import pytest
 
+import nutforge.constructions as constructions
 from nutforge.constructions import (
     InfeasiblePairError,
     SearchExhaustedError,
@@ -232,6 +235,67 @@ class TestSearch:
         w = dihedral_search(12, 6)
         assert w is not None
         assert is_regular(w.graph) == 6 and w.graph.order == 12
+
+    def test_budget_counts_screened_out_candidates(self):
+        # [1, 2, 6, 7] is the 22nd jump set enumerated at (24, 8); the 21
+        # before it never reach the direct kernel but still count.
+        assert circulant_search(24, 8, budget=21) is None
+        w = circulant_search(24, 8, budget=22)
+        assert w.recipe == "circulant(n=24, jumps=[1, 2, 6, 7])"
+
+    def test_screen_kernel_disagreement_raises(self, monkeypatch):
+        real = constructions.nut_check_spectral
+
+        def claims_nullity_one(spec, shift=0):
+            return dataclasses.replace(real(spec, shift), total_nullity=1)
+
+        monkeypatch.setattr(constructions, "nut_check_spectral", claims_nullity_one)
+        with pytest.raises(RuntimeError, match="direct kernel"):
+            circulant_search(8, 2)  # the 8-cycle has nullity 2
+
+
+# -- the search before the spectral screen, kept as a test-only oracle ----------
+
+def _kernel_witnesses(specs):
+    """Witness for every spec the direct kernel certifies, one kernel per
+    candidate: how the searches and the census ran before the screen."""
+    for spec in specs:
+        g = (build_circulant(spec) if isinstance(spec, CirculantSpec)
+             else build_dihedral(spec))
+        cert = nut_check_direct(g)
+        if cert.is_nut:
+            yield Witness(g, spec.describe(), cert)
+
+
+def _circulant_specs(n, d):
+    return (CirculantSpec(n, jumps) for jumps in constructions._circulant_candidates(n, d))
+
+
+def _dihedral_specs(n, d):
+    return (DihedralSpec(n // 2, rot, refl)
+            for rot, refl in constructions._dihedral_candidates(n, d))
+
+
+def _kernel_construct(n, d):
+    return (next(_kernel_witnesses(_circulant_specs(n, d)), None)
+            or next(_kernel_witnesses(_dihedral_specs(n, d)), None))
+
+
+class TestScreenMatchesKernelSearch:
+    def test_construct_search_pairs(self):
+        # Every search pair of the construct benchmark workload.
+        pairs = [(n, d) for d in range(4, 41, 4) for n in range(d + 6, 41, 2)
+                 if (n, d) not in ((16, 8), (20, 16))]
+        assert len(pairs) == 71
+        for n, d in pairs:
+            assert sporadic_witness(n, d) is None
+            assert construct(n, d) == _kernel_construct(n, d), (n, d)
+
+    @pytest.mark.parametrize("family,n,d", [("dihedral", 14, 8), ("circulant", 24, 8)])
+    def test_census_no_dedup(self, family, n, d):
+        specs = _circulant_specs if family == "circulant" else _dihedral_specs
+        oracle = list(_kernel_witnesses(specs(n, d)))
+        assert oracle and census(family, n, d, dedup=False) == oracle
 
 
 class TestCanonicalAndCensus:

@@ -279,6 +279,17 @@ class TestAdjacencyListAndDot:
         g = Graph.from_edges(3, [(0, 1)])
         assert to_adjacency_list(g).splitlines() == ["0: 1", "1: 0", "2:"]
 
+    @pytest.mark.parametrize("text", [
+        "0: 1\n1: 0\n0: 1",  # vertex listed twice
+        "0: 1\n1: 0\n3:",  # vertex 2 missing
+        "0: 1 415\n1: 0",  # neighbour never listed
+        "0: 1 2\n1: 0\n2:",  # edge listed at one end only
+        "0: 0",  # loop
+    ])
+    def test_malformed_listing_rejected(self, text):
+        with pytest.raises(ValueError):
+            from_adjacency_list(text)
+
     def test_dot_contains_edges(self):
         text = to_dot(complete(3))
         assert "0 -- 1;" in text and text.startswith("graph G {")

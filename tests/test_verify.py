@@ -155,6 +155,25 @@ class TestSpectral:
         assert rep.total_nullity == 4
         assert not rep.simple_zero
 
+    def test_circulant_cycles(self):
+        # C_n has eigenvalue 0 iff 4 | n and eigenvalue -1 iff 3 | n, each
+        # twice (at a conjugate pair of roots of unity).
+        for n in range(3, 25):
+            spec = CirculantSpec(n, {1})
+            assert nut_check_spectral(spec, 0).total_nullity == (2 if n % 4 == 0 else 0)
+            assert nut_check_spectral(spec, 1).total_nullity == (2 if n % 3 == 0 else 0)
+
+    def test_circulant_singular_blocks_are_simple(self):
+        rep = nut_check_spectral(CirculantSpec(8, {1}), 0)
+        assert rep.m == 8 and rep.singular_divisors == (4,)
+        assert rep.divisor_verdicts[2].multiplicity == 1
+
+    def test_dihedral_spec_reads_as_its_bicirculant(self):
+        spec = DihedralSpec(8, {1, 7}, {0, 1, 4, 6})
+        for shift in (0, 1):
+            assert (nut_check_spectral(spec, shift)
+                    == nut_check_spectral(spec.as_bicirculant(), shift))
+
     def test_rejects_other_shifts(self):
         spec = BicirculantSpec(4, {1, 3}, frozenset(), {1, 3})
         with pytest.raises(ValueError):
