@@ -248,7 +248,7 @@ def test_criterion_8_census_uniqueness():
 def test_criterion_9_tables_out_of_scope():
     # The published order/degree count tables require an external census of
     # all vertex-transitive graphs up to order 46 and are deliberately not
-    # reproduced; criteria 1-8 and 10 stand in as the property-based gate.  This
+    # reproduced; criteria 1-8, 10 and 11 stand in as the property-based gate.  This
     # placeholder documents the exclusion so the suite states it explicitly.
     _report(9, "full count tables excluded by design", [])
 
@@ -263,3 +263,20 @@ def test_criterion_10_degree_divisible_by_four_grid():
             failures.append((n, d))
     _report(10, f"certified witness for all {len(pairs)} pairs 4|d<=40, d+6<=n<=120",
             failures)
+
+
+def test_criterion_11_degree_two_mod_four_grid():
+    failures = []
+    pairs = [(n, d) for d in range(6, 41, 4) for n in range(d + 6, 121, 4)]
+    for n, d in pairs:
+        if not feasible_vt(n, d).exists:
+            failures.append(("infeasible?", n, d))
+            continue
+        w = construct(n, d)
+        cert = w.certificate
+        if not (cert.is_nut and cert.nullity == 1 and cert.kernel_has_zero_entry is False
+                and all(x != 0 for x in cert.kernel_vector)
+                and w.graph.order == n and is_regular(w.graph) == d):
+            failures.append((n, d))
+    _report(11, f"certified witness for all {len(pairs)} pairs d=2 (mod 4), 6<=d<=40, "
+                "4|n, d+6<=n<=120", failures)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,9 +10,18 @@ from nutforge.exact import (
     NEG_INF,
     IntMatrix,
     Polynomial,
+    _kernel_prime,
     integer_kernel_vector,
     matrix_kernel,
 )
+from nutforge.graphs import (
+    BicirculantSpec,
+    CirculantSpec,
+    build_bicirculant,
+    build_circulant,
+    build_dihedral,
+)
+from test_acceptance import _all_dihedral_specs, _inversion_closed_subset
 
 X = Polynomial.x()
 ONE = Polynomial.one()
@@ -147,7 +157,12 @@ class TestCyclicReduce:
 
 def rational_rref_nullity(data):
     """Independent oracle: nullity via plain exact rational elimination."""
-    m = [[Fraction(x) for x in row] for row in data]
+    return len(data[0]) - len(rref(data)) if data else 0
+
+
+def rref(vectors):
+    """Nonzero rows of the reduced row echelon form, in exact rationals."""
+    m = [[Fraction(x) for x in row] for row in vectors]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     rank = 0
@@ -163,7 +178,68 @@ def rational_rref_nullity(data):
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
-    return cols - rank
+    return m[:rank]
+
+
+def bareiss_kernel(data):
+    """Test-only oracle: the fraction-free (Bareiss) kernel the package used
+    before its modular kernel, as (nullity, basis)."""
+    rows = len(data)
+    cols = len(data[0]) if rows else 0
+    m = [list(r) for r in data]
+    prev_pivot = 1
+    pivot_cols = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pivot = m[r][c]
+        for i in range(r + 1, rows):
+            head = m[i][c]
+            row_i = m[i]
+            row_r = m[r]
+            for j in range(c + 1, cols):
+                row_i[j] = (pivot * row_i[j] - head * row_r[j]) // prev_pivot
+            row_i[c] = 0
+        prev_pivot = pivot
+        pivot_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    basis = []
+    for f in (c for c in range(cols) if c not in pivot_cols):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for row_idx in range(len(pivot_cols) - 1, -1, -1):
+            pc = pivot_cols[row_idx]
+            if pc > f:
+                continue
+            row = m[row_idx]
+            s = sum((Fraction(row[j]) * v[j] for j in range(pc + 1, cols) if row[j]),
+                    Fraction(0))
+            v[pc] = -s / row[pc]
+        basis.append(tuple(v))
+    return cols - len(pivot_cols), basis
+
+
+def assert_matches_bareiss(data):
+    """Same nullity as the Bareiss oracle, the same primitive integer kernel
+    vector at nullity one and the same span above it; every basis vector is
+    annihilated and is 1 at a column where the others are 0."""
+    res = matrix_kernel(IntMatrix(data))
+    nullity, basis = bareiss_kernel(data)
+    assert res.nullity == nullity == len(res.basis)
+    if nullity == 1:
+        assert integer_kernel_vector(res.basis[0]) == integer_kernel_vector(basis[0])
+    elif nullity > 1 and res.basis != tuple(basis):
+        assert rref(res.basis) == rref(basis)
+    for v in res.basis:
+        w = integer_kernel_vector(v)
+        assert not any(sum(a * b for a, b in zip(row, w)) for row in data)
+        assert any(x == 1 and all(u[j] == 0 for u in res.basis if u is not v)
+                   for j, x in enumerate(v))
 
 
 class TestMatrixKernel:
@@ -193,6 +269,7 @@ class TestMatrixKernel:
             assert res.nullity == rational_rref_nullity(data)
             for v in res.basis:
                 assert all(x == 0 for x in mat.mul_vector(v))
+            assert_matches_bareiss(data)
 
     def test_determinism(self):
         data = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
@@ -205,3 +282,104 @@ class TestMatrixKernel:
         assert v == (1, 1)
         v = integer_kernel_vector((Fraction(2, 3), Fraction(4, 3)))
         assert v == (1, 2)
+
+
+def _circulant_jump_sets():
+    for n in range(5, 21):
+        pool = range(1, n // 2 + 1)
+        for k in range(len(pool) + 1):
+            for jumps in combinations(pool, k):
+                yield CirculantSpec(n, jumps)
+
+
+def _criterion_4_graphs():
+    """The graphs of the dihedral and bicirculant specs of acceptance criterion 4."""
+    for m in range(3, 9):
+        for spec in _all_dihedral_specs(m):
+            yield build_dihedral(spec)
+    rng = random.Random(20250810)
+    for _ in range(500):
+        m = rng.randint(3, 16)
+        yield build_bicirculant(BicirculantSpec(
+            m, _inversion_closed_subset(rng, m),
+            frozenset(b for b in range(m) if rng.random() < 0.3),
+            _inversion_closed_subset(rng, m)))
+
+
+class TestMatchesBareiss:
+    """Differential gate: the modular kernel against the Bareiss oracle (the
+    120 random matrices of ``test_kernel_vectors_annihilated`` also run it)."""
+
+    @pytest.mark.parametrize("data", [
+        [], [[]], [[], []], [[0]], [[0, 0, 0]], [[0], [0], [0]],
+        [[0] * 4 for _ in range(3)], [[1]], [[1, 0], [0, 1]],
+        [[int(i == j) for j in range(6)] for i in range(6)],
+    ])
+    def test_zero_empty_and_identity(self, data):
+        assert_matches_bareiss(data)
+
+    def test_slots_near_the_prime(self):
+        # entries congruent to -1 and -2 make every slot grow by nearly p**2
+        # per pivot, the case the slot width is sized for
+        p = _kernel_prime(0)
+        rng = random.Random(29)
+        for rows, cols in ((30, 30), (40, 25), (25, 40)):
+            data = [[rng.choice((p - 1, p - 2, -1, 0, 1)) for _ in range(cols)]
+                    for _ in range(rows)]
+            for r in range(0, rows - 1, 3):  # plant dependent rows
+                data[r + 1] = [a + 2 * b for a, b in zip(data[r], data[r + 1])]
+                data[r] = list(data[r + 1])
+            assert_matches_bareiss(data)
+
+    def test_two_word_slots(self):
+        # 8192 rows need a slot wider than one 64-bit word
+        rng = random.Random(31)
+        data = [[rng.randint(-3, 3), rng.randint(-3, 3), 0, 0] for _ in range(8192)]
+        data[5][2] = data[7][2] = 1
+        data[6][2] = 2
+        assert_matches_bareiss(data)
+        assert_matches_bareiss([row[:2] + [0] for row in data])
+
+    def test_circulants(self):
+        for spec in _circulant_jump_sets():
+            a = build_circulant(spec).adjacency_matrix()
+            assert_matches_bareiss(a.data)
+            assert_matches_bareiss(a.shifted(1).data)
+
+    def test_criterion_4_dihedral_and_bicirculant_specs(self):
+        for g in _criterion_4_graphs():
+            a = g.adjacency_matrix()
+            assert_matches_bareiss(a.data)
+            assert_matches_bareiss(a.shifted(1).data)
+
+
+class TestSeveralPrimes:
+    """Inputs on which the first prime alone cannot certify the kernel."""
+
+    def test_unlucky_first_prime(self):
+        p = _kernel_prime(0)
+        assert matrix_kernel(IntMatrix([[p]])).nullity == 0
+        res = matrix_kernel(IntMatrix([[p, 0], [0, 0]]))
+        assert res.nullity == 1
+        assert res.basis == ((Fraction(0), Fraction(1)),)
+        # the first prime picks the wrong pivot column; the second restarts
+        assert matrix_kernel(IntMatrix([[p, 1]])).basis == ((Fraction(-1, p), Fraction(1)),)
+
+    def test_entries_past_one_prime_bound(self):
+        res = matrix_kernel(IntMatrix([[2**40, -1]]))
+        assert res.nullity == 1
+        assert res.basis == ((Fraction(1, 2**40), Fraction(1)),)
+        assert integer_kernel_vector(res.basis[0]) == (1, 2**40)
+        res = matrix_kernel(IntMatrix([[2**60 + 1, -(3**40)], [0, 0]]))
+        assert integer_kernel_vector(res.basis[0]) == (3**40, 2**60 + 1)
+
+    def test_product_of_primes(self):
+        # zero modulo each of the first three primes, whose combined residues
+        # fail the check, until the fourth restarts at full rank
+        q = _kernel_prime(0) * _kernel_prime(1) * _kernel_prime(2)
+        assert matrix_kernel(IntMatrix([[q, 0], [0, q]])).nullity == 0
+        assert_matches_bareiss([[q, 1, 0], [0, q, q], [q, 1 + q, q]])
+
+    def test_determinism(self):
+        data = [[2**40, -1, 3], [5, 0, 2**33]]
+        assert matrix_kernel(IntMatrix(data)).basis == matrix_kernel(IntMatrix(data)).basis
