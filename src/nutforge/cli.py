@@ -25,6 +25,7 @@ import os
 import sys
 
 from .constructions import (
+    CANONICAL_ORDER_LIMIT,
     InfeasiblePairError,
     SearchExhaustedError,
     census,
@@ -330,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("d", type=int)
     p.add_argument("--no-dedup", action="store_true",
-                   help="skip isomorphism dedup (required above order 20)")
+                   help="skip isomorphism dedup (required above order "
+                        f"{CANONICAL_ORDER_LIMIT})")
     p.add_argument("--budget", type=_positive_int, default=None,
                    help="candidate cap; exceeding it exits with code 3")
     p.add_argument("--jobs", type=_positive_int, default=_default_jobs(),

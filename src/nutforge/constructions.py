@@ -18,6 +18,12 @@ come from a catalog of parameterized dihedral-group constructions:
 * a deterministic bounded search over circulant (then dihedral) connection
   sets for the degrees divisible by four beyond order d + 4.
 
+``census`` lists the nut graphs of a family at (n, d), one witness per
+isomorphism class: candidates come in the searches' order, and a witness is
+kept unless an earlier one has the same ``canonical_form``, an exact labeling
+by colour refinement and individualization, pruned by the automorphisms the
+search meets (orders up to ``CANONICAL_ORDER_LIMIT``).
+
 Search and census candidates are Cayley graphs, so a spectral nullity of one
 already makes them nut graphs: the cyclotomic nullity of ``verify`` screens
 every candidate, and only those that pass it are built.  Every witness is
@@ -48,8 +54,8 @@ from .verify import NutCertificate, nut_check_direct, nut_check_spectral
 DEFAULT_SEARCH_BUDGET = 200_000
 _EXHAUSTIVE_ORDER = 24
 
-#: Largest order the brute-force canonical labeling accepts.
-CANONICAL_ORDER_LIMIT = 20
+#: Largest order the census labels for dedup.
+CANONICAL_ORDER_LIMIT = 32
 
 
 class InfeasiblePairError(ValueError):
@@ -422,58 +428,133 @@ def dihedral_search(n: int, d: int, budget: int | None = None) -> Witness | None
 
 # -- canonical labeling and census ----------------------------------------------
 
-def canonical_form(g: Graph) -> tuple[int, ...]:
-    """Isomorphism-invariant key: the lexicographically minimal sequence of
-    column codes over all vertex orderings.
+def _refine(rows, cells, active):
+    """Equitable refinement of the ordered partition ``cells``.
 
-    The code of position k is the adjacency bit pattern of the k-th placed
-    vertex against positions 0..k-1 (earlier position = higher bit).  The
-    search is exhaustive branch-and-bound: a partial ordering is abandoned as
-    soon as its code sequence exceeds the best complete sequence found.
+    ``cells`` is a list of vertex lists and ``active`` the set of positions
+    of the cells still to split by.  Each round takes the splitter at the
+    lowest active position and splits every cell by the number of neighbours
+    its vertices have in the splitter, putting the fragments in place of the
+    cell in ascending order of that count; every fragment becomes active.
+    Only positions and counts steer the rounds, so relabelling the graph
+    relabels the result the same way.
+    """
+    n = len(rows)
+    while active and len(cells) < n:
+        s = min(active)
+        active.discard(s)
+        mask = 0
+        for v in cells[s]:
+            mask |= 1 << v
+        refined = []
+        refined_active = set()
+        for i, cell in enumerate(cells):
+            if len(cell) > 1:
+                parts: dict[int, list[int]] = {}
+                for v in cell:
+                    parts.setdefault((rows[v] & mask).bit_count(), []).append(v)
+                if len(parts) > 1:
+                    for count in sorted(parts):
+                        refined_active.add(len(refined))
+                        refined.append(parts[count])
+                    continue
+            if i in active:
+                refined_active.add(len(refined))
+            refined.append(cell)
+        cells, active = refined, refined_active
+    return cells
+
+
+def canonical_form(g: Graph) -> tuple[int, ...]:
+    """Isomorphism-invariant key ``(n, *certificate)``, after McKay and
+    Piperno's individualization-refinement.
+
+    The search tree starts from the equitable refinement of the unit
+    partition.  At each node the first smallest non-singleton cell is the
+    target; each of its vertices in turn is individualized (split off in
+    front of its cell) and the partition refined again.  At a discrete
+    partition, a leaf, the certificate is the tuple of adjacency rows
+    relabelled by that vertex ordering (row k holds the new labels of the
+    neighbours of the k-th vertex as bits), and the form is the minimum
+    certificate over all leaves.  The tree depends only on the graph, not on
+    its labels, so isomorphic graphs get equal forms; equal certificates
+    are the same relabelled graph, so the form is a complete invariant.
+
+    A leaf whose certificate equals the best one so far maps the best leaf's
+    ordering onto its own: that map is an automorphism, and the search jumps
+    back to where the two paths part, since the subtree it leaves is the
+    image of one already explored.  A node skips every target vertex in the
+    orbit of one it explored, under the automorphisms found so far that fix
+    the node's individualized vertices; skipped subtrees repeat explored
+    certificates, so the minimum stays exact.
     """
     n = g.order
     rows = g.adjacency_rows()
-    best: list[int] | None = None
-    perm: list[int] = []
-    cols: list[int] = []
-    used = 0
+    neighbours = [g.neighbors(v) for v in range(n)]
+    best_cert: tuple[int, ...] | None = None
+    best_order: list[int] = []
+    best_path: list[int] = []
+    automorphisms: list[list[int]] = []
 
-    def rec(k: int) -> None:
-        nonlocal best, used
-        if k == n:
-            if best is None or cols < best:
-                best = cols.copy()
-            return
-        cand = []
-        for v in range(n):
-            if used >> v & 1:
+    def search(cells: list[list[int]], path: list[int]) -> int | None:
+        """Explore a node; return the depth to jump back to, or None."""
+        nonlocal best_cert, best_order, best_path
+        target = None
+        for i, cell in enumerate(cells):
+            if len(cell) > 1 and (target is None or len(cell) < len(cells[target])):
+                target = i
+        if target is None:
+            order = [cell[0] for cell in cells]
+            bit = [0] * n
+            for k, v in enumerate(order):
+                bit[v] = 1 << k
+            cert = tuple(sum(bit[u] for u in neighbours[v]) for v in order)
+            if best_cert is None or cert < best_cert:
+                best_cert, best_order, best_path = cert, order, path
+                return None
+            if cert != best_cert:
+                return None
+            gamma = [0] * n
+            for u, v in zip(best_order, order):
+                gamma[u] = v
+            automorphisms.append(gamma)
+            depth = 0
+            while best_path[depth] == path[depth]:
+                depth += 1
+            return depth
+        depth = len(path)
+        cell = cells[target]
+        orbit = list(range(n))  # union-find parents
+
+        def root(v: int) -> int:
+            while orbit[v] != v:
+                orbit[v] = orbit[orbit[v]]
+                v = orbit[v]
+            return v
+
+        absorbed = 0
+        explored: list[int] = []
+        for w in cell:
+            for gamma in automorphisms[absorbed:]:
+                if all(gamma[v] == v for v in path):
+                    for u in cell:
+                        orbit[root(u)] = root(gamma[u])
+            absorbed = len(automorphisms)
+            if any(root(w) == root(x) for x in explored):
                 continue
-            code = 0
-            rv = rows[v]
-            for u in perm:
-                code = code << 1 | (rv >> u & 1)
-            cand.append((code, v))
-        cand.sort()
-        for code, v in cand:
-            if best is not None:
-                tight = all(cols[i] == best[i] for i in range(k))
-                if tight and code > best[k]:
-                    break  # codes ascend: every later candidate is worse
-            perm.append(v)
-            cols.append(code)
-            used |= 1 << v
-            rec(k + 1)
-            perm.pop()
-            cols.pop()
-            used &= ~(1 << v)
+            explored.append(w)
+            child = cells[:target] + [[w], [u for u in cell if u != w]] + cells[target + 1:]
+            jump = search(_refine(rows, child, {target}), path + [w])
+            if jump is not None and jump < depth:
+                return jump
+        return None
 
-    rec(0)
-    assert best is not None
-    return (n, *best)
+    search(_refine(rows, [list(range(n))], {0}), [])
+    return (n, *best_cert)
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:
-    """Exact isomorphism test via canonical forms (small orders only)."""
+    """Exact isomorphism test via canonical forms."""
     if a.order != b.order or sorted(a.degrees()) != sorted(b.degrees()):
         return False
     return canonical_form(a) == canonical_form(b)

@@ -45,10 +45,15 @@ class Graph:
                 raise ValueError("adjacency bits outside vertex range")
             if r >> i & 1:
                 raise ValueError(f"loop at vertex {i}")
-        for i in range(order):
-            for j in range(i + 1, order):
-                if (rows[i] >> j & 1) != (rows[j] >> i & 1):
-                    raise ValueError(f"asymmetric adjacency at ({i}, {j})")
+        # Character j of bits[i] is bit j of row i, so zip(*bits) yields the
+        # transposed rows.  An asymmetric pair (k, j) differs in rows k and j,
+        # so the first differing row differs first at a column above its own
+        # index: that names the lexicographically first pair.
+        bits = [format(r, f"0{order}b")[::-1] for r in rows]
+        for i, (row, col) in enumerate(zip(bits, map("".join, zip(*bits)))):
+            if row != col:
+                j = next(k for k, (a, b) in enumerate(zip(row, col)) if a != b)
+                raise ValueError(f"asymmetric adjacency at ({i}, {j})")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_rows", rows)
 
@@ -104,8 +109,10 @@ class Graph:
         n = self.order
         if sorted(perm) != list(range(n)):
             raise ValueError("not a permutation")
-        return Graph.from_edges(n, [(perm.index(u), perm.index(v))
-                                    for u, v in self.edges()])
+        inverse = [0] * n
+        for i, v in enumerate(perm):
+            inverse[v] = i
+        return Graph.from_edges(n, [(inverse[u], inverse[v]) for u, v in self.edges()])
 
     def is_connected(self) -> bool:
         seen = 1

@@ -244,7 +244,7 @@ class TestCensus:
         assert "# witnesses:" in out
 
     def test_order_limit_requires_flag(self, capsys):
-        code, _, err = run(capsys, "census", "--family", "circulant", "22", "4")
+        code, _, err = run(capsys, "census", "--family", "circulant", "34", "4")
         assert code == 2
         assert "no-dedup" in err
 

@@ -1,6 +1,8 @@
 """Tests for feasibility, the construction catalog, searches, and the census."""
 
 import dataclasses
+import random
+from itertools import combinations
 
 import pytest
 
@@ -28,6 +30,7 @@ from nutforge.constructions import (
 from nutforge.graphs import (
     CirculantSpec,
     DihedralSpec,
+    Graph,
     build_circulant,
     build_dihedral,
     complement,
@@ -298,16 +301,171 @@ class TestScreenMatchesKernelSearch:
         assert oracle and census(family, n, d, dedup=False) == oracle
 
 
-class TestCanonicalAndCensus:
-    def test_relabel_invariance(self):
-        import random
+# -- the branch-and-bound labeling before refinement, kept as a test-only oracle --
 
-        rng = random.Random(107)
-        g = build_circulant(CirculantSpec(8, {1, 2}))
-        for _ in range(10):
-            perm = list(range(8))
+def brute_canonical_form(g):
+    """Lexicographically minimal sequence of column codes over all vertex
+    orderings, found by exhaustive branch-and-bound.
+
+    The code of position k is the adjacency bit pattern of the k-th placed
+    vertex against positions 0..k-1 (earlier position = higher bit).  A
+    partial ordering is abandoned as soon as its code sequence exceeds the
+    best complete sequence found.
+    """
+    n = g.order
+    rows = g.adjacency_rows()
+    best = None
+    perm = []
+    cols = []
+    used = 0
+
+    def rec(k):
+        nonlocal best, used
+        if k == n:
+            if best is None or cols < best:
+                best = cols.copy()
+            return
+        cand = []
+        for v in range(n):
+            if used >> v & 1:
+                continue
+            code = 0
+            rv = rows[v]
+            for u in perm:
+                code = code << 1 | (rv >> u & 1)
+            cand.append((code, v))
+        cand.sort()
+        for code, v in cand:
+            if best is not None:
+                tight = all(cols[i] == best[i] for i in range(k))
+                if tight and code > best[k]:
+                    break  # codes ascend: every later candidate is worse
+            perm.append(v)
+            cols.append(code)
+            used |= 1 << v
+            rec(k + 1)
+            perm.pop()
+            cols.pop()
+            used &= ~(1 << v)
+
+    rec(0)
+    return (n, *best)
+
+
+# The dedup censuses of the census benchmark workload, with their class counts.
+DEDUP_CENSUS_CASES = (
+    ("dihedral", 14, 8, 3),
+    ("circulant", 18, 8, 6),
+    ("circulant", 8, 4, 1),
+    ("circulant", 10, 4, 1),
+    ("circulant", 12, 4, 2),
+    ("dihedral", 8, 4, 1),
+    ("dihedral", 10, 4, 1),
+    ("dihedral", 12, 6, 1),
+    ("dihedral", 12, 8, 1),
+)
+
+
+@pytest.fixture(scope="module")
+def census_witnesses():
+    """Every --no-dedup witness of each dedup census case, in candidate order."""
+    return {(family, n, d): [w.graph for w in census(family, n, d, dedup=False)]
+            for family, n, d, _ in DEDUP_CENSUS_CASES}
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + spokes + inner)
+
+
+def swap_edges(g, rng, rounds):
+    """g after random double-edge swaps, each of which keeps every degree."""
+    edges = set(g.edges())
+    for _ in range(rounds if len(edges) > 1 else 0):
+        (u, v), (x, y) = rng.sample(sorted(edges), 2)
+        swapped = {(min(u, y), max(u, y)), (min(v, x), max(v, x))}
+        if len({u, v, x, y}) == 4 and not swapped & edges:
+            edges = edges - {(u, v), (x, y)} | swapped
+    return Graph.from_edges(g.order, edges)
+
+
+class TestCanonicalMatchesBruteForce:
+    def test_census_witnesses(self, census_witnesses):
+        graphs = [g for ws in census_witnesses.values() for g in ws]
+        assert len(graphs) == 152
+        brute = {g: brute_canonical_form(g) for g in graphs}
+        forms = [canonical_form(g) for g in graphs]
+        keys = [brute[g] for g in graphs]
+        assert len(set(forms)) == len(set(keys)) == len(set(zip(forms, keys)))
+        # The census keeps the first witness of each class in candidate order.
+        for family, n, d, classes in DEDUP_CENSUS_CASES:
+            firsts = {}
+            for g in census_witnesses[family, n, d]:
+                firsts.setdefault(brute[g], g)
+            kept = [w.graph for w in census(family, n, d)]
+            assert len(kept) == classes, (family, n, d)
+            assert kept == list(firsts.values()), (family, n, d)
+
+    def test_random_pairs_sharing_degree_sequence(self):
+        # Pairs of three kinds: a relabelled copy, a copy after random
+        # degree-preserving edge swaps, and two 4-regular circulants of one
+        # order (isomorphic or not depending on the jump sets).
+        rng = random.Random(113)
+        pairs = []
+        for _ in range(60):
+            n = rng.randint(2, 12)
+            p = rng.choice((0.3, 0.5))
+            a = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                     if rng.random() < p])
+            perm = list(range(n))
             rng.shuffle(perm)
-            assert canonical_form(g.relabel(perm)) == canonical_form(g)
+            pairs.append((a, a.relabel(perm)))
+            b = swap_edges(a, rng, 3 * a.edge_count())
+            assert sorted(a.degrees()) == sorted(b.degrees())
+            pairs.append((a, b))
+        for _ in range(60):
+            n = rng.randint(7, 12)
+            pool = range(1, (n + 1) // 2)
+            pairs.append(tuple(build_circulant(CirculantSpec(n, set(rng.sample(pool, 2))))
+                               for _ in range(2)))
+        outcomes = set()
+        for a, b in pairs:
+            same = brute_canonical_form(a) == brute_canonical_form(b)
+            assert (canonical_form(a) == canonical_form(b)) == same
+            assert are_isomorphic(a, b) == same
+            outcomes.add(same)
+        assert outcomes == {True, False}
+
+    def test_counts_graphs_on_up_to_five_vertices(self):
+        # Unlabelled graphs on 1..5 vertices: OEIS A000088.
+        counts = []
+        for n in range(1, 6):
+            pairs = list(combinations(range(n), 2))
+            counts.append(len({canonical_form(Graph.from_edges(
+                n, [e for k, e in enumerate(pairs) if mask >> k & 1]))
+                for mask in range(1 << len(pairs))}))
+        assert counts == [1, 2, 4, 11, 34]
+
+
+class TestCanonicalAndCensus:
+    def test_relabel_invariance(self, census_witnesses):
+        rng = random.Random(107)
+        graphs = [build_circulant(CirculantSpec(8, {1, 2})), petersen(),
+                  census_witnesses["dihedral", 14, 8][0],
+                  census_witnesses["circulant", 18, 8][-1]]
+        graphs += [w.graph for w in census("circulant", 32, 8)]
+        for n in range(1, 7):
+            graphs += [Graph.from_edges(n, combinations(range(n), 2)), Graph(n, [0] * n)]
+        # A 4-cycle and two triangles.
+        graphs.append(Graph.from_edges(10, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 6), (6, 8),
+                                            (4, 8), (5, 7), (7, 9), (5, 9)]))
+        for g in graphs:
+            for _ in range(10):
+                perm = list(range(g.order))
+                rng.shuffle(perm)
+                assert canonical_form(g.relabel(perm)) == canonical_form(g)
 
     def test_distinguishes_nonisomorphic(self):
         a = build_circulant(CirculantSpec(8, {1, 2}))
@@ -317,10 +475,7 @@ class TestCanonicalAndCensus:
     def test_matches_exhaustive_minimum_on_small_graphs(self):
         # Independent oracle: minimize the column-code sequence over every
         # permutation explicitly.
-        import random
         from itertools import permutations
-
-        from nutforge.graphs import Graph
 
         def brute_minimum(g):
             n = g.order
@@ -342,7 +497,7 @@ class TestCanonicalAndCensus:
             edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if rng.random() < 0.5]
             g = Graph.from_edges(n, edges)
-            assert canonical_form(g) == brute_minimum(g)
+            assert brute_canonical_form(g) == brute_minimum(g)
 
     def test_census_unique_classes(self):
         assert len(census("circulant", 8, 4)) == 1
@@ -375,7 +530,7 @@ class TestCanonicalAndCensus:
 
     def test_census_order_limit(self):
         with pytest.raises(ValueError, match="no-dedup"):
-            census("circulant", 22, 4)
+            census("circulant", 34, 4)
 
     def test_ten_regular_pair_isomorphic(self):
         # The 10-regular order-16 dihedral graph and the complement of the

@@ -42,6 +42,14 @@ class TestGraphCore:
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(0, 0)])
 
+    def test_asymmetry_names_first_pair(self):
+        # One-sided entries 3 -> 1 and 4 -> 2: the message names (1, 3).
+        with pytest.raises(ValueError, match=r"asymmetric adjacency at \(1, 3\)$"):
+            Graph(5, [0, 0, 0, 0b00010, 0b00100])
+        # One-sided entries 0 -> 4 and 2 -> 3: the message names (0, 4).
+        with pytest.raises(ValueError, match=r"asymmetric adjacency at \(0, 4\)$"):
+            Graph(5, [0b10000, 0, 0b01000, 0, 0])
+
     def test_neighbors_and_degrees(self):
         g = cycle(5)
         assert g.neighbors(0) == [1, 4]
@@ -56,6 +64,11 @@ class TestGraphCore:
     def test_relabel_identity(self):
         g = cycle(5)
         assert g.relabel([0, 1, 2, 3, 4]) == g
+
+    def test_relabel_puts_perm_i_at_i(self):
+        path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        g = path.relabel([2, 0, 3, 1])
+        assert sorted(g.edges()) == [(0, 2), (0, 3), (1, 3)]
 
 
 class TestCirculant:
