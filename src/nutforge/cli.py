@@ -75,6 +75,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for bounds that may be zero."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
@@ -320,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemmas", help="run the polynomial-family verification suites")
     p.add_argument("--family", choices=[*FAMILY_TAGS, "all"], default="all")
-    p.add_argument("--t-max", type=int, default=10)
-    p.add_argument("--beta-max", type=int, default=300)
+    p.add_argument("--t-max", type=_non_negative_int, default=10)
+    p.add_argument("--beta-max", type=_non_negative_int, default=300)
     p.add_argument("--full-case-analysis", action="store_true")
     p.add_argument("--format", choices=["text", "jsonl"], default="text")
     p.set_defaults(fn=cmd_lemmas)

@@ -9,7 +9,10 @@ finite range, are:
   complete because a divisor of a degree-D polynomial has phi(b) <= D);
 * unique remainders: for every modulus beta at or above the family threshold
   and every parameter residue, some exponent of the family has a residue
-  modulo beta that no other exponent shares;
+  modulo beta that no other exponent shares.  Two exponents a t + c share a
+  residue exactly on the solutions of one linear congruence in t, so the
+  parameters where every exponent is shared follow from the pairwise
+  solution sets, computed once per modulus;
 * the finite case analysis: the family-specific constraint set (allowed
   primes, sum of (p - 2) over distinct primes, bound on b/rad(b), optional
   exclusion of multiples of four) leaves finitely many feasible cyclotomic
@@ -28,10 +31,11 @@ reporting a violation.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
-from ._modeval import nonzero_witness, sweep_zero_parameters
+from ._modeval import eval_at, evaluation_prime, root_of_order, sweep_zero_parameters
 from .cyclotomic import divides_cyclotomic, enumerate_feasible_indices
 from .exact import Polynomial
 
@@ -192,23 +196,15 @@ def candidate_divisor_indices(max_degree: int, min_b: int) -> list[int]:
     return [b for b in range(min_b, limit + 1) if phi[b] <= max_degree]
 
 
-def _nondivisible(fam: PolynomialFamily, t: int, b: int) -> bool:
-    """Exact decision: does the b-th cyclotomic polynomial NOT divide the
-    family member at t?  Fast modular witness first, exact division on the
-    rare witness-free parameters."""
-    coeffs = [c for c, _, _ in fam.terms]
-    exps = fam.exponents(t)
-    if nonzero_witness(coeffs, exps, b):
-        return True
-    return not divides_cyclotomic(fam.member(t).cyclic_reduce(b), b)
-
-
 def verify_family_bounded(tag: str, t_max: int, min_b: int | None = None) -> VerificationReport:
     """Assert that no cyclotomic polynomial of index >= min_b divides any
     family member with parameter t <= t_max.
 
     For each t the candidate indices are every b with phi(b) bounded by the
-    member's degree, which is a complete divisor-candidate set.
+    member's degree, which is a complete divisor-candidate set.  A nonzero
+    evaluation at an order-b element of one of two prime fields proves
+    non-divisibility; the exact division decides the rest.  The candidates
+    and their (prime, root) pairs are found once per call.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -217,20 +213,27 @@ def verify_family_bounded(tag: str, t_max: int, min_b: int | None = None) -> Ver
     start = time.perf_counter()
     checked = []
     violations = []
+    coeffs = [c for c, _, _ in fam.terms]
     max_deg = max(a * t_max + c for _, a, c in fam.terms)
     phi = _phi_table(2 * max_deg * max_deg)
+    candidates = []
+    for b in range(low, len(phi)):
+        if phi[b] <= max_deg:
+            primes = (evaluation_prime(b), evaluation_prime(b, skip=1))
+            candidates.append((b, phi[b], [(q, root_of_order(q, b)) for q in primes]))
     for t in range(t_max + 1):
-        deg = fam.member(t).degree
-        bad = []
+        member = fam.member(t)
+        exps = fam.exponents(t)
+        deg = member.degree
         count = 0
-        for b in range(low, 2 * deg * deg + 1):
-            if phi[b] > deg:
+        for b, phi_b, roots in candidates:
+            if phi_b > deg:
                 continue
             count += 1
-            if not _nondivisible(fam, t, b):
-                bad.append(b)
+            if not any(eval_at(coeffs, exps, b, q, zeta) for q, zeta in roots) \
+                    and divides_cyclotomic(member.cyclic_reduce(b), b):
+                violations.append((t, b))
         checked.append((t, f"{count} candidate indices, degree {deg}"))
-        violations.extend((t, b) for b in bad)
     return VerificationReport(
         family=tag, operation="bounded-nondivisibility",
         parameter_range=f"t <= {t_max}, b >= {low}",
@@ -238,18 +241,54 @@ def verify_family_bounded(tag: str, t_max: int, min_b: int | None = None) -> Ver
         wall_time=time.perf_counter() - start)
 
 
-def _has_unique_residue(fam: PolynomialFamily, t: int, beta: int) -> bool:
-    residues = [(a * t + c) % beta for _, a, c in fam.terms]
-    counts: dict[int, int] = {}
-    for r in residues:
-        counts[r] = counts.get(r, 0) + 1
-    return any(v == 1 for v in counts.values())
+def _failing_parameters(fam: PolynomialFamily, beta: int) -> list[int]:
+    """Ascending t in [0, beta) at which no exponent of the family has a
+    unique remainder modulo beta.
+
+    Terms i and j share a remainder at t exactly when
+    (a_i - a_j) t = c_j - c_i (mod beta).  With g = gcd(a_i - a_j, beta),
+    this congruence has no solution unless g divides c_j - c_i, and
+    otherwise holds on one residue class modulo beta/g.  Each set of t is a
+    beta-bit integer: term i is shared on the union of its collision sets,
+    and t fails where every term is shared.
+    """
+    full = (1 << beta) - 1
+    masks: dict[tuple[int, int], int] = {}
+    failing = full
+    for i, (_, ai, ci) in enumerate(fam.terms):
+        shared = 0
+        for j, (_, aj, cj) in enumerate(fam.terms):
+            if j == i:
+                continue
+            key = ((ai - aj) % beta, (cj - ci) % beta)
+            mask = masks.get(key)
+            if mask is None:
+                delta, r = key
+                g = math.gcd(delta, beta)
+                mask = 0
+                if r % g == 0:
+                    period = beta // g
+                    t0 = r // g * pow(delta // g, -1, period) % period
+                    mask = full // ((1 << period) - 1) << t0
+                masks[key] = mask
+            shared |= mask
+        failing &= shared
+        if not failing:
+            return []
+    return [t for t in range(beta) if failing >> t & 1]
 
 
 def verify_unique_remainder(tag: str, beta_range: tuple[int, int]) -> VerificationReport:
     """For each modulus beta in the inclusive range and each parameter residue
     t in [0, beta), assert that some exponent of the family has a unique
     remainder modulo beta.
+
+    Each modulus is decided by solving, for every pair of terms, the
+    congruence on which their exponents collide (``_failing_parameters``).
+    This is complete: a collision at t is equivalent to that congruence
+    holding, its solution set is exactly the empty set, all of [0, beta) or
+    one residue class, and the exponents modulo beta depend on t only
+    through t modulo beta, so [0, beta) covers every parameter.
 
     Moduli below the family threshold are allowed but reported as
     out-of-claim notes instead of violations when they fail.
@@ -264,7 +303,7 @@ def verify_unique_remainder(tag: str, beta_range: tuple[int, int]) -> Verificati
     violations = []
     notes = []
     for beta in range(lo, hi + 1):
-        fails = [t for t in range(beta) if not _has_unique_residue(fam, t, beta)]
+        fails = _failing_parameters(fam, beta)
         if not fails:
             checked.append((beta, "unique remainder for every t"))
         elif beta >= threshold:

@@ -224,6 +224,22 @@ class TestLemmas:
         assert code == 0
         assert "finite-case-analysis" in out
 
+    def test_beta_max_zero_skips_unique_remainder(self, capsys):
+        code, out, _ = run(capsys, "lemmas", "--family", "Q", "--t-max", "0",
+                           "--beta-max", "0")
+        assert code == 0
+        assert "unique-remainder" not in out
+
+    @pytest.mark.parametrize("option", ["--t-max", "--beta-max"])
+    @pytest.mark.parametrize("value", ["-1", "-5", "ten"])
+    def test_bounds_must_be_non_negative(self, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["lemmas", "--family", "Q", option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected a non-negative integer" in err
+        assert "Traceback" not in err
+
 
 class TestCensus:
     def test_circulant_unique(self, capsys):

@@ -1,5 +1,7 @@
 """Tests for the polynomial-family verification suites."""
 
+import random
+
 import pytest
 
 from nutforge.cyclotomic import divides_cyclotomic
@@ -7,6 +9,9 @@ from nutforge.exact import Polynomial
 from nutforge.lemmas import (
     FAMILIES,
     FAMILY_TAGS,
+    CaseConstraints,
+    PolynomialFamily,
+    _failing_parameters,
     build_family,
     candidate_divisor_indices,
     family_root_at_one,
@@ -15,6 +20,19 @@ from nutforge.lemmas import (
     verify_unique_remainder,
 )
 from nutforge.numtheory import euler_phi
+
+
+def _has_unique_residue(fam, t, beta):
+    """Reference check: count the residues of every exponent at one t."""
+    residues = [(a * t + c) % beta for _, a, c in fam.terms]
+    counts = {}
+    for r in residues:
+        counts[r] = counts.get(r, 0) + 1
+    return any(v == 1 for v in counts.values())
+
+
+def _brute_failing_parameters(fam, beta):
+    return [t for t in range(beta) if not _has_unique_residue(fam, t, beta)]
 
 
 class TestBuildFamily:
@@ -81,6 +99,17 @@ class TestBoundedVerification:
         assert not rep.ok
         assert (0, 1) in rep.violations
 
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    def test_candidate_counts_match_candidate_indices(self, tag):
+        low = FAMILIES[tag].min_b
+        rep = verify_family_bounded(tag, 20)
+        assert rep.ok
+        assert [t for t, _ in rep.indices_checked] == list(range(21))
+        for t, detail in rep.indices_checked:
+            deg = build_family(tag, t).degree
+            count = len(candidate_divisor_indices(deg, low))
+            assert detail == f"{count} candidate indices, degree {deg}"
+
     def test_report_lines(self):
         rep = verify_family_bounded("Q", 1)
         lines = rep.text_lines()
@@ -112,14 +141,54 @@ class TestUniqueRemainder:
     def test_residue_multiset_documented_example(self):
         # Q at t = 0, beta = 6: exponents 7,5,4,4,3,2,0,3,2,0 leave residues
         # {1,5,4,4,3,2,0,3,2,0}; residue 1 occurs once.
-        from nutforge.lemmas import _has_unique_residue
-
-        assert _has_unique_residue(FAMILIES["Q"], 0, 6)
-        assert not _has_unique_residue(FAMILIES["Q"], 0, 5)
+        assert 0 not in _failing_parameters(FAMILIES["Q"], 6)
+        assert 0 in _failing_parameters(FAMILIES["Q"], 5)
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
             verify_unique_remainder("Q", (0, 5))
+
+
+class TestCollisionCongruences:
+    """The congruence solver against the per-parameter residue count."""
+
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    def test_matches_residue_count_on_families(self, tag):
+        fam = FAMILIES[tag]
+        below = 0
+        for beta in range(1, 301):
+            fails = _failing_parameters(fam, beta)
+            assert fails == _brute_failing_parameters(fam, beta), beta
+            below += bool(fails)
+            if beta >= fam.unique_remainder_threshold:
+                assert not fails, beta
+        # the moduli below the threshold that fail, 39 over the four families
+        assert below == {"Q": 5, "R": 10, "S": 7, "T": 17}[tag]
+
+    def test_matches_residue_count_on_random_families(self):
+        rng = random.Random(6)
+        case = CaseConstraints((2,), 0, 1, False)
+        outcomes = set()
+        for _ in range(2000):
+            beta = 1 if rng.random() < 0.1 else rng.randint(2, 40)
+            # few slopes, some congruent modulo beta, so terms collide often
+            slopes = [rng.randint(0, 4) + beta * rng.randint(0, 2)
+                      for _ in range(rng.randint(1, 3))]
+            terms = []
+            for _ in range(rng.randint(1, 12)):
+                if terms and rng.random() < 0.15:
+                    terms.append(rng.choice(terms))  # a duplicate (slope, offset)
+                else:
+                    terms.append((rng.choice((-1, 1)), rng.choice(slopes),
+                                  rng.randint(0, 2 * beta + 3)))
+            fam = PolynomialFamily("X", 1, 1, tuple(terms), case)
+            fails = _failing_parameters(fam, beta)
+            assert fails == _brute_failing_parameters(fam, beta), (terms, beta)
+            outcomes.add((beta == 1, len(fails) == 0, len(fails) == beta))
+        # every kind of outcome occurs: none, some and all t failing, and beta = 1
+        assert outcomes >= {(True, True, False), (True, False, True),
+                            (False, True, False), (False, False, False),
+                            (False, False, True)}
 
 
 class TestFiniteCaseAnalysis:
