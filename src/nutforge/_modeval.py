@@ -1,10 +1,10 @@
-"""Modular screening of sparse polynomial families at roots of unity.
+"""Modular evaluation of sparse polynomials at roots of unity.
 
 If q is a prime congruent to 1 modulo b and zeta has multiplicative order
 exactly b modulo q, every polynomial divisible by the b-th cyclotomic
 polynomial evaluates to 0 at zeta modulo q.  A nonzero evaluation therefore
-certifies non-divisibility outright; only zero hits need the exact sparse
-division fallback.
+certifies non-divisibility outright; ``cyclotomic.divides_cyclotomic``
+decides the zero hits exactly with the same primitives.
 
 For a family with exponents slope * t + offset, the member at t evaluates at
 zeta to G(zeta^t), where G(w) = sum_s A_s w^(s mod b) and A_s sums
@@ -14,27 +14,23 @@ roots of H = gcd(G, w^b - 1) in F_q[w]: root counting costs about log b
 products of polynomials of degree below the largest slope, not b evaluations.
 
 Polynomials over F_q are coefficient lists, lowest degree first, without
-trailing zeros.  Moduli stay below 2^31, where ``is_prime`` is deterministic.
+trailing zeros.
 """
 
 from __future__ import annotations
 
 from .numtheory import is_prime, prime_factors
 
-_Q_LIMIT = 1 << 31
 
-
-def evaluation_prime(b: int, skip: int = 0) -> int:
-    """Smallest odd prime q = k*b + 1 above 50 and below 2^31, after skipping
+def evaluation_prime(b: int, skip: int = 0, above: int = 50) -> int:
+    """Smallest odd prime q = k*b + 1 greater than `above`, after skipping
     `skip` hits.  Distinct `skip` values give independent moduli for repeated
     screening.
     """
     remaining = skip
-    k = 50 // b + 1
+    k = above // b + 1
     while True:
         q = k * b + 1
-        if q >= _Q_LIMIT:
-            raise ValueError(f"no usable evaluation prime for modulus {b}")
         if q % 2 == 1 and is_prime(q):
             if remaining == 0:
                 return q
@@ -142,21 +138,6 @@ def eval_at(coeffs, exponents, b: int, q: int, zeta: int) -> int:
     for c, e in zip(coeffs, exponents):
         acc = (acc + c * pow(zeta, e % b, q)) % q
     return acc
-
-
-def nonzero_witness(coeffs, exponents, b: int, rounds: int = 2) -> bool:
-    """True iff some modular evaluation at a primitive b-th root of unity is
-    nonzero, proving the b-th cyclotomic polynomial does not divide the
-    polynomial with the given integer terms.
-
-    A False return is inconclusive (the caller must decide exactly).
-    """
-    for salt in range(rounds):
-        q = evaluation_prime(b, skip=salt)
-        zeta = root_of_order(q, b)
-        if eval_at(coeffs, exponents, b, q, zeta) != 0:
-            return True
-    return False
 
 
 def sweep_zero_parameters(coeffs, slopes, offsets, b: int, rounds: int = 2) -> list[int]:

@@ -1,136 +1,59 @@
-"""Cyclotomic polynomials, divisibility tests, and feasible-index enumeration.
+"""Cyclotomic divisibility, feasible-index enumeration, and the oracle.
 
-The n-th cyclotomic polynomial is computed by iterated exact division of
-x^n - 1 by the cyclotomic polynomials of the proper divisors of n, and cached.
-No structural shortcut (exponent scaling, prime-square collapse) is used in
-the construction itself, so those identities remain honest cross-checks.
+``divides_cyclotomic`` decides whether the b-th cyclotomic polynomial Phi_b
+divides an integer polynomial p without building Phi_b.  It folds p modulo
+x^b - 1 (Phi_b divides x^b - 1), takes a prime q = 1 (mod b) above the
+l1-norm L of the folded coefficients and an element zeta of order b modulo
+q, and evaluates the folded p at the phi(b) primitive roots zeta^k, gcd(k, b)
+= 1.  One nonzero value proves that Phi_b does not divide p.  If every value
+is zero, Phi_b divides p: q splits completely in Q(zeta_b), so q divides
+p(zeta_b) there, and q^phi(b) divides its norm; every conjugate of p(zeta_b)
+has absolute value at most L < q, so the norm, and with it p(zeta_b), is 0.
 
-``divides_cyclotomic`` is the workhorse of the verification suites: it decides
-whether the b-th cyclotomic polynomial divides a given integer polynomial.
-Internally it first folds the dividend modulo x^b - 1 (valid because the b-th
-cyclotomic polynomial divides x^b - 1) and then, when b is not square-free,
-splits it by exponent residue modulo b/rad(b): every exponent of the b-th
-cyclotomic polynomial is a multiple of b/rad(b), so divisibility holds exactly
-when each compressed residue part is divisible by the rad(b)-th cyclotomic
-polynomial.
+``cyclotomic`` builds Phi_n by iterated exact division of x^n - 1.  No
+verdict uses it; it is the independent oracle of the tests and identity
+checks.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
+from functools import cache
+from math import gcd
 
+from ._modeval import eval_at, evaluation_prime, root_of_order
 from .exact import Polynomial
-from .numtheory import divisors, factorize, radical
-
-_PHI_CACHE: dict[int, Polynomial] = {}
-_PHI_LOCK = threading.Lock()
+from .numtheory import divisors
 
 
-@dataclass(frozen=True)
-class CycIndex:
-    """A cyclotomic index b together with its radical and factorization."""
-
-    b: int
-    radical: int
-    prime_factorization: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, b: int) -> "CycIndex":
-        if b < 1:
-            raise ValueError(f"cyclotomic index must be >= 1, got {b}")
-        fac = tuple(factorize(b))
-        rad = 1
-        for p, _ in fac:
-            rad *= p
-        return cls(b, rad, fac)
-
-    @property
-    def ratio(self) -> int:
-        """b divided by its radical (always a positive integer)."""
-        return self.b // self.radical
-
-
+@cache
 def cyclotomic(n: int) -> Polynomial:
-    """The n-th cyclotomic polynomial (monic, integer, degree phi(n)).
-
-    Computed as (x^n - 1) divided successively by the cyclotomic polynomials
-    of the proper divisors of n; every division step is exact.  Results are
-    cached; the cache is lock-protected and only ever stores fully built
-    immutable polynomials.
-    """
+    """The n-th cyclotomic polynomial: x^n - 1 divided by the cyclotomic
+    polynomials of the proper divisors of n, every division exact."""
     if n < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {n}")
-    cached = _PHI_CACHE.get(n)
-    if cached is not None:
-        return cached
-    with _PHI_LOCK:
-        cached = _PHI_CACHE.get(n)
-        if cached is not None:
-            return cached
-        for d in divisors(n):
-            if d in _PHI_CACHE:
-                continue
-            poly = Polynomial({d: 1, 0: -1})
-            for e in divisors(d)[:-1]:
-                poly, rem = poly.divrem(_PHI_CACHE[e])
-                if not rem.is_zero:
-                    raise AssertionError(f"inexact cyclotomic division at {d}/{e}")
-            _PHI_CACHE[d] = poly
-        return _PHI_CACHE[n]
+    poly = Polynomial({n: 1, 0: -1})
+    for d in divisors(n)[:-1]:
+        poly, rem = poly.divrem(cyclotomic(d))
+        if not rem.is_zero:
+            raise AssertionError(f"inexact cyclotomic division at {n}/{d}")
+    return poly
 
 
 def divides_cyclotomic(p: Polynomial, b: int) -> bool:
     """True iff the b-th cyclotomic polynomial divides p exactly.
 
-    Equivalently: p has a primitive b-th root of unity among its roots.
+    Equivalently: p has a primitive b-th root of unity among its roots.  The
+    verdict is exact (module docstring); a divisible p costs phi(b)
+    evaluations, a non-divisible one usually a single evaluation.
     """
     if b < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {b}")
-    if p.is_zero:
-        return True
-    folded = p.cyclic_reduce(b)
-    if folded.is_zero:
-        return True
-    idx = CycIndex.of(b)
-    beta = idx.ratio
-    if beta == 1:
-        return folded.divrem(cyclotomic(b))[1].is_zero
-    phi_rad = cyclotomic(idx.radical)
-    for part in residue_split(folded, beta):
-        if part.is_zero:
-            continue
-        # part = x^j * R(x^beta); the b-th cyclotomic polynomial divides it
-        # exactly when the rad(b)-th one divides R.
-        compressed = Polynomial({e // beta: c for e, c in part.terms.items()})
-        if not compressed.divrem(phi_rad)[1].is_zero:
-            return False
-    return True
-
-
-def radical_scaling_identity_holds(n: int) -> bool:
-    """Check that the n-th cyclotomic polynomial equals the rad(n)-th one with
-    every exponent multiplied by n/rad(n).
-
-    This is a self-test of the structural identity the residue-split
-    compression relies on; both sides are computed independently.
-    """
-    rad = radical(n)
-    return cyclotomic(n) == cyclotomic(rad).scale_exponents(n // rad)
-
-
-def residue_split(p: Polynomial, beta: int) -> list[Polynomial]:
-    """Partition p into beta polynomials by exponent residue modulo beta.
-
-    Entry j collects exactly the terms of p whose exponent is congruent to j
-    modulo beta; the entries sum to p.
-    """
-    if beta < 1:
-        raise ValueError(f"residue modulus must be >= 1, got {beta}")
-    parts: list[dict] = [{} for _ in range(beta)]
-    for e, c in p.terms.items():
-        parts[e % beta][e] = c
-    return [Polynomial(d) for d in parts]
+    folded = p.cyclic_reduce(b).terms
+    coeffs, exponents = list(folded.values()), list(folded)
+    q = evaluation_prime(b, above=sum(map(abs, coeffs)))
+    zeta = root_of_order(q, b)
+    return not any(eval_at(coeffs, exponents, b, q, pow(zeta, k, q))
+                   for k in range(1, b + 1) if gcd(k, b) == 1)
 
 
 def prime_power_cancellation_applies(term_count: int, primes) -> bool:

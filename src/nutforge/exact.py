@@ -1,10 +1,8 @@
 """Exact sparse polynomials and exact integer matrix algebra.
 
 Polynomials are stored sparsely as an exponent -> coefficient mapping with no
-zero coefficients.  Coefficients are arbitrary-precision integers throughout
-the package; division by a non-monic divisor may introduce exact
-``fractions.Fraction`` coefficients, which are normalized back to ``int``
-whenever they are integral.
+zero coefficients.  Coefficients are arbitrary-precision integers; division
+is by monic divisors only, so it never leaves the integers.
 
 The degree of the zero polynomial is the sentinel ``NEG_INF``, which compares
 less than every integer.
@@ -38,14 +36,8 @@ from .numtheory import is_prime
 NEG_INF = float("-inf")
 
 
-def _normalize_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 class Polynomial:
-    """Immutable sparse polynomial with exact coefficients."""
+    """Immutable sparse polynomial with integer coefficients."""
 
     __slots__ = ("terms",)
 
@@ -55,10 +47,9 @@ class Polynomial:
             for e, c in terms.items() if isinstance(terms, dict) else terms:
                 if e < 0 or e != int(e):
                     raise ValueError(f"exponent must be a non-negative integer, got {e}")
-                c = _normalize_coeff(c)
                 if c:
                     prev = clean.get(e)
-                    c = _normalize_coeff(prev + c) if prev is not None else c
+                    c = prev + c if prev is not None else c
                     if c:
                         clean[int(e)] = c
                     else:
@@ -97,10 +88,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.terms.values())
-
     def coefficient(self, exponent: int):
         return self.terms.get(exponent, 0)
 
@@ -127,13 +114,13 @@ class Polynomial:
         return Polynomial({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = Polynomial({0: other})
         if not isinstance(other, Polynomial):
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = _normalize_coeff(out.get(e, 0) + c)
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -143,7 +130,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = Polynomial({0: other})
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -153,7 +140,7 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return Polynomial({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -179,11 +166,11 @@ class Polynomial:
         return result
 
     def __call__(self, value):
-        """Evaluate at an exact value (int or Fraction)."""
+        """Evaluate at an exact value."""
         total = 0
         for e, c in self.terms.items():
             total += c * value**e
-        return _normalize_coeff(total)
+        return total
 
     def scale_exponents(self, k: int) -> "Polynomial":
         """Substitute x -> x^k, i.e. multiply every exponent by k >= 1."""
@@ -202,14 +189,16 @@ class Polynomial:
         return Polynomial(out)
 
     def divrem(self, den: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Exact division with remainder: self = q * den + r, deg r < deg den.
+        """Division with remainder by a monic divisor: self = q * den + r with
+        deg r < deg den, all coefficients integers.
 
-        Raises ZeroDivisionError for a zero divisor.  When den is monic with
-        integer coefficients the result has integer coefficients; otherwise
-        coefficients are exact Fractions.
+        Raises ZeroDivisionError for a zero divisor and ValueError for a
+        divisor whose leading coefficient is not 1.
         """
         if den.is_zero:
             raise ZeroDivisionError("polynomial division by the zero polynomial")
+        if den.leading_coefficient != 1:
+            raise ValueError("divrem needs a monic divisor")
         dd = den.degree
         if self.degree < dd:
             return Polynomial.zero(), self
@@ -220,24 +209,18 @@ class Polynomial:
         dvs = [0] * (dd + 1)
         for e, c in den.terms.items():
             dvs[e] = c
-        lead = dvs[dd]
-        monic_int = lead == 1 and den.is_integral
         quo = [0] * (nd - dd + 1)
         for i in range(nd, dd - 1, -1):
-            c = num[i]
-            if not c:
+            q = num[i]
+            if not q:
                 continue
-            q = c if monic_int else _normalize_coeff(Fraction(c) / lead)
             quo[i - dd] = q
             num[i] = 0
             for j in range(dd):
                 if dvs[j]:
-                    num[i - dd + j] = _normalize_coeff(num[i - dd + j] - q * dvs[j])
+                    num[i - dd + j] -= q * dvs[j]
         return (Polynomial({e: c for e, c in enumerate(quo) if c}),
                 Polynomial({e: c for e, c in enumerate(num[:dd]) if c}))
-
-    def __divmod__(self, other):
-        return self.divrem(other)
 
     def __repr__(self):
         if not self.terms:

@@ -24,8 +24,8 @@ finite range, are:
 
 Every non-divisibility verdict is exact.  The screen first looks for a
 modular witness (a nonzero evaluation at an order-b element of a prime field,
-which proves non-divisibility outright); the exact sparse division decides
-the rare parameters where no witness appears, and is the sole authority for
+which proves non-divisibility outright); ``divides_cyclotomic`` decides the
+rare parameters where no witness appears, and is the sole authority for
 reporting a violation.
 """
 
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from ._modeval import eval_at, evaluation_prime, root_of_order, sweep_zero_parameters
 from .cyclotomic import divides_cyclotomic, enumerate_feasible_indices
 from .exact import Polynomial
+from .numtheory import euler_phi
 
 
 @dataclass(frozen=True)
@@ -188,10 +189,10 @@ def candidate_divisor_indices(max_degree: int, min_b: int) -> list[int]:
     """Every b >= min_b whose cyclotomic polynomial could divide a polynomial
     of the given degree, i.e. phi(b) <= max_degree.
 
-    Complete because phi(b) >= sqrt(b/2) for all b, so the scan up to
-    2 * max_degree^2 misses nothing.
+    Complete because phi(b) >= sqrt(b) for every b other than 2 and 6, so
+    the scan up to max(max_degree^2, 6) misses nothing.
     """
-    limit = 2 * max_degree * max_degree
+    limit = max(max_degree * max_degree, 6)
     phi = _phi_table(limit)
     return [b for b in range(min_b, limit + 1) if phi[b] <= max_degree]
 
@@ -203,7 +204,7 @@ def verify_family_bounded(tag: str, t_max: int, min_b: int | None = None) -> Ver
     For each t the candidate indices are every b with phi(b) bounded by the
     member's degree, which is a complete divisor-candidate set.  A nonzero
     evaluation at an order-b element of one of two prime fields proves
-    non-divisibility; the exact division decides the rest.  The candidates
+    non-divisibility; ``divides_cyclotomic`` decides the rest.  The candidates
     and their (prime, root) pairs are found once per call.
     """
     if t_max < 0:
@@ -215,12 +216,10 @@ def verify_family_bounded(tag: str, t_max: int, min_b: int | None = None) -> Ver
     violations = []
     coeffs = [c for c, _, _ in fam.terms]
     max_deg = max(a * t_max + c for _, a, c in fam.terms)
-    phi = _phi_table(2 * max_deg * max_deg)
     candidates = []
-    for b in range(low, len(phi)):
-        if phi[b] <= max_deg:
-            primes = (evaluation_prime(b), evaluation_prime(b, skip=1))
-            candidates.append((b, phi[b], [(q, root_of_order(q, b)) for q in primes]))
+    for b in candidate_divisor_indices(max_deg, low):
+        primes = (evaluation_prime(b), evaluation_prime(b, skip=1))
+        candidates.append((b, euler_phi(b), [(q, root_of_order(q, b)) for q in primes]))
     for t in range(t_max + 1):
         member = fam.member(t)
         exps = fam.exponents(t)
@@ -231,7 +230,7 @@ def verify_family_bounded(tag: str, t_max: int, min_b: int | None = None) -> Ver
                 continue
             count += 1
             if not any(eval_at(coeffs, exps, b, q, zeta) for q, zeta in roots) \
-                    and divides_cyclotomic(member.cyclic_reduce(b), b):
+                    and divides_cyclotomic(member, b):
                 violations.append((t, b))
         checked.append((t, f"{count} candidate indices, degree {deg}"))
     return VerificationReport(
@@ -329,7 +328,7 @@ def verify_finite_case_analysis(tag: str) -> VerificationReport:
     Because the reduction of the member modulo x^b - 1 depends on t only
     through t modulo b, checking t in [0, b) covers every parameter.  Root
     counting over a prime field (``sweep_zero_parameters``) certifies almost
-    all (b, t) pairs; survivors are decided by the exact division test, which
+    all (b, t) pairs; survivors are decided by ``divides_cyclotomic``, which
     alone can report a violation.
     """
     fam = _family(tag)
@@ -346,10 +345,10 @@ def verify_finite_case_analysis(tag: str) -> VerificationReport:
     for b in indices:
         suspects = sweep_zero_parameters(coeffs, slopes, offsets, b)
         confirmed = [t for t in suspects
-                     if divides_cyclotomic(fam.member(t).cyclic_reduce(b), b)]
+                     if divides_cyclotomic(fam.member(t), b)]
         detail = f"all {b} parameter residues non-divisible"
         if suspects:
-            detail += f" ({len(suspects)} decided by exact division)"
+            detail += f" ({len(suspects)} decided by the exact test)"
         if confirmed:
             detail = f"DIVISIBLE for t in {confirmed}"
             violations.extend((b, t) for t in confirmed)

