@@ -67,7 +67,6 @@ from .constructions import (
     construct,
     dihedral_2_mod_8_spec,
     dihedral_6_mod_8_spec,
-    dihedral_search,
     feasible_vt,
     moebius_complement,
     prism_complement,
@@ -103,7 +102,7 @@ __all__ = [
     "Witness", "are_isomorphic", "canonical_form", "census", "circulant_search",
     "complement_gap6_spec", "complement_gap10_spec", "complement_gap14_spec",
     "construct", "dihedral_2_mod_8_spec", "dihedral_6_mod_8_spec",
-    "dihedral_search", "feasible_vt", "moebius_complement", "prism_complement",
+    "feasible_vt", "moebius_complement", "prism_complement",
     "sporadic_witness",
     "FAMILIES", "FAMILY_TAGS", "VerificationReport", "build_family",
     "candidate_divisor_indices", "family_root_at_one", "verify_family_bounded",

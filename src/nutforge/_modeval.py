@@ -3,8 +3,9 @@
 If q is a prime congruent to 1 modulo b and zeta has multiplicative order
 exactly b modulo q, every polynomial divisible by the b-th cyclotomic
 polynomial evaluates to 0 at zeta modulo q.  A nonzero evaluation therefore
-certifies non-divisibility outright; ``cyclotomic.divides_cyclotomic``
-decides the zero hits exactly with the same primitives.
+certifies non-divisibility outright.  Each index b has one screening prime,
+``evaluation_prime(b)``; ``cyclotomic.divides_cyclotomic`` decides every zero
+hit exactly with the same primitives.
 
 For a family with exponents slope * t + offset, the member at t evaluates at
 zeta to G(zeta^t), where G(w) = sum_s A_s w^(s mod b) and A_s sums
@@ -22,19 +23,13 @@ from __future__ import annotations
 from .numtheory import is_prime, prime_factors
 
 
-def evaluation_prime(b: int, skip: int = 0, above: int = 50) -> int:
-    """Smallest odd prime q = k*b + 1 greater than `above`, after skipping
-    `skip` hits.  Distinct `skip` values give independent moduli for repeated
-    screening.
-    """
-    remaining = skip
+def evaluation_prime(b: int, above: int = 50) -> int:
+    """Smallest odd prime q = k*b + 1 greater than `above`."""
     k = above // b + 1
     while True:
         q = k * b + 1
         if q % 2 == 1 and is_prime(q):
-            if remaining == 0:
-                return q
-            remaining -= 1
+            return q
         k += 1
 
 
@@ -140,34 +135,23 @@ def eval_at(coeffs, exponents, b: int, q: int, zeta: int) -> int:
     return acc
 
 
-def sweep_zero_parameters(coeffs, slopes, offsets, b: int, rounds: int = 2) -> list[int]:
-    """Parameters t in [0, b) whose family member evaluates to zero at a
-    primitive b-th root of unity for `rounds` independent moduli.
+def sweep_zero_parameters(coeffs, slopes, offsets, b: int) -> list[int]:
+    """Parameters t in [0, b) whose family member evaluates to zero at the
+    order-b root of ``evaluation_prime(b)``, found by root counting (module
+    docstring).
 
-    The first modulus finds its zeros by root counting (module docstring);
-    later moduli filter those pointwise.  Every t not returned is certified
-    non-divisible by the b-th cyclotomic polynomial; returned parameters need
-    the exact check.
+    Every t not returned is certified non-divisible by the b-th cyclotomic
+    polynomial; returned parameters need the exact check.
     """
-    q = evaluation_prime(b, skip=0)
+    q = evaluation_prime(b)
     zeta = root_of_order(q, b)
     g = [0] * (max((s % b for s in slopes), default=0) + 1)
     for c, s, o in zip(coeffs, slopes, offsets):
         g[s % b] = (g[s % b] + c * pow(zeta, o % b, q)) % q
     g = _trim(g)
     if not g:
-        suspects = list(range(b))
-    elif len(g) == 1:
-        suspects = []
-    else:
-        h = _gcd(g, _minus(_power_of_w(b, g, q), 1, q), q)
-        suspects = _root_exponents(h, zeta, b, q) if len(h) > 1 else []
-    for salt in range(1, rounds):
-        if not suspects:
-            break
-        q = evaluation_prime(b, skip=salt)
-        zeta = root_of_order(q, b)
-        suspects = [t for t in suspects
-                    if eval_at(coeffs, [s * t + o for s, o in zip(slopes, offsets)],
-                               b, q, zeta) == 0]
-    return suspects
+        return list(range(b))
+    if len(g) == 1:
+        return []
+    h = _gcd(g, _minus(_power_of_w(b, g, q), 1, q), q)
+    return _root_exponents(h, zeta, b, q) if len(h) > 1 else []

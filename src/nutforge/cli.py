@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .constructions import (
@@ -56,12 +55,9 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("NUTFORGE_JOBS", "1")))
-    except ValueError:
-        return 1
+#: Largest spec order m accepted: the spectral check factorizes m by trial
+#: division, about 5 * 10^5 candidate divisors at this bound.
+SPEC_ORDER_LIMIT = 10**12
 
 
 def _positive_int(text: str) -> int:
@@ -170,6 +166,8 @@ def _parse_spec(text: str):
     # type() rather than isinstance(): JSON true would pass as the integer 1
     if type(data.get("m")) is not int:
         raise ValueError("m must be an integer")
+    if data["m"] > SPEC_ORDER_LIMIT:
+        raise ValueError(f"m above {SPEC_ORDER_LIMIT} is beyond trial-division factoring")
     shift = data.get("shift", 0)
     if type(shift) is not int or shift not in (0, 1):
         raise ValueError("shift must be 0 or 1")
@@ -346,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{CANONICAL_ORDER_LIMIT})")
     p.add_argument("--budget", type=_positive_int, default=None,
                    help="candidate cap; exceeding it exits with code 3")
-    p.add_argument("--jobs", type=_positive_int, default=_default_jobs(),
-                   help="worker process count (default: NUTFORGE_JOBS or 1)")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker process count, capped at the CPU count (default 1)")
     p.add_argument("--format", choices=["graph6", "jsonl"], default="graph6")
     p.set_defaults(fn=cmd_census)
     return parser

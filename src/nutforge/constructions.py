@@ -15,13 +15,13 @@ come from a catalog of parameterized dihedral-group constructions:
   d + 14 for large enough degree,
 * a finite catalog of sporadic graphs plus the Moebius-ladder-, prism- and
   LCF-complement recipes for the order-(d + 4) and a few small cases,
-* a deterministic bounded search over circulant (then dihedral) connection
-  sets for the degrees divisible by four beyond order d + 4.
+* a deterministic bounded search over circulant connection sets for the
+  degrees divisible by four beyond order d + 4.
 
 ``census`` lists the nut graphs of a family at (n, d), one witness per
-isomorphism class: candidates come in the searches' order, and a witness is
-kept unless an earlier one has the same ``canonical_form``, an exact labeling
-by colour refinement and individualization, pruned by the automorphisms the
+isomorphism class: candidates come in a fixed order, and a witness is kept
+unless an earlier one has the same ``canonical_form``, an exact labeling by
+colour refinement and individualization, pruned by the automorphisms the
 search meets (orders up to ``CANONICAL_ORDER_LIMIT``).
 
 Search and census candidates are Cayley graphs, so a spectral nullity of one
@@ -34,6 +34,7 @@ not citations.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -307,10 +308,10 @@ def construct(n: int, d: int, budget: int | None = None) -> Witness:
     """A certified d-regular nut-graph witness of order n.
 
     Dispatch: sporadic catalog; then the parameterized dihedral families for
-    d = 2 (mod 4); then bounded deterministic search (circulant first, then
-    dihedral) for the remaining degrees divisible by 4.  Raises
-    InfeasiblePairError on infeasible input and SearchExhaustedError when a
-    bounded search ends empty; never returns an unverified graph.
+    d = 2 (mod 4); then the bounded deterministic circulant search for the
+    remaining degrees divisible by 4.  Raises InfeasiblePairError on
+    infeasible input and SearchExhaustedError when the search ends empty;
+    never returns an unverified graph.
     """
     verdict = feasible_vt(n, d)
     if not verdict.exists:
@@ -322,19 +323,11 @@ def construct(n: int, d: int, budget: int | None = None) -> Witness:
         return _certify(*built, n, d)
     w = circulant_search(n, d, budget)
     if w is None:
-        w = dihedral_search(n, d, budget)
-    if w is None:
         raise SearchExhaustedError(f"no witness found within bounds for ({n}, {d})")
     return w
 
 
 # -- bounded searches -----------------------------------------------------------
-
-def _effective_budget(n: int, budget: int | None) -> int | None:
-    if budget is not None:
-        return budget
-    return None if n <= _EXHAUSTIVE_ORDER else DEFAULT_SEARCH_BUDGET
-
 
 def _circulant_candidates(n: int, d: int):
     """Jump sets giving degree d at order n, ascending lexicographically."""
@@ -368,7 +361,9 @@ def circulant_search(n: int, d: int, budget: int | None = None) -> Witness | Non
     """
     if n < 3:
         raise ValueError("circulant order must be >= 3")
-    cap = _effective_budget(n, budget)
+    cap = budget
+    if cap is None and n > _EXHAUSTIVE_ORDER:
+        cap = DEFAULT_SEARCH_BUDGET
     examined = 0
     for jumps in _circulant_candidates(n, d):
         if cap is not None and examined >= cap:
@@ -404,26 +399,6 @@ def _dihedral_candidates(n: int, d: int):
                 continue
             for refl in combinations(range(m), refl_size):
                 yield frozenset(rot), frozenset(refl)
-
-
-def dihedral_search(n: int, d: int, budget: int | None = None) -> Witness | None:
-    """First certified dihedral Cayley nut witness at (n, d), or None.
-
-    Connection sets are enumerated, screened, certified and budgeted as in
-    ``circulant_search``.
-    """
-    if n % 2 or n < 6:
-        raise ValueError("dihedral order must be even and >= 6")
-    cap = _effective_budget(n, budget)
-    examined = 0
-    for rot, refl in _dihedral_candidates(n, d):
-        if cap is not None and examined >= cap:
-            break
-        examined += 1
-        w = _screen_and_certify(DihedralSpec(n // 2, rot, refl))
-        if w is not None:
-            return w
-    return None
 
 
 # -- canonical labeling and census ----------------------------------------------
@@ -579,8 +554,8 @@ def census(family: str, n: int, d: int, dedup: bool = True,
     Candidates are enumerated deterministically and screened by their
     spectral nullity; only those with nullity one are built and certified by
     the direct kernel.  With jobs > 1 screening and certification are
-    distributed over worker processes and merged back in candidate order,
-    so the output is independent of scheduling.  A budget caps the number of
+    distributed over min(jobs, cpu count) worker processes and merged back in
+    candidate order, so the output is independent of scheduling.  A budget caps the number of
     candidate connection sets; exceeding it raises SearchExhaustedError
     rather than returning a silently truncated census.
     """
@@ -597,10 +572,11 @@ def census(family: str, n: int, d: int, dedup: bool = True,
             "rerun with dedup disabled (--no-dedup)")
     if budget is not None:
         tasks = _budgeted(tasks, budget, family, n, d)
-    if jobs > 1:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
         from multiprocessing import Pool
 
-        pool = Pool(jobs)
+        pool = Pool(workers)
         results = pool.imap(_screen_and_certify, tasks, chunksize=16)
     else:
         pool = None

@@ -13,20 +13,20 @@ finite range, are:
   residue exactly on the solutions of one linear congruence in t, so the
   parameters where every exponent is shared follow from the pairwise
   solution sets, computed once per modulus;
-* the finite case analysis: the family-specific constraint set (allowed
-  primes, sum of (p - 2) over distinct primes, bound on b/rad(b), optional
-  exclusion of multiples of four) leaves finitely many feasible cyclotomic
-  indices b; for each of them and every parameter residue t modulo b, the
-  b-th cyclotomic polynomial does not divide the cyclically reduced family
-  member.  Together with the two reduction facts above, this closes the
-  divisibility question for all parameters at once, because the reduced
-  polynomial depends on t only through t modulo b.
+* the finite case analysis: the constraint set (sum of (p - 2) over the
+  distinct primes of b at most the term count minus two, bound on b/rad(b),
+  optional exclusion of multiples of four) leaves finitely many feasible
+  cyclotomic indices b; for each of them and every parameter residue t
+  modulo b, the b-th cyclotomic polynomial does not divide the cyclically
+  reduced family member.  Together with the two reduction facts above, this
+  closes the divisibility question for all parameters at once, because the
+  reduced polynomial depends on t only through t modulo b.
 
-Every non-divisibility verdict is exact.  The screen first looks for a
-modular witness (a nonzero evaluation at an order-b element of a prime field,
-which proves non-divisibility outright); ``divides_cyclotomic`` decides the
-rare parameters where no witness appears, and is the sole authority for
-reporting a violation.
+Every non-divisibility verdict is exact.  The screen looks for a modular
+witness, a nonzero evaluation at the order-b element of the index's one
+evaluation prime, which proves non-divisibility outright;
+``divides_cyclotomic`` decides every parameter where no witness appears, and
+is the sole authority for reporting a violation.
 """
 
 from __future__ import annotations
@@ -38,15 +38,14 @@ from dataclasses import dataclass
 from ._modeval import eval_at, evaluation_prime, root_of_order, sweep_zero_parameters
 from .cyclotomic import divides_cyclotomic, enumerate_feasible_indices
 from .exact import Polynomial
-from .numtheory import euler_phi
+from .numtheory import euler_phi, is_prime
 
 
 @dataclass(frozen=True)
 class CaseConstraints:
-    """Feasible-index constraints of a family's finite case analysis."""
+    """Family-specific feasible-index constraints of the finite case
+    analysis (the prime ones are ``PolynomialFamily.case_bounds``)."""
 
-    allowed_primes: tuple[int, ...]
-    sum_bound: int
     rad_ratio_bound: int
     forbid_four: bool
 
@@ -69,30 +68,39 @@ class PolynomialFamily:
     def exponents(self, t: int) -> list[int]:
         return [a * t + c for _, a, c in self.terms]
 
+    def case_bounds(self) -> tuple[tuple[int, ...], int]:
+        """Allowed primes and the bound on sum(p - 2) over the distinct
+        primes of a feasible index.
 
-_PRIMES_19 = (2, 3, 5, 7, 11, 13, 17, 19)
-_PRIMES_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+        A member has at most N = len(terms) nonzero terms, so the lacunary
+        reduction (``prime_power_cancellation_applies``) cancels a prime
+        power from any index whose sum exceeds N - 2; a prime p > N exceeds
+        it alone.
+        """
+        sum_bound = len(self.terms) - 2
+        return tuple(p for p in range(2, sum_bound + 3) if is_prime(p)), sum_bound
+
 
 FAMILIES: dict[str, PolynomialFamily] = {
     "Q": PolynomialFamily(
         tag="Q", min_b=2, unique_remainder_threshold=6,
         terms=((1, 4, 7), (-1, 4, 5), (-1, 4, 4), (2, 2, 4), (1, 2, 3),
                (1, 2, 2), (1, 2, 0), (-2, 1, 3), (-1, 0, 2), (-1, 0, 0)),
-        case=CaseConstraints((2, 3, 5, 7), 8, 6, False)),
+        case=CaseConstraints(6, False)),
     "R": PolynomialFamily(
         tag="R", min_b=3, unique_remainder_threshold=11,
         terms=((1, 8, 15), (1, 8, 14), (1, 8, 11), (-1, 8, 10), (-1, 8, 8),
                (2, 6, 9), (-1, 4, 15), (-1, 4, 11), (-1, 4, 9), (2, 4, 8),
                (-2, 4, 7), (1, 4, 6), (1, 4, 4), (1, 4, 0), (-2, 2, 6),
                (1, 0, 7), (1, 0, 5), (-1, 0, 4), (-1, 0, 1), (-1, 0, 0)),
-        case=CaseConstraints(_PRIMES_19, 18, 11, True)),
+        case=CaseConstraints(11, True)),
     "S": PolynomialFamily(
         tag="S", min_b=2, unique_remainder_threshold=8,
         terms=((1, 4, 13), (1, 4, 11), (1, 4, 10), (1, 4, 9), (-1, 4, 8),
                (-1, 2, 13), (-1, 2, 10), (-1, 2, 9), (3, 2, 7), (1, 2, 5),
                (-1, 2, 4), (1, 2, 3), (-1, 2, 2), (1, 2, 1), (-2, 1, 6),
                (1, 0, 6), (-1, 0, 5), (-1, 0, 1), (-1, 0, 0)),
-        case=CaseConstraints(_PRIMES_19, 17, 8, False)),
+        case=CaseConstraints(8, False)),
     "T": PolynomialFamily(
         tag="T", min_b=3, unique_remainder_threshold=20,
         terms=((1, 8, 27), (1, 8, 26), (1, 8, 25), (1, 8, 22), (1, 8, 20),
@@ -103,7 +111,7 @@ FAMILIES: dict[str, PolynomialFamily] = {
                (-1, 4, 4), (1, 4, 2), (1, 4, 1), (-2, 2, 12), (1, 0, 12),
                (1, 0, 11), (-1, 0, 10), (-1, 0, 9), (-1, 0, 7), (-1, 0, 5),
                (-1, 0, 2), (-1, 0, 1), (-1, 0, 0)),
-        case=CaseConstraints(_PRIMES_37, 36, 13, True)),
+        case=CaseConstraints(13, True)),
 }
 
 FAMILY_TAGS = tuple(FAMILIES)
@@ -203,7 +211,7 @@ def verify_family_bounded(tag: str, t_max: int, min_b: int | None = None) -> Ver
 
     For each t the candidate indices are every b with phi(b) bounded by the
     member's degree, which is a complete divisor-candidate set.  A nonzero
-    evaluation at an order-b element of one of two prime fields proves
+    evaluation at the order-b root of ``evaluation_prime(b)`` proves
     non-divisibility; ``divides_cyclotomic`` decides the rest.  The candidates
     and their (prime, root) pairs are found once per call.
     """
@@ -218,19 +226,18 @@ def verify_family_bounded(tag: str, t_max: int, min_b: int | None = None) -> Ver
     max_deg = max(a * t_max + c for _, a, c in fam.terms)
     candidates = []
     for b in candidate_divisor_indices(max_deg, low):
-        primes = (evaluation_prime(b), evaluation_prime(b, skip=1))
-        candidates.append((b, euler_phi(b), [(q, root_of_order(q, b)) for q in primes]))
+        q = evaluation_prime(b)
+        candidates.append((b, euler_phi(b), q, root_of_order(q, b)))
     for t in range(t_max + 1):
         member = fam.member(t)
         exps = fam.exponents(t)
         deg = member.degree
         count = 0
-        for b, phi_b, roots in candidates:
+        for b, phi_b, q, zeta in candidates:
             if phi_b > deg:
                 continue
             count += 1
-            if not any(eval_at(coeffs, exps, b, q, zeta) for q, zeta in roots) \
-                    and divides_cyclotomic(member, b):
+            if not eval_at(coeffs, exps, b, q, zeta) and divides_cyclotomic(member, b):
                 violations.append((t, b))
         checked.append((t, f"{count} candidate indices, degree {deg}"))
     return VerificationReport(
@@ -333,9 +340,9 @@ def verify_finite_case_analysis(tag: str) -> VerificationReport:
     """
     fam = _family(tag)
     cc = fam.case
-    indices = enumerate_feasible_indices(cc.allowed_primes, cc.sum_bound,
-                                         cc.rad_ratio_bound, fam.min_b,
-                                         cc.forbid_four)
+    primes, sum_bound = fam.case_bounds()
+    indices = enumerate_feasible_indices(primes, sum_bound, cc.rad_ratio_bound,
+                                         fam.min_b, cc.forbid_four)
     coeffs = [c for c, _, _ in fam.terms]
     slopes = [a for _, a, _ in fam.terms]
     offsets = [c for _, _, c in fam.terms]
@@ -353,7 +360,7 @@ def verify_finite_case_analysis(tag: str) -> VerificationReport:
             detail = f"DIVISIBLE for t in {confirmed}"
             violations.extend((b, t) for t in confirmed)
         checked.append((b, detail))
-    constraint_desc = (f"primes in {cc.allowed_primes}, sum(p-2) <= {cc.sum_bound}, "
+    constraint_desc = (f"primes in {primes}, sum(p-2) <= {sum_bound}, "
                        f"b/rad(b) < {cc.rad_ratio_bound}, b >= {fam.min_b}"
                        + (", 4 does not divide b" if cc.forbid_four else ""))
     return VerificationReport(

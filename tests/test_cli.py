@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import json
+import multiprocessing
+import os
 import time
 
 import pytest
@@ -191,6 +193,19 @@ class TestVerify:
         assert f"spectral nullity: {nullity};" in out
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("m", [2**84, 10**18 + 3])
+    def test_spec_order_beyond_limit(self, tmp_path, capsys, m):
+        # 2^84 lies past is_prime's deterministic range, and trial division
+        # would not factor 10^18 + 3 in reasonable time
+        f = tmp_path / "prism.json"
+        f.write_text(json.dumps({"m": m, "s0": [1, m - 1], "s1": [0],
+                                 "s2": [1, m - 1]}))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "verify", "--input", str(f), "--method", "spectral")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "m above 1000000000000" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("spec", [
         '{"m": 8, "rotations": 5}',
         '{"m": 8, "rotations": [1, 7], "shift": 2}',
@@ -292,6 +307,32 @@ class TestCensus:
         assert code == 0
         first = json.loads(out.strip().splitlines()[0])
         assert first["degree"] == 4 and first["order"] == 8
+
+    @pytest.mark.parametrize("cpus, jobs, size", [
+        (3, "64", 3), (3, "2", 2), (None, "64", None), (3, None, None)])
+    def test_pool_capped_at_cpu_count(self, capsys, monkeypatch, cpus, jobs, size):
+        # A stand-in Pool records its size and maps in process: no worker starts.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def imap(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+            def close(self):
+                pass
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        extra = ("--jobs", jobs) if jobs else ()
+        code, out, _ = run(capsys, "census", "--family", "circulant", "10", "4", *extra)
+        assert code == 0 and out.endswith("# classes: 1\n")
+        assert sizes == ([size] if size else [])
 
 
 @pytest.mark.parametrize("argv", [

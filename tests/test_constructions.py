@@ -21,7 +21,6 @@ from nutforge.constructions import (
     construct,
     dihedral_2_mod_8_spec,
     dihedral_6_mod_8_spec,
-    dihedral_search,
     feasible_vt,
     moebius_complement,
     prism_complement,
@@ -233,11 +232,6 @@ class TestSearch:
     def test_construct_budget_exhaustion(self):
         with pytest.raises(SearchExhaustedError):
             construct(14, 8, budget=0)
-
-    def test_dihedral_search_small(self):
-        w = dihedral_search(12, 6)
-        assert w is not None
-        assert is_regular(w.graph) == 6 and w.graph.order == 12
 
     def test_budget_counts_screened_out_candidates(self):
         # [1, 2, 6, 7] is the 22nd jump set enumerated at (24, 8); the 21

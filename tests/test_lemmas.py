@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from nutforge.cyclotomic import divides_cyclotomic
+from nutforge import lemmas
+from nutforge.cyclotomic import divides_cyclotomic, prime_power_cancellation_applies
 from nutforge.exact import Polynomial
 from nutforge.lemmas import (
     FAMILIES,
@@ -19,7 +20,7 @@ from nutforge.lemmas import (
     verify_finite_case_analysis,
     verify_unique_remainder,
 )
-from nutforge.numtheory import euler_phi
+from nutforge.numtheory import euler_phi, is_prime
 
 
 def _has_unique_residue(fam, t, beta):
@@ -167,7 +168,7 @@ class TestCollisionCongruences:
 
     def test_matches_residue_count_on_random_families(self):
         rng = random.Random(6)
-        case = CaseConstraints((2,), 0, 1, False)
+        case = CaseConstraints(1, False)
         outcomes = set()
         for _ in range(2000):
             beta = 1 if rng.random() < 0.1 else rng.randint(2, 40)
@@ -214,3 +215,59 @@ class TestFiniteCaseAnalysis:
                 for b in (2, 3, 5, 8, 12):
                     assert divides_cyclotomic(p, b) == \
                         divides_cyclotomic(p.cyclic_reduce(b), b)
+
+
+_PRIMES_19 = (2, 3, 5, 7, 11, 13, 17, 19)
+_PRIMES_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+class TestCaseConstraints:
+    def test_derived_bounds_match_the_published_constraints(self):
+        published = {"Q": ((2, 3, 5, 7), 8), "R": (_PRIMES_19, 18),
+                     "S": (_PRIMES_19, 17), "T": (_PRIMES_37, 36)}
+        for tag, expected in published.items():
+            assert FAMILIES[tag].case_bounds() == expected
+
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    def test_bounds_are_where_the_lacunary_reduction_stops(self, tag):
+        fam = FAMILIES[tag]
+        allowed, sum_bound = fam.case_bounds()
+        small = [p for p in range(2, 60) if is_prime(p)]
+        for k in (1, 2):
+            for i, p in enumerate(small):
+                group = [p, *small[i + 1:i + k]]
+                assert prime_power_cancellation_applies(len(fam.terms), group) == \
+                    (sum(q - 2 for q in group) > sum_bound)
+        assert allowed == tuple(p for p in small
+                                if not prime_power_cancellation_applies(len(fam.terms), [p]))
+
+
+def _record_exact_calls(monkeypatch):
+    """Route the suites' divides_cyclotomic through a recorder of verdicts."""
+    verdicts = []
+
+    def recording(p, b):
+        verdicts.append(divides_cyclotomic(p, b))
+        return verdicts[-1]
+
+    monkeypatch.setattr(lemmas, "divides_cyclotomic", recording)
+    return verdicts
+
+
+class TestExactRuleOnEveryZero:
+    """Each zero of the one screening prime goes to the exact rule, which
+    refutes it."""
+
+    @pytest.mark.parametrize("tag, hits", [("Q", 14), ("R", 20), ("S", 15), ("T", 32)])
+    def test_bounded_suite(self, monkeypatch, tag, hits):
+        verdicts = _record_exact_calls(monkeypatch)
+        assert verify_family_bounded(tag, 20).ok
+        assert len(verdicts) == hits and not any(verdicts)
+
+    @pytest.mark.parametrize("tag, indices, hits",
+                             [("Q", 39, 15), ("R", 146, 84), ("S", 164, 77), ("T", 770, 295)])
+    def test_case_analysis(self, monkeypatch, tag, indices, hits):
+        verdicts = _record_exact_calls(monkeypatch)
+        rep = verify_finite_case_analysis(tag)
+        assert rep.ok and len(rep.indices_checked) == indices
+        assert len(verdicts) == hits and not any(verdicts)

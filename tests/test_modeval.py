@@ -18,15 +18,24 @@ from nutforge.lemmas import FAMILIES
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def _primes_above(b, count):
+    """The first `count` evaluation primes of index b, each found above the
+    previous one."""
+    primes = [me.evaluation_prime(b)]
+    while len(primes) < count:
+        primes.append(me.evaluation_prime(b, above=primes[-1]))
+    return primes
+
+
 def test_evaluation_prime_properties():
     for b in (1, 2, 6, 35, 128, 9973):
-        for salt in (0, 1, 2):
-            q = me.evaluation_prime(b, skip=salt)
+        for q in _primes_above(b, 3):
             assert q % b == 1 % b
             assert me.is_prime(q)
-    q0 = me.evaluation_prime(36, 0)
-    q1 = me.evaluation_prime(36, 1)
-    assert q0 != q1 and q0 % 36 == q1 % 36 == 1
+    q0, q1 = _primes_above(36, 2)
+    assert q0 < q1 and q0 % 36 == q1 % 36 == 1
+    # no prime of the form 36k + 1 lies strictly between them
+    assert not any(me.is_prime(q) for q in range(q0 + 36, q1, 36))
 
 
 def test_root_has_exact_order():
@@ -50,15 +59,13 @@ def test_cyclotomic_vanishes_at_root():
         assert me.eval_at(coeffs, exps, b, q, z) == 0
 
 
-def _witness(p, b, rounds):
-    """Whether p is nonzero at the order-b root of one of `rounds` moduli."""
+def _witness(p, b, moduli):
+    """Whether p is nonzero at the order-b root of one of the first `moduli`
+    evaluation primes of b."""
     coeffs = [c for _, c in p.items()]
     exps = [e for e, _ in p.items()]
-    for salt in range(rounds):
-        q = me.evaluation_prime(b, skip=salt)
-        if me.eval_at(coeffs, exps, b, q, me.root_of_order(q, b)):
-            return True
-    return False
+    return any(me.eval_at(coeffs, exps, b, q, me.root_of_order(q, b))
+               for q in _primes_above(b, moduli))
 
 
 def test_nonzero_witness_is_sound():
@@ -71,7 +78,7 @@ def test_nonzero_witness_is_sound():
             p = p * cyclotomic(b)
         if p.is_zero:
             continue
-        if _witness(p, b, rounds=2):
+        if _witness(p, b, moduli=2):
             assert not divides_cyclotomic(p, b)
 
 
@@ -79,7 +86,7 @@ def test_planted_multiple_never_gets_witness():
     rng = random.Random(59)
     for b in (4, 9, 12, 25, 36):
         h = Polynomial({rng.randint(0, 20): rng.randint(1, 3) for _ in range(4)})
-        assert not _witness(h * cyclotomic(b), b, rounds=3)
+        assert not _witness(h * cyclotomic(b), b, moduli=3)
 
 
 def test_evaluation_prime_lower_bound():
@@ -122,12 +129,12 @@ def _sweep_suspects(coeffs, slopes, offsets, b):
 @pytest.mark.parametrize("tag, zeros", [("Q", 15), ("R", 84), ("S", 77), ("T", 295)])
 def test_suspects_match_sweep_on_case_analysis(tag, zeros):
     fam = FAMILIES[tag]
-    cc = fam.case
     coeffs, slopes, offsets = zip(*fam.terms)
+    primes, sum_bound = fam.case_bounds()
     total = 0
-    for b in enumerate_feasible_indices(cc.allowed_primes, cc.sum_bound,
-                                        cc.rad_ratio_bound, fam.min_b, cc.forbid_four):
-        suspects = me.sweep_zero_parameters(coeffs, slopes, offsets, b, rounds=1)
+    for b in enumerate_feasible_indices(primes, sum_bound, fam.case.rad_ratio_bound,
+                                        fam.min_b, fam.case.forbid_four):
+        suspects = me.sweep_zero_parameters(coeffs, slopes, offsets, b)
         assert suspects == _sweep_suspects(coeffs, slopes, offsets, b), b
         total += len(suspects)
     assert total == zeros
@@ -156,7 +163,7 @@ def test_suspects_match_sweep_on_random_families():
         kind = ("plain", "plain", "constant", "zero")[i % 4]
         b = rng.choice((1, 2, rng.randint(1, 60), rng.randint(61, 3000)))
         coeffs, slopes, offsets = _random_family(rng, b, kind)
-        suspects = me.sweep_zero_parameters(coeffs, slopes, offsets, b, rounds=1)
+        suspects = me.sweep_zero_parameters(coeffs, slopes, offsets, b)
         assert suspects == _sweep_suspects(coeffs, slopes, offsets, b), (
             b, coeffs, slopes, offsets)
         if kind == "zero":
@@ -175,7 +182,7 @@ def test_suspects_match_pointwise_evaluation():
         expected = [t for t in range(b)
                     if me.eval_at(coeffs, [s * t + o for s, o in zip(slopes, offsets)],
                                   b, q, z) == 0]
-        assert me.sweep_zero_parameters(coeffs, slopes, offsets, b, rounds=1) == expected
+        assert me.sweep_zero_parameters(coeffs, slopes, offsets, b) == expected
 
 
 def test_lemmas_run_without_numpy():
