@@ -87,17 +87,20 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(text: str, path: str | None) -> int:
+    """Write text to path (stdout for None or -); EXIT_USAGE if it cannot."""
     if path and path != "-":
-        with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            return _usage_error(f"cannot write output: {exc}")
     else:
         print(text)
+    return EXIT_OK
 
 
 def cmd_exists(args) -> int:
-    if args.n < 1 or args.d < 0:
-        return _usage_error("order must be >= 1 and degree >= 0")
     verdict = feasible_vt(args.n, args.d)
     flag = "true" if verdict.exists else "false"
     print(f"exists: {flag} (case {verdict.case}): {verdict.reason}")
@@ -105,8 +108,6 @@ def cmd_exists(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    if args.n < 1 or args.d < 0:
-        return _usage_error("order must be >= 1 and degree >= 0")
     try:
         w = construct(args.n, args.d, budget=args.budget)
     except InfeasiblePairError as exc:
@@ -125,15 +126,13 @@ def cmd_construct(args) -> int:
             "kernel_vector": [str(x) for x in
                               integer_kernel_vector(w.certificate.kernel_vector)],
         }
-        _write(json.dumps(payload), args.output)
-        return EXIT_OK
+        return _write(json.dumps(payload), args.output)
     lines = []
     if args.recipe:
         lines.append(f"# recipe: {w.recipe}")
         lines.append("# certified: nullity 1, kernel vector free of zeros")
     lines.append(serialize(w.graph, args.format))
-    _write("\n".join(lines), args.output)
-    return EXIT_OK
+    return _write("\n".join(lines), args.output)
 
 
 def _read_input(path: str | None) -> str:
@@ -217,7 +216,7 @@ def cmd_verify(args) -> int:
     shift = args.shift if args.shift is not None else spec_shift
     report = nut_check_spectral(spec, shift)
     singular = ", ".join(f"b={v.b} ({'simple' if v.multiplicity == 1 else 'double'})"
-                         for v in report.divisor_verdicts if v.det_divisible) or "none"
+                         for v in report.divisor_verdicts if v.multiplicity) or "none"
     label = "nullity" if shift == 0 else "shifted nullity"
     print(f"spectral {label}: {report.total_nullity}; singular divisors: {singular}")
     positive = report.total_nullity == 1
@@ -267,8 +266,6 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_census(args) -> int:
-    if args.n < 1 or args.d < 0:
-        return _usage_error("order must be >= 1 and degree >= 0")
     try:
         witnesses = census(args.family, args.n, args.d,
                            dedup=not args.no_dedup, jobs=args.jobs,
@@ -301,13 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exists", help="decide feasibility of an (order, degree) pair")
-    p.add_argument("n", type=int, help="graph order")
-    p.add_argument("d", type=int, help="vertex degree")
+    p.add_argument("n", type=_positive_int, help="graph order")
+    p.add_argument("d", type=_non_negative_int, help="vertex degree")
     p.set_defaults(fn=cmd_exists)
 
     p = sub.add_parser("construct", help="emit a certified nut-graph witness")
-    p.add_argument("n", type=int)
-    p.add_argument("d", type=int)
+    p.add_argument("n", type=_positive_int)
+    p.add_argument("d", type=_non_negative_int)
     p.add_argument("--format", choices=["graph6", "adjacency-list", "dot", "jsonl"],
                    default="graph6")
     p.add_argument("--recipe", action=argparse.BooleanOptionalAction, default=True,
@@ -337,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="enumerate nut graphs of a family at (N, D)")
     p.add_argument("--family", choices=["circulant", "dihedral"], required=True)
-    p.add_argument("n", type=int)
-    p.add_argument("d", type=int)
+    p.add_argument("n", type=_positive_int)
+    p.add_argument("d", type=_non_negative_int)
     p.add_argument("--no-dedup", action="store_true",
                    help="skip isomorphism dedup (required above order "
                         f"{CANONICAL_ORDER_LIMIT})")

@@ -24,19 +24,20 @@ unless an earlier one has the same ``canonical_form``, an exact labeling by
 colour refinement and individualization, pruned by the automorphisms the
 search meets (orders up to ``CANONICAL_ORDER_LIMIT``).
 
-Search and census candidates are Cayley graphs, so a spectral nullity of one
-already makes them nut graphs: the cyclotomic nullity of ``verify`` screens
-every candidate, and only those that pass it are built.  Every witness is
-re-certified by the exact direct kernel check before being returned,
-independent of which construction produced it: the outputs are certificates,
-not citations.
+Search and census candidates come from one stream, ``_candidates``, and are
+Cayley graphs, so a spectral nullity of one already makes them nut graphs:
+the cyclotomic nullity of ``verify`` screens every candidate, and only those
+that pass it are built.  Every witness, whichever construction produced it,
+passes one gate, ``_certify``: the exact direct kernel, the order and degree,
+and the existence law of ``feasible_vt``.  The outputs are certificates, not
+citations.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .graphs import (
     CirculantSpec,
@@ -50,10 +51,9 @@ from .graphs import (
 )
 from .verify import NutCertificate, nut_check_direct, nut_check_spectral
 
-#: Candidate cap applied to searches at orders above 24 when no explicit
-#: budget is given; below that the enumeration is exhaustive.
+#: Candidate cap of a search given no explicit budget.  No order up to 24
+#: has more than 462 jump sets, so there the search is exhaustive.
 DEFAULT_SEARCH_BUDGET = 200_000
-_EXHAUSTIVE_ORDER = 24
 
 #: Largest order the census labels for dedup.
 CANONICAL_ORDER_LIMIT = 32
@@ -226,92 +226,65 @@ def sporadic_witness(n: int, d: int):
 
 
 def _dihedral_family_witness(n: int, d: int):
-    """Witness graph for d = 2 (mod 4) from the parameterized families.
-
-    The direct families are preferred over the complement families whenever
-    both apply; the recipe records that choice.
-    """
+    """Witness graph for d = 2 (mod 4) from the parameterized families: the
+    direct family of the degree once the order is large enough, else the
+    complement family of the gap n - d, else None."""
     m = n // 2
-    direct = None
     if d % 8 == 6:
         t = (d - 6) // 8
         if m >= 4 * t + 8:
             spec = dihedral_6_mod_8_spec(t, m)
-            direct = (build_dihedral(spec),
-                      f"degree-(8t+6) family, t={t}: {spec.describe()}")
+            return build_dihedral(spec), f"degree-(8t+6) family, t={t}: {spec.describe()}"
     else:
         t = (d - 10) // 8
         if m >= 4 * t + 14:
             spec = dihedral_2_mod_8_spec(t, m)
-            direct = (build_dihedral(spec),
-                      f"degree-(8t+10) family, t={t}: {spec.describe()}")
-    gap = n - d
-    comp = None
-    if gap == 6 and d >= 14:
-        comp = (complement_gap6_spec(d), "order-(d+6)")
-    elif gap == 10 and d >= 22:
-        comp = (complement_gap10_spec(d), "order-(d+10)")
-    elif gap == 14 and d >= 26:
-        comp = (complement_gap14_spec(d), "order-(d+14)")
-    if direct is not None:
-        g, recipe = direct
-        if comp is not None:
-            recipe += "  # preferred over the complement family"
-        return g, recipe
-    if comp is not None:
-        spec, label = comp
-        return (complement(build_dihedral(spec)),
-                f"{label} complement family: complement({spec.describe()})")
+            return build_dihedral(spec), f"degree-(8t+10) family, t={t}: {spec.describe()}"
+    for gap, d_min, spec_fn in ((6, 14, complement_gap6_spec), (10, 22, complement_gap10_spec),
+                                (14, 26, complement_gap14_spec)):
+        if n - d == gap and d >= d_min:
+            spec = spec_fn(d)
+            return (complement(build_dihedral(spec)),
+                    f"order-(d+{gap}) complement family: complement({spec.describe()})")
     return None
 
 
 def _certify(g: Graph, recipe: str, n: int, d: int) -> Witness:
+    """The witness of g, which must be a d-regular nut graph of order n, with
+    (n, d) feasible; any failure is a construction error."""
     cert = nut_check_direct(g)
     if not cert.is_nut:
-        raise RuntimeError(f"construction failed certification for ({n}, {d}): {recipe}")
+        raise RuntimeError(f"the direct kernel rejects {recipe} for ({n}, {d}): "
+                           f"nullity {cert.nullity}")
     if g.order != n or is_regular(g) != d:
         raise RuntimeError(f"construction has wrong shape for ({n}, {d}): {recipe}")
-    _assert_witness_parity(n, d)
+    if not feasible_vt(n, d).exists:
+        raise RuntimeError(f"witness parameters ({n}, {d}) break the existence law: {recipe}")
     return Witness(g, recipe, cert)
 
 
-def _screen_and_certify(spec: CirculantSpec | DihedralSpec) -> Witness | None:
-    """Certified witness for a search or census candidate, or None when the
-    candidate is no nut graph.
+def _screen(spec: CirculantSpec | DihedralSpec) -> Witness | None:
+    """Certified witness for a search or census candidate, or None when its
+    spectral nullity is not one.
 
-    The spectral nullity decides: for these vertex-transitive graphs nullity
-    one is the nut property.  Only a candidate that passes is built and run
-    through the direct kernel, whose disagreement is an error.
+    For these vertex-transitive graphs nullity one is the nut property, so
+    only a candidate that passes is built and run through ``_certify``.
     """
     if nut_check_spectral(spec).total_nullity != 1:
         return None
     if isinstance(spec, CirculantSpec):
-        g = build_circulant(spec)
-    else:
-        g = build_dihedral(spec)
-    cert = nut_check_direct(g)
-    if not cert.is_nut:
-        raise RuntimeError(f"spectral nullity 1 but the direct kernel finds nullity "
-                           f"{cert.nullity} for {spec.describe()}")
-    return Witness(g, spec.describe(), cert)
-
-
-def _assert_witness_parity(n: int, d: int) -> None:
-    # Necessary conditions for any (bi)circulant nut graph; every emitted
-    # witness must satisfy them.
-    if n % 2 or d % 2 or (n % 4 and d % 4) or d < 4 or n < d + 4:
-        raise RuntimeError(f"witness parameters ({n}, {d}) violate the necessary "
-                           "order/degree parity conditions")
+        return _certify(build_circulant(spec), spec.describe(), spec.n, spec.degree)
+    return _certify(build_dihedral(spec), spec.describe(), 2 * spec.m, spec.degree)
 
 
 def construct(n: int, d: int, budget: int | None = None) -> Witness:
     """A certified d-regular nut-graph witness of order n.
 
     Dispatch: sporadic catalog; then the parameterized dihedral families for
-    d = 2 (mod 4); then the bounded deterministic circulant search for the
-    remaining degrees divisible by 4.  Raises InfeasiblePairError on
-    infeasible input and SearchExhaustedError when the search ends empty;
-    never returns an unverified graph.
+    d = 2 (mod 4); then the circulant search for the remaining degrees
+    divisible by 4.  Every branch ends in ``_certify``.  Raises
+    InfeasiblePairError on infeasible input and SearchExhaustedError when the
+    search ends empty; never returns an unverified graph.
     """
     verdict = feasible_vt(n, d)
     if not verdict.exists:
@@ -331,48 +304,27 @@ def construct(n: int, d: int, budget: int | None = None) -> Witness:
 
 def _circulant_candidates(n: int, d: int):
     """Jump sets giving degree d at order n, ascending lexicographically."""
-    if d < 0 or d > n - 1:
+    if d < 0 or d > n - 1 or (d % 2 and n % 2):
         return
-    half = n // 2
-    if n % 2 == 0:
-        if d % 2 == 0:
-            pool = range(1, half)
-            for combo in combinations(pool, d // 2):
-                yield frozenset(combo)
-        else:
-            pool = range(1, half)
-            for combo in combinations(pool, (d - 1) // 2):
-                yield frozenset(combo) | {half}
+    if d % 2:  # even n: the jump n/2 gives the odd degree
+        for combo in combinations(range(1, n // 2), d // 2):
+            yield frozenset(combo) | {n // 2}
     else:
-        if d % 2 == 0:
-            for combo in combinations(range(1, half + 1), d // 2):
-                yield frozenset(combo)
+        for combo in combinations(range(1, (n + 1) // 2), d // 2):
+            yield frozenset(combo)
 
 
 def circulant_search(n: int, d: int, budget: int | None = None) -> Witness | None:
-    """First certified circulant nut witness at (n, d), or None.
+    """First screened circulant nut witness at (n, d), or None.
 
-    Jump sets are enumerated in deterministic lexicographic order.  Each
-    candidate is screened by its spectral nullity, and the first one with
-    nullity one is built and certified by the direct kernel check.  The
-    enumeration is exhaustive up to order 24; beyond that a budget caps the
-    enumerated candidates, screened-out ones included (DEFAULT_SEARCH_BUDGET
-    unless overridden).
+    Jump sets come in lexicographic order from ``_candidates``; the budget
+    (DEFAULT_SEARCH_BUDGET when None) caps the candidates enumerated,
+    screened-out ones included.
     """
     if n < 3:
         raise ValueError("circulant order must be >= 3")
-    cap = budget
-    if cap is None and n > _EXHAUSTIVE_ORDER:
-        cap = DEFAULT_SEARCH_BUDGET
-    examined = 0
-    for jumps in _circulant_candidates(n, d):
-        if cap is not None and examined >= cap:
-            break
-        examined += 1
-        w = _screen_and_certify(CirculantSpec(n, jumps))
-        if w is not None:
-            return w
-    return None
+    cap = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    return next(filter(None, map(_screen, islice(_candidates("circulant", n, d), cap))), None)
 
 
 def _rotation_orbits(m: int) -> list[tuple[int, ...]]:
@@ -399,6 +351,16 @@ def _dihedral_candidates(n: int, d: int):
                 continue
             for refl in combinations(range(m), refl_size):
                 yield frozenset(rot), frozenset(refl)
+
+
+def _candidates(family: str, n: int, d: int):
+    """Connection-set specs of the family with order n and degree d, in the
+    deterministic order of the search and the census."""
+    if family == "circulant":
+        return (CirculantSpec(n, jumps) for jumps in _circulant_candidates(n, d))
+    if family == "dihedral":
+        return (DihedralSpec(n // 2, rot, refl) for rot, refl in _dihedral_candidates(n, d))
+    raise ValueError(f"unknown census family: {family}")
 
 
 # -- canonical labeling and census ----------------------------------------------
@@ -551,21 +513,14 @@ def census(family: str, n: int, d: int, dedup: bool = True,
     """All nut graphs of the family at (n, d), one witness per isomorphism
     class (or one per connection set with dedup disabled).
 
-    Candidates are enumerated deterministically and screened by their
-    spectral nullity; only those with nullity one are built and certified by
-    the direct kernel.  With jobs > 1 screening and certification are
-    distributed over min(jobs, cpu count) worker processes and merged back in
-    candidate order, so the output is independent of scheduling.  A budget caps the number of
+    Candidates come from ``_candidates`` and pass through ``_screen``, as in
+    the search.  With jobs > 1 the screening is distributed over
+    min(jobs, cpu count) worker processes and merged back in candidate order,
+    so the output is independent of scheduling.  A budget caps the number of
     candidate connection sets; exceeding it raises SearchExhaustedError
     rather than returning a silently truncated census.
     """
-    if family == "circulant":
-        tasks = (CirculantSpec(n, jumps) for jumps in _circulant_candidates(n, d))
-    elif family == "dihedral":
-        tasks = (DihedralSpec(n // 2, rot, refl)
-                 for rot, refl in _dihedral_candidates(n, d))
-    else:
-        raise ValueError(f"unknown census family: {family}")
+    tasks = _candidates(family, n, d)
     if dedup and n > CANONICAL_ORDER_LIMIT:
         raise ValueError(
             f"order {n} exceeds the canonical-labeling limit {CANONICAL_ORDER_LIMIT}; "
@@ -577,22 +532,19 @@ def census(family: str, n: int, d: int, dedup: bool = True,
         from multiprocessing import Pool
 
         pool = Pool(workers)
-        results = pool.imap(_screen_and_certify, tasks, chunksize=16)
+        results = pool.imap(_screen, tasks, chunksize=16)
     else:
         pool = None
-        results = map(_screen_and_certify, tasks)
+        results = map(_screen, tasks)
     witnesses = []
     seen: set[tuple[int, ...]] = set()
     try:
-        for w in results:
-            if w is None:
-                continue
+        for w in filter(None, results):
             if dedup:
                 key = canonical_form(w.graph)
                 if key in seen:
                     continue
                 seen.add(key)
-            _assert_witness_parity(w.graph.order, is_regular(w.graph))
             witnesses.append(w)
     finally:
         if pool is not None:

@@ -269,15 +269,6 @@ class IntMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.data[i][j]
 
-    def shifted(self, shift: int) -> "IntMatrix":
-        """Return self + shift * I (square matrices only)."""
-        if self.rows != self.cols:
-            raise ValueError("diagonal shift needs a square matrix")
-        return IntMatrix([
-            [self.data[i][j] + (shift if i == j else 0) for j in range(self.cols)]
-            for i in range(self.rows)
-        ])
-
     def mul_vector(self, v):
         """Matrix-vector product with exact arithmetic (v of length cols)."""
         if len(v) != self.cols:

@@ -28,6 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
@@ -98,11 +101,17 @@ class Graph:
     def adjacency_rows(self) -> tuple[int, ...]:
         return self._rows
 
-    def adjacency_matrix(self):
+    def adjacency_matrix(self, shift: int = 0):
+        """A + shift * I as an IntMatrix; each row comes from its binary
+        string, reversed so that character j is bit j."""
         from .exact import IntMatrix
 
-        return IntMatrix([[self._rows[i] >> j & 1 for j in range(self.order)]
-                          for i in range(self.order)])
+        rows = []
+        for i, r in enumerate(self._rows):
+            row = list(format(r, f"0{self.order}b")[::-1].encode().translate(_BIT_VALUES))
+            row[i] = shift
+            rows.append(row)
+        return IntMatrix(rows)
 
     def relabel(self, perm) -> "Graph":
         """Graph with vertex i of the result being perm[i] of self."""

@@ -70,16 +70,6 @@ class DivisorVerdict:
     b: int
     multiplicity: int
 
-    @property
-    def det_divisible(self) -> bool:
-        return self.multiplicity > 0
-
-    @property
-    def trace_nonzero_at_root(self) -> bool | None:
-        """For singular blocks, True iff the zero eigenvalue is simple;
-        None for nonsingular ones."""
-        return self.multiplicity == 1 if self.multiplicity else None
-
 
 @dataclass(frozen=True)
 class SpectralReport:
@@ -94,7 +84,7 @@ class SpectralReport:
 
     @property
     def singular_divisors(self) -> tuple[int, ...]:
-        return tuple(v.b for v in self.divisor_verdicts if v.det_divisible)
+        return tuple(v.b for v in self.divisor_verdicts if v.multiplicity)
 
     @property
     def simple_zero(self) -> bool:
@@ -122,7 +112,7 @@ def nullity_shifted(g: Graph, shift: int) -> int:
     the complement, since complementing a d-regular graph of order n maps the
     non-principal eigenvalues lambda to -1 - lambda.
     """
-    return matrix_kernel(g.adjacency_matrix().shifted(shift)).nullity
+    return matrix_kernel(g.adjacency_matrix(shift)).nullity
 
 
 def _connection_polynomial(conn, m: int) -> Polynomial:

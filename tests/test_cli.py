@@ -36,9 +36,11 @@ class TestExists:
         assert "exists: false" in out
 
     def test_malformed(self, capsys):
-        code, _, err = run(capsys, "exists", "-3", "4")
-        assert code == 2
-        assert "error" in err
+        # argparse rejects the order, so the exit code comes as SystemExit
+        with pytest.raises(SystemExit) as exc:
+            main(["exists", "-3", "4"])
+        assert exc.value.code == 2
+        assert "error" in capsys.readouterr().err
 
     def test_usage_error_from_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -90,6 +92,14 @@ class TestConstruct:
                            "--output", str(target))
         assert code == 0
         assert target.read_text().strip()
+
+    @pytest.mark.parametrize("fmt", ["graph6", "jsonl"])
+    def test_unwritable_output(self, tmp_path, capsys, fmt):
+        for target in (tmp_path, tmp_path / "missing" / "w.g6"):
+            code, _, err = run(capsys, "construct", "12", "6", "--format", fmt,
+                               "--output", str(target))
+            assert code == 2
+            assert err.startswith("error: cannot write output: ")
 
 
 class TestVerify:
@@ -347,3 +357,16 @@ def test_counts_must_be_positive(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "expected a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("exists", "0", "4"), "expected a positive integer"),
+    (("construct", "8", "-2"), "expected a non-negative integer"),
+    (("census", "--family", "circulant", "0", "4"), "expected a positive integer"),
+    (("census", "--family", "dihedral", "8", "-1"), "expected a non-negative integer"),
+])
+def test_order_and_degree_arguments(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err

@@ -32,6 +32,7 @@ from nutforge.graphs import (
     Graph,
     build_circulant,
     build_dihedral,
+    build_lcf,
     complement,
     is_regular,
 )
@@ -74,6 +75,41 @@ class TestFeasibility:
             feasible_vt(0, 4)
         with pytest.raises(ValueError):
             feasible_vt(8, -2)
+
+
+def witness_parity_violated(n, d):
+    """The order/degree check every witness passed before ``_certify`` took
+    the law from ``feasible_vt``, copied verbatim."""
+    return bool(n % 2 or d % 2 or (n % 4 and d % 4) or d < 4 or n < d + 4)
+
+
+class TestOneExistenceLaw:
+    def test_old_parity_check_matches_feasible_vt(self):
+        disagreements = [(n, d) for n in range(1, 401) for d in range(0, 401)
+                         if witness_parity_violated(n, d) == feasible_vt(n, d).exists]
+        assert disagreements == []
+
+    def test_default_budget_never_binds_up_to_order_24(self):
+        counts = [sum(1 for _ in constructions._candidates("circulant", n, d))
+                  for n in range(3, 25) for d in range(0, n)]
+        assert max(counts) == 462 < constructions.DEFAULT_SEARCH_BUDGET
+
+    def test_certify_gates(self):
+        # A cubic nut graph of order 12: no vertex-transitive one has odd degree.
+        cubic = build_lcf(12, [2, 3, 10, 6, 9, 6])
+        assert nut_check_direct(cubic).is_nut
+        with pytest.raises(RuntimeError, match="existence law"):
+            constructions._certify(cubic, "lcf", 12, 3)
+        g = build_circulant(CirculantSpec(8, {1, 2}))
+        with pytest.raises(RuntimeError, match="wrong shape"):
+            constructions._certify(g, "circulant(n=8, jumps=[1, 2])", 8, 6)
+        with pytest.raises(RuntimeError, match="direct kernel.*nullity 2"):
+            constructions._certify(build_circulant(CirculantSpec(8, {1})), "8-cycle", 8, 2)
+        assert constructions._certify(g, "circulant", 8, 4).recipe == "circulant"
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown census family"):
+            census("cubic", 8, 4)
 
 
 class TestFamilySpecs:

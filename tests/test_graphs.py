@@ -71,6 +71,22 @@ class TestGraphCore:
         assert sorted(g.edges()) == [(0, 2), (0, 3), (1, 3)]
 
 
+class TestAdjacencyMatrix:
+    @pytest.mark.parametrize("n", [1, 63, 64, 200])
+    def test_matches_bit_shifts_plus_shifted_identity(self, n):
+        rng = random.Random(n)
+        g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                 if rng.random() < 0.4])
+        rows = g.adjacency_rows()
+        for shift in (0, 1, 2):
+            expected = [[(rows[i] >> j & 1) + (shift if i == j else 0) for j in range(n)]
+                        for i in range(n)]
+            a = g.adjacency_matrix(shift)
+            assert (a.rows, a.cols) == (n, n)
+            assert a.data == tuple(map(tuple, expected))
+        assert g.adjacency_matrix() == g.adjacency_matrix(0)
+
+
 class TestCirculant:
     def test_four_regular_order_eight(self):
         g = build_circulant(CirculantSpec(8, {1, 2}))

@@ -146,7 +146,7 @@ class TestSpectral:
         assert rep.singular_divisors == (1,)
         assert rep.total_nullity == 1
         verdict = rep.divisor_verdicts[0]
-        assert verdict.b == 1 and verdict.trace_nonzero_at_root
+        assert verdict.b == 1 and verdict.multiplicity == 1
 
     def test_two_disjoint_squares_not_nut(self):
         spec = BicirculantSpec(4, {1, 3}, frozenset(), {1, 3})
@@ -191,8 +191,8 @@ class TestSpectral:
         for _ in range(60):
             spec = random_bicirculant_spec(rng, max_m=12)
             rep = nut_check_spectral(spec, rng.randint(0, 1))
-            expected = sum(euler_phi(v.b) * (1 if v.trace_nonzero_at_root else 2)
-                           for v in rep.divisor_verdicts if v.det_divisible)
+            expected = sum(euler_phi(v.b) * (1 if v.multiplicity == 1 else 2)
+                           for v in rep.divisor_verdicts if v.multiplicity)
             assert rep.total_nullity == expected
 
 
@@ -213,7 +213,7 @@ class TestSpectralDirectAgreement:
             spec = random_bicirculant_spec(rng, max_m=10)
             rep = nut_check_spectral(spec, 0)
             for v in rep.divisor_verdicts:
-                if v.det_divisible and v.b >= 3:
+                if v.multiplicity and v.b >= 3:
                     assert euler_phi(v.b) % 2 == 0
 
     def test_nullity_one_alone_is_not_the_nut_property(self):
