@@ -22,7 +22,13 @@ come from a catalog of parameterized dihedral-group constructions:
 isomorphism class: candidates come in a fixed order, and a witness is kept
 unless an earlier one has the same ``canonical_form``, an exact labeling by
 colour refinement and individualization, pruned by the automorphisms the
-search meets (orders up to ``CANONICAL_ORDER_LIMIT``).
+search meets (orders up to ``CANONICAL_ORDER_LIMIT``).  Cay(G, S) and
+Cay(G, a(S)) are isomorphic for every automorphism a of G, so the census
+screens only the connection sets that are the minimum of their orbit
+(``_orbit_minimal``); the first candidate of a class is the minimum of its
+own orbit, so the kept witnesses are the same.  Labeling still runs on every
+survivor: isomorphic Cayley graphs need not have connection sets in one
+orbit (circulant 32 8 has 12 orbit minima in 9 classes).
 
 Search and census candidates come from one stream, ``_candidates``, and are
 Cayley graphs, so a spectral nullity of one already makes them nut graphs:
@@ -37,7 +43,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, islice
+from math import gcd
 
 from .graphs import (
     CirculantSpec,
@@ -363,6 +371,47 @@ def _candidates(family: str, n: int, d: int):
     raise ValueError(f"unknown census family: {family}")
 
 
+@cache
+def _units(n: int) -> tuple[int, ...]:
+    return tuple(a for a in range(1, n) if gcd(a, n) == 1)
+
+
+def _orbit_minimal(spec: CirculantSpec | DihedralSpec) -> bool:
+    """True when no image of the spec under the automorphisms of its group
+    comes before it in the order of ``_candidates``; False at the first
+    image that does.
+
+    That order is the sorted jump tuple on Z_n, and on D_m the number of
+    rotation orbits, then the sorted orbit representatives min(a, m - a),
+    then the sorted reflections.  Aut(Z_n) is the phi(n) multipliers a,
+    which take a jump j to min(aj, n - aj) mod n.  Aut(D_m), m >= 3, is the
+    m phi(m) affine maps, which take a rotation R to aR and a reflection J
+    to aJ + c (mod m).  The maps keep the degree and the number of rotation
+    orbits, so every image is a candidate of the same stream.
+    """
+    if isinstance(spec, CirculantSpec):
+        n = spec.n
+        jumps = sorted(spec.jumps)
+        return not any(sorted(min(a * j % n, -a * j % n) for j in jumps) < jumps
+                       for a in _units(n))
+    m = spec.m
+    reps = sorted(a for a in spec.rotations if 2 * a <= m)
+    refl = sorted(spec.reflections)
+    if refl and refl[0]:
+        return False  # the translation by -refl[0] puts 0 among the reflections
+    for a in _units(m):
+        image = sorted(min(a * r % m, -a * r % m) for r in reps)
+        if image < reps:
+            return False
+        if image == reps:
+            # Only an image holding the reflection 0 can sort before refl, and
+            # it comes from a translation c = -x for some x in a * refl.
+            scaled = [a * b % m for b in refl]
+            if any(sorted((b - x) % m for b in scaled) < refl for x in scaled):
+                return False
+    return True
+
+
 # -- canonical labeling and census ----------------------------------------------
 
 def _refine(rows, cells, active):
@@ -514,11 +563,16 @@ def census(family: str, n: int, d: int, dedup: bool = True,
     class (or one per connection set with dedup disabled).
 
     Candidates come from ``_candidates`` and pass through ``_screen``, as in
-    the search.  With jobs > 1 the screening is distributed over
+    the search.  With dedup only the minima of the automorphism orbits
+    (``_orbit_minimal``) are screened: each class's first candidate is one,
+    so the output is that of screening every candidate.  ``canonical_form``
+    still labels every screened witness, since orbits alone do not decide
+    isomorphism.  With jobs > 1 the screening is distributed over
     min(jobs, cpu count) worker processes and merged back in candidate order,
     so the output is independent of scheduling.  A budget caps the number of
-    candidate connection sets; exceeding it raises SearchExhaustedError
-    rather than returning a silently truncated census.
+    candidate connection sets enumerated, orbit non-minima included;
+    exceeding it raises SearchExhaustedError rather than returning a
+    silently truncated census.
     """
     tasks = _candidates(family, n, d)
     if dedup and n > CANONICAL_ORDER_LIMIT:
@@ -527,6 +581,8 @@ def census(family: str, n: int, d: int, dedup: bool = True,
             "rerun with dedup disabled (--no-dedup)")
     if budget is not None:
         tasks = _budgeted(tasks, budget, family, n, d)
+    if dedup:
+        tasks = filter(_orbit_minimal, tasks)
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1:
         from multiprocessing import Pool

@@ -357,20 +357,17 @@ def _g6_order_bytes(n: int) -> str:
 
 def to_graph6(g: Graph) -> str:
     """Bit-exact graph6: order prefix, then the upper-triangle bits in
-    column-major order packed into 6-bit groups offset by 63."""
+    column-major order packed into 6-bit groups offset by 63.
+
+    Column j of the upper triangle is bits 0..j-1 of row j, so each column
+    is one reversed binary string.
+    """
     n = g.order
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(g.has_edge(i, j))
-    out = [_g6_order_bytes(n)]
-    for k in range(0, len(bits), 6):
-        group = 0
-        for b in bits[k:k + 6]:
-            group = group << 1 | b
-        group <<= max(0, 6 - len(bits[k:k + 6]))
-        out.append(chr(63 + group))
-    return "".join(out)
+    bits = "".join(format(row & ((1 << j) - 1), f"0{j}b")[::-1]
+                   for j, row in enumerate(g.adjacency_rows()) if j)
+    bits += "0" * (-len(bits) % 6)
+    return _g6_order_bytes(n) + "".join(chr(63 + int(bits[k:k + 6], 2))
+                                        for k in range(0, len(bits), 6))
 
 
 def from_graph6(text: str) -> Graph:
@@ -396,19 +393,14 @@ def from_graph6(text: str) -> Graph:
     need = n * (n - 1) // 2
     if len(body) != (need + 5) // 6:
         raise ValueError("graph6 body length mismatch")
-    bits = []
-    for v in body:
-        bits.extend((v >> sh & 1) for sh in range(5, -1, -1))
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    if any(bits[need:]):
+    bits = "".join(format(v, "06b") for v in body)
+    if "1" in bits[need:]:
         raise ValueError("nonzero graph6 padding")
-    return Graph.from_edges(n, edges)
+    # Character i of lower[j] is the bit (i, j) for i < j, so zip(*lower)
+    # yields the bits (v, j) for j > v: the upper half of each row.
+    lower = [bits[j * (j - 1) // 2:j * (j + 1) // 2].ljust(n, "0") for j in range(n)]
+    return Graph(n, [int(low[::-1], 2) | int("".join(up)[::-1], 2)
+                     for low, up in zip(lower, zip(*lower))])
 
 
 # -- adjacency list and DOT ----------------------------------------------------

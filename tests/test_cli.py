@@ -311,6 +311,15 @@ class TestCensus:
         assert code == 3
         assert "budget exceeded" in err
 
+    def test_budget_counts_pruned_candidates(self, capsys):
+        # dihedral 14 8 enumerates 147 connection sets; the ones that are not
+        # the minimum of their automorphism orbit still count.
+        argv = ("census", "--family", "dihedral", "14", "8", "--budget")
+        code, _, err = run(capsys, *argv, "146")
+        assert code == 3 and "budget exceeded" in err
+        code, out, _ = run(capsys, *argv, "147")
+        assert code == 0 and out.endswith("# classes: 3\n")
+
     def test_jsonl(self, capsys):
         code, out, _ = run(capsys, "census", "--family", "circulant", "8", "4",
                            "--format", "jsonl")

@@ -1,6 +1,7 @@
 """Tests for feasibility, the construction catalog, searches, and the census."""
 
 import dataclasses
+import math
 import random
 from itertools import combinations
 
@@ -35,6 +36,7 @@ from nutforge.graphs import (
     build_lcf,
     complement,
     is_regular,
+    to_graph6,
 )
 from nutforge.verify import nut_check_direct, nut_check_spectral
 
@@ -570,6 +572,81 @@ class TestCanonicalAndCensus:
         b = complement(build_dihedral(DihedralSpec(8, {4}, {1, 5, 6, 7})))
         assert nut_check_direct(a).is_nut and nut_check_direct(b).is_nut
         assert are_isomorphic(complement(a), complement(b))
+
+
+# -- census over automorphism orbits ---------------------------------------------
+
+def order_key(spec):
+    """Position of a spec in the candidate stream: the sorted jumps, or the
+    number of rotation orbits, their representatives and the reflections."""
+    if isinstance(spec, CirculantSpec):
+        return tuple(sorted(spec.jumps))
+    reps = sorted({min(a, spec.m - a) for a in spec.rotations})
+    return (len(reps), tuple(reps), tuple(sorted(spec.reflections)))
+
+
+def automorphic_images(spec):
+    """The spec under every automorphism of Z_n (multipliers) or of D_m
+    (r -> r^a, s -> r^c s)."""
+    if isinstance(spec, CirculantSpec):
+        n = spec.n
+        return [CirculantSpec(n, {min(a * j % n, n - a * j % n) for j in spec.jumps})
+                for a in range(1, n) if math.gcd(a, n) == 1]
+    m = spec.m
+    return [DihedralSpec(m, {a * r % m for r in spec.rotations},
+                         {(a * b + c) % m for b in spec.reflections})
+            for a in range(1, m) if math.gcd(a, m) == 1 for c in range(m)]
+
+
+class TestOrbitPruning:
+    @pytest.mark.parametrize("family,n", [("circulant", n) for n in range(3, 17)]
+                             + [("dihedral", n) for n in range(6, 17, 2)])
+    def test_candidate_order_and_closure(self, family, n):
+        for d in range(n):
+            specs = list(constructions._candidates(family, n, d))
+            keys = [order_key(spec) for spec in specs]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (family, n, d)
+            stream = set(specs)
+            for spec, key in zip(specs, keys):
+                images = automorphic_images(spec)
+                assert stream.issuperset(images), spec
+                minimal = key == min(map(order_key, images))
+                assert constructions._orbit_minimal(spec) == minimal, spec
+
+    def test_odd_degree_circulants_covered(self):
+        for n, d in ((10, 3), (12, 5)):
+            specs = list(constructions._candidates("circulant", n, d))
+            assert specs and all(n // 2 in spec.jumps for spec in specs)
+            assert 1 < sum(map(constructions._orbit_minimal, specs)) < len(specs)
+
+    @pytest.mark.parametrize("family,n,d,jobs", [
+        ("dihedral", 16, 6, 1), ("dihedral", 18, 8, 1), ("dihedral", 20, 6, 1),
+        ("circulant", 20, 8, 1), ("circulant", 28, 8, 1), ("circulant", 32, 8, 1),
+        ("dihedral", 14, 8, 2)])
+    def test_dedup_census_matches_full_enumeration(self, family, n, d, jobs):
+        firsts = {}
+        for w in census(family, n, d, dedup=False):
+            firsts.setdefault(canonical_form(w.graph), w)
+        expected = [(to_graph6(w.graph), w.recipe) for w in firsts.values()]
+        kept = census(family, n, d, jobs=jobs)
+        assert [(to_graph6(w.graph), w.recipe) for w in kept] == expected
+
+    @pytest.mark.parametrize("family,n,d,representatives,classes", [
+        ("circulant", 32, 8, 12, 9), ("dihedral", 20, 6, 18, 14)])
+    def test_labeling_merges_orbits(self, family, n, d, representatives, classes):
+        # Isomorphic Cayley graphs whose connection sets no automorphism maps
+        # onto each other: the orbits alone would overcount the classes.
+        minima = filter(constructions._orbit_minimal, constructions._candidates(family, n, d))
+        assert sum(1 for w in map(constructions._screen, minima) if w) == representatives
+        assert len(census(family, n, d)) == classes
+
+    def test_budget_counts_pruned_candidates(self):
+        specs = list(constructions._candidates("dihedral", 14, 8))
+        assert len(specs) == 147
+        assert sum(map(constructions._orbit_minimal, specs)) < 146
+        with pytest.raises(SearchExhaustedError, match="budget of 146"):
+            census("dihedral", 14, 8, budget=146)
+        assert len(census("dihedral", 14, 8, budget=147)) == 3
 
 
 class TestWitnessInvariant:

@@ -299,6 +299,105 @@ class TestGraph6:
             from_graph6("")
 
 
+# -- the per-bit graph6 codecs before whole-row packing, kept as test oracles --
+
+def bitwise_to_graph6(g):
+    from nutforge.graphs import _g6_order_bytes
+
+    n = g.order
+    bits = []
+    for j in range(1, n):
+        for i in range(j):
+            bits.append(g.has_edge(i, j))
+    out = [_g6_order_bytes(n)]
+    for k in range(0, len(bits), 6):
+        group = 0
+        for b in bits[k:k + 6]:
+            group = group << 1 | b
+        group <<= max(0, 6 - len(bits[k:k + 6]))
+        out.append(chr(63 + group))
+    return "".join(out)
+
+
+def bitwise_from_graph6(text):
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise ValueError("empty graph6 string")
+    vals = [ord(ch) - 63 for ch in s]
+    if any(v < 0 or v > 63 for v in vals):
+        raise ValueError("invalid graph6 character")
+    if vals[0] == 63:
+        if len(vals) < 4:
+            raise ValueError("truncated graph6 order")
+        n = vals[1] << 12 | vals[2] << 6 | vals[3]
+        body = vals[4:]
+    else:
+        n = vals[0]
+        body = vals[1:]
+    if n < 1:
+        raise ValueError("graph6 order must be >= 1")
+    need = n * (n - 1) // 2
+    if len(body) != (need + 5) // 6:
+        raise ValueError("graph6 body length mismatch")
+    bits = []
+    for v in body:
+        bits.extend((v >> sh & 1) for sh in range(5, -1, -1))
+    edges = []
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[k]:
+                edges.append((i, j))
+            k += 1
+    if any(bits[need:]):
+        raise ValueError("nonzero graph6 padding")
+    return Graph.from_edges(n, edges)
+
+
+def decode_error(decode, text):
+    try:
+        decode(text)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestGraph6MatchesBitwiseCodec:
+    @pytest.mark.parametrize("n", [1, 2, 5, 62, 63, 64, 120, 200])
+    def test_seeded_random_graphs(self, n):
+        rng = random.Random(1000 + n)
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+            g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                     if rng.random() < p])
+            text = bitwise_to_graph6(g)
+            assert to_graph6(g) == text
+            assert from_graph6(text) == bitwise_from_graph6(text) == g
+
+    def test_same_errors(self):
+        # Bad characters, orders, lengths and padding, each with the message
+        # the bitwise decoder gives.
+        texts = ["", ">>graph6<<", "A", "A_?", "@", "~??", "~", "B\x7f", "A ", "Bx",
+                 "A`", "D??", "D???", "~?@?" + "?" * 333, "~?@?" + "?" * 336]
+        rng = random.Random(131)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            good = to_graph6(Graph(n, [0] * n))
+            cut = rng.randint(0, len(good))
+            texts.append(good[:cut] + chr(rng.randint(60, 128)) + good[cut + 1:])
+        errors = set()
+        for text in texts:
+            error = decode_error(bitwise_from_graph6, text)
+            assert decode_error(from_graph6, text) == error, text
+            if error is None:
+                assert from_graph6(text) == bitwise_from_graph6(text)
+            errors.add(error)
+        assert errors >= {"empty graph6 string", "invalid graph6 character",
+                          "truncated graph6 order", "graph6 order must be >= 1",
+                          "graph6 body length mismatch", "nonzero graph6 padding", None}
+
+
 class TestAdjacencyListAndDot:
     def test_roundtrip(self):
         g = build_circulant(CirculantSpec(8, {1, 2}))
