@@ -20,12 +20,7 @@ from .exact import (
     integer_kernel_vector,
     matrix_kernel,
 )
-from .cyclotomic import (
-    cyclotomic,
-    divides_cyclotomic,
-    enumerate_feasible_indices,
-    prime_power_cancellation_applies,
-)
+from .cyclotomic import divides_cyclotomic, enumerate_feasible_indices
 from .numtheory import divisors, euler_phi, factorize, radical
 from .graphs import (
     BicirculantSpec,
@@ -35,7 +30,6 @@ from .graphs import (
     build_bicirculant,
     build_circulant,
     build_dihedral,
-    build_lcf,
     complement,
     from_graph6,
     is_regular,
@@ -78,7 +72,6 @@ from .lemmas import (
     VerificationReport,
     build_family,
     candidate_divisor_indices,
-    family_root_at_one,
     verify_family_bounded,
     verify_finite_case_analysis,
     verify_unique_remainder,
@@ -89,11 +82,10 @@ __version__ = "0.1.0"
 __all__ = [
     "IntMatrix", "KernelResult", "Polynomial", "integer_kernel_vector",
     "matrix_kernel",
-    "cyclotomic", "divides_cyclotomic", "enumerate_feasible_indices",
-    "prime_power_cancellation_applies",
+    "divides_cyclotomic", "enumerate_feasible_indices",
     "divisors", "euler_phi", "factorize", "radical",
     "BicirculantSpec", "CirculantSpec", "DihedralSpec", "Graph",
-    "build_bicirculant", "build_circulant", "build_dihedral", "build_lcf",
+    "build_bicirculant", "build_circulant", "build_dihedral",
     "complement", "from_graph6", "is_regular", "parse_graph", "serialize",
     "to_graph6",
     "NutCertificate", "SpectralReport", "det_polynomial", "nullity_shifted",
@@ -105,6 +97,6 @@ __all__ = [
     "feasible_vt", "moebius_complement", "prism_complement",
     "sporadic_witness",
     "FAMILIES", "FAMILY_TAGS", "VerificationReport", "build_family",
-    "candidate_divisor_indices", "family_root_at_one", "verify_family_bounded",
+    "candidate_divisor_indices", "verify_family_bounded",
     "verify_finite_case_analysis", "verify_unique_remainder",
 ]

@@ -55,8 +55,9 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-#: Largest spec order m accepted: the spectral check factorizes m by trial
-#: division, about 5 * 10^5 candidate divisors at this bound.
+#: Largest spec order m accepted, since the spectral check factorizes m by
+#: trial division.  It does not bound the time: ``divides_cyclotomic`` costs
+#: phi(b) evaluations for each invariant divisible at a divisor b of m.
 SPEC_ORDER_LIMIT = 10**12
 
 

@@ -13,8 +13,8 @@ come from a catalog of parameterized dihedral-group constructions:
   is large enough relative to the degree,
 * three complement families covering the remaining orders d + 6, d + 10 and
   d + 14 for large enough degree,
-* a finite catalog of sporadic graphs plus the Moebius-ladder-, prism- and
-  LCF-complement recipes for the order-(d + 4) and a few small cases,
+* a finite catalog of sporadic dihedral Cayley graphs for a few small
+  pairs, and the Moebius-ladder and prism complements for order d + 4,
 * a deterministic bounded search over circulant connection sets for the
   degrees divisible by four beyond order d + 4.
 
@@ -53,7 +53,6 @@ from .graphs import (
     Graph,
     build_circulant,
     build_dihedral,
-    build_lcf,
     complement,
     is_regular,
 )
@@ -213,15 +212,14 @@ def prism_complement(d: int) -> Graph:
 
 def sporadic_witness(n: int, d: int):
     """Catalogued (graph, recipe) for the finitely many special pairs, or the
-    parameterized order-(d + 4) complements; None when no catalog entry fits."""
+    order-(d + 4) complements: the Moebius ladder's when d = 4 (mod 8), the
+    prism's when 8 | d.  None when no catalog entry fits.  Every recipe names
+    a circulant, a dihedral Cayley graph or the complement of one."""
     entry = _SPORADIC_DIHEDRAL.get((n, d))
     if entry is not None:
         m, rot, refl = entry
         spec = DihedralSpec(m, rot, refl)
         return build_dihedral(spec), f"sporadic {spec.describe()}"
-    if (n, d) == (20, 16):
-        return (complement(build_lcf(20, [5, -5])),
-                "complement(lcf(n=20, pattern=[5, -5]))")
     if n == d + 4 and d % 8 == 4:
         return (moebius_complement(n),
                 f"complement(circulant(n={n}, jumps=[1, {n // 2}]))  # Moebius ladder")

@@ -1,4 +1,4 @@
-"""Cyclotomic divisibility, feasible-index enumeration, and the oracle.
+"""Cyclotomic divisibility and feasible-index enumeration.
 
 ``divides_cyclotomic`` decides whether the b-th cyclotomic polynomial Phi_b
 divides an integer polynomial p without building Phi_b.  It folds p modulo
@@ -9,34 +9,14 @@ q, and evaluates the folded p at the phi(b) primitive roots zeta^k, gcd(k, b)
 is zero, Phi_b divides p: q splits completely in Q(zeta_b), so q divides
 p(zeta_b) there, and q^phi(b) divides its norm; every conjugate of p(zeta_b)
 has absolute value at most L < q, so the norm, and with it p(zeta_b), is 0.
-
-``cyclotomic`` builds Phi_n by iterated exact division of x^n - 1.  No
-verdict uses it; it is the independent oracle of the tests and identity
-checks.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from math import gcd
 
 from ._modeval import eval_at, evaluation_prime, root_of_order
 from .exact import Polynomial
-from .numtheory import divisors
-
-
-@cache
-def cyclotomic(n: int) -> Polynomial:
-    """The n-th cyclotomic polynomial: x^n - 1 divided by the cyclotomic
-    polynomials of the proper divisors of n, every division exact."""
-    if n < 1:
-        raise ValueError(f"cyclotomic index must be >= 1, got {n}")
-    poly = Polynomial({n: 1, 0: -1})
-    for d in divisors(n)[:-1]:
-        poly, rem = poly.divrem(cyclotomic(d))
-        if not rem.is_zero:
-            raise AssertionError(f"inexact cyclotomic division at {n}/{d}")
-    return poly
 
 
 def divides_cyclotomic(p: Polynomial, b: int) -> bool:
@@ -54,21 +34,6 @@ def divides_cyclotomic(p: Polynomial, b: int) -> bool:
     zeta = root_of_order(q, b)
     return not any(eval_at(coeffs, exponents, b, q, pow(zeta, k, q))
                    for k in range(1, b + 1) if gcd(k, b) == 1)
-
-
-def prime_power_cancellation_applies(term_count: int, primes) -> bool:
-    """Whether the lacunary-divisibility reduction licenses cancelling the full
-    power of one of the given primes from a cyclotomic index.
-
-    For a polynomial with N nonzero terms divisible by the n-th cyclotomic
-    polynomial, distinct primes p_1..p_k with sum(p_j - 2) > N - 2 guarantee
-    that for some j the (n / p_j^{e_j})-th cyclotomic polynomial divides it as
-    well, where p_j^{e_j} is the full power of p_j in n.
-    """
-    primes = list(primes)
-    if len(set(primes)) != len(primes):
-        raise ValueError("primes must be distinct")
-    return sum(p - 2 for p in primes) > term_count - 2
 
 
 def enumerate_feasible_indices(allowed_primes, sum_bound: int, rad_ratio_bound: int,

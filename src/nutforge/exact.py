@@ -1,8 +1,7 @@
 """Exact sparse polynomials and exact integer matrix algebra.
 
 Polynomials are stored sparsely as an exponent -> coefficient mapping with no
-zero coefficients.  Coefficients are arbitrary-precision integers; division
-is by monic divisors only, so it never leaves the integers.
+zero coefficients.  Coefficients are arbitrary-precision integers.
 
 The degree of the zero polynomial is the sentinel ``NEG_INF``, which compares
 less than every integer.
@@ -59,27 +58,6 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls({0: 1})
-
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls({1: 1})
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient=1) -> "Polynomial":
-        return cls({exponent: coefficient})
-
-    @classmethod
-    def from_coefficients(cls, coeffs) -> "Polynomial":
-        """Build from a dense ascending coefficient list [c0, c1, ...]."""
-        return cls({e: c for e, c in enumerate(coeffs)})
-
     @property
     def degree(self):
         return max(self.terms) if self.terms else NEG_INF
@@ -87,17 +65,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, exponent: int):
-        return self.terms.get(exponent, 0)
-
-    @property
-    def leading_coefficient(self):
-        return self.terms[max(self.terms)] if self.terms else 0
-
-    def items(self):
-        """Terms as (exponent, coefficient) pairs in ascending exponent order."""
-        return sorted(self.terms.items())
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -153,31 +120,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        result = Polynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __call__(self, value):
-        """Evaluate at an exact value."""
-        total = 0
-        for e, c in self.terms.items():
-            total += c * value**e
-        return total
-
-    def scale_exponents(self, k: int) -> "Polynomial":
-        """Substitute x -> x^k, i.e. multiply every exponent by k >= 1."""
-        if k < 1:
-            raise ValueError("exponent scale must be >= 1")
-        return Polynomial({e * k: c for e, c in self.terms.items()})
-
     def cyclic_reduce(self, m: int) -> "Polynomial":
         """Reduce modulo x^m - 1: replace each exponent e by e mod m."""
         if m < 1:
@@ -187,40 +129,6 @@ class Polynomial:
             r = e % m
             out[r] = out.get(r, 0) + c
         return Polynomial(out)
-
-    def divrem(self, den: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Division with remainder by a monic divisor: self = q * den + r with
-        deg r < deg den, all coefficients integers.
-
-        Raises ZeroDivisionError for a zero divisor and ValueError for a
-        divisor whose leading coefficient is not 1.
-        """
-        if den.is_zero:
-            raise ZeroDivisionError("polynomial division by the zero polynomial")
-        if den.leading_coefficient != 1:
-            raise ValueError("divrem needs a monic divisor")
-        dd = den.degree
-        if self.degree < dd:
-            return Polynomial.zero(), self
-        nd = self.degree
-        num = [0] * (nd + 1)
-        for e, c in self.terms.items():
-            num[e] = c
-        dvs = [0] * (dd + 1)
-        for e, c in den.terms.items():
-            dvs[e] = c
-        quo = [0] * (nd - dd + 1)
-        for i in range(nd, dd - 1, -1):
-            q = num[i]
-            if not q:
-                continue
-            quo[i - dd] = q
-            num[i] = 0
-            for j in range(dd):
-                if dvs[j]:
-                    num[i - dd + j] -= q * dvs[j]
-        return (Polynomial({e: c for e, c in enumerate(quo) if c}),
-                Polynomial({e: c for e, c in enumerate(num[:dd]) if c}))
 
     def __repr__(self):
         if not self.terms:
@@ -257,23 +165,6 @@ class IntMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    def entry(self, i: int, j: int) -> int:
-        return self.data[i][j]
-
-    def mul_vector(self, v):
-        """Matrix-vector product with exact arithmetic (v of length cols)."""
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(row[j] * v[j] for j in range(self.cols)) for row in self.data)
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):

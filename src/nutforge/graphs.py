@@ -9,7 +9,6 @@ cover the shapes the constructions need:
   matrix is literally a 2x2 block matrix of m x m circulants with equal
   diagonal blocks,
 * general bicirculants given by three connection sets,
-* cubic Hamiltonian graphs in exponential LCF notation,
 * complements.
 
 The dihedral layout orders vertices as the m rotations r^0..r^{m-1} followed
@@ -112,32 +111,6 @@ class Graph:
             row[i] = shift
             rows.append(row)
         return IntMatrix(rows)
-
-    def relabel(self, perm) -> "Graph":
-        """Graph with vertex i of the result being perm[i] of self."""
-        n = self.order
-        if sorted(perm) != list(range(n)):
-            raise ValueError("not a permutation")
-        inverse = [0] * n
-        for i, v in enumerate(perm):
-            inverse[v] = i
-        return Graph.from_edges(n, [(inverse[u], inverse[v]) for u, v in self.edges()])
-
-    def is_connected(self) -> bool:
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            v = 0
-            f = frontier
-            while f:
-                if f & 1:
-                    nxt |= self._rows[v]
-                f >>= 1
-                v += 1
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.order) - 1
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -294,39 +267,6 @@ def build_bicirculant(spec: BicirculantSpec) -> Graph:
 def build_dihedral(spec: DihedralSpec) -> Graph:
     """Dihedral Cayley graph of order 2m in the block-circulant vertex order."""
     return build_bicirculant(spec.as_bicirculant())
-
-
-def build_lcf(n: int, pattern) -> Graph:
-    """Cubic Hamiltonian graph from exponential LCF notation: the cycle
-    0..n-1 plus the chord i -> i + pattern[i mod len(pattern)] (mod n).
-
-    The chord assignment must be a fixed-point-free involution that avoids
-    the cycle edges, otherwise the result would not be simple and cubic.
-    """
-    if n < 3 or n % 2:
-        raise ValueError("LCF order must be even and >= 4")
-    pattern = list(pattern)
-    if not pattern or n % len(pattern):
-        raise ValueError("pattern length must divide the order")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    chord = {}
-    for i in range(n):
-        step = pattern[i % len(pattern)]
-        j = (i + step) % n
-        if j == i:
-            raise ValueError(f"chord at vertex {i} is a loop")
-        if (j - i) % n in (1, n - 1):
-            raise ValueError(f"chord at vertex {i} collides with a cycle edge")
-        chord[i] = j
-    for i, j in chord.items():
-        if chord.get(j) != i:
-            raise ValueError(f"chords do not pair up at vertices {i}, {j}")
-        if i < j:
-            edges.append((i, j))
-    g = Graph.from_edges(n, edges)
-    if any(d != 3 for d in g.degrees()):
-        raise ValueError("LCF description is not cubic")
-    return g
 
 
 def complement(g: Graph) -> Graph:

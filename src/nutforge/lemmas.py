@@ -72,10 +72,13 @@ class PolynomialFamily:
         """Allowed primes and the bound on sum(p - 2) over the distinct
         primes of a feasible index.
 
-        A member has at most N = len(terms) nonzero terms, so the lacunary
-        reduction (``prime_power_cancellation_applies``) cancels a prime
-        power from any index whose sum exceeds N - 2; a prime p > N exceeds
-        it alone.
+        A member has at most N = len(terms) nonzero terms.  By the lacunary
+        reduction, if such a polynomial is divisible by the n-th cyclotomic
+        polynomial and distinct primes p_1..p_k of n have sum(p_j - 2) >
+        N - 2, it is also divisible by the (n / p_j^e_j)-th one for some j,
+        where p_j^e_j is the full power of p_j in n.  So a prime power can
+        be cancelled from any index whose sum exceeds N - 2, and a prime
+        p > N exceeds it alone.
         """
         sum_bound = len(self.terms) - 2
         return tuple(p for p in range(2, sum_bound + 3) if is_prime(p)), sum_bound
@@ -129,12 +132,6 @@ def build_family(tag: str, t: int) -> Polynomial:
     return _family(tag).member(t)
 
 
-def family_root_at_one(tag: str, t: int) -> int:
-    """Value of the family member at x = 1 (always zero: the coefficients of
-    every family sum to zero, so 1 is a root for all t)."""
-    return _family(tag).member(t)(1)
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one verification run.
@@ -183,26 +180,34 @@ class VerificationReport:
         }
 
 
-def _phi_table(limit: int) -> list[int]:
-    """Totients of 0..limit by sieve (sufficient for candidate scanning)."""
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            for k in range(p, limit + 1, p):
-                phi[k] -= phi[k] // p
-    return phi
-
-
 def candidate_divisor_indices(max_degree: int, min_b: int) -> list[int]:
     """Every b >= min_b whose cyclotomic polynomial could divide a polynomial
-    of the given degree, i.e. phi(b) <= max_degree.
+    of the given degree, i.e. phi(b) <= max_degree, ascending.
 
-    Complete because phi(b) >= sqrt(b) for every b other than 2 and 6, so
-    the scan up to max(max_degree^2, 6) misses nothing.
+    phi(b) is the product of p^(e-1) (p - 1) over the prime powers p^e of b,
+    so every prime of such a b is at most max_degree + 1.  The indices are
+    the products of prime powers, over ascending primes, whose totient
+    factors keep that product within max_degree: complete by construction.
     """
-    limit = max(max_degree * max_degree, 6)
-    phi = _phi_table(limit)
-    return [b for b in range(min_b, limit + 1) if phi[b] <= max_degree]
+    primes = [p for p in range(2, max_degree + 2) if is_prime(p)]
+    found = []
+
+    def extend(i: int, b: int, phi: int) -> None:
+        found.append(b)
+        for j in range(i, len(primes)):
+            p = primes[j]
+            f = phi * (p - 1)
+            if f > max_degree:
+                break
+            b_p = b * p
+            while f <= max_degree:
+                extend(j + 1, b_p, f)
+                b_p *= p
+                f *= p
+
+    if max_degree >= 1:
+        extend(0, 1, 1)
+    return sorted(b for b in found if b >= min_b)
 
 
 def verify_family_bounded(tag: str, t_max: int, min_b: int | None = None) -> VerificationReport:

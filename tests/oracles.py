@@ -1,0 +1,127 @@
+"""Independent reference implementations used only by the tests.
+
+None of these is on a path the package's commands run: they are the plain,
+slow constructions that the package's own algorithms are checked against.
+"""
+
+from functools import cache
+
+from nutforge.exact import Polynomial
+from nutforge.graphs import Graph
+from nutforge.numtheory import divisors
+
+
+def divrem(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Division with remainder by a monic divisor: num = q * den + r with
+    deg r < deg den, all coefficients integers.
+
+    Raises ZeroDivisionError for a zero divisor and ValueError for a divisor
+    whose leading coefficient is not 1.
+    """
+    if den.is_zero:
+        raise ZeroDivisionError("polynomial division by the zero polynomial")
+    dd = den.degree
+    if den.terms[dd] != 1:
+        raise ValueError("divrem needs a monic divisor")
+    if num.degree < dd:
+        return Polynomial(), num
+    nd = num.degree
+    rem = [0] * (nd + 1)
+    for e, c in num.terms.items():
+        rem[e] = c
+    quo = [0] * (nd - dd + 1)
+    for i in range(nd, dd - 1, -1):
+        q = rem[i]
+        if not q:
+            continue
+        quo[i - dd] = q
+        for e, c in den.terms.items():
+            rem[i - dd + e] -= q * c
+    return (Polynomial(dict(enumerate(quo))), Polynomial(dict(enumerate(rem[:dd]))))
+
+
+def scale_exponents(p: Polynomial, k: int) -> Polynomial:
+    """p with x -> x^k substituted."""
+    return Polynomial({e * k: c for e, c in p.terms.items()})
+
+
+@cache
+def cyclotomic(n: int) -> Polynomial:
+    """The n-th cyclotomic polynomial: x^n - 1 divided by the cyclotomic
+    polynomials of the proper divisors of n, every division exact."""
+    if n < 1:
+        raise ValueError(f"cyclotomic index must be >= 1, got {n}")
+    poly = Polynomial({n: 1, 0: -1})
+    for d in divisors(n)[:-1]:
+        poly, rem = divrem(poly, cyclotomic(d))
+        if not rem.is_zero:
+            raise AssertionError(f"inexact cyclotomic division at {n}/{d}")
+    return poly
+
+
+def prime_power_cancellation_applies(term_count: int, primes) -> bool:
+    """Whether the lacunary-divisibility reduction licenses cancelling the full
+    power of one of the given primes from a cyclotomic index.
+
+    For a polynomial with N nonzero terms divisible by the n-th cyclotomic
+    polynomial, distinct primes p_1..p_k with sum(p_j - 2) > N - 2 guarantee
+    that for some j the (n / p_j^{e_j})-th cyclotomic polynomial divides it as
+    well, where p_j^{e_j} is the full power of p_j in n.
+    """
+    primes = list(primes)
+    if len(set(primes)) != len(primes):
+        raise ValueError("primes must be distinct")
+    return sum(p - 2 for p in primes) > term_count - 2
+
+
+def phi_table(limit: int) -> list[int]:
+    """Euler's phi of 0..limit by sieve."""
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # p prime
+            for k in range(p, limit + 1, p):
+                phi[k] -= phi[k] // p
+    return phi
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """The graph whose vertex i is vertex perm[i] of g."""
+    n = g.order
+    if sorted(perm) != list(range(n)):
+        raise ValueError("not a permutation")
+    inverse = [0] * n
+    for i, v in enumerate(perm):
+        inverse[v] = i
+    return Graph.from_edges(n, [(inverse[u], inverse[v]) for u, v in g.edges()])
+
+
+def build_lcf(n: int, pattern) -> Graph:
+    """Cubic Hamiltonian graph from exponential LCF notation: the cycle
+    0..n-1 plus the chord i -> i + pattern[i mod len(pattern)] (mod n).
+
+    The chord assignment must be a fixed-point-free involution that avoids
+    the cycle edges, otherwise the result would not be simple and cubic.
+    """
+    if n < 3 or n % 2:
+        raise ValueError("LCF order must be even and >= 4")
+    pattern = list(pattern)
+    if not pattern or n % len(pattern):
+        raise ValueError("pattern length must divide the order")
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    chord = {}
+    for i in range(n):
+        j = (i + pattern[i % len(pattern)]) % n
+        if j == i:
+            raise ValueError(f"chord at vertex {i} is a loop")
+        if (j - i) % n in (1, n - 1):
+            raise ValueError(f"chord at vertex {i} collides with a cycle edge")
+        chord[i] = j
+    for i, j in chord.items():
+        if chord.get(j) != i:
+            raise ValueError(f"chords do not pair up at vertices {i}, {j}")
+        if i < j:
+            edges.append((i, j))
+    g = Graph.from_edges(n, edges)
+    if any(d != 3 for d in g.degrees()):
+        raise ValueError("LCF description is not cubic")
+    return g

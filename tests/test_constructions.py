@@ -1,7 +1,9 @@
 """Tests for feasibility, the construction catalog, searches, and the census."""
 
 import dataclasses
+import json
 import math
+import re
 import random
 from itertools import combinations
 
@@ -33,12 +35,12 @@ from nutforge.graphs import (
     Graph,
     build_circulant,
     build_dihedral,
-    build_lcf,
     complement,
     is_regular,
     to_graph6,
 )
 from nutforge.verify import nut_check_direct, nut_check_spectral
+from oracles import build_lcf, relabel
 
 
 def oracle_feasible(n, d):
@@ -188,9 +190,43 @@ class TestSporadic:
         assert "circulant(n=16, jumps=[1, 8])" in recipe
 
     def test_lcf_slot(self):
+        # (20, 16) once took an LCF complement ahead of the prism rule.
         g, recipe = sporadic_witness(20, 16)
-        assert is_regular(g) == 16
-        assert "lcf" in recipe
+        assert g == prism_complement(16)
+        assert recipe == ("complement(dihedral(m=10, rotations=[1, 9], reflections=[0]))"
+                          "  # prism")
+        assert constructions._certify(g, recipe, 20, 16).certificate.is_nut
+
+    def test_every_catalog_recipe_names_a_cayley_graph(self):
+        # Every recipe of the catalog and the dihedral families names a
+        # circulant, a dihedral Cayley graph or the complement of one, and
+        # rebuilding that spec gives the returned graph.
+        pattern = re.compile(
+            r"(complement\()?(?:circulant\(n=(\d+), jumps=(\[[\d, ]*\])\)"
+            r"|dihedral\(m=(\d+), rotations=(\[[\d, ]*\]), reflections=(\[[\d, ]*\])\))")
+        checked = 0
+        for d in range(0, 41):
+            for n in range(1, 121):
+                if not feasible_vt(n, d).exists:
+                    continue
+                built = sporadic_witness(n, d)
+                if built is None and d % 4 == 2:
+                    built = constructions._dihedral_family_witness(n, d)
+                if built is None:
+                    continue
+                g, recipe = built
+                assert "lcf" not in recipe.lower(), (n, d, recipe)
+                match = pattern.search(recipe)
+                assert match, (n, d, recipe)
+                wrapped, cn, jumps, m, rot, refl = match.groups()
+                if cn:
+                    base = build_circulant(CirculantSpec(int(cn), json.loads(jumps)))
+                else:
+                    base = build_dihedral(DihedralSpec(int(m), json.loads(rot),
+                                                       json.loads(refl)))
+                assert (complement(base) if wrapped else base) == g, (n, d, recipe)
+                checked += 1
+        assert checked > 200
 
     def test_prism_slot(self):
         g, recipe = sporadic_witness(12, 8)
@@ -453,7 +489,7 @@ class TestCanonicalMatchesBruteForce:
                                      if rng.random() < p])
             perm = list(range(n))
             rng.shuffle(perm)
-            pairs.append((a, a.relabel(perm)))
+            pairs.append((a, relabel(a, perm)))
             b = swap_edges(a, rng, 3 * a.edge_count())
             assert sorted(a.degrees()) == sorted(b.degrees())
             pairs.append((a, b))
@@ -497,7 +533,7 @@ class TestCanonicalAndCensus:
             for _ in range(10):
                 perm = list(range(g.order))
                 rng.shuffle(perm)
-                assert canonical_form(g.relabel(perm)) == canonical_form(g)
+                assert canonical_form(relabel(g, perm)) == canonical_form(g)
 
     def test_distinguishes_nonisomorphic(self):
         a = build_circulant(CirculantSpec(8, {1, 2}))

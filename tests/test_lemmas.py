@@ -5,7 +5,7 @@ import random
 import pytest
 
 from nutforge import lemmas
-from nutforge.cyclotomic import divides_cyclotomic, prime_power_cancellation_applies
+from nutforge.cyclotomic import divides_cyclotomic
 from nutforge.exact import Polynomial
 from nutforge.lemmas import (
     FAMILIES,
@@ -15,12 +15,12 @@ from nutforge.lemmas import (
     _failing_parameters,
     build_family,
     candidate_divisor_indices,
-    family_root_at_one,
     verify_family_bounded,
     verify_finite_case_analysis,
     verify_unique_remainder,
 )
 from nutforge.numtheory import euler_phi, is_prime
+from oracles import phi_table, prime_power_cancellation_applies
 
 
 def _has_unique_residue(fam, t, beta):
@@ -49,7 +49,7 @@ class TestBuildFamily:
     def test_r_at_two_shape(self):
         p = build_family("R", 2)
         assert p.degree == 8 * 2 + 15 == 31
-        assert p.leading_coefficient == 1
+        assert p.terms[p.degree] == 1
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
@@ -67,8 +67,9 @@ class TestBuildFamily:
 class TestRootAtOne:
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_one_is_always_a_root(self, tag):
+        # the value at x = 1 is the coefficient sum
         for t in range(0, 26):
-            assert family_root_at_one(tag, t) == 0
+            assert sum(build_family(tag, t).terms.values()) == 0
 
 
 class TestCandidateIndices:
@@ -76,6 +77,19 @@ class TestCandidateIndices:
         cands = candidate_divisor_indices(10, 2)
         for b in range(2, 300):
             assert (b in cands) == (euler_phi(b) <= 10)
+
+    def test_matches_the_totient_sieve(self):
+        # Differential gate against the scan it replaced: every b >= min_b up
+        # to max(D^2, 6) with phi(b) <= D, phi sieved once up to 600^2.
+        phi = phi_table(600 * 600)
+        small = [b for b in range(1, len(phi)) if phi[b] <= 600]
+        for min_b in (1, 2, 3):
+            for max_degree in range(601):
+                limit = max(max_degree * max_degree, 6)
+                expected = [b for b in small
+                            if min_b <= b <= limit and phi[b] <= max_degree]
+                assert candidate_divisor_indices(max_degree, min_b) == expected, \
+                    (max_degree, min_b)
 
     def test_min_b_respected(self):
         assert 1 not in candidate_divisor_indices(5, 2)

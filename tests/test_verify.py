@@ -125,11 +125,11 @@ class TestDetPolynomial:
                 d = det_polynomial(spec, shift)
                 expected = ((shift + len(spec.s0)) * (shift + len(spec.s2))
                             - len(spec.s1) ** 2)
-                assert d(1) == expected
+                assert sum(d.terms.values()) == expected  # the value at x = 1
 
     def test_trace_value_at_one(self):
         spec = BicirculantSpec(6, {1, 5}, {0, 3}, {2, 4})
-        assert trace_polynomial(spec, 1)(1) == 2 + 2 + 2
+        assert sum(trace_polynomial(spec, 1).terms.values()) == 2 + 2 + 2
 
 
 class TestSpectral:
