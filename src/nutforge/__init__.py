@@ -7,19 +7,14 @@ exists, produces a certified witness graph for every feasible pair via
 dihedral-group and circulant constructions, and re-verifies the cyclotomic
 non-divisibility facts those constructions rest on.
 
-All certification is exact: arbitrary-precision integer polynomials, exact
-rational nullspaces certified from two sides, and cyclotomic divisibility
-decided by evaluation at roots of unity modulo a prime above the
-coefficient norm.  No floating point is involved anywhere in a verdict.
+All certification is exact: arbitrary-precision integer polynomials,
+nullspaces certified from two sides and returned as primitive integer
+vectors, and cyclotomic divisibility decided by regrouping exponents over
+the primes of the index.  No floating point is involved anywhere in a
+verdict.
 """
 
-from .exact import (
-    IntMatrix,
-    KernelResult,
-    Polynomial,
-    integer_kernel_vector,
-    matrix_kernel,
-)
+from .exact import IntMatrix, Polynomial, matrix_kernel
 from .cyclotomic import divides_cyclotomic, enumerate_feasible_indices
 from .numtheory import divisors, euler_phi, factorize, radical
 from .graphs import (
@@ -80,8 +75,7 @@ from .lemmas import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntMatrix", "KernelResult", "Polynomial", "integer_kernel_vector",
-    "matrix_kernel",
+    "IntMatrix", "Polynomial", "matrix_kernel",
     "divides_cyclotomic", "enumerate_feasible_indices",
     "divisors", "euler_phi", "factorize", "radical",
     "BicirculantSpec", "CirculantSpec", "DihedralSpec", "Graph",

@@ -5,7 +5,7 @@ exactly b modulo q, every polynomial divisible by the b-th cyclotomic
 polynomial evaluates to 0 at zeta modulo q.  A nonzero evaluation therefore
 certifies non-divisibility outright.  Each index b has one screening prime,
 ``evaluation_prime(b)``; ``cyclotomic.divides_cyclotomic`` decides every zero
-hit exactly with the same primitives.
+hit exactly.
 
 For a family with exponents slope * t + offset, the member at t evaluates at
 zeta to G(zeta^t), where G(w) = sum_s A_s w^(s mod b) and A_s sums

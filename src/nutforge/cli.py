@@ -24,14 +24,12 @@ import json
 import sys
 
 from .constructions import (
-    CANONICAL_ORDER_LIMIT,
     InfeasiblePairError,
     SearchExhaustedError,
     census,
     construct,
     feasible_vt,
 )
-from .exact import integer_kernel_vector
 from .graphs import (
     BicirculantSpec,
     DihedralSpec,
@@ -55,9 +53,8 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-#: Largest spec order m accepted, since the spectral check factorizes m by
-#: trial division.  It does not bound the time: ``divides_cyclotomic`` costs
-#: phi(b) evaluations for each invariant divisible at a divisor b of m.
+#: Largest spec order m accepted: the spectral check factorizes m, and each
+#: of its divisors, by trial division.
 SPEC_ORDER_LIMIT = 10**12
 
 
@@ -124,8 +121,7 @@ def cmd_construct(args) -> int:
             "graph6": to_graph6(w.graph),
             "recipe": w.recipe,
             "nullity": w.certificate.nullity,
-            "kernel_vector": [str(x) for x in
-                              integer_kernel_vector(w.certificate.kernel_vector)],
+            "kernel_vector": [str(x) for x in w.certificate.kernel_vector],
         }
         return _write(json.dumps(payload), args.output)
     lines = []
@@ -174,10 +170,24 @@ def _parse_spec(text: str):
     sets = [data.get(name, []) for name in names]
     if not all(type(s) is list and all(type(x) is int for x in s) for s in sets):
         raise ValueError(f"{', '.join(names)} must be lists of integers")
+    if any(len(set(s)) != len(s) for s in sets):
+        raise ValueError(f"{', '.join(names)} must not repeat an entry")
     if dihedral:
         return DihedralSpec(data["m"], *sets).as_bicirculant(), shift, True
     spec = BicirculantSpec(data["m"], *sets)
     return spec, shift, spec.s0 == spec.s2
+
+
+def _nut_verdict(cert) -> str:
+    """``nut: true`` or ``nut: false``, with the reason when the nullity is
+    one but the graph is not a nut graph."""
+    if cert.is_nut:
+        return "nut: true"
+    if cert.nullity != 1:
+        return "nut: false"
+    if len(cert.kernel_vector) == 1:
+        return "nut: false (a single vertex is not a nut graph)"
+    return "nut: false (kernel vector has zero entry)"
 
 
 def cmd_verify(args) -> int:
@@ -199,14 +209,8 @@ def cmd_verify(args) -> int:
             print(f"shifted nullity: {nullity}")
             return EXIT_OK if nullity == 1 else EXIT_NEGATIVE
         cert = nut_check_direct(g)
-        if cert.is_nut:
-            print("nut: true, nullity: 1")
-            return EXIT_OK
-        if cert.nullity == 1:
-            print("nut: false (kernel vector has zero entry), nullity: 1")
-        else:
-            print(f"nut: false, nullity: {cert.nullity}")
-        return EXIT_NEGATIVE
+        print(f"{_nut_verdict(cert)}, nullity: {cert.nullity}")
+        return EXIT_OK if cert.is_nut else EXIT_NEGATIVE
     # spectral and both need a spec description
     if not is_spec:
         return _usage_error(f"method {args.method} needs a JSON spec input")
@@ -229,9 +233,7 @@ def cmd_verify(args) -> int:
             direct_nullity = cert.nullity
             # the kernel-entry condition is decided by the direct method
             positive = cert.is_nut
-            extra = ("" if cert.kernel_has_zero_entry is None or cert.is_nut
-                     else " (kernel vector has zero entry)")
-            nut_line = f"nut: {str(cert.is_nut).lower()}{extra}"
+            nut_line = _nut_verdict(cert)
         else:
             direct_nullity = nullity_shifted(g, shift)
         agree = direct_nullity == report.total_nullity
@@ -338,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=_positive_int)
     p.add_argument("d", type=_non_negative_int)
     p.add_argument("--no-dedup", action="store_true",
-                   help="skip isomorphism dedup (required above order "
-                        f"{CANONICAL_ORDER_LIMIT})")
+                   help="skip isomorphism dedup")
     p.add_argument("--budget", type=_positive_int, default=None,
                    help="candidate cap; exceeding it exits with code 3")
     p.add_argument("--jobs", type=_positive_int, default=1,

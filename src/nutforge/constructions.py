@@ -22,13 +22,13 @@ come from a catalog of parameterized dihedral-group constructions:
 isomorphism class: candidates come in a fixed order, and a witness is kept
 unless an earlier one has the same ``canonical_form``, an exact labeling by
 colour refinement and individualization, pruned by the automorphisms the
-search meets (orders up to ``CANONICAL_ORDER_LIMIT``).  Cay(G, S) and
-Cay(G, a(S)) are isomorphic for every automorphism a of G, so the census
-screens only the connection sets that are the minimum of their orbit
-(``_orbit_minimal``); the first candidate of a class is the minimum of its
-own orbit, so the kept witnesses are the same.  Labeling still runs on every
-survivor: isomorphic Cayley graphs need not have connection sets in one
-orbit (circulant 32 8 has 12 orbit minima in 9 classes).
+search meets.  Cay(G, S) and Cay(G, a(S)) are isomorphic for every
+automorphism a of G, so the census screens only the connection sets that
+are the minimum of their orbit (``_orbit_minimal``); the first candidate of
+a class is the minimum of its own orbit, so the kept witnesses are the
+same.  Labeling still runs on every survivor: isomorphic Cayley graphs need
+not have connection sets in one orbit (circulant 32 8 has 12 orbit minima
+in 9 classes).
 
 Search and census candidates come from one stream, ``_candidates``, and are
 Cayley graphs, so a spectral nullity of one already makes them nut graphs:
@@ -61,10 +61,6 @@ from .verify import NutCertificate, nut_check_direct, nut_check_spectral
 #: Candidate cap of a search given no explicit budget.  No order up to 24
 #: has more than 462 jump sets, so there the search is exhaustive.
 DEFAULT_SEARCH_BUDGET = 200_000
-
-#: Largest order the census labels for dedup.
-CANONICAL_ORDER_LIMIT = 32
-
 
 class InfeasiblePairError(ValueError):
     """Requested (order, degree) pair admits no vertex-transitive nut graph."""
@@ -573,10 +569,6 @@ def census(family: str, n: int, d: int, dedup: bool = True,
     silently truncated census.
     """
     tasks = _candidates(family, n, d)
-    if dedup and n > CANONICAL_ORDER_LIMIT:
-        raise ValueError(
-            f"order {n} exceeds the canonical-labeling limit {CANONICAL_ORDER_LIMIT}; "
-            "rerun with dedup disabled (--no-dedup)")
     if budget is not None:
         tasks = _budgeted(tasks, budget, family, n, d)
     if dedup:

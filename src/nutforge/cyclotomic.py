@@ -1,39 +1,76 @@
 """Cyclotomic divisibility and feasible-index enumeration.
 
 ``divides_cyclotomic`` decides whether the b-th cyclotomic polynomial Phi_b
-divides an integer polynomial p without building Phi_b.  It folds p modulo
-x^b - 1 (Phi_b divides x^b - 1), takes a prime q = 1 (mod b) above the
-l1-norm L of the folded coefficients and an element zeta of order b modulo
-q, and evaluates the folded p at the phi(b) primitive roots zeta^k, gcd(k, b)
-= 1.  One nonzero value proves that Phi_b does not divide p.  If every value
-is zero, Phi_b divides p: q splits completely in Q(zeta_b), so q divides
-p(zeta_b) there, and q^phi(b) divides its norm; every conjugate of p(zeta_b)
-has absolute value at most L < q, so the norm, and with it p(zeta_b), is 0.
+divides an integer polynomial sum_e c_e x^e, that is whether s =
+sum_e c_e zeta_b^e vanishes for a primitive b-th root of unity zeta_b, by
+regrouping exponents over the primes of b, taken with multiplicity.  Let p
+be the smallest prime of b and b' = b/p, so that zeta_b^p is a primitive
+b'-th root of unity.
+
+* If p divides b', then [Q(zeta_b) : Q(zeta_b')] = p and zeta_b is a root of
+  x^p - zeta_b^p, so 1, zeta_b, ..., zeta_b^(p-1) is a basis of Q(zeta_b)
+  over Q(zeta_b').  Writing e = r + p*k gives s = sum_r zeta_b^r A_r with
+  A_r = sum_{e = r (mod p)} c_e zeta_b'^(e // p), so s vanishes iff every
+  class A_r vanishes at level b'.
+* If p does not divide b', then zeta_b = omega * eta with omega a primitive
+  p-th and eta a primitive b'-th root of unity, and zeta_b^e =
+  omega^(e mod p) eta^(e mod b').  [Q(zeta_b) : Q(zeta_b')] = p - 1, so
+  Phi_p stays irreducible over Q(zeta_b') and the only relation among 1,
+  omega, ..., omega^(p-1) is that they sum to zero.  With A_r = sum_{e = r
+  (mod p)} c_e eta^(e mod b'), s = sum_r omega^r A_r vanishes iff all A_r
+  are equal: every class must vanish at level b' if one of them is empty,
+  and otherwise every class minus one chosen class must.
+* At b = 1 the value is the sum of the coefficients.
+
+Only nonempty classes are formed and each step at most doubles the term
+count, so a verdict costs O(terms * 2^omega(b)) integer additions, whatever
+the size of phi(b); no cyclotomic polynomial is built and no root of unity
+is approximated.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
-from ._modeval import eval_at, evaluation_prime, root_of_order
 from .exact import Polynomial
+from .numtheory import factorize
 
 
 def divides_cyclotomic(p: Polynomial, b: int) -> bool:
     """True iff the b-th cyclotomic polynomial divides p exactly.
 
     Equivalently: p has a primitive b-th root of unity among its roots.  The
-    verdict is exact (module docstring); a divisible p costs phi(b)
-    evaluations, a non-divisible one usually a single evaluation.
+    verdict is exact (module docstring).
     """
     if b < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {b}")
-    folded = p.cyclic_reduce(b).terms
-    coeffs, exponents = list(folded.values()), list(folded)
-    q = evaluation_prime(b, above=sum(map(abs, coeffs)))
-    zeta = root_of_order(q, b)
-    return not any(eval_at(coeffs, exponents, b, q, pow(zeta, k, q))
-                   for k in range(1, b + 1) if gcd(k, b) == 1)
+    primes = [q for q, e in factorize(b) for _ in range(e)]
+    return _vanishes(p.cyclic_reduce(b).terms, b, primes)
+
+
+def _vanishes(terms: dict, b: int, primes: list[int]) -> bool:
+    """Whether sum c * zeta^e over the exponent -> coefficient map ``terms``
+    (exponents in [0, b)) is zero at a primitive b-th root of unity zeta;
+    ``primes`` lists the primes of b ascending, with multiplicity."""
+    if not any(terms.values()):
+        return True
+    if b == 1:
+        return False
+    p, rest = primes[0], primes[1:]
+    b //= p
+    split = bool(rest) and rest[0] == p  # p divides b: the classes are independent
+    classes: dict[int, dict] = {}  # only the nonempty ones, so no O(p) work
+    for e, c in terms.items():
+        cls, k = classes.setdefault(e % p, {}), e // p if split else e % b
+        cls[k] = cls.get(k, 0) + c
+    if split or len(classes) < p:
+        return all(_vanishes(cls, b, rest) for cls in classes.values())
+    ref = min(classes.values(), key=len)
+    for cls in classes.values():
+        if cls is not ref:
+            for k, c in ref.items():
+                cls[k] = cls.get(k, 0) - c
+            if not _vanishes(cls, b, rest):
+                return False
+    return True
 
 
 def enumerate_feasible_indices(allowed_primes, sum_bound: int, rad_ratio_bound: int,

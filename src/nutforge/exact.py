@@ -10,11 +10,12 @@ Matrices are dense with arbitrary-precision integer entries.  The kernel is
 certified from two sides.  Forward elimination modulo a prime p, on rows
 packed into single integers, fixes the pivot columns; for each free column f
 the kernel vector that is 1 at f and 0 at the other free columns is solved
-modulo p, lifted to the rationals by rational reconstruction and checked
-exactly over the integers against every row.  The rank over Q is at least
-the rank modulo p, so the nullity is at most the number of free columns; the
-checked vectors are the identity on the free columns, so they are independent
-and the nullity is at least that number.  The two bounds meet, so nullity and
+modulo p, lifted by rational reconstruction to integer numerators over a
+common denominator, and the numerators are checked exactly against every
+row.  The rank over Q is at least the rank modulo p, so the nullity is at
+most the number of free columns; each checked vector is nonzero at its own
+free column and zero at the others, so they are independent and the nullity
+is at least that number.  The two bounds meet, so nullity and
 basis are exact.  When a lift or a check fails, the next prime of a fixed
 descending sequence is tried, and residues from primes with the same rank and
 pivot columns are combined by the Chinese remainder theorem; identical inputs
@@ -24,7 +25,6 @@ therefore give bit-identical results.
 from __future__ import annotations
 
 import struct
-from fractions import Fraction
 from functools import cache
 from itertools import count
 from math import gcd, isqrt
@@ -178,27 +178,6 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.data]!r})"
 
 
-class KernelResult:
-    """Exact right-nullspace: nullity plus a rational basis.
-
-    Each basis vector is a tuple of Fractions annihilated by the source
-    matrix, 1 at its free column and 0 at the other free columns; the basis
-    length equals the nullity.
-    """
-
-    __slots__ = ("nullity", "basis")
-
-    def __init__(self, nullity: int, basis):
-        object.__setattr__(self, "nullity", nullity)
-        object.__setattr__(self, "basis", tuple(tuple(v) for v in basis))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KernelResult is immutable")
-
-    def __repr__(self):
-        return f"KernelResult(nullity={self.nullity}, basis={self.basis!r})"
-
-
 @cache
 def _kernel_prime(i: int) -> int:
     """The i-th prime below 2**25, counting down from the largest.
@@ -284,7 +263,8 @@ def _rational(a: int, m: int, num_bound: int, den_bound: int):
 
 
 def _reconstruct(residues, modulus: int):
-    """Lift a vector modulo ``modulus`` to (numerators, common denominator),
+    """Lift a vector modulo ``modulus`` to the rationals and return their
+    numerators over the common denominator (a scalar multiple of the lift),
     or None.
 
     Numerators and denominator are bounded by sqrt(modulus / 2), which finds
@@ -307,19 +287,23 @@ def _reconstruct(residues, modulus: int):
             den *= q
             nums = [x * q for x in nums]
         nums.append(a)
-    return nums, den
+    return nums
 
 
-def matrix_kernel(matrix: IntMatrix) -> KernelResult:
-    """Exact right nullspace of an integer matrix.
+def matrix_kernel(matrix: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """Exact right nullspace of an integer matrix, as a basis of primitive
+    integer vectors: one per free column, zero at the other free columns,
+    with coprime entries and a positive first nonzero entry.  The nullity is
+    the length of the basis.
 
     Elimination modulo a prime fixes the rank and the free columns; the basis
     vector of each free column (1 there, 0 at the other free columns) is
-    solved modulo the prime, lifted to the rationals and checked exactly
-    against every row of the matrix.  The certificate is two-sided: the
-    rank over Q is at least the rank modulo p, so the nullity is at most the
-    number of free columns, and the checked vectors are independent (they
-    are the identity on the free columns), so it is at least that number.
+    solved modulo the prime, lifted to the rationals, cleared of its
+    denominator and checked exactly against every row of the matrix.  The
+    certificate is two-sided: the rank over Q is at least the rank modulo p,
+    so the nullity is at most the number of free columns, and the checked
+    vectors are independent (each is nonzero only at its own free column
+    among the free columns), so it is at least that number.
 
     A failed lift or check moves to the next prime of a fixed descending
     sequence.  Residues of primes that give the same rank and pivot columns
@@ -352,34 +336,10 @@ def matrix_kernel(matrix: IntMatrix) -> KernelResult:
             best, residues, modulus = key, vectors, p
         basis = []
         for v in residues:
-            lifted = _reconstruct(v, modulus)
-            if lifted is None or any(sum(map(mul, row, lifted[0])) for row in data):
+            nums = _reconstruct(v, modulus)
+            if nums is None or any(sum(map(mul, row, nums)) for row in data):
                 break
-            nums, den = lifted
-            basis.append(tuple(Fraction(x, den) for x in nums))
+            g = gcd(*nums) if next(filter(None, nums)) > 0 else -gcd(*nums)
+            basis.append(tuple(x // g for x in nums))
         else:
-            return KernelResult(len(basis), basis)
-
-
-def integer_kernel_vector(vector) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector.
-
-    The result has coprime entries and a positive first nonzero entry, which
-    makes certificates printable and comparable.
-    """
-    from math import gcd, lcm
-
-    fracs = [Fraction(x) for x in vector]
-    denom = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+            return tuple(basis)

@@ -355,8 +355,8 @@ def from_adjacency_list(text: str) -> Graph:
     """Parse the listing ``to_adjacency_list`` writes: one line ``u: v1 v2 ...``
     for every vertex u of 0..n-1, each edge listed at both of its ends.
 
-    A vertex listed twice or not at all, and an edge listed at one end only,
-    are errors rather than guesses.
+    A vertex listed twice or not at all, a neighbour listed twice, and an
+    edge listed at one end only, are errors rather than guesses.
     """
     entries: dict[int, set[int]] = {}
     for line in text.splitlines():
@@ -367,7 +367,10 @@ def from_adjacency_list(text: str) -> Graph:
         u = int(head)
         if u in entries:
             raise ValueError(f"vertex {u} listed twice")
-        entries[u] = {int(x) for x in tail.split()}
+        nbrs = [int(x) for x in tail.split()]
+        entries[u] = set(nbrs)
+        if len(entries[u]) != len(nbrs):
+            raise ValueError(f"vertex {u} lists a neighbour twice")
     if not entries:
         raise ValueError("empty adjacency list")
     n = len(entries)

@@ -1,8 +1,8 @@
 """Nut-property certification by two independent exact methods.
 
-Direct method: compute the exact rational nullspace of the adjacency matrix.
-The graph is a nut graph iff the nullity is one and the kernel vector has no
-zero coordinate.
+Direct method: compute the exact nullspace of the adjacency matrix.  A graph
+of at least two vertices is a nut graph iff the nullity is one and the
+kernel vector has no zero coordinate.
 
 Spectral method (circulant and bicirculant graphs): the adjacency matrix is
 similar to a direct sum of small blocks, one per m-th root of unity zeta,
@@ -45,21 +45,21 @@ from .numtheory import divisors, euler_phi
 
 @dataclass(frozen=True)
 class NutCertificate:
-    """Outcome of a nut check.
+    """Outcome of the direct nut check.
 
-    ``kernel_vector`` is present exactly when the direct method found
-    nullity one; it is the unique (up to scale) exact kernel vector.
+    ``kernel_vector`` is present exactly when the nullity is one; it is the
+    primitive integer kernel vector with a positive first nonzero entry.
     """
 
-    is_nut: bool
     nullity: int
-    kernel_vector: tuple | None
-    kernel_has_zero_entry: bool | None
-    method: str
+    kernel_vector: tuple[int, ...] | None
 
-    def __post_init__(self):
-        if self.is_nut and (self.nullity != 1 or self.kernel_has_zero_entry):
-            raise ValueError("inconsistent certificate")
+    @property
+    def is_nut(self) -> bool:
+        """Nullity one, a kernel vector free of zeros, and (a nut graph being
+        nontrivial) at least two vertices."""
+        v = self.kernel_vector
+        return self.nullity == 1 and len(v) > 1 and all(v)
 
 
 @dataclass(frozen=True)
@@ -95,14 +95,8 @@ class SpectralReport:
 
 def nut_check_direct(g: Graph) -> NutCertificate:
     """Certify the nut property by exact kernel computation."""
-    res = matrix_kernel(g.adjacency_matrix())
-    if res.nullity == 1:
-        vec = res.basis[0]
-        has_zero = any(x == 0 for x in vec)
-        return NutCertificate(is_nut=not has_zero, nullity=1, kernel_vector=vec,
-                              kernel_has_zero_entry=has_zero, method="direct")
-    return NutCertificate(is_nut=False, nullity=res.nullity, kernel_vector=None,
-                          kernel_has_zero_entry=None, method="direct")
+    basis = matrix_kernel(g.adjacency_matrix())
+    return NutCertificate(len(basis), basis[0] if len(basis) == 1 else None)
 
 
 def nullity_shifted(g: Graph, shift: int) -> int:
@@ -112,7 +106,7 @@ def nullity_shifted(g: Graph, shift: int) -> int:
     the complement, since complementing a d-regular graph of order n maps the
     non-principal eigenvalues lambda to -1 - lambda.
     """
-    return matrix_kernel(g.adjacency_matrix(shift)).nullity
+    return len(matrix_kernel(g.adjacency_matrix(shift)))
 
 
 def _connection_polynomial(conn, m: int) -> Polynomial:

@@ -5,7 +5,9 @@ slow constructions that the package's own algorithms are checked against.
 """
 
 from functools import cache
+from math import gcd
 
+from nutforge._modeval import eval_at, evaluation_prime, root_of_order
 from nutforge.exact import Polynomial
 from nutforge.graphs import Graph
 from nutforge.numtheory import divisors
@@ -57,6 +59,25 @@ def cyclotomic(n: int) -> Polynomial:
         if not rem.is_zero:
             raise AssertionError(f"inexact cyclotomic division at {n}/{d}")
     return poly
+
+
+def divides_cyclotomic_by_evaluation(p: Polynomial, b: int) -> bool:
+    """The modular rule that regrouping exponents replaced: whether Phi_b
+    divides p, decided at the phi(b) primitive roots modulo a prime.
+
+    p is folded modulo x^b - 1, and q = 1 (mod b) is a prime above the
+    l1-norm L of the folded coefficients.  One nonzero value proves that
+    Phi_b does not divide p.  If every value is zero, q splits completely in
+    Q(zeta_b), so q divides p(zeta_b) there and q^phi(b) divides its norm;
+    every conjugate of p(zeta_b) has absolute value at most L < q, so the
+    norm, and with it p(zeta_b), is 0.
+    """
+    folded = p.cyclic_reduce(b).terms
+    coeffs, exponents = list(folded.values()), list(folded)
+    q = evaluation_prime(b, above=sum(map(abs, coeffs)))
+    zeta = root_of_order(q, b)
+    return not any(eval_at(coeffs, exponents, b, q, pow(zeta, k, q))
+                   for k in range(1, b + 1) if gcd(k, b) == 1)
 
 
 def prime_power_cancellation_applies(term_count: int, primes) -> bool:

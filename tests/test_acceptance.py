@@ -77,7 +77,6 @@ def test_criterion_2_constructive_sweep():
             w = construct(n, d)
             cert = w.certificate
             ok = (cert.is_nut and cert.nullity == 1
-                  and cert.kernel_has_zero_entry is False
                   and all(x != 0 for x in cert.kernel_vector)
                   and w.graph.order == n and is_regular(w.graph) == d)
             if not ok:
@@ -277,7 +276,7 @@ def test_criterion_11_degree_two_mod_four_grid():
             continue
         w = construct(n, d)
         cert = w.certificate
-        if not (cert.is_nut and cert.nullity == 1 and cert.kernel_has_zero_entry is False
+        if not (cert.is_nut and cert.nullity == 1
                 and all(x != 0 for x in cert.kernel_vector)
                 and w.graph.order == n and is_regular(w.graph) == d):
             failures.append((n, d))

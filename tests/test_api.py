@@ -4,8 +4,7 @@ changes only on purpose."""
 import nutforge
 
 EXPORTS = [
-    "IntMatrix", "KernelResult", "Polynomial", "integer_kernel_vector",
-    "matrix_kernel",
+    "IntMatrix", "Polynomial", "matrix_kernel",
     "divides_cyclotomic", "enumerate_feasible_indices",
     "divisors", "euler_phi", "factorize", "radical",
     "BicirculantSpec", "CirculantSpec", "DihedralSpec", "Graph",

@@ -3,7 +3,10 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,9 @@ from nutforge.graphs import (
     to_adjacency_list,
     to_graph6,
 )
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -118,6 +124,23 @@ class TestVerify:
         assert code == 1
         assert "kernel vector has zero entry" in out
 
+    @pytest.mark.parametrize("text", ["0:\n", "@\n"])
+    def test_single_vertex_is_not_nut(self, tmp_path, capsys, text):
+        # K1 has nullity one and the kernel vector (1), but a nut graph is
+        # nontrivial
+        f = tmp_path / "k1.txt"
+        f.write_text(text)
+        code, out, _ = run(capsys, "verify", "--input", str(f))
+        assert code == 1
+        assert out == "nut: false (a single vertex is not a nut graph), nullity: 1\n"
+
+    def test_repeated_neighbour_is_a_parse_error(self, tmp_path, capsys):
+        f = tmp_path / "k2.txt"
+        f.write_text("0: 1 1\n1: 0\n")
+        code, _, err = run(capsys, "verify", "--input", str(f))
+        assert code == 2
+        assert "cannot parse graph" in err
+
     def test_direct_shift_one(self, tmp_path, capsys):
         prism = build_dihedral(DihedralSpec(6, {1, 5}, {0}))
         f = tmp_path / "prism.txt"
@@ -203,6 +226,21 @@ class TestVerify:
         assert f"spectral nullity: {nullity};" in out
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("spec, nullity", [
+        ({"m": 2000006, "s1": [0, 1000003]}, 2000006),
+        ({"m": 2**20, "s0": [2**18, 3 * 2**18], "s1": [], "s2": [2**18, 3 * 2**18]},
+         2**20),
+    ])
+    def test_singular_at_a_large_divisor(self, tmp_path, capsys, spec, nullity):
+        # Every invariant is divisible at b = m, whose phi(b) is near 10^6.
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(spec))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "--input", str(f), "--method", "spectral")
+        assert time.perf_counter() - start < 2
+        assert code == 1
+        assert out.startswith(f"spectral nullity: {nullity};")
+
     @pytest.mark.parametrize("m", [2**84, 10**18 + 3])
     def test_spec_order_beyond_limit(self, tmp_path, capsys, m):
         # 2^84 lies past is_prime's deterministic range, and trial division
@@ -226,6 +264,9 @@ class TestVerify:
         '{"m": 8, "rotations": ["a"]}',
         '{"m": 8, "s0": {"1": 7}}',
         '{"m": 8, "s0": [1]}',
+        '{"m": 8, "rotations": [1, 7], "reflections": [0, 0]}',
+        '{"m": 8, "rotations": [1, 7, 1]}',
+        '{"m": 8, "s0": [1, 7], "s1": [2, 2]}',
         '[8, 1, 7]',
         '{"m": 8,',
     ])
@@ -300,10 +341,10 @@ class TestCensus:
         assert code == 0
         assert "# witnesses:" in out
 
-    def test_order_limit_requires_flag(self, capsys):
-        code, _, err = run(capsys, "census", "--family", "circulant", "34", "4")
-        assert code == 2
-        assert "no-dedup" in err
+    def test_dedup_above_order_32(self, capsys):
+        code, out, _ = run(capsys, "census", "--family", "circulant", "40", "8")
+        assert code == 0
+        assert out.endswith("# classes: 40\n")
 
     def test_budget_exceeded(self, capsys):
         code, _, err = run(capsys, "census", "--family", "circulant", "16", "4",
@@ -379,3 +420,15 @@ def test_order_and_degree_arguments(capsys, argv, message):
         main(list(argv))
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_parser_import_stays_light():
+    # The start-up cost is importing the CLI and building its parser; the
+    # rational and process-pool modules load only when used.
+    code = ("import sys; import nutforge.cli; nutforge.cli.build_parser(); "
+            "print(sorted({'fractions', 'multiprocessing'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

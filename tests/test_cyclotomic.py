@@ -7,7 +7,13 @@ import pytest
 from nutforge.cyclotomic import divides_cyclotomic, enumerate_feasible_indices
 from nutforge.exact import Polynomial
 from nutforge.numtheory import divisors, euler_phi, factorize, radical
-from oracles import cyclotomic, divrem, prime_power_cancellation_applies, scale_exponents
+from oracles import (
+    cyclotomic,
+    divides_cyclotomic_by_evaluation,
+    divrem,
+    prime_power_cancellation_applies,
+    scale_exponents,
+)
 
 X = Polynomial({1: 1})
 
@@ -115,7 +121,6 @@ class TestDividesCyclotomic:
             assert divides_cyclotomic(h * cyclotomic(b), b)
 
     def test_coefficients_beyond_64_bits(self):
-        # The evaluation prime grows with the coefficient norm.
         big = 2**70 + 3
         for b in (5, 12, 30):
             p = Polynomial({0: big, 7: -big}) * cyclotomic(b)
@@ -129,6 +134,60 @@ class TestDividesCyclotomic:
             p = Polynomial({rng.randint(0, 60): rng.randint(-4, 4)
                             for _ in range(rng.randint(1, 8))})
             assert divides_cyclotomic(p, b) == divides_cyclotomic(p.cyclic_reduce(b), b)
+
+
+class TestRegroupingGate:
+    """Differential gate: regrouping exponents against the modular rule it
+    replaced and against division by the built cyclotomic polynomial."""
+
+    def test_three_rules_agree(self):
+        rng = random.Random(12)
+        divisible = 0
+        for i in range(5400):
+            b = rng.randint(1, 150)
+            p = Polynomial({rng.randint(0, 3 * b): rng.randint(-5, 5)
+                            for _ in range(rng.randint(1, 8))})
+            kind = i % 3
+            if kind == 0:  # a multiple of Phi_b, perturbed one time in three
+                p = p * cyclotomic(b)
+                if rng.random() < 1 / 3:
+                    p = p + Polynomial({rng.randint(0, 2 * b): rng.choice((-1, 1))})
+            elif kind == 1:  # a multiple of x^b - 1 added
+                p = p + (Polynomial({rng.randint(0, b): rng.randint(-3, 3)})
+                         * Polynomial({b: 1, 0: -1}))
+                if rng.random() < 1 / 2:
+                    p = p * cyclotomic(b)
+            exact = divrem(p, cyclotomic(b))[1].is_zero
+            divisible += exact
+            assert divides_cyclotomic(p, b) == exact, (b, p)
+            assert divides_cyclotomic_by_evaluation(p, b) == exact, (b, p)
+        assert divisible >= 2000
+
+    def test_sparse_large_indices(self):
+        # No built Phi_b: b up to 10^4; half the cases are planted multiples
+        # of Phi_q(x^(b/q)), which Phi_b divides, for the smallest prime q of b.
+        rng = random.Random(13)
+        divisible = 0
+        for i in range(60):
+            b = rng.randint(2, 10**4)
+            p = Polynomial({rng.randint(0, 2 * b): rng.randint(-2, 2)
+                            for _ in range(rng.randint(1, 4))})
+            q = factorize(b)[0][0]
+            if i % 2 and q <= 5:
+                p = p * Polynomial({k * (b // q): 1 for k in range(q)})
+            verdict = divides_cyclotomic(p, b)
+            divisible += verdict
+            assert verdict == divides_cyclotomic_by_evaluation(p, b), (b, p)
+        assert divisible >= 15
+
+    @pytest.mark.parametrize("b", [2000006, 2**20, 2 * 3 * 5 * 7 * 11 * 13 * 17])
+    def test_large_indices(self, b):
+        # (x^b - 1) / (x^(b/q) - 1) is a multiple of Phi_b, x^(b/q) - 1 is not
+        for q, _ in factorize(b):
+            step = b // q
+            assert not divides_cyclotomic(Polynomial({step: 1, 0: -1}), b)
+            if q < 100:
+                assert divides_cyclotomic(Polynomial({k * step: 1 for k in range(q)}), b)
 
 
 class TestRadicalHelpers:

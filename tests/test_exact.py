@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 
@@ -11,7 +12,6 @@ from nutforge.exact import (
     IntMatrix,
     Polynomial,
     _kernel_prime,
-    integer_kernel_vector,
     matrix_kernel,
 )
 from nutforge.graphs import (
@@ -228,38 +228,44 @@ def bareiss_kernel(data):
     return cols - len(pivot_cols), basis
 
 
+def primitive(vector):
+    """The rational vector scaled to coprime integers with a positive first
+    nonzero entry."""
+    den = lcm(*(Fraction(x).denominator for x in vector))
+    ints = [int(x * den) for x in vector]
+    g = gcd(*ints)
+    if next(filter(None, ints)) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
 def assert_matches_bareiss(data):
     """Same nullity as the Bareiss oracle, the same primitive integer kernel
     vector at nullity one and the same span above it; every basis vector is
-    annihilated and is 1 at a column where the others are 0."""
-    res = matrix_kernel(IntMatrix(data))
-    nullity, basis = bareiss_kernel(data)
-    assert res.nullity == nullity == len(res.basis)
+    primitive, annihilated, and nonzero at a column where the others are 0."""
+    basis = matrix_kernel(IntMatrix(data))
+    nullity, oracle = bareiss_kernel(data)
+    assert len(basis) == nullity
     if nullity == 1:
-        assert integer_kernel_vector(res.basis[0]) == integer_kernel_vector(basis[0])
-    elif nullity > 1 and res.basis != tuple(basis):
-        assert rref(res.basis) == rref(basis)
-    for v in res.basis:
-        w = integer_kernel_vector(v)
-        assert not any(sum(a * b for a, b in zip(row, w)) for row in data)
-        assert any(x == 1 and all(u[j] == 0 for u in res.basis if u is not v)
+        assert basis[0] == primitive(oracle[0])
+    elif nullity > 1 and basis != tuple(map(primitive, oracle)):
+        assert rref(basis) == rref(oracle)
+    for v in basis:
+        assert all(type(x) is int for x in v) and primitive(v) == v
+        assert not any(sum(a * b for a, b in zip(row, v)) for row in data)
+        assert any(x and all(u[j] == 0 for u in basis if u is not v)
                    for j, x in enumerate(v))
 
 
 class TestMatrixKernel:
     def test_rank_one_symmetric(self):
-        res = matrix_kernel(IntMatrix([[-2, 2], [2, -2]]))
-        assert res.nullity == 1
-        v = res.basis[0]
-        assert v[0] == v[1] != 0
+        assert matrix_kernel(IntMatrix([[-2, 2], [2, -2]])) == ((1, 1),)
 
     def test_identity_trivial_kernel(self):
-        assert matrix_kernel(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])).nullity == 0
+        assert matrix_kernel(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == ()
 
     def test_zero_matrix_full_kernel(self):
-        res = matrix_kernel(IntMatrix([[0, 0], [0, 0]]))
-        assert res.nullity == 2
-        assert len(res.basis) == 2
+        assert matrix_kernel(IntMatrix([[0, 0], [0, 0]])) == ((1, 0), (0, 1))
 
     def test_kernel_vectors_annihilated(self):
         rng = random.Random(23)
@@ -268,24 +274,23 @@ class TestMatrixKernel:
             k = rng.randint(1, 7)
             data = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)]
             mat = IntMatrix(data)
-            res = matrix_kernel(mat)
-            assert res.nullity == len(res.basis)
-            assert res.nullity == rational_rref_nullity(data)
-            for v in res.basis:
+            basis = matrix_kernel(mat)
+            assert len(basis) == rational_rref_nullity(data)
+            for v in basis:
                 assert not any(sum(a * x for a, x in zip(row, v)) for row in data)
             assert_matches_bareiss(data)
 
     def test_determinism(self):
         data = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-        r1 = matrix_kernel(IntMatrix(data))
-        r2 = matrix_kernel(IntMatrix(data))
-        assert r1.basis == r2.basis
+        assert matrix_kernel(IntMatrix(data)) == matrix_kernel(IntMatrix(data))
 
-    def test_integer_kernel_vector_normalization(self):
-        v = integer_kernel_vector((Fraction(-1, 2), Fraction(-1, 2)))
-        assert v == (1, 1)
-        v = integer_kernel_vector((Fraction(2, 3), Fraction(4, 3)))
-        assert v == (1, 2)
+    def test_primitive_normalization(self):
+        # coprime entries, first nonzero entry positive, zero at the other
+        # free columns
+        assert matrix_kernel(IntMatrix([[-2, 1]])) == ((1, 2),)
+        assert matrix_kernel(IntMatrix([[2, 1]])) == ((1, -2),)
+        assert matrix_kernel(IntMatrix([[6, 4, 0]])) == ((2, -3, 0), (0, 0, 1))
+        assert matrix_kernel(IntMatrix([[0, 3, 6]])) == ((1, 0, 0), (0, 2, -1))
 
 
 def _circulant_jump_sets():
@@ -361,28 +366,23 @@ class TestSeveralPrimes:
 
     def test_unlucky_first_prime(self):
         p = _kernel_prime(0)
-        assert matrix_kernel(IntMatrix([[p]])).nullity == 0
-        res = matrix_kernel(IntMatrix([[p, 0], [0, 0]]))
-        assert res.nullity == 1
-        assert res.basis == ((Fraction(0), Fraction(1)),)
+        assert matrix_kernel(IntMatrix([[p]])) == ()
+        assert matrix_kernel(IntMatrix([[p, 0], [0, 0]])) == ((0, 1),)
         # the first prime picks the wrong pivot column; the second restarts
-        assert matrix_kernel(IntMatrix([[p, 1]])).basis == ((Fraction(-1, p), Fraction(1)),)
+        assert matrix_kernel(IntMatrix([[p, 1]])) == ((1, -p),)
 
     def test_entries_past_one_prime_bound(self):
-        res = matrix_kernel(IntMatrix([[2**40, -1]]))
-        assert res.nullity == 1
-        assert res.basis == ((Fraction(1, 2**40), Fraction(1)),)
-        assert integer_kernel_vector(res.basis[0]) == (1, 2**40)
+        assert matrix_kernel(IntMatrix([[2**40, -1]])) == ((1, 2**40),)
         res = matrix_kernel(IntMatrix([[2**60 + 1, -(3**40)], [0, 0]]))
-        assert integer_kernel_vector(res.basis[0]) == (3**40, 2**60 + 1)
+        assert res == ((3**40, 2**60 + 1),)
 
     def test_product_of_primes(self):
         # zero modulo each of the first three primes, whose combined residues
         # fail the check, until the fourth restarts at full rank
         q = _kernel_prime(0) * _kernel_prime(1) * _kernel_prime(2)
-        assert matrix_kernel(IntMatrix([[q, 0], [0, q]])).nullity == 0
+        assert matrix_kernel(IntMatrix([[q, 0], [0, q]])) == ()
         assert_matches_bareiss([[q, 1, 0], [0, q, q], [q, 1 + q, q]])
 
     def test_determinism(self):
         data = [[2**40, -1, 3], [5, 0, 2**33]]
-        assert matrix_kernel(IntMatrix(data)).basis == matrix_kernel(IntMatrix(data)).basis
+        assert matrix_kernel(IntMatrix(data)) == matrix_kernel(IntMatrix(data))

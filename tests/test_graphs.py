@@ -404,6 +404,7 @@ class TestAdjacencyListAndDot:
 
     @pytest.mark.parametrize("text", [
         "0: 1\n1: 0\n0: 1",  # vertex listed twice
+        "0: 1 1\n1: 0",  # neighbour listed twice
         "0: 1\n1: 0\n3:",  # vertex 2 missing
         "0: 1 415\n1: 0",  # neighbour never listed
         "0: 1 2\n1: 0\n2:",  # edge listed at one end only

@@ -38,15 +38,14 @@ def random_bicirculant_spec(rng, max_m=16):
 
 
 class TestCertificateInvariant:
-    def test_inconsistent_certificate_rejected(self):
+    def test_is_nut_is_derived(self):
+        # nullity one, a zero-free kernel vector and at least two vertices
         from nutforge.verify import NutCertificate
 
-        with pytest.raises(ValueError):
-            NutCertificate(is_nut=True, nullity=2, kernel_vector=None,
-                           kernel_has_zero_entry=None, method="direct")
-        with pytest.raises(ValueError):
-            NutCertificate(is_nut=True, nullity=1, kernel_vector=(1,),
-                           kernel_has_zero_entry=True, method="direct")
+        assert NutCertificate(1, (1, -1)).is_nut
+        assert not NutCertificate(2, None).is_nut
+        assert not NutCertificate(1, (1, 0, -1)).is_nut
+        assert not NutCertificate(1, (1,)).is_nut
 
 
 class TestDirect:
@@ -54,18 +53,22 @@ class TestDirect:
         cert = nut_check_direct(build_circulant(CirculantSpec(8, {1, 2})))
         assert cert.is_nut
         assert cert.nullity == 1
-        assert cert.kernel_has_zero_entry is False
         assert all(x != 0 for x in cert.kernel_vector)
 
     def test_path_has_zero_kernel_entry(self):
         path = Graph.from_edges(3, [(0, 1), (1, 2)])
         cert = nut_check_direct(path)
         assert cert.nullity == 1
-        assert cert.kernel_has_zero_entry is True
         assert not cert.is_nut
         # kernel of P_3 is spanned by (1, 0, -1)
-        v = cert.kernel_vector
-        assert v[1] == 0 and v[0] == -v[2] != 0
+        assert cert.kernel_vector == (1, 0, -1)
+
+    def test_single_vertex_is_not_nut(self):
+        # nullity one with the zero-free kernel vector (1,), but a nut graph
+        # is nontrivial
+        cert = nut_check_direct(Graph(1, [0]))
+        assert cert.nullity == 1 and cert.kernel_vector == (1,)
+        assert cert.is_nut is False
 
     def test_square_has_nullity_two(self):
         cert = nut_check_direct(build_circulant(CirculantSpec(4, {1})))
@@ -225,7 +228,7 @@ class TestSpectralDirectAgreement:
         assert rep.total_nullity == 1
         cert = nut_check_direct(build_bicirculant(spec))
         assert cert.nullity == 1
-        assert cert.kernel_has_zero_entry is True
+        assert 0 in cert.kernel_vector
         assert not cert.is_nut
 
     def test_vertex_transitive_nut_equivalence(self):
