@@ -12,9 +12,11 @@ Exit codes are a stable contract: 0 success / positive verdict, 1 negative
 verdict, 2 usage or parse error, 3 search budget exhaustion.
 
 Spec input for ``verify --method spectral|both`` is a one-line JSON object:
-either ``{"m": 8, "rotations": [1, 7], "reflections": [0, 1, 4, 6]}`` for a
+``{"n": 16, "jumps": [1, 8]}`` for a circulant,
+``{"m": 8, "rotations": [1, 7], "reflections": [0, 1, 4, 6]}`` for a
 dihedral Cayley graph or ``{"m": 18, "s0": [...], "s1": [...], "s2": [...]}``
-for a general bicirculant, optionally with ``"shift": 0`` or ``1``.
+for a general bicirculant, optionally with ``"shift": 0`` or ``1``.  These
+are the specs that ``construct`` recipes name.
 """
 
 from __future__ import annotations
@@ -32,8 +34,10 @@ from .constructions import (
 )
 from .graphs import (
     BicirculantSpec,
+    CirculantSpec,
     DihedralSpec,
     build_bicirculant,
+    build_circulant,
     is_regular,
     parse_graph,
     serialize,
@@ -53,8 +57,8 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-#: Largest spec order m accepted: the spectral check factorizes m, and each
-#: of its divisors, by trial division.
+#: Largest cyclic order (n of a circulant spec, m otherwise) accepted: the
+#: spectral check factorizes it, and each of its divisors, by trial division.
 SPEC_ORDER_LIMIT = 10**12
 
 
@@ -154,16 +158,21 @@ def _parse_spec(text: str):
     data = _json_object(text)
     if data is None:
         raise ValueError("a spec must be a JSON object")
-    dihedral = "rotations" in data or "reflections" in data
-    names = ("rotations", "reflections") if dihedral else ("s0", "s1", "s2")
-    unknown = sorted(set(data) - {"m", "shift", *names})
+    if "n" in data or "jumps" in data:
+        kind, order, names = CirculantSpec, "n", ("jumps",)
+    elif "rotations" in data or "reflections" in data:
+        kind, order, names = DihedralSpec, "m", ("rotations", "reflections")
+    else:
+        kind, order, names = BicirculantSpec, "m", ("s0", "s1", "s2")
+    unknown = sorted(set(data) - {order, "shift", *names})
     if unknown:
         raise ValueError(f"unexpected keys {unknown}")
     # type() rather than isinstance(): JSON true would pass as the integer 1
-    if type(data.get("m")) is not int:
-        raise ValueError("m must be an integer")
-    if data["m"] > SPEC_ORDER_LIMIT:
-        raise ValueError(f"m above {SPEC_ORDER_LIMIT} is beyond trial-division factoring")
+    if type(data.get(order)) is not int:
+        raise ValueError(f"{order} must be an integer")
+    if data[order] > SPEC_ORDER_LIMIT:
+        raise ValueError(f"{order} above {SPEC_ORDER_LIMIT} is beyond trial-division "
+                         "factoring")
     shift = data.get("shift", 0)
     if type(shift) is not int or shift not in (0, 1):
         raise ValueError("shift must be 0 or 1")
@@ -172,10 +181,10 @@ def _parse_spec(text: str):
         raise ValueError(f"{', '.join(names)} must be lists of integers")
     if any(len(set(s)) != len(s) for s in sets):
         raise ValueError(f"{', '.join(names)} must not repeat an entry")
-    if dihedral:
-        return DihedralSpec(data["m"], *sets).as_bicirculant(), shift, True
-    spec = BicirculantSpec(data["m"], *sets)
-    return spec, shift, spec.s0 == spec.s2
+    spec = kind(data[order], *sets)
+    if kind is DihedralSpec:
+        return spec.as_bicirculant(), shift, True
+    return spec, shift, kind is CirculantSpec or spec.s0 == spec.s2
 
 
 def _nut_verdict(cert) -> str:
@@ -226,7 +235,8 @@ def cmd_verify(args) -> int:
     print(f"spectral {label}: {report.total_nullity}; singular divisors: {singular}")
     positive = report.total_nullity == 1
     if args.method == "both":
-        g = build_bicirculant(spec)
+        g = (build_circulant(spec) if isinstance(spec, CirculantSpec)
+             else build_bicirculant(spec))
         nut_line = None
         if shift == 0:
             cert = nut_check_direct(g)

@@ -34,9 +34,12 @@ Search and census candidates come from one stream, ``_candidates``, and are
 Cayley graphs, so a spectral nullity of one already makes them nut graphs:
 the cyclotomic nullity of ``verify`` screens every candidate, and only those
 that pass it are built.  Every witness, whichever construction produced it,
-passes one gate, ``_certify``: the exact direct kernel, the order and degree,
-and the existence law of ``feasible_vt``.  The outputs are certificates, not
-citations.
+passes one gate, ``_certify``, which takes the witness as a spec: a spectral
+nullity of exactly one, a +-1 character of the group checked exactly as a
+kernel vector of the built graph, the order and degree, and the existence
+law of ``feasible_vt``.  Catalog, family and census witnesses run no O(n^3)
+kernel; a search hit is also checked against the direct kernel.  The outputs
+are certificates, not citations.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .graphs import (
     complement,
     is_regular,
 )
-from .verify import NutCertificate, nut_check_direct, nut_check_spectral
+from .verify import NutCertificate, SpectralReport, nut_check_direct, nut_check_spectral
 
 #: Candidate cap of a search given no explicit budget.  No order up to 24
 #: has more than 462 jump sets, so there the search is exhaustive.
@@ -207,76 +210,129 @@ def prism_complement(d: int) -> Graph:
 
 
 def sporadic_witness(n: int, d: int):
-    """Catalogued (graph, recipe) for the finitely many special pairs, or the
-    order-(d + 4) complements: the Moebius ladder's when d = 4 (mod 8), the
-    prism's when 8 | d.  None when no catalog entry fits.  Every recipe names
+    """Catalogued (spec, shift, recipe) for the finitely many special pairs,
+    or the order-(d + 4) complements: the Moebius ladder's when d = 4 (mod 8),
+    the prism's when 8 | d.  None when no catalog entry fits.  Shift 1 means
+    the witness is the complement of the spec's graph, so every recipe names
     a circulant, a dihedral Cayley graph or the complement of one."""
     entry = _SPORADIC_DIHEDRAL.get((n, d))
     if entry is not None:
-        m, rot, refl = entry
-        spec = DihedralSpec(m, rot, refl)
-        return build_dihedral(spec), f"sporadic {spec.describe()}"
+        spec = DihedralSpec(*entry)
+        return spec, 0, f"sporadic {spec.describe()}"
     if n == d + 4 and d % 8 == 4:
-        return (moebius_complement(n),
+        return (CirculantSpec(n, {1, n // 2}), 1,
                 f"complement(circulant(n={n}, jumps=[1, {n // 2}]))  # Moebius ladder")
     if n == d + 4 and d % 8 == 0 and d >= 8:
         m = (d + 4) // 2
-        return (prism_complement(d),
+        return (DihedralSpec(m, {1, m - 1}, {0}), 1,
                 f"complement(dihedral(m={m}, rotations=[1, {m - 1}], reflections=[0]))"
                 "  # prism")
     return None
 
 
 def _dihedral_family_witness(n: int, d: int):
-    """Witness graph for d = 2 (mod 4) from the parameterized families: the
-    direct family of the degree once the order is large enough, else the
-    complement family of the gap n - d, else None."""
+    """(spec, shift, recipe) for d = 2 (mod 4) from the parameterized
+    families: the direct family of the degree once the order is large
+    enough, else the complement family (shift 1) of the gap n - d, else
+    None."""
     m = n // 2
     if d % 8 == 6:
         t = (d - 6) // 8
         if m >= 4 * t + 8:
             spec = dihedral_6_mod_8_spec(t, m)
-            return build_dihedral(spec), f"degree-(8t+6) family, t={t}: {spec.describe()}"
+            return spec, 0, f"degree-(8t+6) family, t={t}: {spec.describe()}"
     else:
         t = (d - 10) // 8
         if m >= 4 * t + 14:
             spec = dihedral_2_mod_8_spec(t, m)
-            return build_dihedral(spec), f"degree-(8t+10) family, t={t}: {spec.describe()}"
+            return spec, 0, f"degree-(8t+10) family, t={t}: {spec.describe()}"
     for gap, d_min, spec_fn in ((6, 14, complement_gap6_spec), (10, 22, complement_gap10_spec),
                                 (14, 26, complement_gap14_spec)):
         if n - d == gap and d >= d_min:
             spec = spec_fn(d)
-            return (complement(build_dihedral(spec)),
+            return (spec, 1,
                     f"order-(d+{gap}) complement family: complement({spec.describe()})")
     return None
 
 
-def _certify(g: Graph, recipe: str, n: int, d: int) -> Witness:
-    """The witness of g, which must be a d-regular nut graph of order n, with
-    (n, d) feasible; any failure is a construction error."""
-    cert = nut_check_direct(g)
-    if not cert.is_nut:
-        raise RuntimeError(f"the direct kernel rejects {recipe} for ({n}, {d}): "
-                           f"nullity {cert.nullity}")
+def _character_masks(spec: CirculantSpec | DihedralSpec):
+    """The +-1 characters of Z_n or D_m as masks of the vertices where they
+    are +1, in the builders' vertex order.
+
+    Z_n has the trivial character and, for even n, j -> (-1)^j.  On D_m,
+    vertex j is r^j and vertex m + j is r^-j s; a character is r^j -> a^j
+    and r^-j s -> b a^j with a, b in {1, -1}, and a = -1 only for even m.
+    The identity is vertex 0 and always +1.
+    """
+    if isinstance(spec, CirculantSpec):
+        n = spec.n
+        yield (1 << n) - 1
+        if n % 2 == 0:
+            yield int("01" * (n // 2), 2)
+        return
+    m = spec.m
+    rotations = (1 << m) - 1
+    for plus in (rotations, int("01" * (m // 2), 2)) if m % 2 == 0 else (rotations,):
+        yield plus | plus << m
+        yield plus | (rotations ^ plus) << m
+
+
+def _certify(spec: CirculantSpec | DihedralSpec, shift: int, recipe: str, n: int, d: int,
+             report: SpectralReport | None = None) -> Witness:
+    """The witness built from spec, complemented when shift is 1, which must
+    be a d-regular nut graph of order n, with (n, d) feasible; any failure
+    is a construction error.  ``report`` is ``nut_check_spectral(spec,
+    shift)`` when the caller has it already.
+
+    The spectral nullity must be exactly one.  At shift 1 it is the
+    multiplicity of -1 in the spec's graph, which is the complement's
+    nullity once the complement is d-regular with d >= 1.  The witness is a
+    Cayley graph of G = Z_n or D_m, and every left translation is an
+    automorphism, so it maps a kernel vector spanning a one-dimensional
+    kernel to +-itself: v(g) = eps(g) v(e) for a homomorphism eps: G ->
+    {+-1}.  So one of the at most four +-1 characters (``_character_masks``)
+    must annihilate the adjacency rows, which is checked exactly on the
+    built rows as equal neighbour counts on its +1 and -1 vertices.  A
+    kernel vector without zero entries in a kernel of dimension one makes a
+    nut graph, and eps, with eps(e) = 1, is the primitive kernel vector with
+    a positive first entry that an exact kernel computation returns.
+    """
+    if report is None:
+        report = nut_check_spectral(spec, shift)
+    if report.total_nullity != 1:
+        raise RuntimeError(f"spectral nullity {report.total_nullity}, not 1, for "
+                           f"{recipe} at ({n}, {d})")
+    g = build_circulant(spec) if isinstance(spec, CirculantSpec) else build_dihedral(spec)
+    if shift:
+        g = complement(g)
+    rows = g.adjacency_rows()
+    full = (1 << g.order) - 1
+    for plus in _character_masks(spec):
+        minus = full ^ plus
+        if all((r & plus).bit_count() == (r & minus).bit_count() for r in rows):
+            break
+    else:
+        raise RuntimeError(f"no +-1 character is a kernel vector of {recipe} at ({n}, {d})")
     if g.order != n or is_regular(g) != d:
         raise RuntimeError(f"construction has wrong shape for ({n}, {d}): {recipe}")
     if not feasible_vt(n, d).exists:
         raise RuntimeError(f"witness parameters ({n}, {d}) break the existence law: {recipe}")
-    return Witness(g, recipe, cert)
+    vector = tuple(1 if plus >> v & 1 else -1 for v in range(g.order))
+    return Witness(g, recipe, NutCertificate(1, vector))
 
 
 def _screen(spec: CirculantSpec | DihedralSpec) -> Witness | None:
     """Certified witness for a search or census candidate, or None when its
     spectral nullity is not one.
 
-    For these vertex-transitive graphs nullity one is the nut property, so
-    only a candidate that passes is built and run through ``_certify``.
+    Only a candidate that passes is built, by ``_certify``, which reuses the
+    spectral report.
     """
-    if nut_check_spectral(spec).total_nullity != 1:
+    report = nut_check_spectral(spec)
+    if report.total_nullity != 1:
         return None
-    if isinstance(spec, CirculantSpec):
-        return _certify(build_circulant(spec), spec.describe(), spec.n, spec.degree)
-    return _certify(build_dihedral(spec), spec.describe(), 2 * spec.m, spec.degree)
+    n = spec.n if isinstance(spec, CirculantSpec) else 2 * spec.m
+    return _certify(spec, 0, spec.describe(), n, spec.degree, report)
 
 
 def construct(n: int, d: int, budget: int | None = None) -> Witness:
@@ -291,11 +347,11 @@ def construct(n: int, d: int, budget: int | None = None) -> Witness:
     verdict = feasible_vt(n, d)
     if not verdict.exists:
         raise InfeasiblePairError(verdict.reason)
-    built = sporadic_witness(n, d)
-    if built is None and d % 4 == 2:
-        built = _dihedral_family_witness(n, d)
-    if built is not None:
-        return _certify(*built, n, d)
+    found = sporadic_witness(n, d)
+    if found is None and d % 4 == 2:
+        found = _dihedral_family_witness(n, d)
+    if found is not None:
+        return _certify(*found, n, d)
     w = circulant_search(n, d, budget)
     if w is None:
         raise SearchExhaustedError(f"no witness found within bounds for ({n}, {d})")
@@ -321,12 +377,17 @@ def circulant_search(n: int, d: int, budget: int | None = None) -> Witness | Non
 
     Jump sets come in lexicographic order from ``_candidates``; the budget
     (DEFAULT_SEARCH_BUDGET when None) caps the candidates enumerated,
-    screened-out ones included.
+    screened-out ones included.  The hit is also run through the direct
+    kernel, which must return its certificate: no lemma backs a searched
+    witness for every order, so the search keeps an independent check.
     """
     if n < 3:
         raise ValueError("circulant order must be >= 3")
     cap = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    return next(filter(None, map(_screen, islice(_candidates("circulant", n, d), cap))), None)
+    w = next(filter(None, map(_screen, islice(_candidates("circulant", n, d), cap))), None)
+    if w is not None and nut_check_direct(w.graph) != w.certificate:
+        raise RuntimeError(f"the direct kernel disagrees with the certificate of {w.recipe}")
+    return w
 
 
 def _rotation_orbits(m: int) -> list[tuple[int, ...]]:

@@ -247,7 +247,7 @@ def test_criterion_8_census_uniqueness():
 def test_criterion_9_tables_out_of_scope():
     # The published order/degree count tables require an external census of
     # all vertex-transitive graphs up to order 46 and are deliberately not
-    # reproduced; criteria 1-8, 10 and 11 stand in as the property-based gate.  This
+    # reproduced; criteria 1-8 and 10-12 stand in as the property-based gate.  This
     # placeholder documents the exclusion so the suite states it explicitly.
     _report(9, "full count tables excluded by design", [])
 
@@ -260,11 +260,14 @@ def test_criterion_10_degree_divisible_by_four_grid():
         if not (w.certificate.is_nut and w.graph.order == n
                 and is_regular(w.graph) == d):
             failures.append((n, d))
+        if nut_check_direct(w.graph) != w.certificate:
+            failures.append(("direct kernel", n, d))
         # outside the catalog every witness comes from the circulant search
         if sporadic_witness(n, d) is None and not w.recipe.startswith("circulant("):
             failures.append(("recipe", n, d, w.recipe))
     _report(10, f"certified witness for all {len(pairs)} pairs 4|d<=40, d+6<=n<=120, "
-                "searched ones circulant", failures)
+                "searched ones circulant, certificate equal to the direct kernel's",
+            failures)
 
 
 def test_criterion_11_degree_two_mod_four_grid():
@@ -280,5 +283,24 @@ def test_criterion_11_degree_two_mod_four_grid():
                 and all(x != 0 for x in cert.kernel_vector)
                 and w.graph.order == n and is_regular(w.graph) == d):
             failures.append((n, d))
+        if nut_check_direct(w.graph) != cert:
+            failures.append(("direct kernel", n, d))
     _report(11, f"certified witness for all {len(pairs)} pairs d=2 (mod 4), 6<=d<=40, "
-                "4|n, d+6<=n<=120", failures)
+                "4|n, d+6<=n<=120, certificate equal to the direct kernel's", failures)
+
+
+def test_criterion_12_census_certificates_match_direct_kernel():
+    # The two --no-dedup censuses of the benchmark: every witness's
+    # character certificate is the vector the exact kernel returns.
+    failures = []
+    counts = []
+    for family, n, d in (("dihedral", 14, 8), ("circulant", 24, 8)):
+        witnesses = census(family, n, d, dedup=False)
+        counts.append(len(witnesses))
+        for w in witnesses:
+            if nut_check_direct(w.graph) != w.certificate:
+                failures.append(w.recipe)
+    if counts != [84, 12]:
+        failures.append(("witness counts", counts))
+    _report(12, "no-dedup census certificates at (dihedral, 14, 8) and "
+                "(circulant, 24, 8) equal the direct kernel's", failures)

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -167,6 +168,30 @@ class TestVerify:
         assert code == 0
         assert "agreement: true" in out
 
+    def test_both_agree_on_moebius_ladder_base(self, tmp_path, capsys):
+        # The base of construct's order-(d + 4) complement for d = 4 (mod 8).
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps({"n": 16, "jumps": [1, 8]}))
+        code, out, err = run(capsys, "verify", "--input", str(f), "--method", "both",
+                             "--shift", "1")
+        assert code == 0
+        assert out == ("spectral shifted nullity: 1; singular divisors: b=2 (simple)\n"
+                       "direct shifted nullity: 1; agreement: true\n")
+        assert err == ""
+
+    def test_reads_the_circulant_recipe_construct_prints(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "construct", "14", "8", "--format", "jsonl")
+        recipe = json.loads(out)["recipe"]
+        n, jumps = re.fullmatch(r"circulant\(n=(\d+), jumps=(\[[\d, ]*\])\)", recipe).groups()
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps({"n": int(n), "jumps": json.loads(jumps)}))
+        code, out, _ = run(capsys, "verify", "--input", str(f), "--method", "spectral")
+        assert code == 0
+        assert out.startswith("spectral nullity: 1;") and "nut: true (vertex-transitive)" in out
+        code, out, _ = run(capsys, "verify", "--input", str(f), "--method", "both")
+        assert code == 0
+        assert "agreement: true" in out and "nut: true" in out
+
     def test_both_defers_nut_verdict_to_direct(self, tmp_path, capsys):
         # Nullity one with a zero kernel entry: spectral and direct agree on
         # the nullity, but the graph is not a nut.
@@ -277,6 +302,31 @@ class TestVerify:
                            "--input-format", "spec", "--method", "spectral")
         assert code == 2
         assert "cannot parse spec" in err
+
+    @pytest.mark.parametrize("spec, message", [
+        ('{"n": 16, "jumps": [1, 9]}', "jump 9 outside [1, 8]"),
+        ('{"n": 16, "jumps": [0]}', "jump 0 outside [1, 8]"),
+        ('{"n": 2, "jumps": [1]}', "circulant order must be >= 3"),
+        ('{"n": 16, "jumps": [1, 1]}', "must not repeat an entry"),
+        ('{"n": 16, "jumps": 1}', "lists of integers"),
+        ('{"n": 16, "jumps": [1.5]}', "lists of integers"),
+        ('{"n": "16", "jumps": [1]}', "n must be an integer"),
+        ('{"jumps": [1, 8]}', "n must be an integer"),
+        ('{"n": 16, "jumps": [1], "shift": 2}', "shift must be 0 or 1"),
+        ('{"n": 16, "jumps": [1], "m": 8}', "unexpected keys ['m']"),
+        ('{"n": 16, "rotations": [1, 15]}', "unexpected keys ['rotations']"),
+        ('{"n": 10000000000001, "jumps": [1]}', "n above 1000000000000"),
+    ])
+    @pytest.mark.parametrize("method", ["spectral", "both"])
+    def test_malformed_circulant_spec_is_a_usage_error(self, tmp_path, capsys, spec,
+                                                       message, method):
+        f = tmp_path / "spec.json"
+        f.write_text(spec)
+        code, out, err = run(capsys, "verify", "--input", str(f), "--method", method)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot parse spec: ") and message in err
+        assert "Traceback" not in err
 
 
 class TestLemmas:

@@ -46,6 +46,7 @@ def _base_inputs() -> list[bytes]:
         {"m": 10, "rotations": [2, 8], "reflections": [0, 8, 9], "shift": 1},
         {"m": 6, "s0": [1, 5], "s1": [0, 3], "s2": [2, 4]},
         {"m": 4, "s0": [], "s1": [0, 1], "s2": [1, 3], "shift": 0},
+        {"n": 16, "jumps": [1, 8], "shift": 1},  # the Moebius-ladder base
     ]
     texts = [to_graph6(g) for g in graphs]
     texts += [to_adjacency_list(g) for g in graphs]

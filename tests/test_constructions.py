@@ -39,8 +39,8 @@ from nutforge.graphs import (
     is_regular,
     to_graph6,
 )
-from nutforge.verify import nut_check_direct, nut_check_spectral
-from oracles import build_lcf, relabel
+from nutforge.verify import NutCertificate, nut_check_direct, nut_check_spectral
+from oracles import relabel
 
 
 def oracle_feasible(n, d):
@@ -99,17 +99,47 @@ class TestOneExistenceLaw:
         assert max(counts) == 462 < constructions.DEFAULT_SEARCH_BUDGET
 
     def test_certify_gates(self):
-        # A cubic nut graph of order 12: no vertex-transitive one has odd degree.
-        cubic = build_lcf(12, [2, 3, 10, 6, 9, 6])
-        assert nut_check_direct(cubic).is_nut
-        with pytest.raises(RuntimeError, match="existence law"):
-            constructions._certify(cubic, "lcf", 12, 3)
-        g = build_circulant(CirculantSpec(8, {1, 2}))
+        certify = constructions._certify
+        # Spectral nullity: the 8-cycle has nullity 2.
+        cycle = CirculantSpec(8, {1})
+        with pytest.raises(RuntimeError, match="spectral nullity 2, not 1"):
+            certify(cycle, 0, "8-cycle", 8, 2)
+        # No +-1 character: a report claiming nullity 1 for the 8-cycle,
+        # whose rows sum to 2 against the trivial character and to -2
+        # against the alternating one.
+        claimed = dataclasses.replace(nut_check_spectral(cycle), total_nullity=1)
+        with pytest.raises(RuntimeError, match="no \\+-1 character"):
+            certify(cycle, 0, "8-cycle", 8, 2, claimed)
+        # Shape: a nut graph of order 8 and degree 4, asked for degree 6.
+        spec = CirculantSpec(8, {1, 2})
         with pytest.raises(RuntimeError, match="wrong shape"):
-            constructions._certify(g, "circulant(n=8, jumps=[1, 2])", 8, 6)
-        with pytest.raises(RuntimeError, match="direct kernel.*nullity 2"):
-            constructions._certify(build_circulant(CirculantSpec(8, {1})), "8-cycle", 8, 2)
-        assert constructions._certify(g, "circulant", 8, 4).recipe == "circulant"
+            certify(spec, 0, "circulant(n=8, jumps=[1, 2])", 8, 6)
+        # Existence law: the octahedron C_6(1, 2) = K_{2,2,2} has nullity 3,
+        # and the alternating character annihilates it; given a report of
+        # nullity 1, only the law rejects order 6 at degree 4.
+        octahedron = CirculantSpec(6, {1, 2})
+        assert nut_check_direct(build_circulant(octahedron)).nullity == 3
+        claimed = dataclasses.replace(nut_check_spectral(octahedron), total_nullity=1)
+        with pytest.raises(RuntimeError, match="existence law"):
+            certify(octahedron, 0, "octahedron", 6, 4, claimed)
+        w = certify(spec, 0, "circulant", 8, 4)
+        assert w.recipe == "circulant"
+        assert w.certificate == nut_check_direct(build_circulant(spec))
+
+    def test_every_character_certifies_as_the_direct_kernel(self):
+        # Z_n: j -> (-1)^j, with n/2 odd or even.  D_m: the three nontrivial
+        # characters (a, b), read off as the entries at r and at s.  The
+        # trivial character never certifies: the all-ones vector has
+        # eigenvalue d.
+        seen = set()
+        for family, n, d in (("circulant", 10, 4), ("circulant", 12, 4),
+                             ("dihedral", 10, 4), ("dihedral", 12, 8)):
+            for w in census(family, n, d, dedup=False):
+                assert w.certificate == nut_check_direct(w.graph), w.recipe
+                v = w.certificate.kernel_vector
+                seen.add((family, v[1], v[n // 2]))
+        assert seen == {("circulant", -1, -1), ("circulant", -1, 1),
+                        ("dihedral", 1, -1), ("dihedral", -1, -1), ("dihedral", -1, 1)}
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown census family"):
@@ -177,25 +207,34 @@ class TestFamilySpecs:
             assert is_regular(g) == 8 * t + 10
 
 
+def built(spec, shift):
+    """The graph a (spec, shift, recipe) triple names."""
+    g = build_circulant(spec) if isinstance(spec, CirculantSpec) else build_dihedral(spec)
+    return complement(g) if shift else g
+
+
 class TestSporadic:
     def test_twelve_six(self):
-        g, recipe = sporadic_witness(12, 6)
+        spec, shift, recipe = sporadic_witness(12, 6)
+        g = built(spec, shift)
         assert g.order == 12 and is_regular(g) == 6
         assert "dihedral(m=6" in recipe
 
     def test_moebius_slot(self):
-        g, recipe = sporadic_witness(16, 12)
+        spec, shift, recipe = sporadic_witness(16, 12)
+        g = built(spec, shift)
         assert g == moebius_complement(16)
         assert is_regular(g) == 12
         assert "circulant(n=16, jumps=[1, 8])" in recipe
 
     def test_lcf_slot(self):
         # (20, 16) once took an LCF complement ahead of the prism rule.
-        g, recipe = sporadic_witness(20, 16)
+        spec, shift, recipe = sporadic_witness(20, 16)
+        g = built(spec, shift)
         assert g == prism_complement(16)
         assert recipe == ("complement(dihedral(m=10, rotations=[1, 9], reflections=[0]))"
                           "  # prism")
-        assert constructions._certify(g, recipe, 20, 16).certificate.is_nut
+        assert constructions._certify(spec, shift, recipe, 20, 16).certificate.is_nut
 
     def test_every_catalog_recipe_names_a_cayley_graph(self):
         # Every recipe of the catalog and the dihedral families names a
@@ -209,12 +248,13 @@ class TestSporadic:
             for n in range(1, 121):
                 if not feasible_vt(n, d).exists:
                     continue
-                built = sporadic_witness(n, d)
-                if built is None and d % 4 == 2:
-                    built = constructions._dihedral_family_witness(n, d)
-                if built is None:
+                found = sporadic_witness(n, d)
+                if found is None and d % 4 == 2:
+                    found = constructions._dihedral_family_witness(n, d)
+                if found is None:
                     continue
-                g, recipe = built
+                spec, shift, recipe = found
+                g = built(spec, shift)
                 assert "lcf" not in recipe.lower(), (n, d, recipe)
                 match = pattern.search(recipe)
                 assert match, (n, d, recipe)
@@ -229,7 +269,8 @@ class TestSporadic:
         assert checked > 200
 
     def test_prism_slot(self):
-        g, recipe = sporadic_witness(12, 8)
+        spec, shift, recipe = sporadic_witness(12, 8)
+        g = built(spec, shift)
         assert g == prism_complement(8)
         assert "prism" in recipe
 
@@ -321,8 +362,17 @@ class TestSearch:
             return dataclasses.replace(real(spec, shift), total_nullity=1)
 
         monkeypatch.setattr(constructions, "nut_check_spectral", claims_nullity_one)
-        with pytest.raises(RuntimeError, match="direct kernel"):
+        with pytest.raises(RuntimeError, match="no \\+-1 character"):
             circulant_search(8, 2)  # the 8-cycle has nullity 2
+
+
+    def test_direct_kernel_disagreement_raises(self, monkeypatch):
+        def wrong_vector(g):
+            return NutCertificate(1, (1,) * g.order)
+
+        monkeypatch.setattr(constructions, "nut_check_direct", wrong_vector)
+        with pytest.raises(RuntimeError, match="direct kernel disagrees"):
+            circulant_search(8, 4)
 
 
 # -- the search before the spectral screen, kept as a test-only oracle ----------
