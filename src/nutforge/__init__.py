@@ -16,7 +16,7 @@ verdict.
 
 from .exact import IntMatrix, Polynomial, matrix_kernel
 from .cyclotomic import divides_cyclotomic, enumerate_feasible_indices
-from .numtheory import divisors, euler_phi, factorize, radical
+from .numtheory import divisors, euler_phi, factorize
 from .graphs import (
     BicirculantSpec,
     CirculantSpec,
@@ -46,26 +46,20 @@ from .constructions import (
     InfeasiblePairError,
     SearchExhaustedError,
     Witness,
-    are_isomorphic,
     canonical_form,
+    catalog_witness,
     census,
     circulant_search,
-    complement_gap6_spec,
-    complement_gap10_spec,
-    complement_gap14_spec,
+    complement_family_spec,
     construct,
     dihedral_2_mod_8_spec,
     dihedral_6_mod_8_spec,
     feasible_vt,
-    moebius_complement,
-    prism_complement,
-    sporadic_witness,
 )
 from .lemmas import (
     FAMILIES,
     FAMILY_TAGS,
     VerificationReport,
-    build_family,
     candidate_divisor_indices,
     verify_family_bounded,
     verify_finite_case_analysis,
@@ -77,7 +71,7 @@ __version__ = "0.1.0"
 __all__ = [
     "IntMatrix", "Polynomial", "matrix_kernel",
     "divides_cyclotomic", "enumerate_feasible_indices",
-    "divisors", "euler_phi", "factorize", "radical",
+    "divisors", "euler_phi", "factorize",
     "BicirculantSpec", "CirculantSpec", "DihedralSpec", "Graph",
     "build_bicirculant", "build_circulant", "build_dihedral",
     "complement", "from_graph6", "is_regular", "parse_graph", "serialize",
@@ -85,12 +79,10 @@ __all__ = [
     "NutCertificate", "SpectralReport", "det_polynomial", "nullity_shifted",
     "nut_check_direct", "nut_check_spectral", "trace_polynomial",
     "FeasibilityVerdict", "InfeasiblePairError", "SearchExhaustedError",
-    "Witness", "are_isomorphic", "canonical_form", "census", "circulant_search",
-    "complement_gap6_spec", "complement_gap10_spec", "complement_gap14_spec",
-    "construct", "dihedral_2_mod_8_spec", "dihedral_6_mod_8_spec",
-    "feasible_vt", "moebius_complement", "prism_complement",
-    "sporadic_witness",
-    "FAMILIES", "FAMILY_TAGS", "VerificationReport", "build_family",
+    "Witness", "canonical_form", "catalog_witness", "census", "circulant_search",
+    "complement_family_spec", "construct", "dihedral_2_mod_8_spec",
+    "dihedral_6_mod_8_spec", "feasible_vt",
+    "FAMILIES", "FAMILY_TAGS", "VerificationReport",
     "candidate_divisor_indices", "verify_family_bounded",
     "verify_finite_case_analysis", "verify_unique_remainder",
 ]

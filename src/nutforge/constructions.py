@@ -6,17 +6,19 @@ exists iff
 * d is even with d >= 4 and n is even with n >= d + 4, and
 * additionally 4 | n and n >= d + 6 when d = 2 (mod 4).
 
-``construct`` returns a certified witness for every feasible pair.  Witnesses
-come from a catalog of parameterized dihedral-group constructions:
+``construct`` returns a certified witness for every feasible pair: the
+first rule of ``catalog_witness`` that fits, each rule a parameterized
+circulant or dihedral-group construction, tried in order:
 
+* a finite table of sporadic dihedral Cayley graphs for a few small pairs,
+* the Moebius-ladder and prism complements for order d + 4,
 * two direct families covering degrees 6 (mod 8) and 2 (mod 8) once the order
   is large enough relative to the degree,
-* three complement families covering the remaining orders d + 6, d + 10 and
-  d + 14 for large enough degree,
-* a finite catalog of sporadic dihedral Cayley graphs for a few small
-  pairs, and the Moebius-ladder and prism complements for order d + 4,
-* a deterministic bounded search over circulant connection sets for the
-  degrees divisible by four beyond order d + 4.
+* three complement families, one table of base graphs, covering the
+  remaining orders d + 6, d + 10 and d + 14 for large enough degree.
+
+A deterministic bounded search over circulant connection sets covers the
+degrees divisible by four beyond order d + 4.
 
 ``census`` lists the nut graphs of a family at (n, d), one witness per
 isomorphism class: candidates come in a fixed order, and a witness is kept
@@ -37,9 +39,9 @@ that pass it are built.  Every witness, whichever construction produced it,
 passes one gate, ``_certify``, which takes the witness as a spec: a spectral
 nullity of exactly one, a +-1 character of the group checked exactly as a
 kernel vector of the built graph, the order and degree, and the existence
-law of ``feasible_vt``.  Catalog, family and census witnesses run no O(n^3)
-kernel; a search hit is also checked against the direct kernel.  The outputs
-are certificates, not citations.
+law of ``feasible_vt``.  Catalog and census witnesses run no O(n^3)
+kernel; a search hit is also checked against the direct kernel.  The
+outputs are certificates, not citations.
 """
 
 from __future__ import annotations
@@ -154,35 +156,31 @@ def dihedral_2_mod_8_spec(t: int, m: int) -> DihedralSpec:
     return DihedralSpec(m, _rotation_band(t, m), refl)
 
 
-def complement_gap6_spec(d: int) -> DihedralSpec:
-    """Base graph whose complement is d-regular of order d + 6 (d >= 14,
-    d = 2 (mod 4)): rotations +-2, reflections {0, 8, 9}."""
-    if d < 14 or d % 4 != 2:
-        raise ValueError(f"need d >= 14 with d = 2 (mod 4), got {d}")
-    m = (d + 6) // 2
-    return DihedralSpec(m, {2, m - 2}, {0, 8, 9})
+#: Order-(d + gap) complement families, d = 2 (mod 4): gap -> (least degree,
+#: rotation exponents, reflections) of the base graph on D_m, m = (d + gap) / 2,
+#: whose rotations are +- each exponent.
+_COMPLEMENT_FAMILIES: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {
+    6: (14, (2,), (0, 8, 9)),
+    10: (22, (2, 4), (0, 2, 6, 7, 15)),
+    14: (26, (2, 4, 7), (0, 2, 6, 7, 14, 17, 19)),
+}
 
 
-def complement_gap10_spec(d: int) -> DihedralSpec:
-    """Base graph whose complement is d-regular of order d + 10 (d >= 22,
-    d = 2 (mod 4)): rotations +-2, +-4, reflections {0, 2, 6, 7, 15}."""
-    if d < 22 or d % 4 != 2:
-        raise ValueError(f"need d >= 22 with d = 2 (mod 4), got {d}")
-    m = (d + 10) // 2
-    return DihedralSpec(m, {2, 4, m - 4, m - 2}, {0, 2, 6, 7, 15})
+def complement_family_spec(d: int, gap: int) -> DihedralSpec:
+    """Base graph whose complement is d-regular of order d + gap, for a gap
+    of ``_COMPLEMENT_FAMILIES`` (6, 10 or 14) and d = 2 (mod 4) at least the
+    gap's least degree (14, 22 or 26)."""
+    if gap not in _COMPLEMENT_FAMILIES:
+        raise ValueError(f"no complement family of gap {gap}; "
+                         f"expected one of {tuple(_COMPLEMENT_FAMILIES)}")
+    d_min, exponents, refl = _COMPLEMENT_FAMILIES[gap]
+    if d < d_min or d % 4 != 2:
+        raise ValueError(f"need d >= {d_min} with d = 2 (mod 4), got {d}")
+    m = (d + gap) // 2
+    return DihedralSpec(m, {r % m for e in exponents for r in (e, -e)}, refl)
 
 
-def complement_gap14_spec(d: int) -> DihedralSpec:
-    """Base graph whose complement is d-regular of order d + 14 (d >= 26,
-    d = 2 (mod 4)): rotations +-2, +-4, +-7, reflections
-    {0, 2, 6, 7, 14, 17, 19}."""
-    if d < 26 or d % 4 != 2:
-        raise ValueError(f"need d >= 26 with d = 2 (mod 4), got {d}")
-    m = (d + 14) // 2
-    return DihedralSpec(m, {2, 4, 7, m - 7, m - 4, m - 2}, {0, 2, 6, 7, 14, 17, 19})
-
-
-# -- sporadic catalog -----------------------------------------------------------
+# -- the witness catalog --------------------------------------------------------
 
 _SPORADIC_DIHEDRAL: dict[tuple[int, int], tuple[int, frozenset, frozenset]] = {
     (12, 6): (6, frozenset({1, 3, 5}), frozenset({0, 2, 3})),
@@ -197,61 +195,44 @@ _SPORADIC_DIHEDRAL: dict[tuple[int, int], tuple[int, frozenset, frozenset]] = {
 }
 
 
-def moebius_complement(n: int) -> Graph:
-    """Complement of the Moebius ladder on n vertices: (n - 4)-regular."""
-    return complement(build_circulant(CirculantSpec(n, {1, n // 2})))
+def catalog_witness(n: int, d: int):
+    """(spec, shift, recipe) of the first catalog rule that fits (n, d), or
+    None when none does.  Shift 1 means the witness is the complement of the
+    spec's graph, so every recipe names a circulant, a dihedral Cayley graph
+    or the complement of one.  The rules, in order:
 
-
-def prism_complement(d: int) -> Graph:
-    """Complement of the prism on d + 4 vertices: d-regular of order d + 4
-    (used for degrees divisible by 8)."""
-    m = (d + 4) // 2
-    return complement(build_dihedral(DihedralSpec(m, {1, m - 1}, {0})))
-
-
-def sporadic_witness(n: int, d: int):
-    """Catalogued (spec, shift, recipe) for the finitely many special pairs,
-    or the order-(d + 4) complements: the Moebius ladder's when d = 4 (mod 8),
-    the prism's when 8 | d.  None when no catalog entry fits.  Shift 1 means
-    the witness is the complement of the spec's graph, so every recipe names
-    a circulant, a dihedral Cayley graph or the complement of one."""
+    1. the sporadic table;
+    2. order d + 4: the Moebius ladder's complement when d = 4 (mod 8), the
+       prism's when 8 | d;
+    3. d = 2 (mod 4) with 4 | n: the direct family of the degree, 8t + 6 or
+       8t + 10, once the order is large enough;
+    4. d = 2 (mod 4): the complement family of the gap n - d.
+    """
     entry = _SPORADIC_DIHEDRAL.get((n, d))
     if entry is not None:
         spec = DihedralSpec(*entry)
         return spec, 0, f"sporadic {spec.describe()}"
     if n == d + 4 and d % 8 == 4:
-        return (CirculantSpec(n, {1, n // 2}), 1,
-                f"complement(circulant(n={n}, jumps=[1, {n // 2}]))  # Moebius ladder")
+        spec = CirculantSpec(n, {1, n // 2})
+        return spec, 1, f"complement({spec.describe()})  # Moebius ladder"
     if n == d + 4 and d % 8 == 0 and d >= 8:
-        m = (d + 4) // 2
-        return (DihedralSpec(m, {1, m - 1}, {0}), 1,
-                f"complement(dihedral(m={m}, rotations=[1, {m - 1}], reflections=[0]))"
-                "  # prism")
-    return None
-
-
-def _dihedral_family_witness(n: int, d: int):
-    """(spec, shift, recipe) for d = 2 (mod 4) from the parameterized
-    families: the direct family of the degree once the order is large
-    enough, else the complement family (shift 1) of the gap n - d, else
-    None."""
+        m = n // 2
+        spec = DihedralSpec(m, {1, m - 1}, {0})
+        return spec, 1, f"complement({spec.describe()})  # prism"
+    if d % 4 != 2 or d < 6 or n % 4:
+        return None
     m = n // 2
-    if d % 8 == 6:
-        t = (d - 6) // 8
-        if m >= 4 * t + 8:
-            spec = dihedral_6_mod_8_spec(t, m)
-            return spec, 0, f"degree-(8t+6) family, t={t}: {spec.describe()}"
-    else:
-        t = (d - 10) // 8
-        if m >= 4 * t + 14:
-            spec = dihedral_2_mod_8_spec(t, m)
-            return spec, 0, f"degree-(8t+10) family, t={t}: {spec.describe()}"
-    for gap, d_min, spec_fn in ((6, 14, complement_gap6_spec), (10, 22, complement_gap10_spec),
-                                (14, 26, complement_gap14_spec)):
-        if n - d == gap and d >= d_min:
-            spec = spec_fn(d)
-            return (spec, 1,
-                    f"order-(d+{gap}) complement family: complement({spec.describe()})")
+    t, r = divmod(d - 6, 8)  # d = 8t + 6 when r is 0, d = 8t + 10 when r is 4
+    if r == 0 and m >= 4 * t + 8:
+        spec = dihedral_6_mod_8_spec(t, m)
+        return spec, 0, f"degree-(8t+6) family, t={t}: {spec.describe()}"
+    if r == 4 and m >= 4 * t + 14:
+        spec = dihedral_2_mod_8_spec(t, m)
+        return spec, 0, f"degree-(8t+10) family, t={t}: {spec.describe()}"
+    gap = n - d
+    if gap in _COMPLEMENT_FAMILIES and d >= _COMPLEMENT_FAMILIES[gap][0]:
+        spec = complement_family_spec(d, gap)
+        return spec, 1, f"order-(d+{gap}) complement family: complement({spec.describe()})"
     return None
 
 
@@ -338,18 +319,16 @@ def _screen(spec: CirculantSpec | DihedralSpec) -> Witness | None:
 def construct(n: int, d: int, budget: int | None = None) -> Witness:
     """A certified d-regular nut-graph witness of order n.
 
-    Dispatch: sporadic catalog; then the parameterized dihedral families for
-    d = 2 (mod 4); then the circulant search for the remaining degrees
-    divisible by 4.  Every branch ends in ``_certify``.  Raises
-    InfeasiblePairError on infeasible input and SearchExhaustedError when the
-    search ends empty; never returns an unverified graph.
+    Dispatch: the first rule of ``catalog_witness`` that fits, else the
+    circulant search, which covers the remaining degrees divisible by 4.
+    Every witness passes ``_certify``.  Raises InfeasiblePairError on
+    infeasible input and SearchExhaustedError when the search ends empty;
+    never returns an unverified graph.
     """
     verdict = feasible_vt(n, d)
     if not verdict.exists:
         raise InfeasiblePairError(verdict.reason)
-    found = sporadic_witness(n, d)
-    if found is None and d % 4 == 2:
-        found = _dihedral_family_witness(n, d)
+    found = catalog_witness(n, d)
     if found is not None:
         return _certify(*found, n, d)
     w = circulant_search(n, d, budget)
@@ -592,13 +571,6 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
 
     search(_refine(rows, [list(range(n))], {0}), [])
     return (n, *best_cert)
-
-
-def are_isomorphic(a: Graph, b: Graph) -> bool:
-    """Exact isomorphism test via canonical forms."""
-    if a.order != b.order or sorted(a.degrees()) != sorted(b.degrees()):
-        return False
-    return canonical_form(a) == canonical_form(b)
 
 
 def _budgeted(tasks, budget: int, family: str, n: int, d: int):

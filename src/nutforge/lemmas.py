@@ -127,11 +127,6 @@ def _family(tag: str) -> PolynomialFamily:
         raise ValueError(f"unknown family tag {tag!r}; expected one of {FAMILY_TAGS}")
 
 
-def build_family(tag: str, t: int) -> Polynomial:
-    """The family member at parameter t, with colliding exponents merged."""
-    return _family(tag).member(t)
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one verification run.

@@ -1,8 +1,8 @@
-"""Small exact number-theory helpers: factorization, totient, radical, primality.
+"""Small exact number-theory helpers: factorization, totient, primality.
 
 Everything here works on plain Python integers and is deterministic.  The
-totient and radical are always derived from an explicit prime factorization,
-never by counting residues.
+totient is always derived from an explicit prime factorization, never by
+counting residues.
 """
 
 from __future__ import annotations
@@ -30,14 +30,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
 def prime_factors(n: int) -> list[int]:
     """Distinct prime divisors of n >= 1, ascending."""
     return [p for p, _ in factorize(n)]
-
-
-def radical(n: int) -> int:
-    """Largest square-free positive divisor of n >= 1 (empty product for n = 1)."""
-    r = 1
-    for p in prime_factors(n):
-        r *= p
-    return r
 
 
 def euler_phi(n: int) -> int:

@@ -116,6 +116,19 @@ def relabel(g: Graph, perm) -> Graph:
     return Graph.from_edges(n, [(inverse[u], inverse[v]) for u, v in g.edges()])
 
 
+def moebius_ladder(n: int) -> Graph:
+    """The n-cycle with its n/2 diameters, from its edge list."""
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]
+                            + [(i, i + n // 2) for i in range(n // 2)])
+
+
+def prism(m: int) -> Graph:
+    """Two m-cycles, on 0..m-1 and m..2m-1, joined by the spokes i, m + i."""
+    return Graph.from_edges(2 * m, [(i, (i + 1) % m) for i in range(m)]
+                            + [(m + i, m + (i + 1) % m) for i in range(m)]
+                            + [(i, m + i) for i in range(m)])
+
+
 def build_lcf(n: int, pattern) -> Graph:
     """Cubic Hamiltonian graph from exponential LCF notation: the cycle
     0..n-1 plus the chord i -> i + pattern[i mod len(pattern)] (mod n).

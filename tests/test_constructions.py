@@ -14,20 +14,15 @@ from nutforge.constructions import (
     InfeasiblePairError,
     SearchExhaustedError,
     Witness,
-    are_isomorphic,
     canonical_form,
+    catalog_witness,
     census,
     circulant_search,
-    complement_gap6_spec,
-    complement_gap10_spec,
-    complement_gap14_spec,
+    complement_family_spec,
     construct,
     dihedral_2_mod_8_spec,
     dihedral_6_mod_8_spec,
     feasible_vt,
-    moebius_complement,
-    prism_complement,
-    sporadic_witness,
 )
 from nutforge.graphs import (
     CirculantSpec,
@@ -40,7 +35,7 @@ from nutforge.graphs import (
     to_graph6,
 )
 from nutforge.verify import NutCertificate, nut_check_direct, nut_check_spectral
-from oracles import relabel
+from oracles import moebius_ladder, prism, relabel
 
 
 def oracle_feasible(n, d):
@@ -170,17 +165,17 @@ class TestFamilySpecs:
         assert s.reflections == frozenset({0, 1, 2, 5, 7, 9, 10, 13, 14, 15, 16, 17})
 
     def test_complement_family_instances(self):
-        s = complement_gap6_spec(14)
+        s = complement_family_spec(14, 6)
         assert (s.m, s.rotations, s.reflections) == (10, frozenset({2, 8}),
                                                      frozenset({0, 8, 9}))
-        assert complement_gap6_spec(18).m == 12
-        assert complement_gap6_spec(18).rotations == frozenset({2, 10})
-        assert complement_gap6_spec(22).rotations == frozenset({2, 12})
-        s = complement_gap10_spec(22)
+        assert complement_family_spec(18, 6).m == 12
+        assert complement_family_spec(18, 6).rotations == frozenset({2, 10})
+        assert complement_family_spec(22, 6).rotations == frozenset({2, 12})
+        s = complement_family_spec(22, 10)
         assert (s.m, s.rotations) == (16, frozenset({2, 4, 12, 14}))
         assert s.reflections == frozenset({0, 2, 6, 7, 15})
-        assert complement_gap10_spec(26).rotations == frozenset({2, 4, 14, 16})
-        s = complement_gap14_spec(26)
+        assert complement_family_spec(26, 10).rotations == frozenset({2, 4, 14, 16})
+        s = complement_family_spec(26, 14)
         assert (s.m, s.rotations) == (20, frozenset({2, 4, 7, 13, 16, 18}))
         assert s.reflections == frozenset({0, 2, 6, 7, 14, 17, 19})
 
@@ -192,11 +187,15 @@ class TestFamilySpecs:
         with pytest.raises(ValueError):
             dihedral_2_mod_8_spec(0, 12)
         with pytest.raises(ValueError):
-            complement_gap6_spec(10)
+            complement_family_spec(10, 6)
         with pytest.raises(ValueError):
-            complement_gap10_spec(18)
+            complement_family_spec(18, 10)
         with pytest.raises(ValueError):
-            complement_gap14_spec(22)
+            complement_family_spec(22, 14)
+        with pytest.raises(ValueError):
+            complement_family_spec(24, 14)  # d = 0 (mod 4)
+        with pytest.raises(ValueError, match="no complement family of gap 8"):
+            complement_family_spec(30, 8)
 
     def test_family_degrees(self):
         for t, m in ((0, 8), (1, 12), (2, 20)):
@@ -215,23 +214,23 @@ def built(spec, shift):
 
 class TestSporadic:
     def test_twelve_six(self):
-        spec, shift, recipe = sporadic_witness(12, 6)
+        spec, shift, recipe = catalog_witness(12, 6)
         g = built(spec, shift)
         assert g.order == 12 and is_regular(g) == 6
         assert "dihedral(m=6" in recipe
 
     def test_moebius_slot(self):
-        spec, shift, recipe = sporadic_witness(16, 12)
+        spec, shift, recipe = catalog_witness(16, 12)
         g = built(spec, shift)
-        assert g == moebius_complement(16)
+        assert g == complement(moebius_ladder(16))
         assert is_regular(g) == 12
-        assert "circulant(n=16, jumps=[1, 8])" in recipe
+        assert recipe == "complement(circulant(n=16, jumps=[1, 8]))  # Moebius ladder"
 
     def test_lcf_slot(self):
         # (20, 16) once took an LCF complement ahead of the prism rule.
-        spec, shift, recipe = sporadic_witness(20, 16)
+        spec, shift, recipe = catalog_witness(20, 16)
         g = built(spec, shift)
-        assert g == prism_complement(16)
+        assert g == complement(prism(10))
         assert recipe == ("complement(dihedral(m=10, rotations=[1, 9], reflections=[0]))"
                           "  # prism")
         assert constructions._certify(spec, shift, recipe, 20, 16).certificate.is_nut
@@ -248,9 +247,7 @@ class TestSporadic:
             for n in range(1, 121):
                 if not feasible_vt(n, d).exists:
                     continue
-                found = sporadic_witness(n, d)
-                if found is None and d % 4 == 2:
-                    found = constructions._dihedral_family_witness(n, d)
+                found = catalog_witness(n, d)
                 if found is None:
                     continue
                 spec, shift, recipe = found
@@ -269,13 +266,27 @@ class TestSporadic:
         assert checked > 200
 
     def test_prism_slot(self):
-        spec, shift, recipe = sporadic_witness(12, 8)
+        spec, shift, recipe = catalog_witness(12, 8)
         g = built(spec, shift)
-        assert g == prism_complement(8)
+        assert g == complement(prism(6))
         assert "prism" in recipe
 
     def test_absent(self):
-        assert sporadic_witness(16, 6) is None
+        # (16, 6), outside the sporadic table, falls to the degree-(8t+6)
+        # family.  The search's pairs and the infeasible ones, out-of-range
+        # ones included, give None; every rule that fits names a graph of
+        # the pair's order and degree.
+        assert catalog_witness(14, 8) is None
+        assert catalog_witness(24, 8) is None
+        assert catalog_witness(16, 6)[2].startswith("degree-(8t+6) family")
+        for d in range(-2, 41):
+            for n in range(-4, 121):
+                found = catalog_witness(n, d)
+                if found is None:
+                    assert n < 1 or d < 0 or d % 4 == 0 or not feasible_vt(n, d).exists, (n, d)
+                else:
+                    g = built(*found[:2])
+                    assert (g.order, is_regular(g)) == (n, d), (n, d)
 
 
 class TestConstruct:
@@ -293,7 +304,7 @@ class TestConstruct:
 
     def test_prism_complement_pair(self):
         w = construct(12, 8)
-        assert w.graph == prism_complement(8)
+        assert w.graph == complement(prism(6))
         assert w.certificate.is_nut
 
     def test_infeasible_raises(self):
@@ -320,11 +331,9 @@ class TestConstruct:
             for m in range(4 * t + 14, 4 * t + 44, 2):
                 rep = nut_check_spectral(dihedral_2_mod_8_spec(t, m).as_bicirculant(), 0)
                 assert rep.singular_divisors == (2,) and rep.total_nullity == 1
-        families = ((complement_gap6_spec, 14), (complement_gap10_spec, 22),
-                    (complement_gap14_spec, 26))
-        for spec_fn, d_min in families:
+        for gap, d_min in ((6, 14), (10, 22), (14, 26)):
             for d in range(d_min, 47, 4):
-                rep = nut_check_spectral(spec_fn(d).as_bicirculant(), 1)
+                rep = nut_check_spectral(complement_family_spec(d, gap).as_bicirculant(), 1)
                 assert rep.singular_divisors == (1,) and rep.total_nullity == 1
 
 
@@ -409,7 +418,7 @@ class TestScreenMatchesKernelSearch:
                  if (n, d) not in ((16, 8), (20, 16))]
         assert len(pairs) == 71
         for n, d in pairs:
-            assert sporadic_witness(n, d) is None
+            assert catalog_witness(n, d) is None
             assert construct(n, d) == _kernel_construct(n, d), (n, d)
 
     @pytest.mark.parametrize("family,n,d", [("dihedral", 14, 8), ("circulant", 24, 8)])
@@ -552,7 +561,6 @@ class TestCanonicalMatchesBruteForce:
         for a, b in pairs:
             same = brute_canonical_form(a) == brute_canonical_form(b)
             assert (canonical_form(a) == canonical_form(b)) == same
-            assert are_isomorphic(a, b) == same
             outcomes.add(same)
         assert outcomes == {True, False}
 
@@ -632,7 +640,7 @@ class TestCanonicalAndCensus:
 
     def test_census_dihedral_contains_prism_complement(self):
         classes = census("dihedral", 12, 8)
-        target = canonical_form(prism_complement(8))
+        target = canonical_form(complement(prism(6)))
         assert len(classes) >= 1
         assert any(canonical_form(w.graph) == target for w in classes)
 
@@ -653,7 +661,7 @@ class TestCanonicalAndCensus:
         a = build_dihedral(DihedralSpec(8, {1, 2, 3, 5, 6, 7}, {0, 2, 3, 4}))
         b = complement(build_dihedral(DihedralSpec(8, {4}, {1, 5, 6, 7})))
         assert nut_check_direct(a).is_nut and nut_check_direct(b).is_nut
-        assert are_isomorphic(complement(a), complement(b))
+        assert canonical_form(complement(a)) == canonical_form(complement(b))
 
 
 # -- census over automorphism orbits ---------------------------------------------

@@ -1,12 +1,13 @@
 """Tests for cyclotomic polynomial generation, divisibility, and index pruning."""
 
+import math
 import random
 
 import pytest
 
 from nutforge.cyclotomic import divides_cyclotomic, enumerate_feasible_indices
 from nutforge.exact import Polynomial
-from nutforge.numtheory import divisors, euler_phi, factorize, radical
+from nutforge.numtheory import divisors, euler_phi, factorize, prime_factors
 from oracles import (
     cyclotomic,
     divides_cyclotomic_by_evaluation,
@@ -191,16 +192,11 @@ class TestRegroupingGate:
 
 
 class TestRadicalHelpers:
-    def test_radical_values(self):
-        assert radical(12) == 6
-        assert radical(1) == 1
-        assert radical(8) == 2
-
     @staticmethod
     def scaling_identity_holds(n):
         # The n-th cyclotomic polynomial is the rad(n)-th one with every
         # exponent multiplied by n/rad(n); both sides are built independently.
-        rad = radical(n)
+        rad = math.prod(prime_factors(n))
         return cyclotomic(n) == scale_exponents(cyclotomic(rad), n // rad)
 
     def test_scaling_identity(self):
@@ -234,7 +230,7 @@ class TestFeasibleIndices:
             ps = [p for p, _ in factorize(b)]
             assert set(ps) <= set(allowed)
             assert sum(p - 2 for p in ps) <= 8
-            assert b // radical(b) < 6
+            assert b // math.prod(prime_factors(b)) < 6
             assert b >= 2
 
     def test_forbid_four(self):

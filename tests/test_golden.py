@@ -1,0 +1,84 @@
+"""Golden output: the bytes ``construct`` and ``census`` print, pinned by
+SHA-256.
+
+The construct digest covers ``construct N D --format jsonl`` for every
+feasible pair with d <= 40 and n <= 120, in (d, n) order; the census digest
+covers the eleven censuses of the benchmark's census workload, in the order
+below.  A change that keeps the output keeps both digests.  A change that
+alters the output on purpose records the new digests in the same change and
+says why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from nutforge.cli import main
+from nutforge.constructions import feasible_vt
+
+CONSTRUCT_SHA256 = "9379aa5937a09125063d352a3fddf37ffc4f174f0269899178589b5c9552f2d9"
+CENSUS_SHA256 = "55da40bcf50ca7066a87749f21fdbeb0638cffc896efb9a09faa2db66bcf087f"
+
+# (family, n, d, dedup): the census benchmark workload's requests.
+CENSUS_CASES = (
+    ("dihedral", 14, 8, True),
+    ("dihedral", 14, 8, False),
+    ("circulant", 18, 8, True),
+    ("circulant", 24, 8, False),
+    ("circulant", 8, 4, True),
+    ("circulant", 10, 4, True),
+    ("circulant", 12, 4, True),
+    ("dihedral", 8, 4, True),
+    ("dihedral", 10, 4, True),
+    ("dihedral", 12, 6, True),
+    ("dihedral", 12, 8, True),
+)
+
+
+def stdout_of(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main([str(a) for a in argv]) == 0, argv
+    return buf.getvalue()
+
+
+def test_construct_grid_output():
+    pairs = [(n, d) for d in range(41) for n in range(1, 121) if feasible_vt(n, d).exists]
+    assert len(pairs) == 696
+    digest = hashlib.sha256()
+    for n, d in pairs:
+        digest.update(stdout_of("construct", n, d, "--format", "jsonl").encode())
+    assert digest.hexdigest() == CONSTRUCT_SHA256
+
+
+def test_census_workload_output():
+    digest = hashlib.sha256()
+    for family, n, d, dedup in CENSUS_CASES:
+        flags = () if dedup else ("--no-dedup",)
+        digest.update(stdout_of("census", "--family", family, n, d, "--jobs", 1,
+                                *flags).encode())
+    assert digest.hexdigest() == CENSUS_SHA256
+
+
+@pytest.mark.parametrize("n,d,recipe", [
+    (12, 6, "sporadic dihedral(m=6, rotations=[1, 3, 5], reflections=[0, 2, 3])"),
+    (16, 12, "complement(circulant(n=16, jumps=[1, 8]))  # Moebius ladder"),
+    (12, 8, "complement(dihedral(m=6, rotations=[1, 5], reflections=[0]))  # prism"),
+    (16, 6, "degree-(8t+6) family, t=0: "
+            "dihedral(m=8, rotations=[1, 7], reflections=[0, 1, 4, 6])"),
+    (28, 10, "degree-(8t+10) family, t=0: "
+             "dihedral(m=14, rotations=[1, 13], reflections=[0, 1, 2, 5, 7, 9, 10, 13])"),
+    (20, 14, "order-(d+6) complement family: "
+             "complement(dihedral(m=10, rotations=[2, 8], reflections=[0, 8, 9]))"),
+    (36, 26, "order-(d+10) complement family: complement(dihedral(m=18, "
+             "rotations=[2, 4, 14, 16], reflections=[0, 2, 6, 7, 15]))"),
+    (40, 26, "order-(d+14) complement family: complement(dihedral(m=20, "
+             "rotations=[2, 4, 7, 13, 16, 18], reflections=[0, 2, 6, 7, 14, 17, 19]))"),
+    (14, 8, "circulant(n=14, jumps=[1, 2, 3, 4])"),
+])
+def test_recipe_of_each_rule(n, d, recipe):
+    # One pair per catalog rule, in catalog order, then one search pair.
+    assert json.loads(stdout_of("construct", n, d, "--format", "jsonl"))["recipe"] == recipe

@@ -13,7 +13,6 @@ from nutforge.lemmas import (
     CaseConstraints,
     PolynomialFamily,
     _failing_parameters,
-    build_family,
     candidate_divisor_indices,
     verify_family_bounded,
     verify_finite_case_analysis,
@@ -40,22 +39,22 @@ class TestBuildFamily:
     def test_q_at_zero_merges_collisions(self):
         # Substituting t = 0 collides exponents 4, 3, 2 and 0; the merged
         # polynomial is x^7 - x^5 + x^4 - x^3.
-        assert build_family("Q", 0) == Polynomial({7: 1, 5: -1, 4: 1, 3: -1})
+        assert FAMILIES["Q"].member(0) == Polynomial({7: 1, 5: -1, 4: 1, 3: -1})
 
     def test_q_at_one(self):
-        assert build_family("Q", 1) == Polynomial(
+        assert FAMILIES["Q"].member(1) == Polynomial(
             {11: 1, 9: -1, 8: -1, 6: 2, 5: 1, 4: -1, 0: -1})
 
     def test_r_at_two_shape(self):
-        p = build_family("R", 2)
+        p = FAMILIES["R"].member(2)
         assert p.degree == 8 * 2 + 15 == 31
         assert p.terms[p.degree] == 1
 
     def test_unknown_tag(self):
+        with pytest.raises(ValueError, match="unknown family tag 'Z'"):
+            verify_family_bounded("Z", 0)
         with pytest.raises(ValueError):
-            build_family("Z", 0)
-        with pytest.raises(ValueError):
-            build_family("Q", -1)
+            FAMILIES["Q"].member(-1)
 
     def test_term_counts(self):
         assert len(FAMILIES["Q"].terms) == 10
@@ -69,7 +68,7 @@ class TestRootAtOne:
     def test_one_is_always_a_root(self, tag):
         # the value at x = 1 is the coefficient sum
         for t in range(0, 26):
-            assert sum(build_family(tag, t).terms.values()) == 0
+            assert sum(FAMILIES[tag].member(t).terms.values()) == 0
 
 
 class TestCandidateIndices:
@@ -121,7 +120,7 @@ class TestBoundedVerification:
         assert rep.ok
         assert [t for t, _ in rep.indices_checked] == list(range(21))
         for t, detail in rep.indices_checked:
-            deg = build_family(tag, t).degree
+            deg = FAMILIES[tag].member(t).degree
             count = len(candidate_divisor_indices(deg, low))
             assert detail == f"{count} candidate indices, degree {deg}"
 
@@ -225,7 +224,7 @@ class TestFiniteCaseAnalysis:
         # members: exercised here explicitly for a spread of (t, b).
         for tag in ("Q", "S"):
             for t in (0, 1, 4):
-                p = build_family(tag, t)
+                p = FAMILIES[tag].member(t)
                 for b in (2, 3, 5, 8, 12):
                     assert divides_cyclotomic(p, b) == \
                         divides_cyclotomic(p.cyclic_reduce(b), b)
