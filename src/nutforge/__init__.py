@@ -7,14 +7,14 @@ exists, produces a certified witness graph for every feasible pair via
 dihedral-group and circulant constructions, and re-verifies the cyclotomic
 non-divisibility facts those constructions rest on.
 
-All certification is exact: arbitrary-precision integer polynomials,
-nullspaces certified from two sides and returned as primitive integer
+All certification is exact: integer polynomials as exponent -> coefficient
+maps, nullspaces certified from two sides and returned as primitive integer
 vectors, and cyclotomic divisibility decided by regrouping exponents over
 the primes of the index.  No floating point is involved anywhere in a
 verdict.
 """
 
-from .exact import IntMatrix, Polynomial, matrix_kernel
+from .exact import IntMatrix, matrix_kernel
 from .cyclotomic import divides_cyclotomic, enumerate_feasible_indices
 from .numtheory import divisors, euler_phi, factorize
 from .graphs import (
@@ -35,11 +35,10 @@ from .graphs import (
 from .verify import (
     NutCertificate,
     SpectralReport,
-    det_polynomial,
+    block_invariants,
     nullity_shifted,
     nut_check_direct,
     nut_check_spectral,
-    trace_polynomial,
 )
 from .constructions import (
     FeasibilityVerdict,
@@ -52,8 +51,7 @@ from .constructions import (
     circulant_search,
     complement_family_spec,
     construct,
-    dihedral_2_mod_8_spec,
-    dihedral_6_mod_8_spec,
+    direct_family_spec,
     feasible_vt,
 )
 from .lemmas import (
@@ -69,19 +67,18 @@ from .lemmas import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntMatrix", "Polynomial", "matrix_kernel",
+    "IntMatrix", "matrix_kernel",
     "divides_cyclotomic", "enumerate_feasible_indices",
     "divisors", "euler_phi", "factorize",
     "BicirculantSpec", "CirculantSpec", "DihedralSpec", "Graph",
     "build_bicirculant", "build_circulant", "build_dihedral",
     "complement", "from_graph6", "is_regular", "parse_graph", "serialize",
     "to_graph6",
-    "NutCertificate", "SpectralReport", "det_polynomial", "nullity_shifted",
-    "nut_check_direct", "nut_check_spectral", "trace_polynomial",
+    "NutCertificate", "SpectralReport", "block_invariants", "nullity_shifted",
+    "nut_check_direct", "nut_check_spectral",
     "FeasibilityVerdict", "InfeasiblePairError", "SearchExhaustedError",
     "Witness", "canonical_form", "catalog_witness", "census", "circulant_search",
-    "complement_family_spec", "construct", "dihedral_2_mod_8_spec",
-    "dihedral_6_mod_8_spec", "feasible_vt",
+    "complement_family_spec", "construct", "direct_family_spec", "feasible_vt",
     "FAMILIES", "FAMILY_TAGS", "VerificationReport",
     "candidate_divisor_indices", "verify_family_bounded",
     "verify_finite_case_analysis", "verify_unique_remainder",

@@ -12,8 +12,8 @@ circulant or dihedral-group construction, tried in order:
 
 * a finite table of sporadic dihedral Cayley graphs for a few small pairs,
 * the Moebius-ladder and prism complements for order d + 4,
-* two direct families covering degrees 6 (mod 8) and 2 (mod 8) once the order
-  is large enough relative to the degree,
+* two direct families, one table, covering degrees 6 (mod 8) and 2 (mod 8)
+  once the order is large enough relative to the degree,
 * three complement families, one table of base graphs, covering the
   remaining orders d + 6, d + 10 and d + 14 for large enough degree.
 
@@ -133,27 +133,30 @@ def _rotation_band(t: int, m: int) -> set[int]:
     return rot
 
 
-def dihedral_6_mod_8_spec(t: int, m: int) -> DihedralSpec:
-    """Degree-(8t + 6) dihedral connection set on 2m vertices (even m >= 4t + 8):
-    rotation band +-1..+-(2t + 1), reflections {0, 1, 4, 6} and 8..4t + 7."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if m % 2 or m < 4 * t + 8:
-        raise ValueError(f"need even m >= {4 * t + 8}, got {m}")
-    refl = {0, 1, 4, 6} | set(range(8, 4 * t + 8))
-    return DihedralSpec(m, _rotation_band(t, m), refl)
+#: Direct families, d = 2 (mod 4) with d >= 6 and t = (d - 6) // 8, so that
+#: d = 8t + 6 or d = 8t + 10: d mod 8 -> (least m minus 4t, fixed
+#: reflections, start of the reflection run) of the Cayley graph on D_m with
+#: rotations +-1..+-(2t + 1); the run fills the degree up to d.
+_DIRECT_FAMILIES: dict[int, tuple[int, tuple[int, ...], int]] = {
+    6: (8, (0, 1, 4, 6), 8),
+    2: (14, (0, 1, 2, 5, 7, 9, 10), 13),
+}
 
 
-def dihedral_2_mod_8_spec(t: int, m: int) -> DihedralSpec:
-    """Degree-(8t + 10) dihedral connection set on 2m vertices (even m >= 4t + 14):
-    rotation band +-1..+-(2t + 1), reflections {0, 1, 2, 5, 7, 9, 10} and
-    13..4t + 13."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if m % 2 or m < 4 * t + 14:
-        raise ValueError(f"need even m >= {4 * t + 14}, got {m}")
-    refl = {0, 1, 2, 5, 7, 9, 10} | set(range(13, 4 * t + 14))
-    return DihedralSpec(m, _rotation_band(t, m), refl)
+def direct_family_spec(d: int, m: int) -> DihedralSpec:
+    """Degree-d dihedral connection set on 2m vertices, for d = 2 (mod 4)
+    with d >= 6 and even m at least the family's least m (4t + 8 for
+    d = 8t + 6, 4t + 14 for d = 8t + 10): rotation band +-1..+-(2t + 1),
+    the fixed reflections of ``_DIRECT_FAMILIES`` and a run of consecutive
+    reflections from the row's start."""
+    if d % 8 not in _DIRECT_FAMILIES or d < 6:
+        raise ValueError(f"need d >= 6 with d = 2 (mod 4), got {d}")
+    least, fixed, start = _DIRECT_FAMILIES[d % 8]
+    t = (d - 6) // 8
+    if m % 2 or m < 4 * t + least:
+        raise ValueError(f"need even m >= {4 * t + least}, got {m}")
+    run = d - (4 * t + 2) - len(fixed)
+    return DihedralSpec(m, _rotation_band(t, m), {*fixed, *range(start, start + run)})
 
 
 #: Order-(d + gap) complement families, d = 2 (mod 4): gap -> (least degree,
@@ -222,13 +225,10 @@ def catalog_witness(n: int, d: int):
     if d % 4 != 2 or d < 6 or n % 4:
         return None
     m = n // 2
-    t, r = divmod(d - 6, 8)  # d = 8t + 6 when r is 0, d = 8t + 10 when r is 4
-    if r == 0 and m >= 4 * t + 8:
-        spec = dihedral_6_mod_8_spec(t, m)
-        return spec, 0, f"degree-(8t+6) family, t={t}: {spec.describe()}"
-    if r == 4 and m >= 4 * t + 14:
-        spec = dihedral_2_mod_8_spec(t, m)
-        return spec, 0, f"degree-(8t+10) family, t={t}: {spec.describe()}"
+    t = (d - 6) // 8  # d = 8t + 6 or d = 8t + 10
+    if m >= 4 * t + _DIRECT_FAMILIES[d % 8][0]:
+        spec = direct_family_spec(d, m)
+        return spec, 0, f"degree-(8t+{d - 8 * t}) family, t={t}: {spec.describe()}"
     gap = n - d
     if gap in _COMPLEMENT_FAMILIES and d >= _COMPLEMENT_FAMILIES[gap][0]:
         spec = complement_family_spec(d, gap)

@@ -1,11 +1,13 @@
 """Cyclotomic divisibility and feasible-index enumeration.
 
 ``divides_cyclotomic`` decides whether the b-th cyclotomic polynomial Phi_b
-divides an integer polynomial sum_e c_e x^e, that is whether s =
-sum_e c_e zeta_b^e vanishes for a primitive b-th root of unity zeta_b, by
-regrouping exponents over the primes of b, taken with multiplicity.  Let p
-be the smallest prime of b and b' = b/p, so that zeta_b^p is a primitive
-b'-th root of unity.
+divides an integer polynomial sum_e c_e x^e, given as an exponent ->
+coefficient mapping, that is whether s = sum_e c_e zeta_b^e vanishes for a
+primitive b-th root of unity zeta_b.  Since zeta_b^b = 1 the exponents are
+first folded modulo b, so they may be any integers, negative ones included.
+The folded sum is decided by regrouping exponents over the primes of b,
+taken with multiplicity.  Let p be the smallest prime of b and b' = b/p, so
+that zeta_b^p is a primitive b'-th root of unity.
 
 * If p divides b', then [Q(zeta_b) : Q(zeta_b')] = p and zeta_b is a root of
   x^p - zeta_b^p, so 1, zeta_b, ..., zeta_b^(p-1) is a basis of Q(zeta_b)
@@ -30,20 +32,31 @@ is approximated.
 
 from __future__ import annotations
 
-from .exact import Polynomial
 from .numtheory import factorize
 
 
-def divides_cyclotomic(p: Polynomial, b: int) -> bool:
-    """True iff the b-th cyclotomic polynomial divides p exactly.
+def divides_cyclotomic(terms: dict[int, int], b: int) -> bool:
+    """True iff the b-th cyclotomic polynomial divides sum c x^e over the
+    exponent -> coefficient mapping ``terms``.
 
-    Equivalently: p has a primitive b-th root of unity among its roots.  The
+    Equivalently: the polynomial has a primitive b-th root of unity among
+    its roots.  Exponents are read modulo b, so any integers will do.  The
     verdict is exact (module docstring).
     """
     if b < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {b}")
     primes = [q for q, e in factorize(b) for _ in range(e)]
-    return _vanishes(p.cyclic_reduce(b).terms, b, primes)
+    return _vanishes(fold(terms.items(), b), b, primes)
+
+
+def fold(terms, m: int) -> dict[int, int]:
+    """The exponent -> coefficient map of sum c x^e over the (e, c) pairs
+    ``terms``, reduced modulo x^m - 1: exponents modulo m, equal ones
+    merged, zero coefficients dropped."""
+    out: dict[int, int] = {}
+    for e, c in terms:
+        out[e % m] = out.get(e % m, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
 def _vanishes(terms: dict, b: int, primes: list[int]) -> bool:

@@ -1,10 +1,4 @@
-"""Exact sparse polynomials and exact integer matrix algebra.
-
-Polynomials are stored sparsely as an exponent -> coefficient mapping with no
-zero coefficients.  Coefficients are arbitrary-precision integers.
-
-The degree of the zero polynomial is the sentinel ``NEG_INF``, which compares
-less than every integer.
+"""Exact integer matrices and their certified kernel.
 
 Matrices are dense with arbitrary-precision integer entries.  The kernel is
 certified from two sides.  Forward elimination modulo a prime p, on rows
@@ -31,119 +25,6 @@ from math import gcd, isqrt
 from operator import mul
 
 from .numtheory import is_prime
-
-NEG_INF = float("-inf")
-
-
-class Polynomial:
-    """Immutable sparse polynomial with integer coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for e, c in terms.items() if isinstance(terms, dict) else terms:
-                if e < 0 or e != int(e):
-                    raise ValueError(f"exponent must be a non-negative integer, got {e}")
-                if c:
-                    prev = clean.get(e)
-                    c = prev + c if prev is not None else c
-                    if c:
-                        clean[int(e)] = c
-                    else:
-                        del clean[e]
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    @property
-    def degree(self):
-        return max(self.terms) if self.terms else NEG_INF
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __neg__(self):
-        return Polynomial({e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = Polynomial({0: other})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Polynomial(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = Polynomial({0: other})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Polynomial({e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def cyclic_reduce(self, m: int) -> "Polynomial":
-        """Reduce modulo x^m - 1: replace each exponent e by e mod m."""
-        if m < 1:
-            raise ValueError("cyclic modulus must be >= 1")
-        out: dict = {}
-        for e, c in self.terms.items():
-            r = e % m
-            out[r] = out.get(r, 0) + c
-        return Polynomial(out)
-
-    def __repr__(self):
-        if not self.terms:
-            return "Polynomial('0')"
-        parts = []
-        for e, c in sorted(self.terms.items(), reverse=True):
-            sign = " - " if c < 0 else (" + " if parts else "")
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "x" if e == 1 else f"x^{e}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            parts.append(f"{sign}{body}")
-        return f"Polynomial('{''.join(parts)}')"
 
 
 class IntMatrix:

@@ -77,15 +77,9 @@ class Graph:
             rows[v] |= 1 << u
         return cls(order, rows)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._rows[u] >> v & 1)
-
     def neighbors(self, v: int) -> list[int]:
         row = self._rows[v]
         return [u for u in range(self.order) if row >> u & 1]
-
-    def degree(self, v: int) -> int:
-        return self._rows[v].bit_count()
 
     def degrees(self) -> list[int]:
         return [r.bit_count() for r in self._rows]

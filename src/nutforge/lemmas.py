@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 from ._modeval import eval_at, evaluation_prime, root_of_order, sweep_zero_parameters
 from .cyclotomic import divides_cyclotomic, enumerate_feasible_indices
-from .exact import Polynomial
 from .numtheory import euler_phi, is_prime
 
 
@@ -60,10 +59,15 @@ class PolynomialFamily:
     terms: tuple[tuple[int, int, int], ...]  # (coefficient, slope, offset)
     case: CaseConstraints
 
-    def member(self, t: int) -> Polynomial:
+    def member(self, t: int) -> dict[int, int]:
+        """The member at t as an exponent -> coefficient map, equal exponents
+        merged and zero coefficients dropped."""
         if t < 0:
             raise ValueError("family parameter t must be >= 0")
-        return Polynomial([(a * t + c, coeff) for coeff, a, c in self.terms])
+        out: dict[int, int] = {}
+        for coeff, a, c in self.terms:
+            out[a * t + c] = out.get(a * t + c, 0) + coeff
+        return {e: c for e, c in out.items() if c}
 
     def exponents(self, t: int) -> list[int]:
         return [a * t + c for _, a, c in self.terms]
@@ -205,9 +209,9 @@ def candidate_divisor_indices(max_degree: int, min_b: int) -> list[int]:
     return sorted(b for b in found if b >= min_b)
 
 
-def verify_family_bounded(tag: str, t_max: int, min_b: int | None = None) -> VerificationReport:
-    """Assert that no cyclotomic polynomial of index >= min_b divides any
-    family member with parameter t <= t_max.
+def verify_family_bounded(tag: str, t_max: int) -> VerificationReport:
+    """Assert that no cyclotomic polynomial of index >= the family's min_b
+    divides any family member with parameter t <= t_max.
 
     For each t the candidate indices are every b with phi(b) bounded by the
     member's degree, which is a complete divisor-candidate set.  A nonzero
@@ -218,20 +222,19 @@ def verify_family_bounded(tag: str, t_max: int, min_b: int | None = None) -> Ver
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     fam = _family(tag)
-    low = fam.min_b if min_b is None else min_b
     start = time.perf_counter()
     checked = []
     violations = []
     coeffs = [c for c, _, _ in fam.terms]
     max_deg = max(a * t_max + c for _, a, c in fam.terms)
     candidates = []
-    for b in candidate_divisor_indices(max_deg, low):
+    for b in candidate_divisor_indices(max_deg, fam.min_b):
         q = evaluation_prime(b)
         candidates.append((b, euler_phi(b), q, root_of_order(q, b)))
     for t in range(t_max + 1):
         member = fam.member(t)
         exps = fam.exponents(t)
-        deg = member.degree
+        deg = max(member)
         count = 0
         for b, phi_b, q, zeta in candidates:
             if phi_b > deg:
@@ -242,7 +245,7 @@ def verify_family_bounded(tag: str, t_max: int, min_b: int | None = None) -> Ver
         checked.append((t, f"{count} candidate indices, degree {deg}"))
     return VerificationReport(
         family=tag, operation="bounded-nondivisibility",
-        parameter_range=f"t <= {t_max}, b >= {low}",
+        parameter_range=f"t <= {t_max}, b >= {fam.min_b}",
         indices_checked=tuple(checked), violations=tuple(violations),
         wall_time=time.perf_counter() - start)
 

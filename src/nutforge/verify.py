@@ -13,10 +13,11 @@ an order-2m bicirculant has the 2x2 blocks
     [[p0(zeta), p1(1/zeta)], [p1(zeta), p2(zeta)]],
 
 where p_i sums x^j over connection set i.  The block invariants (the entry
-of a 1x1 block; the determinant and trace of a 2x2 block), as polynomials
-reduced modulo x^m - 1, decide singularity at every root of unity at once:
-an invariant vanishes at the primitive b-th roots (b dividing m) iff the
-b-th cyclotomic polynomial divides it.  The blocks are Hermitian, so the
+of a 1x1 block; the determinant and trace of a 2x2 block) are built from the
+connection sets as exponent -> coefficient maps folded modulo x^m - 1
+(``block_invariants``), and decide singularity at every root of unity at
+once: an invariant vanishes at the primitive b-th roots (b dividing m) iff
+the b-th cyclotomic polynomial divides it.  The blocks are Hermitian, so the
 zero-eigenvalue multiplicity of a block is the number of its invariants that
 vanish, taken from the determinant down; aggregating phi(b) times that
 multiplicity over the divisors gives the total nullity without ever touching
@@ -41,8 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import divides_cyclotomic
-from .exact import Polynomial, matrix_kernel
+from .cyclotomic import divides_cyclotomic, fold
+from .exact import matrix_kernel
 from .graphs import BicirculantSpec, CirculantSpec, DihedralSpec, Graph
 from .numtheory import divisors, euler_phi
 
@@ -113,44 +114,28 @@ def nullity_shifted(g: Graph, shift: int) -> int:
     return len(matrix_kernel(g.adjacency_matrix(shift)))
 
 
-def _connection_polynomial(conn, m: int) -> Polynomial:
-    return Polynomial({j % m: 1 for j in conn})
-
-
-def det_polynomial(spec: BicirculantSpec, shift: int) -> Polynomial:
-    """Block-determinant polynomial D with D(zeta) = det(A_zeta + shift * I)
-    for every m-th root of unity zeta, reduced modulo x^m - 1.
-
-    D = (shift + p0) * (shift + p2) - p1 * p1~, where p1~ reverses the
-    exponents of p1 modulo m (the evaluation of p1 at 1/zeta).
-    """
-    m = spec.m
-    p0 = _connection_polynomial(spec.s0, m)
-    p2 = _connection_polynomial(spec.s2, m)
-    p1 = _connection_polynomial(spec.s1, m)
-    p1_rev = Polynomial({(m - j) % m: 1 for j in spec.s1})
-    d = (p0 + shift) * (p2 + shift) - p1 * p1_rev
-    return d.cyclic_reduce(m)
-
-
-def trace_polynomial(spec: BicirculantSpec, shift: int) -> Polynomial:
-    """Block-trace polynomial T with T(zeta) = trace(A_zeta + shift * I)."""
-    m = spec.m
-    t = (_connection_polynomial(spec.s0, m) + _connection_polynomial(spec.s2, m)
-         + 2 * shift)
-    return t.cyclic_reduce(m)
-
-
-def _block_invariants(spec, shift: int) -> tuple[int, tuple[Polynomial, ...]]:
+def block_invariants(spec: CirculantSpec | DihedralSpec | BicirculantSpec,
+                     shift: int) -> tuple[int, tuple[dict[int, int], ...]]:
     """Cyclic order m and the block invariants of the shifted spec, from the
-    determinant down: (entry,) for a circulant, (det, trace) otherwise."""
+    determinant down, each folded modulo x^m - 1: (entry,) for a circulant,
+    (det, trace) otherwise.
+
+    The entry is p_S + shift.  For a bicirculant, det = (shift + p0) *
+    (shift + p2) - p1 * p1~, where p1~ negates the exponents of p1 (the
+    evaluation of p1 at 1/zeta), and trace = p0 + p2 + 2 * shift.
+    """
     if isinstance(spec, CirculantSpec):
         n = spec.n
-        conn = {c for j in spec.jumps for c in (j, n - j)}
-        return n, ((_connection_polynomial(conn, n) + shift).cyclic_reduce(n),)
+        conn = {c % n for j in spec.jumps for c in (j, -j)}
+        return n, (fold([(c, 1) for c in conn] + [(0, shift)], n),)
     if isinstance(spec, DihedralSpec):
         spec = spec.as_bicirculant()
-    return spec.m, (det_polynomial(spec, shift), trace_polynomial(spec, shift))
+    m = spec.m
+    diag0 = [(j, 1) for j in spec.s0] + [(0, shift)]
+    diag2 = [(j, 1) for j in spec.s2] + [(0, shift)]
+    det = [(e + k, c * v) for e, c in diag0 for k, v in diag2]
+    det += [(j - k, -1) for j in spec.s1 for k in spec.s1]
+    return m, (fold(det, m), fold(diag0 + diag2, m))
 
 
 def nut_check_spectral(spec: CirculantSpec | DihedralSpec | BicirculantSpec,
@@ -165,7 +150,7 @@ def nut_check_spectral(spec: CirculantSpec | DihedralSpec | BicirculantSpec,
     """
     if shift not in (0, 1):
         raise ValueError("shift must be 0 or 1")
-    m, invariants = _block_invariants(spec, shift)
+    m, invariants = block_invariants(spec, shift)
     verdicts = []
     total = 0
     for b in divisors(m):

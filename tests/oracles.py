@@ -8,28 +8,53 @@ from functools import cache
 from math import gcd
 
 from nutforge._modeval import eval_at, evaluation_prime, root_of_order
-from nutforge.exact import Polynomial
 from nutforge.graphs import Graph
 from nutforge.numtheory import divisors
 
+# Polynomials are exponent -> coefficient dicts; every function below returns
+# one without zero coefficients, so {} is the zero polynomial, equality is
+# dict equality and max(p) is the degree of a nonzero p.
 
-def divrem(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+
+def add(*terms: dict) -> dict:
+    """The sum of the polynomials."""
+    out: dict = {}
+    for p in terms:
+        for e, c in p.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def product(*factors: dict) -> dict:
+    """The product of the polynomials (1 for none)."""
+    out = {0: 1}
+    for p in factors:
+        step: dict = {}
+        for e1, c1 in out.items():
+            for e2, c2 in p.items():
+                step[e1 + e2] = step.get(e1 + e2, 0) + c1 * c2
+        out = {e: c for e, c in step.items() if c}
+    return out
+
+
+def divrem(num: dict, den: dict) -> tuple[dict, dict]:
     """Division with remainder by a monic divisor: num = q * den + r with
     deg r < deg den, all coefficients integers.
 
     Raises ZeroDivisionError for a zero divisor and ValueError for a divisor
     whose leading coefficient is not 1.
     """
-    if den.is_zero:
+    num, den = add(num), add(den)
+    if not den:
         raise ZeroDivisionError("polynomial division by the zero polynomial")
-    dd = den.degree
-    if den.terms[dd] != 1:
+    dd = max(den)
+    if den[dd] != 1:
         raise ValueError("divrem needs a monic divisor")
-    if num.degree < dd:
-        return Polynomial(), num
-    nd = num.degree
+    if not num or max(num) < dd:
+        return {}, num
+    nd = max(num)
     rem = [0] * (nd + 1)
-    for e, c in num.terms.items():
+    for e, c in num.items():
         rem[e] = c
     quo = [0] * (nd - dd + 1)
     for i in range(nd, dd - 1, -1):
@@ -37,31 +62,32 @@ def divrem(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
         if not q:
             continue
         quo[i - dd] = q
-        for e, c in den.terms.items():
+        for e, c in den.items():
             rem[i - dd + e] -= q * c
-    return (Polynomial(dict(enumerate(quo))), Polynomial(dict(enumerate(rem[:dd]))))
+    return add(dict(enumerate(quo))), add(dict(enumerate(rem[:dd])))
 
 
-def scale_exponents(p: Polynomial, k: int) -> Polynomial:
+def scale_exponents(p: dict, k: int) -> dict:
     """p with x -> x^k substituted."""
-    return Polynomial({e * k: c for e, c in p.terms.items()})
+    return {e * k: c for e, c in p.items() if c}
 
 
 @cache
-def cyclotomic(n: int) -> Polynomial:
+def cyclotomic(n: int) -> dict:
     """The n-th cyclotomic polynomial: x^n - 1 divided by the cyclotomic
-    polynomials of the proper divisors of n, every division exact."""
+    polynomials of the proper divisors of n, every division exact.  The
+    result is cached and shared: do not change it in place."""
     if n < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {n}")
-    poly = Polynomial({n: 1, 0: -1})
+    poly = {n: 1, 0: -1}
     for d in divisors(n)[:-1]:
         poly, rem = divrem(poly, cyclotomic(d))
-        if not rem.is_zero:
+        if rem:
             raise AssertionError(f"inexact cyclotomic division at {n}/{d}")
     return poly
 
 
-def divides_cyclotomic_by_evaluation(p: Polynomial, b: int) -> bool:
+def divides_cyclotomic_by_evaluation(p: dict, b: int) -> bool:
     """The modular rule that regrouping exponents replaced: whether Phi_b
     divides p, decided at the phi(b) primitive roots modulo a prime.
 
@@ -72,7 +98,7 @@ def divides_cyclotomic_by_evaluation(p: Polynomial, b: int) -> bool:
     every conjugate of p(zeta_b) has absolute value at most L < q, so the
     norm, and with it p(zeta_b), is 0.
     """
-    folded = p.cyclic_reduce(b).terms
+    folded = add(*({e % b: c} for e, c in p.items()))
     coeffs, exponents = list(folded.values()), list(folded)
     q = evaluation_prime(b, above=sum(map(abs, coeffs)))
     zeta = root_of_order(q, b)

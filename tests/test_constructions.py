@@ -20,8 +20,7 @@ from nutforge.constructions import (
     circulant_search,
     complement_family_spec,
     construct,
-    dihedral_2_mod_8_spec,
-    dihedral_6_mod_8_spec,
+    direct_family_spec,
     feasible_vt,
 )
 from nutforge.graphs import (
@@ -143,24 +142,24 @@ class TestOneExistenceLaw:
 
 class TestFamilySpecs:
     def test_degree_6_mod_8_instances(self):
-        s = dihedral_6_mod_8_spec(0, 8)
+        s = direct_family_spec(6, 8)
         assert s.rotations == frozenset({1, 7})
         assert s.reflections == frozenset({0, 1, 4, 6})
-        s = dihedral_6_mod_8_spec(0, 10)
+        s = direct_family_spec(6, 10)
         assert s.rotations == frozenset({1, 9})
         assert s.reflections == frozenset({0, 1, 4, 6})
-        s = dihedral_6_mod_8_spec(1, 12)
+        s = direct_family_spec(14, 12)
         assert s.rotations == frozenset({1, 2, 3, 9, 10, 11})
         assert s.reflections == frozenset({0, 1, 4, 6, 8, 9, 10, 11})
 
     def test_degree_2_mod_8_instances(self):
-        s = dihedral_2_mod_8_spec(0, 14)
+        s = direct_family_spec(10, 14)
         assert s.rotations == frozenset({1, 13})
         assert s.reflections == frozenset({0, 1, 2, 5, 7, 9, 10, 13})
-        s = dihedral_2_mod_8_spec(0, 16)
+        s = direct_family_spec(10, 16)
         assert s.rotations == frozenset({1, 15})
         assert s.reflections == frozenset({0, 1, 2, 5, 7, 9, 10, 13})
-        s = dihedral_2_mod_8_spec(1, 18)
+        s = direct_family_spec(18, 18)
         assert s.rotations == frozenset({1, 2, 3, 15, 16, 17})
         assert s.reflections == frozenset({0, 1, 2, 5, 7, 9, 10, 13, 14, 15, 16, 17})
 
@@ -181,11 +180,15 @@ class TestFamilySpecs:
 
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):
-            dihedral_6_mod_8_spec(0, 7)  # odd m
+            direct_family_spec(6, 7)  # odd m
         with pytest.raises(ValueError):
-            dihedral_6_mod_8_spec(1, 10)  # below 4t + 8
+            direct_family_spec(14, 10)  # below 4t + 8
         with pytest.raises(ValueError):
-            dihedral_2_mod_8_spec(0, 12)
+            direct_family_spec(10, 12)
+        with pytest.raises(ValueError):
+            direct_family_spec(2, 16)  # d = 8t + 10 needs t >= 0
+        with pytest.raises(ValueError):
+            direct_family_spec(12, 32)  # d = 0 (mod 4)
         with pytest.raises(ValueError):
             complement_family_spec(10, 6)
         with pytest.raises(ValueError):
@@ -199,10 +202,10 @@ class TestFamilySpecs:
 
     def test_family_degrees(self):
         for t, m in ((0, 8), (1, 12), (2, 20)):
-            g = build_dihedral(dihedral_6_mod_8_spec(t, m))
+            g = build_dihedral(direct_family_spec(8 * t + 6, m))
             assert is_regular(g) == 8 * t + 6
         for t, m in ((0, 14), (1, 18), (2, 24)):
-            g = build_dihedral(dihedral_2_mod_8_spec(t, m))
+            g = build_dihedral(direct_family_spec(8 * t + 10, m))
             assert is_regular(g) == 8 * t + 10
 
 
@@ -325,11 +328,11 @@ class TestConstruct:
         # Spanned over the whole order range of the acceptance sweep.
         for t in range(0, 4):
             for m in range(4 * t + 8, 4 * t + 40, 2):
-                rep = nut_check_spectral(dihedral_6_mod_8_spec(t, m).as_bicirculant(), 0)
+                rep = nut_check_spectral(direct_family_spec(8 * t + 6, m).as_bicirculant(), 0)
                 assert rep.singular_divisors == (2,) and rep.total_nullity == 1
         for t in range(0, 3):
             for m in range(4 * t + 14, 4 * t + 44, 2):
-                rep = nut_check_spectral(dihedral_2_mod_8_spec(t, m).as_bicirculant(), 0)
+                rep = nut_check_spectral(direct_family_spec(8 * t + 10, m).as_bicirculant(), 0)
                 assert rep.singular_divisors == (2,) and rep.total_nullity == 1
         for gap, d_min in ((6, 14), (10, 22), (14, 26)):
             for d in range(d_min, 47, 4):
@@ -605,13 +608,14 @@ class TestCanonicalAndCensus:
 
         def brute_minimum(g):
             n = g.order
+            rows = g.adjacency_rows()
             best = None
             for perm in permutations(range(n)):
                 cols = []
                 for k in range(n):
                     code = 0
                     for u in perm[:k]:
-                        code = code << 1 | g.has_edge(u, perm[k])
+                        code = code << 1 | rows[u] >> perm[k] & 1
                     cols.append(code)
                 if best is None or cols < best:
                     best = cols

@@ -1,26 +1,32 @@
-"""Golden output: the bytes ``construct`` and ``census`` print, pinned by
-SHA-256.
+"""Golden output: the bytes ``construct`` and ``census`` print, and the
+verdicts of ``nut_check_spectral``, pinned by SHA-256.
 
 The construct digest covers ``construct N D --format jsonl`` for every
 feasible pair with d <= 40 and n <= 120, in (d, n) order; the census digest
 covers the eleven censuses of the benchmark's census workload, in the order
-below.  A change that keeps the output keeps both digests.  A change that
-alters the output on purpose records the new digests in the same change and
-says why.
+below; the spectral digest covers ``(total_nullity, ((b, multiplicity),
+...))`` at shifts 0 and 1 for every dihedral spec with m <= 6 and every
+circulant jump set with 5 <= n <= 14.  A change that keeps the output keeps
+the digests.  A change that alters the output on purpose records the new
+digests in the same change and says why.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+from itertools import combinations
 
 import pytest
 
 from nutforge.cli import main
 from nutforge.constructions import feasible_vt
+from nutforge.graphs import CirculantSpec, DihedralSpec
+from nutforge.verify import nut_check_spectral
 
 CONSTRUCT_SHA256 = "9379aa5937a09125063d352a3fddf37ffc4f174f0269899178589b5c9552f2d9"
 CENSUS_SHA256 = "55da40bcf50ca7066a87749f21fdbeb0638cffc896efb9a09faa2db66bcf087f"
+SPECTRAL_SHA256 = "0d1cf0c88313cd8ce3331013b5e6276f5102d1d044ddefa2b5a6ffc8b97d02cb"
 
 # (family, n, d, dedup): the census benchmark workload's requests.
 CENSUS_CASES = (
@@ -61,6 +67,38 @@ def test_census_workload_output():
         digest.update(stdout_of("census", "--family", family, n, d, "--jobs", 1,
                                 *flags).encode())
     assert digest.hexdigest() == CENSUS_SHA256
+
+
+def _subsets(items):
+    for k in range(len(items) + 1):
+        yield from combinations(items, k)
+
+
+def _spectral_specs():
+    """Every dihedral spec with 3 <= m <= 6, then every circulant jump set
+    with 5 <= n <= 14, in a fixed order."""
+    for m in range(3, 7):
+        orbits = sorted({frozenset({a, m - a}) for a in range(1, m)}, key=min)
+        for rot in _subsets(orbits):
+            for refl in _subsets(range(m)):
+                yield DihedralSpec(m, set().union(*rot), refl)
+    for n in range(5, 15):
+        for jumps in _subsets(range(1, n // 2 + 1)):
+            yield CirculantSpec(n, jumps)
+
+
+def test_spectral_verdicts():
+    digest = hashlib.sha256()
+    count = 0
+    for spec in _spectral_specs():
+        for shift in (0, 1):
+            rep = nut_check_spectral(spec, shift)
+            verdict = (rep.total_nullity,
+                       tuple((v.b, v.multiplicity) for v in rep.divisor_verdicts))
+            digest.update(repr(verdict).encode())
+            count += 1
+    assert count == 2 * (720 + 372)
+    assert digest.hexdigest() == SPECTRAL_SHA256
 
 
 @pytest.mark.parametrize("n,d,recipe", [

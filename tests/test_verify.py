@@ -1,10 +1,10 @@
 """Tests for the two nut-certification routes and their agreement."""
 
 import random
+from math import isqrt
 
 import pytest
 
-from nutforge.exact import Polynomial
 from nutforge.graphs import (
     BicirculantSpec,
     CirculantSpec,
@@ -15,11 +15,10 @@ from nutforge.graphs import (
     build_dihedral,
 )
 from nutforge.verify import (
-    det_polynomial,
+    block_invariants,
     nullity_shifted,
     nut_check_direct,
     nut_check_spectral,
-    trace_polynomial,
 )
 
 
@@ -105,17 +104,17 @@ class TestShiftedNullity:
 class TestDetPolynomial:
     def test_matching_block(self):
         spec = DihedralSpec(3, frozenset(), {0}).as_bicirculant()
-        assert det_polynomial(spec, 0) == Polynomial({0: -1})
+        assert block_invariants(spec, 0) == (3, ({0: -1}, {}))
 
     def test_disjoint_squares(self):
         spec = BicirculantSpec(4, {1, 3}, frozenset(), {1, 3})
-        assert det_polynomial(spec, 0) == Polynomial({2: 2, 0: 2})
+        assert block_invariants(spec, 0)[1][0] == {2: 2, 0: 2}
 
     def test_six_regular_family_divisors(self):
         from nutforge.cyclotomic import divides_cyclotomic
 
         spec = DihedralSpec(8, {1, 7}, {0, 1, 4, 6}).as_bicirculant()
-        d = det_polynomial(spec, 0)
+        d = block_invariants(spec, 0)[1][0]
         assert divides_cyclotomic(d, 2)
         for b in (1, 4, 8):
             assert not divides_cyclotomic(d, b)
@@ -125,14 +124,97 @@ class TestDetPolynomial:
         for shift in (0, 1):
             for _ in range(40):
                 spec = random_bicirculant_spec(rng, max_m=12)
-                d = det_polynomial(spec, shift)
+                d = block_invariants(spec, shift)[1][0]
                 expected = ((shift + len(spec.s0)) * (shift + len(spec.s2))
                             - len(spec.s1) ** 2)
-                assert sum(d.terms.values()) == expected  # the value at x = 1
+                assert sum(d.values()) == expected  # the value at x = 1
 
     def test_trace_value_at_one(self):
         spec = BicirculantSpec(6, {1, 5}, {0, 3}, {2, 4})
-        assert sum(trace_polynomial(spec, 1).terms.values()) == 2 + 2 + 2
+        assert sum(block_invariants(spec, 1)[1][1].values()) == 2 + 2 + 2
+
+    def test_maps_are_folded_and_free_of_zeros(self):
+        rng = random.Random(97)
+        for _ in range(60):
+            spec = random_bicirculant_spec(rng)
+            for shift in (0, 1):
+                m, invariants = block_invariants(spec, shift)
+                for terms in invariants:
+                    assert all(0 <= e < m and c for e, c in terms.items())
+
+
+def _root_of_unity(m):
+    """A prime q = 1 (mod m) above 10^6 and an element of order m modulo q,
+    by trial division and brute force."""
+    q = 10**6 // m * m + 1
+    while q <= 10**6 or any(q % k == 0 for k in range(2, isqrt(q) + 1)):
+        q += m
+    primes = [p for p in range(2, m + 1)
+              if m % p == 0 and all(p % k for k in range(2, p))]
+    for g in range(2, q):
+        z = pow(g, (q - 1) // m, q)
+        if all(pow(z, m // p, q) != 1 for p in primes):
+            return q, z
+    raise AssertionError(f"no element of order {m} modulo {q}")
+
+
+def _row_value(row, lo, m, w, q):
+    """sum of w^j over the bits lo + j, 0 <= j < m, set in an adjacency row:
+    the value at w of one circulant block, read off its first row."""
+    return sum(pow(w, j, q) for j in range(m) if row >> (lo + j) & 1) % q
+
+
+class TestBlockInvariantsDifferential:
+    """The folded invariants of ``block_invariants`` against the blocks
+    evaluated straight from the built graph at every m-th root of unity
+    modulo a prime q = 1 (mod m): the entry of a circulant; the determinant
+    and trace of the 2x2 block [[p0, p1~], [p1, p2]] of a bicirculant, each
+    p read from the first row of its circulant block."""
+
+    @staticmethod
+    def _specs(rng):
+        for i in range(210):
+            kind = i % 3
+            if kind == 0:
+                n = rng.randint(3, 30)
+                yield CirculantSpec(n, {j for j in range(1, n // 2 + 1) if rng.random() < 0.4})
+            elif kind == 1:
+                yield random_bicirculant_spec(rng, max_m=20)
+            else:
+                m = rng.randint(3, 20)
+                rot = {a for a in range(1, m // 2 + 1) if rng.random() < 0.4}
+                yield DihedralSpec(m, rot | {m - a for a in rot},
+                                   {b for b in range(m) if rng.random() < 0.3})
+
+    def test_matches_blocks_at_roots_mod_q(self):
+        rng = random.Random(101)
+        singular = 0
+        for spec in self._specs(rng):
+            if isinstance(spec, CirculantSpec):
+                g = build_circulant(spec)
+            elif isinstance(spec, DihedralSpec):
+                g = build_dihedral(spec)
+            else:
+                g = build_bicirculant(spec)
+            rows = g.adjacency_rows()
+            for shift in (0, 1):
+                m, invariants = block_invariants(spec, shift)
+                q, z = _root_of_unity(m)
+                for k in range(m):
+                    w = pow(z, k, q)
+                    got = [sum(c * pow(w, e, q) for e, c in terms.items()) % q
+                           for terms in invariants]
+                    if isinstance(spec, CirculantSpec):
+                        expected = [(_row_value(rows[0], 0, m, w, q) + shift) % q]
+                    else:
+                        a = _row_value(rows[0], 0, m, w, q) + shift
+                        b = _row_value(rows[0], m, m, w, q)
+                        c = _row_value(rows[m], 0, m, w, q)
+                        d = _row_value(rows[m], m, m, w, q) + shift
+                        expected = [(a * d - b * c) % q, (a + d) % q]
+                    assert got == expected, (spec, shift, k)
+                    singular += not got[0]
+        assert singular >= 50
 
 
 class TestSpectral:
