@@ -27,7 +27,6 @@ from .graphs import (
     build_dihedral,
     complement,
     from_graph6,
-    is_regular,
     parse_graph,
     serialize,
     to_graph6,
@@ -72,7 +71,7 @@ __all__ = [
     "divisors", "euler_phi", "factorize",
     "BicirculantSpec", "CirculantSpec", "DihedralSpec", "Graph",
     "build_bicirculant", "build_circulant", "build_dihedral",
-    "complement", "from_graph6", "is_regular", "parse_graph", "serialize",
+    "complement", "from_graph6", "parse_graph", "serialize",
     "to_graph6",
     "NutCertificate", "SpectralReport", "block_invariants", "nullity_shifted",
     "nut_check_direct", "nut_check_spectral",

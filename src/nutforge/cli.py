@@ -38,7 +38,6 @@ from .graphs import (
     DihedralSpec,
     build_bicirculant,
     build_circulant,
-    is_regular,
     parse_graph,
     serialize,
     to_graph6,
@@ -291,7 +290,7 @@ def cmd_census(args) -> int:
     for w in witnesses:
         if args.format == "jsonl":
             print(json.dumps({"graph6": to_graph6(w.graph), "recipe": w.recipe,
-                              "order": w.graph.order, "degree": is_regular(w.graph)}))
+                              "order": args.n, "degree": args.d}))
         else:
             print(to_graph6(w.graph))
     label = "classes" if not args.no_dedup else "witnesses"

@@ -36,12 +36,12 @@ Search and census candidates come from one stream, ``_candidates``, and are
 Cayley graphs, so a spectral nullity of one already makes them nut graphs:
 the cyclotomic nullity of ``verify`` screens every candidate, and only those
 that pass it are built.  Every witness, whichever construction produced it,
-passes one gate, ``_certify``, which takes the witness as a spec: a spectral
-nullity of exactly one, a +-1 character of the group checked exactly as a
-kernel vector of the built graph, the order and degree, and the existence
-law of ``feasible_vt``.  Catalog and census witnesses run no O(n^3)
-kernel; a search hit is also checked against the direct kernel.  The
-outputs are certificates, not citations.
+passes one gate, ``_certify``, which reads every fact from the witness's
+spec and shift: a spectral nullity of exactly one, a +-1 character of the
+group that is a kernel vector by its sum over the connection set, the order
+and degree, and the existence law of ``feasible_vt``.  Catalog and census
+witnesses run no O(n^3) kernel; a search hit is also checked against the
+direct kernel.  The outputs are certificates, not citations.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from .graphs import (
     build_circulant,
     build_dihedral,
     complement,
-    is_regular,
 )
 from .verify import NutCertificate, SpectralReport, nut_check_direct, nut_check_spectral
 
@@ -236,26 +235,29 @@ def catalog_witness(n: int, d: int):
     return None
 
 
-def _character_masks(spec: CirculantSpec | DihedralSpec):
-    """The +-1 characters of Z_n or D_m as masks of the vertices where they
-    are +1, in the builders' vertex order.
+def _order(spec: CirculantSpec | DihedralSpec) -> int:
+    """Order of the spec's group, Z_n or D_m, and so of its Cayley graph."""
+    return spec.n if isinstance(spec, CirculantSpec) else 2 * spec.m
 
-    Z_n has the trivial character and, for even n, j -> (-1)^j.  On D_m,
-    vertex j is r^j and vertex m + j is r^-j s; a character is r^j -> a^j
-    and r^-j s -> b a^j with a, b in {1, -1}, and a = -1 only for even m.
-    The identity is vertex 0 and always +1.
-    """
+
+def _kernel_character(spec: CirculantSpec | DihedralSpec, shift: int):
+    """The first +-1 character (a, b) of Z_n or D_m that is a kernel vector
+    of the spec's graph, complemented when shift is 1, or None: the rule of
+    ``_certify``, read from the connection set alone."""
     if isinstance(spec, CirculantSpec):
-        n = spec.n
-        yield (1 << n) - 1
-        if n % 2 == 0:
-            yield int("01" * (n // 2), 2)
-        return
-    m = spec.m
-    rotations = (1 << m) - 1
-    for plus in (rotations, int("01" * (m // 2), 2)) if m % 2 == 0 else (rotations,):
-        yield plus | plus << m
-        yield plus | (rotations ^ plus) << m
+        cyclic, signs = spec.n, (1,)
+        rotations, reflections = {c % spec.n for j in spec.jumps for c in (j, -j)}, ()
+    else:
+        cyclic, signs = spec.m, (1, -1)
+        rotations, reflections = spec.rotations, spec.reflections
+    for a in (1, -1) if cyclic % 2 == 0 else (1,):
+        for b in signs:
+            value = sum(a ** j for j in rotations) + b * sum(a ** j for j in reflections)
+            if shift:
+                value = (_order(spec) if a == b == 1 else 0) - 1 - value
+            if value == 0:
+                return a, b
+    return None
 
 
 def _certify(spec: CirculantSpec | DihedralSpec, shift: int, recipe: str, n: int, d: int,
@@ -263,43 +265,45 @@ def _certify(spec: CirculantSpec | DihedralSpec, shift: int, recipe: str, n: int
     """The witness built from spec, complemented when shift is 1, which must
     be a d-regular nut graph of order n, with (n, d) feasible; any failure
     is a construction error.  ``report`` is ``nut_check_spectral(spec,
-    shift)`` when the caller has it already.
+    shift)`` when the caller has it already.  Every check reads the spec
+    and the shift alone; the graph is built only for the witness.
 
     The spectral nullity must be exactly one.  At shift 1 it is the
     multiplicity of -1 in the spec's graph, which is the complement's
     nullity once the complement is d-regular with d >= 1.  The witness is a
-    Cayley graph of G = Z_n or D_m, and every left translation is an
-    automorphism, so it maps a kernel vector spanning a one-dimensional
+    Cayley graph Cay(G, S) of G = Z_n or D_m, and every left translation is
+    an automorphism, so it maps a kernel vector spanning a one-dimensional
     kernel to +-itself: v(g) = eps(g) v(e) for a homomorphism eps: G ->
-    {+-1}.  So one of the at most four +-1 characters (``_character_masks``)
-    must annihilate the adjacency rows, which is checked exactly on the
-    built rows as equal neighbour counts on its +1 and -1 vertices.  A
-    kernel vector without zero entries in a kernel of dimension one makes a
-    nut graph, and eps, with eps(e) = 1, is the primitive kernel vector with
-    a positive first entry that an exact kernel computation returns.
+    {+-1}.  It takes r^j to a^j and r^-j s (and r^j s) to b a^j, with
+    a, b = +-1, b = 1 on Z_n and a = -1 only for an even cyclic order.  As
+    (A eps)(g) = sum over s in S of eps(gs) = eps(S) eps(g), eps is a kernel
+    vector iff eps(S) = 0.  The complement J - I - A has J eps = eps(G) 1,
+    with eps(G) = |G| for the trivial character and 0 otherwise, so there
+    the condition is eps(G) - 1 - eps(S) = 0, exact also for a complete
+    complement.  The order is |G| and the degree |S|, or |G| - 1 - |S| at
+    shift 1.  A kernel vector without zero entries in a kernel of dimension
+    one makes a nut graph, and eps, with eps(e) = 1, is the primitive kernel
+    vector with a positive first entry that an exact kernel computation
+    returns.
     """
     if report is None:
         report = nut_check_spectral(spec, shift)
     if report.total_nullity != 1:
         raise RuntimeError(f"spectral nullity {report.total_nullity}, not 1, for "
                            f"{recipe} at ({n}, {d})")
-    g = build_circulant(spec) if isinstance(spec, CirculantSpec) else build_dihedral(spec)
-    if shift:
-        g = complement(g)
-    rows = g.adjacency_rows()
-    full = (1 << g.order) - 1
-    for plus in _character_masks(spec):
-        minus = full ^ plus
-        if all((r & plus).bit_count() == (r & minus).bit_count() for r in rows):
-            break
-    else:
+    character = _kernel_character(spec, shift)
+    if character is None:
         raise RuntimeError(f"no +-1 character is a kernel vector of {recipe} at ({n}, {d})")
-    if g.order != n or is_regular(g) != d:
+    order = _order(spec)
+    degree = order - 1 - spec.degree if shift else spec.degree
+    if (order, degree) != (n, d):
         raise RuntimeError(f"construction has wrong shape for ({n}, {d}): {recipe}")
     if not feasible_vt(n, d).exists:
         raise RuntimeError(f"witness parameters ({n}, {d}) break the existence law: {recipe}")
-    vector = tuple(1 if plus >> v & 1 else -1 for v in range(g.order))
-    return Witness(g, recipe, NutCertificate(1, vector))
+    g = build_circulant(spec) if isinstance(spec, CirculantSpec) else build_dihedral(spec)
+    a, b = character  # vertex m + j of D_m is r^-j s, and b = 1 on Z_n
+    vector = tuple(a ** v * (b if 2 * v >= n else 1) for v in range(n))
+    return Witness(complement(g) if shift else g, recipe, NutCertificate(1, vector))
 
 
 def _screen(spec: CirculantSpec | DihedralSpec) -> Witness | None:
@@ -312,8 +316,7 @@ def _screen(spec: CirculantSpec | DihedralSpec) -> Witness | None:
     report = nut_check_spectral(spec)
     if report.total_nullity != 1:
         return None
-    n = spec.n if isinstance(spec, CirculantSpec) else 2 * spec.m
-    return _certify(spec, 0, spec.describe(), n, spec.degree, report)
+    return _certify(spec, 0, spec.describe(), _order(spec), spec.degree, report)
 
 
 def construct(n: int, d: int, budget: int | None = None) -> Witness:

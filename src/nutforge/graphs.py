@@ -1,8 +1,8 @@
 """Graph representation, structured builders, and serialization.
 
 Graphs are simple and undirected, stored densely as per-vertex neighbor
-bitmasks (orders stay small, at most a couple of hundred vertices).  Builders
-cover the shapes the constructions need:
+bitmasks, one n-bit integer per vertex; catalog witnesses reach thousands
+of vertices.  Builders cover the shapes the constructions need:
 
 * circulant graphs on Z_n with a jump set,
 * Cayley graphs of the dihedral group of order 2m, laid out so the adjacency
@@ -268,12 +268,6 @@ def complement(g: Graph) -> Graph:
     mask = (1 << g.order) - 1
     rows = [(~r & mask) & ~(1 << i) for i, r in enumerate(g.adjacency_rows())]
     return Graph(g.order, rows)
-
-
-def is_regular(g: Graph):
-    """The common vertex degree, or None if degrees differ."""
-    degs = set(g.degrees())
-    return degs.pop() if len(degs) == 1 else None
 
 
 # -- graph6 ------------------------------------------------------------------

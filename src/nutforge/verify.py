@@ -31,11 +31,11 @@ For vertex-transitive inputs (circulants and dihedral Cayley graphs) nullity
 one already implies the nut property: every automorphism maps the kernel
 vector to plus or minus itself, so a zero entry would make it vanish.  The
 constructions certify their witnesses this way, with the kernel vector
-itself a +-1 character of the group checked exactly on the adjacency rows
-(``constructions._certify`` gives the argument), so no witness runs the
-direct kernel.  For general bicirculants the spectral method reports the
-nullity only; the kernel-entry condition always defers to the direct
-method, which stays the certificate for an arbitrary graph.
+itself a +-1 character of the group whose sum over the connection set
+vanishes (``constructions._certify`` gives the argument), so no witness
+runs the direct kernel.  For general bicirculants the spectral method
+reports the nullity only; the kernel-entry condition always defers to the
+direct method, which stays the certificate for an arbitrary graph.
 """
 
 from __future__ import annotations

@@ -5,10 +5,18 @@ slow constructions that the package's own algorithms are checked against.
 """
 
 from functools import cache
+from itertools import combinations
 from math import gcd
 
 from nutforge._modeval import eval_at, evaluation_prime, root_of_order
-from nutforge.graphs import Graph
+from nutforge.graphs import (
+    CirculantSpec,
+    DihedralSpec,
+    Graph,
+    build_circulant,
+    build_dihedral,
+    complement,
+)
 from nutforge.numtheory import divisors
 
 # Polynomials are exponent -> coefficient dicts; every function below returns
@@ -129,6 +137,59 @@ def phi_table(limit: int) -> list[int]:
             for k in range(p, limit + 1, p):
                 phi[k] -= phi[k] // p
     return phi
+
+
+def is_regular(g: Graph):
+    """The common vertex degree, or None if degrees differ."""
+    degs = set(g.degrees())
+    return degs.pop() if len(degs) == 1 else None
+
+
+def kernel_character_by_rows(spec: CirculantSpec | DihedralSpec, shift: int):
+    """The row check that the connection-set rule replaced: the first +-1
+    character (a, b) of Z_n or D_m, in the order a = 1, -1 and then b = 1,
+    -1, that annihilates every adjacency row of the built graph
+    (complemented when shift is 1), or None.
+
+    In the builders' vertex order vertex j is r^j and vertex m + j is
+    r^-j s; the character is +1 on r^j when a^j = 1 and on r^-j s when
+    b a^j = 1.  A row annihilates it when the vertex has as many neighbours
+    where it is +1 as where it is -1.
+    """
+    if isinstance(spec, CirculantSpec):
+        g, cyclic, signs = build_circulant(spec), spec.n, (1,)
+    else:
+        g, cyclic, signs = build_dihedral(spec), spec.m, (1, -1)
+    if shift:
+        g = complement(g)
+    rows = g.adjacency_rows()
+    for a in (1, -1) if cyclic % 2 == 0 else (1,):
+        for b in signs:
+            values = [a ** j for j in range(cyclic)]
+            values += [b * x for x in values] if isinstance(spec, DihedralSpec) else []
+            plus = sum(1 << v for v, x in enumerate(values) if x == 1)
+            minus = sum(1 << v for v, x in enumerate(values) if x == -1)
+            if all((r & plus).bit_count() == (r & minus).bit_count() for r in rows):
+                return a, b
+    return None
+
+
+def _subsets(items):
+    for k in range(len(items) + 1):
+        yield from combinations(items, k)
+
+
+def small_cayley_specs():
+    """Every dihedral spec with 3 <= m <= 6, then every circulant jump set
+    with 5 <= n <= 14, in a fixed order: 720 and 372 specs."""
+    for m in range(3, 7):
+        orbits = sorted({frozenset({a, m - a}) for a in range(1, m)}, key=min)
+        for rot in _subsets(orbits):
+            for refl in _subsets(range(m)):
+                yield DihedralSpec(m, set().union(*rot), refl)
+    for n in range(5, 15):
+        for jumps in _subsets(range(1, n // 2 + 1)):
+            yield CirculantSpec(n, jumps)
 
 
 def relabel(g: Graph, perm) -> Graph:

@@ -24,7 +24,6 @@ from nutforge.graphs import (
     build_circulant,
     build_dihedral,
     complement,
-    is_regular,
 )
 from nutforge.lemmas import (
     FAMILIES,
@@ -35,7 +34,7 @@ from nutforge.lemmas import (
 )
 from nutforge.numtheory import divisors, euler_phi, factorize, prime_factors
 from nutforge.verify import nullity_shifted, nut_check_direct, nut_check_spectral
-from oracles import build_lcf, cyclotomic, prism, product, scale_exponents
+from oracles import build_lcf, cyclotomic, is_regular, prism, product, scale_exponents
 
 
 def _report(number: int, description: str, failures: list) -> None:

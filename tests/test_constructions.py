@@ -30,11 +30,17 @@ from nutforge.graphs import (
     build_circulant,
     build_dihedral,
     complement,
-    is_regular,
     to_graph6,
 )
 from nutforge.verify import NutCertificate, nut_check_direct, nut_check_spectral
-from oracles import moebius_ladder, prism, relabel
+from oracles import (
+    is_regular,
+    kernel_character_by_rows,
+    moebius_ladder,
+    prism,
+    relabel,
+    small_cayley_specs,
+)
 
 
 def oracle_feasible(n, d):
@@ -119,6 +125,29 @@ class TestOneExistenceLaw:
         w = certify(spec, 0, "circulant", 8, 4)
         assert w.recipe == "circulant"
         assert w.certificate == nut_check_direct(build_circulant(spec))
+        # Shift 1 passes: the Moebius ladder's complement at (16, 12).
+        ladder, shift, recipe = catalog_witness(16, 12)
+        assert shift == 1
+        w = certify(ladder, shift, recipe, 16, 12)
+        assert w.certificate == nut_check_direct(complement(build_circulant(ladder)))
+        # Shift 1 fails: a report claiming nullity 1 for the 8-cycle's
+        # complement, where no nontrivial character has eps(S) = -1 (the
+        # alternating one has eps(S) = -2) and the trivial one has eigenvalue 5.
+        claimed = dataclasses.replace(nut_check_spectral(cycle, 1), total_nullity=1)
+        with pytest.raises(RuntimeError, match="no \\+-1 character"):
+            certify(cycle, 1, "complement(8-cycle)", 8, 5, claimed)
+
+    def test_character_rule_matches_the_row_check(self):
+        # The connection-set rule eps(S) = 0, or eps(G) - 1 - eps(S) = 0 at
+        # shift 1, against the adjacency rows of the built graph.
+        pairs = [(spec, shift) for spec in small_cayley_specs() for shift in (0, 1)]
+        assert len(pairs) == 2184
+        disagreements = [(spec, shift) for spec, shift in pairs
+                         if constructions._kernel_character(spec, shift)
+                         != kernel_character_by_rows(spec, shift)]
+        assert disagreements == []
+        found = {constructions._kernel_character(*pair) for pair in pairs}
+        assert found == {None, (1, 1), (1, -1), (-1, 1), (-1, -1)}
 
     def test_every_character_certifies_as_the_direct_kernel(self):
         # Z_n: j -> (-1)^j, with n/2 odd or even.  D_m: the three nontrivial
@@ -213,6 +242,46 @@ def built(spec, shift):
     """The graph a (spec, shift, recipe) triple names."""
     g = build_circulant(spec) if isinstance(spec, CirculantSpec) else build_dihedral(spec)
     return complement(g) if shift else g
+
+
+class TestCatalogCoverage:
+    """The catalog's reach, read from the specs alone: no graph is built."""
+
+    def test_every_catalog_pair_has_a_rule(self):
+        # The catalog answers every feasible pair with d = 2 (mod 4) or
+        # n = d + 4; the search only the rest.
+        checked = 0
+        missing = []
+        for d in range(4, 403, 2):
+            for n in range(d + 4, d + 1200, 2):
+                if (d % 4 == 2 or n == d + 4) and feasible_vt(n, d).exists:
+                    checked += 1
+                    if catalog_witness(n, d) is None:
+                        missing.append((n, d))
+        assert missing == []
+        assert checked == 100 * 299 + 100
+
+    def test_catalog_specs_certify_up_to_order_a_billion(self):
+        # Small d at large orders (direct families), then order d + 4 and
+        # the complement families' gaps at large d, where every spec stays
+        # small.
+        rng = random.Random(16)
+        pairs = []
+        for _ in range(10):
+            d = rng.randrange(6, 64, 4)
+            pairs.append((4 * rng.randrange(d // 4 + 2, 250_000_001), d))
+            d = rng.randrange(8, 10**9 - 3, 4)
+            pairs.append((d + 4, d))
+            d = rng.randrange(26, 10**9 - 13, 8)  # d = 2 (mod 8): gaps 6, 10, 14
+            pairs.append((d + rng.choice((6, 10, 14)), d))
+            d = rng.randrange(14, 10**9 - 5, 8)  # d = 6 (mod 8): gap 6
+            pairs.append((d + 6, d))
+        for n, d in pairs:
+            assert feasible_vt(n, d).exists, (n, d)
+            spec, shift, recipe = catalog_witness(n, d)
+            assert constructions._order(spec) == n, recipe
+            assert nut_check_spectral(spec, shift).total_nullity == 1, recipe
+            assert constructions._kernel_character(spec, shift) is not None, recipe
 
 
 class TestSporadic:

@@ -15,14 +15,13 @@ import contextlib
 import hashlib
 import io
 import json
-from itertools import combinations
 
 import pytest
 
 from nutforge.cli import main
 from nutforge.constructions import feasible_vt
-from nutforge.graphs import CirculantSpec, DihedralSpec
 from nutforge.verify import nut_check_spectral
+from oracles import small_cayley_specs
 
 CONSTRUCT_SHA256 = "9379aa5937a09125063d352a3fddf37ffc4f174f0269899178589b5c9552f2d9"
 CENSUS_SHA256 = "55da40bcf50ca7066a87749f21fdbeb0638cffc896efb9a09faa2db66bcf087f"
@@ -69,28 +68,10 @@ def test_census_workload_output():
     assert digest.hexdigest() == CENSUS_SHA256
 
 
-def _subsets(items):
-    for k in range(len(items) + 1):
-        yield from combinations(items, k)
-
-
-def _spectral_specs():
-    """Every dihedral spec with 3 <= m <= 6, then every circulant jump set
-    with 5 <= n <= 14, in a fixed order."""
-    for m in range(3, 7):
-        orbits = sorted({frozenset({a, m - a}) for a in range(1, m)}, key=min)
-        for rot in _subsets(orbits):
-            for refl in _subsets(range(m)):
-                yield DihedralSpec(m, set().union(*rot), refl)
-    for n in range(5, 15):
-        for jumps in _subsets(range(1, n // 2 + 1)):
-            yield CirculantSpec(n, jumps)
-
-
 def test_spectral_verdicts():
     digest = hashlib.sha256()
     count = 0
-    for spec in _spectral_specs():
+    for spec in small_cayley_specs():
         for shift in (0, 1):
             rep = nut_check_spectral(spec, shift)
             verdict = (rep.total_nullity,

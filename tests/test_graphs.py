@@ -15,14 +15,13 @@ from nutforge.graphs import (
     complement,
     from_adjacency_list,
     from_graph6,
-    is_regular,
     parse_graph,
     serialize,
     to_adjacency_list,
     to_dot,
     to_graph6,
 )
-from oracles import build_lcf, relabel
+from oracles import build_lcf, is_regular, relabel
 
 
 def cycle(n):
