@@ -24,7 +24,6 @@ from .graphs import (
     Graph,
     build_bicirculant,
     build_circulant,
-    build_dihedral,
     complement,
     from_graph6,
     parse_graph,
@@ -70,7 +69,7 @@ __all__ = [
     "divides_cyclotomic", "enumerate_feasible_indices",
     "divisors", "euler_phi", "factorize",
     "BicirculantSpec", "CirculantSpec", "DihedralSpec", "Graph",
-    "build_bicirculant", "build_circulant", "build_dihedral",
+    "build_bicirculant", "build_circulant",
     "complement", "from_graph6", "parse_graph", "serialize",
     "to_graph6",
     "NutCertificate", "SpectralReport", "block_invariants", "nullity_shifted",

@@ -181,8 +181,6 @@ def _parse_spec(text: str):
     if any(len(set(s)) != len(s) for s in sets):
         raise ValueError(f"{', '.join(names)} must not repeat an entry")
     spec = kind(data[order], *sets)
-    if kind is DihedralSpec:
-        return spec.as_bicirculant(), shift, True
     return spec, shift, kind is CirculantSpec or spec.s0 == spec.s2
 
 
@@ -252,7 +250,7 @@ def cmd_verify(args) -> int:
         if not agree:
             return EXIT_NEGATIVE
     elif shift == 0 and vertex_transitive:
-        print(f"nut: {'true' if report.simple_zero else 'false'} (vertex-transitive)")
+        print(f"nut: {'true' if positive else 'false'} (vertex-transitive)")
     return EXIT_OK if positive else EXIT_NEGATIVE
 
 

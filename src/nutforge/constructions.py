@@ -56,8 +56,8 @@ from .graphs import (
     CirculantSpec,
     DihedralSpec,
     Graph,
+    build_bicirculant,
     build_circulant,
-    build_dihedral,
     complement,
 )
 from .verify import NutCertificate, SpectralReport, nut_check_direct, nut_check_spectral
@@ -235,18 +235,13 @@ def catalog_witness(n: int, d: int):
     return None
 
 
-def _order(spec: CirculantSpec | DihedralSpec) -> int:
-    """Order of the spec's group, Z_n or D_m, and so of its Cayley graph."""
-    return spec.n if isinstance(spec, CirculantSpec) else 2 * spec.m
-
-
 def _kernel_character(spec: CirculantSpec | DihedralSpec, shift: int):
     """The first +-1 character (a, b) of Z_n or D_m that is a kernel vector
     of the spec's graph, complemented when shift is 1, or None: the rule of
     ``_certify``, read from the connection set alone."""
     if isinstance(spec, CirculantSpec):
         cyclic, signs = spec.n, (1,)
-        rotations, reflections = {c % spec.n for j in spec.jumps for c in (j, -j)}, ()
+        rotations, reflections = spec.connection, ()
     else:
         cyclic, signs = spec.m, (1, -1)
         rotations, reflections = spec.rotations, spec.reflections
@@ -254,7 +249,7 @@ def _kernel_character(spec: CirculantSpec | DihedralSpec, shift: int):
         for b in signs:
             value = sum(a ** j for j in rotations) + b * sum(a ** j for j in reflections)
             if shift:
-                value = (_order(spec) if a == b == 1 else 0) - 1 - value
+                value = (spec.order if a == b == 1 else 0) - 1 - value
             if value == 0:
                 return a, b
     return None
@@ -294,13 +289,12 @@ def _certify(spec: CirculantSpec | DihedralSpec, shift: int, recipe: str, n: int
     character = _kernel_character(spec, shift)
     if character is None:
         raise RuntimeError(f"no +-1 character is a kernel vector of {recipe} at ({n}, {d})")
-    order = _order(spec)
-    degree = order - 1 - spec.degree if shift else spec.degree
-    if (order, degree) != (n, d):
+    degree = spec.order - 1 - spec.degree if shift else spec.degree
+    if (spec.order, degree) != (n, d):
         raise RuntimeError(f"construction has wrong shape for ({n}, {d}): {recipe}")
     if not feasible_vt(n, d).exists:
         raise RuntimeError(f"witness parameters ({n}, {d}) break the existence law: {recipe}")
-    g = build_circulant(spec) if isinstance(spec, CirculantSpec) else build_dihedral(spec)
+    g = build_circulant(spec) if isinstance(spec, CirculantSpec) else build_bicirculant(spec)
     a, b = character  # vertex m + j of D_m is r^-j s, and b = 1 on Z_n
     vector = tuple(a ** v * (b if 2 * v >= n else 1) for v in range(n))
     return Witness(complement(g) if shift else g, recipe, NutCertificate(1, vector))
@@ -316,7 +310,7 @@ def _screen(spec: CirculantSpec | DihedralSpec) -> Witness | None:
     report = nut_check_spectral(spec)
     if report.total_nullity != 1:
         return None
-    return _certify(spec, 0, spec.describe(), _order(spec), spec.degree, report)
+    return _certify(spec, 0, spec.describe(), spec.order, spec.degree, report)
 
 
 def construct(n: int, d: int, budget: int | None = None) -> Witness:

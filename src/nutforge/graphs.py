@@ -2,20 +2,19 @@
 
 Graphs are simple and undirected, stored densely as per-vertex neighbor
 bitmasks, one n-bit integer per vertex; catalog witnesses reach thousands
-of vertices.  Builders cover the shapes the constructions need:
+of vertices.  Two builders cover the shapes the constructions need, plus
+complements:
 
 * circulant graphs on Z_n with a jump set,
-* Cayley graphs of the dihedral group of order 2m, laid out so the adjacency
-  matrix is literally a 2x2 block matrix of m x m circulants with equal
-  diagonal blocks,
-* general bicirculants given by three connection sets,
-* complements.
+* bicirculants of order 2m, the 2x2 block matrix of m x m circulants given
+  by three connection sets.
 
-The dihedral layout orders vertices as the m rotations r^0..r^{m-1} followed
-by the m reflections s, r^{-1}s, ..., r^{-(m-1)}s.  With that ordering the
-blocks are: diagonal blocks circulant on the rotation exponents, the upper
-off-diagonal block circulant on the negated reflection exponents, and the
-lower one circulant on the reflection exponents.
+A Cayley graph of the dihedral group of order 2m is the bicirculant with
+equal diagonal blocks, and ``DihedralSpec`` is that bicirculant: its
+vertices are the m rotations r^0..r^{m-1} followed by the m reflections
+s, r^{-1}s, ..., r^{-(m-1)}s, so both diagonal blocks are circulant on the
+rotation exponents and the lower off-diagonal block is circulant on the
+reflection exponents.
 
 Serialization covers graph6 (bit-exact per the published format, including
 the multi-byte order prefix for orders above 62), a zero-indexed adjacency
@@ -138,53 +137,20 @@ class CirculantSpec:
                 raise ValueError(f"jump {j} outside [1, {self.n // 2}]")
 
     @property
-    def degree(self) -> int:
-        return sum(1 if 2 * j == self.n else 2 for j in self.jumps)
+    def order(self) -> int:
+        return self.n
 
-    def describe(self) -> str:
-        return f"circulant(n={self.n}, jumps={sorted(self.jumps)})"
-
-
-@dataclass(frozen=True)
-class DihedralSpec:
-    """Cayley graph of the dihedral group of order 2m.
-
-    ``rotations`` holds exponents a with r^a in the connection set (closed
-    under a -> m - a, since the connection set is inverse-closed);
-    ``reflections`` holds exponents b with r^b s in the connection set
-    (reflections are involutions, so no closure condition applies).
-    """
-
-    m: int
-    rotations: frozenset = field(default_factory=frozenset)
-    reflections: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rotations", frozenset(self.rotations))
-        object.__setattr__(self, "reflections", frozenset(self.reflections))
-        if self.m < 3:
-            raise ValueError("dihedral parameter m must be >= 3")
-        for a in self.rotations:
-            if not 1 <= a <= self.m - 1:
-                raise ValueError(f"rotation exponent {a} outside [1, {self.m - 1}]")
-            if (self.m - a) % self.m not in self.rotations:
-                raise ValueError("rotation set not closed under inversion")
-        for b in self.reflections:
-            if not 0 <= b <= self.m - 1:
-                raise ValueError(f"reflection exponent {b} outside [0, {self.m - 1}]")
+    @property
+    def connection(self) -> frozenset:
+        """The inverse-closed connection set {+-j mod n}."""
+        return frozenset(c % self.n for j in self.jumps for c in (j, -j))
 
     @property
     def degree(self) -> int:
-        return len(self.rotations) + len(self.reflections)
-
-    def as_bicirculant(self) -> "BicirculantSpec":
-        """The equivalent three-connection-set description (equal diagonal
-        blocks, off-diagonal block from the reflection exponents)."""
-        return BicirculantSpec(self.m, self.rotations, self.reflections, self.rotations)
+        return len(self.connection)
 
     def describe(self) -> str:
-        return (f"dihedral(m={self.m}, rotations={sorted(self.rotations)}, "
-                f"reflections={sorted(self.reflections)})")
+        return f"circulant(n={self.n}, jumps={sorted(self.jumps)})"
 
 
 @dataclass(frozen=True)
@@ -198,13 +164,16 @@ class BicirculantSpec:
     s1: frozenset = field(default_factory=frozenset)
     s2: frozenset = field(default_factory=frozenset)
 
+    # The names of s0, s1 and s2 in error messages.
+    _names = ("s0", "s1", "s2")
+
     def __post_init__(self):
         object.__setattr__(self, "s0", frozenset(self.s0))
         object.__setattr__(self, "s1", frozenset(self.s1))
         object.__setattr__(self, "s2", frozenset(self.s2))
         if self.m < 3:
-            raise ValueError("bicirculant parameter m must be >= 3")
-        for name, s in (("s0", self.s0), ("s2", self.s2)):
+            raise ValueError("parameter m must be >= 3")
+        for name, s in zip(self._names[::2], (self.s0, self.s2)):
             for a in s:
                 if not 1 <= a <= self.m - 1:
                     raise ValueError(f"{name} entry {a} outside [1, {self.m - 1}]")
@@ -212,16 +181,47 @@ class BicirculantSpec:
                     raise ValueError(f"{name} not closed under inversion")
         for b in self.s1:
             if not 0 <= b <= self.m - 1:
-                raise ValueError(f"s1 entry {b} outside [0, {self.m - 1}]")
+                raise ValueError(f"{self._names[1]} entry {b} outside [0, {self.m - 1}]")
 
     @property
-    def degrees(self) -> tuple[int, int]:
-        """Vertex degrees on the two orbits."""
-        return (len(self.s0) + len(self.s1), len(self.s2) + len(self.s1))
+    def order(self) -> int:
+        return 2 * self.m
 
     def describe(self) -> str:
         return (f"bicirculant(m={self.m}, s0={sorted(self.s0)}, "
                 f"s1={sorted(self.s1)}, s2={sorted(self.s2)})")
+
+
+class DihedralSpec(BicirculantSpec):
+    """Cayley graph of the dihedral group of order 2m: the bicirculant with
+    s0 = s2 = ``rotations`` and s1 = ``reflections``.
+
+    ``rotations`` holds exponents a with r^a in the connection set (closed
+    under a -> m - a, since the connection set is inverse-closed);
+    ``reflections`` holds exponents b with r^b s in the connection set
+    (reflections are involutions, so no closure condition applies).
+    """
+
+    _names = ("rotations", "reflections", "rotations")
+
+    def __init__(self, m: int, rotations=frozenset(), reflections=frozenset()):
+        super().__init__(m, rotations, reflections, rotations)
+
+    @property
+    def rotations(self) -> frozenset:
+        return self.s0
+
+    @property
+    def reflections(self) -> frozenset:
+        return self.s1
+
+    @property
+    def degree(self) -> int:
+        return len(self.s0) + len(self.s1)
+
+    def describe(self) -> str:
+        return (f"dihedral(m={self.m}, rotations={sorted(self.rotations)}, "
+                f"reflections={sorted(self.reflections)})")
 
 
 def _circulant_rows(m: int, connection) -> list[int]:
@@ -238,11 +238,7 @@ def _circulant_rows(m: int, connection) -> list[int]:
 
 def build_circulant(spec: CirculantSpec) -> Graph:
     """Circulant graph: vertex i adjacent to i +- j (mod n) for each jump."""
-    conn = set()
-    for j in spec.jumps:
-        conn.add(j % spec.n)
-        conn.add((spec.n - j) % spec.n)
-    return Graph(spec.n, _circulant_rows(spec.n, conn))
+    return Graph(spec.n, _circulant_rows(spec.n, spec.connection))
 
 
 def build_bicirculant(spec: BicirculantSpec) -> Graph:
@@ -256,11 +252,6 @@ def build_bicirculant(spec: BicirculantSpec) -> Graph:
     rows = [c0[i] | c1t[i] << m for i in range(m)]
     rows += [c1[i] | c2[i] << m for i in range(m)]
     return Graph(2 * m, rows)
-
-
-def build_dihedral(spec: DihedralSpec) -> Graph:
-    """Dihedral Cayley graph of order 2m in the block-circulant vertex order."""
-    return build_bicirculant(spec.as_bicirculant())
 
 
 def complement(g: Graph) -> Graph:

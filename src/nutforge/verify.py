@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import divides_cyclotomic, fold
 from .exact import matrix_kernel
-from .graphs import BicirculantSpec, CirculantSpec, DihedralSpec, Graph
+from .graphs import BicirculantSpec, CirculantSpec, Graph
 from .numtheory import divisors, euler_phi
 
 
@@ -91,12 +91,6 @@ class SpectralReport:
     def singular_divisors(self) -> tuple[int, ...]:
         return tuple(v.b for v in self.divisor_verdicts if v.multiplicity)
 
-    @property
-    def simple_zero(self) -> bool:
-        """True iff the total nullity is exactly one (for vertex-transitive
-        graphs this is equivalent to the nut property)."""
-        return self.total_nullity == 1
-
 
 def nut_check_direct(g: Graph) -> NutCertificate:
     """Certify the nut property by exact kernel computation."""
@@ -114,7 +108,7 @@ def nullity_shifted(g: Graph, shift: int) -> int:
     return len(matrix_kernel(g.adjacency_matrix(shift)))
 
 
-def block_invariants(spec: CirculantSpec | DihedralSpec | BicirculantSpec,
+def block_invariants(spec: CirculantSpec | BicirculantSpec,
                      shift: int) -> tuple[int, tuple[dict[int, int], ...]]:
     """Cyclic order m and the block invariants of the shifted spec, from the
     determinant down, each folded modulo x^m - 1: (entry,) for a circulant,
@@ -126,10 +120,7 @@ def block_invariants(spec: CirculantSpec | DihedralSpec | BicirculantSpec,
     """
     if isinstance(spec, CirculantSpec):
         n = spec.n
-        conn = {c % n for j in spec.jumps for c in (j, -j)}
-        return n, (fold([(c, 1) for c in conn] + [(0, shift)], n),)
-    if isinstance(spec, DihedralSpec):
-        spec = spec.as_bicirculant()
+        return n, (fold([(c, 1) for c in spec.connection] + [(0, shift)], n),)
     m = spec.m
     diag0 = [(j, 1) for j in spec.s0] + [(0, shift)]
     diag2 = [(j, 1) for j in spec.s2] + [(0, shift)]
@@ -138,7 +129,7 @@ def block_invariants(spec: CirculantSpec | DihedralSpec | BicirculantSpec,
     return m, (fold(det, m), fold(diag0 + diag2, m))
 
 
-def nut_check_spectral(spec: CirculantSpec | DihedralSpec | BicirculantSpec,
+def nut_check_spectral(spec: CirculantSpec | BicirculantSpec,
                        shift: int = 0) -> SpectralReport:
     """Resolve the nullity of the (shifted) circulant or bicirculant through
     its blocks.

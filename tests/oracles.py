@@ -13,8 +13,8 @@ from nutforge.graphs import (
     CirculantSpec,
     DihedralSpec,
     Graph,
+    build_bicirculant,
     build_circulant,
-    build_dihedral,
     complement,
 )
 from nutforge.numtheory import divisors
@@ -159,7 +159,7 @@ def kernel_character_by_rows(spec: CirculantSpec | DihedralSpec, shift: int):
     if isinstance(spec, CirculantSpec):
         g, cyclic, signs = build_circulant(spec), spec.n, (1,)
     else:
-        g, cyclic, signs = build_dihedral(spec), spec.m, (1, -1)
+        g, cyclic, signs = build_bicirculant(spec), spec.m, (1, -1)
     if shift:
         g = complement(g)
     rows = g.adjacency_rows()

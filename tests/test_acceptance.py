@@ -22,7 +22,6 @@ from nutforge.graphs import (
     DihedralSpec,
     build_bicirculant,
     build_circulant,
-    build_dihedral,
     complement,
 )
 from nutforge.lemmas import (
@@ -125,11 +124,10 @@ def test_criterion_4_spectral_direct_equivalence():
     failures = []
     for m in range(3, 9):
         for spec in _all_dihedral_specs(m):
-            bspec = spec.as_bicirculant()
-            g = build_dihedral(spec)
-            if nut_check_spectral(bspec, 0).total_nullity != nut_check_direct(g).nullity:
+            g = build_bicirculant(spec)
+            if nut_check_spectral(spec, 0).total_nullity != nut_check_direct(g).nullity:
                 failures.append(("dihedral", spec, 0))
-            if nut_check_spectral(bspec, 1).total_nullity != nullity_shifted(g, 1):
+            if nut_check_spectral(spec, 1).total_nullity != nullity_shifted(g, 1):
                 failures.append(("dihedral", spec, 1))
     rng = random.Random(20250810)
     for _ in range(500):
@@ -172,11 +170,11 @@ def test_criterion_5_named_fixtures():
 
     expect_nut(build_circulant(CirculantSpec(8, {1, 2})), 8, 4, "4-regular order 8")
     expect_nut(build_circulant(CirculantSpec(10, {1, 2})), 10, 4, "4-regular order 10")
-    expect_nut(build_dihedral(DihedralSpec(6, {1, 3, 5}, {0, 2, 3})), 12, 6,
+    expect_nut(build_bicirculant(DihedralSpec(6, {1, 3, 5}, {0, 2, 3})), 12, 6,
                "6-regular order 12")
-    prism = build_dihedral(DihedralSpec(6, {1, 5}, {0}))
+    prism = build_bicirculant(DihedralSpec(6, {1, 5}, {0}))
     expect_nut(complement(prism), 12, 8, "8-regular order 12 (prism complement)")
-    expect_nut(build_dihedral(DihedralSpec(8, {1, 2, 3, 5, 6, 7}, {0, 2})), 16, 8,
+    expect_nut(build_bicirculant(DihedralSpec(8, {1, 2, 3, 5, 6, 7}, {0, 2})), 16, 8,
                "8-regular order 16")
     for order in (16, 24, 32):
         g = complement(build_circulant(CirculantSpec(order, {1, order // 2})))

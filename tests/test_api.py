@@ -19,7 +19,7 @@ EXPORTS = [
     "divides_cyclotomic", "enumerate_feasible_indices",
     "divisors", "euler_phi", "factorize",
     "BicirculantSpec", "CirculantSpec", "DihedralSpec", "Graph",
-    "build_bicirculant", "build_circulant", "build_dihedral",
+    "build_bicirculant", "build_circulant",
     "complement", "from_graph6", "parse_graph", "serialize",
     "to_graph6",
     "NutCertificate", "SpectralReport", "block_invariants", "nullity_shifted",

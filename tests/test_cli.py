@@ -15,8 +15,8 @@ from nutforge.cli import main
 from nutforge.graphs import (
     CirculantSpec,
     DihedralSpec,
+    build_bicirculant,
     build_circulant,
-    build_dihedral,
     to_adjacency_list,
     to_graph6,
 )
@@ -143,7 +143,7 @@ class TestVerify:
         assert "cannot parse graph" in err
 
     def test_direct_shift_one(self, tmp_path, capsys):
-        prism = build_dihedral(DihedralSpec(6, {1, 5}, {0}))
+        prism = build_bicirculant(DihedralSpec(6, {1, 5}, {0}))
         f = tmp_path / "prism.txt"
         f.write_text(to_adjacency_list(prism))
         code, out, _ = run(capsys, "verify", "--input", str(f), "--shift", "1")
@@ -326,6 +326,26 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot parse spec: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("spec, fragments", [
+        ('{"m": 8, "rotations": [9]}', ("rotation", "9 outside [1, 7]")),
+        ('{"m": 8, "rotations": [1]}', ("rotation", "not closed under inversion")),
+        ('{"m": 8, "reflections": [8]}', ("reflection", "8 outside [0, 7]")),
+        ('{"m": 2, "rotations": []}', ("m must be >= 3",)),
+    ])
+    @pytest.mark.parametrize("method", ["spectral", "both"])
+    def test_malformed_dihedral_spec_is_a_usage_error(self, tmp_path, capsys, spec,
+                                                      fragments, method):
+        # A dihedral spec is checked as a bicirculant, but its errors name
+        # the keys the user wrote.
+        f = tmp_path / "spec.json"
+        f.write_text(spec)
+        code, out, err = run(capsys, "verify", "--input", str(f), "--method", method)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot parse spec: ")
+        assert all(fragment in err for fragment in fragments), err
         assert "Traceback" not in err
 
 

@@ -21,7 +21,6 @@ from nutforge.graphs import (
     Graph,
     build_bicirculant,
     build_circulant,
-    build_dihedral,
     to_adjacency_list,
     to_graph6,
 )
@@ -37,7 +36,7 @@ _INSERTABLE = b"0123456789{}[]:,\"- \n~?@_" + bytes([0, 127, 200, 255])
 def _base_inputs() -> list[bytes]:
     graphs = [
         build_circulant(CirculantSpec(10, {1, 2})),  # nut
-        build_dihedral(DihedralSpec(8, {1, 7}, {0, 1, 4, 6})),  # nut
+        build_bicirculant(DihedralSpec(8, {1, 7}, {0, 1, 4, 6})),  # nut
         build_bicirculant(BicirculantSpec(6, {1, 5}, {0, 3}, {2, 4})),
         Graph.from_edges(3, [(0, 1), (1, 2)]),  # nullity one, zero kernel entry
     ]

@@ -27,8 +27,8 @@ from nutforge.graphs import (
     CirculantSpec,
     DihedralSpec,
     Graph,
+    build_bicirculant,
     build_circulant,
-    build_dihedral,
     complement,
     to_graph6,
 )
@@ -231,16 +231,16 @@ class TestFamilySpecs:
 
     def test_family_degrees(self):
         for t, m in ((0, 8), (1, 12), (2, 20)):
-            g = build_dihedral(direct_family_spec(8 * t + 6, m))
+            g = build_bicirculant(direct_family_spec(8 * t + 6, m))
             assert is_regular(g) == 8 * t + 6
         for t, m in ((0, 14), (1, 18), (2, 24)):
-            g = build_dihedral(direct_family_spec(8 * t + 10, m))
+            g = build_bicirculant(direct_family_spec(8 * t + 10, m))
             assert is_regular(g) == 8 * t + 10
 
 
 def built(spec, shift):
     """The graph a (spec, shift, recipe) triple names."""
-    g = build_circulant(spec) if isinstance(spec, CirculantSpec) else build_dihedral(spec)
+    g = build_circulant(spec) if isinstance(spec, CirculantSpec) else build_bicirculant(spec)
     return complement(g) if shift else g
 
 
@@ -279,7 +279,7 @@ class TestCatalogCoverage:
         for n, d in pairs:
             assert feasible_vt(n, d).exists, (n, d)
             spec, shift, recipe = catalog_witness(n, d)
-            assert constructions._order(spec) == n, recipe
+            assert spec.order == n, recipe
             assert nut_check_spectral(spec, shift).total_nullity == 1, recipe
             assert constructions._kernel_character(spec, shift) is not None, recipe
 
@@ -331,8 +331,8 @@ class TestSporadic:
                 if cn:
                     base = build_circulant(CirculantSpec(int(cn), json.loads(jumps)))
                 else:
-                    base = build_dihedral(DihedralSpec(int(m), json.loads(rot),
-                                                       json.loads(refl)))
+                    base = build_bicirculant(DihedralSpec(int(m), json.loads(rot),
+                                                          json.loads(refl)))
                 assert (complement(base) if wrapped else base) == g, (n, d, recipe)
                 checked += 1
         assert checked > 200
@@ -397,15 +397,15 @@ class TestConstruct:
         # Spanned over the whole order range of the acceptance sweep.
         for t in range(0, 4):
             for m in range(4 * t + 8, 4 * t + 40, 2):
-                rep = nut_check_spectral(direct_family_spec(8 * t + 6, m).as_bicirculant(), 0)
+                rep = nut_check_spectral(direct_family_spec(8 * t + 6, m), 0)
                 assert rep.singular_divisors == (2,) and rep.total_nullity == 1
         for t in range(0, 3):
             for m in range(4 * t + 14, 4 * t + 44, 2):
-                rep = nut_check_spectral(direct_family_spec(8 * t + 10, m).as_bicirculant(), 0)
+                rep = nut_check_spectral(direct_family_spec(8 * t + 10, m), 0)
                 assert rep.singular_divisors == (2,) and rep.total_nullity == 1
         for gap, d_min in ((6, 14), (10, 22), (14, 26)):
             for d in range(d_min, 47, 4):
-                rep = nut_check_spectral(complement_family_spec(d, gap).as_bicirculant(), 1)
+                rep = nut_check_spectral(complement_family_spec(d, gap), 1)
                 assert rep.singular_divisors == (1,) and rep.total_nullity == 1
 
 
@@ -463,7 +463,7 @@ def _kernel_witnesses(specs):
     candidate: how the searches and the census ran before the screen."""
     for spec in specs:
         g = (build_circulant(spec) if isinstance(spec, CirculantSpec)
-             else build_dihedral(spec))
+             else build_bicirculant(spec))
         cert = nut_check_direct(g)
         if cert.is_nut:
             yield Witness(g, spec.describe(), cert)
@@ -731,8 +731,8 @@ class TestCanonicalAndCensus:
         # The 10-regular order-16 dihedral graph and the complement of the
         # order-16 dihedral graph on {r^4, rs, r^5 s, r^6 s, r^7 s} are two
         # descriptions of one graph; compare complements (sparser, faster).
-        a = build_dihedral(DihedralSpec(8, {1, 2, 3, 5, 6, 7}, {0, 2, 3, 4}))
-        b = complement(build_dihedral(DihedralSpec(8, {4}, {1, 5, 6, 7})))
+        a = build_bicirculant(DihedralSpec(8, {1, 2, 3, 5, 6, 7}, {0, 2, 3, 4}))
+        b = complement(build_bicirculant(DihedralSpec(8, {4}, {1, 5, 6, 7})))
         assert nut_check_direct(a).is_nut and nut_check_direct(b).is_nut
         assert canonical_form(complement(a)) == canonical_form(complement(b))
 

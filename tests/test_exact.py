@@ -18,7 +18,6 @@ from nutforge.graphs import (
     CirculantSpec,
     build_bicirculant,
     build_circulant,
-    build_dihedral,
 )
 from nutforge.cyclotomic import fold
 from oracles import add, divrem, product
@@ -293,7 +292,7 @@ def _criterion_4_graphs():
     """The graphs of the dihedral and bicirculant specs of acceptance criterion 4."""
     for m in range(3, 9):
         for spec in _all_dihedral_specs(m):
-            yield build_dihedral(spec)
+            yield build_bicirculant(spec)
     rng = random.Random(20250810)
     for _ in range(500):
         m = rng.randint(3, 16)

@@ -11,7 +11,6 @@ from nutforge.graphs import (
     Graph,
     build_bicirculant,
     build_circulant,
-    build_dihedral,
     complement,
     from_adjacency_list,
     from_graph6,
@@ -21,7 +20,8 @@ from nutforge.graphs import (
     to_dot,
     to_graph6,
 )
-from oracles import build_lcf, is_regular, relabel
+from nutforge.verify import block_invariants, nut_check_spectral
+from oracles import build_lcf, is_regular, relabel, small_cayley_specs
 
 
 def cycle(n):
@@ -108,12 +108,12 @@ class TestCirculant:
 
 class TestDihedral:
     def test_six_regular_order_sixteen(self):
-        g = build_dihedral(DihedralSpec(8, {1, 7}, {0, 1, 4, 6}))
+        g = build_bicirculant(DihedralSpec(8, {1, 7}, {0, 1, 4, 6}))
         assert g.order == 16
         assert is_regular(g) == 6
 
     def test_perfect_matching(self):
-        g = build_dihedral(DihedralSpec(3, frozenset(), {0}))
+        g = build_bicirculant(DihedralSpec(3, frozenset(), {0}))
         assert g.order == 6
         assert is_regular(g) == 1
         assert g.edge_count() == 3
@@ -121,7 +121,7 @@ class TestDihedral:
     def test_prism_structure(self):
         # Rotations {1, m-1} plus one reflection give two m-cycles joined by
         # a perfect matching.
-        g = build_dihedral(DihedralSpec(6, {1, 5}, {0}))
+        g = build_bicirculant(DihedralSpec(6, {1, 5}, {0}))
         assert is_regular(g) == 3
         inner = [(i, (i + 1) % 6) for i in range(6)]
         assert all(v in g.neighbors(u) for u, v in inner)
@@ -131,7 +131,7 @@ class TestDihedral:
 
     def test_block_structure_matches_connection_sets(self):
         spec = DihedralSpec(7, {2, 5}, {1, 3})
-        rows = build_dihedral(spec).adjacency_rows()
+        rows = build_bicirculant(spec).adjacency_rows()
         m = 7
         for i in range(m):
             for j in range(m):
@@ -158,7 +158,7 @@ class TestDihedral:
                 rot.add(m // 2)
             refl = {b for b in range(m) if rng.random() < 0.4}
             spec = DihedralSpec(m, rot, refl)
-            g = build_dihedral(spec)
+            g = build_bicirculant(spec)
             assert is_regular(g) == len(rot) + len(refl)
 
 
@@ -173,7 +173,7 @@ class TestBicirculant:
 
     def test_dihedral_agreement(self):
         spec = BicirculantSpec(6, {1, 5}, {0}, {1, 5})
-        assert build_bicirculant(spec) == build_dihedral(DihedralSpec(6, {1, 5}, {0}))
+        assert build_bicirculant(spec) == build_bicirculant(DihedralSpec(6, {1, 5}, {0}))
 
     def test_matching(self):
         g = build_bicirculant(BicirculantSpec(3, frozenset(), {0}, frozenset()))
@@ -183,6 +183,38 @@ class TestBicirculant:
     def test_inversion_closure_enforced(self):
         with pytest.raises(ValueError):
             BicirculantSpec(8, {3}, set(), set())
+
+
+class TestSpecLayer:
+    """Every small Cayley spec states its own order, degree and connection
+    set, and a dihedral spec is the bicirculant with equal diagonal blocks."""
+
+    def test_dihedral_spec_is_its_explicit_bicirculant(self):
+        dihedral = [s for s in small_cayley_specs() if isinstance(s, DihedralSpec)]
+        assert len(dihedral) == 720
+        for spec in dihedral:
+            m, rot, refl = spec.m, spec.rotations, spec.reflections
+            explicit = BicirculantSpec(m, rot, refl, rot)
+            assert isinstance(spec, BicirculantSpec)
+            assert (spec.s0, spec.s1, spec.s2) == (rot, refl, rot)
+            assert build_bicirculant(spec) == build_bicirculant(explicit)
+            for shift in (0, 1):
+                assert block_invariants(spec, shift) == block_invariants(explicit, shift)
+                assert nut_check_spectral(spec, shift) == nut_check_spectral(explicit, shift)
+
+    def test_order_and_degree_are_the_built_graphs(self):
+        specs = list(small_cayley_specs())
+        assert len(specs) == 1092
+        for spec in specs:
+            g = (build_circulant(spec) if isinstance(spec, CirculantSpec)
+                 else build_bicirculant(spec))
+            assert (spec.order, spec.degree) == (g.order, is_regular(g)), spec
+
+    def test_circulant_connection_is_the_neighbourhood_of_zero(self):
+        circulants = [s for s in small_cayley_specs() if isinstance(s, CirculantSpec)]
+        assert len(circulants) == 372
+        for spec in circulants:
+            assert spec.connection == set(build_circulant(spec).neighbors(0)), spec
 
 
 class TestLCF:
@@ -223,7 +255,7 @@ class TestComplement:
             assert complement(complement(g)) == g
 
     def test_degree_map(self):
-        g = build_dihedral(DihedralSpec(6, {1, 5}, {0}))
+        g = build_bicirculant(DihedralSpec(6, {1, 5}, {0}))
         cg = complement(g)
         assert is_regular(cg) == 12 - 1 - 3
 

@@ -12,7 +12,6 @@ from nutforge.graphs import (
     Graph,
     build_bicirculant,
     build_circulant,
-    build_dihedral,
 )
 from nutforge.verify import (
     block_invariants,
@@ -78,7 +77,7 @@ class TestDirect:
 
 class TestShiftedNullity:
     def test_prism_shift_one(self):
-        prism = build_dihedral(DihedralSpec(6, {1, 5}, {0}))
+        prism = build_bicirculant(DihedralSpec(6, {1, 5}, {0}))
         assert nullity_shifted(prism, 1) == 1
 
     def test_empty_graph_shift_one(self):
@@ -97,13 +96,13 @@ class TestShiftedNullity:
         # the multiplicity of -1 in the base graph.
         from nutforge.graphs import complement
 
-        prism = build_dihedral(DihedralSpec(6, {1, 5}, {0}))
+        prism = build_bicirculant(DihedralSpec(6, {1, 5}, {0}))
         assert nut_check_direct(complement(prism)).nullity == nullity_shifted(prism, 1)
 
 
 class TestDetPolynomial:
     def test_matching_block(self):
-        spec = DihedralSpec(3, frozenset(), {0}).as_bicirculant()
+        spec = DihedralSpec(3, frozenset(), {0})
         assert block_invariants(spec, 0) == (3, ({0: -1}, {}))
 
     def test_disjoint_squares(self):
@@ -113,7 +112,7 @@ class TestDetPolynomial:
     def test_six_regular_family_divisors(self):
         from nutforge.cyclotomic import divides_cyclotomic
 
-        spec = DihedralSpec(8, {1, 7}, {0, 1, 4, 6}).as_bicirculant()
+        spec = DihedralSpec(8, {1, 7}, {0, 1, 4, 6})
         d = block_invariants(spec, 0)[1][0]
         assert divides_cyclotomic(d, 2)
         for b in (1, 4, 8):
@@ -193,7 +192,7 @@ class TestBlockInvariantsDifferential:
             if isinstance(spec, CirculantSpec):
                 g = build_circulant(spec)
             elif isinstance(spec, DihedralSpec):
-                g = build_dihedral(spec)
+                g = build_bicirculant(spec)
             else:
                 g = build_bicirculant(spec)
             rows = g.adjacency_rows()
@@ -219,14 +218,13 @@ class TestBlockInvariantsDifferential:
 
 class TestSpectral:
     def test_six_regular_order_sixteen(self):
-        spec = DihedralSpec(8, {1, 7}, {0, 1, 4, 6}).as_bicirculant()
+        spec = DihedralSpec(8, {1, 7}, {0, 1, 4, 6})
         rep = nut_check_spectral(spec, 0)
         assert rep.singular_divisors == (2,)
         assert rep.total_nullity == 1
-        assert rep.simple_zero
 
     def test_complement_base_shift_one(self):
-        spec = DihedralSpec(10, {2, 8}, {0, 8, 9}).as_bicirculant()
+        spec = DihedralSpec(10, {2, 8}, {0, 8, 9})
         rep = nut_check_spectral(spec, 1)
         assert rep.singular_divisors == (1,)
         assert rep.total_nullity == 1
@@ -238,7 +236,6 @@ class TestSpectral:
         rep = nut_check_spectral(spec, 0)
         assert 4 in rep.singular_divisors
         assert rep.total_nullity == 4
-        assert not rep.simple_zero
 
     def test_circulant_cycles(self):
         # C_n has eigenvalue 0 iff 4 | n and eigenvalue -1 iff 3 | n, each
@@ -255,9 +252,9 @@ class TestSpectral:
 
     def test_dihedral_spec_reads_as_its_bicirculant(self):
         spec = DihedralSpec(8, {1, 7}, {0, 1, 4, 6})
+        explicit = BicirculantSpec(8, {1, 7}, {0, 1, 4, 6}, {1, 7})
         for shift in (0, 1):
-            assert (nut_check_spectral(spec, shift)
-                    == nut_check_spectral(spec.as_bicirculant(), shift))
+            assert nut_check_spectral(spec, shift) == nut_check_spectral(explicit, shift)
 
     def test_rejects_other_shifts(self):
         spec = BicirculantSpec(4, {1, 3}, frozenset(), {1, 3})
@@ -321,9 +318,9 @@ class TestSpectralDirectAgreement:
             m = rng.randint(3, 8)
             s = random_bicirculant_spec(rng, max_m=m)
             spec = DihedralSpec(s.m, s.s0, s.s1)
-            g = build_dihedral(spec)
-            rep = nut_check_spectral(spec.as_bicirculant(), 0)
+            g = build_bicirculant(spec)
+            rep = nut_check_spectral(spec, 0)
             cert = nut_check_direct(g)
-            assert rep.simple_zero == cert.is_nut
+            assert (rep.total_nullity == 1) == cert.is_nut
             checked_nuts += cert.is_nut
         assert checked_nuts > 0
