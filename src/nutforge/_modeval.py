@@ -9,16 +9,23 @@ hit exactly.
 
 For a family with exponents slope * t + offset, the member at t evaluates at
 zeta to G(zeta^t), where G(w) = sum_s A_s w^(s mod b) and A_s sums
-coeff * zeta^(offset mod b) over the terms of slope s.  As t runs over [0, b),
-zeta^t runs once over the b-th roots of unity, so the zero parameters are the
-roots of H = gcd(G, w^b - 1) in F_q[w]: root counting costs about log b
-products of polynomials of degree below the largest slope, not b evaluations.
+coeff * zeta^(offset mod b) over the terms of slope s (``slope_sums``); a
+few sums replace the whole term list at every t.  To find all zero
+parameters at once, let k be the gcd of the s mod b with A_s nonzero:
+G(w) = H(w^k), so G(zeta^t) = H((zeta^k)^t), and zeta^k has order
+b' = b / gcd(b, k).  As t runs over [0, b'), (zeta^k)^t runs once over the
+b'-th roots of unity, so the zero parameters below b' are the roots of
+gcd(H, w^b' - 1) in F_q[w], and the others repeat them with period b'.  Root
+counting costs about log b squarings of polynomials of degree below deg H,
+not b evaluations.
 
 Polynomials over F_q are coefficient lists, lowest degree first, without
 trailing zeros.
 """
 
 from __future__ import annotations
+
+import math
 
 from .numtheory import is_prime, prime_factors
 
@@ -59,12 +66,13 @@ def _trim(p: list[int]) -> list[int]:
 
 def _rem(a: list[int], m: list[int], q: int) -> list[int]:
     """a modulo the nonzero m."""
-    a, dm, inv = [c % q for c in a], len(m) - 1, pow(m[-1], -1, q)
+    a, dm, inv = list(a), len(m) - 1, pow(m[-1], -1, q)
     for i in range(len(a) - 1, dm - 1, -1):
         c = a[i] * inv % q
-        for j in range(dm):
-            a[i - dm + j] = (a[i - dm + j] - c * m[j]) % q
-    return _trim(a[:dm])
+        if c:
+            for j in range(dm):
+                a[i - dm + j] -= c * m[j]
+    return _trim([c % q for c in a[:dm]])
 
 
 def _gcd(a: list[int], b: list[int], q: int) -> list[int]:
@@ -78,24 +86,31 @@ def _minus(p: list[int], c: int, q: int) -> list[int]:
     return _trim([((p[0] if p else 0) - c) % q, *p[1:]])
 
 
-def _power_of_w(e: int, m: list[int], q: int) -> list[int]:
-    """w^e modulo m, by repeated squaring."""
-    result, base = [1], [0, 1]
-    while e:
-        if e & 1:
-            result = _mulmod(result, base, m, q)
-        e >>= 1
-        if e:
-            base = _mulmod(base, base, m, q)
-    return result
-
-
-def _mulmod(a: list[int], b: list[int], m: list[int], q: int) -> list[int]:
-    prod = [0] * (len(a) + len(b))
+def _square(a: list[int]) -> list[int]:
+    """a^2 over the integers, each cross product taken once and doubled."""
+    prod = [0] * (2 * len(a) - 1) if a else []
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] += x * y
-    return _rem(prod, m, q)
+        prod[2 * i] += x * x
+        x += x
+        for j in range(i + 1, len(a)):
+            prod[i + j] += x * a[j]
+    return prod
+
+
+def _power_of_w(e: int, m: list[int], q: int) -> list[int]:
+    """w^e modulo m, of degree >= 1, by squaring left to right: each bit of
+    e squares the power so far, and a set bit then multiplies it by w, which
+    is a shift and one reduction step."""
+    dm, inv = len(m) - 1, pow(m[-1], -1, q)
+    result = [1]
+    for bit in bin(e)[2:]:
+        result = _rem(_square(result), m, q)
+        if bit == "1" and result:
+            result = [0, *result]
+            if len(result) > dm:
+                c = result.pop() * inv % q
+                result = _trim([(x - c * y) % q for x, y in zip(result, m)])
+    return result
 
 
 def _root_exponents(h: list[int], zeta: int, b: int, q: int) -> list[int]:
@@ -127,12 +142,14 @@ def _root_exponents(h: list[int], zeta: int, b: int, q: int) -> list[int]:
     return sorted(found)
 
 
-def eval_at(coeffs, exponents, b: int, q: int, zeta: int) -> int:
-    """Single evaluation sum_i coeffs[i] * zeta^(exponents[i] mod b) mod q."""
-    acc = 0
-    for c, e in zip(coeffs, exponents):
-        acc = (acc + c * pow(zeta, e % b, q)) % q
-    return acc
+def slope_sums(coeffs, slopes, offsets, b: int, q: int, zeta: int) -> dict[int, int]:
+    """The nonzero A_s mod q, keyed by s = slope mod b: the sum of
+    coeff * zeta^(offset mod b) over the terms whose slope is s mod b.  The
+    member at t evaluates at zeta to sum_s A_s zeta^(s*t mod b)."""
+    sums: dict[int, int] = {}
+    for c, s, o in zip(coeffs, slopes, offsets):
+        sums[s % b] = (sums.get(s % b, 0) + c * pow(zeta, o % b, q)) % q
+    return {s: a for s, a in sums.items() if a}
 
 
 def sweep_zero_parameters(coeffs, slopes, offsets, b: int) -> list[int]:
@@ -140,18 +157,29 @@ def sweep_zero_parameters(coeffs, slopes, offsets, b: int) -> list[int]:
     order-b root of ``evaluation_prime(b)``, found by root counting (module
     docstring).
 
+    With k the gcd of the exponents s mod b of G, G(w) = H(w^k), so
+    G(zeta^t) = H((zeta^k)^t).  zeta^k has order b' = b / gcd(b, k): the
+    roots t' < b' of H over the b'-th roots of unity lift to the zero
+    parameters t' + j*b', j < b/b'.  A constant G (k = 0) has no zero
+    unless it is 0.
+
     Every t not returned is certified non-divisible by the b-th cyclotomic
     polynomial; returned parameters need the exact check.
     """
     q = evaluation_prime(b)
     zeta = root_of_order(q, b)
-    g = [0] * (max((s % b for s in slopes), default=0) + 1)
-    for c, s, o in zip(coeffs, slopes, offsets):
-        g[s % b] = (g[s % b] + c * pow(zeta, o % b, q)) % q
-    g = _trim(g)
-    if not g:
+    sums = slope_sums(coeffs, slopes, offsets, b, q, zeta)
+    if not sums:
         return list(range(b))
-    if len(g) == 1:
+    k = math.gcd(*sums)
+    if not k:
         return []
-    h = _gcd(g, _minus(_power_of_w(b, g, q), 1, q), q)
-    return _root_exponents(h, zeta, b, q) if len(h) > 1 else []
+    h = [0] * (max(sums) // k + 1)
+    for s, a in sums.items():
+        h[s // k] = a
+    period = b // math.gcd(b, k)
+    h = _gcd(h, _minus(_power_of_w(period, h, q), 1, q), q)
+    if len(h) == 1:
+        return []
+    roots = _root_exponents(h, pow(zeta, k, q), period, q)
+    return [t + j * period for j in range(b // period) for t in roots]

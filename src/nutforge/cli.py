@@ -36,8 +36,7 @@ from .graphs import (
     BicirculantSpec,
     CirculantSpec,
     DihedralSpec,
-    build_bicirculant,
-    build_circulant,
+    build,
     parse_graph,
     serialize,
     to_graph6,
@@ -232,8 +231,7 @@ def cmd_verify(args) -> int:
     print(f"spectral {label}: {report.total_nullity}; singular divisors: {singular}")
     positive = report.total_nullity == 1
     if args.method == "both":
-        g = (build_circulant(spec) if isinstance(spec, CirculantSpec)
-             else build_bicirculant(spec))
+        g = build(spec)
         nut_line = None
         if shift == 0:
             cert = nut_check_direct(g)

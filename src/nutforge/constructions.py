@@ -56,8 +56,7 @@ from .graphs import (
     CirculantSpec,
     DihedralSpec,
     Graph,
-    build_bicirculant,
-    build_circulant,
+    build,
     complement,
 )
 from .verify import NutCertificate, SpectralReport, nut_check_direct, nut_check_spectral
@@ -294,7 +293,7 @@ def _certify(spec: CirculantSpec | DihedralSpec, shift: int, recipe: str, n: int
         raise RuntimeError(f"construction has wrong shape for ({n}, {d}): {recipe}")
     if not feasible_vt(n, d).exists:
         raise RuntimeError(f"witness parameters ({n}, {d}) break the existence law: {recipe}")
-    g = build_circulant(spec) if isinstance(spec, CirculantSpec) else build_bicirculant(spec)
+    g = build(spec)
     a, b = character  # vertex m + j of D_m is r^-j s, and b = 1 on Z_n
     vector = tuple(a ** v * (b if 2 * v >= n else 1) for v in range(n))
     return Witness(complement(g) if shift else g, recipe, NutCertificate(1, vector))

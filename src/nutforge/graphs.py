@@ -254,6 +254,11 @@ def build_bicirculant(spec: BicirculantSpec) -> Graph:
     return Graph(2 * m, rows)
 
 
+def build(spec: CirculantSpec | BicirculantSpec) -> Graph:
+    """The graph of a circulant or bicirculant (dihedral included) spec."""
+    return build_circulant(spec) if isinstance(spec, CirculantSpec) else build_bicirculant(spec)
+
+
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the non-edges."""
     mask = (1 << g.order) - 1

@@ -35,7 +35,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from ._modeval import eval_at, evaluation_prime, root_of_order, sweep_zero_parameters
+from ._modeval import evaluation_prime, root_of_order, slope_sums, sweep_zero_parameters
 from .cyclotomic import divides_cyclotomic, enumerate_feasible_indices
 from .numtheory import euler_phi, is_prime
 
@@ -68,9 +68,6 @@ class PolynomialFamily:
         for coeff, a, c in self.terms:
             out[a * t + c] = out.get(a * t + c, 0) + coeff
         return {e: c for e, c in out.items() if c}
-
-    def exponents(self, t: int) -> list[int]:
-        return [a * t + c for _, a, c in self.terms]
 
     def case_bounds(self) -> tuple[tuple[int, ...], int]:
         """Allowed primes and the bound on sum(p - 2) over the distinct
@@ -215,9 +212,11 @@ def verify_family_bounded(tag: str, t_max: int) -> VerificationReport:
 
     For each t the candidate indices are every b with phi(b) bounded by the
     member's degree, which is a complete divisor-candidate set.  A nonzero
-    evaluation at the order-b root of ``evaluation_prime(b)`` proves
-    non-divisibility; ``divides_cyclotomic`` decides the rest.  The candidates
-    and their (prime, root) pairs are found once per call.
+    evaluation at the order-b root zeta of ``evaluation_prime(b)`` proves
+    non-divisibility; ``divides_cyclotomic`` decides the rest.  The candidates,
+    their (prime, root) pairs and their slope sums A_s (``slope_sums``) are
+    found once per call; the member at t then evaluates to
+    sum_s A_s zeta^(s*t mod b), one term per distinct slope.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -225,22 +224,24 @@ def verify_family_bounded(tag: str, t_max: int) -> VerificationReport:
     start = time.perf_counter()
     checked = []
     violations = []
-    coeffs = [c for c, _, _ in fam.terms]
+    coeffs, slopes, offsets = zip(*fam.terms)
     max_deg = max(a * t_max + c for _, a, c in fam.terms)
     candidates = []
     for b in candidate_divisor_indices(max_deg, fam.min_b):
         q = evaluation_prime(b)
-        candidates.append((b, euler_phi(b), q, root_of_order(q, b)))
+        zeta = root_of_order(q, b)
+        sums = slope_sums(coeffs, slopes, offsets, b, q, zeta).items()
+        candidates.append((b, euler_phi(b), q, zeta, sums))
     for t in range(t_max + 1):
         member = fam.member(t)
-        exps = fam.exponents(t)
         deg = max(member)
         count = 0
-        for b, phi_b, q, zeta in candidates:
+        for b, phi_b, q, zeta, sums in candidates:
             if phi_b > deg:
                 continue
             count += 1
-            if not eval_at(coeffs, exps, b, q, zeta) and divides_cyclotomic(member, b):
+            if (not sum(a * pow(zeta, s * t % b, q) for s, a in sums) % q
+                    and divides_cyclotomic(member, b)):
                 violations.append((t, b))
         checked.append((t, f"{count} candidate indices, degree {deg}"))
     return VerificationReport(
@@ -346,9 +347,7 @@ def verify_finite_case_analysis(tag: str) -> VerificationReport:
     primes, sum_bound = fam.case_bounds()
     indices = enumerate_feasible_indices(primes, sum_bound, cc.rad_ratio_bound,
                                          fam.min_b, cc.forbid_four)
-    coeffs = [c for c, _, _ in fam.terms]
-    slopes = [a for _, a, _ in fam.terms]
-    offsets = [c for _, _, c in fam.terms]
+    coeffs, slopes, offsets = zip(*fam.terms)
     start = time.perf_counter()
     checked = []
     violations = []

@@ -8,13 +8,12 @@ from functools import cache
 from itertools import combinations
 from math import gcd
 
-from nutforge._modeval import eval_at, evaluation_prime, root_of_order
+from nutforge._modeval import evaluation_prime, root_of_order
 from nutforge.graphs import (
     CirculantSpec,
     DihedralSpec,
     Graph,
-    build_bicirculant,
-    build_circulant,
+    build,
     complement,
 )
 from nutforge.numtheory import divisors
@@ -95,6 +94,15 @@ def cyclotomic(n: int) -> dict:
     return poly
 
 
+def eval_at(coeffs, exponents, b: int, q: int, zeta: int) -> int:
+    """The pointwise evaluation sum_i coeffs[i] * zeta^(exponents[i] mod b)
+    mod q."""
+    acc = 0
+    for c, e in zip(coeffs, exponents):
+        acc = (acc + c * pow(zeta, e % b, q)) % q
+    return acc
+
+
 def divides_cyclotomic_by_evaluation(p: dict, b: int) -> bool:
     """The modular rule that regrouping exponents replaced: whether Phi_b
     divides p, decided at the phi(b) primitive roots modulo a prime.
@@ -156,10 +164,8 @@ def kernel_character_by_rows(spec: CirculantSpec | DihedralSpec, shift: int):
     b a^j = 1.  A row annihilates it when the vertex has as many neighbours
     where it is +1 as where it is -1.
     """
-    if isinstance(spec, CirculantSpec):
-        g, cyclic, signs = build_circulant(spec), spec.n, (1,)
-    else:
-        g, cyclic, signs = build_bicirculant(spec), spec.m, (1, -1)
+    cyclic, signs = (spec.n, (1,)) if isinstance(spec, CirculantSpec) else (spec.m, (1, -1))
+    g = build(spec)
     if shift:
         g = complement(g)
     rows = g.adjacency_rows()

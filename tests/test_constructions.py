@@ -27,6 +27,7 @@ from nutforge.graphs import (
     CirculantSpec,
     DihedralSpec,
     Graph,
+    build,
     build_bicirculant,
     build_circulant,
     complement,
@@ -240,7 +241,7 @@ class TestFamilySpecs:
 
 def built(spec, shift):
     """The graph a (spec, shift, recipe) triple names."""
-    g = build_circulant(spec) if isinstance(spec, CirculantSpec) else build_bicirculant(spec)
+    g = build(spec)
     return complement(g) if shift else g
 
 
@@ -462,8 +463,7 @@ def _kernel_witnesses(specs):
     """Witness for every spec the direct kernel certifies, one kernel per
     candidate: how the searches and the census ran before the screen."""
     for spec in specs:
-        g = (build_circulant(spec) if isinstance(spec, CirculantSpec)
-             else build_bicirculant(spec))
+        g = build(spec)
         cert = nut_check_direct(g)
         if cert.is_nut:
             yield Witness(g, spec.describe(), cert)

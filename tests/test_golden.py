@@ -1,20 +1,23 @@
-"""Golden output: the bytes ``construct`` and ``census`` print, and the
-verdicts of ``nut_check_spectral``, pinned by SHA-256.
+"""Golden output: the bytes ``construct``, ``census`` and ``lemmas`` print,
+and the verdicts of ``nut_check_spectral``, pinned by SHA-256.
 
 The construct digest covers ``construct N D --format jsonl`` for every
 feasible pair with d <= 40 and n <= 120, in (d, n) order; the census digest
 covers the eleven censuses of the benchmark's census workload, in the order
 below; the spectral digest covers ``(total_nullity, ((b, multiplicity),
 ...))`` at shifts 0 and 1 for every dihedral spec with m <= 6 and every
-circulant jump set with 5 <= n <= 14.  A change that keeps the output keeps
-the digests.  A change that alters the output on purpose records the new
-digests in the same change and says why.
+circulant jump set with 5 <= n <= 14; the lemmas digest covers the text
+output of ``lemmas --family all --t-max 20 --beta-max 300
+--full-case-analysis`` with the wall times of its result lines removed.  A
+change that keeps the output keeps the digests.  A change that alters the
+output on purpose records the new digests in the same change and says why.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import re
 
 import pytest
 
@@ -26,6 +29,7 @@ from oracles import small_cayley_specs
 CONSTRUCT_SHA256 = "9379aa5937a09125063d352a3fddf37ffc4f174f0269899178589b5c9552f2d9"
 CENSUS_SHA256 = "55da40bcf50ca7066a87749f21fdbeb0638cffc896efb9a09faa2db66bcf087f"
 SPECTRAL_SHA256 = "0d1cf0c88313cd8ce3331013b5e6276f5102d1d044ddefa2b5a6ffc8b97d02cb"
+LEMMAS_SHA256 = "49d32ff324e09da45afc6a945d1493822f181f7393ac157240407a0fe0db0c18"
 
 # (family, n, d, dedup): the census benchmark workload's requests.
 CENSUS_CASES = (
@@ -66,6 +70,15 @@ def test_census_workload_output():
         digest.update(stdout_of("census", "--family", family, n, d, "--jobs", 1,
                                 *flags).encode())
     assert digest.hexdigest() == CENSUS_SHA256
+
+
+def test_lemmas_output():
+    out = stdout_of("lemmas", "--family", "all", "--t-max", 20, "--beta-max", 300,
+                    "--full-case-analysis")
+    # "  result: ok (770 indices, 0 violations, 0.29s)" loses ", 0.29s"
+    timeless = re.sub(r", [0-9.]+s\)$", ")", out, flags=re.M)
+    assert timeless.count("  result: ok (") == 12
+    assert hashlib.sha256(timeless.encode()).hexdigest() == LEMMAS_SHA256
 
 
 def test_spectral_verdicts():

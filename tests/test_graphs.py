@@ -9,6 +9,7 @@ from nutforge.graphs import (
     CirculantSpec,
     DihedralSpec,
     Graph,
+    build,
     build_bicirculant,
     build_circulant,
     complement,
@@ -206,9 +207,15 @@ class TestSpecLayer:
         specs = list(small_cayley_specs())
         assert len(specs) == 1092
         for spec in specs:
-            g = (build_circulant(spec) if isinstance(spec, CirculantSpec)
-                 else build_bicirculant(spec))
+            g = build(spec)
             assert (spec.order, spec.degree) == (g.order, is_regular(g)), spec
+
+    def test_build_picks_the_builder_of_the_spec_kind(self):
+        bicirculant = BicirculantSpec(6, {1, 5}, {0, 3}, {2, 4})
+        assert build(bicirculant) == build_bicirculant(bicirculant)
+        for spec in small_cayley_specs():
+            own = build_circulant if isinstance(spec, CirculantSpec) else build_bicirculant
+            assert build(spec) == own(spec), spec
 
     def test_circulant_connection_is_the_neighbourhood_of_zero(self):
         circulants = [s for s in small_cayley_specs() if isinstance(s, CirculantSpec)]

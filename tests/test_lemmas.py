@@ -6,6 +6,7 @@ import random
 import pytest
 
 from nutforge import lemmas
+from nutforge._modeval import evaluation_prime, root_of_order
 from nutforge.cyclotomic import divides_cyclotomic
 from nutforge.lemmas import (
     FAMILIES,
@@ -19,7 +20,7 @@ from nutforge.lemmas import (
     verify_unique_remainder,
 )
 from nutforge.numtheory import euler_phi, is_prime
-from oracles import add, phi_table, prime_power_cancellation_applies
+from oracles import add, eval_at, phi_table, prime_power_cancellation_applies
 
 
 def _has_unique_residue(fam, t, beta):
@@ -277,6 +278,26 @@ class TestExactRuleOnEveryZero:
         verdicts = _record_exact_calls(monkeypatch)
         assert verify_family_bounded(tag, 20).ok
         assert len(verdicts) == hits and not any(verdicts)
+
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    def test_bounded_suite_checks_exactly_the_pointwise_zeros(self, monkeypatch, tag):
+        # The pairs (t, b) handed to the exact rule, in order, are those
+        # where the pointwise evaluation over every term is zero.
+        fam = FAMILIES[tag]
+        handed = []
+        monkeypatch.setattr(lemmas, "divides_cyclotomic",
+                            lambda p, b: handed.append((p, b)) or divides_cyclotomic(p, b))
+        assert verify_family_bounded(tag, 20).ok
+        coeffs = [c for c, _, _ in fam.terms]
+        zeros = []
+        for t in range(21):
+            member = fam.member(t)
+            exponents = [a * t + c for _, a, c in fam.terms]
+            for b in candidate_divisor_indices(max(member), fam.min_b):
+                q = evaluation_prime(b)
+                if not eval_at(coeffs, exponents, b, q, root_of_order(q, b)):
+                    zeros.append((member, b))
+        assert handed == zeros
 
     @pytest.mark.parametrize("tag, indices, hits",
                              [("Q", 39, 15), ("R", 146, 84), ("S", 164, 77), ("T", 770, 295)])

@@ -1,6 +1,7 @@
 """Tests for the modular root-of-unity screening, including the differential
 gate against the per-residue sweep that root counting replaced."""
 
+import math
 import os
 import random
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from nutforge import _modeval as me
 from nutforge.cyclotomic import divides_cyclotomic, enumerate_feasible_indices
 from nutforge.lemmas import FAMILIES
-from oracles import add, cyclotomic, product
+from oracles import add, cyclotomic, eval_at, product
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -55,14 +56,14 @@ def test_cyclotomic_vanishes_at_root():
         z = me.root_of_order(q, b)
         phi = cyclotomic(b)
         coeffs, exps = list(phi.values()), list(phi)
-        assert me.eval_at(coeffs, exps, b, q, z) == 0
+        assert eval_at(coeffs, exps, b, q, z) == 0
 
 
 def _witness(p, b, moduli):
     """Whether p is nonzero at the order-b root of one of the first `moduli`
     evaluation primes of b."""
     coeffs, exps = list(p.values()), list(p)
-    return any(me.eval_at(coeffs, exps, b, q, me.root_of_order(q, b))
+    return any(eval_at(coeffs, exps, b, q, me.root_of_order(q, b))
                for q in _primes_above(b, moduli))
 
 
@@ -138,12 +139,15 @@ def test_suspects_match_sweep_on_case_analysis(tag, zeros):
     assert total == zeros
 
 
-def _random_family(rng, b, kind):
+def _random_family(rng, b, kind, factor=1):
     k = rng.randint(1, 10)
     coeffs = [rng.randint(-3, 3) for _ in range(k)]
     offsets = [rng.randint(-5, 40) for _ in range(k)]
     if kind == "constant":  # every slope a multiple of b: G is a constant
         slopes = [b * rng.randint(0, 3) for _ in range(k)]
+    elif kind == "scaled":  # every slope a multiple of factor: G(w) = H(w^factor)
+        slopes = [factor * (rng.randint(0, 4) + b * rng.choice((0, 0, 1)))
+                  for _ in range(k)]
     else:  # the families' slopes, some of them raised past b
         slopes = [rng.choice((0, 1, 2, 4, 6, 8)) + b * rng.choice((0, 0, 1, 3))
                   for _ in range(k)]
@@ -154,13 +158,26 @@ def _random_family(rng, b, kind):
     return coeffs, slopes, offsets
 
 
+def _scaled_index(rng, factor):
+    """An index b coprime to factor, sharing a prime with it, or dividing it."""
+    relation = rng.choice(("coprime", "shared", "divisor"))
+    if relation == "divisor":
+        return rng.choice([d for d in range(1, factor + 1) if factor % d == 0])
+    while True:
+        b = rng.choice((rng.randint(1, 60), rng.randint(61, 3000)))
+        if (math.gcd(b, factor) == 1) == (relation == "coprime"):
+            return b
+
+
 def test_suspects_match_sweep_on_random_families():
     rng = random.Random(71)
-    kinds = {"plain": 0, "constant": 0, "zero": 0}
+    kinds = {"plain": 0, "constant": 0, "zero": 0, "scaled": 0}
     for i in range(3000):
-        kind = ("plain", "plain", "constant", "zero")[i % 4]
-        b = rng.choice((1, 2, rng.randint(1, 60), rng.randint(61, 3000)))
-        coeffs, slopes, offsets = _random_family(rng, b, kind)
+        kind = ("plain", "plain", "constant", "zero", "scaled")[i % 5]
+        factor = rng.choice((2, 3, 4, 6))
+        b = (_scaled_index(rng, factor) if kind == "scaled"
+             else rng.choice((1, 2, rng.randint(1, 60), rng.randint(61, 3000))))
+        coeffs, slopes, offsets = _random_family(rng, b, kind, factor)
         suspects = me.sweep_zero_parameters(coeffs, slopes, offsets, b)
         assert suspects == _sweep_suspects(coeffs, slopes, offsets, b), (
             b, coeffs, slopes, offsets)
@@ -168,6 +185,17 @@ def test_suspects_match_sweep_on_random_families():
             assert suspects == list(range(b))
         kinds[kind] += bool(suspects)
     assert all(kinds.values())  # each kind produced suspects somewhere
+
+
+def test_power_of_w_matches_reduction_of_the_monomial():
+    rng = random.Random(73)
+    for _ in range(400):
+        q = me.evaluation_prime(rng.randint(1, 500))
+        m = [rng.randrange(q) for _ in range(rng.randint(1, 8))] + [rng.randrange(1, q)]
+        if rng.random() < 0.1:
+            m[0] = 0  # w divides m: high powers of w reduce to multiples of w
+        e = rng.choice((0, 1, rng.randint(0, 64), rng.randint(0, 3000)))
+        assert me._power_of_w(e, m, q) == me._rem([0] * e + [1], m, q), (e, m, q)
 
 
 def test_suspects_match_pointwise_evaluation():
@@ -178,7 +206,7 @@ def test_suspects_match_pointwise_evaluation():
         q = me.evaluation_prime(b)
         z = me.root_of_order(q, b)
         expected = [t for t in range(b)
-                    if me.eval_at(coeffs, [s * t + o for s, o in zip(slopes, offsets)],
+                    if eval_at(coeffs, [s * t + o for s, o in zip(slopes, offsets)],
                                   b, q, z) == 0]
         assert me.sweep_zero_parameters(coeffs, slopes, offsets, b) == expected
 
