@@ -15,7 +15,7 @@ verdict.
 """
 
 from .exact import IntMatrix, matrix_kernel
-from .cyclotomic import divides_cyclotomic, enumerate_feasible_indices
+from .cyclotomic import divides_cyclotomic
 from .numtheory import divisors, euler_phi, factorize
 from .graphs import (
     BicirculantSpec,
@@ -34,7 +34,6 @@ from .verify import (
     NutCertificate,
     SpectralReport,
     block_invariants,
-    nullity_shifted,
     nut_check_direct,
     nut_check_spectral,
 )
@@ -57,6 +56,7 @@ from .lemmas import (
     FAMILY_TAGS,
     VerificationReport,
     candidate_divisor_indices,
+    enumerate_feasible_indices,
     verify_family_bounded,
     verify_finite_case_analysis,
     verify_unique_remainder,
@@ -72,7 +72,7 @@ __all__ = [
     "build_bicirculant", "build_circulant",
     "complement", "from_graph6", "parse_graph", "serialize",
     "to_graph6",
-    "NutCertificate", "SpectralReport", "block_invariants", "nullity_shifted",
+    "NutCertificate", "SpectralReport", "block_invariants",
     "nut_check_direct", "nut_check_spectral",
     "FeasibilityVerdict", "InfeasiblePairError", "SearchExhaustedError",
     "Witness", "canonical_form", "catalog_witness", "census", "circulant_search",

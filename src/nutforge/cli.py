@@ -48,7 +48,7 @@ from .lemmas import (
     verify_finite_case_analysis,
     verify_unique_remainder,
 )
-from .verify import nullity_shifted, nut_check_direct, nut_check_spectral
+from .verify import nut_check_direct, nut_check_spectral
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -151,9 +151,8 @@ def _json_object(text: str) -> dict | None:
     return data if isinstance(data, dict) else None
 
 
-def _parse_spec(text: str):
-    """Parse and validate a JSON spec; every defect raises ValueError."""
-    data = _json_object(text)
+def _parse_spec(data: dict | None):
+    """Validate a decoded spec, None for no JSON object; defects raise ValueError."""
     if data is None:
         raise ValueError("a spec must be a JSON object")
     if "n" in data or "jumps" in data:
@@ -200,27 +199,26 @@ def cmd_verify(args) -> int:
         text = _read_input(args.input)
     except (OSError, UnicodeDecodeError) as exc:
         return _usage_error(f"cannot read input: {exc}")
-    is_spec = args.input_format == "spec" or (
-        args.input_format == "auto" and _json_object(text) is not None)
+    data = _json_object(text) if args.input_format in ("auto", "spec") else None
+    is_spec = args.input_format == "spec" or data is not None
     if args.method == "direct":
         if is_spec:
             return _usage_error("direct verification needs a graph, not a spec")
         try:
-            g = parse_graph(text, "auto" if args.input_format == "auto" else args.input_format)
+            g = parse_graph(text, args.input_format)
         except (ValueError, IndexError) as exc:
             return _usage_error(f"cannot parse graph: {exc}")
+        cert = nut_check_direct(g, args.shift or 0)
         if args.shift:
-            nullity = nullity_shifted(g, args.shift)
-            print(f"shifted nullity: {nullity}")
-            return EXIT_OK if nullity == 1 else EXIT_NEGATIVE
-        cert = nut_check_direct(g)
+            print(f"shifted nullity: {cert.nullity}")
+            return EXIT_OK if cert.nullity == 1 else EXIT_NEGATIVE
         print(f"{_nut_verdict(cert)}, nullity: {cert.nullity}")
         return EXIT_OK if cert.is_nut else EXIT_NEGATIVE
     # spectral and both need a spec description
     if not is_spec:
         return _usage_error(f"method {args.method} needs a JSON spec input")
     try:
-        spec, spec_shift, vertex_transitive = _parse_spec(text)
+        spec, spec_shift, vertex_transitive = _parse_spec(data)
     except ValueError as exc:
         return _usage_error(f"cannot parse spec: {exc}")
     shift = args.shift if args.shift is not None else spec_shift
@@ -231,20 +229,13 @@ def cmd_verify(args) -> int:
     print(f"spectral {label}: {report.total_nullity}; singular divisors: {singular}")
     positive = report.total_nullity == 1
     if args.method == "both":
-        g = build(spec)
-        nut_line = None
+        cert = nut_check_direct(build(spec), shift)
+        agree = cert.nullity == report.total_nullity
+        print(f"direct {label}: {cert.nullity}; agreement: {str(agree).lower()}")
         if shift == 0:
-            cert = nut_check_direct(g)
-            direct_nullity = cert.nullity
             # the kernel-entry condition is decided by the direct method
             positive = cert.is_nut
-            nut_line = _nut_verdict(cert)
-        else:
-            direct_nullity = nullity_shifted(g, shift)
-        agree = direct_nullity == report.total_nullity
-        print(f"direct {label}: {direct_nullity}; agreement: {str(agree).lower()}")
-        if nut_line:
-            print(nut_line)
+            print(_nut_verdict(cert))
         if not agree:
             return EXIT_NEGATIVE
     elif shift == 0 and vertex_transitive:

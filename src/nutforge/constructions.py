@@ -365,30 +365,21 @@ def circulant_search(n: int, d: int, budget: int | None = None) -> Witness | Non
     return w
 
 
-def _rotation_orbits(m: int) -> list[tuple[int, ...]]:
-    orbits: list[tuple[int, ...]] = [(a, m - a) for a in range(1, (m + 1) // 2)]
-    if m % 2 == 0:
-        orbits.append((m // 2,))
-    return orbits
-
-
 def _dihedral_candidates(n: int, d: int):
-    """Dihedral connection sets giving degree d at order n = 2m, in
-    deterministic (rotation set, reflection set) lexicographic order."""
+    """Dihedral (rotation set, reflection set) pairs giving degree d at order
+    n = 2m: rotation sets {+-j mod m} over jump sets of Z_m by size, then
+    lexicographically, each with its reflection sets in lexicographic order."""
     if n % 2:
         return
     m = n // 2
-    orbits = _rotation_orbits(m)
-    for k in range(len(orbits) + 1):
-        for orbit_combo in combinations(range(len(orbits)), k):
-            rot: set[int] = set()
-            for i in orbit_combo:
-                rot |= set(orbits[i])
+    for k in range(m // 2 + 1):
+        for jumps in combinations(range(1, m // 2 + 1), k):
+            rot = frozenset(c for j in jumps for c in (j, m - j))
             refl_size = d - len(rot)
             if refl_size < 0 or refl_size > m:
                 continue
             for refl in combinations(range(m), refl_size):
-                yield frozenset(rot), frozenset(refl)
+                yield rot, frozenset(refl)
 
 
 def _candidates(family: str, n: int, d: int):
@@ -412,12 +403,12 @@ def _orbit_minimal(spec: CirculantSpec | DihedralSpec) -> bool:
     image that does.
 
     That order is the sorted jump tuple on Z_n, and on D_m the number of
-    rotation orbits, then the sorted orbit representatives min(a, m - a),
-    then the sorted reflections.  Aut(Z_n) is the phi(n) multipliers a,
+    jumps min(a, m - a) of the rotation set, then the sorted jumps, then
+    the sorted reflections.  Aut(Z_n) is the phi(n) multipliers a,
     which take a jump j to min(aj, n - aj) mod n.  Aut(D_m), m >= 3, is the
     m phi(m) affine maps, which take a rotation R to aR and a reflection J
     to aJ + c (mod m).  The maps keep the degree and the number of rotation
-    orbits, so every image is a candidate of the same stream.
+    jumps, so every image is a candidate of the same stream.
     """
     if isinstance(spec, CirculantSpec):
         n = spec.n

@@ -1,4 +1,4 @@
-"""Cyclotomic divisibility and feasible-index enumeration.
+"""Cyclotomic divisibility.
 
 ``divides_cyclotomic`` decides whether the b-th cyclotomic polynomial Phi_b
 divides an integer polynomial sum_e c_e x^e, given as an exponent ->
@@ -84,41 +84,3 @@ def _vanishes(terms: dict, b: int, primes: list[int]) -> bool:
             if not _vanishes(cls, b, rest):
                 return False
     return True
-
-
-def enumerate_feasible_indices(allowed_primes, sum_bound: int, rad_ratio_bound: int,
-                               min_b: int, forbid_four: bool) -> list[int]:
-    """All b >= min_b whose prime factors lie in allowed_primes, subject to
-    sum(p - 2) over distinct primes <= sum_bound, b/rad(b) < rad_ratio_bound,
-    and (optionally) 4 not dividing b.  Ascending, finite, deterministic.
-
-    Enumeration walks products of admissible prime powers recursively; for
-    each prime the admissible exponent range is capped by the ratio bound
-    (p^(e-1) alone must stay below it), so the search space is finite and
-    every admissible index below the implied ceiling is visited exactly once.
-    """
-    if sum_bound < 0 or rad_ratio_bound < 0:
-        raise ValueError("bounds must be non-negative")
-    primes = sorted(set(allowed_primes))
-    found: list[int] = []
-
-    def extend(i: int, value: int, psum: int, ratio: int) -> None:
-        if value >= min_b:
-            found.append(value)
-        for j in range(i, len(primes)):
-            p = primes[j]
-            new_sum = psum + (p - 2)
-            if new_sum > sum_bound:
-                continue
-            v = value * p
-            r = ratio
-            e = 1
-            while r < rad_ratio_bound:
-                if not (forbid_four and p == 2 and e >= 2):
-                    extend(j + 1, v, new_sum, r)
-                e += 1
-                v *= p
-                r *= p
-
-    extend(0, 1, 0, 1)
-    return sorted(found)

@@ -345,7 +345,7 @@ def from_adjacency_list(text: str) -> Graph:
     entries: dict[int, set[int]] = {}
     for line in text.splitlines():
         line = line.strip()
-        if not line or line.startswith("#"):
+        if not line:
             continue
         head, _, tail = line.partition(":")
         u = int(head)
@@ -389,19 +389,20 @@ def serialize(g: Graph, fmt: str) -> str:
 
 
 def parse_graph(text: str, fmt: str = "auto") -> Graph:
-    """Parse a graph from graph6 or adjacency-list text.
+    """Parse a graph from graph6 or adjacency-list text, dropping ``#``
+    comment lines, such as the recipe ``construct`` writes, first.
 
-    With ``auto`` the format is inferred: a line containing ``:`` after a
-    leading integer reads as an adjacency list, otherwise as graph6.
+    With ``auto`` a first line containing ``:`` reads as an adjacency list,
+    and anything else as graph6.
     """
+    lines = [line for line in text.splitlines() if not line.lstrip().startswith("#")]
+    text = "\n".join(lines)
     if fmt == "graph6":
         return from_graph6(text)
     if fmt == "adjacency-list":
         return from_adjacency_list(text)
     if fmt != "auto":
         raise ValueError(f"unknown graph input format: {fmt}")
-    stripped = text.strip()
-    first = stripped.splitlines()[0] if stripped else ""
-    if ":" in first:
+    if ":" in next((line for line in lines if line.strip()), ""):
         return from_adjacency_list(text)
     return from_graph6(text)

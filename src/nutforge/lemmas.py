@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass
 
 from ._modeval import evaluation_prime, root_of_order, slope_sums, sweep_zero_parameters
-from .cyclotomic import divides_cyclotomic, enumerate_feasible_indices
+from .cyclotomic import divides_cyclotomic
 from .numtheory import euler_phi, is_prime
 
 
@@ -176,34 +176,73 @@ class VerificationReport:
         }
 
 
+def _prime_power_products(primes, step, state) -> list[int]:
+    """Ascending, every product of powers of distinct ``primes`` that a
+    monotone bound admits, each found once.
+
+    ``state`` describes the product 1.  ``step(state, p, e)`` takes the state
+    of a product free of p and returns that of the product times p^e, or
+    None when p^e breaks the bound, as p^(e+1) then must, and for e = 1 every
+    larger prime too.  ``primes`` ascend."""
+    found = []
+
+    def walk(i: int, b: int, state) -> None:
+        found.append(b)
+        for j in range(i, len(primes)):
+            p, e = primes[j], 1
+            while (grown := step(state, p, e)) is not None:
+                walk(j + 1, b * p ** e, grown)
+                e += 1
+            if e == 1:
+                return
+
+    walk(0, 1, state)
+    return sorted(found)
+
+
 def candidate_divisor_indices(max_degree: int, min_b: int) -> list[int]:
     """Every b >= min_b whose cyclotomic polynomial could divide a polynomial
     of the given degree, i.e. phi(b) <= max_degree, ascending.
 
     phi(b) is the product of p^(e-1) (p - 1) over the prime powers p^e of b,
     so every prime of such a b is at most max_degree + 1.  The indices are
-    the products of prime powers, over ascending primes, whose totient
-    factors keep that product within max_degree: complete by construction.
+    the products of prime powers whose totient factors keep that product
+    within max_degree: complete by construction.
     """
+    def step(phi: int, p: int, e: int) -> int | None:
+        phi *= (p - 1) * p ** (e - 1)
+        return phi if phi <= max_degree else None
+
     primes = [p for p in range(2, max_degree + 2) if is_prime(p)]
-    found = []
+    found = _prime_power_products(primes, step, 1) if max_degree >= 1 else []
+    return [b for b in found if b >= min_b]
 
-    def extend(i: int, b: int, phi: int) -> None:
-        found.append(b)
-        for j in range(i, len(primes)):
-            p = primes[j]
-            f = phi * (p - 1)
-            if f > max_degree:
-                break
-            b_p = b * p
-            while f <= max_degree:
-                extend(j + 1, b_p, f)
-                b_p *= p
-                f *= p
 
-    if max_degree >= 1:
-        extend(0, 1, 1)
-    return sorted(b for b in found if b >= min_b)
+def enumerate_feasible_indices(allowed_primes, sum_bound: int, rad_ratio_bound: int,
+                               min_b: int, forbid_four: bool) -> list[int]:
+    """All b >= min_b whose prime factors lie in allowed_primes, subject to
+    sum(p - 2) over distinct primes <= sum_bound, b/rad(b) < rad_ratio_bound,
+    and (optionally) 4 not dividing b.  Ascending, finite, deterministic.
+
+    The indices are products of admissible prime powers: for each prime the
+    exponent range is capped by the ratio bound (p^(e-1) alone must stay
+    below it), so the search space is finite and every admissible index
+    below the implied ceiling is visited exactly once.
+    """
+    if sum_bound < 0 or rad_ratio_bound < 0:
+        raise ValueError("bounds must be non-negative")
+    if rad_ratio_bound < 2:  # b/rad(b) >= 1 for every b
+        return []
+
+    def step(state: tuple[int, int], p: int, e: int) -> tuple[int, int] | None:
+        psum, ratio = state[0] + p - 2, state[1] * p ** (e - 1)
+        if (psum > sum_bound or ratio >= rad_ratio_bound
+                or forbid_four and p == 2 and e > 1):
+            return None
+        return psum, ratio
+
+    found = _prime_power_products(sorted(set(allowed_primes)), step, (0, 1))
+    return [b for b in found if b >= min_b]
 
 
 def verify_family_bounded(tag: str, t_max: int) -> VerificationReport:

@@ -23,9 +23,9 @@ vanish, taken from the determinant down; aggregating phi(b) times that
 multiplicity over the divisors gives the total nullity without ever touching
 algebraic numbers.
 
-A diagonal shift of one runs the same computation for eigenvalue -1, which is
-what complement constructions need: for a non-complete regular graph the
-complement's nullity equals the multiplicity of -1 in the base graph.
+A diagonal shift of one, the ``shift`` argument of both methods, checks
+eigenvalue -1, which is what complement constructions need: for a non-complete
+regular graph the complement's nullity is the multiplicity of -1 in the base.
 
 For vertex-transitive inputs (circulants and dihedral Cayley graphs) nullity
 one already implies the nut property: every automorphism maps the kernel
@@ -50,7 +50,7 @@ from .numtheory import divisors, euler_phi
 
 @dataclass(frozen=True)
 class NutCertificate:
-    """Outcome of the direct nut check.
+    """Outcome of the direct check of A + shift * I (a nut verdict at shift 0).
 
     ``kernel_vector`` is present exactly when the nullity is one; it is the
     primitive integer kernel vector with a positive first nonzero entry.
@@ -92,20 +92,15 @@ class SpectralReport:
         return tuple(v.b for v in self.divisor_verdicts if v.multiplicity)
 
 
-def nut_check_direct(g: Graph) -> NutCertificate:
-    """Certify the nut property by exact kernel computation."""
-    basis = matrix_kernel(g.adjacency_matrix())
-    return NutCertificate(len(basis), basis[0] if len(basis) == 1 else None)
+def nut_check_direct(g: Graph, shift: int = 0) -> NutCertificate:
+    """Certify the nut property by exact kernel computation of A(g) + shift * I.
 
-
-def nullity_shifted(g: Graph, shift: int) -> int:
-    """Nullity of A(g) + shift * I.
-
-    For shift one on a regular non-complete graph this equals the nullity of
+    For shift one on a regular non-complete graph the nullity equals that of
     the complement, since complementing a d-regular graph of order n maps the
     non-principal eigenvalues lambda to -1 - lambda.
     """
-    return len(matrix_kernel(g.adjacency_matrix(shift)))
+    basis = matrix_kernel(g.adjacency_matrix(shift))
+    return NutCertificate(len(basis), basis[0] if len(basis) == 1 else None)
 
 
 def block_invariants(spec: CirculantSpec | BicirculantSpec,

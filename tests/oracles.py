@@ -198,6 +198,28 @@ def small_cayley_specs():
             yield CirculantSpec(n, jumps)
 
 
+def dihedral_candidates_by_orbits(n: int, d: int):
+    """The dihedral (rotation set, reflection set) stream of degree d at
+    order n = 2m, built from the rotation orbits {a, m - a}: the generator
+    the search and the census used before rotation sets came from jump sets."""
+    if n % 2:
+        return
+    m = n // 2
+    orbits = [(a, m - a) for a in range(1, (m + 1) // 2)]
+    if m % 2 == 0:
+        orbits.append((m // 2,))
+    for k in range(len(orbits) + 1):
+        for orbit_combo in combinations(range(len(orbits)), k):
+            rot: set[int] = set()
+            for i in orbit_combo:
+                rot |= set(orbits[i])
+            refl_size = d - len(rot)
+            if refl_size < 0 or refl_size > m:
+                continue
+            for refl in combinations(range(m), refl_size):
+                yield frozenset(rot), frozenset(refl)
+
+
 def relabel(g: Graph, perm) -> Graph:
     """The graph whose vertex i is vertex perm[i] of g."""
     n = g.order

@@ -22,7 +22,7 @@ EXPORTS = [
     "build_bicirculant", "build_circulant",
     "complement", "from_graph6", "parse_graph", "serialize",
     "to_graph6",
-    "NutCertificate", "SpectralReport", "block_invariants", "nullity_shifted",
+    "NutCertificate", "SpectralReport", "block_invariants",
     "nut_check_direct", "nut_check_spectral",
     "FeasibilityVerdict", "InfeasiblePairError", "SearchExhaustedError",
     "Witness", "canonical_form", "catalog_witness", "census", "circulant_search",

@@ -223,6 +223,21 @@ class TestVerify:
                            "--input-format", "graph6")
         assert code == 0 and "nut: true" in out
 
+    @pytest.mark.parametrize("fmt", ["graph6", "adjacency-list"])
+    @pytest.mark.parametrize("recipe", ["--recipe", "--no-recipe"])
+    @pytest.mark.parametrize("n, d", [(12, 6), (16, 8), (20, 14)])
+    def test_reads_what_construct_writes(self, tmp_path, capsys, fmt, recipe, n, d):
+        # The default output starts with "# recipe:" comment lines.
+        f = tmp_path / "w.txt"
+        code, _, _ = run(capsys, "construct", str(n), str(d), "--format", fmt, recipe,
+                         "--output", str(f))
+        assert code == 0
+        assert f.read_text().startswith("# recipe:") == (recipe == "--recipe")
+        for input_format in ("auto", fmt):
+            code, out, _ = run(capsys, "verify", "--input", str(f),
+                               "--input-format", input_format)
+            assert (code, out) == (0, "nut: true, nullity: 1\n"), input_format
+
     def test_missing_input_file(self, capsys):
         code, _, err = run(capsys, "verify", "--input", "/nonexistent/graph.g6")
         assert code == 2

@@ -5,7 +5,7 @@ import json
 import math
 import re
 import random
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 import pytest
 
@@ -35,6 +35,7 @@ from nutforge.graphs import (
 )
 from nutforge.verify import NutCertificate, nut_check_direct, nut_check_spectral
 from oracles import (
+    dihedral_candidates_by_orbits,
     is_regular,
     kernel_character_by_rows,
     moebius_ladder,
@@ -481,6 +482,18 @@ def _dihedral_specs(n, d):
 def _kernel_construct(n, d):
     return (next(_kernel_witnesses(_circulant_specs(n, d)), None)
             or next(_kernel_witnesses(_dihedral_specs(n, d)), None))
+
+
+class TestDihedralCandidates:
+    def test_stream_matches_orbit_generator(self):
+        # Rotation sets drawn as jump sets of Z_m give the same stream, in the
+        # same order, as unions of the rotation orbits {a, m - a}; odd orders
+        # give none.
+        for n in range(1, 27):
+            for d in range(n + 1):
+                new = constructions._dihedral_candidates(n, d)
+                old = dihedral_candidates_by_orbits(n, d)
+                assert all(a == b for a, b in zip_longest(new, old)), (n, d)
 
 
 class TestScreenMatchesKernelSearch:

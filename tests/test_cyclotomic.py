@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from nutforge.cyclotomic import divides_cyclotomic, enumerate_feasible_indices
+from nutforge.cyclotomic import divides_cyclotomic
+from nutforge.lemmas import enumerate_feasible_indices
 from nutforge.numtheory import divisors, euler_phi, factorize, prime_factors
 from oracles import (
     add,
@@ -242,6 +243,33 @@ class TestFeasibleIndices:
         idx = enumerate_feasible_indices([2, 3], 18, 11, 3, True)
         assert all(b % 4 != 0 for b in idx)
         assert 6 in idx and 18 in idx
+
+    def test_matches_brute_force_filter(self):
+        # Factorize every b up to the largest product the ratio bound allows
+        # and keep those meeting the constraints.
+        rng = random.Random(19)
+        for _ in range(200):
+            allowed = sorted(rng.sample([2, 3, 5, 7, 11, 13], rng.randint(1, 4)))
+            sum_bound, ratio_bound = rng.randint(0, 12), rng.randint(0, 10)
+            min_b, forbid_four = rng.randint(1, 4), rng.random() < 0.5
+            ceiling = 1
+            for p in allowed:
+                e = 1
+                while p ** e < ratio_bound:
+                    e += 1
+                ceiling *= p ** e
+            if ceiling > 20_000:
+                continue
+            expected = []
+            for b in range(min_b, ceiling + 1):
+                ps = [p for p, _ in factorize(b)]
+                if (set(ps) <= set(allowed) and sum(p - 2 for p in ps) <= sum_bound
+                        and b // math.prod(ps) < ratio_bound
+                        and not (forbid_four and b % 4 == 0)):
+                    expected.append(b)
+            got = enumerate_feasible_indices(allowed, sum_bound, ratio_bound, min_b,
+                                             forbid_four)
+            assert got == expected, (allowed, sum_bound, ratio_bound, min_b, forbid_four)
 
     def test_ascending_and_deterministic(self):
         a = enumerate_feasible_indices([2, 3, 5, 7], 8, 6, 2, False)

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from nutforge import _modeval as me
-from nutforge.cyclotomic import divides_cyclotomic, enumerate_feasible_indices
-from nutforge.lemmas import FAMILIES
+from nutforge.cyclotomic import divides_cyclotomic
+from nutforge.lemmas import FAMILIES, enumerate_feasible_indices
 from oracles import add, cyclotomic, eval_at, product
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

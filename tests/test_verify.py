@@ -15,7 +15,6 @@ from nutforge.graphs import (
 )
 from nutforge.verify import (
     block_invariants,
-    nullity_shifted,
     nut_check_direct,
     nut_check_spectral,
 )
@@ -78,18 +77,18 @@ class TestDirect:
 class TestShiftedNullity:
     def test_prism_shift_one(self):
         prism = build_bicirculant(DihedralSpec(6, {1, 5}, {0}))
-        assert nullity_shifted(prism, 1) == 1
+        assert nut_check_direct(prism, 1).nullity == 1
 
     def test_empty_graph_shift_one(self):
         g = Graph.from_edges(5, [])
-        assert nullity_shifted(g, 1) == 0
+        assert nut_check_direct(g, 1).nullity == 0
 
     def test_shift_zero_matches_direct(self):
         rng = random.Random(83)
         for _ in range(20):
             spec = random_bicirculant_spec(rng, max_m=8)
             g = build_bicirculant(spec)
-            assert nullity_shifted(g, 0) == nut_check_direct(g).nullity
+            assert nut_check_direct(g, 0).nullity == nut_check_direct(g).nullity
 
     def test_complement_link(self):
         # For a regular non-complete graph, nullity of the complement equals
@@ -97,7 +96,7 @@ class TestShiftedNullity:
         from nutforge.graphs import complement
 
         prism = build_bicirculant(DihedralSpec(6, {1, 5}, {0}))
-        assert nut_check_direct(complement(prism)).nullity == nullity_shifted(prism, 1)
+        assert nut_check_direct(complement(prism)).nullity == nut_check_direct(prism, 1).nullity
 
 
 class TestDetPolynomial:
@@ -285,7 +284,7 @@ class TestSpectralDirectAgreement:
             spec = random_bicirculant_spec(rng, max_m=12)
             g = build_bicirculant(spec)
             assert nut_check_spectral(spec, 0).total_nullity == nut_check_direct(g).nullity
-            assert nut_check_spectral(spec, 1).total_nullity == nullity_shifted(g, 1)
+            assert nut_check_spectral(spec, 1).total_nullity == nut_check_direct(g, 1).nullity
 
     def test_conjugate_pair_parity(self):
         from nutforge.numtheory import euler_phi
