@@ -33,6 +33,7 @@ from .constructions import (
     feasible_vt,
 )
 from .graphs import (
+    GRAPH6_MAX_ORDER,
     BicirculantSpec,
     CirculantSpec,
     DihedralSpec,
@@ -108,6 +109,9 @@ def cmd_exists(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    if args.format in ("graph6", "jsonl") and args.n > GRAPH6_MAX_ORDER:
+        # rejected before a witness of n**2 adjacency bits is built
+        return _usage_error(f"graph6 holds orders up to {GRAPH6_MAX_ORDER}, not {args.n}")
     try:
         w = construct(args.n, args.d, budget=args.budget)
     except InfeasiblePairError as exc:

@@ -1,9 +1,15 @@
 """Exact integer matrices and their certified kernel.
 
-Matrices are dense with arbitrary-precision integer entries.  The kernel is
-certified from two sides.  Forward elimination modulo a prime p, on rows
-packed into single integers, fixes the pivot columns; for each free column f
-the kernel vector that is 1 at f and 0 at the other free columns is solved
+A matrix comes in one of two row formats: ``IntMatrix``, dense with
+arbitrary-precision integer entries, and ``BitMatrix``, the 0/1 rows of a
+graph as integer bitmasks plus a multiple of the identity.  The kernel reads
+a matrix only through two methods that both formats implement: ``packed``,
+each row reduced modulo a prime and packed into one integer with a
+fixed-width slot per column, and ``annihilates``, the exact check A v = 0.
+
+The kernel is certified from two sides.  Forward elimination modulo a prime
+p on the packed rows fixes the pivot columns; for each free column f the
+kernel vector that is 1 at f and 0 at the other free columns is solved
 modulo p, lifted by rational reconstruction to integer numerators over a
 common denominator, and the numerators are checked exactly against every
 row.  The rank over Q is at least the rank modulo p, so the nullity is at
@@ -13,14 +19,15 @@ is at least that number.  The two bounds meet, so nullity and
 basis are exact.  When a lift or a check fails, the next prime of a fixed
 descending sequence is tried, and residues from primes with the same rank and
 pivot columns are combined by the Chinese remainder theorem; identical inputs
-therefore give bit-identical results.
+therefore give bit-identical results, whichever row format holds them.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 from functools import cache
-from itertools import count
+from itertools import compress, count
 from math import gcd, isqrt
 from operator import mul
 
@@ -58,6 +65,67 @@ class IntMatrix:
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]!r})"
 
+    def packed(self, p: int, words: int) -> list[int]:
+        """Each row modulo p, packed into slots of ``words`` 64-bit words."""
+        return [_pack([x % p for x in row], words) for row in self.data]
+
+    def annihilates(self, v) -> bool:
+        """Whether every row has a zero dot product with v."""
+        return not any(sum(map(mul, row, v)) for row in self.data)
+
+
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+@dataclass(frozen=True)
+class BitMatrix:
+    """The square matrix A + shift * I of a graph, A given by its rows as
+    bitmasks (bit j of row i is entry (i, j), no bit on the diagonal)."""
+
+    bit_rows: tuple[int, ...]
+    shift: int = 0
+
+    @property
+    def rows(self) -> int:
+        return len(self.bit_rows)
+
+    cols = rows  # square
+
+    def _byte_rows(self):
+        """Each row as bytes of 0 and 1, byte j for column j."""
+        n = len(self.bit_rows)
+        for r in self.bit_rows:
+            yield format(r, f"0{n}b")[::-1].encode().translate(_BIT_VALUES)
+
+    @property
+    def data(self) -> tuple[tuple[int, ...], ...]:
+        """The entries, row by row."""
+        data = []
+        for k, bits in enumerate(self._byte_rows()):
+            row = list(bits)
+            row[k] = self.shift
+            data.append(tuple(row))
+        return tuple(data)
+
+    def packed(self, p: int, words: int) -> list[int]:
+        """Each row modulo p, packed into slots of ``words`` 64-bit words.
+
+        Read as hexadecimal, a row's binary string with 16 * words - 1 zero
+        digits after each bit but the last has bit j in the lowest digit of
+        slot j; the diagonal slot k then gets shift mod p.
+        """
+        gap = "0" * (16 * words - 1)
+        width = 64 * words
+        d = self.shift % p
+        return [int(gap.join(format(r, "b")), 16) + (d << width * k)
+                for k, r in enumerate(self.bit_rows)]
+
+    def annihilates(self, v) -> bool:
+        """Whether every row has a zero dot product with v."""
+        s = self.shift
+        return not any(sum(compress(v, bits)) + s * v[k]
+                       for k, bits in enumerate(self._byte_rows()))
+
 
 @cache
 def _kernel_prime(i: int) -> int:
@@ -73,47 +141,61 @@ def _kernel_prime(i: int) -> int:
     raise ArithmeticError("no kernel prime left")
 
 
-def _echelon_mod(data, rows: int, cols: int, p: int) -> list[tuple[int, list[int]]]:
-    """Row echelon form of the matrix modulo p: (column, row) per pivot, each
-    row given from its pivot column on, reduced and scaled to lead with 1.
+def _pack(residues, words: int) -> int:
+    """Residues in [0, 2**64) packed into one integer, ``words`` 64-bit words
+    per slot, the first residue in the lowest slot."""
+    w = [0] * (words * len(residues))
+    w[::words] = residues
+    return int.from_bytes(struct.pack(f"<{len(w)}Q", *w), "little")
 
-    Each row is one integer with a fixed-width slot per column, the current
-    column in the lowest slot.  Eliminating a column adds head * (-pivot row)
-    with every slot of the added row in [0, p), so slots only grow and never
-    borrow.  A slot starts below p and gains less than p**2 per pivot, at
-    most ``rows`` times, so a slot of 2*bits(p) + bits(rows) + 1 bits (rounded
-    up to whole 64-bit words) never carries into the next.  Only pivot rows
-    are unpacked and reduced.
+
+#: Columns eliminated between two shifts of the live rows.
+_BLOCK = 8
+
+
+def _echelon_mod(live: list[int], cols: int, p: int,
+                 words: int) -> list[tuple[int, list[int]]]:
+    """Row echelon form modulo p of the rows packed by ``packed(p, words)``:
+    (column, row) per pivot, each row given from its pivot column on,
+    reduced and scaled to lead with 1.
+
+    Columns are eliminated in blocks of ``_BLOCK``.  Column c sits in slot
+    j = c mod ``_BLOCK`` of the live rows, and its heads are read there with
+    a mask; the live rows are shifted right by a whole block once per block,
+    not once per column.  Eliminating column c adds head * (-pivot row),
+    packed from slot j + 1 on, with every slot of the added row in [0, p),
+    so slots only grow and never borrow.  A slot starts below p and gains
+    less than p**2 per pivot, at most ``rows`` times, so it stays below
+    p + rows * p**2, and a slot of 2*bits(p) + bits(rows) + 1 bits (rounded
+    up to whole 64-bit words) never carries into the next.  The dead slots
+    below j, left in place until the block shift, keep that bound: a slot
+    gets no addition after its own column.  Only pivot rows are unpacked and
+    reduced.
     """
-    words = (2 * p.bit_length() + rows.bit_length() + 64) // 64
-    shift = 64 * words
-    mask = (1 << shift) - 1
-
-    def pack(residues):
-        w = [0] * (words * len(residues))
-        w[::words] = residues
-        return int.from_bytes(struct.pack(f"<{len(w)}Q", *w), "little")
-
-    live = [pack([x % p for x in row]) for row in data]
+    width = 64 * words
+    mask = (1 << width) - 1
     pivots = []
     for c in range(cols):
+        j = c % _BLOCK
+        if c and not j:
+            live = [y >> _BLOCK * width for y in live]
+        at = j * width
+        head = mask << at
         for i, y in enumerate(live):
-            if (y & mask) % p:
+            if ((y & head) >> at) % p:
                 break
         else:
-            live = [y >> shift for y in live]
             continue
         n = words * (cols - c)
-        w = struct.unpack(f"<{n}Q", live.pop(i).to_bytes(8 * n, "little"))
+        w = struct.unpack(f"<{n}Q", (live.pop(i) >> at).to_bytes(8 * n, "little"))
         slots = w[::words]
         for t in range(1, words):
             slots = [s + (x << 64 * t) for s, x in zip(slots, w[t::words])]
         inv = pow(slots[0] % p, -1, p)
         row = [s * inv % p for s in slots]
         pivots.append((c, row))
-        neg = pack([-r % p for r in row[1:]])
-        live = [(y >> shift) + h * neg if (h := (y & mask) % p) else y >> shift
-                for y in live]
+        neg = _pack([-r % p for r in row[1:]], words) << at + width
+        live = [y + h * neg if (h := ((y & head) >> at) % p) else y for y in live]
     return pivots
 
 
@@ -171,13 +253,18 @@ def _reconstruct(residues, modulus: int):
     return nums
 
 
-def matrix_kernel(matrix: IntMatrix) -> tuple[tuple[int, ...], ...]:
+def matrix_kernel(matrix: IntMatrix | BitMatrix) -> tuple[tuple[int, ...], ...]:
     """Exact right nullspace of an integer matrix, as a basis of primitive
     integer vectors: one per free column, zero at the other free columns,
     with coprime entries and a positive first nonzero entry.  The nullity is
     the length of the basis.
 
-    Elimination modulo a prime fixes the rank and the free columns; the basis
+    The matrix is read only through ``packed`` and ``annihilates``, so an
+    ``IntMatrix`` and the ``BitMatrix`` with the same entries take the same
+    path and give the same basis.  Elimination modulo a prime, on the packed
+    rows in blocks of columns (``_echelon_mod`` states why the slots, the
+    dead ones left until each block shift included, never carry), fixes the
+    rank and the free columns; the basis
     vector of each free column (1 there, 0 at the other free columns) is
     solved modulo the prime, lifted to the rationals, cleared of its
     denominator and checked exactly against every row of the matrix.  The
@@ -196,11 +283,12 @@ def matrix_kernel(matrix: IntMatrix) -> tuple[tuple[int, ...], ...]:
     bound, so the loop ends; the prime sequence is fixed, so the returned
     basis is deterministic.
     """
-    rows, cols, data = matrix.rows, matrix.cols, matrix.data
+    rows, cols = matrix.rows, matrix.cols
     best = None
     for i in count():
         p = _kernel_prime(i)
-        pivots = _echelon_mod(data, rows, cols, p)
+        words = (2 * p.bit_length() + rows.bit_length() + 64) // 64  # see _echelon_mod
+        pivots = _echelon_mod(matrix.packed(p, words), cols, p, words)
         pivot_cols = [c for c, _ in pivots]
         # smaller is nearer the rank and pivot columns over Q, which no prime beats
         key = (-len(pivots), pivot_cols)
@@ -218,7 +306,7 @@ def matrix_kernel(matrix: IntMatrix) -> tuple[tuple[int, ...], ...]:
         basis = []
         for v in residues:
             nums = _reconstruct(v, modulus)
-            if nums is None or any(sum(map(mul, row, nums)) for row in data):
+            if nums is None or not matrix.annihilates(nums):
                 break
             g = gcd(*nums) if next(filter(None, nums)) > 0 else -gcd(*nums)
             basis.append(tuple(x // g for x in nums))

@@ -26,9 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-
-
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
@@ -94,16 +91,10 @@ class Graph:
         return self._rows
 
     def adjacency_matrix(self, shift: int = 0):
-        """A + shift * I as an IntMatrix; each row comes from its binary
-        string, reversed so that character j is bit j."""
-        from .exact import IntMatrix
+        """A + shift * I as a ``BitMatrix`` over the bit rows."""
+        from .exact import BitMatrix
 
-        rows = []
-        for i, r in enumerate(self._rows):
-            row = list(format(r, f"0{self.order}b")[::-1].encode().translate(_BIT_VALUES))
-            row[i] = shift
-            rows.append(row)
-        return IntMatrix(rows)
+        return BitMatrix(self._rows, shift)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -268,13 +259,13 @@ def complement(g: Graph) -> Graph:
 
 # -- graph6 ------------------------------------------------------------------
 
-_G6_MAX = 258047  # largest order the 4-byte prefix can carry
+GRAPH6_MAX_ORDER = 258047  # largest order the 4-byte prefix can carry
 
 
 def _g6_order_bytes(n: int) -> str:
     if n <= 62:
         return chr(63 + n)
-    if n <= _G6_MAX:
+    if n <= GRAPH6_MAX_ORDER:
         return "~" + "".join(chr(63 + (n >> sh & 63)) for sh in (12, 6, 0))
     raise ValueError(f"graph6 order {n} exceeds the supported range")
 

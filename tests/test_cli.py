@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from nutforge import cli
 from nutforge.cli import main
 from nutforge.graphs import (
     CirculantSpec,
@@ -107,6 +108,22 @@ class TestConstruct:
                                "--output", str(target))
             assert code == 2
             assert err.startswith("error: cannot write output: ")
+
+    @pytest.mark.parametrize("fmt", ["graph6", "jsonl"])
+    def test_order_beyond_graph6_is_a_usage_error(self, capsys, monkeypatch, fmt):
+        # construct would build an order-258048 witness of about 8 GB first
+        def no_construct(n, d, budget=None):
+            if n > 258047:
+                raise AssertionError("construct ran for an order graph6 cannot hold")
+            raise cli.InfeasiblePairError("stand-in verdict")
+
+        monkeypatch.setattr(cli, "construct", no_construct)
+        code, out, err = run(capsys, "construct", "258048", "10", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: graph6 holds orders up to 258047, not 258048\n"
+        # the largest graph6 order still reaches construct
+        code, _, err = run(capsys, "construct", "258047", "10", "--format", fmt)
+        assert code == 1 and "stand-in verdict" in err
 
 
 class TestVerify:

@@ -10,6 +10,7 @@ import pytest
 
 from nutforge.exact import (
     IntMatrix,
+    _echelon_mod,
     _kernel_prime,
     matrix_kernel,
 )
@@ -229,7 +230,8 @@ def primitive(vector):
 def assert_matches_bareiss(data):
     """Same nullity as the Bareiss oracle, the same primitive integer kernel
     vector at nullity one and the same span above it; every basis vector is
-    primitive, annihilated, and nonzero at a column where the others are 0."""
+    primitive, annihilated, and nonzero at a column where the others are 0.
+    Returns the basis."""
     basis = matrix_kernel(IntMatrix(data))
     nullity, oracle = bareiss_kernel(data)
     assert len(basis) == nullity
@@ -242,6 +244,19 @@ def assert_matches_bareiss(data):
         assert not any(sum(a * b for a, b in zip(row, v)) for row in data)
         assert any(x and all(u[j] == 0 for u in basis if u is not v)
                    for j, x in enumerate(v))
+    return basis
+
+
+def assert_echelon_matches_rref(data):
+    """One elimination modulo the first kernel prime finds the pivot columns
+    of the exact reduced row echelon form, so a slot error fails here at
+    once instead of sending the kernel on through the prime sequence; then
+    the kernel matches the Bareiss oracle."""
+    p = _kernel_prime(0)
+    pivots = _echelon_mod(IntMatrix(data).packed(p, 1), len(data[0]), p, 1)
+    assert [c for c, _ in pivots] == [next(j for j, x in enumerate(row) if x)
+                                      for row in rref(data)]
+    assert_matches_bareiss(data)
 
 
 class TestMatrixKernel:
@@ -337,15 +352,48 @@ class TestMatchesBareiss:
         assert_matches_bareiss([row[:2] + [0] for row in data])
 
     def test_circulants(self):
+        # the bit rows of the graph give the basis of its integer entries
         for spec in _circulant_jump_sets():
             g = build_circulant(spec)
-            assert_matches_bareiss(g.adjacency_matrix().data)
-            assert_matches_bareiss(g.adjacency_matrix(1).data)
+            for shift in (0, 1):
+                a = g.adjacency_matrix(shift)
+                assert matrix_kernel(a) == assert_matches_bareiss(a.data)
 
     def test_criterion_4_dihedral_and_bicirculant_specs(self):
         for g in _criterion_4_graphs():
-            assert_matches_bareiss(g.adjacency_matrix().data)
-            assert_matches_bareiss(g.adjacency_matrix(1).data)
+            for shift in (0, 1):
+                a = g.adjacency_matrix(shift)
+                assert matrix_kernel(a) == assert_matches_bareiss(a.data)
+
+    @pytest.mark.parametrize("cols", [7, 8, 9, 16, 17, 24])
+    def test_widths_at_block_edges(self, cols):
+        # the elimination shifts the live rows once per block of 8 columns
+        rng = random.Random(cols)
+        for rows in (cols - 3, cols, cols + 2):
+            data = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+            assert_echelon_matches_rref(data)
+            data[-1] = [a - b for a, b in zip(data[0], data[1])]  # rank one less
+            assert_echelon_matches_rref(data)
+
+    @pytest.mark.parametrize("zero_cols", [(7,), (8,), (15,), (16,), (7, 8, 15, 16)])
+    def test_pivotless_zero_columns_at_block_edges(self, zero_cols):
+        # a column without a pivot still moves the head to the next slot
+        rng = random.Random(sum(zero_cols))
+        for rows, cols in ((20, 20), (14, 24), (24, 17)):
+            data = [[0 if c in zero_cols else rng.randint(-3, 3) for c in range(cols)]
+                    for _ in range(rows)]
+            assert_echelon_matches_rref(data)
+
+    @pytest.mark.parametrize("edge", [7, 8, 15, 16])
+    def test_rank_drop_at_block_edge(self, edge):
+        # column ``edge`` is a combination of earlier columns: no pivot, though
+        # its slots can hold nonzero multiples of p after earlier eliminations
+        rng = random.Random(edge)
+        for rows, cols in ((20, 20), (24, 18)):
+            data = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+            for row in data:
+                row[edge] = 2 * row[0] - row[edge - 1] + 3 * row[edge // 2]
+            assert_echelon_matches_rref(data)
 
 
 class TestSeveralPrimes:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from nutforge.exact import IntMatrix, _kernel_prime, matrix_kernel
 from nutforge.graphs import (
     BicirculantSpec,
     CirculantSpec,
@@ -67,7 +68,7 @@ class TestGraphCore:
 
 
 class TestAdjacencyMatrix:
-    @pytest.mark.parametrize("n", [1, 63, 64, 200])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
     def test_matches_bit_shifts_plus_shifted_identity(self, n):
         rng = random.Random(n)
         g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
@@ -79,6 +80,13 @@ class TestAdjacencyMatrix:
             a = g.adjacency_matrix(shift)
             assert (a.rows, a.cols) == (n, n)
             assert a.data == tuple(map(tuple, expected))
+            # differential gate: the bit rows pack and certify as the integer rows
+            entries = IntMatrix(expected)
+            for p in (_kernel_prime(0), 2):
+                for words in (1, 2):
+                    assert a.packed(p, words) == entries.packed(p, words)
+            if shift < 2:
+                assert matrix_kernel(a) == matrix_kernel(entries)
         assert g.adjacency_matrix() == g.adjacency_matrix(0)
 
 
