@@ -14,7 +14,7 @@ the primes of the index.  No floating point is involved anywhere in a
 verdict.
 """
 
-from .exact import IntMatrix, matrix_kernel
+from .exact import matrix_kernel
 from .cyclotomic import divides_cyclotomic
 from .numtheory import divisors, euler_phi, factorize
 from .graphs import (
@@ -65,7 +65,7 @@ from .lemmas import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntMatrix", "matrix_kernel",
+    "matrix_kernel",
     "divides_cyclotomic", "enumerate_feasible_indices",
     "divisors", "euler_phi", "factorize",
     "BicirculantSpec", "CirculantSpec", "DihedralSpec", "Graph",

@@ -30,9 +30,9 @@ import math
 from .numtheory import is_prime, prime_factors
 
 
-def evaluation_prime(b: int, above: int = 50) -> int:
-    """Smallest odd prime q = k*b + 1 greater than `above`."""
-    k = above // b + 1
+def evaluation_prime(b: int) -> int:
+    """Smallest odd prime q = k*b + 1 greater than 50."""
+    k = 50 // b + 1
     while True:
         q = k * b + 1
         if q % 2 == 1 and is_prime(q):

@@ -1,11 +1,12 @@
-"""Exact integer matrices and their certified kernel.
+"""The certified kernel of a graph matrix.
 
-A matrix comes in one of two row formats: ``IntMatrix``, dense with
-arbitrary-precision integer entries, and ``BitMatrix``, the 0/1 rows of a
-graph as integer bitmasks plus a multiple of the identity.  The kernel reads
-a matrix only through two methods that both formats implement: ``packed``,
-each row reduced modulo a prime and packed into one integer with a
-fixed-width slot per column, and ``annihilates``, the exact check A v = 0.
+The package has one row format, ``BitMatrix``: the 0/1 rows of a graph as
+integer bitmasks plus a multiple of the identity.  The kernel reads a matrix
+only through ``rows``, ``cols`` and two methods: ``packed``, each row reduced
+modulo a prime and packed into one integer with one 64-bit word per column,
+and ``annihilates``, the exact check A v = 0.  Kernel primes lie below
+2**21, so one word holds a slot without a carry for every matrix of fewer
+than 2**21 rows (``_echelon_mod``), and the kernel refuses taller ones.
 
 The kernel is certified from two sides.  Forward elimination modulo a prime
 p on the packed rows fixes the pivot columns; for each free column f the
@@ -19,7 +20,7 @@ is at least that number.  The two bounds meet, so nullity and
 basis are exact.  When a lift or a check fails, the next prime of a fixed
 descending sequence is tried, and residues from primes with the same rank and
 pivot columns are combined by the Chinese remainder theorem; identical inputs
-therefore give bit-identical results, whichever row format holds them.
+therefore give bit-identical results.
 """
 
 from __future__ import annotations
@@ -32,47 +33,6 @@ from math import gcd, isqrt
 from operator import mul
 
 from .numtheory import is_prime
-
-
-class IntMatrix:
-    """Immutable dense matrix with arbitrary-precision integer entries."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data):
-        rows = tuple(tuple(map(int, row)) for row in data)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows in matrix")
-        else:
-            width = 0
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "data", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
-
-    def __repr__(self):
-        return f"IntMatrix({[list(r) for r in self.data]!r})"
-
-    def packed(self, p: int, words: int) -> list[int]:
-        """Each row modulo p, packed into slots of ``words`` 64-bit words."""
-        return [_pack([x % p for x in row], words) for row in self.data]
-
-    def annihilates(self, v) -> bool:
-        """Whether every row has a zero dot product with v."""
-        return not any(sum(map(mul, row, v)) for row in self.data)
-
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -91,71 +51,55 @@ class BitMatrix:
 
     cols = rows  # square
 
-    def _byte_rows(self):
-        """Each row as bytes of 0 and 1, byte j for column j."""
-        n = len(self.bit_rows)
-        for r in self.bit_rows:
-            yield format(r, f"0{n}b")[::-1].encode().translate(_BIT_VALUES)
+    def packed(self, p: int) -> list[int]:
+        """Each row modulo p, packed into one 64-bit word per column.
 
-    @property
-    def data(self) -> tuple[tuple[int, ...], ...]:
-        """The entries, row by row."""
-        data = []
-        for k, bits in enumerate(self._byte_rows()):
-            row = list(bits)
-            row[k] = self.shift
-            data.append(tuple(row))
-        return tuple(data)
-
-    def packed(self, p: int, words: int) -> list[int]:
-        """Each row modulo p, packed into slots of ``words`` 64-bit words.
-
-        Read as hexadecimal, a row's binary string with 16 * words - 1 zero
-        digits after each bit but the last has bit j in the lowest digit of
-        slot j; the diagonal slot k then gets shift mod p.
+        Read as hexadecimal, a row's binary string with 15 zero digits after
+        each bit but the last has bit j in the lowest digit of slot j; the
+        diagonal slot k then gets shift mod p.
         """
-        gap = "0" * (16 * words - 1)
-        width = 64 * words
         d = self.shift % p
-        return [int(gap.join(format(r, "b")), 16) + (d << width * k)
+        return [int(("0" * 15).join(format(r, "b")), 16) + (d << 64 * k)
                 for k, r in enumerate(self.bit_rows)]
 
     def annihilates(self, v) -> bool:
         """Whether every row has a zero dot product with v."""
-        s = self.shift
-        return not any(sum(compress(v, bits)) + s * v[k]
-                       for k, bits in enumerate(self._byte_rows()))
+        n, s = len(self.bit_rows), self.shift
+        for k, r in enumerate(self.bit_rows):
+            bits = format(r, f"0{n}b")[::-1].encode().translate(_BIT_VALUES)  # byte j: column j
+            if sum(compress(v, bits)) + s * v[k]:
+                return False
+        return True
+
+
+#: The kernel takes fewer rows than this: with primes below 2**21,
+#: 2 * bits(p) + bits(rows) <= 63 keeps a slot in one word (``_echelon_mod``).
+_MAX_ROWS = 1 << 21
 
 
 @cache
 def _kernel_prime(i: int) -> int:
-    """The i-th prime below 2**25, counting down from the largest.
-
-    Found on first use.  Primes below 2**25 keep a slot of ``_echelon_mod``
-    within one 64-bit word for matrices of fewer than 8192 rows.
-    """
-    start = _kernel_prime(i - 1) - 1 if i else (1 << 25) - 1
+    """The i-th prime below 2**21, counting down from the largest; found on
+    first use."""
+    start = _kernel_prime(i - 1) - 1 if i else (1 << 21) - 1
     for q in range(start, 1, -1):
         if is_prime(q):
             return q
     raise ArithmeticError("no kernel prime left")
 
 
-def _pack(residues, words: int) -> int:
-    """Residues in [0, 2**64) packed into one integer, ``words`` 64-bit words
-    per slot, the first residue in the lowest slot."""
-    w = [0] * (words * len(residues))
-    w[::words] = residues
-    return int.from_bytes(struct.pack(f"<{len(w)}Q", *w), "little")
+def _pack(residues) -> int:
+    """Residues in [0, 2**64) packed into one integer, one 64-bit word per
+    slot, the first residue in the lowest slot."""
+    return int.from_bytes(struct.pack(f"<{len(residues)}Q", *residues), "little")
 
 
 #: Columns eliminated between two shifts of the live rows.
 _BLOCK = 8
 
 
-def _echelon_mod(live: list[int], cols: int, p: int,
-                 words: int) -> list[tuple[int, list[int]]]:
-    """Row echelon form modulo p of the rows packed by ``packed(p, words)``:
+def _echelon_mod(live: list[int], cols: int, p: int) -> list[tuple[int, list[int]]]:
+    """Row echelon form modulo p of the rows packed by ``packed(p)``:
     (column, row) per pivot, each row given from its pivot column on,
     reduced and scaled to lead with 1.
 
@@ -166,35 +110,30 @@ def _echelon_mod(live: list[int], cols: int, p: int,
     packed from slot j + 1 on, with every slot of the added row in [0, p),
     so slots only grow and never borrow.  A slot starts below p and gains
     less than p**2 per pivot, at most ``rows`` times, so it stays below
-    p + rows * p**2, and a slot of 2*bits(p) + bits(rows) + 1 bits (rounded
-    up to whole 64-bit words) never carries into the next.  The dead slots
-    below j, left in place until the block shift, keep that bound: a slot
-    gets no addition after its own column.  Only pivot rows are unpacked and
-    reduced.
+    p + rows * p**2 < 2**(2*bits(p) + bits(rows)); with p below 2**21 and
+    fewer than 2**21 rows that is below 2**63, so a 64-bit slot never
+    carries into the next.  The dead slots below j, left in place until the
+    block shift, keep that bound: a slot gets no addition after its own
+    column.  Only pivot rows are unpacked and reduced.
     """
-    width = 64 * words
-    mask = (1 << width) - 1
     pivots = []
     for c in range(cols):
         j = c % _BLOCK
         if c and not j:
-            live = [y >> _BLOCK * width for y in live]
-        at = j * width
-        head = mask << at
+            live = [y >> 64 * _BLOCK for y in live]
+        at = 64 * j
+        head = 0xFFFF_FFFF_FFFF_FFFF << at
         for i, y in enumerate(live):
             if ((y & head) >> at) % p:
                 break
         else:
             continue
-        n = words * (cols - c)
-        w = struct.unpack(f"<{n}Q", (live.pop(i) >> at).to_bytes(8 * n, "little"))
-        slots = w[::words]
-        for t in range(1, words):
-            slots = [s + (x << 64 * t) for s, x in zip(slots, w[t::words])]
+        n = cols - c
+        slots = struct.unpack(f"<{n}Q", (live.pop(i) >> at).to_bytes(8 * n, "little"))
         inv = pow(slots[0] % p, -1, p)
         row = [s * inv % p for s in slots]
         pivots.append((c, row))
-        neg = _pack([-r % p for r in row[1:]], words) << at + width
+        neg = _pack([-r % p for r in row[1:]]) << at + 64
         live = [y + h * neg if (h := ((y & head) >> at) % p) else y for y in live]
     return pivots
 
@@ -253,25 +192,27 @@ def _reconstruct(residues, modulus: int):
     return nums
 
 
-def matrix_kernel(matrix: IntMatrix | BitMatrix) -> tuple[tuple[int, ...], ...]:
+def matrix_kernel(matrix: BitMatrix) -> tuple[tuple[int, ...], ...]:
     """Exact right nullspace of an integer matrix, as a basis of primitive
     integer vectors: one per free column, zero at the other free columns,
     with coprime entries and a positive first nonzero entry.  The nullity is
     the length of the basis.
 
-    The matrix is read only through ``packed`` and ``annihilates``, so an
-    ``IntMatrix`` and the ``BitMatrix`` with the same entries take the same
-    path and give the same basis.  Elimination modulo a prime, on the packed
-    rows in blocks of columns (``_echelon_mod`` states why the slots, the
-    dead ones left until each block shift included, never carry), fixes the
-    rank and the free columns; the basis
-    vector of each free column (1 there, 0 at the other free columns) is
-    solved modulo the prime, lifted to the rationals, cleared of its
-    denominator and checked exactly against every row of the matrix.  The
-    certificate is two-sided: the rank over Q is at least the rank modulo p,
-    so the nullity is at most the number of free columns, and the checked
-    vectors are independent (each is nonzero only at its own free column
-    among the free columns), so it is at least that number.
+    The matrix is read only through ``rows``, ``cols``, ``packed`` and
+    ``annihilates``.  In the package it is always a graph's ``BitMatrix``;
+    any other matrix with those four members and fewer than 2**21 rows
+    takes the same path.  A matrix of 2**21 rows or more raises ValueError,
+    since one 64-bit slot per column no longer bounds the elimination.
+    Elimination modulo a prime below 2**21, on the packed rows in blocks of
+    columns (``_echelon_mod`` states why the slots, the dead ones left until
+    each block shift included, never carry), fixes the rank and the free
+    columns; the basis vector of each free column (1 there, 0 at the other
+    free columns) is solved modulo the prime, lifted to the rationals,
+    cleared of its denominator and checked exactly against every row of the
+    matrix.  The certificate is two-sided: the rank over Q is at least the
+    rank modulo p, so the nullity is at most the number of free columns,
+    and the checked vectors are independent (each is nonzero only at its
+    own free column among the free columns), so it is at least that number.
 
     A failed lift or check moves to the next prime of a fixed descending
     sequence.  Residues of primes that give the same rank and pivot columns
@@ -284,11 +225,12 @@ def matrix_kernel(matrix: IntMatrix | BitMatrix) -> tuple[tuple[int, ...], ...]:
     basis is deterministic.
     """
     rows, cols = matrix.rows, matrix.cols
+    if rows >= _MAX_ROWS:
+        raise ValueError(f"matrix of {rows} rows: the kernel takes fewer than {_MAX_ROWS}")
     best = None
     for i in count():
         p = _kernel_prime(i)
-        words = (2 * p.bit_length() + rows.bit_length() + 64) // 64  # see _echelon_mod
-        pivots = _echelon_mod(matrix.packed(p, words), cols, p, words)
+        pivots = _echelon_mod(matrix.packed(p), cols, p)
         pivot_cols = [c for c, _ in pivots]
         # smaller is nearer the rank and pivot columns over Q, which no prime beats
         key = (-len(pivots), pivot_cols)

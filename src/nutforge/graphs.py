@@ -23,7 +23,10 @@ list, and DOT.
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass, field
+
+from .exact import BitMatrix
 
 
 class Graph:
@@ -92,8 +95,6 @@ class Graph:
 
     def adjacency_matrix(self, shift: int = 0):
         """A + shift * I as a ``BitMatrix`` over the bit rows."""
-        from .exact import BitMatrix
-
         return BitMatrix(self._rows, shift)
 
     def __eq__(self, other):
@@ -270,19 +271,27 @@ def _g6_order_bytes(n: int) -> str:
     raise ValueError(f"graph6 order {n} exceeds the supported range")
 
 
+#: The base64 alphabet, digit v mapped onto the graph6 character chr(63 + v).
+_G6_FROM_BASE64 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)))
+
+
 def to_graph6(g: Graph) -> str:
     """Bit-exact graph6: order prefix, then the upper-triangle bits in
     column-major order packed into 6-bit groups offset by 63.
 
     Column j of the upper triangle is bits 0..j-1 of row j, so each column
-    is one reversed binary string.
+    is one reversed binary string.  Padded to whole 24-bit groups, the bits
+    are base64 digits of 6 bits each, which the alphabet is then mapped
+    onto; the digits past the last bit are dropped.
     """
-    n = g.order
     bits = "".join(format(row & ((1 << j) - 1), f"0{j}b")[::-1]
                    for j, row in enumerate(g.adjacency_rows()) if j)
-    bits += "0" * (-len(bits) % 6)
-    return _g6_order_bytes(n) + "".join(chr(63 + int(bits[k:k + 6], 2))
-                                        for k in range(0, len(bits), 6))
+    k = len(bits)
+    pad = -k % 24
+    digits = base64.b64encode((int(bits or "0", 2) << pad).to_bytes((k + pad) // 8, "big"))
+    return _g6_order_bytes(g.order) + digits[:-(-k // 6)].translate(_G6_FROM_BASE64).decode()
 
 
 def from_graph6(text: str) -> Graph:

@@ -7,16 +7,19 @@ slow constructions that the package's own algorithms are checked against.
 from functools import cache
 from itertools import combinations
 from math import gcd
+from operator import mul
 
-from nutforge._modeval import evaluation_prime, root_of_order
+from nutforge._modeval import root_of_order
+from nutforge.exact import _pack
 from nutforge.graphs import (
     CirculantSpec,
     DihedralSpec,
     Graph,
+    _g6_order_bytes,
     build,
     complement,
 )
-from nutforge.numtheory import divisors
+from nutforge.numtheory import divisors, is_prime
 
 # Polynomials are exponent -> coefficient dicts; every function below returns
 # one without zero coefficients, so {} is the zero polynomial, equality is
@@ -107,8 +110,8 @@ def divides_cyclotomic_by_evaluation(p: dict, b: int) -> bool:
     """The modular rule that regrouping exponents replaced: whether Phi_b
     divides p, decided at the phi(b) primitive roots modulo a prime.
 
-    p is folded modulo x^b - 1, and q = 1 (mod b) is a prime above the
-    l1-norm L of the folded coefficients.  One nonzero value proves that
+    p is folded modulo x^b - 1, and q = 1 (mod b) is the least odd prime
+    above the l1-norm L of the folded coefficients.  One nonzero value proves that
     Phi_b does not divide p.  If every value is zero, q splits completely in
     Q(zeta_b), so q divides p(zeta_b) there and q^phi(b) divides its norm;
     every conjugate of p(zeta_b) has absolute value at most L < q, so the
@@ -116,10 +119,18 @@ def divides_cyclotomic_by_evaluation(p: dict, b: int) -> bool:
     """
     folded = add(*({e % b: c} for e, c in p.items()))
     coeffs, exponents = list(folded.values()), list(folded)
-    q = evaluation_prime(b, above=sum(map(abs, coeffs)))
+    q = prime_above(b, sum(map(abs, coeffs)))
     zeta = root_of_order(q, b)
     return not any(eval_at(coeffs, exponents, b, q, pow(zeta, k, q))
                    for k in range(1, b + 1) if gcd(k, b) == 1)
+
+
+def prime_above(b: int, above: int) -> int:
+    """The least odd prime q = 1 (mod b) greater than ``above``."""
+    q = (above // b + 1) * b + 1
+    while q % 2 == 0 or not is_prime(q):
+        q += b
+    return q
 
 
 def prime_power_cancellation_applies(term_count: int, primes) -> bool:
@@ -274,3 +285,43 @@ def build_lcf(n: int, pattern) -> Graph:
     if any(d != 3 for d in g.degrees()):
         raise ValueError("LCF description is not cubic")
     return g
+
+
+class IntMatrix:
+    """Dense matrix with arbitrary-precision integer entries: the general
+    integer input of ``matrix_kernel``, which the package itself only ever
+    gives a graph's ``BitMatrix``."""
+
+    def __init__(self, data):
+        self.data = tuple(tuple(map(int, row)) for row in data)
+        self.rows = len(self.data)
+        self.cols = len(self.data[0]) if self.data else 0
+        if any(len(r) != self.cols for r in self.data):
+            raise ValueError("ragged rows in matrix")
+
+    def packed(self, p: int) -> list[int]:
+        """Each row modulo p, packed into one 64-bit word per column."""
+        return [_pack([x % p for x in row]) for row in self.data]
+
+    def annihilates(self, v) -> bool:
+        """Whether every row has a zero dot product with v."""
+        return not any(sum(map(mul, row, v)) for row in self.data)
+
+
+def entries(a) -> list[list[int]]:
+    """The entries of the ``BitMatrix`` A + shift * I, row by row, read bit
+    by bit."""
+    n = a.rows
+    return [[a.shift if i == j else r >> j & 1 for j in range(n)]
+            for i, r in enumerate(a.bit_rows)]
+
+
+def graph6_by_groups(g: Graph) -> str:
+    """graph6 as the package wrote it before base64: the upper-triangle bits
+    in column-major order, padded to a multiple of 6 and read one 6-bit
+    group at a time."""
+    bits = "".join(format(row & ((1 << j) - 1), f"0{j}b")[::-1]
+                   for j, row in enumerate(g.adjacency_rows()) if j)
+    bits += "0" * (-len(bits) % 6)
+    return _g6_order_bytes(g.order) + "".join(chr(63 + int(bits[k:k + 6], 2))
+                                              for k in range(0, len(bits), 6))

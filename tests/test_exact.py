@@ -9,7 +9,7 @@ from math import gcd, lcm
 import pytest
 
 from nutforge.exact import (
-    IntMatrix,
+    _MAX_ROWS,
     _echelon_mod,
     _kernel_prime,
     matrix_kernel,
@@ -21,7 +21,7 @@ from nutforge.graphs import (
     build_circulant,
 )
 from nutforge.cyclotomic import fold
-from oracles import add, divrem, product
+from oracles import IntMatrix, add, divrem, entries, product
 from test_acceptance import _all_dihedral_specs, _inversion_closed_subset
 
 X = {1: 1}
@@ -253,7 +253,7 @@ def assert_echelon_matches_rref(data):
     once instead of sending the kernel on through the prime sequence; then
     the kernel matches the Bareiss oracle."""
     p = _kernel_prime(0)
-    pivots = _echelon_mod(IntMatrix(data).packed(p, 1), len(data[0]), p, 1)
+    pivots = _echelon_mod(IntMatrix(data).packed(p), len(data[0]), p)
     assert [c for c, _ in pivots] == [next(j for j, x in enumerate(row) if x)
                                       for row in rref(data)]
     assert_matches_bareiss(data)
@@ -342,8 +342,8 @@ class TestMatchesBareiss:
                 data[r] = list(data[r + 1])
             assert_matches_bareiss(data)
 
-    def test_two_word_slots(self):
-        # 8192 rows need a slot wider than one 64-bit word
+    def test_tall_thin_matrix(self):
+        # many more rows than columns
         rng = random.Random(31)
         data = [[rng.randint(-3, 3), rng.randint(-3, 3), 0, 0] for _ in range(8192)]
         data[5][2] = data[7][2] = 1
@@ -357,13 +357,13 @@ class TestMatchesBareiss:
             g = build_circulant(spec)
             for shift in (0, 1):
                 a = g.adjacency_matrix(shift)
-                assert matrix_kernel(a) == assert_matches_bareiss(a.data)
+                assert matrix_kernel(a) == assert_matches_bareiss(entries(a))
 
     def test_criterion_4_dihedral_and_bicirculant_specs(self):
         for g in _criterion_4_graphs():
             for shift in (0, 1):
                 a = g.adjacency_matrix(shift)
-                assert matrix_kernel(a) == assert_matches_bareiss(a.data)
+                assert matrix_kernel(a) == assert_matches_bareiss(entries(a))
 
     @pytest.mark.parametrize("cols", [7, 8, 9, 16, 17, 24])
     def test_widths_at_block_edges(self, cols):
@@ -394,6 +394,21 @@ class TestMatchesBareiss:
             for row in data:
                 row[edge] = 2 * row[0] - row[edge - 1] + 3 * row[edge // 2]
             assert_echelon_matches_rref(data)
+
+
+class TestSlotBound:
+    """One 64-bit word per slot holds every matrix the kernel takes."""
+
+    def test_slot_never_carries(self):
+        # a slot stays below p + rows * p**2 < 2**(2*bits(p) + bits(rows))
+        assert 2 * _kernel_prime(0).bit_length() + (_MAX_ROWS - 1).bit_length() <= 63
+
+    def test_taller_matrices_are_refused(self):
+        class Tall:  # reports its size and holds no rows
+            rows = cols = _MAX_ROWS
+
+        with pytest.raises(ValueError, match="fewer than"):
+            matrix_kernel(Tall())
 
 
 class TestSeveralPrimes:

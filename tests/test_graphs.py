@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from nutforge.exact import IntMatrix, _kernel_prime, matrix_kernel
+from nutforge.exact import _kernel_prime, matrix_kernel
 from nutforge.graphs import (
     BicirculantSpec,
     CirculantSpec,
@@ -23,7 +23,15 @@ from nutforge.graphs import (
     to_graph6,
 )
 from nutforge.verify import block_invariants, nut_check_spectral
-from oracles import build_lcf, is_regular, relabel, small_cayley_specs
+from oracles import (
+    IntMatrix,
+    build_lcf,
+    entries,
+    graph6_by_groups,
+    is_regular,
+    relabel,
+    small_cayley_specs,
+)
 
 
 def cycle(n):
@@ -79,14 +87,13 @@ class TestAdjacencyMatrix:
                         for i in range(n)]
             a = g.adjacency_matrix(shift)
             assert (a.rows, a.cols) == (n, n)
-            assert a.data == tuple(map(tuple, expected))
+            assert entries(a) == expected
             # differential gate: the bit rows pack and certify as the integer rows
-            entries = IntMatrix(expected)
+            dense = IntMatrix(expected)
             for p in (_kernel_prime(0), 2):
-                for words in (1, 2):
-                    assert a.packed(p, words) == entries.packed(p, words)
+                assert a.packed(p) == dense.packed(p)
             if shift < 2:
-                assert matrix_kernel(a) == matrix_kernel(entries)
+                assert matrix_kernel(a) == matrix_kernel(dense)
         assert g.adjacency_matrix() == g.adjacency_matrix(0)
 
 
@@ -438,6 +445,21 @@ class TestGraph6MatchesBitwiseCodec:
         assert errors >= {"empty graph6 string", "invalid graph6 character",
                           "truncated graph6 order", "graph6 order must be >= 1",
                           "graph6 body length mismatch", "nonzero graph6 padding", None}
+
+
+class TestGraph6MatchesGroupEncoder:
+    """The base64 encoder against the 6-bit group encoder it replaced."""
+
+    def test_orders_to_70_and_1000(self):
+        # bit lengths n(n-1)/2 that end on a whole base64 digit (0, 6, 12 or
+        # 18 mod 24) and inside one; orders 62 and 63 switch the prefix
+        assert {n * (n - 1) // 2 % 24 for n in range(1, 71)} >= {0, 6, 12, 18}
+        rng = random.Random(137)
+        for n in (*range(1, 71), 1000):
+            for p in (0.0, 0.3, 0.7, 1.0):
+                g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                         if rng.random() < p])
+                assert to_graph6(g) == graph6_by_groups(g), n
 
 
 class TestAdjacencyListAndDot:

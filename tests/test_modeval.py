@@ -14,29 +14,26 @@ import pytest
 from nutforge import _modeval as me
 from nutforge.cyclotomic import divides_cyclotomic
 from nutforge.lemmas import FAMILIES, enumerate_feasible_indices
-from oracles import add, cyclotomic, eval_at, product
+from oracles import add, cyclotomic, eval_at, prime_above, product
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _primes_above(b, count):
-    """The first `count` evaluation primes of index b, each found above the
-    previous one."""
+    """The evaluation prime of index b and the next `count` - 1 odd primes
+    q = 1 (mod b), each found above the previous one."""
     primes = [me.evaluation_prime(b)]
     while len(primes) < count:
-        primes.append(me.evaluation_prime(b, above=primes[-1]))
+        primes.append(prime_above(b, primes[-1]))
     return primes
 
 
 def test_evaluation_prime_properties():
-    for b in (1, 2, 6, 35, 128, 9973):
-        for q in _primes_above(b, 3):
-            assert q % b == 1 % b
-            assert me.is_prime(q)
-    q0, q1 = _primes_above(36, 2)
-    assert q0 < q1 and q0 % 36 == q1 % 36 == 1
-    # no prime of the form 36k + 1 lies strictly between them
-    assert not any(me.is_prime(q) for q in range(q0 + 36, q1, 36))
+    # the least odd prime q = 1 (mod b) above 50
+    for b in (1, 2, 6, 35, 36, 128, 9973):
+        q = me.evaluation_prime(b)
+        assert q % b == 1 % b and q % 2 == 1 and me.is_prime(q) and q > 50
+        assert not any(me.is_prime(r) for r in range(q - b, 50, -b) if r % 2)
 
 
 def test_root_has_exact_order():
@@ -86,13 +83,6 @@ def test_planted_multiple_never_gets_witness():
     for b in (4, 9, 12, 25, 36):
         h = {rng.randint(0, 20): rng.randint(1, 3) for _ in range(4)}
         assert not _witness(product(h, cyclotomic(b)), b, moduli=3)
-
-
-def test_evaluation_prime_lower_bound():
-    for b in (1, 2, 7, 36):
-        for above in (0, 50, 10**6, 2**70):
-            q = me.evaluation_prime(b, above=above)
-            assert q > above and q % b == 1 % b and me.is_prime(q)
 
 
 def _sweep_numpy(starts, ratios, b, q):
