@@ -8,6 +8,16 @@ and ``annihilates``, the exact check A v = 0.  Kernel primes lie below
 2**21, so one word holds a slot without a carry for every matrix of fewer
 than 2**21 rows (``_echelon_mod``), and the kernel refuses taller ones.
 
+The elimination works on whole rows, never slot by slot.  Every kernel prime
+has the form p = 2**k - c with c < 2**(k - 1), so a pivot row is reduced in
+place by folds, (x mod 2**k) + c * (x >> k) in every slot at once, until
+each slot is at most 2**(k + 1) - p - 1 (``_folder``).  The pivot is not
+scaled to lead with 1: each live row instead gets the multiplier
+head * (p - lead inverse) mod p of the pivot row's tail, which adds less
+than 2**(2*k) to a slot, the bound the slot width is sized for.  Pivot rows
+stay packed with their lead inverses and are unpacked only by the back
+substitution, once each, when there is a free column at all.
+
 The kernel is certified from two sides.  Forward elimination modulo a prime
 p on the packed rows fixes the pivot columns; for each free column f the
 kernel vector that is 1 at f and 0 at the other free columns is solved
@@ -54,22 +64,28 @@ class BitMatrix:
     def packed(self, p: int) -> list[int]:
         """Each row modulo p, packed into one 64-bit word per column.
 
-        Read as hexadecimal, a row's binary string with 15 zero digits after
-        each bit but the last has bit j in the lowest digit of slot j; the
-        diagonal slot k then gets shift mod p.
+        A row's bytes (``_column_bytes``) go to every eighth byte of one
+        reused buffer, which read as a little-endian integer has bit j in
+        the lowest bit of slot j; the diagonal slot k then gets shift mod p.
         """
-        d = self.shift % p
-        return [int(("0" * 15).join(format(r, "b")), 16) + (d << 64 * k)
-                for k, r in enumerate(self.bit_rows)]
+        n, d = len(self.bit_rows), self.shift % p
+        buf = bytearray(8 * n)
+        out = []
+        for k, r in enumerate(self.bit_rows):
+            buf[::8] = _column_bytes(r, n)
+            out.append(int.from_bytes(buf, "little") + (d << 64 * k))
+        return out
 
     def annihilates(self, v) -> bool:
         """Whether every row has a zero dot product with v."""
         n, s = len(self.bit_rows), self.shift
-        for k, r in enumerate(self.bit_rows):
-            bits = format(r, f"0{n}b")[::-1].encode().translate(_BIT_VALUES)  # byte j: column j
-            if sum(compress(v, bits)) + s * v[k]:
-                return False
-        return True
+        return not any(sum(compress(v, _column_bytes(r, n))) + s * v[k]
+                       for k, r in enumerate(self.bit_rows))
+
+
+def _column_bytes(row: int, n: int) -> bytes:
+    """The bitmask of an n-column row as n bytes, byte j the bit of column j."""
+    return format(row, f"0{n}b")[::-1].encode().translate(_BIT_VALUES)
 
 
 #: The kernel takes fewer rows than this: with primes below 2**21,
@@ -88,34 +104,65 @@ def _kernel_prime(i: int) -> int:
     raise ArithmeticError("no kernel prime left")
 
 
-def _pack(residues) -> int:
-    """Residues in [0, 2**64) packed into one integer, one 64-bit word per
-    slot, the first residue in the lowest slot."""
-    return int.from_bytes(struct.pack(f"<{len(residues)}Q", *residues), "little")
+def _repeat(word: int, slots: int) -> int:
+    """``word`` in each of ``slots`` 64-bit slots."""
+    return int.from_bytes(word.to_bytes(8, "little") * slots, "little")
+
+
+def _folder(p: int, slots: int):
+    """The fold of rows of up to ``slots`` slots modulo p = 2**k - c, where
+    k = bits(p) and so c < 2**(k - 1).
+
+    One fold replaces each slot x by (x mod 2**k) + c * (x >> k), which is
+    congruent to x modulo p, since 2**k = c (mod p), and below
+    2**k + c * 2**(64 - k) < 2**64: it runs on the whole row in a few
+    integer operations and never carries.  A slot of 2**(k + 1) or more
+    loses a positive multiple of p per fold, and one below 2**(k + 1) folds
+    to at most 2**k - 1 + c = 2**(k + 1) - p - 1; the returned function
+    folds until every slot is below 2**(k + 1) and then once more, so every
+    slot of its result is at most 2**(k + 1) - p - 1.
+    """
+    k = p.bit_length()
+    c = (1 << k) - p
+    low = _repeat((1 << k) - 1, slots)
+    high = _repeat((1 << 64 - k) - 1, slots)
+    above = _repeat((1 << 64) - (1 << k + 1), slots)
+
+    def fold(row: int) -> int:
+        while row & above:
+            row = (row & low) + c * (row >> k & high)
+        return (row & low) + c * (row >> k & high)
+
+    return fold
 
 
 #: Columns eliminated between two shifts of the live rows.
-_BLOCK = 8
+_BLOCK = 16
 
 
-def _echelon_mod(live: list[int], cols: int, p: int) -> list[tuple[int, list[int]]]:
+def _echelon_mod(live: list[int], cols: int, p: int) -> list[tuple[int, int, int]]:
     """Row echelon form modulo p of the rows packed by ``packed(p)``:
-    (column, row) per pivot, each row given from its pivot column on,
-    reduced and scaled to lead with 1.
+    (column, lead inverse, tail) per pivot, where the tail is the pivot row
+    past its pivot column, still packed, with every slot congruent modulo p
+    to the row's entry and at most 2**(k + 1) - p - 1 (``_folder``), and the
+    lead inverse is the inverse modulo p of the pivot entry.
 
     Columns are eliminated in blocks of ``_BLOCK``.  Column c sits in slot
     j = c mod ``_BLOCK`` of the live rows, and its heads are read there with
     a mask; the live rows are shifted right by a whole block once per block,
-    not once per column.  Eliminating column c adds head * (-pivot row),
-    packed from slot j + 1 on, with every slot of the added row in [0, p),
-    so slots only grow and never borrow.  A slot starts below p and gains
-    less than p**2 per pivot, at most ``rows`` times, so it stays below
-    p + rows * p**2 < 2**(2*bits(p) + bits(rows)); with p below 2**21 and
-    fewer than 2**21 rows that is below 2**63, so a 64-bit slot never
-    carries into the next.  The dead slots below j, left in place until the
-    block shift, keep that bound: a slot gets no addition after its own
-    column.  Only pivot rows are unpacked and reduced.
+    not once per column.  The pivot row leaves the live rows and is folded
+    whole, never split into slots.  Eliminating column c then adds to each
+    live row with a head h, nonzero modulo p, the multiple
+    h * (p - lead inverse) mod p of the tail, placed from slot j + 1 on, so
+    slots only grow and never borrow.  A slot starts below p and gains less
+    than p * (2**(k + 1) - p - 1) < 2**(2*k) per pivot, at most ``rows``
+    times, so it stays below p + rows * 2**(2*k) < 2**(2*k + bits(rows));
+    with p below 2**21 and fewer than 2**21 rows that is below 2**63, so a
+    64-bit slot never carries into the next.  The dead slots below j, left
+    in place until the block shift, keep that bound: a slot gets no addition
+    after its own column.
     """
+    fold = _folder(p, cols)
     pivots = []
     for c in range(cols):
         j = c % _BLOCK
@@ -128,25 +175,33 @@ def _echelon_mod(live: list[int], cols: int, p: int) -> list[tuple[int, list[int
                 break
         else:
             continue
-        n = cols - c
-        slots = struct.unpack(f"<{n}Q", (live.pop(i) >> at).to_bytes(8 * n, "little"))
-        inv = pow(slots[0] % p, -1, p)
-        row = [s * inv % p for s in slots]
-        pivots.append((c, row))
-        neg = _pack([-r % p for r in row[1:]]) << at + 64
-        live = [y + h * neg if (h := ((y & head) >> at) % p) else y for y in live]
+        row = fold(live.pop(i) >> at)
+        inv, tail = pow(row & 0xFFFF_FFFF_FFFF_FFFF, -1, p), row >> 64
+        pivots.append((c, inv, tail))
+        placed, neg = tail << at + 64, p - inv
+        live = [y + m * placed if (m := ((y & head) >> at) * neg % p) else y for y in live]
     return pivots
 
 
-def _solve_mod(pivots, free_col: int, cols: int, p: int) -> list[int]:
-    """Kernel vector modulo p that is 1 at ``free_col`` and 0 at the other
-    free columns, by back-substitution through the pivot rows."""
-    v = [0] * cols
-    v[free_col] = 1
-    for c, row in reversed(pivots):
-        if c < free_col:
-            v[c] = -sum(map(mul, row, v[c:])) % p
-    return v
+def _solve_mod(pivots, free_cols, cols: int, p: int) -> list[list[int]]:
+    """Per free column, the kernel vector modulo p that is 1 there and 0 at
+    the other free columns, by back-substitution through the pivot rows.
+    Each tail is unpacked once, and only when there is a free column."""
+    if not free_cols:
+        return []
+    rows = []
+    for c, inv, tail in reversed(pivots):
+        n = cols - c - 1
+        rows.append((c, inv, struct.unpack(f"<{n}Q", tail.to_bytes(8 * n, "little"))))
+    vectors = []
+    for f in free_cols:
+        v = [0] * cols
+        v[f] = 1
+        for c, inv, tail in rows:
+            if c < f:
+                v[c] = -inv * sum(map(mul, tail, v[c + 1:])) % p
+        vectors.append(v)
+    return vectors
 
 
 def _rational(a: int, m: int, num_bound: int, den_bound: int):
@@ -203,11 +258,15 @@ def matrix_kernel(matrix: BitMatrix) -> tuple[tuple[int, ...], ...]:
     any other matrix with those four members and fewer than 2**21 rows
     takes the same path.  A matrix of 2**21 rows or more raises ValueError,
     since one 64-bit slot per column no longer bounds the elimination.
-    Elimination modulo a prime below 2**21, on the packed rows in blocks of
-    columns (``_echelon_mod`` states why the slots, the dead ones left until
-    each block shift included, never carry), fixes the rank and the free
-    columns; the basis vector of each free column (1 there, 0 at the other
-    free columns) is solved modulo the prime, lifted to the rationals,
+    Elimination modulo a prime p = 2**k - c below 2**21, on the packed rows
+    in blocks of columns, fixes the rank and the free columns: each pivot
+    row is folded whole to slots of at most 2**(k + 1) - p - 1, and each
+    live row gets head * (p - lead inverse) mod p times its tail, so a slot
+    gains less than 2**(2*k) per pivot and stays below p + rows * 2**(2*k)
+    < 2**63 (``_echelon_mod`` states why the slots, the dead ones left until
+    each block shift included, never carry).  The basis vector of each free
+    column (1 there, 0 at the other free columns) is solved modulo the prime
+    from the pivot rows, each unpacked once, lifted to the rationals,
     cleared of its denominator and checked exactly against every row of the
     matrix.  The certificate is two-sided: the rank over Q is at least the
     rank modulo p, so the nullity is at most the number of free columns,
@@ -231,13 +290,13 @@ def matrix_kernel(matrix: BitMatrix) -> tuple[tuple[int, ...], ...]:
     for i in count():
         p = _kernel_prime(i)
         pivots = _echelon_mod(matrix.packed(p), cols, p)
-        pivot_cols = [c for c, _ in pivots]
+        pivot_cols = [pivot[0] for pivot in pivots]
         # smaller is nearer the rank and pivot columns over Q, which no prime beats
         key = (-len(pivots), pivot_cols)
         if best is not None and key > best:
             continue
         free_cols = sorted(set(range(cols)).difference(pivot_cols))
-        vectors = [_solve_mod(pivots, f, cols, p) for f in free_cols]
+        vectors = _solve_mod(pivots, free_cols, cols, p)
         if key == best:
             u = pow(modulus, -1, p)
             residues = [[a + modulus * ((b - a) * u % p) for a, b in zip(old, new)]

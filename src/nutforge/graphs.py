@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .exact import BitMatrix
 
@@ -277,21 +278,43 @@ _G6_FROM_BASE64 = bytes.maketrans(
     bytes(range(63, 127)))
 
 
+#: The least number of upper-triangle bits encoded at a time (3 KB).
+_G6_CHUNK = 24 * 1024
+
+
 def to_graph6(g: Graph) -> str:
     """Bit-exact graph6: order prefix, then the upper-triangle bits in
     column-major order packed into 6-bit groups offset by 63.
 
     Column j of the upper triangle is bits 0..j-1 of row j, so each column
-    is one reversed binary string.  Padded to whole 24-bit groups, the bits
-    are base64 digits of 6 bits each, which the alphabet is then mapped
-    onto; the digits past the last bit are dropped.
+    is one reversed binary string, and columns j..k-1 hold
+    (k(k-1) - j(j-1)) / 2 bits.  The columns are taken in runs of at least
+    ``_G6_CHUNK`` bits, so no string of all the bits is ever built.  The
+    whole 24-bit groups of a run are base64 digits of 6 bits each, which
+    the alphabet is then mapped onto, and the bits past them carry over to
+    the next run.  The last run is padded to a whole group, and its digits
+    past the last bit are dropped.
     """
-    bits = "".join(format(row & ((1 << j) - 1), f"0{j}b")[::-1]
-                   for j, row in enumerate(g.adjacency_rows()) if j)
+    rows = g.adjacency_rows()
+    n, j = len(rows), 1
+    out, bits = [_g6_order_bytes(n)], ""
+    while True:
+        stop = min(n, isqrt(j * (j - 1) + 2 * _G6_CHUNK) + 2)
+        bits += "".join([format(rows[i] & ((1 << i) - 1), f"0{i}b")[::-1] for i in range(j, stop)])
+        if stop >= n:
+            break
+        whole = len(bits) - len(bits) % 24
+        out.append(_g6_digits(int(bits[:whole], 2), whole))
+        bits, j = bits[whole:], stop
     k = len(bits)
     pad = -k % 24
-    digits = base64.b64encode((int(bits or "0", 2) << pad).to_bytes((k + pad) // 8, "big"))
-    return _g6_order_bytes(g.order) + digits[:-(-k // 6)].translate(_G6_FROM_BASE64).decode()
+    out.append(_g6_digits(int(bits or "0", 2) << pad, k + pad)[:-(-k // 6)])
+    return "".join(out)
+
+
+def _g6_digits(bits: int, k: int) -> str:
+    """The k bits of ``bits``, k a multiple of 24, as graph6 characters."""
+    return base64.b64encode(bits.to_bytes(k // 8, "big")).translate(_G6_FROM_BASE64).decode()
 
 
 def from_graph6(text: str) -> Graph:

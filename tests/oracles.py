@@ -4,13 +4,13 @@ None of these is on a path the package's commands run: they are the plain,
 slow constructions that the package's own algorithms are checked against.
 """
 
+import struct
 from functools import cache
 from itertools import combinations
 from math import gcd
 from operator import mul
 
 from nutforge._modeval import root_of_order
-from nutforge.exact import _pack
 from nutforge.graphs import (
     CirculantSpec,
     DihedralSpec,
@@ -285,6 +285,58 @@ def build_lcf(n: int, pattern) -> Graph:
     if any(d != 3 for d in g.degrees()):
         raise ValueError("LCF description is not cubic")
     return g
+
+
+def _pack(residues) -> int:
+    """Residues in [0, 2**64) packed into one integer, one 64-bit word per
+    slot, the first residue in the lowest slot."""
+    return int.from_bytes(struct.pack(f"<{len(residues)}Q", *residues), "little")
+
+
+#: Columns the slot-by-slot elimination eliminates between two shifts.
+_SLOT_BLOCK = 8
+
+
+def echelon_by_slots(live: list[int], cols: int, p: int) -> list[tuple[int, list[int]]]:
+    """The elimination the kernel ran before it folded pivot rows whole:
+    row echelon form modulo p of packed rows as (column, row) per pivot,
+    each row unpacked from its pivot column on, reduced and scaled to lead
+    with 1, and packed again, negated, to be added to the live rows."""
+    pivots = []
+    for c in range(cols):
+        j = c % _SLOT_BLOCK
+        if c and not j:
+            live = [y >> 64 * _SLOT_BLOCK for y in live]
+        at = 64 * j
+        head = 0xFFFF_FFFF_FFFF_FFFF << at
+        for i, y in enumerate(live):
+            if ((y & head) >> at) % p:
+                break
+        else:
+            continue
+        n = cols - c
+        slots = struct.unpack(f"<{n}Q", (live.pop(i) >> at).to_bytes(8 * n, "little"))
+        inv = pow(slots[0] % p, -1, p)
+        row = [s * inv % p for s in slots]
+        pivots.append((c, row))
+        neg = _pack([-r % p for r in row[1:]]) << at + 64
+        live = [y + h * neg if (h := ((y & head) >> at) % p) else y for y in live]
+    return pivots
+
+
+def solve_by_slots(pivots, free_cols, cols: int, p: int) -> list[list[int]]:
+    """Back-substitution through the scaled rows of ``echelon_by_slots``:
+    per free column, the kernel vector modulo p that is 1 there and 0 at the
+    other free columns."""
+    vectors = []
+    for f in free_cols:
+        v = [0] * cols
+        v[f] = 1
+        for c, row in reversed(pivots):
+            if c < f:
+                v[c] = -sum(map(mul, row, v[c:])) % p
+        vectors.append(v)
+    return vectors
 
 
 class IntMatrix:

@@ -2,26 +2,41 @@
 of the test oracles and the cyclic fold behind the block invariants."""
 
 import random
+import struct
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import gcd, lcm
 
 import pytest
 
+from nutforge import exact
+from nutforge.constructions import direct_family_spec
 from nutforge.exact import (
     _MAX_ROWS,
+    BitMatrix,
     _echelon_mod,
+    _folder,
     _kernel_prime,
+    _solve_mod,
     matrix_kernel,
 )
 from nutforge.graphs import (
     BicirculantSpec,
     CirculantSpec,
+    build,
     build_bicirculant,
     build_circulant,
 )
 from nutforge.cyclotomic import fold
-from oracles import IntMatrix, add, divrem, entries, product
+from oracles import (
+    IntMatrix,
+    add,
+    divrem,
+    echelon_by_slots,
+    entries,
+    product,
+    solve_by_slots,
+)
 from test_acceptance import _all_dihedral_specs, _inversion_closed_subset
 
 X = {1: 1}
@@ -254,7 +269,7 @@ def assert_echelon_matches_rref(data):
     the kernel matches the Bareiss oracle."""
     p = _kernel_prime(0)
     pivots = _echelon_mod(IntMatrix(data).packed(p), len(data[0]), p)
-    assert [c for c, _ in pivots] == [next(j for j, x in enumerate(row) if x)
+    assert [c for c, _, _ in pivots] == [next(j for j, x in enumerate(row) if x)
                                       for row in rref(data)]
     assert_matches_bareiss(data)
 
@@ -409,6 +424,99 @@ class TestSlotBound:
 
         with pytest.raises(ValueError, match="fewer than"):
             matrix_kernel(Tall())
+
+
+def _first_prime_with_c(least_c: int) -> int:
+    """The first kernel prime p with 2**bits(p) - p >= least_c."""
+    return next(p for p in map(_kernel_prime, count())
+                if (1 << p.bit_length()) - p >= least_c)
+
+
+class TestFoldBound:
+    """A folded pivot row keeps each slot small enough that a multiple of it
+    below p adds less than 2**(2*bits(p)) to a slot."""
+
+    @pytest.mark.parametrize("p", [_kernel_prime(0), _first_prime_with_c(1 << 10)])
+    def test_worst_case_slots(self, p):
+        k, slots = p.bit_length(), 40
+        bound = (1 << k + 1) - p - 1
+        assert p * bound < 1 << 2 * k
+        fold, rng = _folder(p, slots), random.Random(p)
+        for before in ([(1 << 63) - 1] * slots, [rng.randrange(1 << 63) for _ in range(slots)]):
+            row = fold(int.from_bytes(struct.pack(f"<{slots}Q", *before), "little"))
+            after = struct.unpack(f"<{slots}Q", row.to_bytes(8 * slots, "little"))
+            assert all(x <= bound for x in after)
+            assert [x % p for x in after] == [x % p for x in before]
+
+
+def assert_matches_slot_elimination(matrix, monkeypatch):
+    """The folded elimination and back substitution give the pivot columns
+    and kernel vectors of the slot-by-slot ones at the first prime, so an
+    error fails here at once instead of sending the kernel on through the
+    prime sequence; then ``matrix_kernel`` returns the same basis through
+    either."""
+    p, cols = _kernel_prime(0), matrix.cols
+    new, old = _echelon_mod(matrix.packed(p), cols, p), echelon_by_slots(matrix.packed(p), cols, p)
+    assert [c for c, _, _ in new] == [c for c, _ in old]
+    free = sorted(set(range(cols)).difference(c for c, _ in old))
+    assert _solve_mod(new, free, cols, p) == solve_by_slots(old, free, cols, p)
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_echelon_mod", echelon_by_slots)
+        patch.setattr(exact, "_solve_mod", solve_by_slots)
+        by_slots = matrix_kernel(matrix)
+    assert matrix_kernel(matrix) == by_slots
+
+
+def _family_and_random_graphs():
+    """Dihedral degree-(8t+6) and (8t+10) family graphs and random
+    bicirculants, m from 20 to 100."""
+    for m in range(20, 101, 16):
+        for d in (6, 10, 14, 18, 22):
+            yield build(direct_family_spec(d, m))
+    rng = random.Random(22)
+    for m in range(20, 101, 8):
+        yield build_bicirculant(BicirculantSpec(
+            m, _inversion_closed_subset(rng, m),
+            frozenset(b for b in range(m) if rng.random() < 0.3),
+            _inversion_closed_subset(rng, m)))
+
+
+def _random_symmetric_bits(rng, n: int) -> tuple[int, ...]:
+    """Bit rows of a random symmetric 0/1 matrix of order n, zero diagonal."""
+    rows = [0] * n
+    for i, j in combinations(range(n), 2):
+        if rng.random() < 0.4:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return tuple(rows)
+
+
+class TestMatchesSlotElimination:
+    """Differential gate: the kernel through the folded elimination returns
+    the basis that the slot-by-slot elimination it replaced returns."""
+
+    def test_family_and_random_bicirculant_graphs(self, monkeypatch):
+        for g in _family_and_random_graphs():
+            for shift in (0, 1):
+                assert_matches_slot_elimination(g.adjacency_matrix(shift), monkeypatch)
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 31, 32, 33])
+    def test_random_symmetric_at_block_edges(self, n, monkeypatch):
+        rng = random.Random(n)
+        for _ in range(6):
+            bits = _random_symmetric_bits(rng, n)
+            for a in (BitMatrix(bits), BitMatrix(bits, 1),
+                      IntMatrix([[rng.randint(0, 1) if i == j else r >> j & 1 for j in range(n)]
+                                 for i, r in enumerate(bits)])):
+                assert_matches_slot_elimination(a, monkeypatch)
+
+    def test_several_primes_cases(self, monkeypatch):
+        p = _kernel_prime(0)
+        q = _kernel_prime(0) * _kernel_prime(1) * _kernel_prime(2)
+        for data in ([[p]], [[p, 0], [0, 0]], [[p, 1]], [[2**40, -1]],
+                     [[2**60 + 1, -(3**40)], [0, 0]], [[q, 0], [0, q]],
+                     [[q, 1, 0], [0, q, q], [q, 1 + q, q]], [[2**40, -1, 3], [5, 0, 2**33]]):
+            assert_matches_slot_elimination(IntMatrix(data), monkeypatch)
 
 
 class TestSeveralPrimes:

@@ -1,6 +1,7 @@
 """Tests for graph builders and serialization."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -452,14 +453,28 @@ class TestGraph6MatchesGroupEncoder:
 
     def test_orders_to_70_and_1000(self):
         # bit lengths n(n-1)/2 that end on a whole base64 digit (0, 6, 12 or
-        # 18 mod 24) and inside one; orders 62 and 63 switch the prefix
+        # 18 mod 24) and inside one; orders 62 and 63 switch the prefix; from
+        # order 224 on the columns are encoded in more than one run
         assert {n * (n - 1) // 2 % 24 for n in range(1, 71)} >= {0, 6, 12, 18}
         rng = random.Random(137)
-        for n in (*range(1, 71), 1000):
+        for n in (*range(1, 71), 223, 224, 225, 1000):
             for p in (0.0, 0.3, 0.7, 1.0):
                 g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
                                          if rng.random() < p])
                 assert to_graph6(g) == graph6_by_groups(g), n
+
+    def test_memory_at_order_8000(self):
+        # no string of all 32 million upper-triangle bits: the traced peak
+        # stays within three times the output line
+        g = build_circulant(CirculantSpec(8000, (1, 2, 3, 5, 8, 13, 21)))
+        tracemalloc.start()
+        try:
+            line = to_graph6(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(line) == 4 + -(-8000 * 7999 // 2 // 6)
+        assert peak <= 3 * len(line)
 
 
 class TestAdjacencyListAndDot:
