@@ -33,13 +33,16 @@ not have connection sets in one orbit (circulant 32 8 has 12 orbit minima
 in 9 classes).
 
 Search and census candidates come from one stream, ``_candidates``, and are
-Cayley graphs, so a spectral nullity of one already makes them nut graphs:
-the cyclotomic nullity of ``verify`` screens every candidate, and only those
-that pass it are built.  Every witness, whichever construction produced it,
-passes one gate, ``_certify``, which reads every fact from the witness's
-spec and shift: a spectral nullity of exactly one, a +-1 character of the
-group that is a kernel vector by its sum over the connection set, the order
-and degree, and the existence law of ``feasible_vt``.  Catalog and census
+Cayley graphs, so a spectral nullity of one already makes them nut graphs.
+``_screen`` rejects a candidate without a +-1 character eps, eps(S) = 0,
+whose nullity cannot be one, before any polynomial work; the cyclotomic
+nullity of ``verify`` screens the rest one divisor at a time, until it
+passes one, and only the candidates that pass are built.  Every witness,
+whichever construction produced it, passes one gate, ``_certify``, which
+reads every fact from the witness's spec and shift: a spectral nullity of
+exactly one, a +-1 character of the group that is a kernel vector by its
+sum over the connection set, the order and degree, and the existence law
+of ``feasible_vt``.  Catalog and census
 witnesses run no O(n^3) kernel; a search hit is also checked against the
 direct kernel.  The outputs are certificates, not citations.
 """
@@ -59,7 +62,13 @@ from .graphs import (
     build,
     complement,
 )
-from .verify import NutCertificate, SpectralReport, nut_check_direct, nut_check_spectral
+from .verify import (
+    NutCertificate,
+    SpectralReport,
+    divisor_walk,
+    nut_check_direct,
+    nut_check_spectral,
+)
 
 #: Candidate cap of a search given no explicit budget.  No order up to 24
 #: has more than 462 jump sets, so there the search is exhaustive.
@@ -303,12 +312,28 @@ def _screen(spec: CirculantSpec | DihedralSpec) -> Witness | None:
     """Certified witness for a search or census candidate, or None when its
     spectral nullity is not one.
 
-    Only a candidate that passes is built, by ``_certify``, which reuses the
-    spectral report.
+    The walk over the divisors b of m adds phi(b) times the multiplicity
+    of each, so a nullity of one comes from a single singular block at a
+    divisor with phi(b) = 1, that is b = 1 or b = 2: the zeta = +-1 blocks.
+    On Z_n that block is the number eps(S) for the character eps(r^j) =
+    zeta^j.  On D_m it is [[p0, p1], [p1, p0]] at zeta, real since
+    zeta = 1/zeta, with eigenvalues p0 +- p1, the values eps(S) of the two
+    characters with a = zeta.  So a candidate without a +-1 character
+    eps(S) = 0 (``_kernel_character``) has a nullity other than one, and is
+    rejected before any cyclotomic work.  With such a character the
+    nullity is at least one, and the walk stops at the first divisor that
+    takes the running total above one; a candidate that passes has walked
+    every divisor, and ``_certify`` reuses the full report.
     """
-    report = nut_check_spectral(spec)
-    if report.total_nullity != 1:
+    if _kernel_character(spec, 0) is None:
         return None
+    verdicts, total = [], 0
+    for verdict in divisor_walk(spec):
+        total += verdict.nullity
+        if total > 1:
+            return None
+        verdicts.append(verdict)
+    report = SpectralReport(verdicts[-1].b, 0, tuple(verdicts), total)
     return _certify(spec, 0, spec.describe(), spec.order, spec.degree, report)
 
 

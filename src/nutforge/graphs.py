@@ -47,12 +47,14 @@ class Graph:
                 raise ValueError("adjacency bits outside vertex range")
             if r >> i & 1:
                 raise ValueError(f"loop at vertex {i}")
-        # Character j of bits[i] is bit j of row i, so zip(*bits) yields the
-        # transposed rows.  An asymmetric pair (k, j) differs in rows k and j,
-        # so the first differing row differs first at a column above its own
-        # index: that names the lexicographically first pair.
-        bits = [format(r, f"0{order}b")[::-1] for r in rows]
-        for i, (row, col) in enumerate(zip(bits, map("".join, zip(*bits)))):
+        # Character i * order + j of flat is bit j of row i, so the strided
+        # slice flat[i::order] is column i.  Row i differs from column i
+        # exactly when some pair (i, j) is asymmetric, so the first
+        # differing row, at its first differing column, names the
+        # lexicographically first pair.
+        flat = "".join([format(r, f"0{order}b")[::-1] for r in rows])
+        for i in range(order):
+            row, col = flat[i * order:(i + 1) * order], flat[i::order]
             if row != col:
                 j = next(k for k, (a, b) in enumerate(zip(row, col)) if a != b)
                 raise ValueError(f"asymmetric adjacency at ({i}, {j})")
@@ -272,10 +274,12 @@ def _g6_order_bytes(n: int) -> str:
     raise ValueError(f"graph6 order {n} exceeds the supported range")
 
 
-#: The base64 alphabet, digit v mapped onto the graph6 character chr(63 + v).
-_G6_FROM_BASE64 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-    bytes(range(63, 127)))
+#: The base64 alphabet, and the graph6 characters chr(63 + v) of its
+#: digits v, both in digit order.
+_BASE64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_CHARACTERS = bytes(range(63, 127))
+_G6_FROM_BASE64 = bytes.maketrans(_BASE64_DIGITS, _G6_CHARACTERS)
+_G6_TO_BASE64 = bytes.maketrans(_G6_CHARACTERS, _BASE64_DIGITS)
 
 
 #: The least number of upper-triangle bits encoded at a time (3 KB).
@@ -318,36 +322,47 @@ def _g6_digits(bits: int, k: int) -> str:
 
 
 def from_graph6(text: str) -> Graph:
-    """Decode a graph6 line (optional ``>>graph6<<`` header tolerated)."""
+    """Decode a graph6 line (optional ``>>graph6<<`` header tolerated).
+
+    The reverse of ``to_graph6``: the body characters are mapped onto the
+    base64 alphabet and decoded into one integer, whose leading
+    n(n - 1)/2 bits are the upper triangle in column-major order.  Column j
+    is bits 0..j-1 of row j; padded to n characters, the columns make an
+    n x n string whose strided slice from character v is the rest of row v.
+    """
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
         raise ValueError("empty graph6 string")
-    vals = [ord(ch) - 63 for ch in s]
-    if any(v < 0 or v > 63 for v in vals):
+    data = s.encode()
+    if not s.isascii() or data.translate(None, _G6_CHARACTERS):
         raise ValueError("invalid graph6 character")
-    if vals[0] == 63:
-        if len(vals) < 4:
+    if data[0] == 126:
+        if len(data) < 4:
             raise ValueError("truncated graph6 order")
-        n = vals[1] << 12 | vals[2] << 6 | vals[3]
-        body = vals[4:]
+        n = data[1] - 63 << 12 | data[2] - 63 << 6 | data[3] - 63
+        body = data[4:]
     else:
-        n = vals[0]
-        body = vals[1:]
+        n = data[0] - 63
+        body = data[1:]
     if n < 1:
         raise ValueError("graph6 order must be >= 1")
     need = n * (n - 1) // 2
     if len(body) != (need + 5) // 6:
         raise ValueError("graph6 body length mismatch")
-    bits = "".join(format(v, "06b") for v in body)
-    if "1" in bits[need:]:
+    pad = -len(body) % 4  # whole base64 quads, padded with the zero digit 'A'
+    value = int.from_bytes(base64.b64decode(body.translate(_G6_TO_BASE64) + b"A" * pad), "big")
+    spare = 6 * (len(body) + pad) - need
+    if value & ((1 << spare) - 1):
         raise ValueError("nonzero graph6 padding")
-    # Character i of lower[j] is the bit (i, j) for i < j, so zip(*lower)
-    # yields the bits (v, j) for j > v: the upper half of each row.
-    lower = [bits[j * (j - 1) // 2:j * (j + 1) // 2].ljust(n, "0") for j in range(n)]
-    return Graph(n, [int(low[::-1], 2) | int("".join(up)[::-1], 2)
-                     for low, up in zip(lower, zip(*lower))])
+    bits = format(value >> spare, f"0{need}b")
+    flat = "".join([bits[j * (j - 1) // 2:j * (j + 1) // 2].ljust(n, "0") for j in range(n)])
+    # Each string goes once read, before Graph builds its own n^2 square.
+    del bits
+    rows = [int(flat[v * n:(v + 1) * n][::-1], 2) | int(flat[v::n][::-1], 2) for v in range(n)]
+    del flat
+    return Graph(n, rows)
 
 
 # -- adjacency list and DOT ----------------------------------------------------

@@ -21,7 +21,9 @@ the b-th cyclotomic polynomial divides it.  The blocks are Hermitian, so the
 zero-eigenvalue multiplicity of a block is the number of its invariants that
 vanish, taken from the determinant down; aggregating phi(b) times that
 multiplicity over the divisors gives the total nullity without ever touching
-algebraic numbers.
+algebraic numbers.  ``divisor_walk`` computes the divisors' verdicts one at a
+time, ascending, so a screen can stop once the running total passes a bound;
+``nut_check_spectral`` walks every divisor.
 
 A diagonal shift of one, the ``shift`` argument of both methods, checks
 eigenvalue -1, which is what complement constructions need: for a non-complete
@@ -75,6 +77,12 @@ class DivisorVerdict:
     b: int
     multiplicity: int
 
+    @property
+    def nullity(self) -> int:
+        """The divisor's share of the total nullity: phi(b) blocks of that
+        multiplicity."""
+        return euler_phi(self.b) * self.multiplicity
+
 
 @dataclass(frozen=True)
 class SpectralReport:
@@ -124,25 +132,32 @@ def block_invariants(spec: CirculantSpec | BicirculantSpec,
     return m, (fold(det, m), fold(diag0 + diag2, m))
 
 
-def nut_check_spectral(spec: CirculantSpec | BicirculantSpec,
-                       shift: int = 0) -> SpectralReport:
-    """Resolve the nullity of the (shifted) circulant or bicirculant through
-    its blocks.
+def divisor_walk(spec: CirculantSpec | BicirculantSpec, shift: int = 0):
+    """The ``DivisorVerdict`` of each divisor b of the cyclic order m,
+    ascending from b = 1 to b = m, each computed only when the walk reaches
+    it.
 
-    For each divisor b of m the primitive b-th roots of unity contribute
-    phi(b) blocks; their zero-eigenvalue multiplicity is the number of block
-    invariants, taken from the determinant down, that the b-th cyclotomic
-    polynomial divides.
+    The primitive b-th roots of unity contribute phi(b) blocks; their
+    zero-eigenvalue multiplicity is the number of block invariants, taken
+    from the determinant down, that the b-th cyclotomic polynomial divides.
+    The running sum of ``nullity`` never falls, so a consumer may stop as
+    soon as it passes a bound.
     """
     if shift not in (0, 1):
         raise ValueError("shift must be 0 or 1")
     m, invariants = block_invariants(spec, shift)
-    verdicts = []
-    total = 0
     for b in divisors(m):
         mult = 0
         while mult < len(invariants) and divides_cyclotomic(invariants[mult], b):
             mult += 1
-        total += euler_phi(b) * mult
-        verdicts.append(DivisorVerdict(b, mult))
-    return SpectralReport(m, shift, tuple(verdicts), total)
+        yield DivisorVerdict(b, mult)
+
+
+def nut_check_spectral(spec: CirculantSpec | BicirculantSpec,
+                       shift: int = 0) -> SpectralReport:
+    """Resolve the nullity of the (shifted) circulant or bicirculant through
+    its blocks: the whole ``divisor_walk``, each divisor weighted by phi(b).
+    """
+    verdicts = tuple(divisor_walk(spec, shift))
+    # The walk ends at b = m.
+    return SpectralReport(verdicts[-1].b, shift, verdicts, sum(v.nullity for v in verdicts))

@@ -11,6 +11,7 @@ from math import gcd
 from operator import mul
 
 from nutforge._modeval import root_of_order
+from nutforge.constructions import _certify
 from nutforge.graphs import (
     CirculantSpec,
     DihedralSpec,
@@ -20,6 +21,7 @@ from nutforge.graphs import (
     complement,
 )
 from nutforge.numtheory import divisors, is_prime
+from nutforge.verify import nut_check_spectral
 
 # Polynomials are exponent -> coefficient dicts; every function below returns
 # one without zero coefficients, so {} is the zero polynomial, equality is
@@ -377,3 +379,54 @@ def graph6_by_groups(g: Graph) -> str:
     bits += "0" * (-len(bits) % 6)
     return _g6_order_bytes(g.order) + "".join(chr(63 + int(bits[k:k + 6], 2))
                                               for k in range(0, len(bits), 6))
+
+
+def graph6_decode_by_groups(text: str) -> Graph:
+    """graph6 as the package decoded it before base64: one 6-bit string
+    per character, one '0'/'1' string per column, transposed with zip."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise ValueError("empty graph6 string")
+    vals = [ord(ch) - 63 for ch in s]
+    if any(v < 0 or v > 63 for v in vals):
+        raise ValueError("invalid graph6 character")
+    if vals[0] == 63:
+        if len(vals) < 4:
+            raise ValueError("truncated graph6 order")
+        n = vals[1] << 12 | vals[2] << 6 | vals[3]
+        body = vals[4:]
+    else:
+        n = vals[0]
+        body = vals[1:]
+    if n < 1:
+        raise ValueError("graph6 order must be >= 1")
+    need = n * (n - 1) // 2
+    if len(body) != (need + 5) // 6:
+        raise ValueError("graph6 body length mismatch")
+    bits = "".join(format(v, "06b") for v in body)
+    if "1" in bits[need:]:
+        raise ValueError("nonzero graph6 padding")
+    lower = [bits[j * (j - 1) // 2:j * (j + 1) // 2].ljust(n, "0") for j in range(n)]
+    return Graph(n, [int(low[::-1], 2) | int("".join(up)[::-1], 2)
+                     for low, up in zip(lower, zip(*lower))])
+
+
+def screen_by_full_nullity(spec: CirculantSpec | DihedralSpec):
+    """The search and census screen before the character test: the full
+    spectral nullity over every divisor, exactly one, then ``_certify``."""
+    report = nut_check_spectral(spec)
+    if report.total_nullity != 1:
+        return None
+    return _certify(spec, 0, spec.describe(), spec.order, spec.degree, report)
+
+
+def first_asymmetric_pair(order: int, rows):
+    """The lexicographically first (i, j) with bit j of row i unlike bit i
+    of row j, by checking every pair, or None."""
+    for i in range(order):
+        for j in range(order):
+            if (rows[i] >> j & 1) != (rows[j] >> i & 1):
+                return i, j
+    return None

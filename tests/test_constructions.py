@@ -10,6 +10,7 @@ from itertools import combinations, zip_longest
 import pytest
 
 import nutforge.constructions as constructions
+import nutforge.verify as verify
 from nutforge.constructions import (
     InfeasiblePairError,
     SearchExhaustedError,
@@ -41,6 +42,7 @@ from oracles import (
     moebius_ladder,
     prism,
     relabel,
+    screen_by_full_nullity,
     small_cayley_specs,
 )
 
@@ -438,16 +440,15 @@ class TestSearch:
         w = circulant_search(24, 8, budget=22)
         assert w.recipe == "circulant(n=24, jumps=[1, 2, 6, 7])"
 
-    def test_screen_kernel_disagreement_raises(self, monkeypatch):
-        real = constructions.nut_check_spectral
-
-        def claims_nullity_one(spec, shift=0):
-            return dataclasses.replace(real(spec, shift), total_nullity=1)
-
-        monkeypatch.setattr(constructions, "nut_check_spectral", claims_nullity_one)
+    def test_screen_kernel_disagreement_raises(self):
+        # A report forged to claim nullity one for the 8-cycle, which has
+        # nullity 2 and no +-1 character: _certify refuses it.  The screen
+        # rejects the 8-cycle by its missing character before any report.
+        cycle = CirculantSpec(8, {1})
+        forged = dataclasses.replace(nut_check_spectral(cycle), total_nullity=1)
+        assert constructions._screen(cycle) is None
         with pytest.raises(RuntimeError, match="no \\+-1 character"):
-            circulant_search(8, 2)  # the 8-cycle has nullity 2
-
+            constructions._certify(cycle, 0, cycle.describe(), 8, 2, forged)
 
     def test_direct_kernel_disagreement_raises(self, monkeypatch):
         def wrong_vector(g):
@@ -823,6 +824,70 @@ class TestOrbitPruning:
         with pytest.raises(SearchExhaustedError, match="budget of 146"):
             census("dihedral", 14, 8, budget=146)
         assert len(census("dihedral", 14, 8, budget=147)) == 3
+
+
+def recorded_divisors(monkeypatch):
+    """Route the divisor walk's divides_cyclotomic through a recorder of
+    the indices b it is asked about."""
+    asked = []
+    real = verify.divides_cyclotomic
+    monkeypatch.setattr(verify, "divides_cyclotomic",
+                        lambda terms, b: asked.append(b) or real(terms, b))
+    return asked
+
+
+class TestScreen:
+    #: The (family, n, d) of the benchmark's census requests; every one lies
+    #: within the orders the differential test below screens in full.
+    BENCHMARK_CENSUS = (("dihedral", 14, 8), ("circulant", 18, 8), ("circulant", 24, 8),
+                        ("circulant", 8, 4), ("circulant", 10, 4), ("circulant", 12, 4),
+                        ("dihedral", 8, 4), ("dihedral", 10, 4), ("dihedral", 12, 6),
+                        ("dihedral", 12, 8))
+
+    def test_matches_the_full_nullity_screen(self):
+        # Every candidate of circulant orders 3..24 and dihedral orders
+        # 6..16, at every degree: the character test and the early stop
+        # give the witness, or None, of the full spectral nullity.
+        orders = {"circulant": range(3, 25), "dihedral": range(6, 17, 2)}
+        assert all(n in orders[family] for family, n, _ in self.BENCHMARK_CENSUS)
+        screened = witnesses = 0
+        for family, family_orders in orders.items():
+            for n in family_orders:
+                for d in range(n):
+                    for spec in constructions._candidates(family, n, d):
+                        w = constructions._screen(spec)
+                        assert w == screen_by_full_nullity(spec), spec
+                        screened += 1
+                        witnesses += w is not None
+        assert (screened, witnesses) == (18122, 1062)
+
+    def test_no_character_means_no_cyclotomic_work(self, monkeypatch):
+        # An odd cyclic order leaves only a = 1: eps(S) = |S| on Z_n, and
+        # |R| +- |F| on D_m, which vanishes only when |R| = |F|.
+        asked = recorded_divisors(monkeypatch)
+        specs = [spec for n in (9, 15, 21) for d in range(1, n)
+                 for spec in constructions._candidates("circulant", n, d)]
+        specs += [spec for n in (10, 14, 18) for d in range(1, n)
+                  for spec in constructions._candidates("dihedral", n, d)
+                  if len(spec.rotations) != len(spec.reflections)]
+        assert len(specs) > 1000
+        assert not any(map(constructions._screen, specs))
+        assert asked == []
+
+    @pytest.mark.parametrize("spec,walked", [
+        # singular at b = 2, 4, 6 and 12: nullity 1 + 2, past one at b = 4
+        (CirculantSpec(12, {1, 2, 4, 5}), [1, 2, 3, 4]),
+        # singular at b = 2, 3 and 6: nullity 1 + 2, past one at b = 3
+        (DihedralSpec(6, {1, 5}, {0, 1, 2, 4}), [1, 2, 3]),
+    ])
+    def test_walk_stops_past_nullity_one(self, monkeypatch, spec, walked):
+        report = nut_check_spectral(spec)
+        assert constructions._kernel_character(spec, 0) is not None
+        assert report.total_nullity > 1
+        assert report.singular_divisors[1] == walked[-1]
+        asked = recorded_divisors(monkeypatch)
+        assert constructions._screen(spec) is None
+        assert sorted(set(asked)) == walked
 
 
 class TestWitnessInvariant:

@@ -28,7 +28,9 @@ from oracles import (
     IntMatrix,
     build_lcf,
     entries,
+    first_asymmetric_pair,
     graph6_by_groups,
+    graph6_decode_by_groups,
     is_regular,
     relabel,
     small_cayley_specs,
@@ -59,6 +61,26 @@ class TestGraphCore:
         # One-sided entries 0 -> 4 and 2 -> 3: the message names (0, 4).
         with pytest.raises(ValueError, match=r"asymmetric adjacency at \(0, 4\)$"):
             Graph(5, [0b10000, 0, 0b01000, 0, 0])
+
+    def test_asymmetry_matches_every_pair_search(self):
+        # Random matrices with zero diagonal, from one-sided noise to one
+        # flipped entry in a symmetric matrix: the message names the pair
+        # the search over every pair finds first.
+        rng = random.Random(139)
+        for _ in range(300):
+            n = rng.randint(2, 40)
+            g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                     if rng.random() < 0.4])
+            rows = list(g.adjacency_rows())
+            for _ in range(rng.choice((1, 2, n * n))):
+                i, j = rng.sample(range(n), 2)
+                rows[i] ^= 1 << j
+            pair = first_asymmetric_pair(n, rows)
+            if pair is None:
+                assert Graph(n, rows).adjacency_rows() == tuple(rows)
+                continue
+            with pytest.raises(ValueError, match=rf"asymmetric adjacency at \({pair[0]}, {pair[1]}\)$"):
+                Graph(n, rows)
 
     def test_neighbors_and_degrees(self):
         g = cycle(5)
@@ -475,6 +497,34 @@ class TestGraph6MatchesGroupEncoder:
             tracemalloc.stop()
         assert len(line) == 4 + -(-8000 * 7999 // 2 // 6)
         assert peak <= 3 * len(line)
+
+
+class TestGraph6MatchesGroupDecoder:
+    """The base64 decoder against the 6-bit group decoder it replaced."""
+
+    def test_orders_to_70_and_1000(self):
+        rng = random.Random(149)
+        for n in (*range(1, 71), 223, 224, 225, 1000):
+            for p in (0.0, 0.3, 0.7, 1.0):
+                g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                         if rng.random() < p])
+                text = to_graph6(g)
+                assert from_graph6(text) == graph6_decode_by_groups(text) == g, n
+
+    def test_same_errors(self):
+        texts = ["", ">>graph6<<", "A", "A_?", "@", "~??", "~", "B\x7f", "Bx", "A`",
+                 "D???", "~?@?" + "?" * 333, "\xe9", "A\u20ac"]
+        rng = random.Random(151)
+        for _ in range(200):
+            n = rng.randint(1, 70)
+            good = to_graph6(Graph(n, [0] * n))
+            cut = rng.randint(0, len(good))
+            texts.append(good[:cut] + chr(rng.randint(60, 128)) + good[cut + 1:])
+        for text in texts:
+            error = decode_error(graph6_decode_by_groups, text)
+            assert decode_error(from_graph6, text) == error, text
+            if error is None:
+                assert from_graph6(text) == graph6_decode_by_groups(text)
 
 
 class TestAdjacencyListAndDot:
