@@ -98,10 +98,14 @@ def _square(a: list[int]) -> list[int]:
 
 
 def _power_of_w(e: int, m: list[int], q: int) -> list[int]:
-    """w^e modulo m, of degree >= 1, by squaring left to right: each bit of
-    e squares the power so far, and a set bit then multiplies it by w, which
-    is a shift and one reduction step."""
+    """w^e modulo m, of degree >= 1.  A linear m = m0 + m1 w has
+    w = -m0 / m1 modulo m, so the answer is that constant to the e; any
+    other m is answered by squaring left to right: each bit of e squares the
+    power so far, and a set bit then multiplies it by w, which is a shift and
+    one reduction step."""
     dm, inv = len(m) - 1, pow(m[-1], -1, q)
+    if dm == 1:
+        return _trim([pow(-m[0] * inv % q, e, q)])
     result = [1]
     for bit in bin(e)[2:]:
         result = _rem(_square(result), m, q)

@@ -3,10 +3,16 @@
 The package has one row format, ``BitMatrix``: the 0/1 rows of a graph as
 integer bitmasks plus a multiple of the identity.  The kernel reads a matrix
 only through ``rows``, ``cols`` and two methods: ``packed``, each row reduced
-modulo a prime and packed into one integer with one 64-bit word per column,
-and ``annihilates``, the exact check A v = 0.  Kernel primes lie below
-2**21, so one word holds a slot without a carry for every matrix of fewer
-than 2**21 rows (``_echelon_mod``), and the kernel refuses taller ones.
+modulo a prime and packed into one integer with one word per column, and
+``annihilates``, the exact check A v = 0.
+
+One rule, ``_layout``, sizes the slots from the row count: a matrix of fewer
+than 256 rows gets one 32-bit word per column and kernel primes below 2**12,
+every taller one a 64-bit word and primes below 2**21.  Either way
+2 * bits(p) + bits(rows) is at most the word size, so a slot never carries
+into the next (``_echelon_mod``); the kernel refuses 2**21 rows or more.
+Half-width words halve the digits of every packed row below 256 rows, and
+with them the cost of each whole-row operation.
 
 The elimination works on whole rows, never slot by slot.  Every kernel prime
 has the form p = 2**k - c with c < 2**(k - 1), so a pivot row is reduced in
@@ -61,19 +67,20 @@ class BitMatrix:
 
     cols = rows  # square
 
-    def packed(self, p: int) -> list[int]:
-        """Each row modulo p, packed into one 64-bit word per column.
+    def packed(self, p: int, word: int) -> list[int]:
+        """Each row modulo p, packed into one ``word``-bit word per column.
 
-        A row's bytes (``_column_bytes``) go to every eighth byte of one
-        reused buffer, which read as a little-endian integer has bit j in
-        the lowest bit of slot j; the diagonal slot k then gets shift mod p.
+        A row's bytes (``_column_bytes``) go to the first byte of every word
+        of one reused buffer, which read as a little-endian integer has bit
+        j in the lowest bit of slot j; the diagonal slot k then gets
+        shift mod p.
         """
-        n, d = len(self.bit_rows), self.shift % p
-        buf = bytearray(8 * n)
+        n, d, step = len(self.bit_rows), self.shift % p, word // 8
+        buf = bytearray(step * n)
         out = []
         for k, r in enumerate(self.bit_rows):
-            buf[::8] = _column_bytes(r, n)
-            out.append(int.from_bytes(buf, "little") + (d << 64 * k))
+            buf[::step] = _column_bytes(r, n)
+            out.append(int.from_bytes(buf, "little") + (d << word * k))
         return out
 
     def annihilates(self, v) -> bool:
@@ -89,44 +96,62 @@ def _column_bytes(row: int, n: int) -> bytes:
 
 
 #: The kernel takes fewer rows than this: with primes below 2**21,
-#: 2 * bits(p) + bits(rows) <= 63 keeps a slot in one word (``_echelon_mod``).
+#: 2 * bits(p) + bits(rows) <= 63 keeps a slot in a 64-bit word.
 _MAX_ROWS = 1 << 21
 
 
+def _layout(rows: int) -> tuple[int, int]:
+    """(word, bits) for a matrix of ``rows`` rows: one ``word``-bit word per
+    column and kernel primes below 2**bits, so that
+    2 * bits + bits(rows) <= word: 2 * 12 + 8 = 32 below 256 rows, and
+    2 * 21 + 21 = 63 below ``_MAX_ROWS``."""
+    return (32, 12) if rows < 256 else (64, 21)
+
+
 @cache
-def _kernel_prime(i: int) -> int:
-    """The i-th prime below 2**21, counting down from the largest; found on
-    first use."""
-    start = _kernel_prime(i - 1) - 1 if i else (1 << 21) - 1
-    for q in range(start, 1, -1):
+def _kernel_prime(i: int, bits: int) -> int:
+    """The i-th prime below 2**bits, counting down from the largest; found
+    on first use.
+
+    The sequence ends at 3, since p = 2 is not 2**k - c with c < 2**(k - 1)
+    (``_folder``).  Below 2**12 it has 563 primes, whose product exceeds
+    2**5800; a 0/1 matrix of fewer than 256 rows needs less than 2**3100 of
+    it: twice the square of its Hadamard bound 255**127.5 < 2**1020, to
+    lift, times the primes that give it a wrong rank or pivot columns, each
+    dividing a nonzero minor, so of product below 2**1020, times the last
+    prime's overshoot below 2**12.
+    """
+    start = _kernel_prime(i - 1, bits) - 1 if i else (1 << bits) - 1
+    for q in range(start, 2, -1):
         if is_prime(q):
             return q
     raise ArithmeticError("no kernel prime left")
 
 
-def _repeat(word: int, slots: int) -> int:
-    """``word`` in each of ``slots`` 64-bit slots."""
-    return int.from_bytes(word.to_bytes(8, "little") * slots, "little")
+def _repeat(value: int, slots: int, word: int) -> int:
+    """``value`` in each of ``slots`` ``word``-bit slots."""
+    return int.from_bytes(value.to_bytes(word // 8, "little") * slots, "little")
 
 
-def _folder(p: int, slots: int):
-    """The fold of rows of up to ``slots`` slots modulo p = 2**k - c, where
-    k = bits(p) and so c < 2**(k - 1).
+def _folder(p: int, slots: int, word: int):
+    """The fold of rows of up to ``slots`` ``word``-bit slots modulo
+    p = 2**k - c, where k = bits(p) and so c < 2**(k - 1).
 
     One fold replaces each slot x by (x mod 2**k) + c * (x >> k), which is
     congruent to x modulo p, since 2**k = c (mod p), and below
-    2**k + c * 2**(64 - k) < 2**64: it runs on the whole row in a few
+    2**k + c * 2**(word - k) <= 2**word: it runs on the whole row in a few
     integer operations and never carries.  A slot of 2**(k + 1) or more
     loses a positive multiple of p per fold, and one below 2**(k + 1) folds
     to at most 2**k - 1 + c = 2**(k + 1) - p - 1; the returned function
     folds until every slot is below 2**(k + 1) and then once more, so every
-    slot of its result is at most 2**(k + 1) - p - 1.
+    slot of its result is at most 2**(k + 1) - p - 1.  Both layouts
+    (``_layout``) fold the same way, with masks of their own word size.
     """
     k = p.bit_length()
     c = (1 << k) - p
-    low = _repeat((1 << k) - 1, slots)
-    high = _repeat((1 << 64 - k) - 1, slots)
-    above = _repeat((1 << 64) - (1 << k + 1), slots)
+    low = _repeat((1 << k) - 1, slots, word)
+    high = _repeat((1 << word - k) - 1, slots, word)
+    above = _repeat((1 << word) - (1 << k + 1), slots, word)
 
     def fold(row: int) -> int:
         while row & above:
@@ -140,8 +165,8 @@ def _folder(p: int, slots: int):
 _BLOCK = 16
 
 
-def _echelon_mod(live: list[int], cols: int, p: int) -> list[tuple[int, int, int]]:
-    """Row echelon form modulo p of the rows packed by ``packed(p)``:
+def _echelon_mod(live: list[int], cols: int, p: int, word: int) -> list[tuple[int, int, int]]:
+    """Row echelon form modulo p of the rows packed by ``packed(p, word)``:
     (column, lead inverse, tail) per pivot, where the tail is the pivot row
     past its pivot column, still packed, with every slot congruent modulo p
     to the row's entry and at most 2**(k + 1) - p - 1 (``_folder``), and the
@@ -156,43 +181,46 @@ def _echelon_mod(live: list[int], cols: int, p: int) -> list[tuple[int, int, int
     h * (p - lead inverse) mod p of the tail, placed from slot j + 1 on, so
     slots only grow and never borrow.  A slot starts below p and gains less
     than p * (2**(k + 1) - p - 1) < 2**(2*k) per pivot, at most ``rows``
-    times, so it stays below p + rows * 2**(2*k) < 2**(2*k + bits(rows));
-    with p below 2**21 and fewer than 2**21 rows that is below 2**63, so a
-    64-bit slot never carries into the next.  The dead slots below j, left
-    in place until the block shift, keep that bound: a slot gets no addition
-    after its own column.
+    times, so it stays below p + rows * 2**(2*k) < 2**(2*k + bits(rows)).
+    ``_layout`` keeps that within the word: primes below 2**12 in 32-bit
+    words below 256 rows, primes below 2**21 in 64-bit words below 2**21
+    rows, so a slot never carries into the next.  The dead slots below j,
+    left in place until the block shift, keep that bound: a slot gets no
+    addition after its own column.
     """
-    fold = _folder(p, cols)
+    fold = _folder(p, cols, word)
+    mask = (1 << word) - 1
     pivots = []
     for c in range(cols):
         j = c % _BLOCK
         if c and not j:
-            live = [y >> 64 * _BLOCK for y in live]
-        at = 64 * j
-        head = 0xFFFF_FFFF_FFFF_FFFF << at
+            live = [y >> word * _BLOCK for y in live]
+        at = word * j
+        head = mask << at
         for i, y in enumerate(live):
             if ((y & head) >> at) % p:
                 break
         else:
             continue
         row = fold(live.pop(i) >> at)
-        inv, tail = pow(row & 0xFFFF_FFFF_FFFF_FFFF, -1, p), row >> 64
+        inv, tail = pow(row & mask, -1, p), row >> word
         pivots.append((c, inv, tail))
-        placed, neg = tail << at + 64, p - inv
+        placed, neg = tail << at + word, p - inv
         live = [y + m * placed if (m := ((y & head) >> at) * neg % p) else y for y in live]
     return pivots
 
 
-def _solve_mod(pivots, free_cols, cols: int, p: int) -> list[list[int]]:
+def _solve_mod(pivots, free_cols, cols: int, p: int, word: int) -> list[list[int]]:
     """Per free column, the kernel vector modulo p that is 1 there and 0 at
     the other free columns, by back-substitution through the pivot rows.
     Each tail is unpacked once, and only when there is a free column."""
     if not free_cols:
         return []
+    code = "I" if word == 32 else "Q"
     rows = []
     for c, inv, tail in reversed(pivots):
         n = cols - c - 1
-        rows.append((c, inv, struct.unpack(f"<{n}Q", tail.to_bytes(8 * n, "little"))))
+        rows.append((c, inv, struct.unpack(f"<{n}{code}", tail.to_bytes(word // 8 * n, "little"))))
     vectors = []
     for f in free_cols:
         v = [0] * cols
@@ -258,13 +286,16 @@ def matrix_kernel(matrix: BitMatrix) -> tuple[tuple[int, ...], ...]:
     any other matrix with those four members and fewer than 2**21 rows
     takes the same path.  A matrix of 2**21 rows or more raises ValueError,
     since one 64-bit slot per column no longer bounds the elimination.
-    Elimination modulo a prime p = 2**k - c below 2**21, on the packed rows
-    in blocks of columns, fixes the rank and the free columns: each pivot
-    row is folded whole to slots of at most 2**(k + 1) - p - 1, and each
-    live row gets head * (p - lead inverse) mod p times its tail, so a slot
-    gains less than 2**(2*k) per pivot and stays below p + rows * 2**(2*k)
-    < 2**63 (``_echelon_mod`` states why the slots, the dead ones left until
-    each block shift included, never carry).  The basis vector of each free
+    The row count picks the slot layout (``_layout``): below 256 rows one
+    32-bit word per column and primes below 2**12, else one 64-bit word and
+    primes below 2**21.  Elimination modulo a prime p = 2**k - c of that
+    size, on the packed rows in blocks of columns, fixes the rank and the
+    free columns: each pivot row is folded whole to slots of at most
+    2**(k + 1) - p - 1, and each live row gets head * (p - lead inverse)
+    mod p times its tail, so a slot gains less than 2**(2*k) per pivot and
+    stays below p + rows * 2**(2*k) < 2**(2*k + bits(rows)), within the word
+    (``_echelon_mod`` states why the slots, the dead ones left until each
+    block shift included, never carry).  The basis vector of each free
     column (1 there, 0 at the other free columns) is solved modulo the prime
     from the pivot rows, each unpacked once, lifted to the rationals,
     cleared of its denominator and checked exactly against every row of the
@@ -281,22 +312,25 @@ def matrix_kernel(matrix: BitMatrix) -> tuple[tuple[int, ...], ...]:
     many primes give less than the rank and pivot columns over Q, and the
     lift is exact once the modulus exceeds twice the square of the Hadamard
     bound, so the loop ends; the prime sequence is fixed, so the returned
-    basis is deterministic.
+    basis is deterministic.  The primes below 2**12 suffice for every 0/1
+    matrix of fewer than 256 rows (``_kernel_prime``); a matrix whose lift
+    needs more raises ArithmeticError.
     """
     rows, cols = matrix.rows, matrix.cols
     if rows >= _MAX_ROWS:
         raise ValueError(f"matrix of {rows} rows: the kernel takes fewer than {_MAX_ROWS}")
+    word, bits = _layout(rows)
     best = None
     for i in count():
-        p = _kernel_prime(i)
-        pivots = _echelon_mod(matrix.packed(p), cols, p)
+        p = _kernel_prime(i, bits)
+        pivots = _echelon_mod(matrix.packed(p, word), cols, p, word)
         pivot_cols = [pivot[0] for pivot in pivots]
         # smaller is nearer the rank and pivot columns over Q, which no prime beats
         key = (-len(pivots), pivot_cols)
         if best is not None and key > best:
             continue
         free_cols = sorted(set(range(cols)).difference(pivot_cols))
-        vectors = _solve_mod(pivots, free_cols, cols, p)
+        vectors = _solve_mod(pivots, free_cols, cols, p, word)
         if key == best:
             u = pow(modulus, -1, p)
             residues = [[a + modulus * ((b - a) * u % p) for a, b in zip(old, new)]

@@ -289,47 +289,52 @@ def build_lcf(n: int, pattern) -> Graph:
     return g
 
 
-def _pack(residues) -> int:
-    """Residues in [0, 2**64) packed into one integer, one 64-bit word per
-    slot, the first residue in the lowest slot."""
-    return int.from_bytes(struct.pack(f"<{len(residues)}Q", *residues), "little")
+def _pack(residues, word: int) -> int:
+    """Residues in [0, 2**word) packed into one integer, one ``word``-bit
+    word per slot (32 or 64), the first residue in the lowest slot."""
+    code = "I" if word == 32 else "Q"
+    return int.from_bytes(struct.pack(f"<{len(residues)}{code}", *residues), "little")
 
 
 #: Columns the slot-by-slot elimination eliminates between two shifts.
 _SLOT_BLOCK = 8
 
 
-def echelon_by_slots(live: list[int], cols: int, p: int) -> list[tuple[int, list[int]]]:
+def echelon_by_slots(live: list[int], cols: int, p: int,
+                     word: int) -> list[tuple[int, list[int]]]:
     """The elimination the kernel ran before it folded pivot rows whole:
-    row echelon form modulo p of packed rows as (column, row) per pivot,
-    each row unpacked from its pivot column on, reduced and scaled to lead
-    with 1, and packed again, negated, to be added to the live rows."""
+    row echelon form modulo p of rows packed in ``word``-bit slots as
+    (column, row) per pivot, each row unpacked from its pivot column on,
+    reduced and scaled to lead with 1, and packed again, negated, to be
+    added to the live rows."""
+    code, mask = "I" if word == 32 else "Q", (1 << word) - 1
     pivots = []
     for c in range(cols):
         j = c % _SLOT_BLOCK
         if c and not j:
-            live = [y >> 64 * _SLOT_BLOCK for y in live]
-        at = 64 * j
-        head = 0xFFFF_FFFF_FFFF_FFFF << at
+            live = [y >> word * _SLOT_BLOCK for y in live]
+        at = word * j
+        head = mask << at
         for i, y in enumerate(live):
             if ((y & head) >> at) % p:
                 break
         else:
             continue
         n = cols - c
-        slots = struct.unpack(f"<{n}Q", (live.pop(i) >> at).to_bytes(8 * n, "little"))
+        slots = struct.unpack(f"<{n}{code}", (live.pop(i) >> at).to_bytes(word // 8 * n, "little"))
         inv = pow(slots[0] % p, -1, p)
         row = [s * inv % p for s in slots]
         pivots.append((c, row))
-        neg = _pack([-r % p for r in row[1:]]) << at + 64
+        neg = _pack([-r % p for r in row[1:]], word) << at + word
         live = [y + h * neg if (h := ((y & head) >> at) % p) else y for y in live]
     return pivots
 
 
-def solve_by_slots(pivots, free_cols, cols: int, p: int) -> list[list[int]]:
+def solve_by_slots(pivots, free_cols, cols: int, p: int, word: int) -> list[list[int]]:
     """Back-substitution through the scaled rows of ``echelon_by_slots``:
     per free column, the kernel vector modulo p that is 1 there and 0 at the
-    other free columns."""
+    other free columns.  The rows are unpacked already, so ``word`` only
+    matches the signature of the kernel's back substitution."""
     vectors = []
     for f in free_cols:
         v = [0] * cols
@@ -353,9 +358,9 @@ class IntMatrix:
         if any(len(r) != self.cols for r in self.data):
             raise ValueError("ragged rows in matrix")
 
-    def packed(self, p: int) -> list[int]:
-        """Each row modulo p, packed into one 64-bit word per column."""
-        return [_pack([x % p for x in row]) for row in self.data]
+    def packed(self, p: int, word: int) -> list[int]:
+        """Each row modulo p, packed into one ``word``-bit word per column."""
+        return [_pack([x % p for x in row], word) for row in self.data]
 
     def annihilates(self, v) -> bool:
         """Whether every row has a zero dot product with v."""

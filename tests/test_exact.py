@@ -5,7 +5,7 @@ import random
 import struct
 from fractions import Fraction
 from itertools import combinations, count
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 
@@ -17,6 +17,7 @@ from nutforge.exact import (
     _echelon_mod,
     _folder,
     _kernel_prime,
+    _layout,
     _solve_mod,
     matrix_kernel,
 )
@@ -28,6 +29,7 @@ from nutforge.graphs import (
     build_circulant,
 )
 from nutforge.cyclotomic import fold
+from nutforge.numtheory import is_prime
 from oracles import (
     IntMatrix,
     add,
@@ -263,12 +265,13 @@ def assert_matches_bareiss(data):
 
 
 def assert_echelon_matches_rref(data):
-    """One elimination modulo the first kernel prime finds the pivot columns
-    of the exact reduced row echelon form, so a slot error fails here at
-    once instead of sending the kernel on through the prime sequence; then
-    the kernel matches the Bareiss oracle."""
-    p = _kernel_prime(0)
-    pivots = _echelon_mod(IntMatrix(data).packed(p), len(data[0]), p)
+    """One elimination modulo the first kernel prime of the matrix's layout
+    finds the pivot columns of the exact reduced row echelon form, so a slot
+    error fails here at once instead of sending the kernel on through the
+    prime sequence; then the kernel matches the Bareiss oracle."""
+    word, bits = _layout(len(data))
+    p = _kernel_prime(0, bits)
+    pivots = _echelon_mod(IntMatrix(data).packed(p, word), len(data[0]), p, word)
     assert [c for c, _, _ in pivots] == [next(j for j, x in enumerate(row) if x)
                                       for row in rref(data)]
     assert_matches_bareiss(data)
@@ -347,9 +350,9 @@ class TestMatchesBareiss:
     def test_slots_near_the_prime(self):
         # entries congruent to -1 and -2 make every slot grow by nearly p**2
         # per pivot, the case the slot width is sized for
-        p = _kernel_prime(0)
         rng = random.Random(29)
         for rows, cols in ((30, 30), (40, 25), (25, 40)):
+            p = _kernel_prime(0, _layout(rows)[1])
             data = [[rng.choice((p - 1, p - 2, -1, 0, 1)) for _ in range(cols)]
                     for _ in range(rows)]
             for r in range(0, rows - 1, 3):  # plant dependent rows
@@ -411,12 +414,38 @@ class TestMatchesBareiss:
             assert_echelon_matches_rref(data)
 
 
+#: (word, bits) of the two slot layouts, the first below 256 rows.
+LAYOUTS = ((32, 12), (64, 21))
+
+
 class TestSlotBound:
-    """One 64-bit word per slot holds every matrix the kernel takes."""
+    """One word per slot holds every matrix the kernel takes, in either
+    layout."""
 
     def test_slot_never_carries(self):
         # a slot stays below p + rows * p**2 < 2**(2*bits(p) + bits(rows))
-        assert 2 * _kernel_prime(0).bit_length() + (_MAX_ROWS - 1).bit_length() <= 63
+        assert [_layout(rows) for rows in (0, 255, 256, _MAX_ROWS - 1)] == [
+            LAYOUTS[0], LAYOUTS[0], LAYOUTS[1], LAYOUTS[1]]
+        for largest, (word, bits) in zip((255, _MAX_ROWS - 1), LAYOUTS):
+            assert 2 * _kernel_prime(0, bits).bit_length() + largest.bit_length() <= word
+        assert 2 * _kernel_prime(0, 21).bit_length() + (_MAX_ROWS - 1).bit_length() <= 63
+
+    def test_small_primes_cannot_run_out(self):
+        # the lift of a 0/1 matrix below 256 rows needs a modulus above
+        # 2 * H**2, H = 255**127.5 its Hadamard bound, and the primes that
+        # give a wrong rank or pivot columns divide a nonzero minor, so
+        # their product is at most H; the last prime overshoots by < 2**12
+        primes = list(map(_kernel_prime, range(563), [12] * 563))
+        with pytest.raises(ArithmeticError, match="no kernel prime left"):
+            _kernel_prime(563, 12)
+        assert primes[0] == 4093 and primes[-1] == 3
+        assert all(map(is_prime, primes)) and primes == sorted(set(primes), reverse=True)
+        assert all((1 << q.bit_length()) - q < 1 << q.bit_length() - 1 for q in primes)
+        hadamard = isqrt(255 ** 255) + 1
+        assert hadamard < 1 << 1020
+        product = prod(primes)
+        assert product > 1 << 5800
+        assert 2 * hadamard ** 2 * hadamard * (1 << 12) < product
 
     def test_taller_matrices_are_refused(self):
         class Tall:  # reports its size and holds no rows
@@ -426,25 +455,29 @@ class TestSlotBound:
             matrix_kernel(Tall())
 
 
-def _first_prime_with_c(least_c: int) -> int:
-    """The first kernel prime p with 2**bits(p) - p >= least_c."""
-    return next(p for p in map(_kernel_prime, count())
+def _first_prime_with_c(least_c: int, bits: int) -> int:
+    """The first kernel prime p below 2**bits with 2**bits(p) - p >= least_c."""
+    return next(p for p in (_kernel_prime(i, bits) for i in count())
                 if (1 << p.bit_length()) - p >= least_c)
 
 
 class TestFoldBound:
     """A folded pivot row keeps each slot small enough that a multiple of it
-    below p adds less than 2**(2*bits(p)) to a slot."""
+    below p adds less than 2**(2*bits(p)) to a slot, in either layout."""
 
-    @pytest.mark.parametrize("p", [_kernel_prime(0), _first_prime_with_c(1 << 10)])
-    def test_worst_case_slots(self, p):
+    @pytest.mark.parametrize("p, word", [
+        pytest.param(p, word, id=str(p))
+        for word, bits in LAYOUTS
+        for p in (_kernel_prime(0, bits), _first_prime_with_c(1 << 10, bits))])
+    def test_worst_case_slots(self, p, word):
         k, slots = p.bit_length(), 40
         bound = (1 << k + 1) - p - 1
         assert p * bound < 1 << 2 * k
-        fold, rng = _folder(p, slots), random.Random(p)
-        for before in ([(1 << 63) - 1] * slots, [rng.randrange(1 << 63) for _ in range(slots)]):
-            row = fold(int.from_bytes(struct.pack(f"<{slots}Q", *before), "little"))
-            after = struct.unpack(f"<{slots}Q", row.to_bytes(8 * slots, "little"))
+        code = "I" if word == 32 else "Q"
+        fold, rng = _folder(p, slots, word), random.Random(p)
+        for before in ([(1 << word) - 1] * slots, [rng.randrange(1 << word) for _ in range(slots)]):
+            row = fold(int.from_bytes(struct.pack(f"<{slots}{code}", *before), "little"))
+            after = struct.unpack(f"<{slots}{code}", row.to_bytes(word // 8 * slots, "little"))
             assert all(x <= bound for x in after)
             assert [x % p for x in after] == [x % p for x in before]
 
@@ -455,11 +488,13 @@ def assert_matches_slot_elimination(matrix, monkeypatch):
     error fails here at once instead of sending the kernel on through the
     prime sequence; then ``matrix_kernel`` returns the same basis through
     either."""
-    p, cols = _kernel_prime(0), matrix.cols
-    new, old = _echelon_mod(matrix.packed(p), cols, p), echelon_by_slots(matrix.packed(p), cols, p)
+    (word, bits), cols = _layout(matrix.rows), matrix.cols
+    p = _kernel_prime(0, bits)
+    new = _echelon_mod(matrix.packed(p, word), cols, p, word)
+    old = echelon_by_slots(matrix.packed(p, word), cols, p, word)
     assert [c for c, _, _ in new] == [c for c, _ in old]
     free = sorted(set(range(cols)).difference(c for c, _ in old))
-    assert _solve_mod(new, free, cols, p) == solve_by_slots(old, free, cols, p)
+    assert _solve_mod(new, free, cols, p, word) == solve_by_slots(old, free, cols, p, word)
     with monkeypatch.context() as patch:
         patch.setattr(exact, "_echelon_mod", echelon_by_slots)
         patch.setattr(exact, "_solve_mod", solve_by_slots)
@@ -511,36 +546,103 @@ class TestMatchesSlotElimination:
                 assert_matches_slot_elimination(a, monkeypatch)
 
     def test_several_primes_cases(self, monkeypatch):
-        p = _kernel_prime(0)
-        q = _kernel_prime(0) * _kernel_prime(1) * _kernel_prime(2)
-        for data in ([[p]], [[p, 0], [0, 0]], [[p, 1]], [[2**40, -1]],
-                     [[2**60 + 1, -(3**40)], [0, 0]], [[q, 0], [0, q]],
-                     [[q, 1, 0], [0, q, q], [q, 1 + q, q]], [[2**40, -1, 3], [5, 0, 2**33]]):
-            assert_matches_slot_elimination(IntMatrix(data), monkeypatch)
+        for word, bits in LAYOUTS:
+            p = _kernel_prime(0, bits)
+            q = _kernel_prime(0, bits) * _kernel_prime(1, bits) * _kernel_prime(2, bits)
+            for data in ([[p]], [[p, 0], [0, 0]], [[p, 1]], [[2**40, -1]],
+                         [[2**60 + 1, -(3**40)], [0, 0]], [[q, 0], [0, q]],
+                         [[q, 1, 0], [0, q, q], [q, 1 + q, q]], [[2**40, -1, 3], [5, 0, 2**33]]):
+                assert_matches_slot_elimination(IntMatrix(in_layout(data, word)), monkeypatch)
+
+
+def in_layout(data, word: int):
+    """data as it is for the 32-bit layout; for the 64-bit one, block
+    diagonal beside a 256 x 256 identity block, which gives it 256 rows or
+    more and adds no kernel vector."""
+    if word == 32:
+        return data
+    cols = len(data[0])
+    return ([row + [0] * 256 for row in data]
+            + [[0] * cols + [int(i == j) for j in range(256)] for i in range(256)])
+
+
+def kernel_in_layout(data, word: int):
+    """``matrix_kernel`` of data in the ``word``-bit layout, each basis
+    vector cut back to data's columns."""
+    matrix = IntMatrix(in_layout(data, word))
+    assert _layout(matrix.rows)[0] == word
+    basis, cols = matrix_kernel(matrix), len(data[0])
+    assert not any(any(v[cols:]) for v in basis)
+    return tuple(v[:cols] for v in basis)
 
 
 class TestSeveralPrimes:
-    """Inputs on which the first prime alone cannot certify the kernel."""
+    """Inputs on which the first prime alone cannot certify the kernel, in
+    both slot layouts."""
 
     def test_unlucky_first_prime(self):
-        p = _kernel_prime(0)
-        assert matrix_kernel(IntMatrix([[p]])) == ()
-        assert matrix_kernel(IntMatrix([[p, 0], [0, 0]])) == ((0, 1),)
-        # the first prime picks the wrong pivot column; the second restarts
-        assert matrix_kernel(IntMatrix([[p, 1]])) == ((1, -p),)
+        for word, bits in LAYOUTS:
+            p = _kernel_prime(0, bits)
+            assert kernel_in_layout([[p]], word) == ()
+            assert kernel_in_layout([[p, 0], [0, 0]], word) == ((0, 1),)
+            # the first prime picks the wrong pivot column; the second restarts
+            assert kernel_in_layout([[p, 1]], word) == ((1, -p),)
 
     def test_entries_past_one_prime_bound(self):
-        assert matrix_kernel(IntMatrix([[2**40, -1]])) == ((1, 2**40),)
-        res = matrix_kernel(IntMatrix([[2**60 + 1, -(3**40)], [0, 0]]))
-        assert res == ((3**40, 2**60 + 1),)
+        for word, _ in LAYOUTS:
+            assert kernel_in_layout([[2**40, -1]], word) == ((1, 2**40),)
+            res = kernel_in_layout([[2**60 + 1, -(3**40)], [0, 0]], word)
+            assert res == ((3**40, 2**60 + 1),)
 
     def test_product_of_primes(self):
         # zero modulo each of the first three primes, whose combined residues
         # fail the check, until the fourth restarts at full rank
-        q = _kernel_prime(0) * _kernel_prime(1) * _kernel_prime(2)
-        assert matrix_kernel(IntMatrix([[q, 0], [0, q]])) == ()
-        assert_matches_bareiss([[q, 1, 0], [0, q, q], [q, 1 + q, q]])
+        for word, bits in LAYOUTS:
+            q = _kernel_prime(0, bits) * _kernel_prime(1, bits) * _kernel_prime(2, bits)
+            assert kernel_in_layout([[q, 0], [0, q]], word) == ()
+            data = [[q, 1, 0], [0, q, q], [q, 1 + q, q]]
+            assert kernel_in_layout(data, word) == assert_matches_bareiss(data)
 
     def test_determinism(self):
         data = [[2**40, -1, 3], [5, 0, 2**33]]
-        assert matrix_kernel(IntMatrix(data)) == matrix_kernel(IntMatrix(data))
+        for word, _ in LAYOUTS:
+            assert kernel_in_layout(data, word) == kernel_in_layout(data, word)
+
+
+class TestBothSidesOfTheSwitch:
+    """Differential gates on both sides of the layout switch at 256 rows:
+    the kernel against the Bareiss oracle, and the folded elimination
+    against the slot-by-slot one, at 1-17 rows (32-bit words) and at 254
+    and 255 rows (32-bit words) against 256 and 257 (64-bit words)."""
+
+    @pytest.mark.parametrize("rows", range(1, 18))
+    def test_small_matrices(self, rows, monkeypatch):
+        rng = random.Random(rows)
+        for cols in (max(1, rows - 3), rows, rows + 2):
+            data = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+            if rows > 1:
+                data[-1] = [a - 2 * b for a, b in zip(data[0], data[1])]  # rank one less
+            assert_matches_bareiss(data)
+            assert_matches_slot_elimination(IntMatrix(data), monkeypatch)
+        bits = _random_symmetric_bits(rng, rows)
+        for shift in (0, 1):
+            a = BitMatrix(bits, shift)
+            assert matrix_kernel(a) == assert_matches_bareiss(entries(a))
+            assert_matches_slot_elimination(a, monkeypatch)
+
+    @pytest.mark.parametrize("rows", [254, 255, 256, 257])
+    def test_matrices_at_the_switch(self, rows, monkeypatch):
+        # C(1, 2) has nullity 1 at order 254 and 256, and A + I nullity 4 at 255
+        g = build_circulant(CirculantSpec(rows, (1, 2)))
+        for shift in (0, 1):
+            a = g.adjacency_matrix(shift)
+            assert matrix_kernel(a) == assert_matches_bareiss(entries(a))
+            assert_matches_slot_elimination(a, monkeypatch)
+        rng = random.Random(rows)
+        data = [[rng.choice((-1, 0, 0, 0, 1)) for _ in range(24)] for _ in range(rows)]
+        for row in data:  # tall and sparse, with a dependent column
+            row[5] = row[0] - 2 * row[3]
+        assert_matches_bareiss(data)
+        assert_matches_slot_elimination(IntMatrix(data), monkeypatch)
+        assert_matches_slot_elimination(BitMatrix(_random_symmetric_bits(rng, rows), 1),
+                                        monkeypatch)

@@ -113,8 +113,9 @@ class TestAdjacencyMatrix:
             assert entries(a) == expected
             # differential gate: the bit rows pack and certify as the integer rows
             dense = IntMatrix(expected)
-            for p in (_kernel_prime(0), 2):
-                assert a.packed(p) == dense.packed(p)
+            for word, bits in ((32, 12), (64, 21)):
+                for p in (_kernel_prime(0, bits), 2):
+                    assert a.packed(p, word) == dense.packed(p, word)
             if shift < 2:
                 assert matrix_kernel(a) == matrix_kernel(dense)
         assert g.adjacency_matrix() == g.adjacency_matrix(0)

@@ -186,6 +186,12 @@ def test_power_of_w_matches_reduction_of_the_monomial():
             m[0] = 0  # w divides m: high powers of w reduce to multiples of w
         e = rng.choice((0, 1, rng.randint(0, 64), rng.randint(0, 3000)))
         assert me._power_of_w(e, m, q) == me._rem([0] * e + [1], m, q), (e, m, q)
+    # linear moduli, answered as a constant: m0 = 0 makes w itself 0 modulo m
+    for _ in range(200):
+        q = me.evaluation_prime(rng.randint(1, 500))
+        m = [rng.choice((0, rng.randrange(q))), rng.randrange(1, q)]
+        for e in (0, 1, 2, rng.randint(0, 64), rng.randint(0, 3000)):
+            assert me._power_of_w(e, m, q) == me._rem([0] * e + [1], m, q), (e, m, q)
 
 
 def test_suspects_match_pointwise_evaluation():
