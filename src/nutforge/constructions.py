@@ -32,19 +32,19 @@ same.  Labeling still runs on every survivor: isomorphic Cayley graphs need
 not have connection sets in one orbit (circulant 32 8 has 12 orbit minima
 in 9 classes).
 
-Search and census candidates come from one stream, ``_candidates``, and are
-Cayley graphs, so a spectral nullity of one already makes them nut graphs.
-``_screen`` rejects a candidate without a +-1 character eps, eps(S) = 0,
-whose nullity cannot be one, before any polynomial work; the cyclotomic
-nullity of ``verify`` screens the rest one divisor at a time, until it
-passes one, and only the candidates that pass are built.  Every witness,
-whichever construction produced it, passes one gate, ``_certify``, which
-reads every fact from the witness's spec and shift: a spectral nullity of
-exactly one, a +-1 character of the group that is a kernel vector by its
-sum over the connection set, the order and degree, and the existence law
-of ``feasible_vt``.  Catalog and census
-witnesses run no O(n^3) kernel; a search hit is also checked against the
-direct kernel.  The outputs are certificates, not citations.
+Every witness, whichever construction produced it, passes one gate,
+``_certify``, which reads every fact from the witness's spec and shift.
+The witnesses are Cayley graphs, so a spectral nullity of one already
+makes them nut graphs, with a +-1 character eps of the group as the kernel
+vector.  The gate first asks for such a character, eps(S) = 0, without
+which the nullity cannot be one, before any polynomial work; the
+cyclotomic nullity of ``verify`` then screens the rest one divisor at a
+time, until it passes one, and only the specs that end at exactly one are
+built.  A nut graph must then have the requested order and degree and obey
+the existence law of ``feasible_vt``.  Search and census candidates come
+from one stream, ``_candidates``, and reach the gate through ``_screen``.
+No witness runs an O(n^3) kernel, except that a search hit is also checked
+against the direct kernel.  The outputs are certificates, not citations.
 """
 
 from __future__ import annotations
@@ -62,13 +62,7 @@ from .graphs import (
     build,
     complement,
 )
-from .verify import (
-    NutCertificate,
-    SpectralReport,
-    divisor_walk,
-    nut_check_direct,
-    nut_check_spectral,
-)
+from .verify import NutCertificate, divisor_walk, nut_check_direct
 
 #: Candidate cap of a search given no explicit budget.  No order up to 24
 #: has more than 462 jump sets, so there the search is exhaustive.
@@ -263,40 +257,55 @@ def _kernel_character(spec: CirculantSpec | DihedralSpec, shift: int):
     return None
 
 
-def _certify(spec: CirculantSpec | DihedralSpec, shift: int, recipe: str, n: int, d: int,
-             report: SpectralReport | None = None) -> Witness:
-    """The witness built from spec, complemented when shift is 1, which must
-    be a d-regular nut graph of order n, with (n, d) feasible; any failure
-    is a construction error.  ``report`` is ``nut_check_spectral(spec,
-    shift)`` when the caller has it already.  Every check reads the spec
-    and the shift alone; the graph is built only for the witness.
+def _certify(spec: CirculantSpec | DihedralSpec, shift: int, recipe: str, n: int,
+             d: int) -> Witness | None:
+    """The witness built from spec, complemented when shift is 1, or None
+    when its spectral nullity is not exactly one: the one nut gate of every
+    catalog, search and census witness.  A nut graph that is not d-regular
+    of order n, or whose (n, d) breaks ``feasible_vt``, is a construction
+    error.  Every check reads the spec and the shift alone; the graph is
+    built only for the witness.
 
-    The spectral nullity must be exactly one.  At shift 1 it is the
-    multiplicity of -1 in the spec's graph, which is the complement's
-    nullity once the complement is d-regular with d >= 1.  The witness is a
-    Cayley graph Cay(G, S) of G = Z_n or D_m, and every left translation is
-    an automorphism, so it maps a kernel vector spanning a one-dimensional
-    kernel to +-itself: v(g) = eps(g) v(e) for a homomorphism eps: G ->
-    {+-1}.  It takes r^j to a^j and r^-j s (and r^j s) to b a^j, with
-    a, b = +-1, b = 1 on Z_n and a = -1 only for an even cyclic order.  As
-    (A eps)(g) = sum over s in S of eps(gs) = eps(S) eps(g), eps is a kernel
-    vector iff eps(S) = 0.  The complement J - I - A has J eps = eps(G) 1,
-    with eps(G) = |G| for the trivial character and 0 otherwise, so there
-    the condition is eps(G) - 1 - eps(S) = 0, exact also for a complete
-    complement.  The order is |G| and the degree |S|, or |G| - 1 - |S| at
-    shift 1.  A kernel vector without zero entries in a kernel of dimension
-    one makes a nut graph, and eps, with eps(e) = 1, is the primitive kernel
-    vector with a positive first entry that an exact kernel computation
-    returns.
+    The witness is a Cayley graph Cay(G, S) of G = Z_n or D_m, and every
+    left translation is an automorphism, so it maps a kernel vector spanning
+    a one-dimensional kernel to +-itself: v(g) = eps(g) v(e) for a
+    homomorphism eps: G -> {+-1}.  It takes r^j to a^j and r^-j s (and
+    r^j s) to b a^j, with a, b = +-1, b = 1 on Z_n and a = -1 only for an
+    even cyclic order.  As (A eps)(g) = sum over s in S of eps(gs) =
+    eps(S) eps(g), eps is a kernel vector iff eps(S) = 0.  The complement
+    J - I - A has J eps = eps(G) 1, with eps(G) = |G| for the trivial
+    character and 0 otherwise, so there the condition is
+    eps(G) - 1 - eps(S) = 0, exact also for a complete complement.  So a
+    spec without such a character (``_kernel_character``) has a nullity
+    other than one, and is rejected before any cyclotomic work.  In the
+    terms of ``divisor_walk``, which adds phi(b) times the multiplicity of
+    each divisor b: a nullity of one comes from a single singular block at
+    a divisor with phi(b) = 1, b = 1 or b = 2, the zeta = +-1 blocks.  On
+    Z_n that block is the number eps(S) for the character eps(r^j) =
+    zeta^j; on D_m it is [[p0, p1], [p1, p0]] at zeta, real since
+    zeta = 1/zeta, with eigenvalues p0 +- p1, the values eps(S) of the two
+    characters with a = zeta (each plus one at shift 1).
+
+    The walk resolves A + I of the spec's graph at shift 1, whose -1
+    multiplicity is the complement's nullity once the complement is
+    d-regular with d >= 1 (a complete spec graph has -1 multiplicity
+    |G| - 1).  With a character, eps is a kernel vector of the walked
+    matrix, so the nullity is at least one, and the gate stops at the first
+    divisor that takes the running total above one; a spec that passes has
+    walked every divisor at nullity exactly one.  The order is |G| and the
+    degree |S|, or |G| - 1 - |S| at shift 1.  A kernel vector without zero
+    entries in a kernel of dimension one makes a nut graph, and eps, with
+    eps(e) = 1, is the primitive kernel vector with a positive first entry
+    that an exact kernel computation returns.
     """
-    if report is None:
-        report = nut_check_spectral(spec, shift)
-    if report.total_nullity != 1:
-        raise RuntimeError(f"spectral nullity {report.total_nullity}, not 1, for "
-                           f"{recipe} at ({n}, {d})")
     character = _kernel_character(spec, shift)
     if character is None:
-        raise RuntimeError(f"no +-1 character is a kernel vector of {recipe} at ({n}, {d})")
+        return None
+    nullity = 0
+    for verdict in divisor_walk(spec, shift):
+        nullity += verdict.nullity
+        if nullity > 1:
+            return None
     degree = spec.order - 1 - spec.degree if shift else spec.degree
     if (spec.order, degree) != (n, d):
         raise RuntimeError(f"construction has wrong shape for ({n}, {d}): {recipe}")
@@ -309,32 +318,9 @@ def _certify(spec: CirculantSpec | DihedralSpec, shift: int, recipe: str, n: int
 
 
 def _screen(spec: CirculantSpec | DihedralSpec) -> Witness | None:
-    """Certified witness for a search or census candidate, or None when its
-    spectral nullity is not one.
-
-    The walk over the divisors b of m adds phi(b) times the multiplicity
-    of each, so a nullity of one comes from a single singular block at a
-    divisor with phi(b) = 1, that is b = 1 or b = 2: the zeta = +-1 blocks.
-    On Z_n that block is the number eps(S) for the character eps(r^j) =
-    zeta^j.  On D_m it is [[p0, p1], [p1, p0]] at zeta, real since
-    zeta = 1/zeta, with eigenvalues p0 +- p1, the values eps(S) of the two
-    characters with a = zeta.  So a candidate without a +-1 character
-    eps(S) = 0 (``_kernel_character``) has a nullity other than one, and is
-    rejected before any cyclotomic work.  With such a character the
-    nullity is at least one, and the walk stops at the first divisor that
-    takes the running total above one; a candidate that passes has walked
-    every divisor, and ``_certify`` reuses the full report.
-    """
-    if _kernel_character(spec, 0) is None:
-        return None
-    verdicts, total = [], 0
-    for verdict in divisor_walk(spec):
-        total += verdict.nullity
-        if total > 1:
-            return None
-        verdicts.append(verdict)
-    report = SpectralReport(verdicts[-1].b, 0, tuple(verdicts), total)
-    return _certify(spec, 0, spec.describe(), spec.order, spec.degree, report)
+    """``_certify`` for a search or census candidate (top level, so a pool can
+    pickle it)."""
+    return _certify(spec, 0, spec.describe(), spec.order, spec.degree)
 
 
 def construct(n: int, d: int, budget: int | None = None) -> Witness:
@@ -351,7 +337,10 @@ def construct(n: int, d: int, budget: int | None = None) -> Witness:
         raise InfeasiblePairError(verdict.reason)
     found = catalog_witness(n, d)
     if found is not None:
-        return _certify(*found, n, d)
+        w = _certify(*found, n, d)
+        if w is None:
+            raise RuntimeError(f"{found[2]} at ({n}, {d}) is not a nut graph")
+        return w
     w = circulant_search(n, d, budget)
     if w is None:
         raise SearchExhaustedError(f"no witness found within bounds for ({n}, {d})")
@@ -361,8 +350,9 @@ def construct(n: int, d: int, budget: int | None = None) -> Witness:
 # -- bounded searches -----------------------------------------------------------
 
 def _circulant_candidates(n: int, d: int):
-    """Jump sets giving degree d at order n, ascending lexicographically."""
-    if d < 0 or d > n - 1 or (d % 2 and n % 2):
+    """Jump sets giving degree d at order n >= 3 (a ``CirculantSpec``'s least
+    order), ascending lexicographically; none below it."""
+    if n < 3 or d < 0 or d > n - 1 or (d % 2 and n % 2):
         return
     if d % 2:  # even n: the jump n/2 gives the odd degree
         for combo in combinations(range(1, n // 2), d // 2):
@@ -393,8 +383,9 @@ def circulant_search(n: int, d: int, budget: int | None = None) -> Witness | Non
 def _dihedral_candidates(n: int, d: int):
     """Dihedral (rotation set, reflection set) pairs giving degree d at order
     n = 2m: rotation sets {+-j mod m} over jump sets of Z_m by size, then
-    lexicographically, each with its reflection sets in lexicographic order."""
-    if n % 2:
+    lexicographically, each with its reflection sets in lexicographic order;
+    none for odd n or m < 3 (a ``DihedralSpec``'s least m)."""
+    if n % 2 or n < 6:
         return
     m = n // 2
     for k in range(m // 2 + 1):

@@ -27,8 +27,6 @@ import base64
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .exact import BitMatrix
-
 
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
@@ -95,10 +93,6 @@ class Graph:
 
     def adjacency_rows(self) -> tuple[int, ...]:
         return self._rows
-
-    def adjacency_matrix(self, shift: int = 0):
-        """A + shift * I as a ``BitMatrix`` over the bit rows."""
-        return BitMatrix(self._rows, shift)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

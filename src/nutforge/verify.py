@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomic import divides_cyclotomic, fold
-from .exact import matrix_kernel
+from .exact import BitMatrix, matrix_kernel
 from .graphs import BicirculantSpec, CirculantSpec, Graph
 from .numtheory import divisors, euler_phi
 
@@ -107,7 +107,7 @@ def nut_check_direct(g: Graph, shift: int = 0) -> NutCertificate:
     the complement, since complementing a d-regular graph of order n maps the
     non-principal eigenvalues lambda to -1 - lambda.
     """
-    basis = matrix_kernel(g.adjacency_matrix(shift))
+    basis = matrix_kernel(BitMatrix(g.adjacency_rows(), shift))
     return NutCertificate(len(basis), basis[0] if len(basis) == 1 else None)
 
 

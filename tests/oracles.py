@@ -421,10 +421,9 @@ def graph6_decode_by_groups(text: str) -> Graph:
 def screen_by_full_nullity(spec: CirculantSpec | DihedralSpec):
     """The search and census screen before the character test: the full
     spectral nullity over every divisor, exactly one, then ``_certify``."""
-    report = nut_check_spectral(spec)
-    if report.total_nullity != 1:
+    if nut_check_spectral(spec).total_nullity != 1:
         return None
-    return _certify(spec, 0, spec.describe(), spec.order, spec.degree, report)
+    return _certify(spec, 0, spec.describe(), spec.order, spec.degree)
 
 
 def first_asymmetric_pair(order: int, rows):

@@ -463,6 +463,14 @@ class TestCensus:
         code, out, _ = run(capsys, *argv, "147")
         assert code == 0 and out.endswith("# classes: 3\n")
 
+    @pytest.mark.parametrize("family,n,d", [
+        ("circulant", "1", "0"), ("dihedral", "1", "0"), ("dihedral", "2", "0"),
+        ("dihedral", "4", "2")])
+    def test_empty_below_the_least_spec_order(self, capsys, family, n, d):
+        # No circulant spec has order below 3 and no dihedral one m below 3.
+        code, out, err = run(capsys, "census", "--family", family, n, d)
+        assert (code, out, err) == (0, "# classes: 0\n", "")
+
     def test_jsonl(self, capsys):
         code, out, _ = run(capsys, "census", "--family", "circulant", "8", "4",
                            "--format", "jsonl")

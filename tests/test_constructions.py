@@ -1,6 +1,5 @@
 """Tests for feasibility, the construction catalog, searches, and the census."""
 
-import dataclasses
 import json
 import math
 import re
@@ -85,6 +84,19 @@ class TestFeasibility:
             feasible_vt(8, -2)
 
 
+def forge_divisor_walk(monkeypatch, nullity):
+    """Route the gate's divisor walk through a forgery of the given nullity,
+    all of it at b = 1; returns the (spec, shift) pairs it is asked about."""
+    walked = []
+
+    def forged(spec, shift):
+        walked.append((spec, shift))
+        yield verify.DivisorVerdict(1, nullity)
+
+    monkeypatch.setattr(constructions, "divisor_walk", forged)
+    return walked
+
+
 def witness_parity_violated(n, d):
     """The order/degree check every witness passed before ``_certify`` took
     the law from ``feasible_vt``, copied verbatim."""
@@ -102,30 +114,18 @@ class TestOneExistenceLaw:
                   for n in range(3, 25) for d in range(0, n)]
         assert max(counts) == 462 < constructions.DEFAULT_SEARCH_BUDGET
 
-    def test_certify_gates(self):
+    def test_certify_gates(self, monkeypatch):
         certify = constructions._certify
-        # Spectral nullity: the 8-cycle has nullity 2.
-        cycle = CirculantSpec(8, {1})
-        with pytest.raises(RuntimeError, match="spectral nullity 2, not 1"):
-            certify(cycle, 0, "8-cycle", 8, 2)
-        # No +-1 character: a report claiming nullity 1 for the 8-cycle,
-        # whose rows sum to 2 against the trivial character and to -2
-        # against the alternating one.
-        claimed = dataclasses.replace(nut_check_spectral(cycle), total_nullity=1)
-        with pytest.raises(RuntimeError, match="no \\+-1 character"):
-            certify(cycle, 0, "8-cycle", 8, 2, claimed)
+        # Nullity not one: the octahedron C_6(1, 2) = K_{2,2,2} has nullity 3
+        # and the alternating character annihilates it.
+        octahedron = CirculantSpec(6, {1, 2})
+        assert nut_check_direct(build_circulant(octahedron)).nullity == 3
+        assert constructions._kernel_character(octahedron, 0) == (-1, 1)
+        assert certify(octahedron, 0, "octahedron", 6, 4) is None
         # Shape: a nut graph of order 8 and degree 4, asked for degree 6.
         spec = CirculantSpec(8, {1, 2})
         with pytest.raises(RuntimeError, match="wrong shape"):
             certify(spec, 0, "circulant(n=8, jumps=[1, 2])", 8, 6)
-        # Existence law: the octahedron C_6(1, 2) = K_{2,2,2} has nullity 3,
-        # and the alternating character annihilates it; given a report of
-        # nullity 1, only the law rejects order 6 at degree 4.
-        octahedron = CirculantSpec(6, {1, 2})
-        assert nut_check_direct(build_circulant(octahedron)).nullity == 3
-        claimed = dataclasses.replace(nut_check_spectral(octahedron), total_nullity=1)
-        with pytest.raises(RuntimeError, match="existence law"):
-            certify(octahedron, 0, "octahedron", 6, 4, claimed)
         w = certify(spec, 0, "circulant", 8, 4)
         assert w.recipe == "circulant"
         assert w.certificate == nut_check_direct(build_circulant(spec))
@@ -134,12 +134,47 @@ class TestOneExistenceLaw:
         assert shift == 1
         w = certify(ladder, shift, recipe, 16, 12)
         assert w.certificate == nut_check_direct(complement(build_circulant(ladder)))
-        # Shift 1 fails: a report claiming nullity 1 for the 8-cycle's
-        # complement, where no nontrivial character has eps(S) = -1 (the
-        # alternating one has eps(S) = -2) and the trivial one has eigenvalue 5.
-        claimed = dataclasses.replace(nut_check_spectral(cycle, 1), total_nullity=1)
-        with pytest.raises(RuntimeError, match="no \\+-1 character"):
-            certify(cycle, 1, "complement(8-cycle)", 8, 5, claimed)
+        # The remaining gates read a walk forged to claim a nullity.
+        walked = forge_divisor_walk(monkeypatch, 1)
+        # No +-1 character: the 8-cycle, whose rows sum to 2 against the
+        # trivial character and to -2 against the alternating one, is
+        # refused before the walk.  At shift 1 no nontrivial character has
+        # eps(S) = -1, and the trivial one has eigenvalue 5.
+        cycle = CirculantSpec(8, {1})
+        assert certify(cycle, 0, "8-cycle", 8, 2) is None
+        assert certify(cycle, 1, "complement(8-cycle)", 8, 5) is None
+        assert walked == []
+        # Existence law: given a walk of nullity 1, only the law rejects the
+        # octahedron's order 6 at degree 4.
+        with pytest.raises(RuntimeError, match="existence law"):
+            certify(octahedron, 0, "octahedron", 6, 4)
+        assert walked == [(octahedron, 0)]
+        # Nullity not one, from the walk alone: the nut graph C_8(1, 2) at a
+        # claimed nullity 2.
+        forge_divisor_walk(monkeypatch, 2)
+        assert certify(spec, 0, "circulant", 8, 4) is None
+
+    def test_construct_names_a_failing_recipe(self, monkeypatch):
+        forge_divisor_walk(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=re.escape(catalog_witness(12, 6)[2])):
+            construct(12, 6)
+
+    def test_certify_matches_full_nullity_and_row_character(self):
+        # The gate, character first and stopping past nullity one, returns a
+        # witness exactly when the full spectral nullity is one and a +-1
+        # character annihilates the rows; each witness is the direct kernel's.
+        witnesses = 0
+        for spec in small_cayley_specs():
+            for shift in (0, 1):
+                degree = spec.order - 1 - spec.degree if shift else spec.degree
+                w = constructions._certify(spec, shift, "spec", spec.order, degree)
+                nut = (nut_check_spectral(spec, shift).total_nullity == 1
+                       and kernel_character_by_rows(spec, shift) is not None)
+                assert (w is not None) == nut, (spec, shift)
+                if w is not None:
+                    witnesses += 1
+                    assert w.certificate == nut_check_direct(w.graph), (spec, shift)
+        assert witnesses == 160
 
     def test_character_rule_matches_the_row_check(self):
         # The connection-set rule eps(S) = 0, or eps(G) - 1 - eps(S) = 0 at
@@ -440,15 +475,19 @@ class TestSearch:
         w = circulant_search(24, 8, budget=22)
         assert w.recipe == "circulant(n=24, jumps=[1, 2, 6, 7])"
 
-    def test_screen_kernel_disagreement_raises(self):
-        # A report forged to claim nullity one for the 8-cycle, which has
-        # nullity 2 and no +-1 character: _certify refuses it.  The screen
-        # rejects the 8-cycle by its missing character before any report.
+    def test_screen_kernel_disagreement_raises(self, monkeypatch):
+        # A walk forged to claim nullity one for every candidate.  The
+        # 8-cycle, of nullity 2, is still refused by its missing +-1
+        # character, before any walk.  C_12(1, 2, 3, 4), the first jump set
+        # at (12, 8), has the alternating character and nullity 3, so it
+        # passes the forged screen and the direct kernel refuses it.
+        walked = forge_divisor_walk(monkeypatch, 1)
         cycle = CirculantSpec(8, {1})
-        forged = dataclasses.replace(nut_check_spectral(cycle), total_nullity=1)
         assert constructions._screen(cycle) is None
-        with pytest.raises(RuntimeError, match="no \\+-1 character"):
-            constructions._certify(cycle, 0, cycle.describe(), 8, 2, forged)
+        assert walked == []
+        with pytest.raises(RuntimeError, match="direct kernel disagrees"):
+            circulant_search(12, 8)
+        assert walked == [(CirculantSpec(12, {1, 2, 3, 4}), 0)]
 
     def test_direct_kernel_disagreement_raises(self, monkeypatch):
         def wrong_vector(g):
@@ -489,11 +528,11 @@ class TestDihedralCandidates:
     def test_stream_matches_orbit_generator(self):
         # Rotation sets drawn as jump sets of Z_m give the same stream, in the
         # same order, as unions of the rotation orbits {a, m - a}; odd orders
-        # give none.
+        # and orders below 6, where m < 3 makes no DihedralSpec, give none.
         for n in range(1, 27):
             for d in range(n + 1):
                 new = constructions._dihedral_candidates(n, d)
-                old = dihedral_candidates_by_orbits(n, d)
+                old = dihedral_candidates_by_orbits(n, d) if n >= 6 else ()
                 assert all(a == b for a, b in zip_longest(new, old)), (n, d)
 
 

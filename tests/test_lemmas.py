@@ -1,12 +1,13 @@
 """Tests for the polynomial-family verification suites."""
 
 import dataclasses
+import math
 import random
 
 import pytest
 
 from nutforge import lemmas
-from nutforge._modeval import evaluation_prime, root_of_order
+from nutforge._modeval import evaluation_prime, root_of_order, sweep_zero_parameters
 from nutforge.cyclotomic import divides_cyclotomic
 from nutforge.lemmas import (
     FAMILIES,
@@ -15,11 +16,12 @@ from nutforge.lemmas import (
     PolynomialFamily,
     _failing_parameters,
     candidate_divisor_indices,
+    enumerate_feasible_indices,
     verify_family_bounded,
     verify_finite_case_analysis,
     verify_unique_remainder,
 )
-from nutforge.numtheory import euler_phi, is_prime
+from nutforge.numtheory import euler_phi, is_prime, prime_factors
 from oracles import add, eval_at, phi_table, prime_power_cancellation_applies
 
 
@@ -255,6 +257,43 @@ class TestCaseConstraints:
                     (sum(q - 2 for q in group) > sum_bound)
         assert allowed == tuple(p for p in small
                                 if not prime_power_cancellation_applies(len(fam.terms), [p]))
+
+
+class TestRatioBoundGap:
+    """T's case analysis stops at b/rad(b) < 13, but unique remainders hold
+    for T only from modulus 20, so the indices with b/rad(b) in [13, 20)
+    fall in neither suite; the other families bound at their threshold."""
+
+    def test_other_families_bound_at_the_threshold(self):
+        for tag in ("Q", "R", "S"):
+            fam = FAMILIES[tag]
+            assert fam.case.rad_ratio_bound == fam.unique_remainder_threshold
+
+    def test_t_remainders_fail_inside_the_gap(self):
+        # An even ratio b/rad(b) needs 4 | b, which T's analysis excludes,
+        # so 13, 15, 17 and 19 are the ratios left uncovered.
+        fam = FAMILIES["T"]
+        assert (fam.case.rad_ratio_bound, fam.unique_remainder_threshold) == (13, 20)
+        assert [beta for beta in range(13, 20) if _failing_parameters(fam, beta)] == \
+            [13, 14, 15, 17, 19]
+
+    def test_t_gap_indices_are_refuted(self):
+        # Every feasible index with 13 <= b/rad(b) < 20 (4 never divides b,
+        # so the ratio is odd), swept for zeros at every parameter residue
+        # and each zero refuted by the exact rule.
+        fam = FAMILIES["T"]
+        primes, sum_bound = fam.case_bounds()
+        below = {bound: enumerate_feasible_indices(primes, sum_bound, bound, fam.min_b, True)
+                 for bound in (13, 20)}
+        gap = sorted(set(below[20]) - set(below[13]))
+        assert (len(gap), gap[0], gap[-1]) == (244, 169, 833910)
+        ratios = [b // math.prod(prime_factors(b)) for b in gap]
+        assert {r: ratios.count(r) for r in set(ratios)} == {13: 74, 15: 54, 17: 62, 19: 54}
+        coeffs, slopes, offsets = zip(*fam.terms)
+        suspects = [(b, t) for b in gap
+                    for t in sweep_zero_parameters(coeffs, slopes, offsets, b)]
+        assert len(suspects) == 57
+        assert not any(divides_cyclotomic(fam.member(t), b) for b, t in suspects)
 
 
 def _record_exact_calls(monkeypatch):
