@@ -17,7 +17,11 @@ b' = b / gcd(b, k).  As t runs over [0, b'), (zeta^k)^t runs once over the
 b'-th roots of unity, so the zero parameters below b' are the roots of
 gcd(H, w^b' - 1) in F_q[w], and the others repeat them with period b'.  Root
 counting costs about log b squarings of polynomials of degree below deg H,
-not b evaluations.
+not b evaluations.  ``_power_of_w`` packs each such polynomial into one
+integer, one slot of 2 bits(q) + bits(deg H) + 2 bits per coefficient, so a
+squaring is one integer product; the slots never carry, since each stays
+below 2 deg(H) q^2 before it is reduced modulo q.  ``slope_sums`` takes one
+power of zeta per distinct offset.
 
 Polynomials over F_q are coefficient lists, lowest degree first, without
 trailing zeros.
@@ -86,35 +90,49 @@ def _minus(p: list[int], c: int, q: int) -> list[int]:
     return _trim([((p[0] if p else 0) - c) % q, *p[1:]])
 
 
-def _square(a: list[int]) -> list[int]:
-    """a^2 over the integers, each cross product taken once and doubled."""
-    prod = [0] * (2 * len(a) - 1) if a else []
-    for i, x in enumerate(a):
-        prod[2 * i] += x * x
-        x += x
-        for j in range(i + 1, len(a)):
-            prod[i + j] += x * a[j]
-    return prod
-
-
 def _power_of_w(e: int, m: list[int], q: int) -> list[int]:
-    """w^e modulo m, of degree >= 1.  A linear m = m0 + m1 w has
-    w = -m0 / m1 modulo m, so the answer is that constant to the e; any
-    other m is answered by squaring left to right: each bit of e squares the
-    power so far, and a set bit then multiplies it by w, which is a shift and
-    one reduction step."""
+    """w^e modulo m, of degree dm >= 1.  A linear m = m0 + m1 w has
+    w = -m0 / m1 modulo m, so the answer is that constant to the e.
+
+    Any other m is answered by squaring left to right on Kronecker-packed
+    residues: a polynomial of degree below 2 dm is one integer with one
+    ``width``-bit slot per coefficient, lowest degree in the lowest slot.
+    Each bit of e squares the packed power so far (one integer product) and,
+    if set, shifts it up one slot.  Every high slot dm + i, read modulo q,
+    then adds its multiple of the packed table entry w^(dm+i) mod m, and the
+    dm low slots are reduced modulo q.
+
+    No slot carries into the next.  With every coefficient below q, a slot
+    of the square sums at most dm products below q^2, and the at most dm
+    table multiples add below q^2 each, so a low slot stays below
+    2 dm q^2 < 2^width with width = 2 bits(q) + bits(dm) + 2."""
     dm, inv = len(m) - 1, pow(m[-1], -1, q)
     if dm == 1:
         return _trim([pow(-m[0] * inv % q, e, q)])
-    result = [1]
+    width = 2 * q.bit_length() + dm.bit_length() + 2
+    mask, shifts = (1 << width) - 1, range(0, dm * width, width)
+    top_shift, low = dm * width, (1 << dm * width) - 1
+    w_dm = power = [-c * inv % q for c in m[:-1]]
+    table = []
+    for _ in range(dm):
+        table.append(sum(c << s for c, s in zip(power, shifts)))
+        top = power[-1]
+        power = [(x + top * y) % q for x, y in zip([0, *power[:-1]], w_dm)]
+    packed = 1
     for bit in bin(e)[2:]:
-        result = _rem(_square(result), m, q)
-        if bit == "1" and result:
-            result = [0, *result]
-            if len(result) > dm:
-                c = result.pop() * inv % q
-                result = _trim([(x - c * y) % q for x, y in zip(result, m)])
-    return result
+        packed *= packed
+        if bit == "1":
+            packed <<= width
+        high, full = packed >> top_shift, packed & low
+        for entry in table:
+            if not high:
+                break
+            full += (high & mask) % q * entry
+            high >>= width
+        packed = 0
+        for s in reversed(shifts):
+            packed = packed << width | (full >> s & mask) % q
+    return _trim([packed >> s & mask for s in shifts])
 
 
 def _root_exponents(h: list[int], zeta: int, b: int, q: int) -> list[int]:
@@ -150,10 +168,11 @@ def slope_sums(coeffs, slopes, offsets, b: int, q: int, zeta: int) -> dict[int, 
     """The nonzero A_s mod q, keyed by s = slope mod b: the sum of
     coeff * zeta^(offset mod b) over the terms whose slope is s mod b.  The
     member at t evaluates at zeta to sum_s A_s zeta^(s*t mod b)."""
+    powers = {o: pow(zeta, o % b, q) for o in set(offsets)}
     sums: dict[int, int] = {}
     for c, s, o in zip(coeffs, slopes, offsets):
-        sums[s % b] = (sums.get(s % b, 0) + c * pow(zeta, o % b, q)) % q
-    return {s: a for s, a in sums.items() if a}
+        sums[s % b] = sums.get(s % b, 0) + c * powers[o]
+    return {s: a % q for s, a in sums.items() if a % q}
 
 
 def sweep_zero_parameters(coeffs, slopes, offsets, b: int) -> list[int]:

@@ -302,32 +302,48 @@ def _failing_parameters(fam: PolynomialFamily, beta: int) -> list[int]:
     unique remainder modulo beta.
 
     Terms i and j share a remainder at t exactly when
-    (a_i - a_j) t = c_j - c_i (mod beta).  With g = gcd(a_i - a_j, beta),
-    this congruence has no solution unless g divides c_j - c_i, and
-    otherwise holds on one residue class modulo beta/g.  Each set of t is a
-    beta-bit integer: term i is shared on the union of its collision sets,
-    and t fails where every term is shared.
+    (a_i - a_j) t = c_j - c_i (mod beta).  With delta = a_i - a_j mod beta
+    and g = gcd(delta, beta), this congruence has no solution unless g
+    divides c_j - c_i, and otherwise holds on one residue class t0 modulo
+    the period beta/g.  Each set of t is a beta-bit integer: term i is
+    shared on the union of its collision sets, and t fails where every term
+    is shared.
+
+    The terms are grouped by slope, so one delta serves a whole class: the
+    residues t0 < period of its terms are bits of one small integer, and
+    multiplying it by the mask of the multiples of the period ORs every
+    shifted class at once, without carries.  A class whose slope matches
+    term i's modulo beta collides with it on every t or on none, as some
+    other offset of it is or is not congruent to c_i.
     """
     full = (1 << beta) - 1
-    masks: dict[tuple[int, int], int] = {}
+    classes: dict[int, list[int]] = {}
+    for _, a, c in fam.terms:
+        classes.setdefault(a, []).append(c % beta)
+    solvers: dict[int, tuple[int, int, int, int]] = {}
     failing = full
-    for i, (_, ai, ci) in enumerate(fam.terms):
+    for _, ai, ci in fam.terms:
+        ci %= beta
         shared = 0
-        for j, (_, aj, cj) in enumerate(fam.terms):
-            if j == i:
+        for a, offsets in classes.items():
+            delta = (ai - a) % beta
+            if not delta:
+                if offsets.count(ci) > (a == ai):
+                    shared = full
+                    break
                 continue
-            key = ((ai - aj) % beta, (cj - ci) % beta)
-            mask = masks.get(key)
-            if mask is None:
-                delta, r = key
+            if delta not in solvers:
                 g = math.gcd(delta, beta)
-                mask = 0
-                if r % g == 0:
-                    period = beta // g
-                    t0 = r // g * pow(delta // g, -1, period) % period
-                    mask = full // ((1 << period) - 1) << t0
-                masks[key] = mask
-            shared |= mask
+                period = beta // g
+                solvers[delta] = (g, period, pow(delta // g, -1, period),
+                                  full // ((1 << period) - 1))
+            g, period, inv, base = solvers[delta]
+            bits = 0
+            for c in offsets:
+                r = c - ci
+                if not r % g:
+                    bits |= 1 << r // g * inv % period
+            shared |= base * bits
         failing &= shared
         if not failing:
             return []
@@ -339,8 +355,9 @@ def verify_unique_remainder(tag: str, beta_range: tuple[int, int]) -> Verificati
     t in [0, beta), assert that some exponent of the family has a unique
     remainder modulo beta.
 
-    Each modulus is decided by solving, for every pair of terms, the
-    congruence on which their exponents collide (``_failing_parameters``).
+    Each modulus is decided by solving, for every term and every slope
+    class, the congruences on which their exponents collide
+    (``_failing_parameters``).
     This is complete: a collision at t is equivalent to that congruence
     holding, its solution set is exactly the empty set, all of [0, beta) or
     one residue class, and the exponents modulo beta depend on t only

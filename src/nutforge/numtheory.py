@@ -49,9 +49,13 @@ def divisors(n: int) -> list[int]:
 
 
 # Deterministic Miller-Rabin: the first thirteen primes as bases decide
-# primality for every n < 3.317 * 10^24 (Sorenson & Webster 2015).
+# primality for every n < 3.317 * 10^24 (Sorenson & Webster 2015); the first
+# four suffice below 3,215,031,751, the least strong pseudoprime to all of
+# them (Jaeschke 1993), which covers the lemma suites' evaluation primes and
+# every kernel prime.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_SMALL_LIMIT = 3_215_031_751
 
 
 def is_prime(n: int) -> bool:
@@ -68,7 +72,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:4] if n < _MR_SMALL_LIMIT else _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -10,6 +10,9 @@ import random
 from itertools import combinations
 
 from nutforge.constructions import (
+    _candidates,
+    _orbit_minimal,
+    _screen,
     catalog_witness,
     census,
     circulant_search,
@@ -240,7 +243,7 @@ def test_criterion_8_census_uniqueness():
 def test_criterion_9_tables_out_of_scope():
     # The published order/degree count tables require an external census of
     # all vertex-transitive graphs up to order 46 and are deliberately not
-    # reproduced; criteria 1-8 and 10-12 stand in as the property-based gate.  This
+    # reproduced; criteria 1-8 and 10-13 stand in as the property-based gate.  This
     # placeholder documents the exclusion so the suite states it explicitly.
     _report(9, "full count tables excluded by design", [])
 
@@ -297,3 +300,31 @@ def test_criterion_12_census_certificates_match_direct_kernel():
         failures.append(("witness counts", counts))
     _report(12, "no-dedup census certificates at (dihedral, 14, 8) and "
                 "(circulant, 24, 8) equal the direct kernel's", failures)
+
+
+def test_criterion_13_cayley_existence_matches_feasibility():
+    """For every n <= 24 and 0 <= d < n, a nut graph exists among the Cayley
+    graphs on Z_n and D_{n/2} exactly when ``feasible_vt(n, d).exists``.
+
+    The gate covers Cayley graphs on cyclic and dihedral groups only, not
+    other groups of order n nor vertex-transitive graphs that are not
+    Cayley graphs.  Automorphisms of the group keep the graph up to
+    isomorphism, so the orbit minima stand for every connection set.  A
+    feasible pair stops at its first witness; an infeasible one screens all
+    its minima, and ``_certify``, which raises on a nut graph whose (n, d)
+    breaks the existence law, must never raise there.
+    """
+    failures = []
+    for n in range(1, 25):
+        for d in range(n):
+            minima = (spec for family in ("circulant", "dihedral")
+                      for spec in _candidates(family, n, d) if _orbit_minimal(spec))
+            try:
+                found = any(_screen(spec) is not None for spec in minima)
+            except RuntimeError as err:
+                failures.append((n, d, str(err)))
+                continue
+            if found != feasible_vt(n, d).exists:
+                failures.append((n, d, found))
+    _report(13, "a Cayley nut graph on Z_n or D_(n/2) exists exactly at the "
+                "feasible pairs with n <= 24", failures)

@@ -179,13 +179,28 @@ def test_suspects_match_sweep_on_random_families():
 
 def test_power_of_w_matches_reduction_of_the_monomial():
     rng = random.Random(73)
-    for _ in range(400):
-        q = me.evaluation_prime(rng.randint(1, 500))
+    fam = FAMILIES["T"]
+    primes, sum_bound = fam.case_bounds()
+    t_primes = [me.evaluation_prime(b) for b in enumerate_feasible_indices(
+        primes, sum_bound, fam.case.rad_ratio_bound, fam.min_b, fam.case.forbid_four)]
+    assert max(t_primes).bit_length() == 22
+    # small primes, then the primes of T's case analysis up to 2^22
+    for i in range(700):
+        q = me.evaluation_prime(rng.randint(1, 500)) if i < 400 else rng.choice(t_primes)
         m = [rng.randrange(q) for _ in range(rng.randint(1, 8))] + [rng.randrange(1, q)]
         if rng.random() < 0.1:
             m[0] = 0  # w divides m: high powers of w reduce to multiples of w
         e = rng.choice((0, 1, rng.randint(0, 64), rng.randint(0, 3000)))
         assert me._power_of_w(e, m, q) == me._rem([0] * e + [1], m, q), (e, m, q)
+    # the slot bound's worst case: the largest 22-bit prime and every
+    # coefficient q - 1, so every power keeps coefficients near q
+    q = 4194301
+    assert me.is_prime(q) and q.bit_length() == 22 and not any(
+        me.is_prime(r) for r in range(q + 1, 1 << 22))
+    for dm in range(2, 9):
+        m = [q - 1] * (dm + 1)
+        for e in (dm, 2 * dm - 1, 255, rng.randint(0, 3000), 4095):
+            assert me._power_of_w(e, m, q) == me._rem([0] * e + [1], m, q), (e, m, q)
     # linear moduli, answered as a constant: m0 = 0 makes w itself 0 modulo m
     for _ in range(200):
         q = me.evaluation_prime(rng.randint(1, 500))
