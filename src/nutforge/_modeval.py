@@ -135,18 +135,21 @@ def _power_of_w(e: int, m: list[int], q: int) -> list[int]:
     return _trim([packed >> s & mask for s in shifts])
 
 
-def _root_exponents(h: list[int], zeta: int, b: int, q: int) -> list[int]:
-    """Ascending t in [0, b) with h(zeta^t) = 0, where zeta has order b and
-    h, of degree >= 1, divides w^b - 1.
+def _root_exponents(h: list[int], zeta: int, b: int, q: int, primes: list[int]) -> list[int]:
+    """Ascending t in [0, b) with h(zeta^t) = 0, where zeta has order b, the
+    distinct primes of b are ``primes``, ascending, and h, of degree >= 1,
+    divides w^b - 1.
 
     For the smallest prime p dividing b, w^(b/p) maps the root zeta^t to
     zeta^(j*b/p) with j = t mod p, so gcd(h, w^(b/p) - zeta^(j*b/p)) holds
     the roots with t = j (mod p).  Substituting w = zeta^j * u turns them into
-    the roots u = (zeta^p)^((t - j)/p) of an order-b/p problem.
+    the roots u = (zeta^p)^((t - j)/p) of an order-b/p problem, whose primes
+    lose p once p no longer divides b/p.
     """
     if b == 1:
         return [0]
-    p = prime_factors(b)[0]
+    p = primes[0]
+    sub_primes = primes if b // p % p == 0 else primes[1:]
     image = _power_of_w(b // p, h, q)
     step = pow(zeta, b // p, q)
     found: list[int] = []
@@ -156,7 +159,7 @@ def _root_exponents(h: list[int], zeta: int, b: int, q: int) -> list[int]:
         if len(part) > 1:
             shift = pow(zeta, j, q)
             moved = [c * pow(shift, k, q) % q for k, c in enumerate(part)]
-            sub = _root_exponents(moved, pow(zeta, p, q), b // p, q)
+            sub = _root_exponents(moved, pow(zeta, p, q), b // p, q, sub_primes)
             found += [j + p * t for t in sub]
             left -= len(part) - 1
             if not left:
@@ -204,5 +207,5 @@ def sweep_zero_parameters(coeffs, slopes, offsets, b: int) -> list[int]:
     h = _gcd(h, _minus(_power_of_w(period, h, q), 1, q), q)
     if len(h) == 1:
         return []
-    roots = _root_exponents(h, pow(zeta, k, q), period, q)
+    roots = _root_exponents(h, pow(zeta, k, q), period, q, prime_factors(period))
     return [t + j * period for j in range(b // period) for t in roots]

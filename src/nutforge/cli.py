@@ -271,8 +271,7 @@ def cmd_lemmas(args) -> int:
 def cmd_census(args) -> int:
     try:
         witnesses = census(args.family, args.n, args.d,
-                           dedup=not args.no_dedup, jobs=args.jobs,
-                           budget=args.budget)
+                           dedup=not args.no_dedup, budget=args.budget)
     except SearchExhaustedError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -343,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip isomorphism dedup")
     p.add_argument("--budget", type=_positive_int, default=None,
                    help="candidate cap; exceeding it exits with code 3")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker process count, capped at the CPU count (default 1)")
+    p.add_argument("--jobs", type=_positive_int, choices=[1], default=1,
+                   help="accepted for old command lines; the census runs in one process")
     p.add_argument("--format", choices=["graph6", "jsonl"], default="graph6")
     p.set_defaults(fn=cmd_census)
     return parser

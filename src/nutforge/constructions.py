@@ -21,16 +21,18 @@ A deterministic bounded search over circulant connection sets covers the
 degrees divisible by four beyond order d + 4.
 
 ``census`` lists the nut graphs of a family at (n, d), one witness per
-isomorphism class: candidates come in a fixed order, and a witness is kept
-unless an earlier one has the same ``canonical_form``, an exact labeling by
-colour refinement and individualization, pruned by the automorphisms the
-search meets.  Cay(G, S) and Cay(G, a(S)) are isomorphic for every
-automorphism a of G, so the census screens only the connection sets that
-are the minimum of their orbit (``_orbit_minimal``); the first candidate of
-a class is the minimum of its own orbit, so the kept witnesses are the
-same.  Labeling still runs on every survivor: isomorphic Cayley graphs need
-not have connection sets in one orbit (circulant 32 8 has 12 orbit minima
-in 9 classes).
+isomorphism class, in one serial pass: candidates come in a fixed order,
+and a witness is kept unless an earlier one has the same
+``canonical_form``, an exact labeling by colour refinement and
+individualization, pruned by the automorphisms the search meets.
+Cay(G, S) and Cay(G, a(S)) are isomorphic for every automorphism a of G,
+so the census screens only the connection sets that are the minimum of
+their orbit (``_orbit_minimal``, read from the index tuples, so that a spec
+is built for the minima alone); the first candidate of a class is the
+minimum of its own orbit, so the kept witnesses are the same.  Labeling
+still runs on every survivor: isomorphic Cayley graphs need not have
+connection sets in one orbit (circulant 32 8 has 12 orbit minima in 9
+classes).
 
 Every witness, whichever construction produced it, passes one gate,
 ``_certify``, which reads every fact from the witness's spec and shift.
@@ -42,14 +44,14 @@ cyclotomic nullity of ``verify`` then screens the rest one divisor at a
 time, until it passes one, and only the specs that end at exactly one are
 built.  A nut graph must then have the requested order and degree and obey
 the existence law of ``feasible_vt``.  Search and census candidates come
-from one stream, ``_candidates``, and reach the gate through ``_screen``.
+from one stream of index tuples, ``_candidates``; ``_spec`` builds the spec
+of a tuple, and ``_screen`` passes it to the gate.
 No witness runs an O(n^3) kernel, except that a search hit is also checked
 against the direct kernel.  The outputs are certificates, not citations.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, islice
@@ -318,8 +320,7 @@ def _certify(spec: CirculantSpec | DihedralSpec, shift: int, recipe: str, n: int
 
 
 def _screen(spec: CirculantSpec | DihedralSpec) -> Witness | None:
-    """``_certify`` for a search or census candidate (top level, so a pool can
-    pickle it)."""
+    """``_certify`` for a search or census candidate."""
     return _certify(spec, 0, spec.describe(), spec.order, spec.degree)
 
 
@@ -347,19 +348,44 @@ def construct(n: int, d: int, budget: int | None = None) -> Witness:
     return w
 
 
-# -- bounded searches -----------------------------------------------------------
+# -- candidate connection sets and the search ----------------------------------
 
-def _circulant_candidates(n: int, d: int):
-    """Jump sets giving degree d at order n >= 3 (a ``CirculantSpec``'s least
-    order), ascending lexicographically; none below it."""
-    if n < 3 or d < 0 or d > n - 1 or (d % 2 and n % 2):
-        return
-    if d % 2:  # even n: the jump n/2 gives the odd degree
-        for combo in combinations(range(1, n // 2), d // 2):
-            yield frozenset(combo) | {n // 2}
+def _candidates(family: str, n: int, d: int):
+    """Connection sets of the family at order n and degree d, as sorted index
+    tuples, in the order of the search and the census: on Z_n the jumps in
+    [1, n/2], lexicographically (an odd degree, at even n, takes the jump
+    n/2 last); on D_m, n = 2m, the pair (rotation jumps j <= m/2,
+    reflections), the jumps by number, then lexicographically, each with its
+    reflection sets in lexicographic order.  None below a spec's least
+    order, n = 3 on Z_n and m = 3 on D_m.
+    """
+    if family == "circulant":
+        if n < 3 or d < 0 or (d % 2 and n % 2):
+            return
+        tail = (n // 2,) if d % 2 else ()  # even n: the jump n/2 gives the odd degree
+        yield from (jumps + tail for jumps in combinations(range(1, (n + 1) // 2), d // 2))
+    elif family == "dihedral":
+        m = n // 2
+        if n % 2 or m < 3:
+            return
+        for k in range(m // 2 + 1):
+            for jumps in combinations(range(1, m // 2 + 1), k):
+                size = d - len({*jumps, *(m - j for j in jumps)})
+                if 0 <= size <= m:
+                    for refl in combinations(range(m), size):
+                        yield jumps, refl
     else:
-        for combo in combinations(range(1, (n + 1) // 2), d // 2):
-            yield frozenset(combo)
+        raise ValueError(f"unknown census family: {family}")
+
+
+def _spec(family: str, n: int, sets) -> CirculantSpec | DihedralSpec:
+    """The spec of a connection set of ``_candidates``: on D_m the rotation
+    set {+-j mod m} of the jumps, with the reflections."""
+    if family == "circulant":
+        return CirculantSpec(n, sets)
+    m = n // 2
+    jumps, refl = sets
+    return DihedralSpec(m, {c for j in jumps for c in (j, m - j)}, refl)
 
 
 def circulant_search(n: int, d: int, budget: int | None = None) -> Witness | None:
@@ -374,38 +400,11 @@ def circulant_search(n: int, d: int, budget: int | None = None) -> Witness | Non
     if n < 3:
         raise ValueError("circulant order must be >= 3")
     cap = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    w = next(filter(None, map(_screen, islice(_candidates("circulant", n, d), cap))), None)
+    jump_sets = islice(_candidates("circulant", n, d), cap)
+    w = next(filter(None, (_screen(_spec("circulant", n, s)) for s in jump_sets)), None)
     if w is not None and nut_check_direct(w.graph) != w.certificate:
         raise RuntimeError(f"the direct kernel disagrees with the certificate of {w.recipe}")
     return w
-
-
-def _dihedral_candidates(n: int, d: int):
-    """Dihedral (rotation set, reflection set) pairs giving degree d at order
-    n = 2m: rotation sets {+-j mod m} over jump sets of Z_m by size, then
-    lexicographically, each with its reflection sets in lexicographic order;
-    none for odd n or m < 3 (a ``DihedralSpec``'s least m)."""
-    if n % 2 or n < 6:
-        return
-    m = n // 2
-    for k in range(m // 2 + 1):
-        for jumps in combinations(range(1, m // 2 + 1), k):
-            rot = frozenset(c for j in jumps for c in (j, m - j))
-            refl_size = d - len(rot)
-            if refl_size < 0 or refl_size > m:
-                continue
-            for refl in combinations(range(m), refl_size):
-                yield rot, frozenset(refl)
-
-
-def _candidates(family: str, n: int, d: int):
-    """Connection-set specs of the family with order n and degree d, in the
-    deterministic order of the search and the census."""
-    if family == "circulant":
-        return (CirculantSpec(n, jumps) for jumps in _circulant_candidates(n, d))
-    if family == "dihedral":
-        return (DihedralSpec(n // 2, rot, refl) for rot, refl in _dihedral_candidates(n, d))
-    raise ValueError(f"unknown census family: {family}")
 
 
 @cache
@@ -413,27 +412,23 @@ def _units(n: int) -> tuple[int, ...]:
     return tuple(a for a in range(1, n) if gcd(a, n) == 1)
 
 
-def _orbit_minimal(spec: CirculantSpec | DihedralSpec) -> bool:
-    """True when no image of the spec under the automorphisms of its group
-    comes before it in the order of ``_candidates``; False at the first
-    image that does.
+def _orbit_minimal(family: str, n: int, sets) -> bool:
+    """True when no image of ``sets``, a connection set of ``_candidates``,
+    under the automorphisms of its group comes before it in that stream;
+    False at the first image that does.
 
-    That order is the sorted jump tuple on Z_n, and on D_m the number of
-    jumps min(a, m - a) of the rotation set, then the sorted jumps, then
-    the sorted reflections.  Aut(Z_n) is the phi(n) multipliers a,
-    which take a jump j to min(aj, n - aj) mod n.  Aut(D_m), m >= 3, is the
-    m phi(m) affine maps, which take a rotation R to aR and a reflection J
-    to aJ + c (mod m).  The maps keep the degree and the number of rotation
-    jumps, so every image is a candidate of the same stream.
+    Aut(Z_n) is the phi(n) multipliers a, which take a jump j to
+    min(aj, n - aj) mod n.  Aut(D_m), m >= 3, is the m phi(m) affine maps,
+    which take a rotation R to aR, so a jump j to min(aj, m - aj) mod m, and
+    a reflection J to aJ + c (mod m).  The maps keep the degree and the
+    number of jumps, so every image is a candidate of the same stream.
     """
-    if isinstance(spec, CirculantSpec):
-        n = spec.n
-        jumps = sorted(spec.jumps)
+    if family == "circulant":
+        jumps = list(sets)
         return not any(sorted(min(a * j % n, -a * j % n) for j in jumps) < jumps
                        for a in _units(n))
-    m = spec.m
-    reps = sorted(a for a in spec.rotations if 2 * a <= m)
-    refl = sorted(spec.reflections)
+    m = n // 2
+    reps, refl = list(sets[0]), list(sets[1])
     if refl and refl[0]:
         return False  # the translation by -refl[0] puts 0 among the reflections
     for a in _units(m):
@@ -588,48 +583,32 @@ def _budgeted(tasks, budget: int, family: str, n: int, d: int):
 
 
 def census(family: str, n: int, d: int, dedup: bool = True,
-           jobs: int = 1, budget: int | None = None) -> list[Witness]:
+           budget: int | None = None) -> list[Witness]:
     """All nut graphs of the family at (n, d), one witness per isomorphism
-    class (or one per connection set with dedup disabled).
+    class (or one per connection set with dedup disabled), in one pass.
 
-    Candidates come from ``_candidates`` and pass through ``_screen``, as in
-    the search.  With dedup only the minima of the automorphism orbits
-    (``_orbit_minimal``) are screened: each class's first candidate is one,
-    so the output is that of screening every candidate.  ``canonical_form``
-    still labels every screened witness, since orbits alone do not decide
-    isomorphism.  With jobs > 1 the screening is distributed over
-    min(jobs, cpu count) worker processes and merged back in candidate order,
-    so the output is independent of scheduling.  A budget caps the number of
-    candidate connection sets enumerated, orbit non-minima included;
-    exceeding it raises SearchExhaustedError rather than returning a
-    silently truncated census.
+    Connection sets come from ``_candidates`` as index tuples, as in the
+    search.  With dedup only the minima of the automorphism orbits
+    (``_orbit_minimal``) go on: each class's first candidate is one, so the
+    output is that of screening every candidate.  ``_spec`` builds the spec
+    of each set that goes on, and ``_screen`` certifies it.
+    ``canonical_form`` still labels every screened witness, since orbits
+    alone do not decide isomorphism.  A budget caps the number of connection
+    sets enumerated, orbit non-minima included; exceeding it raises
+    SearchExhaustedError rather than returning a silently truncated census.
     """
-    tasks = _candidates(family, n, d)
+    sets = _candidates(family, n, d)
     if budget is not None:
-        tasks = _budgeted(tasks, budget, family, n, d)
+        sets = _budgeted(sets, budget, family, n, d)
     if dedup:
-        tasks = filter(_orbit_minimal, tasks)
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1:
-        from multiprocessing import Pool
-
-        pool = Pool(workers)
-        results = pool.imap(_screen, tasks, chunksize=16)
-    else:
-        pool = None
-        results = map(_screen, tasks)
+        sets = (s for s in sets if _orbit_minimal(family, n, s))
     witnesses = []
     seen: set[tuple[int, ...]] = set()
-    try:
-        for w in filter(None, results):
-            if dedup:
-                key = canonical_form(w.graph)
-                if key in seen:
-                    continue
-                seen.add(key)
-            witnesses.append(w)
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    for w in filter(None, (_screen(_spec(family, n, s)) for s in sets)):
+        if dedup:
+            key = canonical_form(w.graph)
+            if key in seen:
+                continue
+            seen.add(key)
+        witnesses.append(w)
     return witnesses

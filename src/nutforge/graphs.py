@@ -25,7 +25,11 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass, field
+from itertools import compress, count
 from math import isqrt
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class Graph:
@@ -59,6 +63,16 @@ class Graph:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_rows", rows)
 
+    @classmethod
+    def _of_rows(cls, rows: list[int]) -> "Graph":
+        """The graph of rows in range, loop-free and symmetric by
+        construction, as the builders, ``complement`` and the parsers make
+        them: the checks of ``Graph(order, rows)`` take n^2 time and memory."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "order", len(rows))
+        object.__setattr__(g, "_rows", tuple(rows))
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
@@ -67,6 +81,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, order: int, edges) -> "Graph":
+        if order < 1:
+            raise ValueError("graph order must be >= 1")
         rows = [0] * order
         for u, v in edges:
             if u == v:
@@ -75,18 +91,17 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) outside vertex range")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(order, rows)
+        return cls._of_rows(rows)
 
     def neighbors(self, v: int) -> list[int]:
-        row = self._rows[v]
-        return [u for u in range(self.order) if row >> u & 1]
+        # one C-level pass over the row's binary digits, lowest first
+        return list(compress(count(), bin(self._rows[v])[:1:-1].encode().translate(_BITS)))
 
     def degrees(self) -> list[int]:
         return [r.bit_count() for r in self._rows]
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.order) for v in range(u + 1, self.order)
-                if self._rows[u] >> v & 1]
+        return [(u, v) for u in range(self.order) for v in self.neighbors(u) if v > u]
 
     def edge_count(self) -> int:
         return sum(self.degrees()) // 2
@@ -227,7 +242,7 @@ def _circulant_rows(m: int, connection) -> list[int]:
 
 def build_circulant(spec: CirculantSpec) -> Graph:
     """Circulant graph: vertex i adjacent to i +- j (mod n) for each jump."""
-    return Graph(spec.n, _circulant_rows(spec.n, spec.connection))
+    return Graph._of_rows(_circulant_rows(spec.n, spec.connection))
 
 
 def build_bicirculant(spec: BicirculantSpec) -> Graph:
@@ -240,7 +255,7 @@ def build_bicirculant(spec: BicirculantSpec) -> Graph:
     c1t = _circulant_rows(m, {(m - b) % m for b in spec.s1})
     rows = [c0[i] | c1t[i] << m for i in range(m)]
     rows += [c1[i] | c2[i] << m for i in range(m)]
-    return Graph(2 * m, rows)
+    return Graph._of_rows(rows)
 
 
 def build(spec: CirculantSpec | BicirculantSpec) -> Graph:
@@ -252,7 +267,7 @@ def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the non-edges."""
     mask = (1 << g.order) - 1
     rows = [(~r & mask) & ~(1 << i) for i, r in enumerate(g.adjacency_rows())]
-    return Graph(g.order, rows)
+    return Graph._of_rows(rows)
 
 
 # -- graph6 ------------------------------------------------------------------
@@ -352,11 +367,12 @@ def from_graph6(text: str) -> Graph:
         raise ValueError("nonzero graph6 padding")
     bits = format(value >> spare, f"0{need}b")
     flat = "".join([bits[j * (j - 1) // 2:j * (j + 1) // 2].ljust(n, "0") for j in range(n)])
-    # Each string goes once read, before Graph builds its own n^2 square.
+    # Each string goes once read.  Row v ORs its lower part with its upper
+    # part, so the rows are symmetric by construction.
     del bits
     rows = [int(flat[v * n:(v + 1) * n][::-1], 2) | int(flat[v::n][::-1], 2) for v in range(n)]
     del flat
-    return Graph(n, rows)
+    return Graph._of_rows(rows)
 
 
 # -- adjacency list and DOT ----------------------------------------------------

@@ -11,7 +11,7 @@ from math import gcd
 from operator import mul
 
 from nutforge._modeval import root_of_order
-from nutforge.constructions import _certify
+from nutforge.constructions import _candidates, _certify, _orbit_minimal, _spec
 from nutforge.graphs import (
     CirculantSpec,
     DihedralSpec,
@@ -233,6 +233,69 @@ def dihedral_candidates_by_orbits(n: int, d: int):
                 yield frozenset(rot), frozenset(refl)
 
 
+def candidate_specs(family: str, n: int, d: int, minima: bool = False):
+    """The specs of the search and census stream, built by ``_spec`` from
+    the index tuples of ``_candidates``; with ``minima``, only those of the
+    orbit minima, as the deduplicated census builds them."""
+    return (_spec(family, n, sets) for sets in _candidates(family, n, d)
+            if not minima or _orbit_minimal(family, n, sets))
+
+
+def candidate_specs_before_tuples(family: str, n: int, d: int):
+    """The spec stream that the search and the census read before their
+    candidates became index tuples: frozenset jump sets on Z_n, and on D_m
+    rotation sets {+-j mod m} over jump sets by size, then
+    lexicographically, each with its reflection sets in lexicographic
+    order."""
+    if family == "circulant":
+        if n < 3 or d < 0 or d > n - 1 or (d % 2 and n % 2):
+            return
+        if d % 2:  # even n: the jump n/2 gives the odd degree
+            for combo in combinations(range(1, n // 2), d // 2):
+                yield CirculantSpec(n, frozenset(combo) | {n // 2})
+        else:
+            for combo in combinations(range(1, (n + 1) // 2), d // 2):
+                yield CirculantSpec(n, frozenset(combo))
+        return
+    if n % 2 or n < 6:
+        return
+    m = n // 2
+    for k in range(m // 2 + 1):
+        for jumps in combinations(range(1, m // 2 + 1), k):
+            rot = frozenset(c for j in jumps for c in (j, m - j))
+            refl_size = d - len(rot)
+            if refl_size < 0 or refl_size > m:
+                continue
+            for refl in combinations(range(m), refl_size):
+                yield DihedralSpec(m, rot, frozenset(refl))
+
+
+def orbit_minimal_spec(spec: CirculantSpec | DihedralSpec) -> bool:
+    """The orbit filter before it read index tuples: the jumps re-sorted
+    from the spec, and on D_m the jumps rebuilt from the rotation set."""
+    if isinstance(spec, CirculantSpec):
+        n = spec.n
+        jumps = sorted(spec.jumps)
+        return not any(sorted(min(a * j % n, -a * j % n) for j in jumps) < jumps
+                       for a in range(1, n) if gcd(a, n) == 1)
+    m = spec.m
+    reps = sorted(a for a in spec.rotations if 2 * a <= m)
+    refl = sorted(spec.reflections)
+    if refl and refl[0]:
+        return False
+    for a in range(1, m):
+        if gcd(a, m) != 1:
+            continue
+        image = sorted(min(a * r % m, -a * r % m) for r in reps)
+        if image < reps:
+            return False
+        if image == reps:
+            scaled = [a * b % m for b in refl]
+            if any(sorted((b - x) % m for b in scaled) < refl for x in scaled):
+                return False
+    return True
+
+
 def relabel(g: Graph, perm) -> Graph:
     """The graph whose vertex i is vertex perm[i] of g."""
     n = g.order
@@ -424,6 +487,21 @@ def screen_by_full_nullity(spec: CirculantSpec | DihedralSpec):
     if nut_check_spectral(spec).total_nullity != 1:
         return None
     return _certify(spec, 0, spec.describe(), spec.order, spec.degree)
+
+
+def neighbors_by_shifts(g: Graph, v: int) -> list[int]:
+    """``Graph.neighbors`` by one shift of the row per vertex, as it was
+    before it walked the set bits."""
+    row = g.adjacency_rows()[v]
+    return [u for u in range(g.order) if row >> u & 1]
+
+
+def edges_by_shifts(g: Graph) -> list[tuple[int, int]]:
+    """``Graph.edges`` by one shift per vertex pair, as it was before it
+    walked the set bits."""
+    rows = g.adjacency_rows()
+    return [(u, v) for u in range(g.order) for v in range(u + 1, g.order)
+            if rows[u] >> v & 1]
 
 
 def first_asymmetric_pair(order: int, rows):

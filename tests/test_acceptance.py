@@ -10,8 +10,6 @@ import random
 from itertools import combinations
 
 from nutforge.constructions import (
-    _candidates,
-    _orbit_minimal,
     _screen,
     catalog_witness,
     census,
@@ -36,7 +34,15 @@ from nutforge.lemmas import (
 )
 from nutforge.numtheory import divisors, euler_phi, factorize, prime_factors
 from nutforge.verify import nut_check_direct, nut_check_spectral
-from oracles import build_lcf, cyclotomic, is_regular, prism, product, scale_exponents
+from oracles import (
+    build_lcf,
+    candidate_specs,
+    cyclotomic,
+    is_regular,
+    prism,
+    product,
+    scale_exponents,
+)
 
 
 def _report(number: int, description: str, failures: list) -> None:
@@ -318,7 +324,7 @@ def test_criterion_13_cayley_existence_matches_feasibility():
     for n in range(1, 25):
         for d in range(n):
             minima = (spec for family in ("circulant", "dihedral")
-                      for spec in _candidates(family, n, d) if _orbit_minimal(spec))
+                      for spec in candidate_specs(family, n, d, minima=True))
             try:
                 found = any(_screen(spec) is not None for spec in minima)
             except RuntimeError as err:

@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import json
-import multiprocessing
 import os
 import re
 import subprocess
@@ -478,31 +477,16 @@ class TestCensus:
         first = json.loads(out.strip().splitlines()[0])
         assert first["degree"] == 4 and first["order"] == 8
 
-    @pytest.mark.parametrize("cpus, jobs, size", [
-        (3, "64", 3), (3, "2", 2), (None, "64", None), (3, None, None)])
-    def test_pool_capped_at_cpu_count(self, capsys, monkeypatch, cpus, jobs, size):
-        # A stand-in Pool records its size and maps in process: no worker starts.
-        sizes = []
+    def test_jobs_one_is_the_default(self, capsys):
+        argv = ("census", "--family", "dihedral", "14", "8")
+        assert run(capsys, *argv, "--jobs", "1") == run(capsys, *argv)
 
-        class FakePool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def imap(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-            def close(self):
-                pass
-
-            def join(self):
-                pass
-
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        extra = ("--jobs", jobs) if jobs else ()
-        code, out, _ = run(capsys, "census", "--family", "circulant", "10", "4", *extra)
-        assert code == 0 and out.endswith("# classes: 1\n")
-        assert sizes == ([size] if size else [])
+    def test_more_jobs_are_a_usage_error(self, capsys):
+        # The census runs in one process; --jobs stays only as 1.
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--family", "circulant", "10", "4", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -534,11 +518,16 @@ def test_order_and_degree_arguments(capsys, argv, message):
 
 def test_parser_import_stays_light():
     # The start-up cost is importing the CLI and building its parser; the
-    # rational and process-pool modules load only when used.
+    # rational module loads only when used, and a census starts no process
+    # pool.
     code = ("import sys; import nutforge.cli; nutforge.cli.build_parser(); "
-            "print(sorted({'fractions', 'multiprocessing'} & set(sys.modules)))")
+            "print(sorted({'fractions', 'multiprocessing'} & set(sys.modules))); "
+            "code = nutforge.cli.main(['census', '--family', 'dihedral', '14', '8']); "
+            "print(code, 'multiprocessing' in sys.modules)")
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": path}, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    lines = result.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-2:] == ["# classes: 3", "0 False"]

@@ -35,6 +35,8 @@ from nutforge.graphs import (
 )
 from nutforge.verify import NutCertificate, nut_check_direct, nut_check_spectral
 from oracles import (
+    candidate_specs,
+    candidate_specs_before_tuples,
     dihedral_candidates_by_orbits,
     is_regular,
     kernel_character_by_rows,
@@ -42,6 +44,7 @@ from oracles import (
     prism,
     relabel,
     screen_by_full_nullity,
+    orbit_minimal_spec,
     small_cayley_specs,
 )
 
@@ -510,18 +513,9 @@ def _kernel_witnesses(specs):
             yield Witness(g, spec.describe(), cert)
 
 
-def _circulant_specs(n, d):
-    return (CirculantSpec(n, jumps) for jumps in constructions._circulant_candidates(n, d))
-
-
-def _dihedral_specs(n, d):
-    return (DihedralSpec(n // 2, rot, refl)
-            for rot, refl in constructions._dihedral_candidates(n, d))
-
-
 def _kernel_construct(n, d):
-    return (next(_kernel_witnesses(_circulant_specs(n, d)), None)
-            or next(_kernel_witnesses(_dihedral_specs(n, d)), None))
+    return (next(_kernel_witnesses(candidate_specs("circulant", n, d)), None)
+            or next(_kernel_witnesses(candidate_specs("dihedral", n, d)), None))
 
 
 class TestDihedralCandidates:
@@ -531,9 +525,25 @@ class TestDihedralCandidates:
         # and orders below 6, where m < 3 makes no DihedralSpec, give none.
         for n in range(1, 27):
             for d in range(n + 1):
-                new = constructions._dihedral_candidates(n, d)
+                new = ((spec.rotations, spec.reflections)
+                       for spec in candidate_specs("dihedral", n, d))
                 old = dihedral_candidates_by_orbits(n, d) if n >= 6 else ()
                 assert all(a == b for a, b in zip_longest(new, old)), (n, d)
+
+
+class TestIndexTupleStream:
+    def test_specs_and_minima_match_the_spec_stream(self):
+        # The index tuples, built by _spec, give the specs of the stream the
+        # search and the census read before, in the same order, and the
+        # tuple orbit filter keeps the same minima as the filter on specs.
+        for family in ("circulant", "dihedral"):
+            for n in range(1, 21):
+                for d in range(n + 1):
+                    sets = list(constructions._candidates(family, n, d))
+                    specs = [constructions._spec(family, n, s) for s in sets]
+                    assert specs == list(candidate_specs_before_tuples(family, n, d))
+                    assert ([constructions._orbit_minimal(family, n, s) for s in sets]
+                            == [orbit_minimal_spec(spec) for spec in specs]), (family, n, d)
 
 
 class TestScreenMatchesKernelSearch:
@@ -548,8 +558,7 @@ class TestScreenMatchesKernelSearch:
 
     @pytest.mark.parametrize("family,n,d", [("dihedral", 14, 8), ("circulant", 24, 8)])
     def test_census_no_dedup(self, family, n, d):
-        specs = _circulant_specs if family == "circulant" else _dihedral_specs
-        oracle = list(_kernel_witnesses(specs(n, d)))
+        oracle = list(_kernel_witnesses(candidate_specs(family, n, d)))
         assert oracle and census(family, n, d, dedup=False) == oracle
 
 
@@ -775,11 +784,6 @@ class TestCanonicalAndCensus:
             fresh = nut_check_direct(w.graph)
             assert fresh.is_nut and fresh.nullity == 1
 
-    def test_census_jobs_deterministic(self):
-        a = census("circulant", 10, 4, jobs=1)
-        b = census("circulant", 10, 4, jobs=2)
-        assert [w.recipe for w in a] == [w.recipe for w in b]
-
     def test_ten_regular_pair_isomorphic(self):
         # The 10-regular order-16 dihedral graph and the complement of the
         # order-16 dihedral graph on {r^4, rs, r^5 s, r^6 s, r^7 s} are two
@@ -819,50 +823,63 @@ class TestOrbitPruning:
                              + [("dihedral", n) for n in range(6, 17, 2)])
     def test_candidate_order_and_closure(self, family, n):
         for d in range(n):
-            specs = list(constructions._candidates(family, n, d))
+            specs = list(candidate_specs(family, n, d))
             keys = [order_key(spec) for spec in specs]
             assert all(a < b for a, b in zip(keys, keys[1:])), (family, n, d)
             stream = set(specs)
+            minima = []
             for spec, key in zip(specs, keys):
                 images = automorphic_images(spec)
                 assert stream.issuperset(images), spec
-                minimal = key == min(map(order_key, images))
-                assert constructions._orbit_minimal(spec) == minimal, spec
+                if key == min(map(order_key, images)):
+                    minima.append(spec)
+            assert list(candidate_specs(family, n, d, minima=True)) == minima, (family, n, d)
 
     def test_odd_degree_circulants_covered(self):
         for n, d in ((10, 3), (12, 5)):
-            specs = list(constructions._candidates("circulant", n, d))
+            specs = list(candidate_specs("circulant", n, d))
             assert specs and all(n // 2 in spec.jumps for spec in specs)
-            assert 1 < sum(map(constructions._orbit_minimal, specs)) < len(specs)
+            assert 1 < len(list(candidate_specs("circulant", n, d, minima=True))) < len(specs)
 
-    @pytest.mark.parametrize("family,n,d,jobs", [
-        ("dihedral", 16, 6, 1), ("dihedral", 18, 8, 1), ("dihedral", 20, 6, 1),
-        ("circulant", 20, 8, 1), ("circulant", 28, 8, 1), ("circulant", 32, 8, 1),
-        ("circulant", 40, 8, 1), ("dihedral", 14, 8, 2)])
-    def test_dedup_census_matches_full_enumeration(self, family, n, d, jobs):
+    @pytest.mark.parametrize("family,n,d,classes", [
+        ("dihedral", 16, 6, 3), ("dihedral", 18, 8, 11), ("dihedral", 20, 6, 14),
+        ("circulant", 20, 8, 4), ("circulant", 28, 8, 20), ("circulant", 32, 8, 9),
+        ("circulant", 40, 8, 40), ("dihedral", 14, 8, 3)])
+    def test_dedup_census_matches_full_enumeration(self, family, n, d, classes):
         firsts = {}
         for w in census(family, n, d, dedup=False):
             firsts.setdefault(canonical_form(w.graph), w)
         expected = [(to_graph6(w.graph), w.recipe) for w in firsts.values()]
-        kept = census(family, n, d, jobs=jobs)
+        kept = census(family, n, d)
         assert [(to_graph6(w.graph), w.recipe) for w in kept] == expected
+        assert len(kept) == classes
 
     @pytest.mark.parametrize("family,n,d,representatives,classes", [
         ("circulant", 32, 8, 12, 9), ("dihedral", 20, 6, 18, 14)])
     def test_labeling_merges_orbits(self, family, n, d, representatives, classes):
         # Isomorphic Cayley graphs whose connection sets no automorphism maps
         # onto each other: the orbits alone would overcount the classes.
-        minima = filter(constructions._orbit_minimal, constructions._candidates(family, n, d))
+        minima = candidate_specs(family, n, d, minima=True)
         assert sum(1 for w in map(constructions._screen, minima) if w) == representatives
         assert len(census(family, n, d)) == classes
 
     def test_budget_counts_pruned_candidates(self):
-        specs = list(constructions._candidates("dihedral", 14, 8))
-        assert len(specs) == 147
-        assert sum(map(constructions._orbit_minimal, specs)) < 146
+        assert len(list(candidate_specs("dihedral", 14, 8))) == 147
+        assert len(list(candidate_specs("dihedral", 14, 8, minima=True))) < 146
         with pytest.raises(SearchExhaustedError, match="budget of 146"):
             census("dihedral", 14, 8, budget=146)
         assert len(census("dihedral", 14, 8, budget=147)) == 3
+
+    def test_specs_built_for_orbit_minima_only(self, monkeypatch):
+        # dihedral 14 8 enumerates 147 connection sets, of which 6 are
+        # orbit minima: a deduplicated census builds a spec for those 6.
+        built = []
+        spec = constructions._spec
+        monkeypatch.setattr(constructions, "_spec",
+                            lambda *args: built.append(spec(*args)) or built[-1])
+        assert len(census("dihedral", 14, 8)) == 3
+        assert len(built) == 6
+        assert built == list(candidate_specs("dihedral", 14, 8, minima=True))
 
 
 def recorded_divisors(monkeypatch):
@@ -893,7 +910,7 @@ class TestScreen:
         for family, family_orders in orders.items():
             for n in family_orders:
                 for d in range(n):
-                    for spec in constructions._candidates(family, n, d):
+                    for spec in candidate_specs(family, n, d):
                         w = constructions._screen(spec)
                         assert w == screen_by_full_nullity(spec), spec
                         screened += 1
@@ -905,9 +922,9 @@ class TestScreen:
         # |R| +- |F| on D_m, which vanishes only when |R| = |F|.
         asked = recorded_divisors(monkeypatch)
         specs = [spec for n in (9, 15, 21) for d in range(1, n)
-                 for spec in constructions._candidates("circulant", n, d)]
+                 for spec in candidate_specs("circulant", n, d)]
         specs += [spec for n in (10, 14, 18) for d in range(1, n)
-                  for spec in constructions._candidates("dihedral", n, d)
+                  for spec in candidate_specs("dihedral", n, d)
                   if len(spec.rotations) != len(spec.reflections)]
         assert len(specs) > 1000
         assert not any(map(constructions._screen, specs))

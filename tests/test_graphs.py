@@ -27,11 +27,13 @@ from nutforge.verify import block_invariants, nut_check_spectral
 from oracles import (
     IntMatrix,
     build_lcf,
+    edges_by_shifts,
     entries,
     first_asymmetric_pair,
     graph6_by_groups,
     graph6_decode_by_groups,
     is_regular,
+    neighbors_by_shifts,
     relabel,
     small_cayley_specs,
 )
@@ -96,6 +98,61 @@ class TestGraphCore:
         path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         g = relabel(path, [2, 0, 3, 1])
         assert sorted(g.edges()) == [(0, 2), (0, 3), (1, 3)]
+
+
+class TestUncheckedRows:
+    """The builders, ``complement`` and the parsers skip the checks of
+    ``Graph(order, rows)``: their rows are in range, loop-free and
+    symmetric by construction."""
+
+    @staticmethod
+    def checked(g):
+        fresh = Graph(g.order, g.adjacency_rows())
+        assert fresh == g and all(type(r) is int for r in g.adjacency_rows())
+        return fresh
+
+    def test_outputs_pass_every_check(self):
+        count = 0
+        for spec in small_cayley_specs():
+            g = build(spec)
+            for h in (g, complement(g)):
+                self.checked(h)
+                assert self.checked(from_graph6(to_graph6(h))) == h
+                assert self.checked(from_adjacency_list(to_adjacency_list(h))) == h
+                assert self.checked(Graph.from_edges(h.order, h.edges())) == h
+                count += 1
+        assert count == 2 * (720 + 372)
+
+    def test_from_edges_keeps_its_checks(self):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            Graph.from_edges(0, [])
+        with pytest.raises(ValueError, match="outside vertex range"):
+            Graph.from_edges(3, [(0, 3)])
+
+    def test_memory_at_order_8000(self):
+        # no n^2-character string per graph: building a witness of order
+        # 8000 and its complement peaks within three times the bits of one
+        # adjacency matrix (the string check peaked near eighteen times)
+        n = 8000
+        tracemalloc.start()
+        try:
+            g = complement(build(CirculantSpec(n, (1, 2, 3, 5, 8, 13, 21))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.degrees() == [n - 15] * n
+        assert peak <= 3 * n * n // 8
+
+
+class TestSetBitWalks:
+    def test_match_the_walks_over_every_position(self):
+        rng = random.Random(157)
+        for n in range(1, 65):
+            for p in (0.0, 0.2, 0.5, 0.9, 1.0):
+                g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                         if rng.random() < p])
+                assert all(g.neighbors(v) == neighbors_by_shifts(g, v) for v in range(n))
+                assert g.edges() == edges_by_shifts(g)
 
 
 class TestAdjacencyMatrix:
