@@ -113,7 +113,7 @@ def cmd_construct(args) -> int:
         # rejected before a witness of n**2 adjacency bits is built
         return _usage_error(f"graph6 holds orders up to {GRAPH6_MAX_ORDER}, not {args.n}")
     try:
-        w = construct(args.n, args.d, budget=args.budget)
+        w = construct(args.n, args.d)
     except InfeasiblePairError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
@@ -311,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="graph6")
     p.add_argument("--recipe", action=argparse.BooleanOptionalAction, default=True,
                    help="emit the construction recipe as a comment line")
-    p.add_argument("--budget", type=_positive_int, default=None,
-                   help="search candidate cap for the degree-divisible-by-4 regime")
     p.add_argument("--output", default=None, help="output path (default stdout)")
     p.set_defaults(fn=cmd_construct)
 

@@ -43,18 +43,19 @@ which the nullity cannot be one, before any polynomial work; the
 cyclotomic nullity of ``verify`` then screens the rest one divisor at a
 time, until it passes one, and only the specs that end at exactly one are
 built.  A nut graph must then have the requested order and degree and obey
-the existence law of ``feasible_vt``.  Search and census candidates come
-from one stream of index tuples, ``_candidates``; ``_spec`` builds the spec
-of a tuple, and ``_screen`` passes it to the gate.
-No witness runs an O(n^3) kernel, except that a search hit is also checked
-against the direct kernel.  The outputs are certificates, not citations.
+the existence law of ``feasible_vt``.  The search and the census read one
+capped stream, ``_witnesses``: the index tuples of ``_candidates``, the
+orbit filter for the census, ``_spec`` for each tuple that goes on, and the
+gate.  No witness runs an O(n^3) kernel, except that a search hit is also
+checked against the direct kernel.  The outputs are certificates, not
+citations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, islice
+from itertools import combinations
 from math import gcd
 
 from .graphs import (
@@ -66,8 +67,8 @@ from .graphs import (
 )
 from .verify import NutCertificate, divisor_walk, nut_check_direct
 
-#: Candidate cap of a search given no explicit budget.  No order up to 24
-#: has more than 462 jump sets, so there the search is exhaustive.
+#: Candidate cap of the circulant search.  No order up to 24 has more than
+#: 462 jump sets, so there the search is exhaustive.
 DEFAULT_SEARCH_BUDGET = 200_000
 
 class InfeasiblePairError(ValueError):
@@ -319,19 +320,14 @@ def _certify(spec: CirculantSpec | DihedralSpec, shift: int, recipe: str, n: int
     return Witness(complement(g) if shift else g, recipe, NutCertificate(1, vector))
 
 
-def _screen(spec: CirculantSpec | DihedralSpec) -> Witness | None:
-    """``_certify`` for a search or census candidate."""
-    return _certify(spec, 0, spec.describe(), spec.order, spec.degree)
-
-
-def construct(n: int, d: int, budget: int | None = None) -> Witness:
+def construct(n: int, d: int) -> Witness:
     """A certified d-regular nut-graph witness of order n.
 
     Dispatch: the first rule of ``catalog_witness`` that fits, else the
     circulant search, which covers the remaining degrees divisible by 4.
     Every witness passes ``_certify``.  Raises InfeasiblePairError on
-    infeasible input and SearchExhaustedError when the search ends empty;
-    never returns an unverified graph.
+    infeasible input and SearchExhaustedError when the search passes its cap
+    or ends empty; never returns an unverified graph.
     """
     verdict = feasible_vt(n, d)
     if not verdict.exists:
@@ -342,9 +338,9 @@ def construct(n: int, d: int, budget: int | None = None) -> Witness:
         if w is None:
             raise RuntimeError(f"{found[2]} at ({n}, {d}) is not a nut graph")
         return w
-    w = circulant_search(n, d, budget)
+    w = circulant_search(n, d)
     if w is None:
-        raise SearchExhaustedError(f"no witness found within bounds for ({n}, {d})")
+        raise SearchExhaustedError(f"no circulant witness for ({n}, {d})")
     return w
 
 
@@ -388,25 +384,6 @@ def _spec(family: str, n: int, sets) -> CirculantSpec | DihedralSpec:
     return DihedralSpec(m, {c for j in jumps for c in (j, m - j)}, refl)
 
 
-def circulant_search(n: int, d: int, budget: int | None = None) -> Witness | None:
-    """First screened circulant nut witness at (n, d), or None.
-
-    Jump sets come in lexicographic order from ``_candidates``; the budget
-    (DEFAULT_SEARCH_BUDGET when None) caps the candidates enumerated,
-    screened-out ones included.  The hit is also run through the direct
-    kernel, which must return its certificate: no lemma backs a searched
-    witness for every order, so the search keeps an independent check.
-    """
-    if n < 3:
-        raise ValueError("circulant order must be >= 3")
-    cap = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    jump_sets = islice(_candidates("circulant", n, d), cap)
-    w = next(filter(None, (_screen(_spec("circulant", n, s)) for s in jump_sets)), None)
-    if w is not None and nut_check_direct(w.graph) != w.certificate:
-        raise RuntimeError(f"the direct kernel disagrees with the certificate of {w.recipe}")
-    return w
-
-
 @cache
 def _units(n: int) -> tuple[int, ...]:
     return tuple(a for a in range(1, n) if gcd(a, n) == 1)
@@ -442,6 +419,45 @@ def _orbit_minimal(family: str, n: int, sets) -> bool:
             if any(sorted((b - x) % m for b in scaled) < refl for x in scaled):
                 return False
     return True
+
+
+def _witnesses(family: str, n: int, d: int, budget: int | None, minima: bool):
+    """The certified witnesses among the connection sets of ``_candidates``,
+    in stream order.  With ``minima`` only the orbit minima
+    (``_orbit_minimal``) go on; ``_spec`` builds the spec of each set that
+    does, and ``_certify`` gates it.  The budget, when given, caps the sets
+    enumerated, orbit non-minima and rejected sets included: the set past it
+    raises SearchExhaustedError, so neither the search nor the census is
+    ever silently cut short.
+    """
+    for count, sets in enumerate(_candidates(family, n, d), 1):
+        if budget is not None and count > budget:
+            raise SearchExhaustedError(f"candidate count for ({family}, {n}, {d}) "
+                                       f"exceeds the budget of {budget}")
+        if minima and not _orbit_minimal(family, n, sets):
+            continue
+        spec = _spec(family, n, sets)
+        w = _certify(spec, 0, spec.describe(), n, d)
+        if w is not None:
+            yield w
+
+
+def circulant_search(n: int, d: int) -> Witness | None:
+    """First certified circulant nut witness at (n, d), or None when every
+    jump set is rejected.
+
+    Jump sets come in lexicographic order from ``_witnesses``, capped at
+    DEFAULT_SEARCH_BUDGET enumerated sets; past the cap it raises
+    SearchExhaustedError.  The hit is also run through the direct kernel,
+    which must return its certificate: no lemma backs a searched witness for
+    every order, so the search keeps an independent check.
+    """
+    if n < 3:
+        raise ValueError("circulant order must be >= 3")
+    w = next(_witnesses("circulant", n, d, DEFAULT_SEARCH_BUDGET, minima=False), None)
+    if w is not None and nut_check_direct(w.graph) != w.certificate:
+        raise RuntimeError(f"the direct kernel disagrees with the certificate of {w.recipe}")
+    return w
 
 
 # -- canonical labeling and census ----------------------------------------------
@@ -571,40 +587,23 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
     return (n, *best_cert)
 
 
-def _budgeted(tasks, budget: int, family: str, n: int, d: int):
-    count = 0
-    for task in tasks:
-        count += 1
-        if count > budget:
-            raise SearchExhaustedError(
-                f"census candidate count for ({family}, {n}, {d}) exceeds the "
-                f"budget of {budget}")
-        yield task
-
-
 def census(family: str, n: int, d: int, dedup: bool = True,
            budget: int | None = None) -> list[Witness]:
     """All nut graphs of the family at (n, d), one witness per isomorphism
     class (or one per connection set with dedup disabled), in one pass.
 
-    Connection sets come from ``_candidates`` as index tuples, as in the
-    search.  With dedup only the minima of the automorphism orbits
-    (``_orbit_minimal``) go on: each class's first candidate is one, so the
-    output is that of screening every candidate.  ``_spec`` builds the spec
-    of each set that goes on, and ``_screen`` certifies it.
-    ``canonical_form`` still labels every screened witness, since orbits
-    alone do not decide isomorphism.  A budget caps the number of connection
-    sets enumerated, orbit non-minima included; exceeding it raises
-    SearchExhaustedError rather than returning a silently truncated census.
+    The witnesses come from ``_witnesses``, the stream of the search.  With
+    dedup only the minima of the automorphism orbits (``_orbit_minimal``)
+    are certified: each class's first candidate is one, so the output is
+    that of certifying every candidate.  ``canonical_form`` still labels
+    every witness, since orbits alone do not decide isomorphism.  A budget
+    caps the number of connection sets enumerated, orbit non-minima
+    included; exceeding it raises SearchExhaustedError rather than returning
+    a silently truncated census.
     """
-    sets = _candidates(family, n, d)
-    if budget is not None:
-        sets = _budgeted(sets, budget, family, n, d)
-    if dedup:
-        sets = (s for s in sets if _orbit_minimal(family, n, s))
     witnesses = []
     seen: set[tuple[int, ...]] = set()
-    for w in filter(None, (_screen(_spec(family, n, s)) for s in sets)):
+    for w in _witnesses(family, n, d, budget, minima=dedup):
         if dedup:
             key = canonical_form(w.graph)
             if key in seen:

@@ -32,13 +32,16 @@ from math import isqrt
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("order", "_rows")
+    order: int
+    _rows: tuple[int, ...]
 
-    def __init__(self, order: int, rows):
-        rows = tuple(int(r) for r in rows)
+    def __post_init__(self):
+        order = self.order
+        rows = tuple(int(r) for r in self._rows)
         if order < 1:
             raise ValueError("graph order must be >= 1")
         if len(rows) != order:
@@ -60,7 +63,6 @@ class Graph:
             if row != col:
                 j = next(k for k, (a, b) in enumerate(zip(row, col)) if a != b)
                 raise ValueError(f"asymmetric adjacency at ({i}, {j})")
-        object.__setattr__(self, "order", order)
         object.__setattr__(self, "_rows", rows)
 
     @classmethod
@@ -72,12 +74,6 @@ class Graph:
         object.__setattr__(g, "order", len(rows))
         object.__setattr__(g, "_rows", tuple(rows))
         return g
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    def __reduce__(self):
-        return (Graph, (self.order, self._rows))
 
     @classmethod
     def from_edges(cls, order: int, edges) -> "Graph":
@@ -108,14 +104,6 @@ class Graph:
 
     def adjacency_rows(self) -> tuple[int, ...]:
         return self._rows
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.order == other.order and self._rows == other._rows
-
-    def __hash__(self):
-        return hash((self.order, self._rows))
 
     def __repr__(self):
         return f"Graph(order={self.order}, edges={self.edge_count()})"
@@ -418,8 +406,8 @@ def from_adjacency_list(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: Graph) -> str:
+    lines = ["graph G {"]
     lines += [f"  {u} -- {v};" for u, v in g.edges()]
     lines.append("}")
     return "\n".join(lines)

@@ -7,24 +7,33 @@ counting residues.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import isqrt
+
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as an ascending list of (prime, exponent)."""
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
-    factors = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            factors.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors.append((n, 1))
-    return factors
+    return list(_factorization(n))
+
+
+@lru_cache(maxsize=8192)
+def _factorization(n: int) -> tuple[tuple[int, int], ...]:
+    """``factorize(n)`` as a tuple, memoized: trial division finds the least
+    prime p of n, and the cofactor of p^e recurses.  A spectral walk factors
+    every divisor of the cyclic order, most of them more than once; the
+    divisors share their cofactors, so a large prime factor is trial-divided
+    once, not once per divisor.  The cache holds every divisor of any order
+    up to 10^12, which has at most 6720 of them."""
+    if n == 1:
+        return ()
+    p = 2 if n % 2 == 0 else next((q for q in range(3, isqrt(n) + 1, 2) if n % q == 0), n)
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return ((p, e), *_factorization(n))
 
 
 def prime_factors(n: int) -> list[int]:

@@ -6,7 +6,7 @@ slow constructions that the package's own algorithms are checked against.
 
 import struct
 from functools import cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 from operator import mul
 
@@ -21,7 +21,7 @@ from nutforge.graphs import (
     complement,
 )
 from nutforge.numtheory import divisors, is_prime
-from nutforge.verify import nut_check_spectral
+from nutforge.verify import nut_check_direct, nut_check_spectral
 
 # Polynomials are exponent -> coefficient dicts; every function below returns
 # one without zero coefficients, so {} is the zero polynomial, equality is
@@ -481,12 +481,32 @@ def graph6_decode_by_groups(text: str) -> Graph:
                      for low, up in zip(lower, zip(*lower))])
 
 
+def screen(spec: CirculantSpec | DihedralSpec):
+    """``_certify`` for a search or census candidate: its own order and
+    degree, and its description as the recipe."""
+    return _certify(spec, 0, spec.describe(), spec.order, spec.degree)
+
+
+def circulant_search_by_islice(n: int, d: int, budget: int):
+    """The circulant search before it read the capped witness stream: the
+    first ``budget`` jump sets of ``_candidates``, cut short without an
+    error, each screened, and the first hit checked against the direct
+    kernel; None when no set within the cap passes."""
+    if n < 3:
+        raise ValueError("circulant order must be >= 3")
+    jump_sets = islice(_candidates("circulant", n, d), budget)
+    w = next(filter(None, (screen(_spec("circulant", n, s)) for s in jump_sets)), None)
+    if w is not None and nut_check_direct(w.graph) != w.certificate:
+        raise RuntimeError(f"the direct kernel disagrees with the certificate of {w.recipe}")
+    return w
+
+
 def screen_by_full_nullity(spec: CirculantSpec | DihedralSpec):
     """The search and census screen before the character test: the full
     spectral nullity over every divisor, exactly one, then ``_certify``."""
     if nut_check_spectral(spec).total_nullity != 1:
         return None
-    return _certify(spec, 0, spec.describe(), spec.order, spec.degree)
+    return screen(spec)
 
 
 def neighbors_by_shifts(g: Graph, v: int) -> list[int]:

@@ -10,7 +10,6 @@ import random
 from itertools import combinations
 
 from nutforge.constructions import (
-    _screen,
     catalog_witness,
     census,
     circulant_search,
@@ -42,6 +41,7 @@ from oracles import (
     prism,
     product,
     scale_exponents,
+    screen,
 )
 
 
@@ -326,7 +326,7 @@ def test_criterion_13_cayley_existence_matches_feasibility():
             minima = (spec for family in ("circulant", "dihedral")
                       for spec in candidate_specs(family, n, d, minima=True))
             try:
-                found = any(_screen(spec) is not None for spec in minima)
+                found = any(screen(spec) is not None for spec in minima)
             except RuntimeError as err:
                 failures.append((n, d, str(err)))
                 continue

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
+import argparse
 import json
 import os
 import re
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import nutforge.constructions as constructions
 from nutforge import cli
 from nutforge.cli import main
 from nutforge.graphs import (
@@ -88,10 +90,21 @@ class TestConstruct:
         assert code == 1
         assert "infeasible" in err
 
-    def test_budget_exhaustion(self, capsys):
-        code, _, err = run(capsys, "construct", "20", "8", "--budget", "1")
+    def test_budget_exhaustion(self, capsys, monkeypatch):
+        # (20, 8) is a search pair; with the search capped at one jump set,
+        # the first set, rejected, is not a witness and the second passes
+        # the cap.
+        monkeypatch.setattr(constructions, "DEFAULT_SEARCH_BUDGET", 1)
+        code, _, err = run(capsys, "construct", "20", "8")
         assert code == 3
         assert "search exhausted" in err
+
+    def test_no_budget_option(self, capsys):
+        # The search's cap is fixed; only the census takes --budget.
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "20", "8", "--budget", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budget 1" in capsys.readouterr().err
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "w.g6"
@@ -111,7 +124,7 @@ class TestConstruct:
     @pytest.mark.parametrize("fmt", ["graph6", "jsonl"])
     def test_order_beyond_graph6_is_a_usage_error(self, capsys, monkeypatch, fmt):
         # construct would build an order-258048 witness of about 8 GB first
-        def no_construct(n, d, budget=None):
+        def no_construct(n, d):
             if n > 258047:
                 raise AssertionError("construct ran for an order graph6 cannot hold")
             raise cli.InfeasiblePairError("stand-in verdict")
@@ -489,8 +502,55 @@ class TestCensus:
         assert "invalid choice: 2" in capsys.readouterr().err
 
 
+#: Every subcommand's arguments, in parser order, as (option strings or
+#: positional name, choices).  Adding or removing a knob edits this list in
+#: the same change.
+CLI_OPTIONS = {
+    "exists": [(("n",), None), (("d",), None)],
+    "construct": [
+        (("n",), None), (("d",), None),
+        (("--format",), ["graph6", "adjacency-list", "dot", "jsonl"]),
+        (("--recipe", "--no-recipe"), None),
+        (("--output",), None),
+    ],
+    "verify": [
+        (("--input",), None),
+        (("--method",), ["direct", "spectral", "both"]),
+        (("--shift",), [0, 1]),
+        (("--input-format",), ["auto", "graph6", "adjacency-list", "spec"]),
+    ],
+    "lemmas": [
+        (("--family",), ["Q", "R", "S", "T", "all"]),
+        (("--t-max",), None),
+        (("--beta-max",), None),
+        (("--full-case-analysis",), None),
+        (("--format",), ["text", "jsonl"]),
+    ],
+    "census": [
+        (("--family",), ["circulant", "dihedral"]),
+        (("n",), None), (("d",), None),
+        (("--no-dedup",), None),
+        (("--budget",), None),
+        (("--jobs",), [1]),
+        (("--format",), ["graph6", "jsonl"]),
+    ],
+}
+
+
+def _arguments(parser):
+    return [(tuple(a.option_strings) or (a.dest,), a.choices) for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)]
+
+
+def test_options_are_pinned():
+    parser = cli.build_parser()
+    top = _arguments(parser)
+    assert top[0] == (("--version",), None)
+    (subcommands,) = [choices for _, choices in top[1:]]
+    assert {name: _arguments(p) for name, p in subcommands.items()} == CLI_OPTIONS
+
+
 @pytest.mark.parametrize("argv", [
-    ("construct", "14", "8", "--budget", "0"),
     ("census", "--family", "circulant", "8", "4", "--budget", "-1"),
     ("census", "--family", "circulant", "8", "4", "--budget", "0"),
     ("census", "--family", "circulant", "8", "4", "--jobs", "0"),

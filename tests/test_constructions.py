@@ -37,12 +37,14 @@ from nutforge.verify import NutCertificate, nut_check_direct, nut_check_spectral
 from oracles import (
     candidate_specs,
     candidate_specs_before_tuples,
+    circulant_search_by_islice,
     dihedral_candidates_by_orbits,
     is_regular,
     kernel_character_by_rows,
     moebius_ladder,
     prism,
     relabel,
+    screen,
     screen_by_full_nullity,
     orbit_minimal_spec,
     small_cayley_specs,
@@ -303,6 +305,36 @@ class TestCatalogCoverage:
         assert missing == []
         assert checked == 100 * 299 + 100
 
+    def test_a_rule_at_every_order_up_to_degree_800(self):
+        # Proves that catalog_witness has a rule at every feasible order for
+        # d = 2 (mod 4), 6 <= d <= 800, and at n = d + 4 for 4 | d <= 800;
+        # it does not prove that a rule gives a nut graph.  Past the direct
+        # family's least order n0 = 2 * (4t + least m) the family's
+        # condition m >= 4t + least m holds for every larger m, and no
+        # sporadic entry of such a degree lies at or above n0, so a rule at
+        # every feasible order below n0 and the family chosen at n0 cover
+        # every order.
+        misses = []
+        checked = 0
+        for d in range(6, 801, 4):
+            t = (d - 6) // 8
+            n0 = 2 * (4 * t + constructions._DIRECT_FAMILIES[d % 8][0])
+            for n in range(d + 6, n0, 4):
+                checked += 1
+                if catalog_witness(n, d) is None:
+                    misses.append((n, d))
+            checked += 1
+            found = catalog_witness(n0, d)
+            if found is None or found[:2] != (direct_family_spec(d, n0 // 2), 0):
+                misses.append((n0, d))
+            assert all(n < n0 for n, e in constructions._SPORADIC_DIHEDRAL if e == d)
+        for d in range(4, 801, 4):
+            checked += 1
+            if catalog_witness(d + 4, d) is None:
+                misses.append((d + 4, d))
+        assert misses == []
+        assert checked == 596 + 200
+
     def test_catalog_specs_certify_up_to_order_a_billion(self):
         # Small d at large orders (direct families), then order d + 4 and
         # the complement families' gaps at large d, where every spec stays
@@ -464,19 +496,41 @@ class TestSearch:
         w = circulant_search(10, 4)
         assert w is not None and "jumps=[1, 2]" in w.recipe
 
-    def test_budget_respected(self):
-        assert circulant_search(8, 4, budget=0) is None
+    def test_budget_respected(self, monkeypatch):
+        monkeypatch.setattr(constructions, "DEFAULT_SEARCH_BUDGET", 0)
+        with pytest.raises(SearchExhaustedError, match="exceeds the budget of 0"):
+            circulant_search(8, 4)
 
-    def test_construct_budget_exhaustion(self):
+    def test_construct_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(constructions, "DEFAULT_SEARCH_BUDGET", 0)
         with pytest.raises(SearchExhaustedError):
-            construct(14, 8, budget=0)
+            construct(14, 8)
 
-    def test_budget_counts_screened_out_candidates(self):
+    def test_budget_counts_screened_out_candidates(self, monkeypatch):
         # [1, 2, 6, 7] is the 22nd jump set enumerated at (24, 8); the 21
         # before it never reach the direct kernel but still count.
-        assert circulant_search(24, 8, budget=21) is None
-        w = circulant_search(24, 8, budget=22)
+        monkeypatch.setattr(constructions, "DEFAULT_SEARCH_BUDGET", 21)
+        with pytest.raises(SearchExhaustedError, match="budget of 21"):
+            circulant_search(24, 8)
+        monkeypatch.setattr(constructions, "DEFAULT_SEARCH_BUDGET", 22)
+        w = circulant_search(24, 8)
         assert w.recipe == "circulant(n=24, jumps=[1, 2, 6, 7])"
+
+    def test_matches_the_search_before_the_witness_stream(self):
+        # The old search took the first DEFAULT_SEARCH_BUDGET jump sets and
+        # screened them; the capped stream must give the same witness, or
+        # none, at every pair, feasible or not.
+        hits = 0
+        for n in range(3, 25):
+            for d in range(n):
+                new = circulant_search(n, d)
+                old = circulant_search_by_islice(n, d, constructions.DEFAULT_SEARCH_BUDGET)
+                assert (new is None) == (old is None), (n, d)
+                if new is not None:
+                    assert (new.recipe, new.graph, new.certificate) == \
+                        (old.recipe, old.graph, old.certificate), (n, d)
+                    hits += 1
+        assert hits > 0
 
     def test_screen_kernel_disagreement_raises(self, monkeypatch):
         # A walk forged to claim nullity one for every candidate.  The
@@ -486,7 +540,7 @@ class TestSearch:
         # passes the forged screen and the direct kernel refuses it.
         walked = forge_divisor_walk(monkeypatch, 1)
         cycle = CirculantSpec(8, {1})
-        assert constructions._screen(cycle) is None
+        assert screen(cycle) is None
         assert walked == []
         with pytest.raises(RuntimeError, match="direct kernel disagrees"):
             circulant_search(12, 8)
@@ -860,7 +914,7 @@ class TestOrbitPruning:
         # Isomorphic Cayley graphs whose connection sets no automorphism maps
         # onto each other: the orbits alone would overcount the classes.
         minima = candidate_specs(family, n, d, minima=True)
-        assert sum(1 for w in map(constructions._screen, minima) if w) == representatives
+        assert sum(1 for w in map(screen, minima) if w) == representatives
         assert len(census(family, n, d)) == classes
 
     def test_budget_counts_pruned_candidates(self):
@@ -911,7 +965,7 @@ class TestScreen:
             for n in family_orders:
                 for d in range(n):
                     for spec in candidate_specs(family, n, d):
-                        w = constructions._screen(spec)
+                        w = screen(spec)
                         assert w == screen_by_full_nullity(spec), spec
                         screened += 1
                         witnesses += w is not None
@@ -927,7 +981,7 @@ class TestScreen:
                   for spec in candidate_specs("dihedral", n, d)
                   if len(spec.rotations) != len(spec.reflections)]
         assert len(specs) > 1000
-        assert not any(map(constructions._screen, specs))
+        assert not any(map(screen, specs))
         assert asked == []
 
     @pytest.mark.parametrize("spec,walked", [
@@ -942,7 +996,7 @@ class TestScreen:
         assert report.total_nullity > 1
         assert report.singular_divisors[1] == walked[-1]
         asked = recorded_divisors(monkeypatch)
-        assert constructions._screen(spec) is None
+        assert screen(spec) is None
         assert sorted(set(asked)) == walked
 
 

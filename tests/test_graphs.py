@@ -1,5 +1,7 @@
 """Tests for graph builders and serialization."""
 
+import dataclasses
+import pickle
 import random
 import tracemalloc
 
@@ -83,6 +85,26 @@ class TestGraphCore:
                 continue
             with pytest.raises(ValueError, match=rf"asymmetric adjacency at \({pair[0]}, {pair[1]}\)$"):
                 Graph(n, rows)
+
+    def test_value_semantics(self):
+        # Equal rows make equal graphs with equal hashes, whichever
+        # constructor made them; a pickle round trip keeps the graph;
+        # no field can be assigned or added.
+        g = cycle(5)
+        same = Graph(5, list(g.adjacency_rows()))
+        assert g == same and hash(g) == hash(same) and len({g, same}) == 1
+        assert g != cycle(6) and g != complement(g) and g != g.adjacency_rows()
+        for h in (g, Graph.from_edges(1, []), complete(3)):
+            copy = pickle.loads(pickle.dumps(h))
+            assert copy == h and copy.adjacency_rows() == h.adjacency_rows()
+        with pytest.raises(AttributeError):
+            g.order = 6
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g._rows = ()
+        with pytest.raises((AttributeError, TypeError)):
+            g.extra = 1
+        assert (g.order, g.adjacency_rows()) == (5, same.adjacency_rows())
+        assert repr(g) == "Graph(order=5, edges=5)"
 
     def test_neighbors_and_degrees(self):
         g = cycle(5)
