@@ -9,9 +9,13 @@ Subcommands:
 * ``census``         enumerate nut graphs of a family at (N, D)
 
 Exit codes are a stable contract: 0 success / positive verdict, 1 negative
-verdict, 2 usage or parse error, 3 search budget exhaustion.
+verdict, 2 usage or parse error, 3 search budget exhaustion.  Output goes
+to stdout.  No graph is built above graph6's largest order, 258047:
+``construct`` in every format, ``census`` and ``verify --method both`` exit
+2 on a larger order before they build or print anything.
 
-Spec input for ``verify --method spectral|both`` is a one-line JSON object:
+Spec input for ``verify --method spectral|both`` is a one-line JSON object,
+recognised by its content:
 ``{"n": 16, "jumps": [1, 8]}`` for a circulant,
 ``{"m": 8, "rotations": [1, 7], "reflections": [0, 1, 4, 6]}`` for a
 dihedral Cayley graph or ``{"m": 18, "s0": [...], "s1": [...], "s2": [...]}``
@@ -61,26 +65,23 @@ EXIT_BUDGET = 3
 SPEC_ORDER_LIMIT = 10**12
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least one."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """argparse type for integers of at least ``low``: 1 (counts) or 0 (bounds)."""
+    name = "positive" if low else "non-negative"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {name} integer, got {text!r}")
+        return value
+    return parse
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type for bounds that may be zero."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _usage_error(message: str) -> int:
@@ -88,17 +89,14 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
-def _write(text: str, path: str | None) -> int:
-    """Write text to path (stdout for None or -); EXIT_USAGE if it cannot."""
-    if path and path != "-":
-        try:
-            with open(path, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            return _usage_error(f"cannot write output: {exc}")
-    else:
-        print(text)
-    return EXIT_OK
+def _too_large(order: int) -> bool:
+    """Whether the order is past GRAPH6_MAX_ORDER, where a graph's order**2
+    adjacency bits pass 8 GB; the usage error is printed if so."""
+    if order <= GRAPH6_MAX_ORDER:
+        return False
+    _usage_error(f"order {order} is above {GRAPH6_MAX_ORDER}, the largest graph6 "
+                 "order and the largest that nutforge builds")
+    return True
 
 
 def cmd_exists(args) -> int:
@@ -109,9 +107,8 @@ def cmd_exists(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    if args.format in ("graph6", "jsonl") and args.n > GRAPH6_MAX_ORDER:
-        # rejected before a witness of n**2 adjacency bits is built
-        return _usage_error(f"graph6 holds orders up to {GRAPH6_MAX_ORDER}, not {args.n}")
+    if _too_large(args.n):
+        return EXIT_USAGE
     try:
         w = construct(args.n, args.d)
     except InfeasiblePairError as exc:
@@ -121,21 +118,20 @@ def cmd_construct(args) -> int:
         print(f"search exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     if args.format == "jsonl":
-        payload = {
+        print(json.dumps({
             "n": args.n,
             "d": args.d,
             "graph6": to_graph6(w.graph),
             "recipe": w.recipe,
             "nullity": w.certificate.nullity,
             "kernel_vector": [str(x) for x in w.certificate.kernel_vector],
-        }
-        return _write(json.dumps(payload), args.output)
-    lines = []
+        }))
+        return EXIT_OK
     if args.recipe:
-        lines.append(f"# recipe: {w.recipe}")
-        lines.append("# certified: nullity 1, kernel vector free of zeros")
-    lines.append(serialize(w.graph, args.format))
-    return _write("\n".join(lines), args.output)
+        print(f"# recipe: {w.recipe}")
+        print("# certified: nullity 1, kernel vector free of zeros")
+    print(serialize(w.graph, args.format))
+    return EXIT_OK
 
 
 def _read_input(path: str | None) -> str:
@@ -155,10 +151,8 @@ def _json_object(text: str) -> dict | None:
     return data if isinstance(data, dict) else None
 
 
-def _parse_spec(data: dict | None):
-    """Validate a decoded spec, None for no JSON object; defects raise ValueError."""
-    if data is None:
-        raise ValueError("a spec must be a JSON object")
+def _parse_spec(data: dict):
+    """Validate a decoded spec; defects raise ValueError."""
     if "n" in data or "jumps" in data:
         kind, order, names = CirculantSpec, "n", ("jumps",)
     elif "rotations" in data or "reflections" in data:
@@ -203,8 +197,8 @@ def cmd_verify(args) -> int:
         text = _read_input(args.input)
     except (OSError, UnicodeDecodeError) as exc:
         return _usage_error(f"cannot read input: {exc}")
-    data = _json_object(text) if args.input_format in ("auto", "spec") else None
-    is_spec = args.input_format == "spec" or data is not None
+    data = _json_object(text) if args.input_format == "auto" else None
+    is_spec = data is not None
     if args.method == "direct":
         if is_spec:
             return _usage_error("direct verification needs a graph, not a spec")
@@ -225,6 +219,8 @@ def cmd_verify(args) -> int:
         spec, spec_shift, vertex_transitive = _parse_spec(data)
     except ValueError as exc:
         return _usage_error(f"cannot parse spec: {exc}")
+    if args.method == "both" and _too_large(spec.order):
+        return EXIT_USAGE
     shift = args.shift if args.shift is not None else spec_shift
     report = nut_check_spectral(spec, shift)
     singular = ", ".join(f"b={v.b} ({'simple' if v.multiplicity == 1 else 'double'})"
@@ -269,14 +265,14 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_census(args) -> int:
+    if _too_large(args.n):
+        return EXIT_USAGE
     try:
         witnesses = census(args.family, args.n, args.d,
                            dedup=not args.no_dedup, budget=args.budget)
     except SearchExhaustedError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
-        return _usage_error(str(exc))
     for w in witnesses:
         if args.format == "jsonl":
             print(json.dumps({"graph6": to_graph6(w.graph), "recipe": w.recipe,
@@ -311,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="graph6")
     p.add_argument("--recipe", action=argparse.BooleanOptionalAction, default=True,
                    help="emit the construction recipe as a comment line")
-    p.add_argument("--output", default=None, help="output path (default stdout)")
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("verify", help="certify a graph or connection-set spec")
@@ -320,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="direct")
     p.add_argument("--shift", type=int, choices=[0, 1], default=None,
                    help="0 checks eigenvalue 0, 1 checks eigenvalue -1")
-    p.add_argument("--input-format", choices=["auto", "graph6", "adjacency-list", "spec"],
+    p.add_argument("--input-format", choices=["auto", "graph6", "adjacency-list"],
                    default="auto")
     p.set_defaults(fn=cmd_verify)
 

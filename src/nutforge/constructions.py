@@ -165,7 +165,8 @@ def direct_family_spec(d: int, m: int) -> DihedralSpec:
 
 #: Order-(d + gap) complement families, d = 2 (mod 4): gap -> (least degree,
 #: rotation exponents, reflections) of the base graph on D_m, m = (d + gap) / 2,
-#: whose rotations are +- each exponent.
+#: whose rotations are +- each exponent.  That each complement is a nut graph
+#: at every order is proved in ``tests/test_constructions.py::TestRecipeProofs``.
 _COMPLEMENT_FAMILIES: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {
     6: (14, (2,), (0, 8, 9)),
     10: (22, (2, 4), (0, 2, 6, 7, 15)),

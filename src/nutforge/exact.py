@@ -6,37 +6,26 @@ only through ``rows``, ``cols`` and two methods: ``packed``, each row reduced
 modulo a prime and packed into one integer with one word per column, and
 ``annihilates``, the exact check A v = 0.
 
-One rule, ``_layout``, sizes the slots from the row count: a matrix of fewer
-than 256 rows gets one 32-bit word per column and kernel primes below 2**12,
-every taller one a 64-bit word and primes below 2**21.  Either way
-2 * bits(p) + bits(rows) is at most the word size, so a slot never carries
-into the next (``_echelon_mod``); the kernel refuses 2**21 rows or more.
-Half-width words halve the digits of every packed row below 256 rows, and
-with them the cost of each whole-row operation.
+One rule, ``_layout``, sizes the slots from the row count: fewer than 256
+rows get one 32-bit word per column and kernel primes below 2**12, taller
+matrices a 64-bit word and primes below 2**21, so that
+2 * bits(p) + bits(rows) fits the word and a slot never carries
+(``_echelon_mod`` gives the argument); the kernel refuses 2**21 rows or
+more.  Half-width words halve the digits of every packed row below 256
+rows, and with them the cost of each whole-row operation.
 
 The elimination works on whole rows, never slot by slot.  Every kernel prime
-has the form p = 2**k - c with c < 2**(k - 1), so a pivot row is reduced in
-place by folds, (x mod 2**k) + c * (x >> k) in every slot at once, until
-each slot is at most 2**(k + 1) - p - 1 (``_folder``).  The pivot is not
-scaled to lead with 1: each live row instead gets the multiplier
-head * (p - lead inverse) mod p of the pivot row's tail, which adds less
-than 2**(2*k) to a slot, the bound the slot width is sized for.  Pivot rows
-stay packed with their lead inverses and are unpacked only by the back
-substitution, once each, when there is a free column at all.
+has the form p = 2**k - c, so a pivot row is reduced in place by folds of
+every slot at once (``_folder``), and each live row gets a multiple of the
+pivot row's tail.  Pivot rows stay packed with their lead inverses and are
+unpacked only by the back substitution, once each, when there is a free
+column at all.
 
-The kernel is certified from two sides.  Forward elimination modulo a prime
-p on the packed rows fixes the pivot columns; for each free column f the
-kernel vector that is 1 at f and 0 at the other free columns is solved
-modulo p, lifted by rational reconstruction to integer numerators over a
-common denominator, and the numerators are checked exactly against every
-row.  The rank over Q is at least the rank modulo p, so the nullity is at
-most the number of free columns; each checked vector is nonzero at its own
-free column and zero at the others, so they are independent and the nullity
-is at least that number.  The two bounds meet, so nullity and
-basis are exact.  When a lift or a check fails, the next prime of a fixed
-descending sequence is tried, and residues from primes with the same rank and
-pivot columns are combined by the Chinese remainder theorem; identical inputs
-therefore give bit-identical results.
+The kernel is certified from two sides (``matrix_kernel``): the rank modulo
+a prime bounds the nullity from above, and basis vectors lifted to the
+integers and checked exactly against every row bound it from below.  A
+failed lift or check moves to the next prime of a fixed sequence, so
+identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -102,9 +91,9 @@ _MAX_ROWS = 1 << 21
 
 def _layout(rows: int) -> tuple[int, int]:
     """(word, bits) for a matrix of ``rows`` rows: one ``word``-bit word per
-    column and kernel primes below 2**bits, so that
-    2 * bits + bits(rows) <= word: 2 * 12 + 8 = 32 below 256 rows, and
-    2 * 21 + 21 = 63 below ``_MAX_ROWS``."""
+    column and kernel primes below 2**bits, so that 2 * bits + bits(rows)
+    <= word, the bound ``_echelon_mod`` needs: 2 * 12 + 8 = 32 below 256
+    rows, and 2 * 21 + 21 = 63 below ``_MAX_ROWS``."""
     return (32, 12) if rows < 256 else (64, 21)
 
 
@@ -286,23 +275,16 @@ def matrix_kernel(matrix: BitMatrix) -> tuple[tuple[int, ...], ...]:
     any other matrix with those four members and fewer than 2**21 rows
     takes the same path.  A matrix of 2**21 rows or more raises ValueError,
     since one 64-bit slot per column no longer bounds the elimination.
-    The row count picks the slot layout (``_layout``): below 256 rows one
-    32-bit word per column and primes below 2**12, else one 64-bit word and
-    primes below 2**21.  Elimination modulo a prime p = 2**k - c of that
-    size, on the packed rows in blocks of columns, fixes the rank and the
-    free columns: each pivot row is folded whole to slots of at most
-    2**(k + 1) - p - 1, and each live row gets head * (p - lead inverse)
-    mod p times its tail, so a slot gains less than 2**(2*k) per pivot and
-    stays below p + rows * 2**(2*k) < 2**(2*k + bits(rows)), within the word
-    (``_echelon_mod`` states why the slots, the dead ones left until each
-    block shift included, never carry).  The basis vector of each free
-    column (1 there, 0 at the other free columns) is solved modulo the prime
-    from the pivot rows, each unpacked once, lifted to the rationals,
-    cleared of its denominator and checked exactly against every row of the
-    matrix.  The certificate is two-sided: the rank over Q is at least the
-    rank modulo p, so the nullity is at most the number of free columns,
-    and the checked vectors are independent (each is nonzero only at its
-    own free column among the free columns), so it is at least that number.
+    Elimination modulo a prime, on rows packed in the slots of ``_layout``
+    (``_echelon_mod``: the slots never carry), fixes the rank and the free
+    columns.  The basis vector of each free column (1 there, 0 at the other
+    free columns) is solved modulo the prime from the pivot rows, each
+    unpacked once, lifted to the rationals, cleared of its denominator and
+    checked exactly against every row of the matrix.  The certificate is
+    two-sided: the rank over Q is at least the rank modulo p, so the nullity
+    is at most the number of free columns, and the checked vectors are
+    independent (each is nonzero only at its own free column among the free
+    columns), so it is at least that number.
 
     A failed lift or check moves to the next prime of a fixed descending
     sequence.  Residues of primes that give the same rank and pivot columns

@@ -6,7 +6,7 @@ slow constructions that the package's own algorithms are checked against.
 
 import struct
 from functools import cache
-from itertools import combinations, islice
+from itertools import combinations, count, islice
 from math import gcd
 from operator import mul
 
@@ -532,3 +532,73 @@ def first_asymmetric_pair(order: int, rows):
             if (rows[i] >> j & 1) != (rows[j] >> i & 1):
                 return i, j
     return None
+
+
+def _miller_rabin(q: int) -> bool:
+    """Whether q is prime: Miller-Rabin to the first twelve prime bases,
+    exact below 3.1 * 10^23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if q < 2 or any(q % a == 0 for a in bases):
+        return q in bases
+    odd, twos = q - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in bases:
+        x = pow(a, odd, q)
+        if x == 1:
+            continue
+        for _ in range(twos):
+            if x == q - 1:
+                break
+            x = x * x % q
+        else:
+            return False
+    return True
+
+
+def nonvanishing_witnesses(spec, shift: int):
+    """The check of a divisor b of the spec's cyclic order m: a function of
+    (b, tries) that returns the first (q, omega) among the first ``tries``
+    primes q = 1 (mod b) at which the block determinant of the shifted spec
+    (the entry, for a circulant) is nonzero mod q, with omega the first
+    power g^((q - 1) / b) of order exactly b, or None.
+
+    A witness proves that Phi_b does not divide the determinant, so the
+    blocks at the primitive b-th roots are nonsingular: omega is a root of
+    Phi_b mod q (q does not divide b), so a multiple of Phi_b vanishes
+    there.  Shares no code with the package: m is trial-divided here, once
+    per spec, and primality is decided by ``_miller_rabin``.
+    """
+    circulant = isinstance(spec, CirculantSpec)
+    primes, rest, p = [], spec.n if circulant else spec.m, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    primes += [rest] if rest > 1 else []
+
+    def det(w: int, q: int) -> int:
+        def at(s, x):
+            return sum(pow(x, c, q) for c in s)
+        if circulant:
+            return (shift + at(spec.connection, w)) % q
+        return ((shift + at(spec.s0, w)) * (shift + at(spec.s2, w))
+                - at(spec.s1, w) * at(spec.s1, pow(w, -1, q))) % q
+
+    def witness(b: int, tries: int):
+        order_primes = [p for p in primes if b % p == 0]
+        q = 1
+        for _ in range(tries):
+            q += b
+            while not _miller_rabin(q):
+                q += b
+            for g in count(1):
+                w = pow(g, (q - 1) // b, q)
+                if all(pow(w, b // p, q) != 1 for p in order_primes):
+                    break
+            if det(w, q):
+                return q, w
+        return None
+    return witness

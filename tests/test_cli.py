@@ -27,6 +27,11 @@ from nutforge.graphs import (
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+#: The one refusal of an order past graph6's largest, 258047.
+TOO_LARGE = ("error: order 258048 is above 258047, the largest graph6 order and the "
+             "largest that nutforge builds\n")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -106,22 +111,7 @@ class TestConstruct:
         assert exc.value.code == 2
         assert "unrecognized arguments: --budget 1" in capsys.readouterr().err
 
-    def test_output_file(self, tmp_path, capsys):
-        target = tmp_path / "w.g6"
-        code, out, _ = run(capsys, "construct", "8", "4", "--no-recipe",
-                           "--output", str(target))
-        assert code == 0
-        assert target.read_text().strip()
-
-    @pytest.mark.parametrize("fmt", ["graph6", "jsonl"])
-    def test_unwritable_output(self, tmp_path, capsys, fmt):
-        for target in (tmp_path, tmp_path / "missing" / "w.g6"):
-            code, _, err = run(capsys, "construct", "12", "6", "--format", fmt,
-                               "--output", str(target))
-            assert code == 2
-            assert err.startswith("error: cannot write output: ")
-
-    @pytest.mark.parametrize("fmt", ["graph6", "jsonl"])
+    @pytest.mark.parametrize("fmt", ["graph6", "jsonl", "adjacency-list", "dot"])
     def test_order_beyond_graph6_is_a_usage_error(self, capsys, monkeypatch, fmt):
         # construct would build an order-258048 witness of about 8 GB first
         def no_construct(n, d):
@@ -131,8 +121,7 @@ class TestConstruct:
 
         monkeypatch.setattr(cli, "construct", no_construct)
         code, out, err = run(capsys, "construct", "258048", "10", "--format", fmt)
-        assert (code, out) == (2, "")
-        assert err == "error: graph6 holds orders up to 258047, not 258048\n"
+        assert (code, out, err) == (2, "", TOO_LARGE)
         # the largest graph6 order still reaches construct
         code, _, err = run(capsys, "construct", "258047", "10", "--format", fmt)
         assert code == 1 and "stand-in verdict" in err
@@ -257,11 +246,11 @@ class TestVerify:
     @pytest.mark.parametrize("n, d", [(12, 6), (16, 8), (20, 14)])
     def test_reads_what_construct_writes(self, tmp_path, capsys, fmt, recipe, n, d):
         # The default output starts with "# recipe:" comment lines.
-        f = tmp_path / "w.txt"
-        code, _, _ = run(capsys, "construct", str(n), str(d), "--format", fmt, recipe,
-                         "--output", str(f))
+        code, written, _ = run(capsys, "construct", str(n), str(d), "--format", fmt, recipe)
         assert code == 0
-        assert f.read_text().startswith("# recipe:") == (recipe == "--recipe")
+        assert written.startswith("# recipe:") == (recipe == "--recipe")
+        f = tmp_path / "w.txt"
+        f.write_text(written)
         for input_format in ("auto", fmt):
             code, out, _ = run(capsys, "verify", "--input", str(f),
                                "--input-format", input_format)
@@ -340,12 +329,55 @@ class TestVerify:
         '{"m": 8,',
     ])
     def test_malformed_spec_is_a_usage_error(self, tmp_path, capsys, spec):
+        # A spec is a JSON object; other text is no spec at all.
         f = tmp_path / "spec.json"
         f.write_text(spec)
-        code, _, err = run(capsys, "verify", "--input", str(f),
-                           "--input-format", "spec", "--method", "spectral")
+        code, _, err = run(capsys, "verify", "--input", str(f), "--method", "spectral")
         assert code == 2
-        assert "cannot parse spec" in err
+        if spec.startswith("{") and spec.endswith("}"):
+            assert err.startswith("error: cannot parse spec: ")
+        else:
+            assert err == "error: method spectral needs a JSON spec input\n"
+
+    @pytest.mark.parametrize("fmt", ["graph6", "adjacency-list"])
+    def test_spec_input_format_is_gone(self, tmp_path, capsys, fmt):
+        # A spec is recognised by its content; a forced graph format reads none.
+        f = tmp_path / "spec.json"
+        f.write_text('{"n": 16, "jumps": [1, 8], "shift": 1}')
+        code, out, _ = run(capsys, "verify", "--input", str(f), "--method", "spectral")
+        assert code == 0 and out.startswith("spectral shifted nullity: 1;")
+        code, _, err = run(capsys, "verify", "--input", str(f), "--method", "spectral",
+                           "--input-format", fmt)
+        assert (code, err) == (2, "error: method spectral needs a JSON spec input\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--input", str(f), "--input-format", "spec"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'spec'" in capsys.readouterr().err
+
+    def test_spec_order_beyond_graph6_is_a_usage_error(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # --method both builds the spec's graph; --method spectral builds none.
+        class Built(Exception):
+            pass
+
+        def no_build(spec):
+            if spec.order > 258047:
+                raise AssertionError("a graph was built past graph6's largest order")
+            raise Built
+
+        monkeypatch.setattr(cli, "build", no_build)
+        f = tmp_path / "spec.json"
+        for spec in ({"n": 258048, "jumps": [1]}, {"m": 129024, "s1": [0]}):
+            f.write_text(json.dumps(spec))
+            code, out, err = run(capsys, "verify", "--input", str(f), "--method", "both")
+            assert (code, out, err) == (2, "", TOO_LARGE)
+            code, out, _ = run(capsys, "verify", "--input", str(f),
+                               "--method", "spectral")
+            assert code == 1 and out.startswith("spectral nullity: ")
+        # the largest graph6 order still reaches the builder
+        f.write_text(json.dumps({"n": 258047, "jumps": [1]}))
+        with pytest.raises(Built):
+            main(["verify", "--input", str(f), "--method", "both"])
 
     @pytest.mark.parametrize("spec, message", [
         ('{"n": 16, "jumps": [1, 9]}', "jump 9 outside [1, 8]"),
@@ -483,6 +515,23 @@ class TestCensus:
         code, out, err = run(capsys, "census", "--family", family, n, d)
         assert (code, out, err) == (0, "# classes: 0\n", "")
 
+    @pytest.mark.parametrize("fmt", ["graph6", "jsonl"])
+    def test_order_beyond_graph6_is_a_usage_error(self, capsys, monkeypatch, fmt):
+        # census would build, then fail to encode, witnesses past graph6's order
+        reached = []
+
+        def no_census(family, n, d, dedup, budget):
+            if n > 258047:
+                raise AssertionError("census ran for an order graph6 cannot hold")
+            reached.append(n)
+            return []
+
+        monkeypatch.setattr(cli, "census", no_census)
+        argv = ("census", "--family", "circulant", "--format", fmt)
+        assert run(capsys, *argv, "258048", "4") == (2, "", TOO_LARGE)
+        assert run(capsys, *argv, "258047", "4") == (0, "# classes: 0\n", "")
+        assert reached == [258047]
+
     def test_jsonl(self, capsys):
         code, out, _ = run(capsys, "census", "--family", "circulant", "8", "4",
                            "--format", "jsonl")
@@ -511,13 +560,12 @@ CLI_OPTIONS = {
         (("n",), None), (("d",), None),
         (("--format",), ["graph6", "adjacency-list", "dot", "jsonl"]),
         (("--recipe", "--no-recipe"), None),
-        (("--output",), None),
     ],
     "verify": [
         (("--input",), None),
         (("--method",), ["direct", "spectral", "both"]),
         (("--shift",), [0, 1]),
-        (("--input-format",), ["auto", "graph6", "adjacency-list", "spec"]),
+        (("--input-format",), ["auto", "graph6", "adjacency-list"]),
     ],
     "lemmas": [
         (("--family",), ["Q", "R", "S", "T", "all"]),

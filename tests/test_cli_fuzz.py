@@ -27,8 +27,8 @@ from nutforge.graphs import (
 
 SEED = 20251018
 MUTANTS_PER_BASE = 20
-RUNS = [("graph6", "direct"), ("adjacency-list", "direct"), ("spec", "spectral"),
-        ("spec", "both"), ("auto", "direct"), ("auto", "spectral"), ("auto", "both")]
+RUNS = [("graph6", "direct"), ("adjacency-list", "direct"), ("auto", "direct"),
+        ("auto", "spectral"), ("auto", "both")]
 # Bytes that matter to the three parsers, plus a few arbitrary ones.
 _INSERTABLE = b"0123456789{}[]:,\"- \n~?@_" + bytes([0, 127, 200, 255])
 

@@ -33,8 +33,18 @@ from nutforge.graphs import (
     complement,
     to_graph6,
 )
-from nutforge.verify import NutCertificate, nut_check_direct, nut_check_spectral
+from nutforge.verify import (
+    NutCertificate,
+    block_invariants,
+    nut_check_direct,
+    nut_check_spectral,
+)
 from oracles import (
+    add,
+    cyclotomic,
+    divrem,
+    phi_table,
+    product,
     candidate_specs,
     candidate_specs_before_tuples,
     circulant_search_by_islice,
@@ -356,6 +366,89 @@ class TestCatalogCoverage:
             assert spec.order == n, recipe
             assert nut_check_spectral(spec, shift).total_nullity == 1, recipe
             assert constructions._kernel_character(spec, shift) is not None, recipe
+
+
+def shifted_invariants(exponents, reflections):
+    """The shift-1 block determinant (1 + R)^2 - F F~ and trace 2 (1 + R) of
+    the dihedral base with rotations +-e for e in ``exponents`` and the
+    ``reflections``, as Laurent polynomials in x: R sums x^e + x^-e and F
+    sums x^r, and no exponent is reduced modulo m."""
+    diagonal = add({0: 1}, *({e: 1, -e: 1} for e in exponents))
+    cross = product({r: 1 for r in reflections}, {-r: -1 for r in reflections})
+    return add(product(diagonal, diagonal), cross), add(diagonal, diagonal)
+
+
+def span(p):
+    return max(p) - min(p)
+
+
+def cyclotomic_divides(p, b):
+    """Whether Phi_b divides the nonzero Laurent polynomial p, by division."""
+    return not divrem({e - min(p): c for e, c in p.items()}, cyclotomic(b))[1]
+
+
+def cyclotomic_factors(p):
+    """Every b with Phi_b dividing the nonzero Laurent polynomial p: Phi_b
+    has degree phi(b), so only the b with phi(b) <= span(p) can, and
+    phi(b) >= sqrt(b / 2) bounds them by 2 span(p)^2."""
+    phi = phi_table(2 * span(p) ** 2)
+    return [b for b in range(1, len(phi)) if phi[b] <= span(p) and cyclotomic_divides(p, b)]
+
+
+class TestRecipeProofs:
+    """Each complement recipe gives a nut graph at every order it serves.
+
+    The witness is the complement of a dihedral base on D_m, whose nullity
+    is the base's multiplicity of eigenvalue -1: the sum, over the divisors
+    b of m, of phi(b) times the number of shift-1 block invariants (the
+    determinant, then the trace) that Phi_b divides (``verify``).  The
+    base's rotations are +-e for fixed exponents e and its reflections are
+    fixed, so once m passes 2 max(e) and the largest reflection its
+    exponents stop wrapping, and its folded invariants are the Laurent
+    polynomials D and T of ``shifted_invariants`` reduced modulo x^m - 1.
+    When b | m, Phi_b divides x^m - 1, so the folded block is singular at b
+    exactly when Phi_b divides D.  D does not depend on m, so its finitely
+    many cyclotomic factors, each with phi(b) <= span(D), decide every
+    order at once.
+    """
+
+    @pytest.mark.parametrize("gap", sorted(constructions._COMPLEMENT_FAMILIES))
+    def test_complement_family_for_every_order(self, gap):
+        # D has Phi_1 as its only cyclotomic factor and T(1) != 0, so every
+        # m gets the nullity phi(1) * 1 = 1 from b = 1 alone.  The least m
+        # of the family, (least degree + gap) / 2, is past the wrapping.
+        least, exponents, reflections = constructions._COMPLEMENT_FAMILIES[gap]
+        det, trace = shifted_invariants(exponents, reflections)
+        assert span(det) == {6: 18, 10: 30, 14: 38}[gap]
+        assert cyclotomic_factors(det) == [1]
+        assert not cyclotomic_divides(trace, 1)
+        m_least = (least + gap) // 2
+        assert m_least > max(2 * max(exponents), max(reflections))
+        rng = random.Random(gap)
+        for d in [least, least + 4, *(rng.randrange(least, 10**9, 4) for _ in range(6))]:
+            spec = complement_family_spec(d, gap)
+            assert spec.m >= m_least
+            folded = add(*({e % spec.m: c} for e, c in det.items()))
+            assert block_invariants(spec, 1)[1][0] == folded
+            report = nut_check_spectral(spec, 1)
+            assert (report.total_nullity, report.singular_divisors) == (1, (1,)), d
+
+    def test_prism_at_every_order(self):
+        # The prism's base dihedral({+-1}, {0}) has D = Phi_2^2 Phi_4 / x^2
+        # and T = 2 Phi_3 / x, nonzero at b = 1, 2 and 4.  So its nullity is
+        # 1 when 2 | m plus phi(4) = 2 when 4 | m, and 8 | d makes
+        # m = (d + 4) / 2 = 2 (mod 4): nullity one.  The exponents stop
+        # wrapping at m = 3; the least prism order, d = 8, has m = 6.
+        det, trace = shifted_invariants((1,), (0,))
+        assert cyclotomic_factors(det) == [2, 4]
+        assert not any(cyclotomic_divides(trace, b) for b in (1, 2, 4))
+        rng = random.Random(8)
+        for d in [8, 16, 24, *(8 * rng.randrange(4, 10**8) for _ in range(6))]:
+            spec, shift, recipe = catalog_witness(d + 4, d)
+            m = spec.m
+            assert (spec, shift) == (DihedralSpec(m, {1, m - 1}, {0}), 1), recipe
+            report = nut_check_spectral(spec, 1)
+            assert (report.total_nullity, report.singular_divisors) == (1, (2,)), d
 
 
 class TestSporadic:

@@ -5,6 +5,7 @@ from math import isqrt
 
 import pytest
 
+from nutforge.constructions import catalog_witness
 from nutforge.graphs import (
     BicirculantSpec,
     CirculantSpec,
@@ -13,11 +14,14 @@ from nutforge.graphs import (
     build_bicirculant,
     build_circulant,
 )
+from nutforge.numtheory import is_prime
 from nutforge.verify import (
     block_invariants,
+    divisor_walk,
     nut_check_direct,
     nut_check_spectral,
 )
+from oracles import _miller_rabin, nonvanishing_witnesses, small_cayley_specs
 
 
 def random_bicirculant_spec(rng, max_m=16):
@@ -323,3 +327,57 @@ class TestSpectralDirectAgreement:
             assert (rep.total_nullity == 1) == cert.is_nut
             checked_nuts += cert.is_nut
         assert checked_nuts > 0
+
+
+class TestNonvanishingWitnesses:
+    """An independent check of every divisor's verdict, at any order: a prime
+    q = 1 (mod b) and an element of order b mod q at which the block
+    determinant is nonzero prove the blocks at b nonsingular
+    (``oracles.nonvanishing_witnesses``).  No graph is built."""
+
+    def test_miller_rabin(self):
+        assert [q for q in range(10**5) if _miller_rabin(q)] == [
+            q for q in range(10**5) if is_prime(q)]
+        # Carmichael numbers and strong pseudoprimes to the first bases
+        for q in (561, 1105, 1729, 2465, 6601, 8911, 3215031751, 3825123056546413051):
+            assert not _miller_rabin(q), q
+        assert _miller_rabin(2**61 - 1) and _miller_rabin(10**12 + 39)
+
+    def test_catalog_witnesses_up_to_order_10_12(self):
+        # Only the divisors where the witness is a nut graph's character,
+        # b = 1 or 2, are singular; every other divisor gets a witness, and
+        # each verdict agrees with divisor_walk's.
+        pairs = [(10**6, 14), (10**9, 14), (10**9, 30), (10**9 + 4, 18), (10**12, 14),
+                 (10**9, 10**9 - 6), (10**9, 10**9 - 4), (10**9 + 4, 10**9)]
+        rng = random.Random(29)
+        for _ in range(4):
+            d = rng.randrange(6, 200, 4)
+            pairs.append((4 * rng.randrange(d, 25 * 10**10), d))
+            d = rng.randrange(26, 10**11, 8)  # d = 2 (mod 8): gaps 6, 10, 14
+            pairs.append((d + rng.choice((6, 10, 14)), d))
+        for n, d in pairs:
+            spec, shift, recipe = catalog_witness(n, d)
+            witness = nonvanishing_witnesses(spec, shift)
+            singular = []
+            for verdict in divisor_walk(spec, shift):
+                found = witness(verdict.b, 20)
+                assert (found is None) == (verdict.multiplicity > 0), (recipe, verdict)
+                if found is None:
+                    singular.append(verdict.b)
+                else:
+                    q, w = found
+                    assert (q - 1) % verdict.b == 0 and _miller_rabin(q)
+                    assert pow(w, verdict.b, q) == 1
+            assert len(singular) == 1 and singular[0] <= 2, recipe
+
+    def test_small_cayley_specs(self):
+        # A singular divisor never gets a witness; every other divisor gets
+        # one among the first 20 primes.
+        for spec in small_cayley_specs():
+            for shift in (0, 1):
+                witness = nonvanishing_witnesses(spec, shift)
+                for verdict in divisor_walk(spec, shift):
+                    if verdict.multiplicity:
+                        assert witness(verdict.b, 5) is None, (spec, shift, verdict)
+                    else:
+                        assert witness(verdict.b, 20) is not None, (spec, shift, verdict)
