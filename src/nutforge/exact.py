@@ -17,9 +17,11 @@ rows, and with them the cost of each whole-row operation.
 The elimination works on whole rows, never slot by slot.  Every kernel prime
 has the form p = 2**k - c, so a pivot row is reduced in place by folds of
 every slot at once (``_folder``), and each live row gets a multiple of the
-pivot row's tail.  Pivot rows stay packed with their lead inverses and are
-unpacked only by the back substitution, once each, when there is a free
-column at all.
+pivot row's tail.  A row that is zero in every column of the next block
+sits that block out (``_echelon_mod``): it is neither searched nor updated
+there, which spares the rows away from the band of a banded witness.  Pivot
+rows stay packed with their lead inverses and are unpacked only by the back
+substitution, once each, when there is a free column at all.
 
 The kernel is certified from two sides (``matrix_kernel``): the rank modulo
 a prime bounds the nullity from above, and basis vectors lifted to the
@@ -33,7 +35,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, count
+from itertools import compress, count, filterfalse
 from math import gcd, isqrt
 from operator import mul
 
@@ -164,9 +166,13 @@ def _echelon_mod(live: list[int], cols: int, p: int, word: int) -> list[tuple[in
     Columns are eliminated in blocks of ``_BLOCK``.  Column c sits in slot
     j = c mod ``_BLOCK`` of the live rows, and its heads are read there with
     a mask; the live rows are shifted right by a whole block once per block,
-    not once per column.  The pivot row leaves the live rows and is folded
-    whole, never split into slots.  Eliminating column c then adds to each
-    live row with a head h, nonzero modulo p, the multiple
+    not once per column.  Right after the shift, the rows whose slots of the
+    whole block are zero are set aside as idle and rejoin, behind the live
+    ones, at the next block start: their heads stay zero through the block,
+    so they are never searched for a pivot and get no addition, and the
+    bound below holds for them as it stands.  The pivot row leaves the live
+    rows and is folded whole, never split into slots.  Eliminating column c
+    then adds to each live row with a head h, nonzero modulo p, the multiple
     h * (p - lead inverse) mod p of the tail, placed from slot j + 1 on, so
     slots only grow and never borrow.  A slot starts below p and gains less
     than p * (2**(k + 1) - p - 1) < 2**(2*k) per pivot, at most ``rows``
@@ -179,11 +185,14 @@ def _echelon_mod(live: list[int], cols: int, p: int, word: int) -> list[tuple[in
     """
     fold = _folder(p, cols, word)
     mask = (1 << word) - 1
-    pivots = []
+    busy = ((1 << word * _BLOCK) - 1).__and__
+    pivots, idle = [], []
     for c in range(cols):
         j = c % _BLOCK
-        if c and not j:
-            live = [y >> word * _BLOCK for y in live]
+        if not j:
+            if c:
+                live = [y >> word * _BLOCK for y in live + idle]
+            live, idle = list(filter(busy, live)), list(filterfalse(busy, live))
         at = word * j
         head = mask << at
         for i, y in enumerate(live):

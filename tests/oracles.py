@@ -12,6 +12,7 @@ from operator import mul
 
 from nutforge._modeval import root_of_order
 from nutforge.constructions import _candidates, _certify, _orbit_minimal, _spec
+from nutforge.exact import _BLOCK, _folder
 from nutforge.graphs import (
     CirculantSpec,
     DihedralSpec,
@@ -407,6 +408,33 @@ def solve_by_slots(pivots, free_cols, cols: int, p: int, word: int) -> list[list
                 v[c] = -sum(map(mul, row, v[c:])) % p
         vectors.append(v)
     return vectors
+
+
+def echelon_without_idle_rows(live: list[int], cols: int, p: int,
+                              word: int) -> list[tuple[int, int, int]]:
+    """The elimination the kernel ran before it set idle rows aside: the
+    pivots of ``exact._echelon_mod``, (column, lead inverse, tail) each,
+    with every row that is left searched for a head at every column."""
+    fold = _folder(p, cols, word)
+    mask = (1 << word) - 1
+    pivots = []
+    for c in range(cols):
+        j = c % _BLOCK
+        if c and not j:
+            live = [y >> word * _BLOCK for y in live]
+        at = word * j
+        head = mask << at
+        for i, y in enumerate(live):
+            if ((y & head) >> at) % p:
+                break
+        else:
+            continue
+        row = fold(live.pop(i) >> at)
+        inv, tail = pow(row & mask, -1, p), row >> word
+        pivots.append((c, inv, tail))
+        placed, neg = tail << at + word, p - inv
+        live = [y + m * placed if (m := ((y & head) >> at) * neg % p) else y for y in live]
+    return pivots
 
 
 class IntMatrix:

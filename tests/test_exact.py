@@ -10,7 +10,7 @@ from math import gcd, isqrt, lcm, prod
 import pytest
 
 from nutforge import exact
-from nutforge.constructions import direct_family_spec
+from nutforge.constructions import construct, direct_family_spec
 from nutforge.exact import (
     _MAX_ROWS,
     BitMatrix,
@@ -30,11 +30,13 @@ from nutforge.graphs import (
 )
 from nutforge.cyclotomic import fold
 from nutforge.numtheory import is_prime
+from nutforge.verify import nut_check_direct
 from oracles import (
     IntMatrix,
     add,
     divrem,
     echelon_by_slots,
+    echelon_without_idle_rows,
     entries,
     product,
     solve_by_slots,
@@ -482,24 +484,25 @@ class TestFoldBound:
             assert [x % p for x in after] == [x % p for x in before]
 
 
-def assert_matches_slot_elimination(matrix, monkeypatch):
-    """The folded elimination and back substitution give the pivot columns
-    and kernel vectors of the slot-by-slot ones at the first prime, so an
-    error fails here at once instead of sending the kernel on through the
-    prime sequence; then ``matrix_kernel`` returns the same basis through
-    either."""
+def assert_matches_elimination(matrix, monkeypatch, echelon=echelon_by_slots,
+                               solve=solve_by_slots):
+    """The kernel's elimination and back substitution give the pivot columns
+    and kernel vectors of a reference pair (by default the slot-by-slot
+    ones) at the first prime, so an error fails here at once instead of
+    sending the kernel on through the prime sequence; then
+    ``matrix_kernel`` returns the same basis through either."""
     (word, bits), cols = _layout(matrix.rows), matrix.cols
     p = _kernel_prime(0, bits)
     new = _echelon_mod(matrix.packed(p, word), cols, p, word)
-    old = echelon_by_slots(matrix.packed(p, word), cols, p, word)
-    assert [c for c, _, _ in new] == [c for c, _ in old]
-    free = sorted(set(range(cols)).difference(c for c, _ in old))
-    assert _solve_mod(new, free, cols, p, word) == solve_by_slots(old, free, cols, p, word)
+    old = echelon(matrix.packed(p, word), cols, p, word)
+    assert [pivot[0] for pivot in new] == [pivot[0] for pivot in old]
+    free = sorted(set(range(cols)).difference(pivot[0] for pivot in old))
+    assert _solve_mod(new, free, cols, p, word) == solve(old, free, cols, p, word)
     with monkeypatch.context() as patch:
-        patch.setattr(exact, "_echelon_mod", echelon_by_slots)
-        patch.setattr(exact, "_solve_mod", solve_by_slots)
-        by_slots = matrix_kernel(matrix)
-    assert matrix_kernel(matrix) == by_slots
+        patch.setattr(exact, "_echelon_mod", echelon)
+        patch.setattr(exact, "_solve_mod", solve)
+        by_reference = matrix_kernel(matrix)
+    assert matrix_kernel(matrix) == by_reference
 
 
 def _family_and_random_graphs():
@@ -516,11 +519,11 @@ def _family_and_random_graphs():
             _inversion_closed_subset(rng, m)))
 
 
-def _random_symmetric_bits(rng, n: int) -> tuple[int, ...]:
+def _random_symmetric_bits(rng, n: int, density: float = 0.4) -> tuple[int, ...]:
     """Bit rows of a random symmetric 0/1 matrix of order n, zero diagonal."""
     rows = [0] * n
     for i, j in combinations(range(n), 2):
-        if rng.random() < 0.4:
+        if rng.random() < density:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
     return tuple(rows)
@@ -534,7 +537,7 @@ class TestMatchesSlotElimination:
         for g in _family_and_random_graphs():
             for shift in (0, 1):
                 a = BitMatrix(g.adjacency_rows(), shift)
-                assert_matches_slot_elimination(a, monkeypatch)
+                assert_matches_elimination(a, monkeypatch)
 
     @pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 31, 32, 33])
     def test_random_symmetric_at_block_edges(self, n, monkeypatch):
@@ -544,16 +547,85 @@ class TestMatchesSlotElimination:
             for a in (BitMatrix(bits), BitMatrix(bits, 1),
                       IntMatrix([[rng.randint(0, 1) if i == j else r >> j & 1 for j in range(n)]
                                  for i, r in enumerate(bits)])):
-                assert_matches_slot_elimination(a, monkeypatch)
+                assert_matches_elimination(a, monkeypatch)
 
     def test_several_primes_cases(self, monkeypatch):
         for word, bits in LAYOUTS:
-            p = _kernel_prime(0, bits)
-            q = _kernel_prime(0, bits) * _kernel_prime(1, bits) * _kernel_prime(2, bits)
-            for data in ([[p]], [[p, 0], [0, 0]], [[p, 1]], [[2**40, -1]],
-                         [[2**60 + 1, -(3**40)], [0, 0]], [[q, 0], [0, q]],
-                         [[q, 1, 0], [0, q, q], [q, 1 + q, q]], [[2**40, -1, 3], [5, 0, 2**33]]):
-                assert_matches_slot_elimination(IntMatrix(in_layout(data, word)), monkeypatch)
+            for data in _several_primes_data(bits):
+                assert_matches_elimination(IntMatrix(in_layout(data, word)), monkeypatch)
+
+
+def _several_primes_data(bits: int):
+    """Matrices that the first kernel prime below 2**bits cannot certify
+    alone (``TestSeveralPrimes``)."""
+    p = _kernel_prime(0, bits)
+    q = _kernel_prime(0, bits) * _kernel_prime(1, bits) * _kernel_prime(2, bits)
+    return ([[p]], [[p, 0], [0, 0]], [[p, 1]], [[2**40, -1]],
+            [[2**60 + 1, -(3**40)], [0, 0]], [[q, 0], [0, q]],
+            [[q, 1, 0], [0, q, q], [q, 1 + q, q]], [[2**40, -1, 3], [5, 0, 2**33]])
+
+
+def _banded_rows(rng, rows: int, cols: int, zero_cols) -> list[list[int]]:
+    """Rows nonzero only on up to two windows of columns, like a band row
+    with a wrap-around piece, and zero at ``zero_cols``: whole blocks of
+    most rows are zero, some rows are zero in one block and not in the
+    next, and some rows are zero throughout."""
+    data = []
+    for _ in range(rows):
+        windows = [(lo, lo + rng.choice((1, 3, 16, 20))) for lo in
+                   rng.sample(range(cols), rng.choice((0, 1, 1, 2)))]
+        data.append([rng.randint(-3, 3) if c not in zero_cols and
+                     any(lo <= c < hi for lo, hi in windows) else 0 for c in range(cols)])
+    return data
+
+
+class TestMatchesEliminationWithoutIdleRows:
+    """Differential gate: the kernel through the elimination that sets idle
+    rows aside returns the pivot columns and the basis of the elimination
+    it replaced, which searched every row at every column, in both
+    layouts."""
+
+    def test_family_and_random_bicirculant_graphs(self, monkeypatch):
+        # orders 40 to 200 in 32-bit words, then 260 and 300 in 64-bit ones
+        rng = random.Random(30)
+        larger = [build(direct_family_spec(d, m)) for m in (130, 150) for d in (6, 10)]
+        larger += [build_bicirculant(BicirculantSpec(
+            m, _inversion_closed_subset(rng, m),
+            frozenset(b for b in range(m) if rng.random() < 0.05),
+            _inversion_closed_subset(rng, m))) for m in (130, 150)]
+        for g in [*_family_and_random_graphs(), *larger]:
+            for shift in (0, 1):
+                a = BitMatrix(g.adjacency_rows(), shift)
+                assert_matches_elimination(a, monkeypatch, echelon_without_idle_rows, _solve_mod)
+
+    @pytest.mark.parametrize("word", [32, 64])
+    def test_empty_blocks_and_zero_columns_at_block_edges(self, word, monkeypatch):
+        # the 64-bit case adds 256 identity rows, idle through every block
+        # of the data's columns
+        rng = random.Random(word)
+        for cols in (15, 16, 17, 31, 32, 33, 48):
+            zero_cols = {c for c in (15, 16, 31, 32) if c < cols and rng.random() < 0.7}
+            for rows in (cols - 2, cols + 5):
+                data = _banded_rows(rng, rows, cols, zero_cols)
+                data[-1] = [a - 2 * b for a, b in zip(data[0], data[1])]  # rank one less
+                assert_matches_elimination(IntMatrix(in_layout(data, word)), monkeypatch,
+                                           echelon_without_idle_rows, _solve_mod)
+                assert kernel_in_layout(data, word) == assert_matches_bareiss(data)
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33, 255, 256, 257])
+    def test_sparse_symmetric_at_block_edges(self, n, monkeypatch):
+        rng = random.Random(n)
+        for density in (0.02, 0.1):
+            bits = _random_symmetric_bits(rng, n, density)
+            for shift in (0, 1):
+                assert_matches_elimination(BitMatrix(bits, shift), monkeypatch,
+                                           echelon_without_idle_rows, _solve_mod)
+
+    def test_several_primes_cases(self, monkeypatch):
+        for word, bits in LAYOUTS:
+            for data in _several_primes_data(bits):
+                assert_matches_elimination(IntMatrix(in_layout(data, word)), monkeypatch,
+                                           echelon_without_idle_rows, _solve_mod)
 
 
 def in_layout(data, word: int):
@@ -624,12 +696,12 @@ class TestBothSidesOfTheSwitch:
             if rows > 1:
                 data[-1] = [a - 2 * b for a, b in zip(data[0], data[1])]  # rank one less
             assert_matches_bareiss(data)
-            assert_matches_slot_elimination(IntMatrix(data), monkeypatch)
+            assert_matches_elimination(IntMatrix(data), monkeypatch)
         bits = _random_symmetric_bits(rng, rows)
         for shift in (0, 1):
             a = BitMatrix(bits, shift)
             assert matrix_kernel(a) == assert_matches_bareiss(entries(a))
-            assert_matches_slot_elimination(a, monkeypatch)
+            assert_matches_elimination(a, monkeypatch)
 
     @pytest.mark.parametrize("rows", [254, 255, 256, 257])
     def test_matrices_at_the_switch(self, rows, monkeypatch):
@@ -638,12 +710,22 @@ class TestBothSidesOfTheSwitch:
         for shift in (0, 1):
             a = BitMatrix(g.adjacency_rows(), shift)
             assert matrix_kernel(a) == assert_matches_bareiss(entries(a))
-            assert_matches_slot_elimination(a, monkeypatch)
+            assert_matches_elimination(a, monkeypatch)
         rng = random.Random(rows)
         data = [[rng.choice((-1, 0, 0, 0, 1)) for _ in range(24)] for _ in range(rows)]
         for row in data:  # tall and sparse, with a dependent column
             row[5] = row[0] - 2 * row[3]
         assert_matches_bareiss(data)
-        assert_matches_slot_elimination(IntMatrix(data), monkeypatch)
-        assert_matches_slot_elimination(BitMatrix(_random_symmetric_bits(rng, rows), 1),
-                                        monkeypatch)
+        assert_matches_elimination(IntMatrix(data), monkeypatch)
+        assert_matches_elimination(BitMatrix(_random_symmetric_bits(rng, rows), 1),
+                                   monkeypatch)
+
+    def test_family_witness_in_64_bit_words(self, monkeypatch):
+        # a structured graph past the switch, with no identity padding; the
+        # differential check first, which fails at once on a wrong elimination
+        w = construct(400, 10)
+        assert _layout(w.graph.order)[0] == 64
+        assert_matches_elimination(BitMatrix(w.graph.adjacency_rows()), monkeypatch,
+                                   echelon_without_idle_rows, _solve_mod)
+        assert w.certificate.nullity == 1
+        assert nut_check_direct(w.graph) == w.certificate
