@@ -128,15 +128,6 @@ def feasible_vt(n: int, d: int) -> FeasibilityVerdict:
 
 # -- parameterized dihedral families -------------------------------------------
 
-def _rotation_band(t: int, m: int) -> set[int]:
-    """Inverse-closed rotation set {+-1, ..., +-(2t + 1)} modulo m."""
-    rot = set()
-    for j in range(1, 2 * t + 2):
-        rot.add(j)
-        rot.add(m - j)
-    return rot
-
-
 #: Direct families, d = 2 (mod 4) with d >= 6 and t = (d - 6) // 8, so that
 #: d = 8t + 6 or d = 8t + 10: d mod 8 -> (least m minus 4t, fixed
 #: reflections, start of the reflection run) of the Cayley graph on D_m with
@@ -160,7 +151,8 @@ def direct_family_spec(d: int, m: int) -> DihedralSpec:
     if m % 2 or m < 4 * t + least:
         raise ValueError(f"need even m >= {4 * t + least}, got {m}")
     run = d - (4 * t + 2) - len(fixed)
-    return DihedralSpec(m, _rotation_band(t, m), {*fixed, *range(start, start + run)})
+    rotations = {r % m for j in range(1, 2 * t + 2) for r in (j, -j)}
+    return DihedralSpec(m, rotations, {*fixed, *range(start, start + run)})
 
 
 #: Order-(d + gap) complement families, d = 2 (mod 4): gap -> (least degree,

@@ -2,9 +2,10 @@
 
 The package has one row format, ``BitMatrix``: the 0/1 rows of a graph as
 integer bitmasks plus a multiple of the identity.  The kernel reads a matrix
-only through ``rows``, ``cols`` and two methods: ``packed``, each row reduced
-modulo a prime and packed into one integer with one word per column, and
-``annihilates``, the exact check A v = 0.
+only through ``rows``, ``cols`` and three methods: ``packed``, each row
+reduced modulo a prime and packed into one integer with one word per column,
+``annihilates``, the exact check A v = 0, and ``hadamard_square``, which
+bounds every minor.
 
 One rule, ``_layout``, sizes the slots from the row count: fewer than 256
 rows get one 32-bit word per column and kernel primes below 2**12, taller
@@ -36,7 +37,7 @@ import struct
 from dataclasses import dataclass
 from functools import cache
 from itertools import compress, count, filterfalse
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import mul
 
 from .numtheory import is_prime
@@ -79,6 +80,10 @@ class BitMatrix:
         n, s = len(self.bit_rows), self.shift
         return not any(sum(compress(v, _column_bytes(r, n))) + s * v[k]
                        for k, r in enumerate(self.bit_rows))
+
+    def hadamard_square(self) -> int:
+        """The product of max(1, squared norm) over rows: no minor squared exceeds it."""
+        return prod(max(1, r.bit_count() + self.shift ** 2) for r in self.bit_rows)
 
 
 def _column_bytes(row: int, n: int) -> bytes:
@@ -279,11 +284,12 @@ def matrix_kernel(matrix: BitMatrix) -> tuple[tuple[int, ...], ...]:
     with coprime entries and a positive first nonzero entry.  The nullity is
     the length of the basis.
 
-    The matrix is read only through ``rows``, ``cols``, ``packed`` and
-    ``annihilates``.  In the package it is always a graph's ``BitMatrix``;
-    any other matrix with those four members and fewer than 2**21 rows
-    takes the same path.  A matrix of 2**21 rows or more raises ValueError,
-    since one 64-bit slot per column no longer bounds the elimination.
+    The matrix is read only through ``rows``, ``cols``, ``packed``,
+    ``annihilates`` and ``hadamard_square``.  In the package it is always a
+    graph's ``BitMatrix``; any other matrix with those five members and
+    fewer than 2**21 rows takes the same path.  A matrix of 2**21 rows or
+    more raises ValueError, since one 64-bit slot per column no longer
+    bounds the elimination.
     Elimination modulo a prime, on rows packed in the slots of ``_layout``
     (``_echelon_mod``: the slots never carry), fixes the rank and the free
     columns.  The basis vector of each free column (1 there, 0 at the other
@@ -299,18 +305,24 @@ def matrix_kernel(matrix: BitMatrix) -> tuple[tuple[int, ...], ...]:
     sequence.  Residues of primes that give the same rank and pivot columns
     are combined by the Chinese remainder theorem; a prime giving a higher
     rank, or the same rank with lexicographically smaller pivot columns,
-    restarts the combination, and one giving less is skipped.  Only finitely
-    many primes give less than the rank and pivot columns over Q, and the
-    lift is exact once the modulus exceeds twice the square of the Hadamard
-    bound, so the loop ends; the prime sequence is fixed, so the returned
-    basis is deterministic.  The primes below 2**12 suffice for every 0/1
-    matrix of fewer than 256 rows (``_kernel_prime``); a matrix whose lift
-    needs more raises ArithmeticError.
+    restarts the combination, and one giving less is skipped.  The prime
+    sequence is fixed, so the returned basis is deterministic.  One rule
+    stops the loop in both layouts.  Every minor is at most H in absolute
+    value, H**2 the ``hadamard_square``.  Under the rank and pivot columns
+    over Q, each basis entry is a quotient of two minors (Cramer's rule), so
+    the lift is exact once the modulus exceeds 2 * H**2.  The primes of a
+    wrong key all divide one nonzero minor, a full-rank one on the pivot
+    columns over Q, so their product stays at most H.  A correct elimination
+    therefore never raises the ArithmeticError that a modulus past 2 * H**2
+    with a failed lift or check gives.  The primes below 2**12 suffice for
+    every 0/1 matrix of fewer than 256 rows (``_kernel_prime``); one whose
+    lift needs more raises ArithmeticError too.
     """
     rows, cols = matrix.rows, matrix.cols
     if rows >= _MAX_ROWS:
         raise ValueError(f"matrix of {rows} rows: the kernel takes fewer than {_MAX_ROWS}")
     word, bits = _layout(rows)
+    limit = 2 * matrix.hadamard_square()
     best = None
     for i in count():
         p = _kernel_prime(i, bits)
@@ -338,3 +350,5 @@ def matrix_kernel(matrix: BitMatrix) -> tuple[tuple[int, ...], ...]:
             basis.append(tuple(x // g for x in nums))
         else:
             return tuple(basis)
+        if modulus > limit:
+            raise ArithmeticError("no kernel within twice the squared Hadamard bound")

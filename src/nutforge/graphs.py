@@ -218,14 +218,9 @@ class DihedralSpec(BicirculantSpec):
 
 def _circulant_rows(m: int, connection) -> list[int]:
     """Bit rows of the m x m circulant with C[i][j] = 1 iff (j - i) mod m in
-    the connection set."""
-    rows = []
-    for i in range(m):
-        r = 0
-        for j in connection:
-            r |= 1 << ((i + j) % m)
-        rows.append(r)
-    return rows
+    the connection set: row i is row 0 rotated left by i within m bits."""
+    row, mask = sum(1 << c for c in connection), (1 << m) - 1
+    return [(row << i | row >> m - i) & mask for i in range(m)]
 
 
 def build_circulant(spec: CirculantSpec) -> Graph:
@@ -234,16 +229,12 @@ def build_circulant(spec: CirculantSpec) -> Graph:
 
 
 def build_bicirculant(spec: BicirculantSpec) -> Graph:
-    """Bicirculant graph with blocks [[C0, C1^T], [C1, C2]]."""
+    """Bicirculant graph with blocks [[C0, C1^T], [C1, C2]]; C1^T is the
+    circulant on the negated connection set."""
     m = spec.m
-    c0 = _circulant_rows(m, spec.s0)
-    c2 = _circulant_rows(m, spec.s2)
-    c1 = _circulant_rows(m, spec.s1)
-    # C1^T is the circulant on the negated connection set.
-    c1t = _circulant_rows(m, {(m - b) % m for b in spec.s1})
-    rows = [c0[i] | c1t[i] << m for i in range(m)]
-    rows += [c1[i] | c2[i] << m for i in range(m)]
-    return Graph._of_rows(rows)
+    c0, c1t, c1, c2 = (_circulant_rows(m, s) for s in
+                       (spec.s0, {-b % m for b in spec.s1}, spec.s1, spec.s2))
+    return Graph._of_rows([a | b << m for a, b in [*zip(c0, c1t), *zip(c1, c2)]])
 
 
 def build(spec: CirculantSpec | BicirculantSpec) -> Graph:

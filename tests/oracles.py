@@ -7,13 +7,14 @@ slow constructions that the package's own algorithms are checked against.
 import struct
 from functools import cache
 from itertools import combinations, count, islice
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from nutforge._modeval import root_of_order
 from nutforge.constructions import _candidates, _certify, _orbit_minimal, _spec
 from nutforge.exact import _BLOCK, _folder
 from nutforge.graphs import (
+    BicirculantSpec,
     CirculantSpec,
     DihedralSpec,
     Graph,
@@ -321,6 +322,35 @@ def prism(m: int) -> Graph:
                             + [(i, m + i) for i in range(m)])
 
 
+def circulant_rows_by_jumps(m: int, connection) -> list[int]:
+    """Bit rows of the m x m circulant with C[i][j] = 1 iff (j - i) mod m in
+    the connection set, as the package built them before it rotated row 0:
+    one bit per element of the connection set, for every row."""
+    rows = []
+    for i in range(m):
+        r = 0
+        for j in connection:
+            r |= 1 << ((i + j) % m)
+        rows.append(r)
+    return rows
+
+
+def build_by_jumps(spec: CirculantSpec | BicirculantSpec) -> Graph:
+    """The graph of a circulant or bicirculant spec from per-jump rows,
+    through the checking constructor: the bicirculant's blocks are
+    [[C0, C1^T], [C1, C2]], with C1^T the circulant on the negated s1."""
+    if isinstance(spec, CirculantSpec):
+        return Graph(spec.n, circulant_rows_by_jumps(spec.n, spec.connection))
+    m = spec.m
+    c0 = circulant_rows_by_jumps(m, spec.s0)
+    c2 = circulant_rows_by_jumps(m, spec.s2)
+    c1 = circulant_rows_by_jumps(m, spec.s1)
+    c1t = circulant_rows_by_jumps(m, {(m - b) % m for b in spec.s1})
+    rows = [c0[i] | c1t[i] << m for i in range(m)]
+    rows += [c1[i] | c2[i] << m for i in range(m)]
+    return Graph(2 * m, rows)
+
+
 def build_lcf(n: int, pattern) -> Graph:
     """Cubic Hamiltonian graph from exponential LCF notation: the cycle
     0..n-1 plus the chord i -> i + pattern[i mod len(pattern)] (mod n).
@@ -456,6 +486,11 @@ class IntMatrix:
     def annihilates(self, v) -> bool:
         """Whether every row has a zero dot product with v."""
         return not any(sum(map(mul, row, v)) for row in self.data)
+
+    def hadamard_square(self) -> int:
+        """The product over rows of max(1, squared row norm), at least the
+        square of every minor."""
+        return prod(max(1, sum(x * x for x in row)) for row in self.data)
 
 
 def entries(a) -> list[list[int]]:

@@ -682,6 +682,41 @@ class TestSeveralPrimes:
             assert kernel_in_layout(data, word) == kernel_in_layout(data, word)
 
 
+class TestWrongEliminationStops:
+    """An elimination that drops its last pivot never certifies a kernel;
+    ``matrix_kernel`` raises once the combined modulus passes twice the
+    squared Hadamard bound, in both layouts, instead of walking the prime
+    sequence."""
+
+    @pytest.mark.parametrize("rows", [254, 256, 257])
+    def test_dropped_pivot_raises(self, rows, monkeypatch):
+        circulant = build_circulant(CirculantSpec(rows, (1, 2))).adjacency_rows()
+        bits = _layout(rows)[1]
+        primes = []
+
+        def drop_last_pivot(live, cols, p, word):
+            primes.append(p)
+            return _echelon_mod(live, cols, p, word)[:-1]
+
+        monkeypatch.setattr(exact, "_echelon_mod", drop_last_pivot)
+        for matrix in (BitMatrix(circulant), BitMatrix(circulant, 1),
+                       IntMatrix(entries(BitMatrix(circulant, 1)))):
+            primes.clear()
+            with pytest.raises(ArithmeticError, match="Hadamard"):
+                matrix_kernel(matrix)
+            # every prime used is above 2**(bits - 1), so the modulus passes
+            # the limit after this many primes of one key at most
+            limit = 2 * matrix.hadamard_square()
+            assert all(p >> bits - 1 for p in primes)
+            assert prod(primes) > limit
+            assert len(primes) <= limit.bit_length() // (bits - 1) + 3
+
+    def test_bound_is_the_squared_row_norms(self):
+        assert BitMatrix((0b110, 0b101, 0b011), 2).hadamard_square() == 6 ** 3
+        assert BitMatrix((0, 0)).hadamard_square() == 1
+        assert IntMatrix([[3, -4], [0, 0]]).hadamard_square() == 25
+
+
 class TestBothSidesOfTheSwitch:
     """Differential gates on both sides of the layout switch at 256 rows:
     the kernel against the Bareiss oracle, and the folded elimination

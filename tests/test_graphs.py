@@ -25,9 +25,11 @@ from nutforge.graphs import (
     to_dot,
     to_graph6,
 )
+from nutforge.constructions import direct_family_spec
 from nutforge.verify import block_invariants, nut_check_spectral
 from oracles import (
     IntMatrix,
+    build_by_jumps,
     build_lcf,
     edges_by_shifts,
     entries,
@@ -339,6 +341,49 @@ class TestSpecLayer:
         assert len(circulants) == 372
         for spec in circulants:
             assert spec.connection == set(build_circulant(spec).neighbors(0)), spec
+
+
+def _inverse_closed(rng, m: int, density: float) -> frozenset:
+    """A random subset of 1..m-1 closed under a -> m - a."""
+    return frozenset(c for a in range(1, m // 2 + 1) if rng.random() < density
+                     for c in (a, m - a))
+
+
+def _random_specs(rng, m: int, density: float):
+    """A circulant, a dihedral and a bicirculant spec of parameter m, with
+    each element of every connection set drawn with the given density; s1
+    draws 0 like any other reflection."""
+    reflections = frozenset(b for b in range(m) if rng.random() < density)
+    yield CirculantSpec(m, frozenset(j for j in range(1, m // 2 + 1) if rng.random() < density))
+    yield DihedralSpec(m, _inverse_closed(rng, m, density), reflections)
+    yield BicirculantSpec(m, _inverse_closed(rng, m, density), reflections,
+                          _inverse_closed(rng, m, density))
+
+
+class TestBuildMatchesPerJumpBuilder:
+    """Differential gate: the builders, which rotate each circulant block's
+    first row, give the graph of the per-jump builder they replaced."""
+
+    def test_seeded_random_specs(self):
+        rng = random.Random(31)
+        for m in (3, 4, 5, 7, 8, 16, 17, 31, 64, 65, 101):
+            for density in (0.1, 0.5, 0.9, 1.0):
+                for spec in _random_specs(rng, m, density):
+                    assert build(spec) == build_by_jumps(spec), spec
+
+    def test_edge_sets(self):
+        # m = 3, empty and full sets, s1 = {0} alone, and the half jump
+        for spec in (CirculantSpec(3), CirculantSpec(3, {1}), CirculantSpec(8, {4}),
+                     DihedralSpec(3, {1, 2}, {0}), BicirculantSpec(3, (), {0}, ()),
+                     BicirculantSpec(3, {1, 2}, {0, 1, 2}, {1, 2}),
+                     BicirculantSpec(9, (), range(9), set(range(1, 9)))):
+            assert build(spec) == build_by_jumps(spec), spec
+
+    def test_large_family_witness(self):
+        spec = direct_family_spec(998, 1000)
+        g = build(spec)
+        assert g == build_by_jumps(spec)
+        assert (g.order, is_regular(g)) == (2000, 998)
 
 
 class TestLCF:
