@@ -167,15 +167,19 @@ def _root_exponents(h: list[int], zeta: int, b: int, q: int, primes: list[int]) 
     return sorted(found)
 
 
-def slope_sums(coeffs, slopes, offsets, b: int, q: int, zeta: int) -> dict[int, int]:
-    """The nonzero A_s mod q, keyed by s = slope mod b: the sum of
-    coeff * zeta^(offset mod b) over the terms whose slope is s mod b.  The
-    member at t evaluates at zeta to sum_s A_s zeta^(s*t mod b)."""
+def slope_sums(coeffs, slopes, offsets, b: int) -> tuple[int, int, dict[int, int]]:
+    """The screen of index b: its prime q = ``evaluation_prime(b)``, the
+    order-b root zeta = ``root_of_order(q, b)``, and the nonzero A_s mod q,
+    keyed by s = slope mod b: the sum of coeff * zeta^(offset mod b) over
+    the terms whose slope is s mod b.  The member at t evaluates at zeta to
+    sum_s A_s zeta^(s*t mod b)."""
+    q = evaluation_prime(b)
+    zeta = root_of_order(q, b)
     powers = {o: pow(zeta, o % b, q) for o in set(offsets)}
     sums: dict[int, int] = {}
     for c, s, o in zip(coeffs, slopes, offsets):
         sums[s % b] = sums.get(s % b, 0) + c * powers[o]
-    return {s: a % q for s, a in sums.items() if a % q}
+    return q, zeta, {s: a % q for s, a in sums.items() if a % q}
 
 
 def sweep_zero_parameters(coeffs, slopes, offsets, b: int) -> list[int]:
@@ -192,9 +196,7 @@ def sweep_zero_parameters(coeffs, slopes, offsets, b: int) -> list[int]:
     Every t not returned is certified non-divisible by the b-th cyclotomic
     polynomial; returned parameters need the exact check.
     """
-    q = evaluation_prime(b)
-    zeta = root_of_order(q, b)
-    sums = slope_sums(coeffs, slopes, offsets, b, q, zeta)
+    q, zeta, sums = slope_sums(coeffs, slopes, offsets, b)
     if not sums:
         return list(range(b))
     k = math.gcd(*sums)

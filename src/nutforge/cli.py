@@ -10,9 +10,9 @@ Subcommands:
 
 Exit codes are a stable contract: 0 success / positive verdict, 1 negative
 verdict, 2 usage or parse error, 3 search budget exhaustion.  Output goes
-to stdout.  No graph is built above graph6's largest order, 258047:
-``construct`` in every format, ``census`` and ``verify --method both`` exit
-2 on a larger order before they build or print anything.
+to stdout.  Above graph6's largest order, 258047, ``construct`` in every
+format, ``census`` and ``verify`` (of a graph, or with ``--method both``)
+exit 2 before they build, check or print anything.
 
 Spec input for ``verify --method spectral|both`` is a one-line JSON object,
 recognised by its content:
@@ -206,6 +206,8 @@ def cmd_verify(args) -> int:
             g = parse_graph(text, args.input_format)
         except (ValueError, IndexError) as exc:
             return _usage_error(f"cannot parse graph: {exc}")
+        if _too_large(g.order):
+            return EXIT_USAGE
         cert = nut_check_direct(g, args.shift or 0)
         if args.shift:
             print(f"shifted nullity: {cert.nullity}")

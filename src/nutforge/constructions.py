@@ -131,7 +131,9 @@ def feasible_vt(n: int, d: int) -> FeasibilityVerdict:
 #: Direct families, d = 2 (mod 4) with d >= 6 and t = (d - 6) // 8, so that
 #: d = 8t + 6 or d = 8t + 10: d mod 8 -> (least m minus 4t, fixed
 #: reflections, start of the reflection run) of the Cayley graph on D_m with
-#: rotations +-1..+-(2t + 1); the run fills the degree up to d.
+#: rotations +-1..+-(2t + 1); the run fills the degree up to d.  For every t
+#: the block determinants times x^e (1 - x) are the lemma families R and T
+#: (proved in ``tests/test_constructions.py::TestRecipeProofs``).
 _DIRECT_FAMILIES: dict[int, tuple[int, tuple[int, ...], int]] = {
     6: (8, (0, 1, 4, 6), 8),
     2: (14, (0, 1, 2, 5, 7, 9, 10), 13),

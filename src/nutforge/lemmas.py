@@ -35,29 +35,22 @@ import math
 import time
 from dataclasses import dataclass
 
-from ._modeval import evaluation_prime, root_of_order, slope_sums, sweep_zero_parameters
+from ._modeval import slope_sums, sweep_zero_parameters
 from .cyclotomic import divides_cyclotomic
 from .numtheory import euler_phi, is_prime
 
 
 @dataclass(frozen=True)
-class CaseConstraints:
-    """Family-specific feasible-index constraints of the finite case
-    analysis (the prime ones are ``PolynomialFamily.case_bounds``)."""
-
-    rad_ratio_bound: int
-    forbid_four: bool
-
-
-@dataclass(frozen=True)
 class PolynomialFamily:
-    """One auxiliary family: term list with exponents slope * t + offset."""
+    """One auxiliary family: term list with exponents slope * t + offset,
+    and the finite case analysis's own index constraints (the prime ones
+    are ``case_bounds``)."""
 
-    tag: str
     min_b: int
     unique_remainder_threshold: int
     terms: tuple[tuple[int, int, int], ...]  # (coefficient, slope, offset)
-    case: CaseConstraints
+    rad_ratio_bound: int  # every feasible index b has b/rad(b) below it
+    forbid_four: bool  # and, if set, 4 does not divide b
 
     def member(self, t: int) -> dict[int, int]:
         """The member at t as an exponent -> coefficient map, equal exponents
@@ -94,26 +87,26 @@ class PolynomialFamily:
 #: analysis (770 indices) are pinned to it.
 FAMILIES: dict[str, PolynomialFamily] = {
     "Q": PolynomialFamily(
-        tag="Q", min_b=2, unique_remainder_threshold=6,
+        min_b=2, unique_remainder_threshold=6,
         terms=((1, 4, 7), (-1, 4, 5), (-1, 4, 4), (2, 2, 4), (1, 2, 3),
                (1, 2, 2), (1, 2, 0), (-2, 1, 3), (-1, 0, 2), (-1, 0, 0)),
-        case=CaseConstraints(6, False)),
+        rad_ratio_bound=6, forbid_four=False),
     "R": PolynomialFamily(
-        tag="R", min_b=3, unique_remainder_threshold=11,
+        min_b=3, unique_remainder_threshold=11,
         terms=((1, 8, 15), (1, 8, 14), (1, 8, 11), (-1, 8, 10), (-1, 8, 8),
                (2, 6, 9), (-1, 4, 15), (-1, 4, 11), (-1, 4, 9), (2, 4, 8),
                (-2, 4, 7), (1, 4, 6), (1, 4, 4), (1, 4, 0), (-2, 2, 6),
                (1, 0, 7), (1, 0, 5), (-1, 0, 4), (-1, 0, 1), (-1, 0, 0)),
-        case=CaseConstraints(11, True)),
+        rad_ratio_bound=11, forbid_four=True),
     "S": PolynomialFamily(
-        tag="S", min_b=2, unique_remainder_threshold=8,
+        min_b=2, unique_remainder_threshold=8,
         terms=((1, 4, 13), (1, 4, 11), (1, 4, 10), (1, 4, 9), (-1, 4, 8),
                (-1, 2, 13), (-1, 2, 10), (-1, 2, 9), (3, 2, 7), (1, 2, 5),
                (-1, 2, 4), (1, 2, 3), (-1, 2, 2), (1, 2, 1), (-2, 1, 6),
                (1, 0, 6), (-1, 0, 5), (-1, 0, 1), (-1, 0, 0)),
-        case=CaseConstraints(8, False)),
+        rad_ratio_bound=8, forbid_four=False),
     "T": PolynomialFamily(
-        tag="T", min_b=3, unique_remainder_threshold=20,
+        min_b=3, unique_remainder_threshold=20,
         terms=((1, 8, 27), (1, 8, 26), (1, 8, 25), (1, 8, 22), (1, 8, 20),
                (1, 8, 18), (1, 8, 17), (-1, 8, 16), (-1, 8, 15), (2, 6, 15),
                (-1, 4, 26), (-1, 4, 25), (1, 4, 23), (-1, 4, 21), (-1, 4, 20),
@@ -122,7 +115,7 @@ FAMILIES: dict[str, PolynomialFamily] = {
                (-1, 4, 4), (1, 4, 2), (1, 4, 1), (-2, 2, 12), (1, 0, 12),
                (1, 0, 11), (-1, 0, 10), (-1, 0, 9), (-1, 0, 7), (-1, 0, 5),
                (-1, 0, 2), (-1, 0, 1), (-1, 0, 0)),
-        case=CaseConstraints(13, True)),
+        rad_ratio_bound=13, forbid_four=True),
 }
 
 FAMILY_TAGS = tuple(FAMILIES)
@@ -257,12 +250,11 @@ def verify_family_bounded(tag: str, t_max: int) -> VerificationReport:
     divides any family member with parameter t <= t_max.
 
     For each t the candidate indices are every b with phi(b) bounded by the
-    member's degree, which is a complete divisor-candidate set.  A nonzero
-    evaluation at the order-b root zeta of ``evaluation_prime(b)`` proves
-    non-divisibility; ``divides_cyclotomic`` decides the rest.  The candidates,
-    their (prime, root) pairs and their slope sums A_s (``slope_sums``) are
-    found once per call; the member at t then evaluates to
-    sum_s A_s zeta^(s*t mod b), one term per distinct slope.
+    member's degree, which is a complete divisor-candidate set.  Each
+    candidate's screen (``slope_sums``: prime q, order-b root zeta, slope
+    sums A_s) is found once per call; the member at t evaluates at zeta to
+    sum_s A_s zeta^(s*t mod b), and a nonzero value proves non-divisibility.
+    ``divides_cyclotomic`` decides the rest.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -274,10 +266,8 @@ def verify_family_bounded(tag: str, t_max: int) -> VerificationReport:
     max_deg = max(a * t_max + c for _, a, c in fam.terms)
     candidates = []
     for b in candidate_divisor_indices(max_deg, fam.min_b):
-        q = evaluation_prime(b)
-        zeta = root_of_order(q, b)
-        sums = slope_sums(coeffs, slopes, offsets, b, q, zeta).items()
-        candidates.append((b, euler_phi(b), q, zeta, sums))
+        q, zeta, sums = slope_sums(coeffs, slopes, offsets, b)
+        candidates.append((b, euler_phi(b), q, zeta, sums.items()))
     for t in range(t_max + 1):
         member = fam.member(t)
         deg = max(member)
@@ -406,10 +396,9 @@ def verify_finite_case_analysis(tag: str) -> VerificationReport:
     alone can report a violation.
     """
     fam = _family(tag)
-    cc = fam.case
     primes, sum_bound = fam.case_bounds()
-    indices = enumerate_feasible_indices(primes, sum_bound, cc.rad_ratio_bound,
-                                         fam.min_b, cc.forbid_four)
+    indices = enumerate_feasible_indices(primes, sum_bound, fam.rad_ratio_bound,
+                                         fam.min_b, fam.forbid_four)
     coeffs, slopes, offsets = zip(*fam.terms)
     start = time.perf_counter()
     checked = []
@@ -426,8 +415,8 @@ def verify_finite_case_analysis(tag: str) -> VerificationReport:
             violations.extend((b, t) for t in confirmed)
         checked.append((b, detail))
     constraint_desc = (f"primes in {primes}, sum(p-2) <= {sum_bound}, "
-                       f"b/rad(b) < {cc.rad_ratio_bound}, b >= {fam.min_b}"
-                       + (", 4 does not divide b" if cc.forbid_four else ""))
+                       f"b/rad(b) < {fam.rad_ratio_bound}, b >= {fam.min_b}"
+                       + (", 4 does not divide b" if fam.forbid_four else ""))
     return VerificationReport(
         family=tag, operation="finite-case-analysis",
         parameter_range=f"{len(indices)} feasible indices ({constraint_desc})",

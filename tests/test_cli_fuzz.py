@@ -5,7 +5,8 @@ uncaught exception.
 The mutations are byte-level (replace, insert, delete, duplicate, swap,
 truncate), so they also produce inputs that are not valid UTF-8.  Every
 mutant runs under each ``--input-format`` with every ``--method`` that reads
-that format.
+that format.  A well-formed adjacency list past graph6's largest order exits
+2 as well, before any kernel runs.
 """
 
 import json
@@ -13,6 +14,7 @@ import random
 
 import pytest
 
+from nutforge import cli
 from nutforge.cli import main
 from nutforge.graphs import (
     BicirculantSpec,
@@ -93,3 +95,21 @@ def test_verify_exit_code_contract(tmp_path, capsys, data):
         err = capsys.readouterr().err
         assert code in (0, 1, 2), (fmt, data)
         assert "Traceback" not in err, (fmt, data)
+
+
+def test_verify_graph_past_the_order_limit(tmp_path, capsys, monkeypatch):
+    # An adjacency list has no order limit of its own, unlike graph6, so a
+    # parsed graph meets the limit before any kernel runs.
+    def no_kernel(g, shift):
+        raise AssertionError(f"a graph of order {g.order} reached the kernel")
+
+    monkeypatch.setattr(cli, "nut_check_direct", no_kernel)
+    path = tmp_path / "input"
+    path.write_text("".join(f"{u}:\n" for u in range(258048)))
+    for fmt in ("adjacency-list", "auto"):
+        code = main(["verify", "--input", str(path), "--input-format", fmt,
+                     "--method", "direct"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), fmt
+        assert captured.err == ("error: order 258048 is above 258047, the largest graph6 "
+                                "order and the largest that nutforge builds\n"), fmt

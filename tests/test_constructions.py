@@ -33,6 +33,7 @@ from nutforge.graphs import (
     complement,
     to_graph6,
 )
+from nutforge.lemmas import FAMILIES
 from nutforge.verify import (
     NutCertificate,
     block_invariants,
@@ -395,13 +396,51 @@ def cyclotomic_factors(p):
     return [b for b in range(1, len(phi)) if phi[b] <= span(p) and cyclotomic_divides(p, b)]
 
 
-class TestRecipeProofs:
-    """Each complement recipe gives a nut graph at every order it serves.
+def affine_product(*factors):
+    """The product of sums of terms c x^(alpha t + beta), each given as its
+    map (alpha, beta) -> c (1 for none)."""
+    out = {(0, 0): 1}
+    for p in factors:
+        step: dict = {}
+        for (a1, b1), c1 in out.items():
+            for (a2, b2), c2 in p.items():
+                step[a1 + a2, b1 + b2] = step.get((a1 + a2, b1 + b2), 0) + c1 * c2
+        out = {k: c for k, c in step.items() if c}
+    return out
 
-    The witness is the complement of a dihedral base on D_m, whose nullity
-    is the base's multiplicity of eigenvalue -1: the sum, over the divisors
-    b of m, of phi(b) times the number of shift-1 block invariants (the
-    determinant, then the trace) that Phi_b divides (``verify``).  The
+
+def direct_family_identity(tag, d0, e, fixed, start):
+    """Both sides of (1 - x) L(t) = x^(4t + e) (1 - x)^2 D(t) as maps
+    (alpha, beta) -> c, for the lemma family L = ``tag`` and the direct
+    family d = 8t + d0 with fixed reflections ``fixed`` and a run from
+    ``start``.
+
+    D(t) = p0^2 - p1 p1~ is the Laurent block determinant of the family's
+    spec: rotations +-1..+-(2t + 1), reflections ``fixed`` and the run of
+    d - (4t + 2) - len(fixed) = 4t + r0 reflections from ``start``.  Each
+    factor of (1 - x)^2 D = [(1 - x) p0]^2 + x [(1 - x) p1] [(1 - x^-1) p1~]
+    telescopes, since (1 - x) (x^a + ... + x^(b-1)) = x^a - x^b, and
+    (1 - x^-1) p1~ is (1 - x) p1 at 1/x, its pairs negated.
+    """
+    r0 = d0 - 2 - len(fixed)
+    rotations = {(-2, -1): 1, (0, 0): -1, (0, 1): 1, (2, 2): -1}
+    reflections = add(*({(0, r): 1, (0, r + 1): -1} for r in fixed),
+                      {(0, start): 1, (4, start + r0): -1})
+    mirrored = {(-a, -b): c for (a, b), c in reflections.items()}
+    det = add(affine_product(rotations, rotations),
+              affine_product({(0, 1): 1}, reflections, mirrored))
+    lemma = add(*({(a, b): c, (a, b + 1): -c} for c, a, b in FAMILIES[tag].terms))
+    return lemma, affine_product({(4, e): 1}, det)
+
+
+class TestRecipeProofs:
+    """Each complement recipe gives a nut graph at every order it serves,
+    and each direct family's determinant is a lemma family's member.
+
+    A complement witness is the complement of a dihedral base on D_m, whose
+    nullity is the base's multiplicity of eigenvalue -1: the sum, over the
+    divisors b of m, of phi(b) times the number of shift-1 block invariants
+    (the determinant, then the trace) that Phi_b divides (``verify``).  The
     base's rotations are +-e for fixed exponents e and its reflections are
     fixed, so once m passes 2 max(e) and the largest reflection its
     exponents stop wrapping, and its folded invariants are the Laurent
@@ -410,7 +449,44 @@ class TestRecipeProofs:
     exactly when Phi_b divides D.  D does not depend on m, so its finitely
     many cyclotomic factors, each with phi(b) <= span(D), decide every
     order at once.
+
+    A direct family's witness is its own spec, unshifted, and its Laurent
+    determinant D(t) does not depend on m once m is at least the family's
+    least m.  Times x^e (1 - x) it is R(t) or T(t) of ``lemmas``, whose
+    suites show that no Phi_b with b >= 3 divides them.
     """
+
+    @pytest.mark.parametrize("tag, d0, e", [("R", 6, 7), ("T", 10, 13)])
+    def test_direct_family_determinant_for_every_t(self, tag, d0, e):
+        # R(t) = x^(4t+7) (1 - x) D(t) and T(t) = x^(4t+13) (1 - x) D'(t),
+        # D and D' the determinants of the degree 8t+6 and 8t+10 families.
+        # Times (1 - x), both sides are sums of terms c x^(alpha t + beta),
+        # so they agree for every t >= 0 once their merged maps agree.
+        least, fixed, start = constructions._DIRECT_FAMILIES[d0 % 8]
+        lemma, scaled = direct_family_identity(tag, d0, e, fixed, start)
+        assert lemma == scaled
+        # D is the specs' determinant, rotation exponents centred in
+        # (-m/2, m/2] and reflections as stored, at the least m and past it.
+        for t in range(8):
+            for m in (4 * t + least, 4 * t + least + 6):
+                spec = direct_family_spec(8 * t + d0, m)
+                p0 = {r if 2 * r <= m else r - m: 1 for r in spec.rotations}
+                det = add(product(p0, p0), product({r: 1 for r in spec.reflections},
+                                                   {-r: -1 for r in spec.reflections}))
+                assert block_invariants(spec, 0)[1][0] == add(*({k % m: c} for k, c in det.items()))
+                assert product({4 * t + e: 1, 4 * t + e + 1: -1}, det) == \
+                    FAMILIES[tag].member(t), (t, m)
+
+    @pytest.mark.parametrize("tag, d0, e", [("R", 6, 7), ("T", 10, 13)])
+    def test_direct_family_identity_fails_on_a_moved_reflection(self, tag, d0, e):
+        # The gate above reads the fixed reflections, so moving any one of
+        # them to a free exponent below the run breaks the identity.
+        _, fixed, start = constructions._DIRECT_FAMILIES[d0 % 8]
+        for i, r in enumerate(fixed):
+            for moved in set(range(start)) - set(fixed):
+                mutated = tuple(sorted({*fixed[:i], moved, *fixed[i + 1:]}))
+                lemma, scaled = direct_family_identity(tag, d0, e, mutated, start)
+                assert lemma != scaled, (r, moved)
 
     @pytest.mark.parametrize("gap", sorted(constructions._COMPLEMENT_FAMILIES))
     def test_complement_family_for_every_order(self, gap):

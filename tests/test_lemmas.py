@@ -12,7 +12,6 @@ from nutforge.cyclotomic import divides_cyclotomic
 from nutforge.lemmas import (
     FAMILIES,
     FAMILY_TAGS,
-    CaseConstraints,
     PolynomialFamily,
     _failing_parameters,
     candidate_divisor_indices,
@@ -185,7 +184,6 @@ class TestCollisionCongruences:
 
     def test_matches_residue_count_on_random_families(self):
         rng = random.Random(6)
-        case = CaseConstraints(1, False)
         outcomes = set()
         for _ in range(2000):
             beta = 1 if rng.random() < 0.1 else rng.randint(2, 40)
@@ -199,7 +197,7 @@ class TestCollisionCongruences:
                 else:
                     terms.append((rng.choice((-1, 1)), rng.choice(slopes),
                                   rng.randint(0, 2 * beta + 3)))
-            fam = PolynomialFamily("X", 1, 1, tuple(terms), case)
+            fam = PolynomialFamily(1, 1, tuple(terms), 1, False)
             fails = _failing_parameters(fam, beta)
             assert fails == _brute_failing_parameters(fam, beta), (terms, beta)
             outcomes.add((beta == 1, len(fails) == 0, len(fails) == beta))
@@ -267,13 +265,13 @@ class TestRatioBoundGap:
     def test_other_families_bound_at_the_threshold(self):
         for tag in ("Q", "R", "S"):
             fam = FAMILIES[tag]
-            assert fam.case.rad_ratio_bound == fam.unique_remainder_threshold
+            assert fam.rad_ratio_bound == fam.unique_remainder_threshold
 
     def test_t_remainders_fail_inside_the_gap(self):
         # An even ratio b/rad(b) needs 4 | b, which T's analysis excludes,
         # so 13, 15, 17 and 19 are the ratios left uncovered.
         fam = FAMILIES["T"]
-        assert (fam.case.rad_ratio_bound, fam.unique_remainder_threshold) == (13, 20)
+        assert (fam.rad_ratio_bound, fam.unique_remainder_threshold) == (13, 20)
         assert [beta for beta in range(13, 20) if _failing_parameters(fam, beta)] == \
             [13, 14, 15, 17, 19]
 

@@ -13,7 +13,7 @@ import pytest
 
 from nutforge import _modeval as me
 from nutforge.cyclotomic import divides_cyclotomic
-from nutforge.lemmas import FAMILIES, enumerate_feasible_indices
+from nutforge.lemmas import FAMILIES, PolynomialFamily, enumerate_feasible_indices
 from oracles import add, cyclotomic, eval_at, prime_above, product
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -54,6 +54,28 @@ def test_cyclotomic_vanishes_at_root():
         phi = cyclotomic(b)
         coeffs, exps = list(phi.values()), list(phi)
         assert eval_at(coeffs, exps, b, q, z) == 0
+
+
+def test_slope_sums_evaluate_the_member():
+    # The screen is the index's evaluation prime and its order-b root, and
+    # the slope sums give the member's value at that root for every t.
+    rng = random.Random(47)
+    for i in range(300):
+        if i < 100:
+            fam = FAMILIES[rng.choice("QRST")]
+        else:
+            terms = tuple((rng.choice((-2, -1, 1, 2)), rng.randint(0, 9), rng.randint(0, 30))
+                          for _ in range(rng.randint(1, 8)))
+            fam = PolynomialFamily(1, 1, terms, 1, False)
+        coeffs, slopes, offsets = zip(*fam.terms)
+        b = rng.randint(1, 400)
+        q, z, sums = me.slope_sums(coeffs, slopes, offsets, b)
+        assert q == me.evaluation_prime(b) and z == me.root_of_order(q, b)
+        assert all(0 <= s < b and 0 < a < q for s, a in sums.items())
+        for t in [rng.randint(0, 3 * b) for _ in range(3)]:
+            p = fam.member(t)
+            assert sum(a * pow(z, s * t % b, q) for s, a in sums.items()) % q == \
+                eval_at(list(p.values()), list(p), b, q, z), (b, t)
 
 
 def _witness(p, b, moduli):
@@ -121,8 +143,8 @@ def test_suspects_match_sweep_on_case_analysis(tag, zeros):
     coeffs, slopes, offsets = zip(*fam.terms)
     primes, sum_bound = fam.case_bounds()
     total = 0
-    for b in enumerate_feasible_indices(primes, sum_bound, fam.case.rad_ratio_bound,
-                                        fam.min_b, fam.case.forbid_four):
+    for b in enumerate_feasible_indices(primes, sum_bound, fam.rad_ratio_bound,
+                                        fam.min_b, fam.forbid_four):
         suspects = me.sweep_zero_parameters(coeffs, slopes, offsets, b)
         assert suspects == _sweep_suspects(coeffs, slopes, offsets, b), b
         total += len(suspects)
@@ -182,7 +204,7 @@ def test_power_of_w_matches_reduction_of_the_monomial():
     fam = FAMILIES["T"]
     primes, sum_bound = fam.case_bounds()
     t_primes = [me.evaluation_prime(b) for b in enumerate_feasible_indices(
-        primes, sum_bound, fam.case.rad_ratio_bound, fam.min_b, fam.case.forbid_four)]
+        primes, sum_bound, fam.rad_ratio_bound, fam.min_b, fam.forbid_four)]
     assert max(t_primes).bit_length() == 22
     # small primes, then the primes of T's case analysis up to 2^22
     for i in range(700):
