@@ -4,8 +4,8 @@ If q is a prime congruent to 1 modulo b and zeta has multiplicative order
 exactly b modulo q, every polynomial divisible by the b-th cyclotomic
 polynomial evaluates to 0 at zeta modulo q.  A nonzero evaluation therefore
 certifies non-divisibility outright.  Each index b has one screening prime,
-``evaluation_prime(b)``; ``cyclotomic.divides_cyclotomic`` decides every zero
-hit exactly.
+``evaluation_prime(b)``, at least 64 b + 1 so that chance zeros are rare;
+``cyclotomic.divides_cyclotomic`` decides every zero hit exactly.
 
 For a family with exponents slope * t + offset, the member at t evaluates at
 zeta to G(zeta^t), where G(w) = sum_s A_s w^(s mod b) and A_s sums
@@ -20,8 +20,8 @@ counting costs about log b squarings of polynomials of degree below deg H,
 not b evaluations.  ``_power_of_w`` packs each such polynomial into one
 integer, one slot of 2 bits(q) + bits(deg H) + 2 bits per coefficient, so a
 squaring is one integer product; the slots never carry, since each stays
-below 2 deg(H) q^2 before it is reduced modulo q.  ``slope_sums`` takes one
-power of zeta per distinct offset.
+below 2 deg(H) q^2 before it is reduced modulo q.  ``slope_sums`` builds
+zeta^offset over the offsets' range by one multiplication each.
 
 Polynomials over F_q are coefficient lists, lowest degree first, without
 trailing zeros.
@@ -35,8 +35,13 @@ from .numtheory import is_prime, prime_factors
 
 
 def evaluation_prime(b: int) -> int:
-    """Smallest odd prime q = k*b + 1 greater than 50."""
-    k = 50 // b + 1
+    """Smallest odd prime q = k*b + 1 with k >= 64.
+
+    A member is zero at the order-b root for about b/q of the b parameters
+    by chance, so q of at least 64 b leaves about one false suspect in 64
+    indices; a larger k costs more in the prime and root searches than the
+    exact tests it saves."""
+    k = 64
     while True:
         q = k * b + 1
         if q % 2 == 1 and is_prime(q):
@@ -175,10 +180,13 @@ def slope_sums(coeffs, slopes, offsets, b: int) -> tuple[int, int, dict[int, int
     sum_s A_s zeta^(s*t mod b)."""
     q = evaluation_prime(b)
     zeta = root_of_order(q, b)
-    powers = {o: pow(zeta, o % b, q) for o in set(offsets)}
+    low = min(offsets)
+    powers = [pow(zeta, low % b, q)]
+    for _ in range(max(offsets) - low):
+        powers.append(powers[-1] * zeta % q)
     sums: dict[int, int] = {}
     for c, s, o in zip(coeffs, slopes, offsets):
-        sums[s % b] = sums.get(s % b, 0) + c * powers[o]
+        sums[s % b] = sums.get(s % b, 0) + c * powers[o - low]
     return q, zeta, {s: a % q for s, a in sums.items() if a % q}
 
 

@@ -329,6 +329,9 @@ def from_graph6(text: str) -> Graph:
     if data[0] == 126:
         if len(data) < 4:
             raise ValueError("truncated graph6 order")
+        if data[1] == 126:
+            raise ValueError(f"graph6 orders above {GRAPH6_MAX_ORDER} (the 8-byte form) "
+                             "are not supported")
         n = data[1] - 63 << 12 | data[2] - 63 << 6 | data[3] - 63
         body = data[4:]
     else:
@@ -367,13 +370,16 @@ def from_adjacency_list(text: str) -> Graph:
     for every vertex u of 0..n-1, each edge listed at both of its ends.
 
     A vertex listed twice or not at all, a neighbour listed twice, and an
-    edge listed at one end only, are errors rather than guesses.
+    edge listed at one end only, are errors rather than guesses.  So is an
+    order past GRAPH6_MAX_ORDER, told from the count of listed vertices
+    before any of them is read.
     """
+    lines = [line for line in text.splitlines() if line.strip()]
+    if len(lines) > GRAPH6_MAX_ORDER:
+        raise ValueError(f"order {len(lines)} is above {GRAPH6_MAX_ORDER}, the largest "
+                         "graph6 order")
     entries: dict[int, set[int]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    for line in lines:
         head, _, tail = line.partition(":")
         u = int(head)
         if u in entries:
@@ -422,14 +428,12 @@ def parse_graph(text: str, fmt: str = "auto") -> Graph:
     With ``auto`` a first line containing ``:`` reads as an adjacency list,
     and anything else as graph6.
     """
-    lines = [line for line in text.splitlines() if not line.lstrip().startswith("#")]
-    text = "\n".join(lines)
+    text = "\n".join(line for line in text.splitlines() if not line.lstrip().startswith("#"))
+    if fmt == "auto":
+        first = text.lstrip().partition("\n")[0]
+        fmt = "adjacency-list" if ":" in first else "graph6"
     if fmt == "graph6":
         return from_graph6(text)
     if fmt == "adjacency-list":
         return from_adjacency_list(text)
-    if fmt != "auto":
-        raise ValueError(f"unknown graph input format: {fmt}")
-    if ":" in next((line for line in lines if line.strip()), ""):
-        return from_adjacency_list(text)
-    return from_graph6(text)
+    raise ValueError(f"unknown graph input format: {fmt}")

@@ -27,6 +27,10 @@ witness, a nonzero evaluation at the order-b element of the index's one
 evaluation prime, which proves non-divisibility outright;
 ``divides_cyclotomic`` decides every parameter where no witness appears, and
 is the sole authority for reporting a violation.
+
+R(t) and T(t) are x^e (1 - x) times the block determinants of the
+degree-(8t + 6) and degree-(8t + 10) direct families of ``constructions``,
+so the R and T suites back those recipes.  Q and S back no recipe here.
 """
 
 from __future__ import annotations
@@ -299,41 +303,52 @@ def _failing_parameters(fam: PolynomialFamily, beta: int) -> list[int]:
     shared on the union of its collision sets, and t fails where every term
     is shared.
 
-    The terms are grouped by slope, so one delta serves a whole class: the
-    residues t0 < period of its terms are bits of one small integer, and
-    multiplying it by the mask of the multiples of the period ORs every
-    shifted class at once, without carries.  A class whose slope matches
-    term i's modulo beta collides with it on every t or on none, as some
-    other offset of it is or is not congruent to c_i.
+    The terms are grouped by slope, and each slope's plan is built once per
+    modulus, when its first term is reached.  Term i is shared on every t
+    when another term whose slope is congruent to a_i modulo beta has offset
+    c_i.  For each other class, with c = g u + rho, an offset shares with
+    c_i only if rho = c_i mod g, and then at t0 = (u - u_i) inv mod period,
+    inv the inverse of delta/g and c_i = g u_i + rho.  So the class has one
+    mask per residue rho, with bit u inv mod period for each of its offsets,
+    and term i's set below the period is its mask rotated down by
+    u_i inv mod period.  Multiplying that by the mask of the multiples of
+    the period repeats it over [0, beta), without carries.
     """
     full = (1 << beta) - 1
     classes: dict[int, list[int]] = {}
     for _, a, c in fam.terms:
         classes.setdefault(a, []).append(c % beta)
-    solvers: dict[int, tuple[int, int, int, int]] = {}
+    plans: dict[int, tuple[dict[int, int], list[tuple]]] = {}
     failing = full
     for _, ai, ci in fam.terms:
-        ci %= beta
-        shared = 0
-        for a, offsets in classes.items():
-            delta = (ai - a) % beta
-            if not delta:
-                if offsets.count(ci) > (a == ai):
-                    shared = full
-                    break
-                continue
-            if delta not in solvers:
+        if ai not in plans:
+            same: dict[int, int] = {}
+            rotations = []
+            for a, offsets in classes.items():
+                delta = (ai - a) % beta
+                if not delta:
+                    for c in offsets:
+                        same[c] = same.get(c, 0) + 1
+                    continue
                 g = math.gcd(delta, beta)
                 period = beta // g
-                solvers[delta] = (g, period, pow(delta // g, -1, period),
-                                  full // ((1 << period) - 1))
-            g, period, inv, base = solvers[delta]
-            bits = 0
-            for c in offsets:
-                r = c - ci
-                if not r % g:
-                    bits |= 1 << r // g * inv % period
-            shared |= base * bits
+                inv = pow(delta // g, -1, period)
+                masks: dict[int, int] = {}
+                for c in offsets:
+                    masks[c % g] = masks.get(c % g, 0) | 1 << c // g * inv % period
+                low = (1 << period) - 1
+                rotations.append((g, period, inv, low, full // low, masks))
+            plans[ai] = same, rotations
+        same, rotations = plans[ai]
+        ci %= beta
+        if same[ci] > 1:
+            continue
+        shared = 0
+        for g, period, inv, low, base, masks in rotations:
+            mask = masks.get(ci % g)
+            if mask:
+                k = ci // g * inv % period
+                shared |= base * ((mask >> k | mask << period - k) & low)
         failing &= shared
         if not failing:
             return []

@@ -137,6 +137,52 @@ def prime_above(b: int, above: int) -> int:
     return q
 
 
+def small_evaluation_prime(b: int) -> int:
+    """The screening prime that q >= 64 b + 1 replaced: the least odd prime
+    q = 1 (mod b) above 50.  With q near b, about one parameter per index
+    is zero at the order-b root by chance, so the lemma suites hand
+    hundreds of zeros to the exact rule under it."""
+    return prime_above(b, 50)
+
+
+def failing_parameters_per_offset(fam, beta: int) -> list[int]:
+    """The collision solver that rotated masks replaced: the t in [0, beta)
+    at which no exponent of ``fam`` has a unique remainder modulo beta.
+
+    Term i shares with an offset c of a slope class a at the t with
+    (a_i - a) t = c - c_i (mod beta).  For each term and class the solution
+    residues t0 below the period beta/g, g = gcd(a_i - a, beta), are taken
+    offset by offset, then repeated over [0, beta) by one product with the
+    mask of the multiples of the period.
+    """
+    full = (1 << beta) - 1
+    classes: dict[int, list[int]] = {}
+    for _, a, c in fam.terms:
+        classes.setdefault(a, []).append(c % beta)
+    failing = full
+    for _, ai, ci in fam.terms:
+        ci %= beta
+        shared = 0
+        for a, offsets in classes.items():
+            delta = (ai - a) % beta
+            if not delta:
+                if offsets.count(ci) > (a == ai):
+                    shared = full
+                    break
+                continue
+            g = gcd(delta, beta)
+            period = beta // g
+            inv = pow(delta // g, -1, period)
+            bits = 0
+            for c in offsets:
+                r = c - ci
+                if not r % g:
+                    bits |= 1 << r // g * inv % period
+            shared |= full // ((1 << period) - 1) * bits
+        failing &= shared
+    return [t for t in range(beta) if failing >> t & 1]
+
+
 def prime_power_cancellation_applies(term_count: int, primes) -> bool:
     """Whether the lacunary-divisibility reduction licenses cancelling the full
     power of one of the given primes from a cyclotomic index.

@@ -6,11 +6,12 @@ The mutations are byte-level (replace, insert, delete, duplicate, swap,
 truncate), so they also produce inputs that are not valid UTF-8.  Every
 mutant runs under each ``--input-format`` with every ``--method`` that reads
 that format.  A well-formed adjacency list past graph6's largest order exits
-2 as well, before any kernel runs.
+2 as well, refused by the parser before it builds anything.
 """
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -98,8 +99,9 @@ def test_verify_exit_code_contract(tmp_path, capsys, data):
 
 
 def test_verify_graph_past_the_order_limit(tmp_path, capsys, monkeypatch):
-    # An adjacency list has no order limit of its own, unlike graph6, so a
-    # parsed graph meets the limit before any kernel runs.
+    # An adjacency list says its order only by the lines it has, so the
+    # parser counts them and refuses a list past graph6's largest order
+    # before it builds a neighbour set, an edge list or a graph.
     def no_kernel(g, shift):
         raise AssertionError(f"a graph of order {g.order} reached the kernel")
 
@@ -107,9 +109,15 @@ def test_verify_graph_past_the_order_limit(tmp_path, capsys, monkeypatch):
     path = tmp_path / "input"
     path.write_text("".join(f"{u}:\n" for u in range(258048)))
     for fmt in ("adjacency-list", "auto"):
-        code = main(["verify", "--input", str(path), "--input-format", fmt,
-                     "--method", "direct"])
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--input", str(path), "--input-format", fmt,
+                         "--method", "direct"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), fmt
-        assert captured.err == ("error: order 258048 is above 258047, the largest graph6 "
-                                "order and the largest that nutforge builds\n"), fmt
+        assert captured.err == ("error: cannot parse graph: order 258048 is above 258047, "
+                                "the largest graph6 order\n"), fmt
+        assert peak < 40 * 2**20, (fmt, peak)

@@ -488,6 +488,45 @@ class TestRecipeProofs:
                 lemma, scaled = direct_family_identity(tag, d0, e, mutated, start)
                 assert lemma != scaled, (r, moved)
 
+    @pytest.mark.parametrize("d0", [6, 10])
+    def test_direct_family_nullity_one_for_every_t(self, d0):
+        # At b >= 3 every block is nonsingular: x^e (1 - x) D(t) is R(t) or
+        # T(t) (the identity above), which no Phi_b with b >= 3 divides by
+        # the lemma suites (for T together with TestRatioBoundGap).  At
+        # b = 1 and, as m is even, b = 2 the eigenvalues are p0(x) +- p1(x)
+        # at x = 1 and x = -1, each affine in t, stored as (slope, constant):
+        # the band of 2t + 1 exponents per side sums to 2t + 1, or to -1 at
+        # x = -1, and the run of 4t + r0 reflections from ``start`` sums to
+        # its length, or at x = -1, its 4t cancelling, to r0 mod 2 signed
+        # by the start's parity.
+        least, fixed, start = constructions._DIRECT_FAMILIES[d0 % 8]
+        r0 = d0 - 2 - len(fixed)
+        p0 = {1: (4, 2), -1: (0, -2)}
+        p1 = {1: (4, r0 + len(fixed)),
+              -1: (0, (-1) ** start * (r0 % 2) + sum((-1) ** r for r in fixed))}
+        eigen = {b: [(p0[x][0] + sign * p1[x][0], p0[x][1] + sign * p1[x][1]) for sign in (1, -1)]
+                 for b, x in ((1, 1), (2, -1))}
+        assert eigen == {6: {1: [(8, 6), (0, -2)], 2: [(0, 0), (0, -4)]},
+                         10: {1: [(8, 10), (0, -6)], 2: [(0, -4), (0, 0)]}}[d0]
+        # a t + c with a >= 0 and c >= 0 is zero at some t >= 0 only when
+        # a = c = 0, and a constant c < 0 never is: one zero, at b = 2
+        assert all(a >= 0 and (c >= 0 or a == 0) for pair in eigen.values() for a, c in pair)
+        assert [b for b, pair in eigen.items() for a, c in pair if (a, c) == (0, 0)] == [2]
+        # the affine values are the specs' own
+        for t in range(12):
+            for m in (4 * t + least, 4 * t + least + 2, 4 * t + least + 10):
+                spec = direct_family_spec(8 * t + d0, m)
+                for b, x in ((1, 1), (2, -1)):
+                    rot = sum(x ** r for r in spec.rotations)
+                    ref = sum(x ** r for r in spec.reflections)
+                    assert [rot + ref, rot - ref] == [a * t + c for a, c in eigen[b]], (t, m, b)
+        # and the spectral check agrees at sampled large (t, m)
+        rng = random.Random(d0)
+        for t in (0, 1, *(rng.randint(2, 200) for _ in range(4))):
+            m = 4 * t + least + 2 * rng.randint(0, 10**5)
+            report = nut_check_spectral(direct_family_spec(8 * t + d0, m), 0)
+            assert (report.total_nullity, report.singular_divisors) == (1, (2,)), (t, m)
+
     @pytest.mark.parametrize("gap", sorted(constructions._COMPLEMENT_FAMILIES))
     def test_complement_family_for_every_order(self, gap):
         # D has Phi_1 as its only cyclotomic factor and T(1) != 0, so every

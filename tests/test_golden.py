@@ -29,7 +29,7 @@ from oracles import small_cayley_specs
 CONSTRUCT_SHA256 = "9379aa5937a09125063d352a3fddf37ffc4f174f0269899178589b5c9552f2d9"
 CENSUS_SHA256 = "55da40bcf50ca7066a87749f21fdbeb0638cffc896efb9a09faa2db66bcf087f"
 SPECTRAL_SHA256 = "0d1cf0c88313cd8ce3331013b5e6276f5102d1d044ddefa2b5a6ffc8b97d02cb"
-LEMMAS_SHA256 = "49d32ff324e09da45afc6a945d1493822f181f7393ac157240407a0fe0db0c18"
+LEMMAS_SHA256 = "509a4444e591ec75ee4d28de6be6fbd1a94abcaf1d06b5928f80145d0e77acfe"
 
 # (family, n, d, dedup): the census benchmark workload's requests.
 CENSUS_CASES = (

@@ -672,6 +672,17 @@ class TestAdjacencyListAndDot:
         with pytest.raises(ValueError):
             from_adjacency_list(text)
 
+    def test_orders_past_graph6_refused_by_both_parsers(self):
+        # The 4-byte graph6 prefix tops out at GRAPH6_MAX_ORDER and the
+        # 8-byte form is refused; an adjacency list is refused by its count
+        # of listed vertices.
+        with pytest.raises(ValueError, match=r"^graph6 orders above 258047 \(the 8-byte form\)"):
+            from_graph6("~~??@???")
+        listing = "\n".join(f"{u}:" for u in range(258048))
+        for parse in (from_adjacency_list, parse_graph):
+            with pytest.raises(ValueError, match="^order 258048 is above 258047"):
+                parse(listing)
+
     def test_dot_contains_edges(self):
         text = to_dot(complete(3))
         assert "0 -- 1;" in text and text.startswith("graph G {")

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from nutforge import lemmas
+from nutforge import _modeval, lemmas
 from nutforge._modeval import evaluation_prime, root_of_order, sweep_zero_parameters
 from nutforge.cyclotomic import divides_cyclotomic
 from nutforge.lemmas import (
@@ -21,7 +21,14 @@ from nutforge.lemmas import (
     verify_unique_remainder,
 )
 from nutforge.numtheory import euler_phi, is_prime, prime_factors
-from oracles import add, eval_at, phi_table, prime_power_cancellation_applies
+from oracles import (
+    add,
+    eval_at,
+    failing_parameters_per_offset,
+    phi_table,
+    prime_power_cancellation_applies,
+    small_evaluation_prime,
+)
 
 
 def _has_unique_residue(fam, t, beta):
@@ -167,7 +174,8 @@ class TestUniqueRemainder:
 
 
 class TestCollisionCongruences:
-    """The congruence solver against the per-parameter residue count."""
+    """The congruence solver against the per-parameter residue count and
+    the per-offset solver that rotated masks replaced."""
 
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_matches_residue_count_on_families(self, tag):
@@ -176,6 +184,7 @@ class TestCollisionCongruences:
         for beta in range(1, 301):
             fails = _failing_parameters(fam, beta)
             assert fails == _brute_failing_parameters(fam, beta), beta
+            assert fails == failing_parameters_per_offset(fam, beta), beta
             below += bool(fails)
             if beta >= fam.unique_remainder_threshold:
                 assert not fails, beta
@@ -200,6 +209,7 @@ class TestCollisionCongruences:
             fam = PolynomialFamily(1, 1, tuple(terms), 1, False)
             fails = _failing_parameters(fam, beta)
             assert fails == _brute_failing_parameters(fam, beta), (terms, beta)
+            assert fails == failing_parameters_per_offset(fam, beta), (terms, beta)
             outcomes.add((beta == 1, len(fails) == 0, len(fails) == beta))
         # every kind of outcome occurs: none, some and all t failing, and beta = 1
         assert outcomes >= {(True, True, False), (True, False, True),
@@ -290,7 +300,7 @@ class TestRatioBoundGap:
         coeffs, slopes, offsets = zip(*fam.terms)
         suspects = [(b, t) for b in gap
                     for t in sweep_zero_parameters(coeffs, slopes, offsets, b)]
-        assert len(suspects) == 57
+        assert len(suspects) == 3
         assert not any(divides_cyclotomic(fam.member(t), b) for b, t in suspects)
 
 
@@ -308,13 +318,21 @@ def _record_exact_calls(monkeypatch):
 
 class TestExactRuleOnEveryZero:
     """Each zero of the one screening prime goes to the exact rule, which
-    refutes it."""
+    refutes it.  The screening primes leave few zeros, so each suite also
+    runs at the least prime q = 1 (mod b) above 50, whose q near b leaves
+    about one zero per index: the verdicts stay, and the exact rule refutes
+    every zero."""
 
-    @pytest.mark.parametrize("tag, hits", [("Q", 14), ("R", 20), ("S", 15), ("T", 32)])
-    def test_bounded_suite(self, monkeypatch, tag, hits):
+    @pytest.mark.parametrize("tag, small_prime_hits",
+                             [("Q", 14), ("R", 20), ("S", 15), ("T", 32)])
+    def test_bounded_suite(self, monkeypatch, tag, small_prime_hits):
         verdicts = _record_exact_calls(monkeypatch)
         assert verify_family_bounded(tag, 20).ok
-        assert len(verdicts) == hits and not any(verdicts)
+        assert len(verdicts) == {"Q": 0, "R": 1, "S": 1, "T": 2}[tag] and not any(verdicts)
+        verdicts.clear()
+        monkeypatch.setattr(_modeval, "evaluation_prime", small_evaluation_prime)
+        assert verify_family_bounded(tag, 20).ok
+        assert len(verdicts) == small_prime_hits and not any(verdicts)
 
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_bounded_suite_checks_exactly_the_pointwise_zeros(self, monkeypatch, tag):
@@ -336,10 +354,15 @@ class TestExactRuleOnEveryZero:
                     zeros.append((member, b))
         assert handed == zeros
 
-    @pytest.mark.parametrize("tag, indices, hits",
+    @pytest.mark.parametrize("tag, indices, small_prime_hits",
                              [("Q", 39, 15), ("R", 146, 84), ("S", 164, 77), ("T", 770, 295)])
-    def test_case_analysis(self, monkeypatch, tag, indices, hits):
+    def test_case_analysis(self, monkeypatch, tag, indices, small_prime_hits):
         verdicts = _record_exact_calls(monkeypatch)
         rep = verify_finite_case_analysis(tag)
         assert rep.ok and len(rep.indices_checked) == indices
-        assert len(verdicts) == hits and not any(verdicts)
+        assert len(verdicts) == {"Q": 1, "R": 3, "S": 3, "T": 9}[tag] and not any(verdicts)
+        verdicts.clear()
+        monkeypatch.setattr(_modeval, "evaluation_prime", small_evaluation_prime)
+        rep = verify_finite_case_analysis(tag)
+        assert rep.ok and len(rep.indices_checked) == indices
+        assert len(verdicts) == small_prime_hits and not any(verdicts)

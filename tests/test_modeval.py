@@ -13,8 +13,14 @@ import pytest
 
 from nutforge import _modeval as me
 from nutforge.cyclotomic import divides_cyclotomic
-from nutforge.lemmas import FAMILIES, PolynomialFamily, enumerate_feasible_indices
-from oracles import add, cyclotomic, eval_at, prime_above, product
+from nutforge.lemmas import (
+    FAMILIES,
+    PolynomialFamily,
+    candidate_divisor_indices,
+    enumerate_feasible_indices,
+)
+from nutforge.numtheory import _MR_SMALL_LIMIT
+from oracles import add, cyclotomic, eval_at, prime_above, product, small_evaluation_prime
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -29,11 +35,38 @@ def _primes_above(b, count):
 
 
 def test_evaluation_prime_properties():
-    # the least odd prime q = 1 (mod b) above 50
-    for b in (1, 2, 6, 35, 36, 128, 9973):
+    # the least odd prime q = k*b + 1 with k >= 64
+    for b in (1, 2, 6, 35, 36, 128, 9973, 482790):
         q = me.evaluation_prime(b)
-        assert q % b == 1 % b and q % 2 == 1 and me.is_prime(q) and q > 50
-        assert not any(me.is_prime(r) for r in range(q - b, 50, -b) if r % 2)
+        assert (q - 1) % b == 0 and (q - 1) // b >= 64 and q % 2 == 1 and me.is_prime(q)
+        assert not any(me.is_prime(r) for r in range(q - b, 64 * b, -b) if r % 2)
+    assert [me.evaluation_prime(b) for b in (1, 2, 3)] == [67, 131, 193]
+
+
+def _screened_indices():
+    """Every index the lemma suites screen: the bounded suites' candidates
+    at t <= 20, the four case analyses, and T's 244 indices with
+    13 <= b/rad(b) < 20 (``test_lemmas.py::TestRatioBoundGap``)."""
+    indices = set()
+    for fam in FAMILIES.values():
+        degree = max(a * 20 + c for _, a, c in fam.terms)
+        primes, sum_bound = fam.case_bounds()
+        ratio_bound = max(fam.rad_ratio_bound, fam.unique_remainder_threshold)
+        indices.update(candidate_divisor_indices(degree, fam.min_b),
+                       enumerate_feasible_indices(primes, sum_bound, ratio_bound,
+                                                  fam.min_b, fam.forbid_four))
+    return sorted(indices)
+
+
+def test_screening_primes_fit_the_oracle_and_the_four_base_test():
+    # The numpy sweep below multiplies two residues in uint64, and is_prime
+    # decides below _MR_SMALL_LIMIT with four bases: every screening prime
+    # the suites and the gap test use stays below both.
+    indices = _screened_indices()
+    assert (len(indices), indices[-1]) == (1250, 833910)
+    primes = [me.evaluation_prime(b) for b in indices]
+    assert max(primes) == 57539791 and max(primes).bit_length() == 26
+    assert max(primes) < min(2**32, _MR_SMALL_LIMIT)
 
 
 def test_root_has_exact_order():
@@ -137,9 +170,9 @@ def _sweep_suspects(coeffs, slopes, offsets, b):
     return np.nonzero(_sweep_numpy(starts, ratios, b, q) == 0)[0].tolist()
 
 
-@pytest.mark.parametrize("tag, zeros", [("Q", 15), ("R", 84), ("S", 77), ("T", 295)])
-def test_suspects_match_sweep_on_case_analysis(tag, zeros):
-    fam = FAMILIES[tag]
+def _case_suspects(fam):
+    """The zeros of the family's case analysis, each index's checked against
+    the numpy sweep."""
     coeffs, slopes, offsets = zip(*fam.terms)
     primes, sum_bound = fam.case_bounds()
     total = 0
@@ -148,7 +181,17 @@ def test_suspects_match_sweep_on_case_analysis(tag, zeros):
         suspects = me.sweep_zero_parameters(coeffs, slopes, offsets, b)
         assert suspects == _sweep_suspects(coeffs, slopes, offsets, b), b
         total += len(suspects)
-    assert total == zeros
+    return total
+
+
+@pytest.mark.parametrize("tag, small_prime_zeros", [("Q", 15), ("R", 84), ("S", 77), ("T", 295)])
+def test_suspects_match_sweep_on_case_analysis(monkeypatch, tag, small_prime_zeros):
+    # At the screening primes few parameters are zero, so the sweep is also
+    # checked at the least prime q = 1 (mod b) above 50, where q near b
+    # leaves about one zero per index for the root descent to find.
+    assert _case_suspects(FAMILIES[tag]) == {"Q": 1, "R": 3, "S": 3, "T": 9}[tag]
+    monkeypatch.setattr(me, "evaluation_prime", small_evaluation_prime)
+    assert _case_suspects(FAMILIES[tag]) == small_prime_zeros
 
 
 def _random_family(rng, b, kind, factor=1):
@@ -205,8 +248,8 @@ def test_power_of_w_matches_reduction_of_the_monomial():
     primes, sum_bound = fam.case_bounds()
     t_primes = [me.evaluation_prime(b) for b in enumerate_feasible_indices(
         primes, sum_bound, fam.rad_ratio_bound, fam.min_b, fam.forbid_four)]
-    assert max(t_primes).bit_length() == 22
-    # small primes, then the primes of T's case analysis up to 2^22
+    assert max(t_primes).bit_length() == 26
+    # small primes, then the primes of T's case analysis up to 2^26
     for i in range(700):
         q = me.evaluation_prime(rng.randint(1, 500)) if i < 400 else rng.choice(t_primes)
         m = [rng.randrange(q) for _ in range(rng.randint(1, 8))] + [rng.randrange(1, q)]
@@ -214,11 +257,11 @@ def test_power_of_w_matches_reduction_of_the_monomial():
             m[0] = 0  # w divides m: high powers of w reduce to multiples of w
         e = rng.choice((0, 1, rng.randint(0, 64), rng.randint(0, 3000)))
         assert me._power_of_w(e, m, q) == me._rem([0] * e + [1], m, q), (e, m, q)
-    # the slot bound's worst case: the largest 22-bit prime and every
+    # the slot bound's worst case: the largest 26-bit prime and every
     # coefficient q - 1, so every power keeps coefficients near q
-    q = 4194301
-    assert me.is_prime(q) and q.bit_length() == 22 and not any(
-        me.is_prime(r) for r in range(q + 1, 1 << 22))
+    q = 67108859
+    assert me.is_prime(q) and q.bit_length() == 26 and not any(
+        me.is_prime(r) for r in range(q + 1, 1 << 26))
     for dm in range(2, 9):
         m = [q - 1] * (dm + 1)
         for e in (dm, 2 * dm - 1, 255, rng.randint(0, 3000), 4095):
