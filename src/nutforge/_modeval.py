@@ -96,12 +96,10 @@ def _minus(p: list[int], c: int, q: int) -> list[int]:
 
 
 def _power_of_w(e: int, m: list[int], q: int) -> list[int]:
-    """w^e modulo m, of degree dm >= 1.  A linear m = m0 + m1 w has
-    w = -m0 / m1 modulo m, so the answer is that constant to the e.
-
-    Any other m is answered by squaring left to right on Kronecker-packed
-    residues: a polynomial of degree below 2 dm is one integer with one
-    ``width``-bit slot per coefficient, lowest degree in the lowest slot.
+    """w^e modulo m, of degree dm >= 1, linear m included, by squaring left
+    to right on Kronecker-packed residues: a polynomial of degree below 2 dm
+    is one integer with one ``width``-bit slot per coefficient, lowest
+    degree in the lowest slot.
     Each bit of e squares the packed power so far (one integer product) and,
     if set, shifts it up one slot.  Every high slot dm + i, read modulo q,
     then adds its multiple of the packed table entry w^(dm+i) mod m, and the
@@ -112,8 +110,6 @@ def _power_of_w(e: int, m: list[int], q: int) -> list[int]:
     table multiples add below q^2 each, so a low slot stays below
     2 dm q^2 < 2^width with width = 2 bits(q) + bits(dm) + 2."""
     dm, inv = len(m) - 1, pow(m[-1], -1, q)
-    if dm == 1:
-        return _trim([pow(-m[0] * inv % q, e, q)])
     width = 2 * q.bit_length() + dm.bit_length() + 2
     mask, shifts = (1 << width) - 1, range(0, dm * width, width)
     top_shift, low = dm * width, (1 << dm * width) - 1
@@ -140,21 +136,19 @@ def _power_of_w(e: int, m: list[int], q: int) -> list[int]:
     return _trim([packed >> s & mask for s in shifts])
 
 
-def _root_exponents(h: list[int], zeta: int, b: int, q: int, primes: list[int]) -> list[int]:
-    """Ascending t in [0, b) with h(zeta^t) = 0, where zeta has order b, the
-    distinct primes of b are ``primes``, ascending, and h, of degree >= 1,
-    divides w^b - 1.
+def _root_exponents(h: list[int], zeta: int, b: int, q: int) -> list[int]:
+    """Ascending t in [0, b) with h(zeta^t) = 0, where zeta has order b and
+    h, of degree >= 1, divides w^b - 1.
 
-    For the smallest prime p dividing b, w^(b/p) maps the root zeta^t to
-    zeta^(j*b/p) with j = t mod p, so gcd(h, w^(b/p) - zeta^(j*b/p)) holds
-    the roots with t = j (mod p).  Substituting w = zeta^j * u turns them into
-    the roots u = (zeta^p)^((t - j)/p) of an order-b/p problem, whose primes
-    lose p once p no longer divides b/p.
+    For the smallest prime p dividing b, read from the memoized
+    factorization of b, w^(b/p) maps the root zeta^t to zeta^(j*b/p) with
+    j = t mod p, so gcd(h, w^(b/p) - zeta^(j*b/p)) holds the roots with
+    t = j (mod p).  Substituting w = zeta^j * u turns them into the roots
+    u = (zeta^p)^((t - j)/p) of an order-b/p problem.
     """
     if b == 1:
         return [0]
-    p = primes[0]
-    sub_primes = primes if b // p % p == 0 else primes[1:]
+    p = prime_factors(b)[0]
     image = _power_of_w(b // p, h, q)
     step = pow(zeta, b // p, q)
     found: list[int] = []
@@ -164,7 +158,7 @@ def _root_exponents(h: list[int], zeta: int, b: int, q: int, primes: list[int]) 
         if len(part) > 1:
             shift = pow(zeta, j, q)
             moved = [c * pow(shift, k, q) % q for k, c in enumerate(part)]
-            sub = _root_exponents(moved, pow(zeta, p, q), b // p, q, sub_primes)
+            sub = _root_exponents(moved, pow(zeta, p, q), b // p, q)
             found += [j + p * t for t in sub]
             left -= len(part) - 1
             if not left:
@@ -217,5 +211,5 @@ def sweep_zero_parameters(coeffs, slopes, offsets, b: int) -> list[int]:
     h = _gcd(h, _minus(_power_of_w(period, h, q), 1, q), q)
     if len(h) == 1:
         return []
-    roots = _root_exponents(h, pow(zeta, k, q), period, q, prime_factors(period))
+    roots = _root_exponents(h, pow(zeta, k, q), period, q)
     return [t + j * period for j in range(b // period) for t in roots]

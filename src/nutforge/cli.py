@@ -319,7 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("lemmas", help="run the polynomial-family verification suites")
+    p = sub.add_parser(
+        "lemmas", help="run the polynomial-family verification suites",
+        description="R and T are x^e (1 - x) times the block determinants of the "
+                    "8t+6 and 8t+10 direct families, so their suites back those "
+                    "recipes. Q and S back no recipe in nutforge.")
     p.add_argument("--family", choices=[*FAMILY_TAGS, "all"], default="all")
     p.add_argument("--t-max", type=_non_negative_int, default=10)
     p.add_argument("--beta-max", type=_non_negative_int, default=300)

@@ -458,6 +458,15 @@ class TestLemmas:
         assert code == 0
         assert "unique-remainder" not in out
 
+    def test_help_names_the_recipes_the_suites_back(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lemmas", "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "R and T are x^e (1 - x) times the block determinants of the " \
+               "8t+6 and 8t+10 direct families" in out
+        assert "Q and S back no recipe in nutforge" in out
+
     @pytest.mark.parametrize("option", ["--t-max", "--beta-max"])
     @pytest.mark.parametrize("value", ["-1", "-5", "ten"])
     def test_bounds_must_be_non_negative(self, capsys, option, value):

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import random
+from functools import cache
 from itertools import combinations, zip_longest
 
 import pytest
@@ -33,7 +34,7 @@ from nutforge.graphs import (
     complement,
     to_graph6,
 )
-from nutforge.lemmas import FAMILIES
+from nutforge.lemmas import FAMILIES, candidate_divisor_indices
 from nutforge.verify import (
     NutCertificate,
     block_invariants,
@@ -385,7 +386,8 @@ def span(p):
 
 def cyclotomic_divides(p, b):
     """Whether Phi_b divides the nonzero Laurent polynomial p, by division."""
-    return not divrem({e - min(p): c for e, c in p.items()}, cyclotomic(b))[1]
+    low = min(p)
+    return not divrem({e - low: c for e, c in p.items()}, cyclotomic(b))[1]
 
 
 def cyclotomic_factors(p):
@@ -564,6 +566,102 @@ class TestRecipeProofs:
             assert (spec, shift) == (DihedralSpec(m, {1, m - 1}, {0}), 1), recipe
             report = nut_check_spectral(spec, 1)
             assert (report.total_nullity, report.singular_divisors) == (1, (2,)), d
+
+
+def passes_circulant_rule(jumps):
+    """The finite check of ``TestProvenCirculantRule`` on x^(max S) p_S:
+    Phi_2 divides it and no Phi_b with b >= 3 and phi(b) <= 2 max S does."""
+    p = add(*({s: 1, -s: 1} for s in jumps))
+    return cyclotomic_divides(p, 2) and not any(
+        cyclotomic_divides(p, b) for b in candidate_divisor_indices(2 * max(jumps), 3))
+
+
+def proven_jump_sets(d):
+    """Every candidate jump set of the fixed search for 4 | d >= 8, in search
+    order; S_d is the first that passes the finite check."""
+    if d == 8:
+        return [{3, 4, 5, 8}]
+    top = d // 2 + (1 if d % 8 == 4 else 2)
+    full = set(range(1, top + 1))
+    if d % 8 == 4:
+        return [full - {o} for o in range(1, top + 1, 2)]
+    return [full - {o, e} for o in range(1, top + 1, 2) for e in range(2, top + 1, 2)]
+
+
+@cache
+def proven_jump_set(d):
+    return next(s for s in proven_jump_sets(d) if passes_circulant_rule(s))
+
+
+class TestProvenCirculantRule:
+    """Circulant nut graphs for 4 | d at every even order past the jumps.
+
+    Let p_S = sum over s in S of (x^s + x^-s).  For even n > 2 max S the jump
+    n/2 is not in S, so C_n(S) has degree 2 |S| and eigenvalues p_S(w) over
+    the n-th roots of unity w; its block at b | n is singular exactly when
+    Phi_b divides p_S.  The block at b = 1 is p_S(1) = 2 |S| > 0.  So C_n(S)
+    is a nut graph for every even n > 2 max S exactly when
+    - S has as many odd jumps as even ones, so Phi_2 divides p_S and the
+      kernel is the full vector ((-1)^i), and
+    - no Phi_b with b >= 3 divides p_S; only phi(b) <= 2 max S can, the
+      degree of x^(max S) p_S.
+    The second condition is a finite check, independent of n.  After
+    Damnjanovic & Stevanovic, "On circulant nut graphs", LAA 2022, and
+    Damnjanovic, "Complete resolution of the circulant nut graph
+    order-degree existence problem", Ars Math. Contemp. 2024.
+    """
+
+    DEGREES = range(8, 201, 4)
+
+    def test_finite_check_for_every_degree_to_200(self):
+        removed = {}
+        for d in self.DEGREES:
+            jumps = proven_jump_set(d)
+            assert len(jumps) == d // 2, d
+            removed[d] = set(range(1, max(jumps) + 1)) - jumps
+        assert {d: removed[d] for d in range(12, 37, 4)} == {
+            12: {3}, 16: {1, 8}, 20: {5}, 24: {1, 12}, 28: {7}, 32: {3, 4}, 36: {3}}
+
+    def test_spectral_agreement_past_the_jumps(self):
+        for d in self.DEGREES:
+            jumps = proven_jump_set(d)
+            for n in range(2 * max(jumps) + 2, 2 * max(jumps) + 59, 2):
+                report = nut_check_spectral(CirculantSpec(n, jumps))
+                assert (report.total_nullity, report.singular_divisors) == (1, (2,)), (d, n)
+            if d <= 40:  # and the direct kernel at the least order
+                spec = CirculantSpec(2 * max(jumps) + 2, jumps)
+                assert nut_check_direct(build_circulant(spec)).is_nut, d
+
+    def test_a_failing_set_is_singular_at_its_index(self):
+        # the converse: every set the search rejects below d = 40 has a
+        # factor Phi_b, b >= 3, and C_n(S) is singular at b once b | n
+        for d in range(12, 40, 4):
+            for jumps in proven_jump_sets(d):
+                if passes_circulant_rule(jumps):
+                    break
+                p = add(*({s: 1, -s: 1} for s in jumps))
+                b = next(b for b in candidate_divisor_indices(2 * max(jumps), 3)
+                         if cyclotomic_divides(p, b))
+                step = math.lcm(2, b)
+                n = step * (2 * max(jumps) // step + 1)
+                assert b in nut_check_spectral(CirculantSpec(n, jumps)).singular_divisors
+
+    def test_degree_four(self):
+        # S = {a, a + 1} with a = (p - 1) / 2 gives x^(a+1) p_S =
+        # (x + 1)(x^p + 1), singular only at b = 2 and b = 2p; with p the
+        # least odd prime not dividing n, 2p does not divide n.  No single S
+        # serves every n: C_n(1, 2) is singular at Phi_6 whenever 6 | n.
+        odd_primes = [p for p in range(3, 50) if all(p % r for r in range(2, p))]
+        for p in odd_primes:
+            a = (p - 1) // 2
+            p_s = {a: 1, -a: 1, a + 1: 1, -a - 1: 1}
+            assert product({a + 1: 1}, p_s) == product({0: 1, 1: 1}, {0: 1, p: 1}), p
+        for n in range(8, 401, 2):
+            p = next(p for p in odd_primes if n % p)
+            report = nut_check_spectral(CirculantSpec(n, {(p - 1) // 2, (p + 1) // 2}))
+            assert (report.total_nullity, report.singular_divisors) == (1, (2,)), n
+        assert not passes_circulant_rule({1, 2})
+        assert 6 in nut_check_spectral(CirculantSpec(12, {1, 2})).singular_divisors
 
 
 class TestSporadic:

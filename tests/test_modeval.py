@@ -266,12 +266,18 @@ def test_power_of_w_matches_reduction_of_the_monomial():
         m = [q - 1] * (dm + 1)
         for e in (dm, 2 * dm - 1, 255, rng.randint(0, 3000), 4095):
             assert me._power_of_w(e, m, q) == me._rem([0] * e + [1], m, q), (e, m, q)
-    # linear moduli, answered as a constant: m0 = 0 makes w itself 0 modulo m
-    for _ in range(200):
-        q = me.evaluation_prime(rng.randint(1, 500))
-        m = [rng.choice((0, rng.randrange(q))), rng.randrange(1, q)]
-        for e in (0, 1, 2, rng.randint(0, 64), rng.randint(0, 3000)):
-            assert me._power_of_w(e, m, q) == me._rem([0] * e + [1], m, q), (e, m, q)
+    # linear moduli take the packed ladder too; the reference is the constant
+    # w = -m0 / m1 modulo m raised to e, and m0 = 0 makes w itself 0 modulo m.
+    # The descent's exponents b // p reach 241,395 on T, so e runs to 2^19.
+    for i in range(400):
+        q = me.evaluation_prime(rng.randint(1, 500)) if i < 200 else rng.choice(t_primes)
+        m0, m1 = rng.choice((0, rng.randrange(q))), rng.randrange(1, q)
+        for e in (0, 1, 2, rng.randint(0, 64), rng.randint(0, 3000),
+                  rng.randint(0, 1 << 19), (1 << 19) - 1, 1 << 19):
+            expected = me._trim([pow(-m0 * pow(m1, -1, q) % q, e, q)])
+            assert me._power_of_w(e, [m0, m1], q) == expected, (e, m0, m1, q)
+            if e <= 3000:
+                assert expected == me._rem([0] * e + [1], [m0, m1], q), (e, m0, m1, q)
 
 
 def test_suspects_match_pointwise_evaluation():
