@@ -62,7 +62,10 @@ def root_of_order(q: int, b: int) -> int:
         z = pow(a, e, q)
         if z == 1:
             continue
-        if all(pow(z, b // p, q) != 1 for p in ps):
+        for p in ps:
+            if pow(z, b // p, q) == 1:
+                break
+        else:
             return z
     raise ValueError(f"no element of order {b} modulo {q}")
 

@@ -245,9 +245,13 @@ def _kernel_character(spec: CirculantSpec | DihedralSpec, shift: int):
     else:
         cyclic, signs = spec.m, (1, -1)
         rotations, reflections = spec.rotations, spec.reflections
-    for a in (1, -1) if cyclic % 2 == 0 else (1,):
+    sums = [(1, len(rotations), len(reflections))]
+    if cyclic % 2 == 0:  # a = -1 sends each odd exponent j to a^j = -1
+        sums.append((-1, len(rotations) - 2 * sum(j & 1 for j in rotations),
+                     len(reflections) - 2 * sum(j & 1 for j in reflections)))
+    for a, rotation_sum, reflection_sum in sums:
         for b in signs:
-            value = sum(a ** j for j in rotations) + b * sum(a ** j for j in reflections)
+            value = rotation_sum + b * reflection_sum
             if shift:
                 value = (spec.order if a == b == 1 else 0) - 1 - value
             if value == 0:
@@ -255,14 +259,15 @@ def _kernel_character(spec: CirculantSpec | DihedralSpec, shift: int):
     return None
 
 
-def _certify(spec: CirculantSpec | DihedralSpec, shift: int, recipe: str, n: int,
+def _certify(spec: CirculantSpec | DihedralSpec, shift: int, recipe: str | None, n: int,
              d: int) -> Witness | None:
     """The witness built from spec, complemented when shift is 1, or None
     when its spectral nullity is not exactly one: the one nut gate of every
     catalog, search and census witness.  A nut graph that is not d-regular
     of order n, or whose (n, d) breaks ``feasible_vt``, is a construction
     error.  Every check reads the spec and the shift alone; the graph is
-    built only for the witness.
+    built, and a recipe of None replaced by ``spec.describe()``, only for
+    a spec that passes the walk.
 
     The witness is a Cayley graph Cay(G, S) of G = Z_n or D_m, and every
     left translation is an automorphism, so it maps a kernel vector spanning
@@ -304,6 +309,8 @@ def _certify(spec: CirculantSpec | DihedralSpec, shift: int, recipe: str, n: int
         nullity += verdict.nullity
         if nullity > 1:
             return None
+    if recipe is None:
+        recipe = spec.describe()
     degree = spec.order - 1 - spec.degree if shift else spec.degree
     if (spec.order, degree) != (n, d):
         raise RuntimeError(f"construction has wrong shape for ({n}, {d}): {recipe}")
@@ -420,10 +427,10 @@ def _witnesses(family: str, n: int, d: int, budget: int | None, minima: bool):
     """The certified witnesses among the connection sets of ``_candidates``,
     in stream order.  With ``minima`` only the orbit minima
     (``_orbit_minimal``) go on; ``_spec`` builds the spec of each set that
-    does, and ``_certify`` gates it.  The budget, when given, caps the sets
-    enumerated, orbit non-minima and rejected sets included: the set past it
-    raises SearchExhaustedError, so neither the search nor the census is
-    ever silently cut short.
+    does, and ``_certify`` gates it, describing it only if it passes.  The
+    budget, when given, caps the sets enumerated, orbit non-minima and
+    rejected sets included: the set past it raises SearchExhaustedError, so
+    neither the search nor the census is ever silently cut short.
     """
     for count, sets in enumerate(_candidates(family, n, d), 1):
         if budget is not None and count > budget:
@@ -432,7 +439,7 @@ def _witnesses(family: str, n: int, d: int, budget: int | None, minima: bool):
         if minima and not _orbit_minimal(family, n, sets):
             continue
         spec = _spec(family, n, sets)
-        w = _certify(spec, 0, spec.describe(), n, d)
+        w = _certify(spec, 0, None, n, d)
         if w is not None:
             yield w
 

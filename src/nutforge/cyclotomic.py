@@ -32,6 +32,8 @@ is approximated.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .numtheory import factorize
 
 
@@ -45,8 +47,14 @@ def divides_cyclotomic(terms: dict[int, int], b: int) -> bool:
     """
     if b < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {b}")
-    primes = [q for q, e in factorize(b) for _ in range(e)]
-    return _vanishes(fold(terms.items(), b), b, primes)
+    return _vanishes(fold(terms.items(), b), b, _primes(b))
+
+
+@lru_cache(maxsize=8192)
+def _primes(b: int) -> tuple[int, ...]:
+    """The primes of b ascending, with multiplicity; memoized, since a
+    spectral walk asks about the same divisors for every candidate."""
+    return tuple(q for q, e in factorize(b) for _ in range(e))
 
 
 def fold(terms, m: int) -> dict[int, int]:
@@ -59,7 +67,7 @@ def fold(terms, m: int) -> dict[int, int]:
     return {e: c for e, c in out.items() if c}
 
 
-def _vanishes(terms: dict, b: int, primes: list[int]) -> bool:
+def _vanishes(terms: dict, b: int, primes: tuple[int, ...]) -> bool:
     """Whether sum c * zeta^e over the exponent -> coefficient map ``terms``
     (exponents in [0, b)) is zero at a primitive b-th root of unity zeta;
     ``primes`` lists the primes of b ascending, with multiplicity."""

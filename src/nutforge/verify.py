@@ -25,6 +25,16 @@ algebraic numbers.  ``divisor_walk`` computes the divisors' verdicts one at a
 time, ascending, so a screen can stop once the running total passes a bound;
 ``nut_check_spectral`` walks every divisor.
 
+The walk asks ``divides_cyclotomic`` only at the divisors a cyclotomic
+factor can reach.  A nonzero invariant folded modulo x^m - 1 has a cyclic
+span s, m minus the largest cyclic gap between its exponents: some x^r
+times it, reduced modulo x^m - 1, has degree s and takes the same values, up
+to a unit, at every m-th root of unity.  A nonzero polynomial of degree <= s
+has no factor Phi_b with phi(b) > s, so every such divisor is decided
+without a call.  The span is at least the term count minus one, and phi(b)
+divides phi(m), so it is computed only when phi(m) exceeds the term count
+minus one; an empty invariant vanishes everywhere and skips nothing.
+
 A diagonal shift of one, the ``shift`` argument of both methods, checks
 eigenvalue -1, which is what complement constructions need: for a non-complete
 regular graph the complement's nullity is the multiplicity of -1 in the base.
@@ -43,6 +53,7 @@ direct method, which stays the certificate for an arbitrary graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cyclotomic import divides_cyclotomic, fold
 from .exact import BitMatrix, matrix_kernel
@@ -80,8 +91,9 @@ class DivisorVerdict:
     @property
     def nullity(self) -> int:
         """The divisor's share of the total nullity: phi(b) blocks of that
-        multiplicity."""
-        return euler_phi(self.b) * self.multiplicity
+        multiplicity, 0 without a totient when the blocks are nonsingular,
+        as at every divisor past an invariant's reach (``divisor_walk``)."""
+        return euler_phi(self.b) * self.multiplicity if self.multiplicity else 0
 
 
 @dataclass(frozen=True)
@@ -132,6 +144,22 @@ def block_invariants(spec: CirculantSpec | BicirculantSpec,
     return m, (fold(det, m), fold(diag0 + diag2, m))
 
 
+@lru_cache(maxsize=64)
+def _divisor_plan(m: int) -> tuple[tuple[int, int], ...]:
+    """The (b, phi(b)) pairs of the divisors b of m, ascending; memoized,
+    since a census or search walks the same order for every candidate.  The plan
+    of an order up to 10^12 (at most 6720 divisors) takes under 1 MB."""
+    return tuple((b, euler_phi(b)) for b in divisors(m))
+
+
+def _cyclic_span(terms: dict[int, int], m: int) -> int:
+    """m minus the largest cyclic gap between the exponents of the nonempty
+    ``terms`` (each in [0, m)): the least degree of x^r times it, reduced
+    modulo x^m - 1."""
+    exps = sorted(terms)
+    return m - max(y - x for x, y in zip(exps, exps[1:] + [exps[0] + m]))
+
+
 def divisor_walk(spec: CirculantSpec | BicirculantSpec, shift: int = 0):
     """The ``DivisorVerdict`` of each divisor b of the cyclic order m,
     ascending from b = 1 to b = m, each computed only when the walk reaches
@@ -140,15 +168,25 @@ def divisor_walk(spec: CirculantSpec | BicirculantSpec, shift: int = 0):
     The primitive b-th roots of unity contribute phi(b) blocks; their
     zero-eigenvalue multiplicity is the number of block invariants, taken
     from the determinant down, that the b-th cyclotomic polynomial divides.
-    The running sum of ``nullity`` never falls, so a consumer may stop as
-    soon as it passes a bound.
+    An invariant of cyclic span s is not divided by Phi_b when
+    phi(b) > s, because a nonzero polynomial of degree <= s has no such
+    factor.  The span is computed only when phi(m) exceeds the invariant's
+    term count minus one, a lower bound of s, since phi(b) divides phi(m)
+    (module docstring).  The running sum of ``nullity`` never falls, so a
+    consumer may stop as soon as it passes a bound.
     """
     if shift not in (0, 1):
         raise ValueError("shift must be 0 or 1")
     m, invariants = block_invariants(spec, shift)
-    for b in divisors(m):
+    plan = _divisor_plan(m)
+    # The largest phi(b) at which each invariant can vanish; m skips nothing.
+    phi_m = plan[-1][1]
+    reach = [_cyclic_span(terms, m) if terms and phi_m > len(terms) - 1 else m
+             for terms in invariants]
+    for b, phi in plan:
         mult = 0
-        while mult < len(invariants) and divides_cyclotomic(invariants[mult], b):
+        while (mult < len(invariants) and phi <= reach[mult]
+               and divides_cyclotomic(invariants[mult], b)):
             mult += 1
         yield DivisorVerdict(b, mult)
 

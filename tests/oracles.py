@@ -12,6 +12,7 @@ from operator import mul
 
 from nutforge._modeval import root_of_order
 from nutforge.constructions import _candidates, _certify, _orbit_minimal, _spec
+from nutforge.cyclotomic import divides_cyclotomic
 from nutforge.exact import _BLOCK, _folder
 from nutforge.graphs import (
     BicirculantSpec,
@@ -22,8 +23,8 @@ from nutforge.graphs import (
     build,
     complement,
 )
-from nutforge.numtheory import divisors, is_prime
-from nutforge.verify import nut_check_direct, nut_check_spectral
+from nutforge.numtheory import divisors, is_prime, prime_factors
+from nutforge.verify import DivisorVerdict, block_invariants, nut_check_direct, nut_check_spectral
 
 # Polynomials are exponent -> coefficient dicts; every function below returns
 # one without zero coefficients, so {} is the zero polynomial, equality is
@@ -127,6 +128,24 @@ def divides_cyclotomic_by_evaluation(p: dict, b: int) -> bool:
     zeta = root_of_order(q, b)
     return not any(eval_at(coeffs, exponents, b, q, pow(zeta, k, q))
                    for k in range(1, b + 1) if gcd(k, b) == 1)
+
+
+def root_of_order_by_all(q: int, b: int) -> int:
+    """``_modeval.root_of_order`` before its prime loop broke at the first
+    failing prime: every try runs ``all`` over a fresh generator."""
+    if (q - 1) % b != 0:
+        raise ValueError("order must divide q - 1")
+    if b == 1:
+        return 1
+    ps = prime_factors(b)
+    e = (q - 1) // b
+    for a in range(2, q):
+        z = pow(a, e, q)
+        if z == 1:
+            continue
+        if all(pow(z, b // p, q) != 1 for p in ps):
+            return z
+    raise ValueError(f"no element of order {b} modulo {q}")
 
 
 def prime_above(b: int, above: int) -> int:
@@ -663,6 +682,20 @@ def _miller_rabin(q: int) -> bool:
         else:
             return False
     return True
+
+
+def divisor_walk_at_every_divisor(spec, shift: int = 0):
+    """``verify.divisor_walk`` before it skipped the divisors beyond an
+    invariant's reach: ``divides_cyclotomic`` at every divisor of the cyclic
+    order, from the determinant down."""
+    if shift not in (0, 1):
+        raise ValueError("shift must be 0 or 1")
+    m, invariants = block_invariants(spec, shift)
+    for b in divisors(m):
+        mult = 0
+        while mult < len(invariants) and divides_cyclotomic(invariants[mult], b):
+            mult += 1
+        yield DivisorVerdict(b, mult)
 
 
 def nonvanishing_witnesses(spec, shift: int):

@@ -20,7 +20,15 @@ from nutforge.lemmas import (
     enumerate_feasible_indices,
 )
 from nutforge.numtheory import _MR_SMALL_LIMIT
-from oracles import add, cyclotomic, eval_at, prime_above, product, small_evaluation_prime
+from oracles import (
+    add,
+    cyclotomic,
+    eval_at,
+    prime_above,
+    product,
+    root_of_order_by_all,
+    small_evaluation_prime,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -77,6 +85,14 @@ def test_root_has_exact_order():
         for d in range(1, b):
             if b % d == 0:
                 assert pow(z, d, q) != 1
+
+
+def test_root_search_matches_the_all_search():
+    # The loop that breaks at the first failing prime returns the element
+    # the search by all() over every prime returned, at every screened index.
+    for b in _screened_indices():
+        q = me.evaluation_prime(b)
+        assert me.root_of_order(q, b) == root_of_order_by_all(q, b), b
 
 
 def test_cyclotomic_vanishes_at_root():

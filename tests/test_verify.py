@@ -5,7 +5,9 @@ from math import isqrt
 
 import pytest
 
+import nutforge.verify as verify
 from nutforge.constructions import catalog_witness
+from nutforge.cyclotomic import divides_cyclotomic, fold
 from nutforge.graphs import (
     BicirculantSpec,
     CirculantSpec,
@@ -14,14 +16,23 @@ from nutforge.graphs import (
     build_bicirculant,
     build_circulant,
 )
-from nutforge.numtheory import is_prime
+from nutforge.numtheory import divisors, euler_phi, is_prime
 from nutforge.verify import (
+    _cyclic_span,
     block_invariants,
     divisor_walk,
     nut_check_direct,
     nut_check_spectral,
 )
-from oracles import _miller_rabin, nonvanishing_witnesses, small_cayley_specs
+import oracles
+from oracles import (
+    _miller_rabin,
+    cyclotomic,
+    divisor_walk_at_every_divisor,
+    nonvanishing_witnesses,
+    product,
+    small_cayley_specs,
+)
 
 
 def random_bicirculant_spec(rng, max_m=16):
@@ -329,6 +340,20 @@ class TestSpectralDirectAgreement:
         assert checked_nuts > 0
 
 
+def catalog_pairs():
+    """Catalog (n, d) pairs up to order 10^12: fixed ones, and seeded direct
+    and complement family pairs."""
+    pairs = [(10**6, 14), (10**9, 14), (10**9, 30), (10**9 + 4, 18), (10**12, 14),
+             (10**9, 10**9 - 6), (10**9, 10**9 - 4), (10**9 + 4, 10**9)]
+    rng = random.Random(29)
+    for _ in range(4):
+        d = rng.randrange(6, 200, 4)
+        pairs.append((4 * rng.randrange(d, 25 * 10**10), d))
+        d = rng.randrange(26, 10**11, 8)  # d = 2 (mod 8): gaps 6, 10, 14
+        pairs.append((d + rng.choice((6, 10, 14)), d))
+    return pairs
+
+
 class TestNonvanishingWitnesses:
     """An independent check of every divisor's verdict, at any order: a prime
     q = 1 (mod b) and an element of order b mod q at which the block
@@ -347,15 +372,7 @@ class TestNonvanishingWitnesses:
         # Only the divisors where the witness is a nut graph's character,
         # b = 1 or 2, are singular; every other divisor gets a witness, and
         # each verdict agrees with divisor_walk's.
-        pairs = [(10**6, 14), (10**9, 14), (10**9, 30), (10**9 + 4, 18), (10**12, 14),
-                 (10**9, 10**9 - 6), (10**9, 10**9 - 4), (10**9 + 4, 10**9)]
-        rng = random.Random(29)
-        for _ in range(4):
-            d = rng.randrange(6, 200, 4)
-            pairs.append((4 * rng.randrange(d, 25 * 10**10), d))
-            d = rng.randrange(26, 10**11, 8)  # d = 2 (mod 8): gaps 6, 10, 14
-            pairs.append((d + rng.choice((6, 10, 14)), d))
-        for n, d in pairs:
+        for n, d in catalog_pairs():
             spec, shift, recipe = catalog_witness(n, d)
             witness = nonvanishing_witnesses(spec, shift)
             singular = []
@@ -381,3 +398,150 @@ class TestNonvanishingWitnesses:
                         assert witness(verdict.b, 5) is None, (spec, shift, verdict)
                     else:
                         assert witness(verdict.b, 20) is not None, (spec, shift, verdict)
+
+
+def sparse_inverse_closed(rng, m, width):
+    """A random subset of the jumps 1..width, closed under j -> m - j."""
+    return {c for j in range(1, width + 1) if rng.random() < 0.5 for c in (j, m - j)}
+
+
+def random_walk_spec(rng):
+    """A random circulant, dihedral or bicirculant spec.  Half of them take
+    an order with many divisors and draw every set from a short window of
+    exponents, so that the invariants' spans leave divisors to skip."""
+    if rng.random() < 0.5:
+        m = rng.randint(3, 40)
+        width = m // 2
+    else:
+        m = rng.choice((120, 180, 240, 360, 720, 840))
+        width = rng.randint(1, 6)
+    start = rng.randrange(m)
+    reflections = {(start + i) % m for i in range(width) if rng.random() < 0.5}
+    kind = rng.randrange(3)
+    if kind == 0:
+        return CirculantSpec(m, {j for j in range(1, width + 1) if rng.random() < 0.5})
+    if kind == 1:
+        return DihedralSpec(m, sparse_inverse_closed(rng, m, width), reflections)
+    return BicirculantSpec(m, sparse_inverse_closed(rng, m, width), reflections,
+                           sparse_inverse_closed(rng, m, width))
+
+
+def recorded_divisors(monkeypatch, module=verify):
+    """Route the module's divides_cyclotomic through a recorder of the
+    indices b it is asked about."""
+    asked = []
+    monkeypatch.setattr(module, "divides_cyclotomic",
+                        lambda terms, b: asked.append(b) or divides_cyclotomic(terms, b))
+    return asked
+
+
+class TestReachRule:
+    """``divisor_walk`` decides every divisor b with phi(b) above an
+    invariant's cyclic span without asking ``divides_cyclotomic``: the walk
+    that asks at every divisor (``oracles.divisor_walk_at_every_divisor``)
+    must give the same verdicts."""
+
+    @staticmethod
+    def walks_agree(spec, shift):
+        verdicts = tuple(divisor_walk(spec, shift))
+        assert verdicts == tuple(divisor_walk_at_every_divisor(spec, shift)), (spec, shift)
+        assert [v.b for v in verdicts] == divisors(verdicts[-1].b)
+        return verdicts
+
+    def test_random_specs_at_both_shifts(self, monkeypatch):
+        asked = recorded_divisors(monkeypatch)
+        asked_by_every_divisor = recorded_divisors(monkeypatch, oracles)
+        rng = random.Random(131)
+        for _ in range(300):
+            spec = random_walk_spec(rng)
+            for shift in (0, 1):
+                self.walks_agree(spec, shift)
+        # The sparse half of the specs skips most of its divisors.
+        assert 0 < len(asked) < 0.7 * len(asked_by_every_divisor)
+
+    def test_empty_invariants_skip_nothing(self, monkeypatch):
+        asked = recorded_divisors(monkeypatch)
+        for m in (3, 12, 60, 210):
+            verdicts = self.walks_agree(BicirculantSpec(m, [], [], []), 0)
+            assert sum(v.nullity for v in verdicts) == 2 * m
+            assert all(v.multiplicity == 2 for v in verdicts)
+        assert len(asked) == 2 * sum(len(divisors(m)) for m in (3, 12, 60, 210))
+
+    def test_single_term_invariants(self):
+        # A monomial vanishes at no root of unity, so every divisor is
+        # skipped: x^k on Z_2k, det -1 of a perfect matching at shift 0,
+        # and at shift 1 an empty det above the trace 2.
+        for k in (2, 6, 30, 180):
+            assert not any(v.multiplicity for v in self.walks_agree(CirculantSpec(2 * k, {k}), 0))
+        for m, j in ((4, 1), (60, 7), (360, 0)):
+            spec = BicirculantSpec(m, [], [j], [])
+            assert block_invariants(spec, 0)[1] == ({0: -1}, {})
+            assert not any(v.multiplicity for v in self.walks_agree(spec, 0))
+            assert block_invariants(spec, 1)[1] == ({}, {0: 2})
+            verdicts = self.walks_agree(spec, 1)
+            assert all(v.multiplicity == 1 for v in verdicts)
+            assert sum(v.nullity for v in verdicts) == m
+
+    def test_catalog_witnesses_up_to_order_10_12(self):
+        for n, d in catalog_pairs():
+            self.walks_agree(*catalog_witness(n, d)[:2])
+
+    def test_large_order_asks_few_divisors(self, monkeypatch):
+        # 5,760 divisors; the determinant reaches only the few hundred with
+        # phi(b) within its span, and the trace is asked only at b = 2.
+        spec, shift, _ = catalog_witness(963761198400, 202)
+        m, invariants = block_invariants(spec, shift)
+        assert len(divisors(m)) == 5760
+        asked = recorded_divisors(monkeypatch)
+        report = nut_check_spectral(spec, shift)
+        assert report.total_nullity == 1 and report.singular_divisors == (2,)
+        assert 0 < len(asked) <= 300
+        span = _cyclic_span(invariants[0], m)
+        assert all(euler_phi(b) <= span for b in asked)
+
+
+def random_folded_map(rng, m):
+    """A random exponent -> coefficient map folded modulo x^m - 1: a few
+    terms in a window of random width, or a rotated multiple of a
+    cyclotomic polynomial Phi_b with b | m."""
+    r = rng.randrange(m)
+    if rng.random() < 0.5:
+        width = rng.randint(1, m)
+        pairs = [(r + rng.randrange(width), rng.choice((-2, -1, 1, 2)))
+                 for _ in range(rng.randint(1, 6))]
+    else:
+        factor = {rng.randrange(3): rng.choice((-1, 1)) for _ in range(rng.randint(1, 2))}
+        pairs = ((e + r, c) for e, c in product(cyclotomic(rng.choice(divisors(m))),
+                                                 factor).items())
+    return fold(pairs, m)
+
+
+class TestCyclicSpan:
+    def test_span_is_the_least_rotated_degree(self):
+        rng = random.Random(137)
+        for _ in range(500):
+            m = rng.randint(1, 60)
+            terms = random_folded_map(rng, m)
+            if terms:
+                least = min(max(fold(((e + r, c) for e, c in terms.items()), m))
+                            for r in range(m))
+                assert _cyclic_span(terms, m) == least, (terms, m)
+
+    def test_skipped_divisors_are_rejected(self):
+        # phi(b) above the span: Phi_b cannot divide the map.  Both kinds of
+        # pair occur, and some maps are divisible within their reach.
+        rng = random.Random(139)
+        skipped = divisible = 0
+        for _ in range(500):
+            m = rng.randint(1, 60)
+            terms = random_folded_map(rng, m)
+            if not terms:
+                continue
+            span = _cyclic_span(terms, m)
+            for b in divisors(m):
+                if euler_phi(b) > span:
+                    skipped += 1
+                    assert not divides_cyclotomic(terms, b), (terms, m, b)
+                else:
+                    divisible += divides_cyclotomic(terms, b)
+        assert skipped > 100 and divisible > 100
