@@ -101,7 +101,30 @@ class Witness:
 
 
 def feasible_vt(n: int, d: int) -> FeasibilityVerdict:
-    """Decide whether a d-regular vertex-transitive nut graph of order n exists."""
+    """Decide whether a d-regular vertex-transitive nut graph of order n exists.
+
+    The law: d is even and >= 4; n is even and >= d + 4 when 4 | d, and
+    4 | n with n >= d + 6 when d = 2 (mod 4).  Its necessity holds for every
+    vertex-transitive nut graph G of order n >= 2, degree d, adjacency A:
+    1. The kernel is one-dimensional, so each automorphism maps a kernel
+       vector v to +-v, and transitivity makes v = c * sigma with sigma
+       +-1; sigma is not constant, or A sigma = d sigma = 0 forces d = 0,
+       and an edgeless graph on n >= 2 vertices has nullity n.
+    2. An automorphism taking a + vertex to a - vertex maps sigma to -sigma:
+       the sign classes are swapped, each has n/2 vertices, and n is even.
+    3. A sigma = 0 gives each vertex d/2 neighbours of each sign, so d is
+       even and the + class induces a (d/2)-regular graph on n/2 vertices;
+       if d/2 is odd, the handshake lemma makes n/2 even, so 4 | n.
+    4. At d = 2, G is a union of equal cycles C_k, each of nullity 0 or 2
+       (2 exactly when 4 | k), so d >= 4.
+    5. n = d + 1 is K_n, of nullity 0; n = d + 2 is the cocktail-party graph
+       C_n(1, ..., n/2 - 1), of nullity n/2 >= 3; n = d + 3 is odd.
+    6. So 4 | d needs an even n >= d + 4, and for d = 2 (mod 4), 4 | n rules
+       out d + 4, which is 2 (mod 4), so n >= d + 6.
+    ``tests/test_constructions.py::TestExistenceLawProof`` gates steps 3 to
+    5.  Sufficiency is the paper's theorem: ``construct`` certifies a
+    witness at every pair the law accepts.
+    """
     if n < 1 or d < 0:
         raise ValueError("order must be >= 1 and degree >= 0")
     if d % 2 == 1 or d < 4:

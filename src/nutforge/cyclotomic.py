@@ -3,17 +3,17 @@
 ``divides_cyclotomic`` decides whether the b-th cyclotomic polynomial Phi_b
 divides an integer polynomial sum_e c_e x^e, given as an exponent ->
 coefficient mapping, that is whether s = sum_e c_e zeta_b^e vanishes for a
-primitive b-th root of unity zeta_b.  Since zeta_b^b = 1 the exponents are
-first folded modulo b, so they may be any integers, negative ones included.
-The folded sum is decided by regrouping exponents over the primes of b,
-taken with multiplicity.  Let p be the smallest prime of b and b' = b/p, so
-that zeta_b^p is a primitive b'-th root of unity.
+primitive b-th root of unity zeta_b.  Since zeta_b^b = 1 the exponents may
+be any integers, negative ones included: the sum is decided by regrouping
+exponents over the primes of b, taken with multiplicity, and each regrouping
+reduces the exponents it passes down.  Let p be the smallest prime of b and
+b' = b/p, so that zeta_b^p is a primitive b'-th root of unity.
 
 * If p divides b', then [Q(zeta_b) : Q(zeta_b')] = p and zeta_b is a root of
   x^p - zeta_b^p, so 1, zeta_b, ..., zeta_b^(p-1) is a basis of Q(zeta_b)
-  over Q(zeta_b').  Writing e = r + p*k gives s = sum_r zeta_b^r A_r with
-  A_r = sum_{e = r (mod p)} c_e zeta_b'^(e // p), so s vanishes iff every
-  class A_r vanishes at level b'.
+  over Q(zeta_b').  Every integer e is p*(e // p) + (e mod p), so s =
+  sum_r zeta_b^r A_r with A_r = sum_{e = r (mod p)} c_e zeta_b'^(e // p mod
+  b'), and s vanishes iff every class A_r vanishes at level b'.
 * If p does not divide b', then zeta_b = omega * eta with omega a primitive
   p-th and eta a primitive b'-th root of unity, and zeta_b^e =
   omega^(e mod p) eta^(e mod b').  [Q(zeta_b) : Q(zeta_b')] = p - 1, so
@@ -32,8 +32,6 @@ is approximated.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .numtheory import factorize
 
 
@@ -47,14 +45,7 @@ def divides_cyclotomic(terms: dict[int, int], b: int) -> bool:
     """
     if b < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {b}")
-    return _vanishes(fold(terms.items(), b), b, _primes(b))
-
-
-@lru_cache(maxsize=8192)
-def _primes(b: int) -> tuple[int, ...]:
-    """The primes of b ascending, with multiplicity; memoized, since a
-    spectral walk asks about the same divisors for every candidate."""
-    return tuple(q for q, e in factorize(b) for _ in range(e))
+    return _vanishes(terms, b)
 
 
 def fold(terms, m: int) -> dict[int, int]:
@@ -67,28 +58,29 @@ def fold(terms, m: int) -> dict[int, int]:
     return {e: c for e, c in out.items() if c}
 
 
-def _vanishes(terms: dict, b: int, primes: tuple[int, ...]) -> bool:
+def _vanishes(terms: dict, b: int) -> bool:
     """Whether sum c * zeta^e over the exponent -> coefficient map ``terms``
-    (exponents in [0, b)) is zero at a primitive b-th root of unity zeta;
-    ``primes`` lists the primes of b ascending, with multiplicity."""
+    (any integer exponents) is zero at a primitive b-th root of unity zeta.
+    The classes passed down to b' = b/p, p the least prime of b, hold
+    exponents in [0, b'), so equal residues merge at the first level."""
+    if b == 1:
+        return not sum(terms.values())
     if not any(terms.values()):
         return True
-    if b == 1:
-        return False
-    p, rest = primes[0], primes[1:]
+    p, power = factorize(b)[0]
     b //= p
-    split = bool(rest) and rest[0] == p  # p divides b: the classes are independent
+    split = power > 1  # p divides b: the classes are independent
     classes: dict[int, dict] = {}  # only the nonempty ones, so no O(p) work
     for e, c in terms.items():
-        cls, k = classes.setdefault(e % p, {}), e // p if split else e % b
+        cls, k = classes.setdefault(e % p, {}), e // p % b if split else e % b
         cls[k] = cls.get(k, 0) + c
     if split or len(classes) < p:
-        return all(_vanishes(cls, b, rest) for cls in classes.values())
+        return all(_vanishes(cls, b) for cls in classes.values())
     ref = min(classes.values(), key=len)
     for cls in classes.values():
         if cls is not ref:
             for k, c in ref.items():
                 cls[k] = cls.get(k, 0) - c
-            if not _vanishes(cls, b, rest):
+            if not _vanishes(cls, b):
                 return False
     return True

@@ -21,11 +21,11 @@ def factorize(n: int) -> list[tuple[int, int]]:
 @lru_cache(maxsize=8192)
 def _factorization(n: int) -> tuple[tuple[int, int], ...]:
     """``factorize(n)`` as a tuple, memoized: trial division finds the least
-    prime p of n, and the cofactor of p^e recurses.  A spectral walk factors
-    every divisor of the cyclic order, most of them more than once; the
-    divisors share their cofactors, so a large prime factor is trial-divided
-    once, not once per divisor.  The cache holds every divisor of any order
-    up to 10^12, which has at most 6720 of them."""
+    prime p of n, and the cofactor of p^e recurses.  ``divides_cyclotomic``
+    factors b and each b/p below it for every divisor a spectral walk asks
+    about, once per candidate; the divisors share their cofactors, so a
+    large prime factor is trial-divided once, not once per divisor.  The
+    cache holds every divisor of any order up to 10^12 (at most 6720)."""
     if n == 1:
         return ()
     p = 2 if n % 2 == 0 else next((q for q in range(3, isqrt(n) + 1, 2) if n % q == 0), n)

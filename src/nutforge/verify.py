@@ -31,9 +31,7 @@ span s, m minus the largest cyclic gap between its exponents: some x^r
 times it, reduced modulo x^m - 1, has degree s and takes the same values, up
 to a unit, at every m-th root of unity.  A nonzero polynomial of degree <= s
 has no factor Phi_b with phi(b) > s, so every such divisor is decided
-without a call.  The span is at least the term count minus one, and phi(b)
-divides phi(m), so it is computed only when phi(m) exceeds the term count
-minus one; an empty invariant vanishes everywhere and skips nothing.
+without a call.  An empty invariant vanishes everywhere and skips nothing.
 
 A diagonal shift of one, the ``shift`` argument of both methods, checks
 eigenvalue -1, which is what complement constructions need: for a non-complete
@@ -170,20 +168,15 @@ def divisor_walk(spec: CirculantSpec | BicirculantSpec, shift: int = 0):
     from the determinant down, that the b-th cyclotomic polynomial divides.
     An invariant of cyclic span s is not divided by Phi_b when
     phi(b) > s, because a nonzero polynomial of degree <= s has no such
-    factor.  The span is computed only when phi(m) exceeds the invariant's
-    term count minus one, a lower bound of s, since phi(b) divides phi(m)
-    (module docstring).  The running sum of ``nullity`` never falls, so a
-    consumer may stop as soon as it passes a bound.
+    factor (module docstring).  The running sum of ``nullity`` never falls,
+    so a consumer may stop as soon as it passes a bound.
     """
     if shift not in (0, 1):
         raise ValueError("shift must be 0 or 1")
     m, invariants = block_invariants(spec, shift)
-    plan = _divisor_plan(m)
     # The largest phi(b) at which each invariant can vanish; m skips nothing.
-    phi_m = plan[-1][1]
-    reach = [_cyclic_span(terms, m) if terms and phi_m > len(terms) - 1 else m
-             for terms in invariants]
-    for b, phi in plan:
+    reach = [_cyclic_span(terms, m) if terms else m for terms in invariants]
+    for b, phi in _divisor_plan(m):
         mult = 0
         while (mult < len(invariants) and phi <= reach[mult]
                and divides_cyclotomic(invariants[mult], b)):

@@ -23,7 +23,7 @@ from nutforge.graphs import (
     build,
     complement,
 )
-from nutforge.numtheory import divisors, is_prime, prime_factors
+from nutforge.numtheory import divisors, factorize, is_prime, prime_factors
 from nutforge.verify import DivisorVerdict, block_invariants, nut_check_direct, nut_check_spectral
 
 # Polynomials are exponent -> coefficient dicts; every function below returns
@@ -130,6 +130,38 @@ def divides_cyclotomic_by_evaluation(p: dict, b: int) -> bool:
                    for k in range(1, b + 1) if gcd(k, b) == 1)
 
 
+def divides_cyclotomic_fold_first(p: dict, b: int) -> bool:
+    """``cyclotomic.divides_cyclotomic`` before its regrouping reduced the
+    exponents: p is folded modulo x^b - 1 first, and the regrouping then
+    walks the primes of b, with multiplicity, on exponents in [0, b)."""
+    primes = tuple(q for q, k in factorize(b) for _ in range(k))
+    return _vanishes_folded(add(*({e % b: c} for e, c in p.items())), b, primes)
+
+
+def _vanishes_folded(terms: dict, b: int, primes: tuple[int, ...]) -> bool:
+    if not any(terms.values()):
+        return True
+    if b == 1:
+        return False
+    p, rest = primes[0], primes[1:]
+    b //= p
+    split = bool(rest) and rest[0] == p
+    classes: dict[int, dict] = {}
+    for e, c in terms.items():
+        cls, k = classes.setdefault(e % p, {}), e // p if split else e % b
+        cls[k] = cls.get(k, 0) + c
+    if split or len(classes) < p:
+        return all(_vanishes_folded(cls, b, rest) for cls in classes.values())
+    ref = min(classes.values(), key=len)
+    for cls in classes.values():
+        if cls is not ref:
+            for k, c in ref.items():
+                cls[k] = cls.get(k, 0) - c
+            if not _vanishes_folded(cls, b, rest):
+                return False
+    return True
+
+
 def root_of_order_by_all(q: int, b: int) -> int:
     """``_modeval.root_of_order`` before its prime loop broke at the first
     failing prime: every try runs ``all`` over a fresh generator."""
@@ -231,6 +263,18 @@ def is_regular(g: Graph):
     """The common vertex degree, or None if degrees differ."""
     degs = set(g.degrees())
     return degs.pop() if len(degs) == 1 else None
+
+
+def sign_classes_split_evenly(w) -> bool:
+    """The consequences of the existence law's proof (``feasible_vt``) for a
+    witness: the + class of its kernel vector has n/2 of its n vertices and
+    induces a (d/2)-regular graph, d the witness's degree."""
+    rows = w.graph.adjacency_rows()
+    plus = [i for i, x in enumerate(w.certificate.kernel_vector) if x > 0]
+    mask = sum(1 << i for i in plus)
+    d = rows[0].bit_count()
+    return 2 * len(plus) == len(rows) and all(2 * (rows[i] & mask).bit_count() == d
+                                              for i in plus)
 
 
 def kernel_character_by_rows(spec: CirculantSpec | DihedralSpec, shift: int):

@@ -42,6 +42,7 @@ from oracles import (
     product,
     scale_exponents,
     screen,
+    sign_classes_split_evenly,
 )
 
 
@@ -318,7 +319,9 @@ def test_criterion_13_cayley_existence_matches_feasibility():
     isomorphism, so the orbit minima stand for every connection set.  A
     feasible pair stops at its first witness; an infeasible one screens all
     its minima, and ``_certify``, which raises on a nut graph whose (n, d)
-    breaks the existence law, must never raise there.
+    breaks the existence law, must never raise there.  Each witness found
+    also shows the consequences of the law's proof: the + class of its
+    kernel vector has n/2 vertices and induces a (d/2)-regular graph.
     """
     failures = []
     for n in range(1, 25):
@@ -326,11 +329,13 @@ def test_criterion_13_cayley_existence_matches_feasibility():
             minima = (spec for family in ("circulant", "dihedral")
                       for spec in candidate_specs(family, n, d, minima=True))
             try:
-                found = any(screen(spec) is not None for spec in minima)
+                witness = next(filter(None, map(screen, minima)), None)
             except RuntimeError as err:
                 failures.append((n, d, str(err)))
                 continue
-            if found != feasible_vt(n, d).exists:
-                failures.append((n, d, found))
+            if (witness is not None) != feasible_vt(n, d).exists:
+                failures.append((n, d, witness is not None))
+            elif witness and not sign_classes_split_evenly(witness):
+                failures.append((n, d, witness.recipe, "sign classes"))
     _report(13, "a Cayley nut graph on Z_n or D_(n/2) exists exactly at the "
                 "feasible pairs with n <= 24", failures)

@@ -24,6 +24,7 @@ from nutforge.constructions import (
     direct_family_spec,
     feasible_vt,
 )
+from nutforge.cyclotomic import divides_cyclotomic
 from nutforge.graphs import (
     CirculantSpec,
     DihedralSpec,
@@ -35,6 +36,7 @@ from nutforge.graphs import (
     to_graph6,
 )
 from nutforge.lemmas import FAMILIES, candidate_divisor_indices
+from nutforge.numtheory import divisors
 from nutforge.verify import (
     NutCertificate,
     block_invariants,
@@ -59,8 +61,10 @@ from oracles import (
     screen,
     screen_by_full_nullity,
     orbit_minimal_spec,
+    sign_classes_split_evenly,
     small_cayley_specs,
 )
+from test_golden import CENSUS_CASES
 
 
 def oracle_feasible(n, d):
@@ -223,6 +227,43 @@ class TestOneExistenceLaw:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown census family"):
             census("cubic", 8, 4)
+
+
+class TestExistenceLawProof:
+    """The computed facts of the necessity proof in ``feasible_vt``'s
+    docstring: the nullities of the cocktail-party graphs (step 5), of the
+    cycles (step 4) and of the complete graphs (step 5), and the sign
+    classes of step 3 on every witness of the benchmark's censuses."""
+
+    def test_cocktail_party_nullity(self):
+        for k in range(3, 41):
+            # C_2k(1, ..., k - 1) is K_2k minus the perfect matching of jump k.
+            spec = CirculantSpec(2 * k, range(1, k))
+            report = nut_check_spectral(spec)
+            assert report.total_nullity == k
+            assert report.singular_divisors == tuple(b for b in divisors(2 * k) if k % b)
+            # x^k + 1 + p_S sums x^c over c in [0, 2k), (x^2k - 1) / (x - 1), so
+            # p_S(w) = -1 - w^k at each primitive b-th root w, b | 2k, b > 1.
+            everything = add({k: 1, 0: 1}, {c: 1 for c in spec.connection})
+            assert everything == {c: 1 for c in range(2 * k)}
+            assert all(divides_cyclotomic(everything, b) for b in divisors(2 * k)[1:]), k
+
+    def test_cycle_nullity(self):
+        for k in range(3, 61):
+            assert nut_check_spectral(CirculantSpec(k, {1})).total_nullity == (
+                2 if k % 4 == 0 else 0), k
+
+    def test_complete_graph_nullity(self):
+        assert nut_check_direct(Graph.from_edges(2, [(0, 1)])).nullity == 0
+        for n in range(3, 41):
+            assert nut_check_spectral(CirculantSpec(n, range(1, n // 2 + 1))).total_nullity == 0, n
+
+    def test_census_witnesses_split_into_sign_classes(self):
+        for family, n, d, dedup in CENSUS_CASES:
+            witnesses = census(family, n, d, dedup)
+            assert witnesses, (family, n, d, dedup)
+            for w in witnesses:
+                assert sign_classes_split_evenly(w), w.recipe
 
 
 class TestFamilySpecs:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from nutforge import cyclotomic as cyclotomic_module
 from nutforge.cyclotomic import divides_cyclotomic
 from nutforge.lemmas import enumerate_feasible_indices
 from nutforge.numtheory import divisors, euler_phi, factorize, prime_factors
@@ -12,6 +13,7 @@ from oracles import (
     add,
     cyclotomic,
     divides_cyclotomic_by_evaluation,
+    divides_cyclotomic_fold_first,
     divrem,
     prime_power_cancellation_applies,
     product,
@@ -195,6 +197,78 @@ class TestRegroupingGate:
             assert not divides_cyclotomic({step: 1, 0: -1}, b)
             if q < 100:
                 assert divides_cyclotomic({k * step: 1 for k in range(q)}, b)
+
+
+def unreduced_inputs(seed: int, count: int):
+    """``count`` seeded (p, b) pairs with 1 <= b <= 200, one in four b a
+    prime power (1 included), and p given with exponents that need reducing:
+    negative ones, ones of at least b, several sharing a residue, and zero
+    coefficients.  One in three p is a multiple of Phi_b before each of its
+    exponents moves by a multiple of b, which keeps the verdict: half of
+    those of Phi_b itself, half of Phi_q(x^(b/q)) for the least prime q of
+    b, with its q terms.  At b = 1 the multiples are the polynomials whose
+    coefficients sum to zero."""
+    rng = random.Random(seed)
+    prime_powers = [q for q in range(1, 201) if len(factorize(q)) <= 1]
+    for i in range(count):
+        b = rng.choice(prime_powers) if i % 4 == 0 else rng.randint(1, 200)
+        residues = [rng.randrange(b) for _ in range(rng.randint(1, 4))]
+        p = {}
+        for _ in range(rng.randint(1, 8)):
+            e = rng.choice(residues) + b * rng.randint(-3, 3)
+            p[e] = rng.randint(-4, 4)
+        if i % 6 == 0 or b == 1 and i % 3 == 0:
+            p = product(p, cyclotomic(b))
+        elif i % 6 == 3:
+            step = b // factorize(b)[0][0]
+            p = product(p, {k * step: 1 for k in range(b // step)})
+        moved = {}
+        for e, c in p.items():
+            e += b * rng.randint(-3, 3)
+            moved[e] = moved.get(e, 0) + c
+        yield moved, b
+
+
+class TestOnePassRegrouping:
+    """Differential gate: the regrouping that reduces exponents as it goes
+    against the fold-then-regroup rule it replaced
+    (``oracles.divides_cyclotomic_fold_first``) and against evaluation at
+    the primitive roots modulo a prime."""
+
+    def test_three_rules_agree_on_unreduced_inputs(self):
+        seen = {"divisible": 0, "b = 1, zero sum, several terms": 0, "negative": 0,
+                "at least b": 0, "shared residue": 0, "zero coefficient": 0}
+        bs = set()
+        for p, b in unreduced_inputs(53, 10_000):
+            verdict = divides_cyclotomic(p, b)
+            assert verdict == divides_cyclotomic_fold_first(p, b), (b, p)
+            assert verdict == divides_cyclotomic_by_evaluation(p, b), (b, p)
+            bs.add(b)
+            residues = [e % b for e in p]
+            seen["divisible"] += verdict
+            seen["b = 1, zero sum, several terms"] += (b == 1 and len(p) > 1
+                                                       and not sum(p.values()) and any(p.values()))
+            seen["negative"] += min(p, default=0) < 0
+            seen["at least b"] += max(p, default=0) >= b
+            seen["shared residue"] += len(set(residues)) < len(residues)
+            seen["zero coefficient"] += 0 in p.values()
+        assert bs == set(range(1, 201))
+        assert seen["divisible"] >= 3000 and min(seen.values()) >= 10, seen
+
+    def test_classes_passed_down_are_reduced(self, monkeypatch):
+        # Below the top level every exponent lies in [0, b), so equal
+        # residues merge once and a class of zeros is pruned at once.
+        vanishes, unreduced = cyclotomic_module._vanishes, []
+
+        def recorded(terms, b):
+            unreduced.extend((b, e) for e in terms if not 0 <= e < b)
+            return vanishes(terms, b)
+        monkeypatch.setattr(cyclotomic_module, "_vanishes", recorded)
+        for p, b in unreduced_inputs(59, 2000):
+            unreduced.clear()
+            verdict = vanishes(p, b)
+            assert verdict == divides_cyclotomic_fold_first(p, b), (b, p)
+            assert not unreduced, (b, p, unreduced[:5])
 
 
 class TestRadicalHelpers:
