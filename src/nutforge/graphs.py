@@ -24,6 +24,7 @@ list, and DOT.
 from __future__ import annotations
 
 import base64
+import operator
 from dataclasses import dataclass, field
 from itertools import compress, count
 from math import isqrt
@@ -41,7 +42,8 @@ class Graph:
 
     def __post_init__(self):
         order = self.order
-        rows = tuple(int(r) for r in self._rows)
+        # index, not int: floats and strings are refused, not coerced
+        rows = tuple(map(operator.index, self._rows))
         if order < 1:
             raise ValueError("graph order must be >= 1")
         if len(rows) != order:
@@ -139,7 +141,8 @@ class CirculantSpec:
 
     @property
     def degree(self) -> int:
-        return len(self.connection)
+        # |connection|, counted from the jumps (class docstring)
+        return 2 * len(self.jumps) - (self.n % 2 == 0 and self.n // 2 in self.jumps)
 
     def describe(self) -> str:
         return f"circulant(n={self.n}, jumps={sorted(self.jumps)})"

@@ -24,7 +24,7 @@ from nutforge.graphs import (
     complement,
 )
 from nutforge.numtheory import divisors, factorize, is_prime, prime_factors
-from nutforge.verify import DivisorVerdict, block_invariants, nut_check_direct, nut_check_spectral
+from nutforge.verify import DivisorVerdict, nut_check_direct, nut_check_spectral
 
 # Polynomials are exponent -> coefficient dicts; every function below returns
 # one without zero coefficients, so {} is the zero polynomial, equality is
@@ -120,13 +120,17 @@ def divides_cyclotomic_by_evaluation(p: dict, b: int) -> bool:
     Phi_b does not divide p.  If every value is zero, q splits completely in
     Q(zeta_b), so q divides p(zeta_b) there and q^phi(b) divides its norm;
     every conjugate of p(zeta_b) has absolute value at most L < q, so the
-    norm, and with it p(zeta_b), is 0.
+    norm, and with it p(zeta_b), is 0.  The primitive roots are the powers
+    zeta^k with k prime to b, and zeta^(k e) is read from one table of the
+    b powers of zeta at k e mod b.
     """
     folded = add(*({e % b: c} for e, c in p.items()))
-    coeffs, exponents = list(folded.values()), list(folded)
-    q = prime_above(b, sum(map(abs, coeffs)))
+    q = prime_above(b, sum(map(abs, folded.values())))
     zeta = root_of_order(q, b)
-    return not any(eval_at(coeffs, exponents, b, q, pow(zeta, k, q))
+    powers = [1]
+    for _ in range(b - 1):
+        powers.append(powers[-1] * zeta % q)
+    return not any(sum(c * powers[k * e % b] for e, c in folded.items()) % q
                    for k in range(1, b + 1) if gcd(k, b) == 1)
 
 
@@ -728,13 +732,45 @@ def _miller_rabin(q: int) -> bool:
     return True
 
 
+def block_invariants_by_pairs(spec, shift: int) -> tuple[int, tuple[dict, ...]]:
+    """``verify.block_invariants`` before it telescoped the cyclic runs:
+    cyclic order m and the untelescoped invariants folded modulo x^m - 1,
+    (shift + p_S,) for a circulant, and otherwise the determinant
+    (shift + p0)(shift + p2) - p1 p1~ from all its O(|S|^2) exponent pairs
+    and the trace p0 + p2 + 2 shift."""
+    if isinstance(spec, CirculantSpec):
+        n = spec.n
+        return n, (add(*({c % n: 1} for c in spec.connection), {0: shift}),)
+    m = spec.m
+    diag0 = [(j, 1) for j in spec.s0] + [(0, shift)]
+    diag2 = [(j, 1) for j in spec.s2] + [(0, shift)]
+    det = [(e + k, c * v) for e, c in diag0 for k, v in diag2]
+    det += [(j - k, -1) for j in spec.s1 for k in spec.s1]
+    return m, tuple(add(*({e % m: c} for e, c in pairs)) for pairs in (det, diag0 + diag2))
+
+
+def one_minus_x_times(terms: dict, k: int, m: int) -> dict:
+    """(1 - x)^k times the polynomial ``terms``, folded modulo x^m - 1."""
+    return add(*({e % m: c} for e, c in product(terms, *[{0: 1, 1: -1}] * k).items()))
+
+
+def telescoped_by_pairs(spec, shift: int) -> tuple[int, tuple[dict, ...]]:
+    """What ``verify.block_invariants`` must return: the invariants of
+    ``block_invariants_by_pairs`` times (1 - x)^2 for the determinant and
+    (1 - x) for the trace and the entry, folded modulo x^m - 1."""
+    m, invariants = block_invariants_by_pairs(spec, shift)
+    powers = (1,) if len(invariants) == 1 else (2, 1)
+    return m, tuple(one_minus_x_times(terms, k, m) for terms, k in zip(invariants, powers))
+
+
 def divisor_walk_at_every_divisor(spec, shift: int = 0):
     """``verify.divisor_walk`` before it skipped the divisors beyond an
-    invariant's reach: ``divides_cyclotomic`` at every divisor of the cyclic
-    order, from the determinant down."""
+    invariant's reach and read b = 1 off the set sizes:
+    ``divides_cyclotomic`` at every divisor of the cyclic order, from the
+    determinant down, on the invariants of ``block_invariants_by_pairs``."""
     if shift not in (0, 1):
         raise ValueError("shift must be 0 or 1")
-    m, invariants = block_invariants(spec, shift)
+    m, invariants = block_invariants_by_pairs(spec, shift)
     for b in divisors(m):
         mult = 0
         while mult < len(invariants) and divides_cyclotomic(invariants[mult], b):

@@ -45,6 +45,7 @@ from nutforge.verify import (
 )
 from oracles import (
     add,
+    block_invariants_by_pairs,
     cyclotomic,
     divrem,
     phi_table,
@@ -56,6 +57,7 @@ from oracles import (
     is_regular,
     kernel_character_by_rows,
     moebius_ladder,
+    one_minus_x_times,
     prism,
     relabel,
     screen,
@@ -232,8 +234,10 @@ class TestOneExistenceLaw:
 class TestExistenceLawProof:
     """The computed facts of the necessity proof in ``feasible_vt``'s
     docstring: the nullities of the cocktail-party graphs (step 5), of the
-    cycles (step 4) and of the complete graphs (step 5), and the sign
-    classes of step 3 on every witness of the benchmark's censuses."""
+    cycles (step 4) and of the complete graphs (step 5), the sign classes
+    of step 3 on every witness of the benchmark's censuses, and the law's
+    "no" on the Petersen graph and its complement, vertex-transitive graphs
+    that are not Cayley graphs."""
 
     def test_cocktail_party_nullity(self):
         for k in range(3, 41):
@@ -257,6 +261,16 @@ class TestExistenceLawProof:
         assert nut_check_direct(Graph.from_edges(2, [(0, 1)])).nullity == 0
         for n in range(3, 41):
             assert nut_check_spectral(CirculantSpec(n, range(1, n // 2 + 1))).total_nullity == 0, n
+
+    def test_petersen_graph_and_complement(self):
+        # Orders (10, 3) and (10, 6) break the law (odd d; 4 does not
+        # divide 10), and neither graph is singular: the eigenvalues are
+        # 3, 1, -2 and 6, -2, 1.
+        g = petersen()
+        for graph, d in ((g, 3), (complement(g), 6)):
+            assert set(graph.degrees()) == {d}
+            assert not feasible_vt(10, d).exists
+            assert nut_check_direct(graph).nullity == 0
 
     def test_census_witnesses_split_into_sign_classes(self):
         for family, n, d, dedup in CENSUS_CASES:
@@ -486,8 +500,10 @@ class TestRecipeProofs:
     (the determinant, then the trace) that Phi_b divides (``verify``).  The
     base's rotations are +-e for fixed exponents e and its reflections are
     fixed, so once m passes 2 max(e) and the largest reflection its
-    exponents stop wrapping, and its folded invariants are the Laurent
-    polynomials D and T of ``shifted_invariants`` reduced modulo x^m - 1.
+    exponents stop wrapping, and its pair-list invariants
+    (``oracles.block_invariants_by_pairs``) are the Laurent polynomials D
+    and T of ``shifted_invariants`` reduced modulo x^m - 1; the telescoped
+    ones of ``block_invariants`` are (1 - x)^2 D and (1 - x) T, reduced.
     When b | m, Phi_b divides x^m - 1, so the folded block is singular at b
     exactly when Phi_b divides D.  D does not depend on m, so its finitely
     many cyclotomic factors, each with phi(b) <= span(D), decide every
@@ -516,9 +532,13 @@ class TestRecipeProofs:
                 p0 = {r if 2 * r <= m else r - m: 1 for r in spec.rotations}
                 det = add(product(p0, p0), product({r: 1 for r in spec.reflections},
                                                    {-r: -1 for r in spec.reflections}))
-                assert block_invariants(spec, 0)[1][0] == add(*({k % m: c} for k, c in det.items()))
+                assert block_invariants_by_pairs(spec, 0)[1][0] == add(
+                    *({k % m: c} for k, c in det.items()))
                 assert product({4 * t + e: 1, 4 * t + e + 1: -1}, det) == \
                     FAMILIES[tag].member(t), (t, m)
+                # telescoped: (1 - x)^2 D = x^-(4t+e) (1 - x) L(t)
+                assert block_invariants(spec, 0)[1][0] == one_minus_x_times(
+                    {k - 4 * t - e: c for k, c in FAMILIES[tag].member(t).items()}, 1, m)
 
     @pytest.mark.parametrize("tag, d0, e", [("R", 6, 7), ("T", 10, 13)])
     def test_direct_family_identity_fails_on_a_moved_reflection(self, tag, d0, e):
@@ -587,7 +607,8 @@ class TestRecipeProofs:
             spec = complement_family_spec(d, gap)
             assert spec.m >= m_least
             folded = add(*({e % spec.m: c} for e, c in det.items()))
-            assert block_invariants(spec, 1)[1][0] == folded
+            assert block_invariants_by_pairs(spec, 1)[1][0] == folded
+            assert block_invariants(spec, 1)[1][0] == one_minus_x_times(det, 2, spec.m)
             report = nut_check_spectral(spec, 1)
             assert (report.total_nullity, report.singular_divisors) == (1, (1,)), d
 
@@ -1331,11 +1352,13 @@ class TestScreen:
         assert not any(map(screen, specs))
         assert asked == []
 
+    # b = 1 is read off the set sizes and never asks divides_cyclotomic, so
+    # the asked divisors start at b = 2.
     @pytest.mark.parametrize("spec,walked", [
         # singular at b = 2, 4, 6 and 12: nullity 1 + 2, past one at b = 4
-        (CirculantSpec(12, {1, 2, 4, 5}), [1, 2, 3, 4]),
+        (CirculantSpec(12, {1, 2, 4, 5}), [2, 3, 4]),
         # singular at b = 2, 3 and 6: nullity 1 + 2, past one at b = 3
-        (DihedralSpec(6, {1, 5}, {0, 1, 2, 4}), [1, 2, 3]),
+        (DihedralSpec(6, {1, 5}, {0, 1, 2, 4}), [2, 3]),
     ])
     def test_walk_stops_past_nullity_one(self, monkeypatch, spec, walked):
         report = nut_check_spectral(spec)

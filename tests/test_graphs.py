@@ -60,6 +60,18 @@ class TestGraphCore:
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(0, 0)])
 
+    def test_rows_must_be_integers(self):
+        # Floats and strings are refused, not truncated or parsed: int()
+        # would make (2.9, 1.2) and ('2', '1') the one-edge graph.
+        for rows in ((2.9, 1.2), ("2", "1"), (2.0, 1)):
+            with pytest.raises(TypeError):
+                Graph(2, rows)
+        np = pytest.importorskip("numpy")
+        edge = Graph.from_edges(2, [(0, 1)])
+        for rows in ((2, 1), (2, True), np.array([2, 1], dtype=np.int64), (np.uint8(2), 1)):
+            g = Graph(2, rows)
+            assert g == edge and all(type(r) is int for r in g.adjacency_rows())
+
     def test_asymmetry_names_first_pair(self):
         # One-sided entries 3 -> 1 and 4 -> 2: the message names (1, 3).
         with pytest.raises(ValueError, match=r"asymmetric adjacency at \(1, 3\)$"):

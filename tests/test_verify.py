@@ -18,6 +18,7 @@ from nutforge.graphs import (
 )
 from nutforge.numtheory import divisors, euler_phi, is_prime
 from nutforge.verify import (
+    DivisorVerdict,
     _cyclic_span,
     block_invariants,
     divisor_walk,
@@ -27,11 +28,14 @@ from nutforge.verify import (
 import oracles
 from oracles import (
     _miller_rabin,
+    block_invariants_by_pairs,
     cyclotomic,
     divisor_walk_at_every_divisor,
     nonvanishing_witnesses,
+    one_minus_x_times,
     product,
     small_cayley_specs,
+    telescoped_by_pairs,
 )
 
 
@@ -115,36 +119,54 @@ class TestShiftedNullity:
 
 
 class TestDetPolynomial:
+    """Each telescoped invariant of ``block_invariants`` is the pair-list
+    invariant of ``oracles.block_invariants_by_pairs`` times (1 - x)^2 (the
+    determinant) or 1 - x (the trace, the entry), folded modulo x^m - 1."""
+
     def test_matching_block(self):
         spec = DihedralSpec(3, frozenset(), {0})
-        assert block_invariants(spec, 0) == (3, ({0: -1}, {}))
+        assert block_invariants_by_pairs(spec, 0) == (3, ({0: -1}, {}))
+        # -(1 - x)^2 = -1 + 2x - x^2
+        assert block_invariants(spec, 0) == telescoped_by_pairs(spec, 0) == (
+            3, ({0: -1, 1: 2, 2: -1}, {}))
 
     def test_disjoint_squares(self):
         spec = BicirculantSpec(4, {1, 3}, frozenset(), {1, 3})
-        assert block_invariants(spec, 0)[1][0] == {2: 2, 0: 2}
+        assert block_invariants_by_pairs(spec, 0)[1][0] == {2: 2, 0: 2}
+        assert block_invariants(spec, 0) == telescoped_by_pairs(spec, 0)
 
     def test_six_regular_family_divisors(self):
         from nutforge.cyclotomic import divides_cyclotomic
 
         spec = DihedralSpec(8, {1, 7}, {0, 1, 4, 6})
+        assert block_invariants(spec, 0) == telescoped_by_pairs(spec, 0)
+        by_pairs = block_invariants_by_pairs(spec, 0)[1][0]
         d = block_invariants(spec, 0)[1][0]
-        assert divides_cyclotomic(d, 2)
+        assert divides_cyclotomic(by_pairs, 2) and divides_cyclotomic(d, 2)
         for b in (1, 4, 8):
+            assert not divides_cyclotomic(by_pairs, b)
+        # 1 - x vanishes only at b = 1, where the set sizes decide
+        for b in (4, 8):
             assert not divides_cyclotomic(d, b)
+        assert verify._values_at_one(spec, 0)[0] == sum(by_pairs.values()) != 0
 
     def test_value_at_one_is_block_determinant(self):
         rng = random.Random(89)
         for shift in (0, 1):
             for _ in range(40):
                 spec = random_bicirculant_spec(rng, max_m=12)
-                d = block_invariants(spec, shift)[1][0]
+                d = block_invariants_by_pairs(spec, shift)[1][0]
                 expected = ((shift + len(spec.s0)) * (shift + len(spec.s2))
                             - len(spec.s1) ** 2)
                 assert sum(d.values()) == expected  # the value at x = 1
+                assert verify._values_at_one(spec, shift)[0] == expected
+                assert block_invariants(spec, shift) == telescoped_by_pairs(spec, shift)
 
     def test_trace_value_at_one(self):
         spec = BicirculantSpec(6, {1, 5}, {0, 3}, {2, 4})
-        assert sum(block_invariants(spec, 1)[1][1].values()) == 2 + 2 + 2
+        assert sum(block_invariants_by_pairs(spec, 1)[1][1].values()) == 2 + 2 + 2
+        assert verify._values_at_one(spec, 1)[1] == 2 + 2 + 2
+        assert block_invariants(spec, 1) == telescoped_by_pairs(spec, 1)
 
     def test_maps_are_folded_and_free_of_zeros(self):
         rng = random.Random(97)
@@ -200,6 +222,9 @@ class TestBlockInvariantsDifferential:
                                    {b for b in range(m) if rng.random() < 0.3})
 
     def test_matches_blocks_at_roots_mod_q(self):
+        # Each telescoped invariant is (1 - w)^k times the block's value at
+        # w, k = 2 for the determinant and 1 for the entry and the trace;
+        # at w = 1 the walk reads the block values from the set sizes.
         rng = random.Random(101)
         singular = 0
         for spec in self._specs(rng):
@@ -212,6 +237,8 @@ class TestBlockInvariantsDifferential:
             rows = g.adjacency_rows()
             for shift in (0, 1):
                 m, invariants = block_invariants(spec, shift)
+                assert (m, invariants) == telescoped_by_pairs(spec, shift)
+                powers = (1,) if isinstance(spec, CirculantSpec) else (2, 1)
                 q, z = _root_of_unity(m)
                 for k in range(m):
                     w = pow(z, k, q)
@@ -225,8 +252,14 @@ class TestBlockInvariantsDifferential:
                         c = _row_value(rows[m], 0, m, w, q)
                         d = _row_value(rows[m], m, m, w, q) + shift
                         expected = [(a * d - b * c) % q, (a + d) % q]
-                    assert got == expected, (spec, shift, k)
-                    singular += not got[0]
+                    assert got == [(1 - w) ** j * v % q for j, v in zip(powers, expected)], (
+                        spec, shift, k)
+                    singular += not expected[0]
+                    if k == 0:
+                        # w = 1: the values are below q in absolute value
+                        zeros = next((i for i, v in enumerate(expected) if v), len(expected))
+                        assert next(divisor_walk(spec, shift)) == DivisorVerdict(1, zeros), (
+                            spec, shift)
         assert singular >= 50
 
 
@@ -368,24 +401,32 @@ class TestNonvanishingWitnesses:
             assert not _miller_rabin(q), q
         assert _miller_rabin(2**61 - 1) and _miller_rabin(10**12 + 39)
 
-    def test_catalog_witnesses_up_to_order_10_12(self):
+    @staticmethod
+    def assert_witnessed(n, d):
         # Only the divisors where the witness is a nut graph's character,
         # b = 1 or 2, are singular; every other divisor gets a witness, and
         # each verdict agrees with divisor_walk's.
+        spec, shift, recipe = catalog_witness(n, d)
+        witness = nonvanishing_witnesses(spec, shift)
+        singular = []
+        for verdict in divisor_walk(spec, shift):
+            found = witness(verdict.b, 20)
+            assert (found is None) == (verdict.multiplicity > 0), (recipe, verdict)
+            if found is None:
+                singular.append(verdict.b)
+            else:
+                q, w = found
+                assert (q - 1) % verdict.b == 0 and _miller_rabin(q)
+                assert pow(w, verdict.b, q) == 1
+        assert len(singular) == 1 and singular[0] <= 2, recipe
+
+    def test_catalog_witnesses_up_to_order_10_12(self):
         for n, d in catalog_pairs():
-            spec, shift, recipe = catalog_witness(n, d)
-            witness = nonvanishing_witnesses(spec, shift)
-            singular = []
-            for verdict in divisor_walk(spec, shift):
-                found = witness(verdict.b, 20)
-                assert (found is None) == (verdict.multiplicity > 0), (recipe, verdict)
-                if found is None:
-                    singular.append(verdict.b)
-                else:
-                    q, w = found
-                    assert (q - 1) % verdict.b == 0 and _miller_rabin(q)
-                    assert pow(w, verdict.b, q) == 1
-            assert len(singular) == 1 and singular[0] <= 2, recipe
+            self.assert_witnessed(n, d)
+
+    @pytest.mark.parametrize("n, d", [(8000, 3998), (10**9, 4006)])
+    def test_large_degree_catalog_witnesses(self, n, d):
+        self.assert_witnessed(n, d)
 
     def test_small_cayley_specs(self):
         # A singular divisor never gets a witness; every other divisor gets
@@ -398,6 +439,24 @@ class TestNonvanishingWitnesses:
                         assert witness(verdict.b, 5) is None, (spec, shift, verdict)
                     else:
                         assert witness(verdict.b, 20) is not None, (spec, shift, verdict)
+
+
+class TestLargeDegreeWitnesses:
+    """Catalog witnesses of large degree, whose connection sets are a few
+    long cyclic runs: the telescoped invariants stay small, so the walk
+    decides them at once."""
+
+    @pytest.mark.parametrize("n, d", [(8000, 3998), (10**9, 4006), (963761198400, 798)])
+    def test_nullity_one_at_b_2(self, n, d):
+        report = nut_check_spectral(*catalog_witness(n, d)[:2])
+        assert (report.total_nullity, report.singular_divisors) == (1, (2,))
+
+    def test_term_count_grows_with_runs_not_set_size(self):
+        # |S| is about 4000 here, so a pair-list determinant has thousands
+        # of terms; the runs give at most a few dozen.
+        spec, shift, _ = catalog_witness(10**9, 4006)
+        det, trace = block_invariants(spec, shift)[1]
+        assert len(det) <= 40 and len(trace) <= 8
 
 
 def sparse_inverse_closed(rng, m, width):
@@ -465,19 +524,23 @@ class TestReachRule:
             verdicts = self.walks_agree(BicirculantSpec(m, [], [], []), 0)
             assert sum(v.nullity for v in verdicts) == 2 * m
             assert all(v.multiplicity == 2 for v in verdicts)
-        assert len(asked) == 2 * sum(len(divisors(m)) for m in (3, 12, 60, 210))
+        # b = 1 is read off the set sizes and never asks divides_cyclotomic.
+        assert len(asked) == 2 * sum(len(divisors(m)) - 1 for m in (3, 12, 60, 210))
 
     def test_single_term_invariants(self):
-        # A monomial vanishes at no root of unity, so every divisor is
-        # skipped: x^k on Z_2k, det -1 of a perfect matching at shift 0,
-        # and at shift 1 an empty det above the trace 2.
+        # A monomial vanishes at no root of unity: x^k on Z_2k, det -1 of a
+        # perfect matching at shift 0, and at shift 1 an empty det above
+        # the trace 2.  Telescoped to spans 2 and 1, the determinant
+        # reaches only b = 2 and the entry and the trace no divisor.
         for k in (2, 6, 30, 180):
             assert not any(v.multiplicity for v in self.walks_agree(CirculantSpec(2 * k, {k}), 0))
         for m, j in ((4, 1), (60, 7), (360, 0)):
             spec = BicirculantSpec(m, [], [j], [])
-            assert block_invariants(spec, 0)[1] == ({0: -1}, {})
+            assert block_invariants_by_pairs(spec, 0)[1] == ({0: -1}, {})
+            assert block_invariants(spec, 0) == telescoped_by_pairs(spec, 0)
             assert not any(v.multiplicity for v in self.walks_agree(spec, 0))
-            assert block_invariants(spec, 1)[1] == ({}, {0: 2})
+            assert block_invariants_by_pairs(spec, 1)[1] == ({}, {0: 2})
+            assert block_invariants(spec, 1) == telescoped_by_pairs(spec, 1)
             verdicts = self.walks_agree(spec, 1)
             assert all(v.multiplicity == 1 for v in verdicts)
             assert sum(v.nullity for v in verdicts) == m
@@ -545,3 +608,24 @@ class TestCyclicSpan:
                 else:
                     divisible += divides_cyclotomic(terms, b)
         assert skipped > 100 and divisible > 100
+
+    def test_maps_vanishing_at_one_reach_one_less(self):
+        # A map times 1 - x, as every telescoped invariant is: x - 1 and any
+        # Phi_b with b >= 2 dividing it both divide its rotation of degree
+        # span, so phi(b) >= span rules b out, and phi(b) = span - 1 occurs.
+        rng = random.Random(149)
+        skipped = tight = 0
+        for _ in range(500):
+            m = rng.randint(2, 60)
+            terms = one_minus_x_times(random_folded_map(rng, m), 1, m)
+            if not terms:
+                continue
+            assert sum(terms.values()) == 0
+            span = _cyclic_span(terms, m)
+            for b in divisors(m)[1:]:
+                if euler_phi(b) >= span:
+                    skipped += 1
+                    assert not divides_cyclotomic(terms, b), (terms, m, b)
+                elif euler_phi(b) == span - 1:
+                    tight += divides_cyclotomic(terms, b)
+        assert skipped > 100 and tight > 20
