@@ -24,15 +24,19 @@ degrees divisible by four beyond order d + 4.
 isomorphism class, in one serial pass: candidates come in a fixed order,
 and a witness is kept unless an earlier one has the same
 ``canonical_form``, an exact labeling by colour refinement and
-individualization, pruned by the automorphisms the search meets.
-Cay(G, S) and Cay(G, a(S)) are isomorphic for every automorphism a of G,
-so the census screens only the connection sets that are the minimum of
-their orbit (``_orbit_minimal``, read from the index tuples, so that a spec
-is built for the minima alone); the first candidate of a class is the
-minimum of its own orbit, so the kept witnesses are the same.  Labeling
-still runs on every survivor: isomorphic Cayley graphs need not have
-connection sets in one orbit (circulant 32 8 has 12 orbit minima in 9
-classes).
+individualization, pruned by the automorphisms the search meets and,
+from the start, by the translations of the group, which are automorphisms
+of every Cayley graph on it.  Cay(G, S) and Cay(G, a(S)) are isomorphic
+for every automorphism a of G, so the census screens only the connection
+sets that are the minimum of their orbit (``_orbit_minimal``, read from
+the index tuples, so that a spec is built for the minima alone); the first
+candidate of a class is the minimum of its own orbit, so the kept
+witnesses are the same.  Labeling still runs on every survivor: isomorphic
+Cayley graphs need not have connection sets in one orbit (circulant 32 8
+has 12 orbit minima in 9 classes).  Without dedup the census certifies
+every connection set, but walks the divisors once per orbit: the minimum,
+first in the stream, records its verdict under each of its images
+(``_orbit``), since isomorphic graphs have one nullity.
 
 Every witness, whichever construction produced it, passes one gate,
 ``_certify``, which reads every fact from the witness's spec and shift.
@@ -45,10 +49,10 @@ time, until it passes one, and only the specs that end at exactly one are
 built.  A nut graph must then have the requested order and degree and obey
 the existence law of ``feasible_vt``.  The search and the census read one
 capped stream, ``_witnesses``: the index tuples of ``_candidates``, the
-orbit filter for the census, ``_spec`` for each tuple that goes on, and the
-gate.  No witness runs an O(n^3) kernel, except that a search hit is also
-checked against the direct kernel.  The outputs are certificates, not
-citations.
+orbit filter or the shared walks for the census, ``_spec`` for each tuple
+that goes on, and the gate; the search uses no orbit.  No witness runs an
+O(n^3) kernel, except that a search hit is also checked against the
+direct kernel.  The outputs are certificates, not citations.
 """
 
 from __future__ import annotations
@@ -282,8 +286,20 @@ def _kernel_character(spec: CirculantSpec | DihedralSpec, shift: int):
     return None
 
 
+def _walks_to_one(spec: CirculantSpec | DihedralSpec, shift: int) -> bool:
+    """True when the divisor walk of a spec with a kernel character
+    (``_kernel_character``) ends at nullity exactly one; False at the first
+    divisor that takes the running total above one (``_certify``)."""
+    nullity = 0
+    for verdict in divisor_walk(spec, shift):
+        nullity += verdict.nullity
+        if nullity > 1:
+            return False
+    return True
+
+
 def _certify(spec: CirculantSpec | DihedralSpec, shift: int, recipe: str | None, n: int,
-             d: int) -> Witness | None:
+             d: int, nullity_one: bool | None = None) -> Witness | None:
     """The witness built from spec, complemented when shift is 1, or None
     when its spectral nullity is not exactly one: the one nut gate of every
     catalog, search and census witness.  A nut graph that is not d-regular
@@ -323,15 +339,18 @@ def _certify(spec: CirculantSpec | DihedralSpec, shift: int, recipe: str | None,
     entries in a kernel of dimension one makes a nut graph, and eps, with
     eps(e) = 1, is the primitive kernel vector with a positive first entry
     that an exact kernel computation returns.
+
+    ``nullity_one``, when given, is the walk's verdict already known for an
+    isomorphic spec, whose spectrum is the same; it replaces the walk, and
+    every other check still reads this spec.
     """
     character = _kernel_character(spec, shift)
     if character is None:
         return None
-    nullity = 0
-    for verdict in divisor_walk(spec, shift):
-        nullity += verdict.nullity
-        if nullity > 1:
-            return None
+    if nullity_one is None:
+        nullity_one = _walks_to_one(spec, shift)
+    if not nullity_one:
+        return None
     if recipe is None:
         recipe = spec.describe()
     degree = spec.order - 1 - spec.degree if shift else spec.degree
@@ -446,23 +465,64 @@ def _orbit_minimal(family: str, n: int, sets) -> bool:
     return True
 
 
-def _witnesses(family: str, n: int, d: int, budget: int | None, minima: bool):
+def _orbit(family: str, n: int, sets) -> set:
+    """The images of ``sets``, a connection set of ``_candidates``, under
+    the automorphisms of ``_orbit_minimal``, as index tuples of the same
+    stream, ``sets`` among them."""
+    if family == "circulant":
+        return {tuple(sorted(min(a * j % n, -a * j % n) for j in sets)) for a in _units(n)}
+    m = n // 2
+    jumps, refl = sets
+    orbit = set()
+    for a in _units(m):
+        image = tuple(sorted(min(a * j % m, -a * j % m) for j in jumps))
+        scaled = [a * b % m for b in refl]
+        orbit.update((image, tuple(sorted((b + c) % m for b in scaled))) for c in range(m))
+    return orbit
+
+
+def _witnesses(family: str, n: int, d: int, budget: int | None, orbits: str | None):
     """The certified witnesses among the connection sets of ``_candidates``,
-    in stream order.  With ``minima`` only the orbit minima
-    (``_orbit_minimal``) go on; ``_spec`` builds the spec of each set that
-    does, and ``_certify`` gates it, describing it only if it passes.  The
-    budget, when given, caps the sets enumerated, orbit non-minima and
+    in stream order.  ``_spec`` builds the spec of each set that goes on,
+    and ``_certify`` gates it, describing it only if it passes.  ``orbits``
+    says what the group's automorphisms do:
+
+    * None, for the search: nothing; every set goes on and is walked.
+    * "minima", for the deduplicated census: only the orbit minima
+      (``_orbit_minimal``) go on.
+    * "shared", for the census without dedup: every set goes on, and the
+      sets of one orbit share one divisor walk.  Cay(G, S) and Cay(G, a(S))
+      are isomorphic, so they have one spectrum and one nullity, and
+      whether a +-1 character vanishes on S is kept by a as well.  The
+      first set of an orbit in stream order is its minimum; when it has a
+      kernel character, its walk verdict is recorded under each of its
+      images (``_orbit``), and a later set takes the verdict recorded for
+      it, which is then dropped, instead of walking.  A set with no
+      verdict recorded walks itself, so a wrong image costs a walk, never
+      a verdict.  Every set still has its own character, shape and
+      existence checks and its own build.
+
+    The budget, when given, caps the sets enumerated, orbit non-minima and
     rejected sets included: the set past it raises SearchExhaustedError, so
     neither the search nor the census is ever silently cut short.
     """
+    verdicts: dict[tuple, bool] = {}  # "shared": image -> its orbit's walk verdict
     for count, sets in enumerate(_candidates(family, n, d), 1):
         if budget is not None and count > budget:
             raise SearchExhaustedError(f"candidate count for ({family}, {n}, {d}) "
                                        f"exceeds the budget of {budget}")
-        if minima and not _orbit_minimal(family, n, sets):
+        if orbits == "minima" and not _orbit_minimal(family, n, sets):
             continue
         spec = _spec(family, n, sets)
-        w = _certify(spec, 0, None, n, d)
+        nullity_one = None
+        if orbits == "shared":
+            nullity_one = verdicts.pop(sets, None)
+            if nullity_one is None:
+                if _kernel_character(spec, 0) is None:
+                    continue
+                nullity_one = _walks_to_one(spec, 0)
+                verdicts.update(dict.fromkeys(_orbit(family, n, sets) - {sets}, nullity_one))
+        w = _certify(spec, 0, None, n, d, nullity_one)
         if w is not None:
             yield w
 
@@ -479,7 +539,7 @@ def circulant_search(n: int, d: int) -> Witness | None:
     """
     if n < 3:
         raise ValueError("circulant order must be >= 3")
-    w = next(_witnesses("circulant", n, d, DEFAULT_SEARCH_BUDGET, minima=False), None)
+    w = next(_witnesses("circulant", n, d, DEFAULT_SEARCH_BUDGET, None), None)
     if w is not None and nut_check_direct(w.graph) != w.certificate:
         raise RuntimeError(f"the direct kernel disagrees with the certificate of {w.recipe}")
     return w
@@ -524,6 +584,22 @@ def _refine(rows, cells, active):
     return cells
 
 
+@cache
+def _translations(n: int) -> tuple[tuple[int, ...], ...]:
+    """Generators of the translations of Z_n and, at even n = 2m, of D_m,
+    as maps of the vertices of ``build``; each is an automorphism of every
+    Cayley graph on its group.  On Z_n, i -> i + 1.  On D_m, where vertex
+    i is r^i and m + i is r^-i s, the translations by r, i -> i + 1 and
+    m + i -> m + i + 1, and by s, i -> m - i and m + i -> -i, all mod m."""
+    maps = [tuple((i + 1) % n for i in range(n))]
+    if n % 2 == 0:
+        m = n // 2
+        maps.append(tuple((i + 1) % m for i in range(m))
+                    + tuple(m + (i + 1) % m for i in range(m)))
+        maps.append(tuple(m + (-i % m) for i in range(m)) + tuple(-i % m for i in range(m)))
+    return tuple(maps)
+
+
 def canonical_form(g: Graph) -> tuple[int, ...]:
     """Isomorphism-invariant key ``(n, *certificate)``, after McKay and
     Piperno's individualization-refinement.
@@ -546,6 +622,14 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
     orbit of one it explored, under the automorphisms found so far that fix
     the node's individualized vertices; skipped subtrees repeat explored
     certificates, so the minimum stays exact.
+
+    The list of automorphisms starts with the maps of ``_translations``
+    that take every edge of g to an edge; a vertex bijection that does so
+    is an automorphism.  They are automorphisms of every circulant and
+    dihedral Cayley graph ``build`` returns, so of every census witness,
+    and spare the search rediscovering them leaf by leaf.  Pruning by
+    them skips only subtrees that repeat explored certificates, as pruning
+    by found automorphisms does, so the form is unchanged.
     """
     n = g.order
     rows = g.adjacency_rows()
@@ -553,7 +637,8 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
     best_cert: tuple[int, ...] | None = None
     best_order: list[int] = []
     best_path: list[int] = []
-    automorphisms: list[list[int]] = []
+    automorphisms = [p for p in _translations(n)
+                     if all(rows[p[u]] >> p[v] & 1 for u in range(n) for v in neighbours[u])]
 
     def search(cells: list[list[int]], path: list[int]) -> int | None:
         """Explore a node; return the depth to jump back to, or None."""
@@ -617,18 +702,23 @@ def census(family: str, n: int, d: int, dedup: bool = True,
     """All nut graphs of the family at (n, d), one witness per isomorphism
     class (or one per connection set with dedup disabled), in one pass.
 
-    The witnesses come from ``_witnesses``, the stream of the search.  With
-    dedup only the minima of the automorphism orbits (``_orbit_minimal``)
-    are certified: each class's first candidate is one, so the output is
-    that of certifying every candidate.  ``canonical_form`` still labels
-    every witness, since orbits alone do not decide isomorphism.  A budget
-    caps the number of connection sets enumerated, orbit non-minima
-    included; exceeding it raises SearchExhaustedError rather than returning
-    a silently truncated census.
+    The witnesses come from ``_witnesses``, the stream of the search, and
+    use the automorphisms a of the group G: Cay(G, S) and Cay(G, a(S)) are
+    isomorphic.  With dedup only the minima of the automorphism orbits
+    (``_orbit_minimal``) are certified: each class's first candidate is
+    one, so the output is that of certifying every candidate.
+    ``canonical_form`` still labels every witness, since orbits alone do not
+    decide isomorphism, and starts from the translations of G, which it
+    finds to be automorphisms of every witness.  Without dedup every
+    connection set is certified, but the sets of one orbit share the
+    divisor walk of its minimum, which comes first: isomorphic graphs have
+    one nullity.  A budget caps the number of connection sets enumerated,
+    orbit non-minima included; exceeding it raises SearchExhaustedError
+    rather than returning a silently truncated census.
     """
     witnesses = []
     seen: set[tuple[int, ...]] = set()
-    for w in _witnesses(family, n, d, budget, minima=dedup):
+    for w in _witnesses(family, n, d, budget, "minima" if dedup else "shared"):
         if dedup:
             key = canonical_form(w.graph)
             if key in seen:

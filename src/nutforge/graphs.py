@@ -116,7 +116,9 @@ class CirculantSpec:
     """Circulant graph on Z_n: vertex i adjacent to i +- j for each jump j.
 
     Jumps live in [1, n // 2]; the jump n/2 (even n) contributes degree one,
-    every other jump degree two.
+    every other jump degree two.  ``connection``, the inverse-closed
+    connection set {+-j mod n}, is built once with the spec; it is not a
+    field, so equality, hash and repr read n and the jumps alone.
     """
 
     n: int
@@ -129,15 +131,12 @@ class CirculantSpec:
         for j in self.jumps:
             if not 1 <= j <= self.n // 2:
                 raise ValueError(f"jump {j} outside [1, {self.n // 2}]")
+        object.__setattr__(self, "connection",
+                           frozenset(c % self.n for j in self.jumps for c in (j, -j)))
 
     @property
     def order(self) -> int:
         return self.n
-
-    @property
-    def connection(self) -> frozenset:
-        """The inverse-closed connection set {+-j mod n}."""
-        return frozenset(c % self.n for j in self.jumps for c in (j, -j))
 
     @property
     def degree(self) -> int:

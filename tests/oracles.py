@@ -356,6 +356,15 @@ def candidate_specs(family: str, n: int, d: int, minima: bool = False):
             if not minima or _orbit_minimal(family, n, sets))
 
 
+def census_by_every_walk(family: str, n: int, d: int) -> list:
+    """The census without dedup before the sets of an automorphism orbit
+    shared one divisor walk: every connection set of ``_candidates``, in
+    stream order, built by ``_spec`` and gated by ``_certify`` with a walk
+    of its own."""
+    return [w for w in (_certify(_spec(family, n, sets), 0, None, n, d)
+                        for sets in _candidates(family, n, d)) if w is not None]
+
+
 def candidate_specs_before_tuples(family: str, n: int, d: int):
     """The spec stream that the search and the census read before their
     candidates became index tuples: frozenset jump sets on Z_n, and on D_m

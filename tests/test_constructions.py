@@ -52,6 +52,7 @@ from oracles import (
     product,
     candidate_specs,
     candidate_specs_before_tuples,
+    census_by_every_walk,
     circulant_search_by_islice,
     dihedral_candidates_by_orbits,
     is_regular,
@@ -1216,6 +1217,61 @@ class TestCanonicalAndCensus:
         assert canonical_form(complement(a)) == canonical_form(complement(b))
 
 
+@pytest.fixture(scope="module")
+def labeled_witnesses():
+    """The witness graphs of the benchmark's census requests and of the
+    dedup censuses dihedral 32 8, circulant 32 8 and circulant 40 8: every
+    witness of a --no-dedup request, and of a dedup census the witnesses
+    among the orbit minima, which it labels."""
+    cases = list(CENSUS_CASES) + [("dihedral", 32, 8, True), ("circulant", 32, 8, True),
+                                  ("circulant", 40, 8, True)]
+    return {(family, n, d, dedup): [w.graph for w in constructions._witnesses(
+                family, n, d, None, "minima" if dedup else "shared")]
+            for family, n, d, dedup in cases}
+
+
+class TestSeededLabeling:
+    def test_translations_are_automorphisms(self, labeled_witnesses):
+        # The translation by 1 of Z_n, and by r and by s of D_m: each maps
+        # the rows of every witness onto the rows of its image vertices.
+        checked = 0
+        for (family, n, _, _), graphs in labeled_witnesses.items():
+            maps = constructions._translations(n)
+            generators = maps[:1] if family == "circulant" else maps[1:]
+            assert len(generators) == (1 if family == "circulant" else 2)
+            for g in graphs:
+                rows = g.adjacency_rows()
+                for p in generators:
+                    permuted = [sum(1 << p[v] for v in g.neighbors(u)) for u in range(n)]
+                    assert [rows[p[u]] for u in range(n)] == permuted, (family, n)
+                    checked += 1
+        assert checked == 1262
+
+    def test_seeded_forms_equal_unseeded(self, monkeypatch, labeled_witnesses):
+        # The forms with the translations as known automorphisms equal those
+        # without them, which the search finds with more refinements.
+        graphs = [g for ws in labeled_witnesses.values() for g in ws]
+        refinements = []
+        refine = constructions._refine
+        monkeypatch.setattr(constructions, "_refine",
+                            lambda *args: refinements.append(1) or refine(*args))
+        seeded = [canonical_form(g) for g in graphs]
+        seeded_refinements = len(refinements)
+        monkeypatch.setattr(constructions, "_translations", lambda n: ())
+        refinements.clear()
+        assert [canonical_form(g) for g in graphs] == seeded
+        assert seeded_refinements < len(refinements)
+
+    def test_non_automorphisms_are_not_seeded(self, monkeypatch, labeled_witnesses):
+        # After one double-edge swap, some translation of each witness is no
+        # longer an automorphism; the forms still equal the unseeded ones.
+        rng = random.Random(127)
+        graphs = [swap_edges(g, rng, 1) for ws in labeled_witnesses.values() for g in ws[:4]]
+        seeded = [canonical_form(g) for g in graphs]
+        monkeypatch.setattr(constructions, "_translations", lambda n: ())
+        assert [canonical_form(g) for g in graphs] == seeded
+
+
 # -- census over automorphism orbits ---------------------------------------------
 
 def order_key(spec):
@@ -1269,7 +1325,7 @@ class TestOrbitPruning:
         ("circulant", 40, 8, 40), ("dihedral", 14, 8, 3)])
     def test_dedup_census_matches_full_enumeration(self, family, n, d, classes):
         firsts = {}
-        for w in census(family, n, d, dedup=False):
+        for w in census_by_every_walk(family, n, d):
             firsts.setdefault(canonical_form(w.graph), w)
         expected = [(to_graph6(w.graph), w.recipe) for w in firsts.values()]
         kept = census(family, n, d)
@@ -1302,6 +1358,16 @@ class TestOrbitPruning:
         assert len(census("dihedral", 14, 8)) == 3
         assert len(built) == 6
         assert built == list(candidate_specs("dihedral", 14, 8, minima=True))
+
+
+def recorded_walks(monkeypatch):
+    """Route ``_certify``'s divisor walk through a recorder of the specs
+    walked."""
+    walked = []
+    real = constructions.divisor_walk
+    monkeypatch.setattr(constructions, "divisor_walk",
+                        lambda spec, shift: walked.append(spec) or real(spec, shift))
+    return walked
 
 
 def recorded_divisors(monkeypatch):
@@ -1338,6 +1404,42 @@ class TestScreen:
                         screened += 1
                         witnesses += w is not None
         assert (screened, witnesses) == (18122, 1062)
+
+    def test_no_dedup_census_matches_every_walk(self):
+        # One walk per automorphism orbit gives the witnesses of walking
+        # every connection set, on the grid above and two larger censuses.
+        cases = [(family, n, d) for family, family_orders in
+                 (("circulant", range(3, 25)), ("dihedral", range(6, 17, 2)))
+                 for n in family_orders for d in range(n)]
+        cases += [("dihedral", 20, 6), ("circulant", 30, 8)]
+        witnesses = 0
+        for family, n, d in cases:
+            expected = census_by_every_walk(family, n, d)
+            assert census(family, n, d, dedup=False) == expected, (family, n, d)
+            witnesses += len(expected)
+        assert witnesses == 1062 + 600 + 176
+
+    @pytest.mark.parametrize("family,n,d,walks,every_walk", [
+        ("dihedral", 14, 8, 4, 105), ("circulant", 24, 8, 51, 150)])
+    def test_one_walk_per_orbit(self, monkeypatch, family, n, d, walks, every_walk):
+        # The two --no-dedup censuses of the benchmark.
+        walked = recorded_walks(monkeypatch)
+        census_by_every_walk(family, n, d)
+        assert len(walked) == every_walk
+        walked.clear()
+        census(family, n, d, dedup=False)
+        assert len(walked) == walks
+
+    def test_search_never_reaches_the_orbit_images(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("orbit images built")
+
+        monkeypatch.setattr(constructions, "_orbit", refuse)
+        assert catalog_witness(40, 8) is None
+        assert construct(40, 8).graph.order == 40
+        assert circulant_search(2000, 8) is not None
+        with pytest.raises(AssertionError, match="orbit images built"):
+            census("circulant", 24, 8, dedup=False)
 
     def test_no_character_means_no_cyclotomic_work(self, monkeypatch):
         # An odd cyclic order leaves only a = 1: eps(S) = |S| on Z_n, and
