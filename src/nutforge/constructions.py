@@ -27,16 +27,17 @@ and a witness is kept unless an earlier one has the same
 individualization, pruned by the automorphisms the search meets and,
 from the start, by the translations of the group, which are automorphisms
 of every Cayley graph on it.  Cay(G, S) and Cay(G, a(S)) are isomorphic
-for every automorphism a of G, so the census screens only the connection
-sets that are the minimum of their orbit (``_orbit_minimal``, read from
-the index tuples, so that a spec is built for the minima alone); the first
-candidate of a class is the minimum of its own orbit, so the kept
-witnesses are the same.  Labeling still runs on every survivor: isomorphic
-Cayley graphs need not have connection sets in one orbit (circulant 32 8
-has 12 orbit minima in 9 classes).  Without dedup the census certifies
-every connection set, but walks the divisors once per orbit: the minimum,
-first in the stream, records its verdict under each of its images
-(``_orbit``), since isomorphic graphs have one nullity.
+for every automorphism a of G, so both census modes keep one record of
+orbit images: the minimum of each orbit comes first in the stream, is
+certified with its own divisor walk, and records its verdict under each of
+its images (``_orbit``), which a later set pops.  With dedup the images are
+skipped, so a spec is built for the minima alone; the first candidate of a
+class is the minimum of its own orbit, so the kept witnesses are the same.
+Labeling still runs on every survivor: isomorphic Cayley graphs need not
+have connection sets in one orbit (circulant 32 8 has 12 orbit minima in 9
+classes).  Without dedup every set of an orbit whose minimum passed is
+certified with the minimum's walk, since isomorphic graphs have one
+nullity.
 
 Every witness, whichever construction produced it, passes one gate,
 ``_certify``, which reads every fact from the witness's spec and shift.
@@ -49,10 +50,10 @@ time, until it passes one, and only the specs that end at exactly one are
 built.  A nut graph must then have the requested order and degree and obey
 the existence law of ``feasible_vt``.  The search and the census read one
 capped stream, ``_witnesses``: the index tuples of ``_candidates``, the
-orbit filter or the shared walks for the census, ``_spec`` for each tuple
-that goes on, and the gate; the search uses no orbit.  No witness runs an
-O(n^3) kernel, except that a search hit is also checked against the
-direct kernel.  The outputs are certificates, not citations.
+orbit record for the census, ``_spec`` for each tuple that goes on, and
+the gate; the search uses no orbit.  No witness runs an O(n^3) kernel,
+except that a search hit is also checked against the direct kernel.  The
+outputs are certificates, not citations.
 """
 
 from __future__ import annotations
@@ -286,20 +287,8 @@ def _kernel_character(spec: CirculantSpec | DihedralSpec, shift: int):
     return None
 
 
-def _walks_to_one(spec: CirculantSpec | DihedralSpec, shift: int) -> bool:
-    """True when the divisor walk of a spec with a kernel character
-    (``_kernel_character``) ends at nullity exactly one; False at the first
-    divisor that takes the running total above one (``_certify``)."""
-    nullity = 0
-    for verdict in divisor_walk(spec, shift):
-        nullity += verdict.nullity
-        if nullity > 1:
-            return False
-    return True
-
-
 def _certify(spec: CirculantSpec | DihedralSpec, shift: int, recipe: str | None, n: int,
-             d: int, nullity_one: bool | None = None) -> Witness | None:
+             d: int, nullity_one: bool = False) -> Witness | None:
     """The witness built from spec, complemented when shift is 1, or None
     when its spectral nullity is not exactly one: the one nut gate of every
     catalog, search and census witness.  A nut graph that is not d-regular
@@ -340,17 +329,19 @@ def _certify(spec: CirculantSpec | DihedralSpec, shift: int, recipe: str | None,
     eps(e) = 1, is the primitive kernel vector with a positive first entry
     that an exact kernel computation returns.
 
-    ``nullity_one``, when given, is the walk's verdict already known for an
-    isomorphic spec, whose spectrum is the same; it replaces the walk, and
-    every other check still reads this spec.
+    ``nullity_one`` says that an isomorphic spec, whose spectrum is the
+    same, has already walked to nullity one; the walk is skipped, and every
+    other check still reads this spec.
     """
     character = _kernel_character(spec, shift)
     if character is None:
         return None
-    if nullity_one is None:
-        nullity_one = _walks_to_one(spec, shift)
     if not nullity_one:
-        return None
+        nullity = 0
+        for verdict in divisor_walk(spec, shift):
+            nullity += verdict.nullity
+            if nullity > 1:
+                return None
     if recipe is None:
         recipe = spec.describe()
     degree = spec.order - 1 - spec.degree if shift else spec.degree
@@ -433,42 +424,21 @@ def _units(n: int) -> tuple[int, ...]:
     return tuple(a for a in range(1, n) if gcd(a, n) == 1)
 
 
-def _orbit_minimal(family: str, n: int, sets) -> bool:
-    """True when no image of ``sets``, a connection set of ``_candidates``,
-    under the automorphisms of its group comes before it in that stream;
-    False at the first image that does.
-
-    Aut(Z_n) is the phi(n) multipliers a, which take a jump j to
-    min(aj, n - aj) mod n.  Aut(D_m), m >= 3, is the m phi(m) affine maps,
-    which take a rotation R to aR, so a jump j to min(aj, m - aj) mod m, and
-    a reflection J to aJ + c (mod m).  The maps keep the degree and the
-    number of jumps, so every image is a candidate of the same stream.
-    """
-    if family == "circulant":
-        jumps = list(sets)
-        return not any(sorted(min(a * j % n, -a * j % n) for j in jumps) < jumps
-                       for a in _units(n))
-    m = n // 2
-    reps, refl = list(sets[0]), list(sets[1])
-    if refl and refl[0]:
-        return False  # the translation by -refl[0] puts 0 among the reflections
-    for a in _units(m):
-        image = sorted(min(a * r % m, -a * r % m) for r in reps)
-        if image < reps:
-            return False
-        if image == reps:
-            # Only an image holding the reflection 0 can sort before refl, and
-            # it comes from a translation c = -x for some x in a * refl.
-            scaled = [a * b % m for b in refl]
-            if any(sorted((b - x) % m for b in scaled) < refl for x in scaled):
-                return False
-    return True
-
-
 def _orbit(family: str, n: int, sets) -> set:
     """The images of ``sets``, a connection set of ``_candidates``, under
-    the automorphisms of ``_orbit_minimal``, as index tuples of the same
-    stream, ``sets`` among them."""
+    the automorphisms of its group, as index tuples of the same stream,
+    ``sets`` among them.
+
+    Aut(Z_n) is the phi(n) multipliers a, which take a jump j to
+    min(aj, n - aj) mod n.  Aut(D_m), m >= 3, is the m phi(m) affine maps
+    r -> r^a, s -> r^c s, which take a rotation R to aR, so a jump j to
+    min(aj, m - aj) mod m, and a reflection J to aJ + c (mod m).  A unit a
+    permutes the pairs {j, -j} and fixes n/2 (or m/2), so the maps keep the
+    degree and the number of jumps: every image is a candidate of the same
+    stream.  The stream lists its sets in the order of their index tuples
+    (on D_m, by the number of jumps first), so the least image of an orbit,
+    its minimum, comes first in it and every other image after it.
+    """
     if family == "circulant":
         return {tuple(sorted(min(a * j % n, -a * j % n) for j in sets)) for a in _units(n)}
     m = n // 2
@@ -481,48 +451,41 @@ def _orbit(family: str, n: int, sets) -> set:
     return orbit
 
 
-def _witnesses(family: str, n: int, d: int, budget: int | None, orbits: str | None):
+def _witnesses(family: str, n: int, d: int, budget: int | None, dedup: bool | None):
     """The certified witnesses among the connection sets of ``_candidates``,
     in stream order.  ``_spec`` builds the spec of each set that goes on,
-    and ``_certify`` gates it, describing it only if it passes.  ``orbits``
-    says what the group's automorphisms do:
+    and ``_certify`` gates it, describing it only if it passes.
 
-    * None, for the search: nothing; every set goes on and is walked.
-    * "minima", for the deduplicated census: only the orbit minima
-      (``_orbit_minimal``) go on.
-    * "shared", for the census without dedup: every set goes on, and the
-      sets of one orbit share one divisor walk.  Cay(G, S) and Cay(G, a(S))
-      are isomorphic, so they have one spectrum and one nullity, and
-      whether a +-1 character vanishes on S is kept by a as well.  The
-      first set of an orbit in stream order is its minimum; when it has a
-      kernel character, its walk verdict is recorded under each of its
-      images (``_orbit``), and a later set takes the verdict recorded for
-      it, which is then dropped, instead of walking.  A set with no
-      verdict recorded walks itself, so a wrong image costs a walk, never
-      a verdict.  Every set still has its own character, shape and
-      existence checks and its own build.
+    ``dedup`` is the census's own; the search passes None and reaches no
+    orbit code.  For the census, Cay(G, S) and Cay(G, a(S)) are isomorphic
+    for every automorphism a of G, so they have one spectrum and one
+    nullity, and a +-1 character vanishes on S iff one vanishes on a(S):
+    the sets of an orbit pass or fail the gate together.  The first set of
+    an orbit in stream order is its minimum (``_orbit``).  It is certified
+    with a walk of its own, and whether it passed is recorded under each of
+    its other images.  A later set pops the verdict recorded for it.  With
+    dedup it is skipped, as its minimum's witness stands for its class.
+    Without dedup it is skipped if the minimum failed, and otherwise
+    certified with no walk of its own; its character, shape and existence
+    checks and its build still run.  A set with no verdict walks for itself, so an
+    image left out costs a walk, and with dedup a labeling, never a
+    verdict.  The record holds only the images still to come.
 
     The budget, when given, caps the sets enumerated, orbit non-minima and
     rejected sets included: the set past it raises SearchExhaustedError, so
     neither the search nor the census is ever silently cut short.
     """
-    verdicts: dict[tuple, bool] = {}  # "shared": image -> its orbit's walk verdict
+    verdicts: dict[tuple, bool] = {}  # image still to come -> its minimum passed
     for count, sets in enumerate(_candidates(family, n, d), 1):
         if budget is not None and count > budget:
             raise SearchExhaustedError(f"candidate count for ({family}, {n}, {d}) "
                                        f"exceeds the budget of {budget}")
-        if orbits == "minima" and not _orbit_minimal(family, n, sets):
+        verdict = verdicts.pop(sets, None)
+        if verdict is not None and (dedup or not verdict):
             continue
-        spec = _spec(family, n, sets)
-        nullity_one = None
-        if orbits == "shared":
-            nullity_one = verdicts.pop(sets, None)
-            if nullity_one is None:
-                if _kernel_character(spec, 0) is None:
-                    continue
-                nullity_one = _walks_to_one(spec, 0)
-                verdicts.update(dict.fromkeys(_orbit(family, n, sets) - {sets}, nullity_one))
-        w = _certify(spec, 0, None, n, d, nullity_one)
+        w = _certify(_spec(family, n, sets), 0, None, n, d, verdict is not None)
+        if verdict is None and dedup is not None:
+            verdicts.update(dict.fromkeys(_orbit(family, n, sets) - {sets}, w is not None))
         if w is not None:
             yield w
 
@@ -704,21 +667,22 @@ def census(family: str, n: int, d: int, dedup: bool = True,
 
     The witnesses come from ``_witnesses``, the stream of the search, and
     use the automorphisms a of the group G: Cay(G, S) and Cay(G, a(S)) are
-    isomorphic.  With dedup only the minima of the automorphism orbits
-    (``_orbit_minimal``) are certified: each class's first candidate is
-    one, so the output is that of certifying every candidate.
-    ``canonical_form`` still labels every witness, since orbits alone do not
-    decide isomorphism, and starts from the translations of G, which it
-    finds to be automorphisms of every witness.  Without dedup every
-    connection set is certified, but the sets of one orbit share the
-    divisor walk of its minimum, which comes first: isomorphic graphs have
-    one nullity.  A budget caps the number of connection sets enumerated,
-    orbit non-minima included; exceeding it raises SearchExhaustedError
-    rather than returning a silently truncated census.
+    isomorphic.  One record of orbit images serves both modes: the minimum
+    of each orbit, first in the stream, is certified with its own divisor
+    walk, and its verdict covers its images (``_orbit``).  With dedup only
+    the minima are certified: each class's first candidate is one, so the
+    output is that of certifying every candidate.  ``canonical_form`` still
+    labels every witness, since orbits alone do not decide isomorphism, and
+    starts from the translations of G, which it finds to be automorphisms
+    of every witness.  Without dedup every set whose minimum passed is
+    certified, with the minimum's walk.  A budget caps the number of
+    connection sets enumerated, orbit non-minima included; exceeding it
+    raises SearchExhaustedError rather than returning a silently truncated
+    census.
     """
     witnesses = []
     seen: set[tuple[int, ...]] = set()
-    for w in _witnesses(family, n, d, budget, "minima" if dedup else "shared"):
+    for w in _witnesses(family, n, d, budget, dedup):
         if dedup:
             key = canonical_form(w.graph)
             if key in seen:

@@ -11,7 +11,7 @@ from math import gcd, prod
 from operator import mul
 
 from nutforge._modeval import root_of_order
-from nutforge.constructions import _candidates, _certify, _orbit_minimal, _spec
+from nutforge.constructions import _candidates, _certify, _spec, _units
 from nutforge.cyclotomic import divides_cyclotomic
 from nutforge.exact import _BLOCK, _folder
 from nutforge.graphs import (
@@ -346,6 +346,40 @@ def dihedral_candidates_by_orbits(n: int, d: int):
                 continue
             for refl in combinations(range(m), refl_size):
                 yield frozenset(rot), frozenset(refl)
+
+
+def _orbit_minimal(family: str, n: int, sets) -> bool:
+    """True when no image of ``sets``, a connection set of ``_candidates``,
+    under the automorphisms of its group comes before it in that stream;
+    False at the first image that does.  The deduplicated census's orbit
+    filter before both census modes kept one record of the orbit images
+    of ``constructions._orbit``.
+
+    Aut(Z_n) is the phi(n) multipliers a, which take a jump j to
+    min(aj, n - aj) mod n.  Aut(D_m), m >= 3, is the m phi(m) affine maps,
+    which take a rotation R to aR, so a jump j to min(aj, m - aj) mod m, and
+    a reflection J to aJ + c (mod m).  The maps keep the degree and the
+    number of jumps, so every image is a candidate of the same stream.
+    """
+    if family == "circulant":
+        jumps = list(sets)
+        return not any(sorted(min(a * j % n, -a * j % n) for j in jumps) < jumps
+                       for a in _units(n))
+    m = n // 2
+    reps, refl = list(sets[0]), list(sets[1])
+    if refl and refl[0]:
+        return False  # the translation by -refl[0] puts 0 among the reflections
+    for a in _units(m):
+        image = sorted(min(a * r % m, -a * r % m) for r in reps)
+        if image < reps:
+            return False
+        if image == reps:
+            # Only an image holding the reflection 0 can sort before refl, and
+            # it comes from a translation c = -x for some x in a * refl.
+            scaled = [a * b % m for b in refl]
+            if any(sorted((b - x) % m for b in scaled) < refl for x in scaled):
+                return False
+    return True
 
 
 def candidate_specs(family: str, n: int, d: int, minima: bool = False):

@@ -7,9 +7,11 @@ lines as they print.
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, permutations
+from itertools import product as cartesian_product
 
 from nutforge.constructions import (
+    Witness,
     catalog_witness,
     census,
     circulant_search,
@@ -20,6 +22,7 @@ from nutforge.graphs import (
     BicirculantSpec,
     CirculantSpec,
     DihedralSpec,
+    Graph,
     build_bicirculant,
     build_circulant,
     complement,
@@ -251,7 +254,7 @@ def test_criterion_8_census_uniqueness():
 def test_criterion_9_tables_out_of_scope():
     # The published order/degree count tables require an external census of
     # all vertex-transitive graphs up to order 46 and are deliberately not
-    # reproduced; criteria 1-8 and 10-13 stand in as the property-based gate.  This
+    # reproduced; criteria 1-8 and 10-14 stand in as the property-based gate.  This
     # placeholder documents the exclusion so the suite states it explicitly.
     _report(9, "full count tables excluded by design", [])
 
@@ -313,7 +316,7 @@ def test_criterion_12_census_certificates_match_direct_kernel():
 
 
 def test_criterion_13_cayley_existence_matches_feasibility():
-    """For every n <= 24 and 0 <= d < n, a nut graph exists among the Cayley
+    """For every n <= 28 and 0 <= d < n, a nut graph exists among the Cayley
     graphs on Z_n and D_{n/2} exactly when ``feasible_vt(n, d).exists``.
 
     The gate covers Cayley graphs on cyclic and dihedral groups only, not
@@ -327,7 +330,7 @@ def test_criterion_13_cayley_existence_matches_feasibility():
     kernel vector has n/2 vertices and induces a (d/2)-regular graph.
     """
     failures = []
-    for n in range(1, 25):
+    for n in range(1, 29):
         for d in range(n):
             minima = (spec for family in ("circulant", "dihedral")
                       for spec in candidate_specs(family, n, d, minima=True))
@@ -341,4 +344,115 @@ def test_criterion_13_cayley_existence_matches_feasibility():
             elif witness and not sign_classes_split_evenly(witness):
                 failures.append((n, d, witness.recipe, "sign classes"))
     _report(13, "a Cayley nut graph on Z_n or D_(n/2) exists exactly at the "
-                "feasible pairs with n <= 24", failures)
+                "feasible pairs with n <= 28", failures)
+
+
+# -- the groups of order <= 12 that are neither cyclic nor dihedral --------------
+
+def _group_table(elements: list, mul) -> list[list[int]]:
+    """The multiplication table of ``elements`` under ``mul`` as rows of
+    indices, the identity first; checked to be a group."""
+    index = {x: i for i, x in enumerate(elements)}
+    table = [[index[mul(x, y)] for y in elements] for x in elements]
+    n = len(table)
+    assert table[0] == list(range(n)) and [row[0] for row in table] == list(range(n))
+    assert all(0 in row for row in table)
+    assert all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+    return table
+
+
+def _abelian(*orders: int) -> list[list[int]]:
+    """Z_(k1) x Z_(k2) x ..., added componentwise."""
+    return _group_table(list(cartesian_product(*map(range, orders))),
+                        lambda x, y: tuple((a + b) % k for a, b, k in zip(x, y, orders)))
+
+
+def _metacyclic(q: int, dicyclic: bool) -> list[list[int]]:
+    """D_q, or the dicyclic group Dic_q of order 4q (Q_8 at q = 2): the
+    words a^k x^e with x a x^-1 = a^-1, where x^2 = 1 and a^q = 1 on D_q,
+    and x^2 = a^q with a^2q = 1 on Dic_q."""
+    cyclic = 2 * q if dicyclic else q
+
+    def mul(u, v):
+        (k, e), (l, f) = u, v
+        k = k - l if e else k + l
+        if e and f:
+            return ((k + q) % cyclic, 0) if dicyclic else (k % cyclic, 0)
+        return k % cyclic, e ^ f
+
+    return _group_table([(k, e) for e in (0, 1) for k in range(cyclic)], mul)
+
+
+def _alternating_4() -> list[list[int]]:
+    """A_4: the even permutations of four points, composed."""
+    even = [p for p in permutations(range(4))
+            if sum(p[i] > p[j] for i, j in combinations(range(4), 2)) % 2 == 0]
+    return _group_table(even, lambda p, r: tuple(p[r[i]] for i in range(4)))
+
+
+def _order_counts(table: list[list[int]]) -> tuple:
+    """The number of elements of each order, an isomorphism invariant."""
+    counts: dict[int, int] = {}
+    for x in range(len(table)):
+        k, y = 1, x
+        while y:
+            k, y = k + 1, table[y][x]
+        counts[k] = counts.get(k, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+#: The groups of order <= 12 that are neither cyclic nor dihedral.
+OTHER_SMALL_GROUPS = {
+    "Z2^2": _abelian(2, 2), "Z2^3": _abelian(2, 2, 2), "Z2xZ4": _abelian(2, 4),
+    "Q8": _metacyclic(2, True), "Z3^2": _abelian(3, 3), "Z2xZ6": _abelian(2, 6),
+    "A4": _alternating_4(), "Dic3": _metacyclic(3, True),
+}
+
+
+def test_criterion_14_small_groups_beyond_cyclic_and_dihedral():
+    """No Cayley graph on a group of order <= 12 other than Z_n and D_m is a
+    nut graph at a pair that ``feasible_vt`` rejects.
+
+    With Z_n and D_m (m >= 3), the groups of ``OTHER_SMALL_GROUPS`` are
+    pairwise non-isomorphic, by their counts of elements of each order, and
+    as many at each order as there are groups: 1, 1, 1, 2, 1, 2, 1, 5, 2,
+    2, 1, 5 for orders 1 to 12.  Orders 13 to 15 have only cyclic and
+    dihedral groups, so with criterion 13 every Cayley graph of order <= 15
+    is covered.  Every inverse-closed connection set of each group, at most
+    2^7 and 520 in all, is decided by the direct kernel, and every nut graph
+    found must also split into sign classes as the law's proof says.  There
+    are 18, six each on Z_2 x Z_6 at (12, 4) and (12, 8) and on Dic_3 at
+    (12, 4).
+    """
+    failures = []
+    for order, groups in enumerate((1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5), 1):
+        tables = [_abelian(order)] + ([_metacyclic(order // 2, False)]
+                                      if order % 2 == 0 and order >= 6 else [])
+        tables += [t for t in OTHER_SMALL_GROUPS.values() if len(t) == order]
+        if len({_order_counts(t) for t in tables}) != len(tables) or len(tables) != groups:
+            failures.append((order, [_order_counts(t) for t in tables]))
+    sets = nuts = 0
+    for name, table in OTHER_SMALL_GROUPS.items():
+        n = len(table)
+        inverse = [row.index(0) for row in table]
+        classes = sorted({frozenset((x, inverse[x])) for x in range(1, n)}, key=min)
+        for k in range(len(classes) + 1):
+            for chosen in combinations(classes, k):
+                connection = frozenset().union(*chosen)
+                g = Graph(n, tuple(sum(1 << table[x][s] for s in connection)
+                                   for x in range(n)))
+                sets += 1
+                cert = nut_check_direct(g)
+                if not cert.is_nut:
+                    continue
+                nuts += 1
+                w = Witness(g, f"Cay({name}, {sorted(connection)})", cert)
+                if not feasible_vt(n, len(connection)).exists:
+                    failures.append((w.recipe, "breaks the existence law"))
+                elif not sign_classes_split_evenly(w):
+                    failures.append((w.recipe, "sign classes"))
+    if (sets, nuts) != (520, 18):
+        failures.append(("sets and nut graphs", sets, nuts))
+    _report(14, "no Cayley nut graph on another group of order <= 12 lies at a "
+                "pair the existence law rejects", failures)

@@ -44,6 +44,7 @@ from nutforge.verify import (
     nut_check_spectral,
 )
 from oracles import (
+    _orbit_minimal,
     add,
     block_invariants_by_pairs,
     cyclotomic,
@@ -965,7 +966,7 @@ class TestIndexTupleStream:
                     sets = list(constructions._candidates(family, n, d))
                     specs = [constructions._spec(family, n, s) for s in sets]
                     assert specs == list(candidate_specs_before_tuples(family, n, d))
-                    assert ([constructions._orbit_minimal(family, n, s) for s in sets]
+                    assert ([_orbit_minimal(family, n, s) for s in sets]
                             == [orbit_minimal_spec(spec) for spec in specs]), (family, n, d)
 
 
@@ -1226,7 +1227,7 @@ def labeled_witnesses():
     cases = list(CENSUS_CASES) + [("dihedral", 32, 8, True), ("circulant", 32, 8, True),
                                   ("circulant", 40, 8, True)]
     return {(family, n, d, dedup): [w.graph for w in constructions._witnesses(
-                family, n, d, None, "minima" if dedup else "shared")]
+                family, n, d, None, dedup)]
             for family, n, d, dedup in cases}
 
 
@@ -1350,14 +1351,56 @@ class TestOrbitPruning:
 
     def test_specs_built_for_orbit_minima_only(self, monkeypatch):
         # dihedral 14 8 enumerates 147 connection sets, of which 6 are
-        # orbit minima: a deduplicated census builds a spec for those 6.
+        # orbit minima: a deduplicated census builds a spec for those 6,
+        # and both census modes take the images of those 6 alone.
         built = []
         spec = constructions._spec
         monkeypatch.setattr(constructions, "_spec",
                             lambda *args: built.append(spec(*args)) or built[-1])
+        imaged = []
+        orbit = constructions._orbit
+        monkeypatch.setattr(constructions, "_orbit",
+                            lambda family, n, sets: imaged.append(sets) or orbit(family, n, sets))
         assert len(census("dihedral", 14, 8)) == 3
         assert len(built) == 6
         assert built == list(candidate_specs("dihedral", 14, 8, minima=True))
+        assert [spec("dihedral", 14, sets) for sets in imaged] == built
+        minima = imaged.copy()
+        imaged.clear()
+        census("dihedral", 14, 8, dedup=False)
+        assert imaged == minima
+
+    #: Circulant orders 3..24 and dihedral orders 6..20, every degree.
+    ORBIT_GRID = [(family, n, d) for family, orders in
+                  (("circulant", range(3, 25)), ("dihedral", range(6, 21, 2)))
+                  for n in orders for d in range(n)]
+
+    def test_orbits_match_the_orbit_filter(self):
+        # Every image of a set is in the stream, and the set is the first of
+        # its orbit there exactly when the filter of oracles calls it minimal.
+        sets_seen = minima = 0
+        for family, n, d in self.ORBIT_GRID:
+            sets = list(constructions._candidates(family, n, d))
+            position = {s: i for i, s in enumerate(sets)}
+            for s in sets:
+                orbit = constructions._orbit(family, n, s)
+                assert s in orbit and orbit <= position.keys(), (family, n, s)
+                first = min(orbit, key=position.__getitem__)
+                assert (first == s) == _orbit_minimal(family, n, s), (family, n, s)
+                minima += first == s
+            sets_seen += len(sets)
+        assert (sets_seen, minima) == (59082, 5175)
+
+    def test_dedup_census_specs_exactly_the_oracle_minima(self, monkeypatch):
+        reached = []
+        spec = constructions._spec
+        monkeypatch.setattr(constructions, "_spec",
+                            lambda family, n, sets: reached.append(sets) or spec(family, n, sets))
+        for family, n, d in self.ORBIT_GRID:
+            reached.clear()
+            census(family, n, d)
+            assert reached == [s for s in constructions._candidates(family, n, d)
+                               if _orbit_minimal(family, n, s)], (family, n, d)
 
 
 def recorded_walks(monkeypatch):
