@@ -24,7 +24,6 @@ from .graphs import (
     Graph,
     build_bicirculant,
     build_circulant,
-    complement,
     from_graph6,
     parse_graph,
     serialize,
@@ -70,8 +69,7 @@ __all__ = [
     "divisors", "euler_phi", "factorize",
     "BicirculantSpec", "CirculantSpec", "DihedralSpec", "Graph",
     "build_bicirculant", "build_circulant",
-    "complement", "from_graph6", "parse_graph", "serialize",
-    "to_graph6",
+    "from_graph6", "parse_graph", "serialize", "to_graph6",
     "NutCertificate", "SpectralReport", "block_invariants",
     "nut_check_direct", "nut_check_spectral",
     "FeasibilityVerdict", "InfeasiblePairError", "SearchExhaustedError",

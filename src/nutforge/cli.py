@@ -267,20 +267,22 @@ def cmd_lemmas(args) -> int:
 def cmd_census(args) -> int:
     if _too_large(args.n):
         return EXIT_USAGE
+    # Each witness is kept as its output line only, and nothing is printed
+    # before the stream ends, so a budget hit leaves stdout empty.
+    lines = []
     try:
-        witnesses = census(args.family, args.n, args.d,
-                           dedup=not args.no_dedup, budget=args.budget)
+        for w in census(args.family, args.n, args.d, dedup=not args.no_dedup,
+                        budget=args.budget):
+            if args.format == "jsonl":
+                lines.append(json.dumps({"graph6": to_graph6(w.graph), "recipe": w.recipe,
+                                         "order": args.n, "degree": args.d}))
+            else:
+                lines.append(to_graph6(w.graph))
     except SearchExhaustedError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    for w in witnesses:
-        if args.format == "jsonl":
-            print(json.dumps({"graph6": to_graph6(w.graph), "recipe": w.recipe,
-                              "order": args.n, "degree": args.d}))
-        else:
-            print(to_graph6(w.graph))
     label = "classes" if not args.no_dedup else "witnesses"
-    print(f"# {label}: {len(witnesses)}")
+    print(*lines, f"# {label}: {len(lines)}", sep="\n")
     return EXIT_OK
 
 

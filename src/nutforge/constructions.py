@@ -17,8 +17,10 @@ circulant or dihedral-group construction, tried in order:
 * three complement families, one table of base graphs, covering the
   remaining orders d + 6, d + 10 and d + 14 for large enough degree.
 
-A deterministic bounded search over circulant connection sets covers the
-degrees divisible by four beyond order d + 4.
+A complement rule hands over the complement's own Cayley spec
+(``_complement``), and its recipe names the base.  A deterministic bounded
+search over circulant connection sets covers the degrees divisible by four
+beyond order d + 4.
 
 ``census`` lists the nut graphs of a family at (n, d), one witness per
 isomorphism class, in one serial pass: candidates come in a fixed order,
@@ -40,9 +42,9 @@ certified with the minimum's walk, since isomorphic graphs have one
 nullity.
 
 Every witness, whichever construction produced it, passes one gate,
-``_certify``, which reads every fact from the witness's spec and shift.
-The witnesses are Cayley graphs, so a spectral nullity of one already
-makes them nut graphs, with a +-1 character eps of the group as the kernel
+``_certify``, which reads every fact from the witness's spec.  The
+witnesses are Cayley graphs, so a spectral nullity of one already makes
+them nut graphs, with a +-1 character eps of the group as the kernel
 vector.  The gate first asks for such a character, eps(S) = 0, without
 which the nullity cannot be one, before any polynomial work; the
 cyclotomic nullity of ``verify`` then screens the rest one divisor at a
@@ -63,13 +65,7 @@ from functools import cache
 from itertools import combinations
 from math import gcd
 
-from .graphs import (
-    CirculantSpec,
-    DihedralSpec,
-    Graph,
-    build,
-    complement,
-)
+from .graphs import CirculantSpec, DihedralSpec, Graph, build
 from .verify import NutCertificate, divisor_walk, nut_check_direct
 
 #: Candidate cap of the circulant search.  No order up to 24 has more than
@@ -225,11 +221,22 @@ _SPORADIC_DIHEDRAL: dict[tuple[int, int], tuple[int, frozenset, frozenset]] = {
 }
 
 
+def _complement(spec: CirculantSpec | DihedralSpec) -> CirculantSpec | DihedralSpec:
+    """The spec of the complement of the spec's graph.  The complement of
+    Cay(G, S) is Cay(G, G - S - {e}): on Z_n the jumps [1, n/2] not in S, on
+    D_m the rotations 1..m-1 and the reflections 0..m-1 not in S."""
+    if isinstance(spec, CirculantSpec):
+        return CirculantSpec(spec.n, set(range(1, spec.n // 2 + 1)) - spec.jumps)
+    m = spec.m
+    return DihedralSpec(m, set(range(1, m)) - spec.rotations, set(range(m)) - spec.reflections)
+
+
 def catalog_witness(n: int, d: int):
-    """(spec, shift, recipe) of the first catalog rule that fits (n, d), or
-    None when none does.  Shift 1 means the witness is the complement of the
-    spec's graph, so every recipe names a circulant, a dihedral Cayley graph
-    or the complement of one.  The rules, in order:
+    """(spec, recipe) of the first catalog rule that fits (n, d), or None
+    when none does.  The spec is the witness's own Cayley spec: a complement
+    rule passes its base through ``_complement``, and its recipe names the
+    base, so every recipe names a circulant, a dihedral Cayley graph or the
+    complement of one.  The rules, in order:
 
     1. the sporadic table;
     2. order d + 4: the Moebius ladder's complement when d = 4 (mod 8), the
@@ -241,32 +248,33 @@ def catalog_witness(n: int, d: int):
     entry = _SPORADIC_DIHEDRAL.get((n, d))
     if entry is not None:
         spec = DihedralSpec(*entry)
-        return spec, 0, f"sporadic {spec.describe()}"
+        return spec, f"sporadic {spec.describe()}"
     if n == d + 4 and d % 8 == 4:
-        spec = CirculantSpec(n, {1, n // 2})
-        return spec, 1, f"complement({spec.describe()})  # Moebius ladder"
+        base = CirculantSpec(n, {1, n // 2})
+        return _complement(base), f"complement({base.describe()})  # Moebius ladder"
     if n == d + 4 and d % 8 == 0 and d >= 8:
         m = n // 2
-        spec = DihedralSpec(m, {1, m - 1}, {0})
-        return spec, 1, f"complement({spec.describe()})  # prism"
+        base = DihedralSpec(m, {1, m - 1}, {0})
+        return _complement(base), f"complement({base.describe()})  # prism"
     if d % 4 != 2 or d < 6 or n % 4:
         return None
     m = n // 2
     t = (d - 6) // 8  # d = 8t + 6 or d = 8t + 10
     if m >= 4 * t + _DIRECT_FAMILIES[d % 8][0]:
         spec = direct_family_spec(d, m)
-        return spec, 0, f"degree-(8t+{d - 8 * t}) family, t={t}: {spec.describe()}"
+        return spec, f"degree-(8t+{d - 8 * t}) family, t={t}: {spec.describe()}"
     gap = n - d
     if gap in _COMPLEMENT_FAMILIES and d >= _COMPLEMENT_FAMILIES[gap][0]:
-        spec = complement_family_spec(d, gap)
-        return spec, 1, f"order-(d+{gap}) complement family: complement({spec.describe()})"
+        base = complement_family_spec(d, gap)
+        return _complement(base), (f"order-(d+{gap}) complement family: "
+                                   f"complement({base.describe()})")
     return None
 
 
-def _kernel_character(spec: CirculantSpec | DihedralSpec, shift: int):
+def _kernel_character(spec: CirculantSpec | DihedralSpec):
     """The first +-1 character (a, b) of Z_n or D_m that is a kernel vector
-    of the spec's graph, complemented when shift is 1, or None: the rule of
-    ``_certify``, read from the connection set alone."""
+    of the spec's graph, or None: the rule of ``_certify``, read from the
+    connection set alone."""
     if isinstance(spec, CirculantSpec):
         cyclic, signs = spec.n, (1,)
         rotations, reflections = spec.connection, ()
@@ -279,23 +287,19 @@ def _kernel_character(spec: CirculantSpec | DihedralSpec, shift: int):
                      len(reflections) - 2 * sum(j & 1 for j in reflections)))
     for a, rotation_sum, reflection_sum in sums:
         for b in signs:
-            value = rotation_sum + b * reflection_sum
-            if shift:
-                value = (spec.order if a == b == 1 else 0) - 1 - value
-            if value == 0:
+            if rotation_sum + b * reflection_sum == 0:
                 return a, b
     return None
 
 
-def _certify(spec: CirculantSpec | DihedralSpec, shift: int, recipe: str | None, n: int,
-             d: int, nullity_one: bool = False) -> Witness | None:
-    """The witness built from spec, complemented when shift is 1, or None
-    when its spectral nullity is not exactly one: the one nut gate of every
-    catalog, search and census witness.  A nut graph that is not d-regular
-    of order n, or whose (n, d) breaks ``feasible_vt``, is a construction
-    error.  Every check reads the spec and the shift alone; the graph is
-    built, and a recipe of None replaced by ``spec.describe()``, only for
-    a spec that passes the walk.
+def _certify(spec: CirculantSpec | DihedralSpec, recipe: str | None, n: int, d: int,
+             nullity_one: bool = False) -> Witness | None:
+    """The witness built from spec, or None when its spectral nullity is not
+    exactly one: the one nut gate of every catalog, search and census
+    witness.  A nut graph that is not d-regular of order n, or whose (n, d)
+    breaks ``feasible_vt``, is a construction error.  Every check reads the
+    spec alone; the graph is built, and a recipe of None replaced by
+    ``spec.describe()``, only for a spec that passes the walk.
 
     The witness is a Cayley graph Cay(G, S) of G = Z_n or D_m, and every
     left translation is an automorphism, so it maps a kernel vector spanning
@@ -303,56 +307,47 @@ def _certify(spec: CirculantSpec | DihedralSpec, shift: int, recipe: str | None,
     homomorphism eps: G -> {+-1}.  It takes r^j to a^j and r^-j s (and
     r^j s) to b a^j, with a, b = +-1, b = 1 on Z_n and a = -1 only for an
     even cyclic order.  As (A eps)(g) = sum over s in S of eps(gs) =
-    eps(S) eps(g), eps is a kernel vector iff eps(S) = 0.  The complement
-    J - I - A has J eps = eps(G) 1, with eps(G) = |G| for the trivial
-    character and 0 otherwise, so there the condition is
-    eps(G) - 1 - eps(S) = 0, exact also for a complete complement.  So a
-    spec without such a character (``_kernel_character``) has a nullity
-    other than one, and is rejected before any cyclotomic work.  In the
-    terms of ``divisor_walk``, which adds phi(b) times the multiplicity of
-    each divisor b: a nullity of one comes from a single singular block at
-    a divisor with phi(b) = 1, b = 1 or b = 2, the zeta = +-1 blocks.  On
-    Z_n that block is the number eps(S) for the character eps(r^j) =
-    zeta^j; on D_m it is [[p0, p1], [p1, p0]] at zeta, real since
-    zeta = 1/zeta, with eigenvalues p0 +- p1, the values eps(S) of the two
-    characters with a = zeta (each plus one at shift 1).
+    eps(S) eps(g), eps is a kernel vector iff eps(S) = 0.  So a spec without
+    such a character (``_kernel_character``) has a nullity other than one,
+    and is rejected before any cyclotomic work.  In the terms of
+    ``divisor_walk``, which adds phi(b) times the multiplicity of each
+    divisor b: a nullity of one comes from a single singular block at a
+    divisor with phi(b) = 1, b = 1 or b = 2, the zeta = +-1 blocks.  On Z_n
+    that block is the number eps(S) for the character eps(r^j) = zeta^j; on
+    D_m it is [[p0, p1], [p1, p0]] at zeta, real since zeta = 1/zeta, with
+    eigenvalues p0 +- p1, the values eps(S) of the two characters with
+    a = zeta.
 
-    The walk resolves A + I of the spec's graph at shift 1, whose -1
-    multiplicity is the complement's nullity once the complement is
-    d-regular with d >= 1 (a complete spec graph has -1 multiplicity
-    |G| - 1).  With a character, eps is a kernel vector of the walked
-    matrix, so the nullity is at least one, and the gate stops at the first
-    divisor that takes the running total above one; a spec that passes has
-    walked every divisor at nullity exactly one.  The order is |G| and the
-    degree |S|, or |G| - 1 - |S| at shift 1.  A kernel vector without zero
-    entries in a kernel of dimension one makes a nut graph, and eps, with
-    eps(e) = 1, is the primitive kernel vector with a positive first entry
-    that an exact kernel computation returns.
+    With a character, eps is a kernel vector, so the nullity is at least
+    one, and the gate stops at the first divisor that takes the running
+    total above one; a spec that passes has walked every divisor at nullity
+    exactly one.  The order is |G| and the degree |S|.  A kernel vector
+    without zero entries in a kernel of dimension one makes a nut graph, and
+    eps, with eps(e) = 1, is the primitive kernel vector with a positive
+    first entry that an exact kernel computation returns.
 
     ``nullity_one`` says that an isomorphic spec, whose spectrum is the
     same, has already walked to nullity one; the walk is skipped, and every
     other check still reads this spec.
     """
-    character = _kernel_character(spec, shift)
+    character = _kernel_character(spec)
     if character is None:
         return None
     if not nullity_one:
         nullity = 0
-        for verdict in divisor_walk(spec, shift):
+        for verdict in divisor_walk(spec):
             nullity += verdict.nullity
             if nullity > 1:
                 return None
     if recipe is None:
         recipe = spec.describe()
-    degree = spec.order - 1 - spec.degree if shift else spec.degree
-    if (spec.order, degree) != (n, d):
+    if (spec.order, spec.degree) != (n, d):
         raise RuntimeError(f"construction has wrong shape for ({n}, {d}): {recipe}")
     if not feasible_vt(n, d).exists:
         raise RuntimeError(f"witness parameters ({n}, {d}) break the existence law: {recipe}")
-    g = build(spec)
     a, b = character  # vertex m + j of D_m is r^-j s, and b = 1 on Z_n
     vector = tuple(a ** v * (b if 2 * v >= n else 1) for v in range(n))
-    return Witness(complement(g) if shift else g, recipe, NutCertificate(1, vector))
+    return Witness(build(spec), recipe, NutCertificate(1, vector))
 
 
 def construct(n: int, d: int) -> Witness:
@@ -371,7 +366,7 @@ def construct(n: int, d: int) -> Witness:
     if found is not None:
         w = _certify(*found, n, d)
         if w is None:
-            raise RuntimeError(f"{found[2]} at ({n}, {d}) is not a nut graph")
+            raise RuntimeError(f"{found[1]} at ({n}, {d}) is not a nut graph")
         return w
     w = circulant_search(n, d)
     if w is None:
@@ -483,7 +478,7 @@ def _witnesses(family: str, n: int, d: int, budget: int | None, dedup: bool | No
         verdict = verdicts.pop(sets, None)
         if verdict is not None and (dedup or not verdict):
             continue
-        w = _certify(_spec(family, n, sets), 0, None, n, d, verdict is not None)
+        w = _certify(_spec(family, n, sets), None, n, d, verdict is not None)
         if verdict is None and dedup is not None:
             verdicts.update(dict.fromkeys(_orbit(family, n, sets) - {sets}, w is not None))
         if w is not None:
@@ -660,10 +655,10 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
     return (n, *best_cert)
 
 
-def census(family: str, n: int, d: int, dedup: bool = True,
-           budget: int | None = None) -> list[Witness]:
-    """All nut graphs of the family at (n, d), one witness per isomorphism
-    class (or one per connection set with dedup disabled), in one pass.
+def census(family: str, n: int, d: int, dedup: bool = True, budget: int | None = None):
+    """Yield every nut graph of the family at (n, d), one witness per
+    isomorphism class (or one per connection set with dedup disabled), in
+    one pass; nothing runs until the first witness is asked for.
 
     The witnesses come from ``_witnesses``, the stream of the search, and
     use the automorphisms a of the group G: Cay(G, S) and Cay(G, a(S)) are
@@ -677,10 +672,10 @@ def census(family: str, n: int, d: int, dedup: bool = True,
     of every witness.  Without dedup every set whose minimum passed is
     certified, with the minimum's walk.  A budget caps the number of
     connection sets enumerated, orbit non-minima included; exceeding it
-    raises SearchExhaustedError rather than returning a silently truncated
-    census.
+    raises SearchExhaustedError, after the witnesses before it have been
+    yielded, so a caller that must not act on a truncated census holds
+    them until the stream ends.
     """
-    witnesses = []
     seen: set[tuple[int, ...]] = set()
     for w in _witnesses(family, n, d, budget, dedup):
         if dedup:
@@ -688,5 +683,4 @@ def census(family: str, n: int, d: int, dedup: bool = True,
             if key in seen:
                 continue
             seen.add(key)
-        witnesses.append(w)
-    return witnesses
+        yield w

@@ -2,8 +2,7 @@
 
 Graphs are simple and undirected, stored densely as per-vertex neighbor
 bitmasks, one n-bit integer per vertex; catalog witnesses reach thousands
-of vertices.  Two builders cover the shapes the constructions need, plus
-complements:
+of vertices.  Two builders cover the shapes the constructions need:
 
 * circulant graphs on Z_n with a jump set,
 * bicirculants of order 2m, the 2x2 block matrix of m x m circulants given
@@ -70,8 +69,8 @@ class Graph:
     @classmethod
     def _of_rows(cls, rows: list[int]) -> "Graph":
         """The graph of rows in range, loop-free and symmetric by
-        construction, as the builders, ``complement`` and the parsers make
-        them: the checks of ``Graph(order, rows)`` take n^2 time and memory."""
+        construction, as the builders and the parsers make them: the checks
+        of ``Graph(order, rows)`` take n^2 time and memory."""
         g = object.__new__(cls)
         object.__setattr__(g, "order", len(rows))
         object.__setattr__(g, "_rows", tuple(rows))
@@ -242,13 +241,6 @@ def build_bicirculant(spec: BicirculantSpec) -> Graph:
 def build(spec: CirculantSpec | BicirculantSpec) -> Graph:
     """The graph of a circulant or bicirculant (dihedral included) spec."""
     return build_circulant(spec) if isinstance(spec, CirculantSpec) else build_bicirculant(spec)
-
-
-def complement(g: Graph) -> Graph:
-    """Graph on the same vertices whose edges are exactly the non-edges."""
-    mask = (1 << g.order) - 1
-    rows = [(~r & mask) & ~(1 << i) for i, r in enumerate(g.adjacency_rows())]
-    return Graph._of_rows(rows)
 
 
 # -- graph6 ------------------------------------------------------------------

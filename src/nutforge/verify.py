@@ -43,8 +43,8 @@ decided without a call.  An empty invariant vanishes at every root other
 than 1 and skips nothing.
 
 A diagonal shift of one, the ``shift`` argument of both methods, checks
-eigenvalue -1, which is what complement constructions need: for a non-complete
-regular graph the complement's nullity is the multiplicity of -1 in the base.
+eigenvalue -1: for a non-complete regular graph the complement's nullity is
+the multiplicity of -1 in the base.
 
 For vertex-transitive inputs (circulants and dihedral Cayley graphs) nullity
 one already implies the nut property: every automorphism maps the kernel

@@ -11,7 +11,17 @@ from math import gcd, prod
 from operator import mul
 
 from nutforge._modeval import root_of_order
-from nutforge.constructions import _candidates, _certify, _spec, _units
+from nutforge.constructions import (
+    _COMPLEMENT_FAMILIES,
+    _DIRECT_FAMILIES,
+    _SPORADIC_DIHEDRAL,
+    _candidates,
+    _certify,
+    _spec,
+    _units,
+    complement_family_spec,
+    direct_family_spec,
+)
 from nutforge.cyclotomic import divides_cyclotomic
 from nutforge.exact import _BLOCK, _folder
 from nutforge.graphs import (
@@ -21,7 +31,6 @@ from nutforge.graphs import (
     Graph,
     _g6_order_bytes,
     build,
-    complement,
 )
 from nutforge.numtheory import divisors, factorize, is_prime, prime_factors
 from nutforge.verify import DivisorVerdict, nut_check_direct, nut_check_spectral
@@ -281,6 +290,72 @@ def sign_classes_split_evenly(w) -> bool:
                                               for i in plus)
 
 
+def complement(g: Graph) -> Graph:
+    """Graph on the same vertices whose edges are exactly the non-edges: the
+    reference for the complement specs of ``constructions._complement``."""
+    mask = (1 << g.order) - 1
+    rows = [(~r & mask) & ~(1 << i) for i, r in enumerate(g.adjacency_rows())]
+    return Graph._of_rows(rows)
+
+
+def catalog_witness_by_shift(n: int, d: int):
+    """The catalog before a complement rule handed over the complement's
+    own spec: (spec, shift, recipe), where shift 1 means the witness is the
+    complement of the spec's graph.  Its base specs stay small at any
+    degree, so the tests of the shifted walk read them at orders where the
+    complement's spec would hold about d elements."""
+    entry = _SPORADIC_DIHEDRAL.get((n, d))
+    if entry is not None:
+        spec = DihedralSpec(*entry)
+        return spec, 0, f"sporadic {spec.describe()}"
+    if n == d + 4 and d % 8 == 4:
+        spec = CirculantSpec(n, {1, n // 2})
+        return spec, 1, f"complement({spec.describe()})  # Moebius ladder"
+    if n == d + 4 and d % 8 == 0 and d >= 8:
+        m = n // 2
+        spec = DihedralSpec(m, {1, m - 1}, {0})
+        return spec, 1, f"complement({spec.describe()})  # prism"
+    if d % 4 != 2 or d < 6 or n % 4:
+        return None
+    m = n // 2
+    t = (d - 6) // 8  # d = 8t + 6 or d = 8t + 10
+    if m >= 4 * t + _DIRECT_FAMILIES[d % 8][0]:
+        spec = direct_family_spec(d, m)
+        return spec, 0, f"degree-(8t+{d - 8 * t}) family, t={t}: {spec.describe()}"
+    gap = n - d
+    if gap in _COMPLEMENT_FAMILIES and d >= _COMPLEMENT_FAMILIES[gap][0]:
+        spec = complement_family_spec(d, gap)
+        return spec, 1, f"order-(d+{gap}) complement family: complement({spec.describe()})"
+    return None
+
+
+def kernel_character_shifted(spec: CirculantSpec | DihedralSpec, shift: int):
+    """The first +-1 character (a, b) of Z_n or D_m that is a kernel vector
+    of the spec's graph, complemented when shift is 1, or None: the rule of
+    ``_certify`` before complement witnesses came with their own specs.  The
+    complement J - I - A has J eps = eps(G) 1, with eps(G) = |G| for the
+    trivial character and 0 otherwise, so there the condition is
+    eps(G) - 1 - eps(S) = 0."""
+    if isinstance(spec, CirculantSpec):
+        cyclic, signs = spec.n, (1,)
+        rotations, reflections = spec.connection, ()
+    else:
+        cyclic, signs = spec.m, (1, -1)
+        rotations, reflections = spec.rotations, spec.reflections
+    sums = [(1, len(rotations), len(reflections))]
+    if cyclic % 2 == 0:  # a = -1 sends each odd exponent j to a^j = -1
+        sums.append((-1, len(rotations) - 2 * sum(j & 1 for j in rotations),
+                     len(reflections) - 2 * sum(j & 1 for j in reflections)))
+    for a, rotation_sum, reflection_sum in sums:
+        for b in signs:
+            value = rotation_sum + b * reflection_sum
+            if shift:
+                value = (spec.order if a == b == 1 else 0) - 1 - value
+            if value == 0:
+                return a, b
+    return None
+
+
 def kernel_character_by_rows(spec: CirculantSpec | DihedralSpec, shift: int):
     """The row check that the connection-set rule replaced: the first +-1
     character (a, b) of Z_n or D_m, in the order a = 1, -1 and then b = 1,
@@ -313,15 +388,16 @@ def _subsets(items):
         yield from combinations(items, k)
 
 
-def small_cayley_specs():
-    """Every dihedral spec with 3 <= m <= 6, then every circulant jump set
-    with 5 <= n <= 14, in a fixed order: 720 and 372 specs."""
-    for m in range(3, 7):
+def small_cayley_specs(dihedral_orders=range(3, 7), circulant_orders=range(5, 15)):
+    """Every dihedral spec with m in ``dihedral_orders``, then every
+    circulant jump set with n in ``circulant_orders``, in a fixed order: by
+    default 720 and 372 specs."""
+    for m in dihedral_orders:
         orbits = sorted({frozenset({a, m - a}) for a in range(1, m)}, key=min)
         for rot in _subsets(orbits):
             for refl in _subsets(range(m)):
                 yield DihedralSpec(m, set().union(*rot), refl)
-    for n in range(5, 15):
+    for n in circulant_orders:
         for jumps in _subsets(range(1, n // 2 + 1)):
             yield CirculantSpec(n, jumps)
 
@@ -395,7 +471,7 @@ def census_by_every_walk(family: str, n: int, d: int) -> list:
     shared one divisor walk: every connection set of ``_candidates``, in
     stream order, built by ``_spec`` and gated by ``_certify`` with a walk
     of its own."""
-    return [w for w in (_certify(_spec(family, n, sets), 0, None, n, d)
+    return [w for w in (_certify(_spec(family, n, sets), None, n, d)
                         for sets in _candidates(family, n, d)) if w is not None]
 
 
@@ -703,7 +779,7 @@ def graph6_decode_by_groups(text: str) -> Graph:
 def screen(spec: CirculantSpec | DihedralSpec):
     """``_certify`` for a search or census candidate: its own order and
     degree, and its description as the recipe."""
-    return _certify(spec, 0, spec.describe(), spec.order, spec.degree)
+    return _certify(spec, spec.describe(), spec.order, spec.degree)
 
 
 def circulant_search_by_islice(n: int, d: int, budget: int):

@@ -25,7 +25,6 @@ from nutforge.graphs import (
     Graph,
     build_bicirculant,
     build_circulant,
-    complement,
 )
 from nutforge.lemmas import (
     FAMILIES,
@@ -40,6 +39,7 @@ from oracles import (
     build_lcf,
     candidate_specs,
     census_by_every_walk,
+    complement,
     cyclotomic,
     is_regular,
     prism,
@@ -244,7 +244,7 @@ def test_criterion_7_cyclotomic_identities():
 def test_criterion_8_census_uniqueness():
     failures = []
     for n in (8, 10):
-        classes = census("circulant", n, 4)
+        classes = list(census("circulant", n, 4))
         if len(classes) != 1:
             failures.append((n, 4, len(classes)))
     _report(8, "census uniqueness at (circulant, 8, 4) and (circulant, 10, 4)",

@@ -20,8 +20,7 @@ EXPORTS = [
     "divisors", "euler_phi", "factorize",
     "BicirculantSpec", "CirculantSpec", "DihedralSpec", "Graph",
     "build_bicirculant", "build_circulant",
-    "complement", "from_graph6", "parse_graph", "serialize",
-    "to_graph6",
+    "from_graph6", "parse_graph", "serialize", "to_graph6",
     "NutCertificate", "SpectralReport", "block_invariants",
     "nut_check_direct", "nut_check_spectral",
     "FeasibilityVerdict", "InfeasiblePairError", "SearchExhaustedError",

@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import argparse
+import contextlib
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -502,10 +504,30 @@ class TestCensus:
         assert out.endswith("# classes: 40\n")
 
     def test_budget_exceeded(self, capsys):
-        code, _, err = run(capsys, "census", "--family", "circulant", "16", "4",
-                           "--budget", "2")
+        # The stream yields a witness before the cap, and none is printed.
+        stream = constructions.census("circulant", 16, 4, budget=2)
+        assert next(stream).graph.order == 16
+        with pytest.raises(constructions.SearchExhaustedError):
+            next(stream)
+        code, out, err = run(capsys, "census", "--family", "circulant", "16", "4",
+                             "--budget", "2")
         assert code == 3
         assert "budget exceeded" in err
+        assert out == ""
+
+    def test_census_holds_lines_not_witnesses(self):
+        # dihedral 24 8 has 3,761 witnesses without dedup.  Held as output
+        # lines they peak at about 1.5 MB under tracemalloc; a list of the
+        # witnesses, with their rows and kernel vectors, peaks at 6.9 MB.
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(["census", "--family", "dihedral", "24", "8", "--no-dedup"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 2_000_000
 
     def test_budget_counts_pruned_candidates(self, capsys):
         # dihedral 14 8 enumerates 147 connection sets; the ones that are not

@@ -16,7 +16,6 @@ from nutforge.graphs import (
     build,
     build_bicirculant,
     build_circulant,
-    complement,
     from_adjacency_list,
     from_graph6,
     parse_graph,
@@ -25,12 +24,13 @@ from nutforge.graphs import (
     to_dot,
     to_graph6,
 )
-from nutforge.constructions import direct_family_spec
+from nutforge.constructions import _complement, direct_family_spec
 from nutforge.verify import block_invariants, nut_check_spectral
 from oracles import (
     IntMatrix,
     build_by_jumps,
     build_lcf,
+    complement,
     edges_by_shifts,
     entries,
     first_asymmetric_pair,
@@ -137,9 +137,9 @@ class TestGraphCore:
 
 
 class TestUncheckedRows:
-    """The builders, ``complement`` and the parsers skip the checks of
-    ``Graph(order, rows)``: their rows are in range, loop-free and
-    symmetric by construction."""
+    """The builders and the parsers, and the reference ``oracles.complement``,
+    skip the checks of ``Graph(order, rows)``: their rows are in range,
+    loop-free and symmetric by construction."""
 
     @staticmethod
     def checked(g):
@@ -166,13 +166,14 @@ class TestUncheckedRows:
             Graph.from_edges(3, [(0, 3)])
 
     def test_memory_at_order_8000(self):
-        # no n^2-character string per graph: building a witness of order
-        # 8000 and its complement peaks within three times the bits of one
-        # adjacency matrix (the string check peaked near eighteen times)
+        # no n^2-character string per graph: building the complement of a
+        # circulant of order 8000 from its own spec peaks within three times
+        # the bits of one adjacency matrix (the string check peaked near
+        # eighteen times)
         n = 8000
         tracemalloc.start()
         try:
-            g = complement(build(CirculantSpec(n, (1, 2, 3, 5, 8, 13, 21))))
+            g = build(_complement(CirculantSpec(n, (1, 2, 3, 5, 8, 13, 21))))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -419,6 +420,9 @@ class TestLCF:
 
 
 class TestComplement:
+    """The reference complement of ``oracles``, which the complement specs
+    of ``constructions._complement`` are checked against."""
+
     def test_complete_to_empty(self):
         g = complement(complete(4))
         assert g.edge_count() == 0

@@ -29,6 +29,8 @@ import oracles
 from oracles import (
     _miller_rabin,
     block_invariants_by_pairs,
+    catalog_witness_by_shift,
+    complement,
     cyclotomic,
     divisor_walk_at_every_divisor,
     nonvanishing_witnesses,
@@ -112,8 +114,6 @@ class TestShiftedNullity:
     def test_complement_link(self):
         # For a regular non-complete graph, nullity of the complement equals
         # the multiplicity of -1 in the base graph.
-        from nutforge.graphs import complement
-
         prism = build_bicirculant(DihedralSpec(6, {1, 5}, {0}))
         assert nut_check_direct(complement(prism)).nullity == nut_check_direct(prism, 1).nullity
 
@@ -375,7 +375,9 @@ class TestSpectralDirectAgreement:
 
 def catalog_pairs():
     """Catalog (n, d) pairs up to order 10^12: fixed ones, and seeded direct
-    and complement family pairs."""
+    and complement family pairs.  Their specs come from
+    ``oracles.catalog_witness_by_shift``: a complement rule's base, walked
+    at shift one, since the complement's own spec holds about d elements."""
     pairs = [(10**6, 14), (10**9, 14), (10**9, 30), (10**9 + 4, 18), (10**12, 14),
              (10**9, 10**9 - 6), (10**9, 10**9 - 4), (10**9 + 4, 10**9)]
     rng = random.Random(29)
@@ -406,7 +408,7 @@ class TestNonvanishingWitnesses:
         # Only the divisors where the witness is a nut graph's character,
         # b = 1 or 2, are singular; every other divisor gets a witness, and
         # each verdict agrees with divisor_walk's.
-        spec, shift, recipe = catalog_witness(n, d)
+        spec, shift, recipe = catalog_witness_by_shift(n, d)
         witness = nonvanishing_witnesses(spec, shift)
         singular = []
         for verdict in divisor_walk(spec, shift):
@@ -448,14 +450,14 @@ class TestLargeDegreeWitnesses:
 
     @pytest.mark.parametrize("n, d", [(8000, 3998), (10**9, 4006), (963761198400, 798)])
     def test_nullity_one_at_b_2(self, n, d):
-        report = nut_check_spectral(*catalog_witness(n, d)[:2])
+        report = nut_check_spectral(catalog_witness(n, d)[0])
         assert (report.total_nullity, report.singular_divisors) == (1, (2,))
 
     def test_term_count_grows_with_runs_not_set_size(self):
         # |S| is about 4000 here, so a pair-list determinant has thousands
         # of terms; the runs give at most a few dozen.
-        spec, shift, _ = catalog_witness(10**9, 4006)
-        det, trace = block_invariants(spec, shift)[1]
+        spec, _ = catalog_witness(10**9, 4006)
+        det, trace = block_invariants(spec, 0)[1]
         assert len(det) <= 40 and len(trace) <= 8
 
 
@@ -547,16 +549,16 @@ class TestReachRule:
 
     def test_catalog_witnesses_up_to_order_10_12(self):
         for n, d in catalog_pairs():
-            self.walks_agree(*catalog_witness(n, d)[:2])
+            self.walks_agree(*catalog_witness_by_shift(n, d)[:2])
 
     def test_large_order_asks_few_divisors(self, monkeypatch):
         # 5,760 divisors; the determinant reaches only the few hundred with
         # phi(b) within its span, and the trace is asked only at b = 2.
-        spec, shift, _ = catalog_witness(963761198400, 202)
-        m, invariants = block_invariants(spec, shift)
+        spec, _ = catalog_witness(963761198400, 202)
+        m, invariants = block_invariants(spec, 0)
         assert len(divisors(m)) == 5760
         asked = recorded_divisors(monkeypatch)
-        report = nut_check_spectral(spec, shift)
+        report = nut_check_spectral(spec)
         assert report.total_nullity == 1 and report.singular_divisors == (2,)
         assert 0 < len(asked) <= 300
         span = _cyclic_span(invariants[0], m)
