@@ -121,7 +121,7 @@ def cmd_construct(args) -> int:
         print(json.dumps({
             "n": args.n,
             "d": args.d,
-            "graph6": to_graph6(w.graph),
+            "graph6": to_graph6(w.spec),
             "recipe": w.recipe,
             "nullity": w.certificate.nullity,
             "kernel_vector": [str(x) for x in w.certificate.kernel_vector],
@@ -130,7 +130,8 @@ def cmd_construct(args) -> int:
     if args.recipe:
         print(f"# recipe: {w.recipe}")
         print("# certified: nullity 1, kernel vector free of zeros")
-    print(serialize(w.graph, args.format))
+    # graph6 is written from the spec; the other formats build the graph
+    print(to_graph6(w.spec) if args.format == "graph6" else serialize(w.graph, args.format))
     return EXIT_OK
 
 
@@ -274,10 +275,10 @@ def cmd_census(args) -> int:
         for w in census(args.family, args.n, args.d, dedup=not args.no_dedup,
                         budget=args.budget):
             if args.format == "jsonl":
-                lines.append(json.dumps({"graph6": to_graph6(w.graph), "recipe": w.recipe,
+                lines.append(json.dumps({"graph6": to_graph6(w.spec), "recipe": w.recipe,
                                          "order": args.n, "degree": args.d}))
             else:
-                lines.append(to_graph6(w.graph))
+                lines.append(to_graph6(w.spec))
     except SearchExhaustedError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

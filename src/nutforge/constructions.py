@@ -49,13 +49,16 @@ vector.  The gate first asks for such a character, eps(S) = 0, without
 which the nullity cannot be one, before any polynomial work; the
 cyclotomic nullity of ``verify`` then screens the rest one divisor at a
 time, until it passes one, and only the specs that end at exactly one are
-built.  A nut graph must then have the requested order and degree and obey
-the existence law of ``feasible_vt``.  The search and the census read one
-capped stream, ``_witnesses``: the index tuples of ``_candidates``, the
-orbit record for the census, ``_spec`` for each tuple that goes on, and
-the gate; the search uses no orbit.  No witness runs an O(n^3) kernel,
-except that a search hit is also checked against the direct kernel.  The
-outputs are certificates, not citations.
+described.  A nut graph must then have the requested order and degree and
+obey the existence law of ``feasible_vt``.  A witness keeps its spec and
+builds no graph: ``graphs.to_graph6`` writes the spec itself, and the graph
+is built only when read, by census labeling, the search hit's direct-kernel
+check and the adjacency-list and DOT outputs.  The search and the census
+read one capped stream, ``_witnesses``: the index tuples of
+``_candidates``, the orbit record for the census, ``_spec`` for each tuple
+that goes on, and the gate; the search uses no orbit.  No witness runs an
+O(n^3) kernel, except that a search hit is also checked against the direct
+kernel.  The outputs are certificates, not citations.
 """
 
 from __future__ import annotations
@@ -89,16 +92,20 @@ class FeasibilityVerdict:
 
 @dataclass(frozen=True)
 class Witness:
-    """A concrete graph together with its construction recipe and exact
-    nut certificate."""
+    """A Cayley spec together with its construction recipe and exact nut
+    certificate; ``graph`` builds the spec's graph each time it is read."""
 
-    graph: Graph
+    spec: CirculantSpec | DihedralSpec
     recipe: str
     certificate: NutCertificate
 
     def __post_init__(self):
         if not self.certificate.is_nut:
             raise ValueError("witness certificate must certify the nut property")
+
+    @property
+    def graph(self) -> Graph:
+        return build(self.spec)
 
 
 def feasible_vt(n: int, d: int) -> FeasibilityVerdict:
@@ -294,12 +301,12 @@ def _kernel_character(spec: CirculantSpec | DihedralSpec):
 
 def _certify(spec: CirculantSpec | DihedralSpec, recipe: str | None, n: int, d: int,
              nullity_one: bool = False) -> Witness | None:
-    """The witness built from spec, or None when its spectral nullity is not
+    """The witness of spec, or None when its spectral nullity is not
     exactly one: the one nut gate of every catalog, search and census
     witness.  A nut graph that is not d-regular of order n, or whose (n, d)
     breaks ``feasible_vt``, is a construction error.  Every check reads the
-    spec alone; the graph is built, and a recipe of None replaced by
-    ``spec.describe()``, only for a spec that passes the walk.
+    spec alone, and no graph is built; a recipe of None is replaced by
+    ``spec.describe()`` only for a spec that passes the walk.
 
     The witness is a Cayley graph Cay(G, S) of G = Z_n or D_m, and every
     left translation is an automorphism, so it maps a kernel vector spanning
@@ -347,7 +354,7 @@ def _certify(spec: CirculantSpec | DihedralSpec, recipe: str | None, n: int, d: 
         raise RuntimeError(f"witness parameters ({n}, {d}) break the existence law: {recipe}")
     a, b = character  # vertex m + j of D_m is r^-j s, and b = 1 on Z_n
     vector = tuple(a ** v * (b if 2 * v >= n else 1) for v in range(n))
-    return Witness(build(spec), recipe, NutCertificate(1, vector))
+    return Witness(spec, recipe, NutCertificate(1, vector))
 
 
 def construct(n: int, d: int) -> Witness:
@@ -462,9 +469,9 @@ def _witnesses(family: str, n: int, d: int, budget: int | None, dedup: bool | No
     dedup it is skipped, as its minimum's witness stands for its class.
     Without dedup it is skipped if the minimum failed, and otherwise
     certified with no walk of its own; its character, shape and existence
-    checks and its build still run.  A set with no verdict walks for itself, so an
-    image left out costs a walk, and with dedup a labeling, never a
-    verdict.  The record holds only the images still to come.
+    checks still run.  A set with no verdict walks for itself, so an image
+    left out costs a walk, and with dedup a labeling, never a verdict.  The
+    record holds only the images still to come.
 
     The budget, when given, caps the sets enumerated, orbit non-minima and
     rejected sets included: the set past it raises SearchExhaustedError, so

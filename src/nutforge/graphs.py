@@ -17,7 +17,10 @@ reflection exponents.
 
 Serialization covers graph6 (bit-exact per the published format, including
 the multi-byte order prefix for orders above 62), a zero-indexed adjacency
-list, and DOT.
+list, and DOT.  A spec's connection sets fix its adjacency matrix, so
+``to_graph6`` writes a spec without building it: each column of the upper
+triangle is a slice of the sets' indicator strings (``_indicator``), which
+also give row 0 of each circulant block that ``build`` rotates.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import base64
 import operator
 from dataclasses import dataclass, field
-from itertools import compress, count
+from itertools import chain, compress, count, islice
 from math import isqrt
 
 
@@ -166,7 +169,9 @@ class BicirculantSpec:
         object.__setattr__(self, "s2", frozenset(self.s2))
         if self.m < 3:
             raise ValueError("parameter m must be >= 3")
-        for name, s in zip(self._names[::2], (self.s0, self.s2)):
+        # A dihedral spec holds one rotation set as both s0 and s2.
+        diagonal = (self.s0,) if self.s2 is self.s0 else (self.s0, self.s2)
+        for name, s in zip(self._names[::2], diagonal):
             for a in s:
                 if not 1 <= a <= self.m - 1:
                     raise ValueError(f"{name} entry {a} outside [1, {self.m - 1}]")
@@ -198,6 +203,7 @@ class DihedralSpec(BicirculantSpec):
     _names = ("rotations", "reflections", "rotations")
 
     def __init__(self, m: int, rotations=frozenset(), reflections=frozenset()):
+        rotations = frozenset(rotations)  # one object as s0 and s2
         super().__init__(m, rotations, reflections, rotations)
 
     @property
@@ -217,24 +223,38 @@ class DihedralSpec(BicirculantSpec):
                 f"reflections={sorted(self.reflections)})")
 
 
-def _circulant_rows(m: int, connection) -> list[int]:
-    """Bit rows of the m x m circulant with C[i][j] = 1 iff (j - i) mod m in
-    the connection set: row i is row 0 rotated left by i within m bits."""
-    row, mask = sum(1 << c for c in connection), (1 << m) - 1
-    return [(row << i | row >> m - i) & mask for i in range(m)]
+def _indicator(m: int, members) -> bytearray:
+    """The m binary digits whose digit c is 1 exactly when c is a member:
+    a connection set of Z_m as a string, built in O(m + |members|)."""
+    digits = bytearray(b"0") * m
+    for c in members:
+        digits[c] = 49  # ord("1")
+    return digits
+
+
+def _circulant_rows(indicator: bytearray) -> list[int]:
+    """Bit rows of the m x m circulant with C[i][j] = 1 iff (j - i) mod m is
+    a member of the connection set whose ``_indicator`` is given: row i is
+    row 0 rotated left by i within m bits, m bits of row 0 twice over
+    shifted right by m - i."""
+    m = len(indicator)
+    row, mask = int(indicator[::-1], 2), (1 << m) - 1
+    row |= row << m
+    return [row >> i & mask for i in range(m, 0, -1)]
 
 
 def build_circulant(spec: CirculantSpec) -> Graph:
     """Circulant graph: vertex i adjacent to i +- j (mod n) for each jump."""
-    return Graph._of_rows(_circulant_rows(spec.n, spec.connection))
+    return Graph._of_rows(_circulant_rows(_indicator(spec.n, spec.connection)))
 
 
 def build_bicirculant(spec: BicirculantSpec) -> Graph:
     """Bicirculant graph with blocks [[C0, C1^T], [C1, C2]]; C1^T is the
-    circulant on the negated connection set."""
+    circulant on the negated connection set, whose indicator has digit
+    -c mod m where s1's has digit c."""
     m = spec.m
-    c0, c1t, c1, c2 = (_circulant_rows(m, s) for s in
-                       (spec.s0, {-b % m for b in spec.s1}, spec.s1, spec.s2))
+    s0, s1, s2 = (_indicator(m, s) for s in (spec.s0, spec.s1, spec.s2))
+    c0, c1t, c1, c2 = map(_circulant_rows, (s0, s1[:1] + s1[:0:-1], s1, s2))
     return Graph._of_rows([a | b << m for a, b in [*zip(c0, c1t), *zip(c1, c2)]])
 
 
@@ -268,25 +288,51 @@ _G6_TO_BASE64 = bytes.maketrans(_G6_CHARACTERS, _BASE64_DIGITS)
 _G6_CHUNK = 24 * 1024
 
 
-def to_graph6(g: Graph) -> str:
-    """Bit-exact graph6: order prefix, then the upper-triangle bits in
-    column-major order packed into 6-bit groups offset by 63.
+def _g6_columns(g: Graph | CirculantSpec | BicirculantSpec):
+    """Column j of the upper triangle of g's adjacency matrix for j = 1..n-1,
+    as binary digits: entries (0, j) to (j - 1, j), which are bits 0..j-1
+    of row j.
 
-    Column j of the upper triangle is bits 0..j-1 of row j, so each column
-    is one reversed binary string, and columns j..k-1 hold
-    (k(k-1) - j(j-1)) / 2 bits.  The columns are taken in runs of at least
+    A spec's columns are slices of its connection sets' ``_indicator``
+    digits.  Entry (i, j) of a circulant on Z_n is digit (i - j) mod n, so
+    column j is digits n - j..n-1.  On a bicirculant of order 2m, column
+    j < m is digits m - j..m-1 of s0.  Column m + j is entries (i - j) mod m
+    of s1 for i = 0..m-1, digits m - j..2m-j-1 of s1's digits twice over,
+    then digits m - j..m-1 of s2.
+    """
+    if isinstance(g, Graph):
+        rows = g.adjacency_rows()
+        return (format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1].encode()
+                for j in range(1, g.order))
+    if isinstance(g, CirculantSpec):
+        n, digits = g.n, _indicator(g.n, g.connection)
+        return (digits[n - j:] for j in range(1, n))
+    m = g.m
+    s0, s1, s2 = (_indicator(m, s) for s in (g.s0, g.s1, g.s2))
+    s1 *= 2
+    return chain((s0[m - j:] for j in range(1, m)),
+                 (s1[m - j:2 * m - j] + s2[m - j:] for j in range(m)))
+
+
+def to_graph6(g: Graph | CirculantSpec | BicirculantSpec) -> str:
+    """Bit-exact graph6 of a graph, or of a spec's graph without building
+    it: order prefix, then the upper-triangle bits in column-major order
+    packed into 6-bit groups offset by 63.
+
+    The columns (``_g6_columns``) hold (k(k-1) - j(j-1)) / 2 bits from
+    column j to column k - 1, and are taken in runs of at least
     ``_G6_CHUNK`` bits, so no string of all the bits is ever built.  The
     whole 24-bit groups of a run are base64 digits of 6 bits each, which
     the alphabet is then mapped onto, and the bits past them carry over to
     the next run.  The last run is padded to a whole group, and its digits
     past the last bit are dropped.
     """
-    rows = g.adjacency_rows()
-    n, j = len(rows), 1
-    out, bits = [_g6_order_bytes(n)], ""
+    n, j = g.order, 1
+    out, bits = [_g6_order_bytes(n)], b""
+    columns = _g6_columns(g)
     while True:
         stop = min(n, isqrt(j * (j - 1) + 2 * _G6_CHUNK) + 2)
-        bits += "".join([format(rows[i] & ((1 << i) - 1), f"0{i}b")[::-1] for i in range(j, stop)])
+        bits += b"".join(islice(columns, stop - j))
         if stop >= n:
             break
         whole = len(bits) - len(bits) % 24
@@ -294,7 +340,7 @@ def to_graph6(g: Graph) -> str:
         bits, j = bits[whole:], stop
     k = len(bits)
     pad = -k % 24
-    out.append(_g6_digits(int(bits or "0", 2) << pad, k + pad)[:-(-k // 6)])
+    out.append(_g6_digits(int(bits or b"0", 2) << pad, k + pad)[:-(-k // 6)])
     return "".join(out)
 
 

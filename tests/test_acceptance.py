@@ -9,9 +9,9 @@ import math
 import random
 from itertools import combinations, permutations
 from itertools import product as cartesian_product
+from typing import NamedTuple
 
 from nutforge.constructions import (
-    Witness,
     catalog_witness,
     census,
     circulant_search,
@@ -410,6 +410,16 @@ OTHER_SMALL_GROUPS = {
 }
 
 
+class GroupWitness(NamedTuple):
+    """A nut graph on a group of ``OTHER_SMALL_GROUPS``, with the fields of
+    a ``Witness`` that ``sign_classes_split_evenly`` reads; a ``Witness``
+    holds a spec on Z_n or D_m, which these graphs have not."""
+
+    graph: Graph
+    recipe: str
+    certificate: object
+
+
 def test_criterion_14_small_groups_beyond_cyclic_and_dihedral():
     """No Cayley graph on a group of order <= 12 other than Z_n and D_m is a
     nut graph at a pair that ``feasible_vt`` rejects.
@@ -447,7 +457,7 @@ def test_criterion_14_small_groups_beyond_cyclic_and_dihedral():
                 if not cert.is_nut:
                     continue
                 nuts += 1
-                w = Witness(g, f"Cay({name}, {sorted(connection)})", cert)
+                w = GroupWitness(g, f"Cay({name}, {sorted(connection)})", cert)
                 if not feasible_vt(n, len(connection)).exists:
                     failures.append((w.recipe, "breaks the existence law"))
                 elif not sign_classes_split_evenly(w):

@@ -19,12 +19,15 @@ from nutforge.cli import main
 from nutforge.graphs import (
     CirculantSpec,
     DihedralSpec,
+    build,
     build_bicirculant,
     build_circulant,
     to_adjacency_list,
     to_graph6,
 )
 
+
+from test_golden import CENSUS_CASES
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -516,9 +519,9 @@ class TestCensus:
         assert out == ""
 
     def test_census_holds_lines_not_witnesses(self):
-        # dihedral 24 8 has 3,761 witnesses without dedup.  Held as output
+        # dihedral 24 8 has 3,760 witnesses without dedup.  Held as output
         # lines they peak at about 1.5 MB under tracemalloc; a list of the
-        # witnesses, with their rows and kernel vectors, peaks at 6.9 MB.
+        # witnesses, with their specs and kernel vectors, peaks at 5.1 MB.
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()
             try:
@@ -580,6 +583,51 @@ class TestCensus:
             main(["census", "--family", "circulant", "10", "4", "--jobs", "2"])
         assert exc.value.code == 2
         assert "invalid choice: 2" in capsys.readouterr().err
+
+
+class TestBuildCount:
+    """A witness keeps its Cayley spec, and its graph is built only when an
+    output or a check reads it: census labeling, the search hit's
+    direct-kernel check, and the adjacency-list and DOT outputs."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(constructions, "build", counting)
+        return calls
+
+    # Pairs of each catalog rule, and two search pairs.
+    PAIRS = ((12, 6), (16, 12), (12, 8), (16, 6), (28, 10), (20, 14), (36, 26), (40, 26),
+             (120, 114), (14, 8), (20, 8))
+
+    @pytest.mark.parametrize("n,d", PAIRS)
+    def test_construct(self, capsys, builds, n, d):
+        counts = {}
+        for fmt in ("graph6", "jsonl", "adjacency-list", "dot"):
+            builds.clear()
+            assert run(capsys, "construct", str(n), str(d), "--format", fmt)[0] == 0
+            counts[fmt] = len(builds)
+        # a search hit is built once, for its direct-kernel check
+        searched = constructions.catalog_witness(n, d) is None
+        assert counts == {"graph6": searched, "jsonl": searched,
+                          "adjacency-list": searched + 1, "dot": searched + 1}
+
+    @pytest.mark.parametrize("family,n,d,dedup", CENSUS_CASES)
+    def test_census(self, capsys, builds, family, n, d, dedup):
+        # with dedup, one build per witness that is labeled
+        labeled = len(list(constructions._witnesses(family, n, d, None, True))) if dedup else 0
+        assert not builds
+        for fmt in ("graph6", "jsonl"):
+            builds.clear()
+            flags = () if dedup else ("--no-dedup",)
+            argv = ("census", "--family", family, str(n), str(d), "--format", fmt, *flags)
+            assert run(capsys, *argv)[0] == 0
+            assert len(builds) == labeled
 
 
 #: Every subcommand's arguments, in parser order, as (option strings or

@@ -1002,10 +1002,9 @@ def _kernel_witnesses(specs):
     """Witness for every spec the direct kernel certifies, one kernel per
     candidate: how the searches and the census ran before the screen."""
     for spec in specs:
-        g = build(spec)
-        cert = nut_check_direct(g)
+        cert = nut_check_direct(build(spec))
         if cert.is_nut:
-            yield Witness(g, spec.describe(), cert)
+            yield Witness(spec, spec.describe(), cert)
 
 
 def _kernel_construct(n, d):
@@ -1588,7 +1587,7 @@ class TestScreen:
 
 class TestWitnessInvariant:
     def test_witness_requires_nut_certificate(self):
-        g = build_circulant(CirculantSpec(4, {1}))
-        cert = nut_check_direct(g)
+        spec = CirculantSpec(4, {1})
+        cert = nut_check_direct(build_circulant(spec))
         with pytest.raises(ValueError):
-            Witness(g, "square", cert)
+            Witness(spec, "square", cert)

@@ -8,8 +8,11 @@ below; the spectral digest covers ``(total_nullity, ((b, multiplicity),
 ...))`` at shifts 0 and 1 for every dihedral spec with m <= 6 and every
 circulant jump set with 5 <= n <= 14; the lemmas digest covers the text
 output of ``lemmas --family all --t-max 20 --beta-max 300
---full-case-analysis`` with the wall times of its result lines removed.  A
-change that keeps the output keeps the digests.  A change that alters the
+--full-case-analysis`` with the wall times of its result lines removed.  The
+format digests cover ``construct N D --format adjacency-list`` and
+``--format dot`` on every seventh pair of the construct grid, which
+reaches every catalog rule and the search, and ``census --format jsonl``
+on the census cases.  A change that keeps the output keeps the digests.  A change that alters the
 output on purpose records the new digests in the same change and says why.
 """
 
@@ -30,6 +33,9 @@ CONSTRUCT_SHA256 = "9379aa5937a09125063d352a3fddf37ffc4f174f0269899178589b5c9552
 CENSUS_SHA256 = "55da40bcf50ca7066a87749f21fdbeb0638cffc896efb9a09faa2db66bcf087f"
 SPECTRAL_SHA256 = "0d1cf0c88313cd8ce3331013b5e6276f5102d1d044ddefa2b5a6ffc8b97d02cb"
 LEMMAS_SHA256 = "509a4444e591ec75ee4d28de6be6fbd1a94abcaf1d06b5928f80145d0e77acfe"
+ADJACENCY_LIST_SHA256 = "8494622c1cc3883294983171130f534fc2bcf65e5c716ef06b7206af5d33ce60"
+DOT_SHA256 = "ab42d2db51a2e4eef4a5d37c4bb56802708300f6b5ce5094e9b2b52bbd52a1c6"
+CENSUS_JSONL_SHA256 = "46a17e4c1e5cfef1cc14fa3d244b1d0fafc0f1e2c50df7920945e8b9384050c6"
 
 # (family, n, d, dedup): the census benchmark workload's requests.
 CENSUS_CASES = (
@@ -54,8 +60,13 @@ def stdout_of(*argv):
     return buf.getvalue()
 
 
+def grid_pairs():
+    """Every feasible pair with d <= 40 and n <= 120, in (d, n) order."""
+    return [(n, d) for d in range(41) for n in range(1, 121) if feasible_vt(n, d).exists]
+
+
 def test_construct_grid_output():
-    pairs = [(n, d) for d in range(41) for n in range(1, 121) if feasible_vt(n, d).exists]
+    pairs = grid_pairs()
     assert len(pairs) == 696
     digest = hashlib.sha256()
     for n, d in pairs:
@@ -70,6 +81,26 @@ def test_census_workload_output():
         digest.update(stdout_of("census", "--family", family, n, d, "--jobs", 1,
                                 *flags).encode())
     assert digest.hexdigest() == CENSUS_SHA256
+
+
+@pytest.mark.parametrize("fmt,expected", [("adjacency-list", ADJACENCY_LIST_SHA256),
+                                          ("dot", DOT_SHA256)])
+def test_construct_graph_formats(fmt, expected):
+    # 100 pairs: the search, the sporadic table, both direct families, the
+    # Moebius-ladder and prism complements and the complement families.
+    digest = hashlib.sha256()
+    for n, d in grid_pairs()[::7]:
+        digest.update(stdout_of("construct", n, d, "--format", fmt).encode())
+    assert digest.hexdigest() == expected
+
+
+def test_census_jsonl_output():
+    digest = hashlib.sha256()
+    for family, n, d, dedup in CENSUS_CASES:
+        flags = () if dedup else ("--no-dedup",)
+        digest.update(stdout_of("census", "--family", family, n, d, "--format", "jsonl",
+                                *flags).encode())
+    assert digest.hexdigest() == CENSUS_JSONL_SHA256
 
 
 def test_lemmas_output():

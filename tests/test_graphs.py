@@ -24,7 +24,12 @@ from nutforge.graphs import (
     to_dot,
     to_graph6,
 )
-from nutforge.constructions import _complement, direct_family_spec
+from nutforge.constructions import (
+    _complement,
+    catalog_witness,
+    construct,
+    direct_family_spec,
+)
 from nutforge.verify import block_invariants, nut_check_spectral
 from oracles import (
     IntMatrix,
@@ -41,6 +46,7 @@ from oracles import (
     relabel,
     small_cayley_specs,
 )
+from test_golden import grid_pairs
 
 
 def cycle(n):
@@ -397,6 +403,50 @@ class TestBuildMatchesPerJumpBuilder:
         g = build(spec)
         assert g == build_by_jumps(spec)
         assert (g.order, is_regular(g)) == (2000, 998)
+
+
+class TestGraph6FromSpec:
+    """Differential gate: graph6 written from a spec's connection sets is
+    graph6 of the spec's built graph."""
+
+    @staticmethod
+    def agree(spec):
+        assert to_graph6(spec) == to_graph6(build(spec)), spec
+
+    def test_small_cayley_specs(self):
+        for spec in small_cayley_specs():
+            self.agree(spec)
+
+    def test_complement_spec_sample(self):
+        # every dihedral spec with m = 3..7 and circulant with n = 3..16
+        specs = list(small_cayley_specs(range(3, 8), range(3, 17)))
+        assert len(specs) == 2506
+        for spec in specs:
+            self.agree(spec)
+
+    def test_construct_grid_witnesses(self):
+        for n, d in grid_pairs():
+            self.agree(construct(n, d).spec)
+
+    def test_seeded_bicirculants_with_distinct_diagonal_blocks(self):
+        rng = random.Random(41)
+        count = 0
+        while count < 300:
+            m = rng.randrange(3, 90, 2)
+            density = rng.random()
+            spec = BicirculantSpec(m, _inverse_closed(rng, m, density),
+                                   frozenset(b for b in range(m) if rng.random() < density),
+                                   _inverse_closed(rng, m, density))
+            if spec.s0 != spec.s2:
+                self.agree(spec)
+                count += 1
+
+    @pytest.mark.parametrize("n,d", [(224, 10), (224, 218), (224, 220), (2000, 14),
+                                     (2000, 1994), (8000, 7994)])
+    def test_catalog_specs_past_one_chunk(self, n, d):
+        # from order 224 on the columns are encoded in more than one run
+        spec, _ = catalog_witness(n, d)
+        self.agree(spec)
 
 
 class TestLCF:
